@@ -50,6 +50,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 STATS = ("hull", "ball", "scanpath")
+TRANSITIONS = tuple(f"{a}->{b}" for a in range(1, 5) for b in range(1, 5))
 
 
 class ConfigError(ValueError):
@@ -276,7 +277,7 @@ def cmd_shift(cfg: PipelineConfig) -> None:
             (out / f"shift_{name}.svg").write_text(shift_plot_svg(c, name))
 
 
-def _single_painting(cfg: PipelineConfig, dataset: Dataset) -> Dataset:
+def _single_painting(dataset: Dataset) -> Dataset:
     paintings = dataset.painting_ids()
     if len(paintings) > 1:
         raise DataError(
@@ -289,7 +290,7 @@ def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     _require(cfg, "seed")
     dataset, _, _ = _load_filtered(cfg)
-    dataset = _single_painting(cfg, dataset)
+    dataset = _single_painting(dataset)
     result = permutation_test(
         dataset, m=cfg.m, h1=cfg.h1, h2=cfg.h2, seed=cfg.seed,
         nx=cfg.nx, ny=cfg.ny, h_grid=cfg.h_grid,
@@ -394,54 +395,46 @@ def _stat_list(cfg: PipelineConfig) -> list[str]:
 
 
 def _group_envelopes(cfg: PipelineConfig, dataset, saccades, group: str, grid):
-    """Model, simulations, and envelopes + observed overlays for one group."""
+    """Model, simulations, and envelopes + observed overlays for one group.
+
+    Returns the JSON-ready result and the envelopes by curve name.
+    """
     model = _build_group_model(cfg, dataset, saccades, group)
     runs = simulate_many(model, cfg.n_runs, cfg.seed)
     end = model.trial_length
-    observed_seqs = dataset.by_group(group)
-    sim_summary = [_summary_curves(r.sequence, model.window, cfg, end) for r in runs]
+
+    def named_curves(seq) -> dict:
+        curves = _summary_curves(seq, model.window, cfg, end)
+        # transition curves exist only for sequences with >= 2 fixations
+        if len(seq) >= 2:
+            t = transition_curves(seq, model.window, domain_end=end)
+            curves.update(zip(TRANSITIONS, (c for row in t.curves for c in row)))
+        return curves
+
+    sim_curves = [named_curves(r.sequence) for r in runs]
     # a subject appears once per painting; key on both
-    obs_summary = {
-        f"{s.subject_id}:{s.painting_id}": _summary_curves(s, model.window, cfg, end)
-        for s in observed_seqs
+    obs_curves = {
+        f"{s.subject_id}:{s.painting_id}": named_curves(s) for s in dataset.by_group(group)
     }
 
-    result: dict = {"model": model.to_dict(), "stats": {}, "transitions": {}}
-    for stat in _stat_list(cfg):
-        matrix = CurveMatrix.from_curves([c[stat] for c in sim_summary], grid)
-        env = rank_envelope(matrix, cfg.alpha)
-        observed = {
-            sid: resample_curve(curves[stat], grid) for sid, curves in obs_summary.items()
-        }
-        verdicts = envelope_report(list(observed.values()), env)
-        result["stats"][stat] = {
-            "envelope": env.to_dict(),
-            "observed": {k: [float(v) for v in vals] for k, vals in observed.items()},
-            "report": dict(zip(observed.keys(), verdicts)),
-        }
-
-    sim_trans = [
-        transition_curves(r.sequence, model.window, domain_end=end)
-        for r in runs if len(r.sequence) >= 2
-    ]
-    obs_trans = {
-        f"{s.subject_id}:{s.painting_id}": transition_curves(s, model.window, domain_end=end)
-        for s in observed_seqs if len(s) >= 2
-    }
-    for a in range(4):
-        for b in range(4):
-            matrix = CurveMatrix.from_curves([t.curves[a][b] for t in sim_trans], grid)
+    result: dict = {"model": model.to_dict()}
+    envelopes = {}
+    for family, names in (("stats", _stat_list(cfg)), ("transitions", TRANSITIONS)):
+        result[family] = {}
+        for name in names:
+            matrix = CurveMatrix.from_curves([c[name] for c in sim_curves if name in c], grid)
             env = rank_envelope(matrix, cfg.alpha)
+            envelopes[name] = env
             observed = {
-                k: resample_curve(t.curves[a][b], grid) for k, t in obs_trans.items()
+                k: resample_curve(c[name], grid) for k, c in obs_curves.items() if name in c
             }
             verdicts = envelope_report(list(observed.values()), env)
-            result["transitions"][f"{a + 1}->{b + 1}"] = {
+            result[family][name] = {
                 "envelope": env.to_dict(),
                 "observed": {k: [float(v) for v in vals] for k, vals in observed.items()},
                 "report": dict(zip(observed.keys(), verdicts)),
             }
-    return result
+    return result, envelopes
 
 
 def _coverage_panels_svg(group_result: dict, grid, title_prefix: str) -> str:
@@ -457,16 +450,13 @@ def _coverage_panels_svg(group_result: dict, grid, title_prefix: str) -> str:
 
 def _transition_panels_svg(group_result: dict, grid, title_prefix: str) -> str:
     panels = []
-    for a in range(4):
-        for b in range(4):
-            block = group_result["transitions"][f"{a + 1}->{b + 1}"]
-            env = block["envelope"]
-            series = [(np.array(v), "#e6701b", 0.8) for v in block["observed"].values()]
-            series.append((np.array(env["lower"]), "#000000", 1.2))
-            series.append((np.array(env["upper"]), "#000000", 1.2))
-            panels.append(
-                dict(x=grid, series=series, title=f"{title_prefix} {a + 1}->{b + 1}")
-            )
+    for name in TRANSITIONS:
+        block = group_result["transitions"][name]
+        env = block["envelope"]
+        series = [(np.array(v), "#e6701b", 0.8) for v in block["observed"].values()]
+        series.append((np.array(env["lower"]), "#000000", 1.2))
+        series.append((np.array(env["upper"]), "#000000", 1.2))
+        panels.append(dict(x=grid, series=series, title=f"{title_prefix} {name}"))
     return panel_grid_svg(panels, ncols=4)
 
 
@@ -474,16 +464,13 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     _require(cfg, "seed", "group")
     dataset, saccades, _ = _load_filtered(cfg)
-    dataset = _single_painting(cfg, dataset)
+    dataset = _single_painting(dataset)
     grid = default_grid(cfg.trial_length, cfg.grid_points)
-    result = _group_envelopes(cfg, dataset, saccades, cfg.group, grid)
+    result, envelopes = _group_envelopes(cfg, dataset, saccades, cfg.group, grid)
     payload = {"meta": _meta(cfg, "envelope"), "group": cfg.group, **result}
     _write_json(out / "envelope.json", payload)
-    for stat, block in result["stats"].items():
-        with open(out / f"envelope_{stat}.csv", "w", newline="") as fh:
-            fh.write("time_ms,lower,upper\n")
-            for t, lo, up in zip(grid, block["envelope"]["lower"], block["envelope"]["upper"]):
-                fh.write(f"{float(t)!r},{float(lo)!r},{float(up)!r}\n")
+    for stat in result["stats"]:
+        envelopes[stat].to_csv(out / f"envelope_{stat}.csv")
     if cfg.svg:
         (out / "envelope_coverage.svg").write_text(
             _coverage_panels_svg(result, grid, cfg.group)
@@ -534,7 +521,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
     for group in ("novice", "non_novice"):
         if not dataset.by_group(group):
             continue
-        result = _group_envelopes(cfg, dataset, saccades, group, grid)
+        result, _ = _group_envelopes(cfg, dataset, saccades, group, grid)
         payload["groups"][group] = result
         if cfg.svg:
             (out / f"report_{group}_coverage.svg").write_text(

@@ -17,10 +17,8 @@ import numpy as np
 from scipy.special import kolmogi
 
 from .core import DataError, Dataset, Window
-from .density import IntensityGrid, _kernel_sum, chisq_sf, edge_correction
+from .density import _TINY, IntensityGrid, _grid_factors, chisq_sf
 from .rng import substream
-
-_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -130,16 +128,22 @@ def shift_function(x_sample, y_sample, alpha: float = 0.05) -> ShiftCurve:
 def log_density_ratio(g1: IntensityGrid, g2: IntensityGrid) -> IntensityGrid:
     """Cellwise log of the ratio of the two normalized surfaces.
 
-    Each grid is first scaled to integrate to one, so the result does not
-    depend on the two point counts. The returned carrier has no bandwidth
-    of its own (two went in); its bandwidth field is NaN.
+    Each grid is first clamped at the smallest positive float and scaled to
+    integrate to one, so the result does not depend on the two point counts.
+    The returned carrier has no bandwidth of its own (two went in); its
+    bandwidth field is NaN.
     """
     if not g1.same_geometry(g2):
         raise DataError("grids differ in window or resolution")
-    f1 = g1.values / g1.integral()
-    f2 = g2.values / g2.integral()
-    r = np.log(np.maximum(f1, _TINY)) - np.log(np.maximum(f2, _TINY))
+    r = _log_ratio(g1.values, g2.values, g1.cell_area)
     return IntensityGrid(g1.window, g1.nx, g1.ny, r, float("nan"))
+
+
+def _log_ratio(lam1: np.ndarray, lam2: np.ndarray, cell_area: float) -> np.ndarray:
+    """Cellwise log ratio of two surfaces, each clamped at _TINY, then normalized."""
+    lam1 = np.maximum(lam1, _TINY)
+    lam2 = np.maximum(lam2, _TINY)
+    return np.log(lam1 / (lam1.sum() * cell_area)) - np.log(lam2 / (lam2.sum() * cell_area))
 
 
 def ratio_statistic(r_grid: IntensityGrid) -> float:
@@ -155,22 +159,17 @@ def _subject_surfaces(
     Summing any subset of rows gives that subset's intensity estimate, which
     is what makes label permutations cheap.
     """
-    xs = w.x_min + (np.arange(nx) + 0.5) * (w.width / nx)
-    ys = w.y_min + (np.arange(ny) + 0.5) * (w.height / ny)
-    ex, ey = np.meshgrid(xs, ys)
-    corr = edge_correction(ex, ey, w, h).ravel()
     rows = np.empty((len(subjects), nx * ny))
     for i, pts in enumerate(subjects):
-        rows[i] = _kernel_sum(pts, ex, ey, h).ravel() / corr
+        ax, ay = _grid_factors(pts, w, h, nx, ny)
+        rows[i] = (ay @ ax.T).ravel()
     return rows
 
 
 def _labeled_statistic(
     rows1: np.ndarray, rows2: np.ndarray, idx1, idx2, cell_area: float
 ) -> tuple[float, np.ndarray]:
-    lam1 = np.maximum(rows1[idx1].sum(axis=0), _TINY)
-    lam2 = np.maximum(rows2[idx2].sum(axis=0), _TINY)
-    r = np.log(lam1 / (lam1.sum() * cell_area)) - np.log(lam2 / (lam2.sum() * cell_area))
+    r = _log_ratio(rows1[idx1].sum(axis=0), rows2[idx2].sum(axis=0), cell_area)
     return float((r**2).sum() * cell_area), r
 
 

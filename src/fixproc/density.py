@@ -4,7 +4,9 @@ The estimator divides a Gaussian kernel sum by the kernel mass retained
 inside the window, so the surface is unbiased for a constant intensity all
 the way to the boundary. For a rectangle the retained mass factorizes into
 a product of two 1-D Gaussian CDF differences, which we evaluate in closed
-form instead of by quadrature.
+form instead of by quadrature. The Gaussian kernel factors over x and y in
+the same way, so on a grid the edge-corrected surface of any point subset
+is one matrix product of two small 1-D factor matrices (see _grid_factors).
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ _CHUNK = 512
 
 # Smallest representable positive normal; guards log() of far-field cells.
 _TINY = np.finfo(float).tiny
+
+
+def _centres(lo: float, extent: float, n: int) -> np.ndarray:
+    """Midpoints of n equal cells covering [lo, lo + extent]."""
+    return lo + (np.arange(n) + 0.5) * (extent / n)
 
 
 @dataclass
@@ -58,12 +65,10 @@ class IntensityGrid:
         return self.cell_width * self.cell_height
 
     def centers_x(self) -> np.ndarray:
-        w = self.window
-        return w.x_min + (np.arange(self.nx) + 0.5) * self.cell_width
+        return _centres(self.window.x_min, self.window.width, self.nx)
 
     def centers_y(self) -> np.ndarray:
-        w = self.window
-        return w.y_min + (np.arange(self.ny) + 0.5) * self.cell_height
+        return _centres(self.window.y_min, self.window.height, self.ny)
 
     def integral(self) -> float:
         """Midpoint Riemann sum of the surface over the window."""
@@ -137,6 +142,11 @@ class QuadratTestResult:
         }
 
 
+def _retained_mass(v, lo: float, hi: float, h: float) -> np.ndarray:
+    """1-D Gaussian mass of scale h centred at v that falls inside [lo, hi]."""
+    return ndtr((hi - v) / h) - ndtr((lo - v) / h)
+
+
 def edge_correction(x, y, w: Window, h: float) -> np.ndarray:
     """Kernel mass retained inside the window for a Gaussian of scale h at (x, y).
 
@@ -145,9 +155,7 @@ def edge_correction(x, y, w: Window, h: float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    mass_x = ndtr((w.x_max - x) / h) - ndtr((w.x_min - x) / h)
-    mass_y = ndtr((w.y_max - y) / h) - ndtr((w.y_min - y) / h)
-    return mass_x * mass_y
+    return _retained_mass(x, w.x_min, w.x_max, h) * _retained_mass(y, w.y_min, w.y_max, h)
 
 
 def _kernel_sum(points: np.ndarray, ex: np.ndarray, ey: np.ndarray, h: float) -> np.ndarray:
@@ -164,6 +172,27 @@ def _kernel_sum(points: np.ndarray, ex: np.ndarray, ey: np.ndarray, h: float) ->
         ) ** 2
         acc += np.exp(-d2 * inv2h2).sum(axis=1)
     return (norm * acc).reshape(ex.shape)
+
+
+def _grid_factors(
+    points: np.ndarray, w: Window, h: float, nx: int, ny: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-corrected 1-D kernel factors at the grid's cell centres.
+
+    Returns ``ax`` (nx, n) and ``ay`` (ny, n) such that, for any subset S of
+    the points, ``ay[:, S] @ ax[:, S].T`` is the subset's edge-corrected
+    kernel sum on the (ny, nx) grid: both the kernel and the retained mass
+    are products of an x part and a y part.
+    """
+    inv2h2 = 1.0 / (2.0 * h * h)
+    norm = 1.0 / (2.0 * np.pi * h * h)
+    cx = _centres(w.x_min, w.width, nx)
+    cy = _centres(w.y_min, w.height, ny)
+    ax = np.exp(-((cx[:, None] - points[None, :, 0]) ** 2) * inv2h2)
+    ay = np.exp(-((cy[:, None] - points[None, :, 1]) ** 2) * inv2h2)
+    ax /= _retained_mass(cx, w.x_min, w.x_max, h)[:, None]
+    ay *= (norm / _retained_mass(cy, w.y_min, w.y_max, h))[:, None]
+    return ax, ay
 
 
 def _check_points(points, w: Window) -> np.ndarray:
@@ -187,14 +216,10 @@ def estimate_intensity(
     if h <= 0:
         raise DataError(f"bandwidth must be positive, got {h}")
     points = _check_points(points, w)
-    grid = IntensityGrid(w, nx, ny, np.zeros((ny, nx)), h)
-    ex, ey = np.meshgrid(grid.centers_x(), grid.centers_y())
-    num = _kernel_sum(points, ex, ey, h)
-    corr = edge_correction(ex, ey, w, h)
+    ax, ay = _grid_factors(points, w, h, nx, ny)
     # Far-field cells can underflow to exactly 0 in float64; keep the surface
     # strictly positive so downstream logs stay finite.
-    grid.values = np.maximum(num / corr, _TINY)
-    return grid
+    return IntensityGrid(w, nx, ny, np.maximum(ay @ ax.T, _TINY), h)
 
 
 def intensity_at(points, xs, ys, w: Window, h: float) -> np.ndarray:
@@ -230,40 +255,16 @@ def select_bandwidth_cv(
 
 
 def _lscv_score(points: np.ndarray, w: Window, h: float, nx: int, ny: int) -> float:
-    grid = IntensityGrid(w, nx, ny, np.zeros((ny, nx)), h)
-    ex, ey = np.meshgrid(grid.centers_x(), grid.centers_y())
-    corr_grid = edge_correction(ex, ey, w, h)
-    cell = grid.cell_area
-
     n = len(points)
-    inv2h2 = 1.0 / (2.0 * h * h)
-    norm = 1.0 / (2.0 * np.pi * h * h)
-    flat_x = ex.ravel()
-    flat_y = ey.ravel()
-    lam_grid = np.zeros(flat_x.size)
-    point_mass = np.zeros(n)  # integral over the window of each point's term
-    for start in range(0, n, _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        d2 = (flat_x[:, None] - chunk[None, :, 0]) ** 2 + (
-            flat_y[:, None] - chunk[None, :, 1]
-        ) ** 2
-        contrib = norm * np.exp(-d2 * inv2h2) / corr_grid.ravel()[:, None]
-        lam_grid += contrib.sum(axis=1)
-        point_mass[start : start + len(chunk)] = contrib.sum(axis=0) * cell
-
+    cell = (w.width / nx) * (w.height / ny)
+    ax, ay = _grid_factors(points, w, h, nx, ny)
+    lam_grid = ay @ ax.T
+    point_mass = ax.sum(axis=0) * ay.sum(axis=0) * cell  # each point's term over the window
     total_mass = point_mass.sum()
-    corr_pts = edge_correction(points[:, 0], points[:, 1], w, h)
-    # pairwise kernel sums at the data points themselves
-    lam_at_pts = np.zeros(n)
-    for start in range(0, n, _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        d2 = (points[:, None, 0] - chunk[None, :, 0]) ** 2 + (
-            points[:, None, 1] - chunk[None, :, 1]
-        ) ** 2
-        lam_at_pts += np.exp(-d2 * inv2h2).sum(axis=1)
-    lam_at_pts = norm * lam_at_pts / corr_pts
 
-    self_term = norm / corr_pts
+    corr_pts = edge_correction(points[:, 0], points[:, 1], w, h)
+    lam_at_pts = _kernel_sum(points, points[:, 0], points[:, 1], h) / corr_pts
+    self_term = 1.0 / (2.0 * np.pi * h * h) / corr_pts
     loo_lam = lam_at_pts - self_term
     loo_mass = total_mass - point_mass
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -104,7 +104,6 @@ class IngestReport:
 
 def parse_fixations(
     path,
-    fmt: str = "csv",
     window: Window = REFERENCE_WINDOW,
     trial_length: float = DEFAULT_TRIAL_LENGTH_MS,
 ) -> Dataset:
@@ -115,9 +114,6 @@ def parse_fixations(
     onsets within one sequence and malformed rows raise with the offending
     line number.
     """
-    if fmt != "csv":
-        raise DataError(f"unsupported format {fmt!r}")
-
     rows: dict[tuple[str, str], list[tuple[float, Fixation]]] = {}
     groups: dict[tuple[str, str], str] = {}
     seen_onsets: dict[tuple[str, str], set[float]] = {}
@@ -245,7 +241,7 @@ def ingest_pipeline(
     trial_length: float = DEFAULT_TRIAL_LENGTH_MS,
 ) -> tuple[Dataset, dict[tuple[str, str], list[Saccade]], IngestReport]:
     """parse -> filter -> derive saccades, with the report fully filled in."""
-    raw = parse_fixations(path, "csv", window, trial_length)
+    raw = parse_fixations(path, window, trial_length)
     dataset, report = filter_fixations(raw, min_dur, window)
     saccades = {}
     for seq in dataset.sequences:

@@ -3,6 +3,9 @@ import pytest
 
 from fixproc import (
     DataError,
+    Dataset,
+    Fixation,
+    FixationSequence,
     estimate_intensity,
     fisher_combine,
     log_density_ratio,
@@ -111,6 +114,18 @@ class TestRatioStatistic:
         assert ratio_statistic(g) >= 0
 
 
+def _corner_clusters_dataset():
+    """3 + 3 subjects of 30 fixations (sd 10) near (60, 60) and (120, 80)."""
+    rng = np.random.default_rng(41)
+    seqs = []
+    for i in range(6):
+        group, centre = ("novice", (60.0, 60.0)) if i < 3 else ("non_novice", (120.0, 80.0))
+        pts = rng.normal(centre, 10.0, size=(30, 2))
+        fixes = [Fixation(float(x), float(y), j * 300.0, 200.0) for j, (x, y) in enumerate(pts)]
+        seqs.append(FixationSequence(f"s{i}", group, "koli", fixes))
+    return Dataset(window=W, sequences=seqs, trial_length=10_000.0)
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset():
     model = toy_model(trial_length=8_000.0)
@@ -140,12 +155,18 @@ class TestPermutationTest:
 
     def test_statistic_against_public_route(self, tiny_dataset):
         # the fast per-subject path must agree with the documented
-        # estimate -> normalize -> log-ratio -> integrate route
-        res = permutation_test(tiny_dataset, m=9, h1=28.0, h2=32.0, seed=2, nx=20, ny=20)
-        g1 = estimate_intensity(tiny_dataset.pooled_locations("novice"), W, 28.0, 20, 20)
-        g2 = estimate_intensity(tiny_dataset.pooled_locations("non_novice"), W, 32.0, 20, 20)
-        T = ratio_statistic(log_density_ratio(g1, g2))
-        assert res.T0 == pytest.approx(T, rel=1e-9)
+        # estimate -> normalize -> log-ratio -> integrate route, also when
+        # far-field cells underflow and the clamp at the smallest float decides
+        cases = [
+            (tiny_dataset, 28.0, 32.0, 20),
+            (_corner_clusters_dataset(), 8.0, 8.0, 128),
+        ]
+        for data, h1, h2, n in cases:
+            res = permutation_test(data, m=9, h1=h1, h2=h2, seed=2, nx=n, ny=n)
+            g1 = estimate_intensity(data.pooled_locations("novice"), W, h1, n, n)
+            g2 = estimate_intensity(data.pooled_locations("non_novice"), W, h2, n, n)
+            T = ratio_statistic(log_density_ratio(g1, g2))
+            assert res.T0 == pytest.approx(T, rel=1e-12)
 
 
 class TestFisher:

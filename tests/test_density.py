@@ -91,6 +91,24 @@ class TestEstimateIntensity:
         ref = brute_force_intensity(pts, W, h, 20, 20)
         assert np.max(np.abs(g.values - ref) / ref) < 1e-6
 
+    def test_grid_matches_pointwise_at_paper_size(self):
+        # the grid surface and the pointwise kernel sum are separate code
+        # paths; near every edge and corner the edge correction matters most
+        rng = np.random.default_rng(128)
+        lo = np.array([W.x_min, W.y_min])
+        hi = np.array([W.x_max, W.y_max])
+        # the four corners and the four edge midpoints, 10 points near each
+        anchors = np.array(
+            [[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0], [0.5, 1], [0, 0.5], [1, 0.5]]
+        ).repeat(10, axis=0)
+        for h in (8.0, 24.0, 64.0):
+            near_rim = lo + anchors * (hi - lo) + rng.uniform(-2 * h, 2 * h, anchors.shape)
+            pts = np.vstack([rng.uniform(lo, hi, (220, 2)), near_rim.clip(lo, hi)])
+            g = estimate_intensity(pts, W, h, 128, 128)
+            ex, ey = np.meshgrid(g.centers_x(), g.centers_y())
+            ref = intensity_at(pts, ex, ey, W, h)
+            assert np.max(np.abs(g.values - ref) / ref) <= 1e-12
+
     def test_errors(self):
         with pytest.raises(DataError):
             estimate_intensity([[1, 1]], W, -1.0)
@@ -149,7 +167,7 @@ def brute_force_lscv(points, w, h, nx, ny):
 class TestBandwidthCV:
     def test_score_matches_brute_force(self, rng):
         pts = rng.uniform([100, 100], [650, 650], size=(30, 2))
-        for h in (15.0, 60.0):
+        for h in (8.0, 15.0, 60.0):
             fast = _lscv_score(pts, W, h, 24, 24)
             slow = brute_force_lscv(pts, W, h, 24, 24)
             assert fast == pytest.approx(slow, rel=1e-9)
