@@ -85,20 +85,27 @@ class IntensityGrid:
         """Bilinear interpolation between cell centers, clamped at the rim."""
         fx = (np.asarray(x, dtype=float) - self.window.x_min) / self.cell_width - 0.5
         fy = (np.asarray(y, dtype=float) - self.window.y_min) / self.cell_height - 0.5
-        fx = np.clip(fx, 0.0, self.nx - 1.0)
-        fy = np.clip(fy, 0.0, self.ny - 1.0)
-        ix = np.clip(np.floor(fx).astype(int), 0, self.nx - 2) if self.nx > 1 else np.zeros_like(fx, dtype=int)
-        iy = np.clip(np.floor(fy).astype(int), 0, self.ny - 2) if self.ny > 1 else np.zeros_like(fy, dtype=int)
-        tx = fx - ix if self.nx > 1 else np.zeros_like(fx)
-        ty = fy - iy if self.ny > 1 else np.zeros_like(fy)
-        v = self.values
-        ix1 = np.minimum(ix + 1, self.nx - 1)
-        iy1 = np.minimum(iy + 1, self.ny - 1)
+        fx = np.minimum(np.maximum(fx, 0.0), self.nx - 1.0)
+        fy = np.minimum(np.maximum(fy, 0.0), self.ny - 1.0)
+        # fx >= 0, so truncation is floor (the lower bound only keeps a NaN
+        # indexable); the lower cell stops one short of the last column (row)
+        # unless the grid has a single one
+        ix = np.minimum(np.maximum(fx.astype(int), 0), max(self.nx - 2, 0))
+        iy = np.minimum(np.maximum(fy.astype(int), 0), max(self.ny - 2, 0))
+        tx = fx - ix
+        ty = fy - iy
+        sx = 1 - tx
+        sy = 1 - ty
+        # flat offsets of the right and lower neighbours (none on a 1-cell axis)
+        dx = 1 if self.nx > 1 else 0
+        dy = self.nx if self.ny > 1 else 0
+        v = self.values.ravel()
+        k = iy * self.nx + ix
         return (
-            v[iy, ix] * (1 - tx) * (1 - ty)
-            + v[iy, ix1] * tx * (1 - ty)
-            + v[iy1, ix] * (1 - tx) * ty
-            + v[iy1, ix1] * tx * ty
+            v[k] * sx * sy
+            + v[k + dx] * tx * sy
+            + v[k + dy] * sx * ty
+            + v[k + dx + dy] * tx * ty
         )
 
     def to_csv(self, path) -> None:

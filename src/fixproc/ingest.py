@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -111,8 +112,8 @@ def parse_fixations(
 
     Rows may arrive in any time order; each sequence is sorted by onset and
     a warning is emitted when sorting actually changed the order. Duplicate
-    onsets within one sequence and malformed rows raise with the offending
-    line number.
+    onsets within one sequence, malformed rows and non-finite (nan/inf)
+    times or coordinates raise with the offending line number.
     """
     rows: dict[tuple[str, str], list[tuple[float, Fixation]]] = {}
     groups: dict[tuple[str, str], str] = {}
@@ -136,6 +137,10 @@ def parse_fixations(
                 y = float(row["y_px"])
             except (TypeError, ValueError, AttributeError) as exc:
                 raise DataError(f"{path}:{line}: malformed row ({exc})") from exc
+            if not all(math.isfinite(v) for v in (onset, duration, x, y)):
+                raise DataError(
+                    f"{path}:{line}: non-finite value in onset_ms, duration_ms, x_px or y_px"
+                )
             if group not in GROUPS:
                 raise DataError(f"{path}:{line}: unknown group {group!r}")
             if duration <= 0:

@@ -200,20 +200,24 @@ def next_location(
     added, so a feasible radius always has at least one candidate.
     """
     w = model.window
-    cand_x = x + length * model._cos
-    cand_y = y + length * model._sin
+    n = model.n_angles
+    # the circle's n candidates, then the guaranteed one, filled in place
+    cand_x = np.empty(n + 1)
+    cand_y = np.empty(n + 1)
+    np.multiply(model._cos, length, out=cand_x[:n])
+    np.add(cand_x[:n], x, out=cand_x[:n])
+    np.multiply(model._sin, length, out=cand_y[:n])
+    np.add(cand_y[:n], y, out=cand_y[:n])
 
     fx, fy = farthest_corner(x, y, w)
     far_dist = np.hypot(fx - x, fy - y)
     ux, uy = (fx - x) / far_dist, (fy - y) / far_dist
     # clamp the guaranteed candidate: convexity puts it inside, floating
     # rounding may not
-    gx = min(max(x + length * ux, w.x_min), w.x_max)
-    gy = min(max(y + length * uy, w.y_min), w.y_max)
-    cand_x = np.append(cand_x, gx)
-    cand_y = np.append(cand_y, gy)
+    cand_x[n] = min(max(x + length * ux, w.x_min), w.x_max)
+    cand_y[n] = min(max(y + length * uy, w.y_min), w.y_max)
 
-    inside = w.contains(cand_x, cand_y)
+    inside = (cand_x >= w.x_min) & (cand_x <= w.x_max) & (cand_y >= w.y_min) & (cand_y <= w.y_max)
     if not inside.any():
         raise DataError(f"jump of {length} px from ({x}, {y}) cannot stay in window")
     weights = np.where(inside, model.intensity_all.interp(cand_x, cand_y), 0.0)

@@ -36,16 +36,20 @@ def _cross(o, a, b) -> float:
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Hull vertices by the monotone chain, counterclockwise, no repeats."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    # distinct points in lexicographic (x, y) order
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
     if len(pts) <= 2:
         return pts
-    lower: list[np.ndarray] = []
-    for p in pts:
+    rows = pts.tolist()
+    lower: list[list[float]] = []
+    for p in rows:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
+    upper: list[list[float]] = []
+    for p in reversed(rows):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
@@ -61,14 +65,14 @@ def polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
 
 
-def _inside_convex(hull: np.ndarray, p: np.ndarray) -> bool:
-    """Point-in-convex-polygon for counterclockwise hull vertices (closed test)."""
+def _inside_convex(hull: np.ndarray, edges: np.ndarray, p: np.ndarray) -> bool:
+    """Point-in-convex-polygon for counterclockwise hull vertices (closed test).
+
+    ``edges[i]`` is the vector from vertex i to vertex i+1 (cyclically).
+    """
     if len(hull) < 3:
         return False
-    nxt = np.roll(hull, -1, axis=0)
-    cross = (nxt[:, 0] - hull[:, 0]) * (p[1] - hull[:, 1]) - (nxt[:, 1] - hull[:, 1]) * (
-        p[0] - hull[:, 0]
-    )
+    cross = edges[:, 0] * (p[1] - hull[:, 1]) - edges[:, 1] * (p[0] - hull[:, 0])
     return bool(np.all(cross >= 0.0) or np.all(cross <= 0.0))
 
 
@@ -78,19 +82,21 @@ def convex_hull_coverage(
     """Relative area of the convex hull of all fixations seen so far.
 
     Zero until at least three non-collinear fixations have appeared. The
-    hull is only recomputed when a new fixation falls outside the current
-    one; an interior point cannot change any later hull.
+    hull is updated only when a new fixation falls outside the current one
+    (an interior point cannot change any later hull), and then from the
+    current hull's vertices plus that fixation, since
+    hull(prefix + p) = hull(hull(prefix) + p). Each update costs the size of
+    the hull, not of the prefix.
     """
     locs = seq.locations()
-    values = []
-    hull = np.empty((0, 2))
+    hull = locs[:2]  # fewer than three points stand in for their own hull
+    edges = np.empty((0, 2))
     area = 0.0
-    for i in range(1, len(locs) + 1):
-        if i < 3:
-            values.append(0.0)
-            continue
-        if not _inside_convex(hull, locs[i - 1]):
-            hull = convex_hull(locs[:i])
+    values = []
+    for i, p in enumerate(locs):
+        if i >= 2 and not _inside_convex(hull, edges, p):
+            hull = convex_hull(np.vstack([hull, p]))
+            edges = np.roll(hull, -1, axis=0) - hull
             area = polygon_area(hull)
         values.append(area / w.area)
     return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
@@ -107,7 +113,10 @@ def ball_union_coverage(
 
     Rasterizes the window at roughly ``raster`` px cells; a cell counts as
     covered once its center lies within ``radius`` of any fixation. The
-    raster must not be coarser than the disc radius.
+    raster must not be coarser than the disc radius. A running count of
+    covered cells is kept: each fixation adds only the cells of its disc's
+    bounding box that were not covered before, so an update costs the size
+    of the disc, not of the raster.
     """
     if radius <= 0:
         raise DataError("radius must be positive")
@@ -118,6 +127,7 @@ def ball_union_coverage(
     cw, ch = w.width / nx, w.height / ny
     covered = np.zeros((ny, nx), dtype=bool)
     total = nx * ny
+    count = 0
 
     values = []
     for f in seq.fixations:
@@ -128,8 +138,10 @@ def ball_union_coverage(
         cxs = w.x_min + (np.arange(ix_lo, ix_hi) + 0.5) * cw
         cys = w.y_min + (np.arange(iy_lo, iy_hi) + 0.5) * ch
         within = (cxs[None, :] - f.x) ** 2 + (cys[:, None] - f.y) ** 2 <= radius**2
-        covered[iy_lo:iy_hi, ix_lo:ix_hi] |= within
-        values.append(covered.sum() / total)
+        box = covered[iy_lo:iy_hi, ix_lo:ix_hi]
+        count += int(np.count_nonzero(within & ~box))
+        box |= within
+        values.append(count / total)
     return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
 
 
@@ -185,20 +197,19 @@ def transition_curves(
     onsets = seq.onsets()
     end = _domain_end(seq, domain_end)
 
-    n_ab = np.zeros((4, 4), dtype=int)
-    n_a = np.zeros(4, dtype=int)
     times = onsets[1:]
-    table = np.full((len(times), 4, 4), np.nan)
-    for i, (a, b) in enumerate(zip(states[:-1], states[1:])):
-        n_ab[a, b] += 1
-        n_a[a] += 1
-        with np.errstate(invalid="ignore"):
-            table[i] = n_ab / np.where(n_a[:, None] == 0, np.nan, n_a[:, None])
+    # one-hot transitions, accumulated into the running counts N_ab(t), N_a(t)
+    steps = np.zeros((len(times), 4, 4), dtype=int)
+    steps[np.arange(len(times)), states[:-1], states[1:]] = 1
+    n_ab = np.cumsum(steps, axis=0)
+    n_a = n_ab.sum(axis=2, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        table = n_ab / np.where(n_a == 0, np.nan, n_a)
 
     curves = [
         [_step(times, table[:, a, b], end, np.nan) for b in range(4)] for a in range(4)
     ]
-    return TransitionCurves(curves=curves, counts=n_ab, row_counts=n_a)
+    return TransitionCurves(curves=curves, counts=n_ab[-1], row_counts=n_a[-1, :, 0])
 
 
 def resample_curve(curve: StepCurve, grid) -> np.ndarray:

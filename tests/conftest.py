@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from helpers import WINDOW, simulated_dataset, toy_model, write_csv
+
+# Property tests draw the same examples on every run and have no time limit,
+# so the suite cannot flake on a seed or on a slow machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

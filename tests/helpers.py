@@ -13,9 +13,11 @@ from fixproc import (
     Window,
     simulate_run,
 )
+from fixproc.core import DataError, StepCurve, farthest_corner, quadrant_of
 from fixproc.density import IntensityGrid
 from fixproc.ingest import write_fixations
 from fixproc.rng import substream
+from fixproc.summaries import _cross, _domain_end, _step, polygon_area
 
 WINDOW = Window(0.0, 0.0, 770.0, 768.0)
 
@@ -105,3 +107,141 @@ def sequence_from_points(pts: np.ndarray, subject_id: str, group: str,
         Fixation(float(x), float(y), 1000.0 * i, 200.0) for i, (x, y) in enumerate(pts)
     ]
     return FixationSequence(subject_id, group, painting_id, fixes)
+
+
+# Reference (whole-recount) summaries. They recompute each value in full
+# at every fixation; the incremental versions in fixproc.summaries
+# must reproduce them bit for bit.
+
+
+def ball_union_coverage_recount(seq, w, radius=35.0, raster=1.0, domain_end=None) -> StepCurve:
+    """Disc-union coverage, counting the whole raster after every fixation."""
+    nx = max(1, int(np.ceil(w.width / raster)))
+    ny = max(1, int(np.ceil(w.height / raster)))
+    cw, ch = w.width / nx, w.height / ny
+    covered = np.zeros((ny, nx), dtype=bool)
+    total = nx * ny
+    values = []
+    for f in seq.fixations:
+        ix_lo = max(0, int((f.x - radius - w.x_min) / cw) - 1)
+        ix_hi = min(nx, int((f.x + radius - w.x_min) / cw) + 2)
+        iy_lo = max(0, int((f.y - radius - w.y_min) / ch) - 1)
+        iy_hi = min(ny, int((f.y + radius - w.y_min) / ch) + 2)
+        cxs = w.x_min + (np.arange(ix_lo, ix_hi) + 0.5) * cw
+        cys = w.y_min + (np.arange(iy_lo, iy_hi) + 0.5) * ch
+        within = (cxs[None, :] - f.x) ** 2 + (cys[:, None] - f.y) ** 2 <= radius**2
+        covered[iy_lo:iy_hi, ix_lo:ix_hi] |= within
+        values.append(covered.sum() / total)
+    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+
+
+def convex_hull_unique(points) -> np.ndarray:
+    """Monotone chain over np.unique's sorted rows, on numpy rows throughout."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) <= 2:
+        return pts
+    lower: list[np.ndarray] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[np.ndarray] = []
+    for p in pts[::-1]:
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def _inside_convex_rolled(hull, p) -> bool:
+    if len(hull) < 3:
+        return False
+    nxt = np.roll(hull, -1, axis=0)
+    cross = (nxt[:, 0] - hull[:, 0]) * (p[1] - hull[:, 1]) - (nxt[:, 1] - hull[:, 1]) * (
+        p[0] - hull[:, 0]
+    )
+    return bool(np.all(cross >= 0.0) or np.all(cross <= 0.0))
+
+
+def convex_hull_coverage_prefix(seq, w, domain_end=None) -> StepCurve:
+    """Hull coverage, re-hulling the whole prefix whenever a point falls outside."""
+    locs = seq.locations()
+    values = []
+    hull = np.empty((0, 2))
+    area = 0.0
+    for i in range(1, len(locs) + 1):
+        if i < 3:
+            values.append(0.0)
+            continue
+        if not _inside_convex_rolled(hull, locs[i - 1]):
+            hull = convex_hull_unique(locs[:i])
+            area = polygon_area(hull)
+        values.append(area / w.area)
+    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+
+
+def transition_table_per_step(seq, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running N_ab/N_a after each transition, updated one step at a time.
+
+    Returns the (steps, 4, 4) table (NaN rows not yet visited) and the final
+    N_ab and N_a counts.
+    """
+    if len(seq) < 2:
+        raise DataError("need at least 2 fixations for transitions")
+    states = [quadrant_of(f.x, f.y, w) - 1 for f in seq.fixations]
+    n_ab = np.zeros((4, 4), dtype=int)
+    n_a = np.zeros(4, dtype=int)
+    table = np.full((len(states) - 1, 4, 4), np.nan)
+    for i, (a, b) in enumerate(zip(states[:-1], states[1:])):
+        n_ab[a, b] += 1
+        n_a[a] += 1
+        with np.errstate(invalid="ignore"):
+            table[i] = n_ab / np.where(n_a[:, None] == 0, np.nan, n_a[:, None])
+    return table, n_ab, n_a
+
+
+def interp_reference(grid: IntensityGrid, x, y):
+    """Bilinear lookup written with np.clip/np.floor, as a bit-level oracle."""
+    fx = (np.asarray(x, dtype=float) - grid.window.x_min) / grid.cell_width - 0.5
+    fy = (np.asarray(y, dtype=float) - grid.window.y_min) / grid.cell_height - 0.5
+    fx = np.clip(fx, 0.0, grid.nx - 1.0)
+    fy = np.clip(fy, 0.0, grid.ny - 1.0)
+    if grid.nx > 1:
+        ix = np.clip(np.floor(fx).astype(int), 0, grid.nx - 2)
+        tx = fx - ix
+    else:
+        ix = np.zeros_like(fx, dtype=int)
+        tx = np.zeros_like(fx)
+    if grid.ny > 1:
+        iy = np.clip(np.floor(fy).astype(int), 0, grid.ny - 2)
+        ty = fy - iy
+    else:
+        iy = np.zeros_like(fy, dtype=int)
+        ty = np.zeros_like(fy)
+    v = grid.values
+    ix1 = np.minimum(ix + 1, grid.nx - 1)
+    iy1 = np.minimum(iy + 1, grid.ny - 1)
+    return (
+        v[iy, ix] * (1 - tx) * (1 - ty)
+        + v[iy, ix1] * tx * (1 - ty)
+        + v[iy1, ix] * (1 - tx) * ty
+        + v[iy1, ix1] * tx * ty
+    )
+
+
+def next_location_reference(model, x, y, length, rng) -> tuple[float, float]:
+    """Landing point with np.append, Window.contains and interp_reference."""
+    w = model.window
+    cand_x = x + length * model._cos
+    cand_y = y + length * model._sin
+    fx, fy = farthest_corner(x, y, w)
+    far_dist = np.hypot(fx - x, fy - y)
+    ux, uy = (fx - x) / far_dist, (fy - y) / far_dist
+    cand_x = np.append(cand_x, min(max(x + length * ux, w.x_min), w.x_max))
+    cand_y = np.append(cand_y, min(max(y + length * uy, w.y_min), w.y_max))
+    inside = w.contains(cand_x, cand_y)
+    weights = np.where(inside, interp_reference(model.intensity_all, cand_x, cand_y), 0.0)
+    total = weights.sum()
+    pick = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
+    pick = min(pick, len(weights) - 1)
+    return float(cand_x[pick]), float(cand_y[pick])

@@ -118,6 +118,17 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["exit_code"] == 3
 
+    def test_non_finite_input_is_data_error(self, tmp_path, capsys):
+        csv = tmp_path / "nan.csv"
+        csv.write_text(
+            "subject_id,group,painting_id,onset_ms,duration_ms,x_px,y_px\n"
+            "a,novice,p,0,100,10,10\n"
+            "a,novice,p,200,nan,20,20\n"
+        )
+        assert run(["ingest", "--input", csv, "--out", tmp_path / "out"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "nan.csv:3" in err["message"]
+
     def test_missing_seed_is_config_error(self, data_csv, tmp_path, capsys):
         assert run(["simulate", "--input", data_csv, "--group", "novice",
                     "--out", tmp_path]) == 2

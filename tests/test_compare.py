@@ -14,6 +14,7 @@ from fixproc import (
     shift_function,
 )
 from fixproc.density import IntensityGrid
+from fixproc.rng import substream
 from helpers import WINDOW, simulated_dataset, toy_model
 
 W = WINDOW
@@ -167,6 +168,41 @@ class TestPermutationTest:
             g2 = estimate_intensity(data.pooled_locations("non_novice"), W, h2, n, n)
             T = ratio_statistic(log_density_ratio(g1, g2))
             assert res.T0 == pytest.approx(T, rel=1e-12)
+
+
+def _overlapping_dataset():
+    """4 novices and 4 non-novices around two overlapping hotspots.
+
+    The groups differ enough that the observed split (and its mirror image)
+    gives by far the largest T, while the surfaces are smooth enough that
+    the order in which subject rows are summed moves T in its last bits.
+    """
+    rng = np.random.default_rng(2)
+    seqs = []
+    for i in range(8):
+        group, centre = ("novice", (250.0, 300.0)) if i < 4 else ("non_novice", (500.0, 450.0))
+        pts = np.clip(rng.normal(centre, 110.0, size=(30, 2)), 1.0, 767.0)
+        fixes = [Fixation(float(x), float(y), j * 300.0, 200.0) for j, (x, y) in enumerate(pts)]
+        seqs.append(FixationSequence(f"s{i}", group, "koli", fixes))
+    return Dataset(window=W, sequences=seqs, trial_length=10_000.0)
+
+
+class TestPermutationTies:
+    def test_draws_of_the_observed_partition_are_counted(self):
+        # With h1 == h2 the observed split and its mirror image give the same
+        # T, and every mixed split gives a far smaller one. So k must equal
+        # the number of draws that reproduce either split, whatever order
+        # the draw lists the subjects in.
+        data = _overlapping_dataset()
+        m, seed = 700, 13
+        res = permutation_test(data, m=m, h1=80.0, h2=80.0, seed=seed, nx=32, ny=32)
+        observed = ({0, 1, 2, 3}, {4, 5, 6, 7})
+        tied = 0
+        for j in range(1, m + 1):
+            first = set(substream(seed, "perm", j).permutation(8)[:4].tolist())
+            tied += first in observed
+        assert tied > 0
+        assert res.k == tied
 
 
 class TestFisher:

@@ -14,8 +14,8 @@ from fixproc import (
     residual_intensities,
     select_bandwidth_cv,
 )
-from fixproc.density import _lscv_score, intensity_at
-from helpers import WINDOW
+from fixproc.density import IntensityGrid, _lscv_score, intensity_at
+from helpers import WINDOW, interp_reference
 
 W = WINDOW
 
@@ -116,6 +116,69 @@ class TestEstimateIntensity:
             estimate_intensity(np.empty((0, 2)), W, 5.0)
         with pytest.raises(DataError):
             estimate_intensity([[9999, 1]], W, 5.0)
+
+
+def _probe_points(grid: IntensityGrid, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Random, rim, cell-centre, cell-edge and out-of-window probe points."""
+    w = grid.window
+    xs = [rng.uniform(w.x_min, w.x_max, 400)]
+    ys = [rng.uniform(w.y_min, w.y_max, 400)]
+    # rim, corners and points just inside and outside it
+    rim_x = np.array([w.x_min, w.x_max, np.nextafter(w.x_max, -np.inf), w.x_min - 1e-9,
+                      w.x_max + 1e-9, w.x_min - 50.0, w.x_max + 50.0, -1e6, 1e6])
+    rim_y = np.array([w.y_min, w.y_max, np.nextafter(w.y_max, -np.inf), w.y_min - 1e-9,
+                      w.y_max + 1e-9, w.y_min - 50.0, w.y_max + 50.0, -1e6, 1e6])
+    gx, gy = np.meshgrid(rim_x, rim_y)
+    xs += [gx.ravel(), rng.choice(rim_x, 200)]
+    ys += [gy.ravel(), rng.uniform(w.y_min, w.y_max, 200)]
+    xs += [rng.uniform(w.x_min, w.x_max, 200)]
+    ys += [rng.choice(rim_y, 200)]
+    # cell centres and cell edges, where the bilinear weights are 0 or 1
+    cx, cy = grid.centers_x(), grid.centers_y()
+    ex = w.x_min + np.arange(grid.nx + 1) * grid.cell_width
+    ey = w.y_min + np.arange(grid.ny + 1) * grid.cell_height
+    xs += [rng.choice(np.concatenate([cx, ex]), 300)]
+    ys += [rng.choice(np.concatenate([cy, ey]), 300)]
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+class TestInterp:
+    """IntensityGrid.interp against the np.clip/np.floor reference, bit for bit."""
+
+    @pytest.mark.parametrize("nx, ny", [(128, 128), (37, 20), (1, 16), (16, 1), (1, 1), (2, 2)])
+    def test_bit_equal_to_reference(self, rng, nx, ny):
+        grid = IntensityGrid(W, nx, ny, rng.gamma(2.0, 1.0, (ny, nx)), 20.0)
+        x, y = _probe_points(grid, rng)
+        got = grid.interp(x, y)
+        assert got.shape == x.shape
+        assert np.array_equal(got, interp_reference(grid, x, y))
+
+    def test_negative_values_bit_equal(self, rng):
+        # residual surfaces reuse the container and may be negative
+        grid = IntensityGrid(W, 24, 30, rng.normal(0.0, 1.0, (30, 24)), 20.0)
+        x, y = _probe_points(grid, rng)
+        assert np.array_equal(grid.interp(x, y), interp_reference(grid, x, y))
+
+    @pytest.mark.parametrize("nx, ny", [(64, 64), (1, 8), (8, 1)])
+    def test_scalar_and_zero_d_input(self, rng, nx, ny):
+        grid = IntensityGrid(W, nx, ny, rng.gamma(2.0, 1.0, (ny, nx)), 20.0)
+        for x, y in [(123.4, 567.8), (0.0, 768.0), (-5.0, 900.0), (385, 384)]:
+            for args in [(x, y), (np.array(x), np.array(y))]:
+                got = grid.interp(*args)
+                ref = interp_reference(grid, *args)
+                assert np.ndim(got) == 0
+                assert got == ref
+
+    def test_corner_and_centre_values(self):
+        vals = np.arange(12.0).reshape(3, 4)
+        grid = IntensityGrid(W, 4, 3, vals, 20.0)
+        cx, cy = grid.centers_x(), grid.centers_y()
+        assert grid.interp(cx[2], cy[1]) == vals[1, 2]
+        # clamped at the rim: the window corner takes the corner cell's value
+        assert grid.interp(W.x_max, W.y_max) == vals[2, 3]
+        assert grid.interp(W.x_min - 10.0, W.y_min - 10.0) == vals[0, 0]
+        # halfway between two centres
+        assert grid.interp((cx[0] + cx[1]) / 2, cy[0]) == pytest.approx(0.5)
 
 
 class TestEdgeCorrection:

@@ -70,6 +70,20 @@ class TestParse:
         with pytest.raises(DataError, match="two group labels"):
             parse_fixations(p)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "s1,novice,koli,150,nan,20,20",
+            "s1,novice,koli,inf,100,20,20",
+            "s1,novice,koli,150,100,nan,20",
+            "s1,novice,koli,150,100,20,-inf",
+        ],
+    )
+    def test_non_finite_value_rejected_with_line(self, tmp_path, row):
+        p = _write(tmp_path, "s1,novice,koli,0,100,10,10\n" + row + "\n")
+        with pytest.raises(DataError, match=r"f\.csv:3: non-finite"):
+            parse_fixations(p)
+
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("subject_id,group\ns1,novice\n")

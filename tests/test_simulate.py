@@ -14,7 +14,7 @@ from fixproc import (
 )
 from fixproc import FixationModel
 from fixproc.density import IntensityGrid
-from helpers import WINDOW, simulated_dataset, toy_model
+from helpers import WINDOW, next_location_reference, simulated_dataset, toy_model
 
 W = WINDOW
 
@@ -157,6 +157,21 @@ class TestNextLocation:
         from fixproc import chisq_sf
 
         assert chisq_sf(stat, 35) > 0.01
+
+    @pytest.mark.parametrize("n_angles", [4, 360, 720])
+    def test_picks_equal_reference(self, n_angles):
+        # same draws, same candidates, same weights: the same landing point
+        model = toy_model(n_angles=n_angles, nx=128, ny=128)
+        rng = np.random.default_rng(n_angles)
+        for _ in range(300):
+            x, y = rng.uniform([0.0, 0.0], [770.0, 768.0])
+            x, y = rng.choice([x, 0.0, 770.0]), rng.choice([y, 0.0, 768.0])
+            # up to the furthest corner, where only the guaranteed candidate fits
+            length = rng.choice([rng.uniform(0.0, 1.0), 1.0]) * max_corner_distance(x, y, W)
+            seed = int(rng.integers(2**32))
+            got = next_location(model, x, y, length, np.random.default_rng(seed))
+            ref = next_location_reference(model, x, y, length, np.random.default_rng(seed))
+            assert got == ref
 
     def test_ridge_attracts_samples(self):
         # steep intensity ridge along +x from the start point

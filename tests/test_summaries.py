@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fixproc import (
     DataError,
@@ -16,7 +17,13 @@ from fixproc import (
     scanpath_length,
     transition_curves,
 )
-from helpers import WINDOW
+from helpers import (
+    WINDOW,
+    ball_union_coverage_recount,
+    convex_hull_coverage_prefix,
+    convex_hull_unique,
+    transition_table_per_step,
+)
 
 W = WINDOW
 
@@ -50,6 +57,114 @@ def hull_area_by_enumeration(points):
             if np.all(cross >= -1e-12) or np.all(cross <= 1e-12):
                 best = max(best, polygon_area(poly))
     return best
+
+
+def _coordinate(hi: float, dyadic: bool):
+    """Rim, centre-line, integer-lattice or other in-window coordinate.
+
+    With ``dyadic`` the other coordinates are multiples of 2**-10 px. In a
+    window under 1024 px every hull orientation test on such points is then
+    computed exactly, so the hull is the exact one however it is built.
+    """
+    free = (
+        st.integers(0, int(hi * 1024)).map(lambda k: k / 1024.0)
+        if dyadic
+        else st.floats(0.0, hi, allow_nan=False, allow_infinity=False)
+    )
+    return st.one_of(
+        st.sampled_from([0.0, hi / 2.0, hi]), st.integers(0, int(hi)).map(float), free
+    )
+
+
+@st.composite
+def fixation_paths(draw, min_size=1, max_size=25, dyadic=False):
+    """Point sequences with duplicates and, optionally, a collinear start."""
+    point = st.tuples(_coordinate(W.width, dyadic), _coordinate(W.height, dyadic))
+    pts = draw(st.lists(point, min_size=min_size, max_size=max_size))
+    if draw(st.booleans()):
+        x0, y0 = draw(st.integers(0, 400)), draw(st.integers(300, 460))
+        dx, dy = draw(st.integers(0, 30)), draw(st.integers(-30, 30))
+        count = draw(st.integers(1, 9))
+        pts = [(float(x0 + k * dx), float(y0 + k * dy)) for k in range(count)] + pts
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(pts) - 1))
+        pts.insert(draw(st.integers(i, len(pts))), pts[i])
+    return pts
+
+
+def _same_curve(a: StepCurve, b: StepCurve) -> bool:
+    return (
+        np.array_equal(a.knots, b.knots)
+        and np.array_equal(a.values, b.values, equal_nan=True)
+        and a.domain_end == b.domain_end
+    )
+
+
+_CORNERS = [(0.0, 0.0), (770.0, 0.0), (770.0, 768.0), (0.0, 768.0)]
+
+
+class TestIncrementalMatchesRecount:
+    """The incremental summaries equal the whole-recount references exactly."""
+
+    @settings(max_examples=100)
+    @given(fixation_paths(), st.sampled_from([1.0, 4.0]))
+    @example([(385.0, 384.0)], 1.0)
+    @example(_CORNERS + [(385.0, 0.0), (0.0, 384.0)], 1.0)
+    @example([(10.0, 10.0), (10.0, 10.0), (10.0, 10.0)], 4.0)
+    def test_ball_union_coverage(self, pts, raster):
+        seq = seq_at(pts)
+        for radius in (raster, 35.0):
+            fast = ball_union_coverage(seq, W, radius, raster, domain_end=1e6)
+            slow = ball_union_coverage_recount(seq, W, radius, raster, domain_end=1e6)
+            assert _same_curve(fast, slow)
+
+    @settings(max_examples=200)
+    @given(fixation_paths(max_size=40))
+    @example([(5.0, 5.0), (5.0, 5.0)])
+    def test_convex_hull_vertices(self, pts):
+        hull = convex_hull(pts)
+        ref = convex_hull_unique(pts)
+        assert hull.shape == ref.shape and np.array_equal(hull, ref)
+
+    # Exact for points whose orientation tests are exact. With arbitrary
+    # floats, a point within rounding distance of a hull edge can make the
+    # prefix hull and the incremental hull differ in the last bit of the
+    # area; neither is then the exact hull.
+    @settings(max_examples=200)
+    @given(fixation_paths(dyadic=True))
+    @example([(100.0, 100.0)])
+    @example(_CORNERS + [(385.0, 384.0), (770.0, 384.0)])
+    @example([(0.0, 0.0), (10.0, 10.0), (20.0, 20.0), (5.0, 5.0), (30.0, 0.0), (20.0, 20.0)])
+    @example([(1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (2.0, 1.0), (1.0, 2.0)])
+    def test_convex_hull_coverage(self, pts):
+        seq = seq_at(pts)
+        assert _same_curve(convex_hull_coverage(seq, W), convex_hull_coverage_prefix(seq, W))
+
+    @settings(max_examples=200)
+    @given(fixation_paths(min_size=2))
+    @example([(10.0, 10.0), (20.0, 20.0)])
+    @example([(10.0, 10.0), (20.0, 20.0), (30.0, 15.0)])
+    @example(_CORNERS * 2)
+    def test_transition_curves(self, pts):
+        seq = seq_at(pts)
+        tc = transition_curves(seq, W)
+        table, n_ab, n_a = transition_table_per_step(seq, W)
+        assert np.array_equal(tc.counts, n_ab)
+        assert np.array_equal(tc.row_counts, n_a)
+        for a in range(4):
+            for b in range(4):
+                c = tc.curves[a][b]
+                assert np.array_equal(c.knots, np.concatenate([[0.0], seq.onsets()[1:]]))
+                assert np.array_equal(c.values[1:], table[:, a, b], equal_nan=True)
+                assert np.isnan(c.values[0])
+
+    def test_unvisited_rows_stay_nan(self):
+        # every transition starts in quadrant 1, so rows 2-4 are never visited
+        tc = transition_curves(seq_at([(10, 10), (20, 20), (30, 30), (600, 600)]), W)
+        for a in (1, 2, 3):
+            for b in range(4):
+                assert np.isnan(tc.curves[a][b].values).all()
+        assert np.array_equal(tc.row_counts, [3, 0, 0, 0])
 
 
 class TestConvexHullCoverage:
