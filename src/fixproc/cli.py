@@ -15,7 +15,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .density import (
 )
 from .envelopes import CurveMatrix, default_grid, envelope_report, rank_envelope
 from .fitdist import fit_gamma_mle, gamma_qq
-from .ingest import ingest_pipeline, write_fixations, write_saccades
+from .ingest import ingest_pipeline, valid_saccade_values, write_fixations, write_saccades
 from .simulate import build_model, provenance_to_json, runs_to_dataset, simulate_many
 from .summaries import (
     ball_union_coverage,
@@ -51,6 +51,8 @@ EXIT_NUMERIC = 4
 
 STATS = ("hull", "ball", "scanpath")
 TRANSITIONS = tuple(f"{a}->{b}" for a in range(1, 5) for b in range(1, 5))
+#: Bandwidth candidates for cross-validation when the config sets no h_grid.
+DEFAULT_H_GRID = tuple(np.geomspace(8.0, 64.0, 9))
 
 
 class ConfigError(ValueError):
@@ -185,10 +187,11 @@ def _load_filtered(cfg: PipelineConfig):
     return dataset, saccades, report
 
 
-def _pick_bandwidth(cfg: PipelineConfig, points, w: Window) -> float:
-    if cfg.h is not None:
-        return cfg.h
-    h_grid = cfg.h_grid if cfg.h_grid is not None else tuple(np.geomspace(8.0, 64.0, 9))
+def _pick_bandwidth(cfg: PipelineConfig, fixed: float | None, points, w: Window) -> float:
+    """``fixed`` if given, else the CV bandwidth of ``points`` over cfg.h_grid."""
+    if fixed is not None:
+        return fixed
+    h_grid = cfg.h_grid if cfg.h_grid is not None else DEFAULT_H_GRID
     return select_bandwidth_cv(points, w, h_grid, cfg.nx, cfg.ny)
 
 
@@ -204,7 +207,7 @@ def cmd_intensity(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
     points = dataset.pooled_locations()
-    h = _pick_bandwidth(cfg, points, dataset.window)
+    h = _pick_bandwidth(cfg, cfg.h, points, dataset.window)
     grid = estimate_intensity(points, dataset.window, h, cfg.nx, cfg.ny)
     grid.to_csv(out / "intensity.csv")
     payload = grid.to_dict()
@@ -221,7 +224,7 @@ def cmd_intensity(cfg: PipelineConfig) -> None:
 def cmd_residuals(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
-    h = _pick_bandwidth(cfg, dataset.pooled_locations(), dataset.window)
+    h = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(), dataset.window)
     grids = residual_intensities(dataset, cfg.interval_ms, h, cfg.nx, cfg.ny)
     combined = {"meta": _meta(cfg, "residuals"), "h": h, "interval_ms": cfg.interval_ms,
                 "intervals": []}
@@ -247,8 +250,8 @@ def cmd_quadrat(cfg: PipelineConfig) -> None:
 
 
 def _interval_durations(dataset: Dataset, interval: float) -> list[np.ndarray]:
-    onsets = np.concatenate([s.onsets() for s in dataset.sequences if len(s)])
-    durs = np.concatenate([s.durations() for s in dataset.sequences if len(s)])
+    onsets = dataset.pooled_onsets()
+    durs = dataset.pooled_durations()
     k = int(np.ceil(dataset.trial_length / interval))
     return [durs[(onsets >= j * interval) & (onsets < (j + 1) * interval)] for j in range(k)]
 
@@ -260,8 +263,8 @@ def cmd_shift(cfg: PipelineConfig) -> None:
     dataset, _, _ = _load_filtered(cfg)
     curves = []
     if cfg.split == "group":
-        x = np.concatenate([s.durations() for s in dataset.by_group("novice")] or [np.empty(0)])
-        y = np.concatenate([s.durations() for s in dataset.by_group("non_novice")] or [np.empty(0)])
+        x = dataset.pooled_durations("novice")
+        y = dataset.pooled_durations("non_novice")
         curves.append(("novice_vs_non_novice", shift_function(x, y, cfg.alpha)))
     else:
         buckets = _interval_durations(dataset, cfg.interval_ms)
@@ -292,8 +295,9 @@ def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     dataset, _, _ = _load_filtered(cfg)
     dataset = _single_painting(dataset)
     result = permutation_test(
-        dataset, m=cfg.m, h1=cfg.h1, h2=cfg.h2, seed=cfg.seed,
-        nx=cfg.nx, ny=cfg.ny, h_grid=cfg.h_grid,
+        dataset, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny,
+        h1=_pick_bandwidth(cfg, cfg.h1, dataset.pooled_locations("novice"), dataset.window),
+        h2=_pick_bandwidth(cfg, cfg.h2, dataset.pooled_locations("non_novice"), dataset.window),
     )
     payload = result.to_dict()
     payload["meta"] = _meta(cfg, "compare-intensity")
@@ -307,12 +311,11 @@ def cmd_compare_intensity(cfg: PipelineConfig) -> None:
 
 def _source_sample(cfg: PipelineConfig, dataset, saccades) -> np.ndarray:
     if cfg.source == "fixation_duration":
-        return np.concatenate([s.durations() for s in dataset.sequences if len(s)])
+        return dataset.pooled_durations()
     attr = {"saccade_duration": "duration", "saccade_length": "length"}.get(cfg.source)
     if attr is None:
         raise ConfigError(f"unknown source {cfg.source!r}")
-    vals = [getattr(s, attr) for sacs in saccades.values() for s in sacs if s.valid]
-    return np.array([v for v in vals if v > 0])
+    return valid_saccade_values(dataset.sequences, saccades, attr)
 
 
 def cmd_fit(cfg: PipelineConfig) -> None:
@@ -339,9 +342,9 @@ def cmd_qq(cfg: PipelineConfig) -> None:
     )
 
 
-def _build_group_model(cfg: PipelineConfig, dataset, saccades, group: str):
+def _build_group_model(cfg: PipelineConfig, dataset, saccades, group: str, h: float):
     return build_model(
-        dataset, group, h=cfg.h, h_grid=cfg.h_grid, nx=cfg.nx, ny=cfg.ny,
+        dataset, group, h=h, nx=cfg.nx, ny=cfg.ny,
         p_long=cfg.p_long, n_angles=cfg.n_angles,
         use_first_surface=cfg.use_first_surface, saccades=saccades,
     )
@@ -351,7 +354,8 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     _require(cfg, "seed", "group")
     dataset, saccades, _ = _load_filtered(cfg)
-    model = _build_group_model(cfg, dataset, saccades, cfg.group)
+    h = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
+    model = _build_group_model(cfg, dataset, saccades, cfg.group, h)
     runs = simulate_many(model, cfg.n_runs, cfg.seed)
     write_fixations(runs_to_dataset(runs, model.window, model.trial_length),
                     out / "sim_fixations.csv")
@@ -394,12 +398,12 @@ def _stat_list(cfg: PipelineConfig) -> list[str]:
     return [cfg.stat]
 
 
-def _group_envelopes(cfg: PipelineConfig, dataset, saccades, group: str, grid):
-    """Model, simulations, and envelopes + observed overlays for one group.
+def _group_envelopes(cfg: PipelineConfig, dataset, saccades, group: str, grid, h: float):
+    """One group's model at bandwidth h, simulations, envelopes and observed overlays.
 
     Returns the JSON-ready result and the envelopes by curve name.
     """
-    model = _build_group_model(cfg, dataset, saccades, group)
+    model = _build_group_model(cfg, dataset, saccades, group, h)
     runs = simulate_many(model, cfg.n_runs, cfg.seed)
     end = model.trial_length
 
@@ -466,7 +470,8 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
     dataset, saccades, _ = _load_filtered(cfg)
     dataset = _single_painting(dataset)
     grid = default_grid(cfg.trial_length, cfg.grid_points)
-    result, envelopes = _group_envelopes(cfg, dataset, saccades, cfg.group, grid)
+    h = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
+    result, envelopes = _group_envelopes(cfg, dataset, saccades, cfg.group, grid, h)
     payload = {"meta": _meta(cfg, "envelope"), "group": cfg.group, **result}
     _write_json(out / "envelope.json", payload)
     for stat in result["stats"]:
@@ -494,17 +499,24 @@ def cmd_report(cfg: PipelineConfig) -> None:
         "intensity_comparison": {},
     }
 
+    # with cfg fixed, CV depends only on the points: score each set once
+    chosen: dict[tuple, float] = {}
+
+    def bandwidth(fixed: float | None, points: np.ndarray) -> float:
+        key = (fixed, points.tobytes())
+        if key not in chosen:
+            chosen[key] = _pick_bandwidth(cfg, fixed, points, dataset.window)
+        return chosen[key]
+
     paintings = dataset.painting_ids()
     p_values = []
     for painting in paintings:
-        sub = Dataset(
-            window=dataset.window,
-            sequences=[s for s in dataset.sequences if s.painting_id == painting],
-            trial_length=dataset.trial_length,
-        )
+        seqs = [s for s in dataset.sequences if s.painting_id == painting]
+        sub = replace(dataset, sequences=seqs)
         res = permutation_test(
-            sub, m=cfg.m, h1=cfg.h1, h2=cfg.h2, seed=cfg.seed,
-            nx=cfg.nx, ny=cfg.ny, h_grid=cfg.h_grid,
+            sub, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny,
+            h1=bandwidth(cfg.h1, sub.pooled_locations("novice")),
+            h2=bandwidth(cfg.h2, sub.pooled_locations("non_novice")),
         )
         payload["intensity_comparison"][painting] = res.to_dict()
         p_values.append(res.p)
@@ -521,7 +533,8 @@ def cmd_report(cfg: PipelineConfig) -> None:
     for group in ("novice", "non_novice"):
         if not dataset.by_group(group):
             continue
-        result, _ = _group_envelopes(cfg, dataset, saccades, group, grid)
+        h = bandwidth(cfg.h, dataset.pooled_locations(group))
+        result, _ = _group_envelopes(cfg, dataset, saccades, group, grid, h)
         payload["groups"][group] = result
         if cfg.svg:
             (out / f"report_{group}_coverage.svg").write_text(
@@ -601,29 +614,20 @@ def _error_json(exc: Exception, code: int) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    if overrides.get("window") is not None:
-        try:
-            overrides["window"] = tuple(float(v) for v in overrides["window"].split(","))
-        except ValueError:
-            print(_error_json(ConfigError("bad --window"), EXIT_CONFIG), file=sys.stderr)
-            return EXIT_CONFIG
-    if overrides.get("h_grid") is not None:
-        try:
-            overrides["h_grid"] = tuple(float(v) for v in overrides["h_grid"].split(","))
-        except ValueError:
-            print(_error_json(ConfigError("bad --h-grid"), EXIT_CONFIG), file=sys.stderr)
-            return EXIT_CONFIG
     try:
+        for name in ("window", "h_grid"):  # comma-separated floats
+            if overrides[name] is not None:
+                try:
+                    overrides[name] = tuple(float(v) for v in overrides[name].split(","))
+                except ValueError:
+                    raise ConfigError(f"bad --{name.replace('_', '-')}") from None
         cfg = _load_config(args.config, overrides)
         COMMANDS[args.command](cfg)
         return EXIT_OK
     except ConfigError as exc:
         print(_error_json(exc, EXIT_CONFIG), file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(_error_json(exc, EXIT_DATA), file=sys.stderr)
-        return EXIT_DATA
-    except DataError as exc:
+    except (FileNotFoundError, DataError) as exc:
         print(_error_json(exc, EXIT_DATA), file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -175,14 +175,13 @@ def _labeled_statistic(
 
 def permutation_test(
     dataset: Dataset,
-    group_sizes: tuple[int, int] | None = None,
+    *,
+    h1: float,
+    h2: float,
     m: int = 10_000,
-    h1: float | None = None,
-    h2: float | None = None,
     seed: int = 0,
     nx: int = 128,
     ny: int = 128,
-    h_grid=None,
 ) -> RatioTestResult:
     """Monte Carlo test of equal intensity surfaces between the two groups.
 
@@ -192,8 +191,9 @@ def permutation_test(
     p = (k+1)/(m+1) with k the count of permuted statistics >= the observed
     one. The statistic depends only on the partition: equal partitions give
     bit-equal T, so draws that reproduce the observed one are always
-    counted. When a bandwidth is None it is chosen once from the observed
-    group by cross-validation over ``h_grid``. Deterministic given ``seed``.
+    counted. To cross-validate the bandwidths, pass ``select_bandwidth_cv``
+    of each observed group's pooled fixations (novice for h1, non-novice
+    for h2). Deterministic given ``seed``.
     """
     paintings = dataset.painting_ids()
     if len(paintings) != 1:
@@ -203,8 +203,6 @@ def permutation_test(
     seqs1 = dataset.by_group("novice")
     seqs2 = dataset.by_group("non_novice")
     n1, n2 = len(seqs1), len(seqs2)
-    if group_sizes is not None and tuple(group_sizes) != (n1, n2):
-        raise DataError(f"group_sizes {group_sizes} != observed ({n1}, {n2})")
     if n1 < 2 or n2 < 2:
         raise DataError(f"need at least 2 subjects per group, got {n1} and {n2}")
 
@@ -212,15 +210,6 @@ def permutation_test(
     if any(len(p) == 0 for p in subject_pts):
         raise DataError("every subject needs at least one fixation")
     w = dataset.window
-
-    from .density import select_bandwidth_cv  # local to avoid cycle at import
-
-    if h_grid is None:
-        h_grid = np.geomspace(8.0, 64.0, 9)
-    if h1 is None:
-        h1 = select_bandwidth_cv(np.vstack(subject_pts[:n1]), w, h_grid, nx, ny)
-    if h2 is None:
-        h2 = select_bandwidth_cv(np.vstack(subject_pts[n1:]), w, h_grid, nx, ny)
     if h1 <= 0 or h2 <= 0:
         raise DataError("bandwidths must be positive")
 

@@ -52,13 +52,8 @@ class Window:
         return self.width * self.height
 
     def contains(self, x, y) -> np.ndarray | bool:
-        """Closed-rectangle membership test; works on scalars and arrays."""
-        return (
-            (np.asarray(x) >= self.x_min)
-            & (np.asarray(x) <= self.x_max)
-            & (np.asarray(y) >= self.y_min)
-            & (np.asarray(y) <= self.y_max)
-        )
+        """Closed-rectangle membership test on floats, numpy scalars or arrays."""
+        return (x >= self.x_min) & (x <= self.x_max) & (y >= self.y_min) & (y <= self.y_max)
 
     def corners(self) -> np.ndarray:
         return np.array(
@@ -176,12 +171,18 @@ class Dataset:
             raise DataError(f"unknown group {group!r}")
         return [s for s in self.sequences if s.group == group]
 
+    def _sequences(self, group: str | None) -> list[FixationSequence]:
+        return self.sequences if group is None else self.by_group(group)
+
+    # pooled arrays follow dataset order; the leading empty array fixes the empty shape
     def pooled_locations(self, group: str | None = None) -> np.ndarray:
-        seqs = self.sequences if group is None else self.by_group(group)
-        arrays = [s.locations() for s in seqs if len(s)]
-        if not arrays:
-            return np.empty((0, 2))
-        return np.vstack(arrays)
+        return np.vstack([np.empty((0, 2))] + [s.locations() for s in self._sequences(group)])
+
+    def pooled_durations(self, group: str | None = None) -> np.ndarray:
+        return np.concatenate([np.empty(0)] + [s.durations() for s in self._sequences(group)])
+
+    def pooled_onsets(self) -> np.ndarray:
+        return np.concatenate([np.empty(0)] + [s.onsets() for s in self.sequences])
 
 
 @dataclass

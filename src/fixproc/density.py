@@ -245,12 +245,14 @@ def select_bandwidth_cv(
 
     Minimizes LSCV(h) = int f^2 - (2/n) sum_i f_{-i}(x_i) where f is the
     edge-corrected estimate normalized to a density; the integral is a
-    midpoint Riemann sum on the nx-by-ny grid.
+    midpoint Riemann sum on the nx-by-ny grid. Warns when the chosen h is
+    the smallest or largest of several distinct candidates: the optimum
+    may then lie outside the grid.
     """
-    points = _check_points(points, w)
-    n = len(points)
+    n = len(np.asarray(points).reshape(-1, 2))
     if n < 10:
         raise DataError(f"need at least 10 points for cross-validation, got {n}")
+    points = _check_points(points, w)
     h_grid = [float(h) for h in h_grid]
     if not h_grid or any(h <= 0 for h in h_grid):
         raise DataError("h_grid must be a non-empty list of positive bandwidths")
@@ -258,7 +260,11 @@ def select_bandwidth_cv(
     scores = np.array([_lscv_score(points, w, h, nx, ny) for h in h_grid])
     if not np.any(np.isfinite(scores)):
         raise NumericError("all cross-validation scores non-finite")
-    return h_grid[int(np.nanargmin(np.where(np.isfinite(scores), scores, np.inf)))]
+    h = h_grid[int(np.nanargmin(np.where(np.isfinite(scores), scores, np.inf)))]
+    lo, hi = min(h_grid), max(h_grid)
+    if lo < hi and h in (lo, hi):
+        warnings.warn(f"cross-validated bandwidth {h:g} is at the edge of h_grid [{lo:g}, {hi:g}]")
+    return h
 
 
 def _lscv_score(points: np.ndarray, w: Window, h: float, nx: int, ny: int) -> float:
@@ -296,7 +302,7 @@ def residual_intensities(
     if k < 1:
         raise DataError("trial shorter than one interval")
     pooled = dataset.pooled_locations()
-    onsets = np.concatenate([s.onsets() for s in dataset.sequences if len(s)]) if len(pooled) else np.empty(0)
+    onsets = dataset.pooled_onsets()
 
     surfaces = []
     for j in range(k):

@@ -239,6 +239,15 @@ def derive_saccades(seq: FixationSequence, exclusions: set[int] | None = None) -
     return saccades
 
 
+def valid_saccade_values(sequences, saccades: dict, attr: str) -> np.ndarray:
+    """Positive ``attr`` ("length" or "duration") of the valid saccades of
+    ``sequences``, in their order; ``saccades`` is keyed by (subject, painting)."""
+    return np.array([
+        v for s in sequences for sac in saccades.get((s.subject_id, s.painting_id), [])
+        if sac.valid and (v := getattr(sac, attr)) > 0
+    ])
+
+
 def ingest_pipeline(
     path,
     min_dur: float = MIN_FIXATION_MS,

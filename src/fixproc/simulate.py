@@ -25,9 +25,9 @@ from .core import (
     farthest_corner,
     max_corner_distance,
 )
-from .density import IntensityGrid, estimate_intensity, select_bandwidth_cv
+from .density import IntensityGrid, estimate_intensity
 from .fitdist import GammaFit, fit_gamma_mle, sample_gamma, sample_truncated_gamma
-from .ingest import derive_saccades
+from .ingest import derive_saccades, valid_saccade_values
 from .rng import substream
 
 
@@ -95,8 +95,7 @@ class SimRun:
 def build_model(
     dataset: Dataset,
     group: str,
-    h: float | None = None,
-    h_grid=None,
+    h: float,
     nx: int = 128,
     ny: int = 128,
     p_long: float = 0.2,
@@ -106,12 +105,13 @@ def build_model(
 ) -> FixationModel:
     """Fit the reference model to one group of a (filtered) dataset.
 
-    Intensity surfaces use one bandwidth, cross-validated on the group's
-    pooled fixations unless ``h`` overrides it. Fixation durations and
-    saccade lengths are fitted per group; saccade durations pool every
-    subject of both groups, since saccades are involuntary. Pass the
-    ``saccades`` mapping from ingest to exclude jumps that span removed
-    fixations; otherwise saccades are re-derived assuming no exclusions.
+    Both intensity surfaces (all fixations, first fixations) use the one
+    bandwidth ``h``. To cross-validate it, pass ``select_bandwidth_cv`` of
+    ``dataset.pooled_locations(group)``. Fixation durations and saccade
+    lengths are fitted per group; saccade durations pool every subject of
+    both groups, since saccades are involuntary. Pass the ``saccades``
+    mapping from ingest to exclude jumps that span removed fixations;
+    otherwise saccades are re-derived assuming no exclusions.
     """
     seqs = dataset.by_group(group)
     if not seqs:
@@ -121,28 +121,15 @@ def build_model(
     if len(first_pts) < 1:
         raise DataError("no first fixations to build the initial surface from")
 
-    if h is None:
-        if h_grid is None:
-            h_grid = np.geomspace(8.0, 64.0, 9)
-        h = select_bandwidth_cv(all_pts, dataset.window, h_grid, nx, ny)
-
     if saccades is None:
         saccades = {
             (s.subject_id, s.painting_id): derive_saccades(s) for s in dataset.sequences
         }
-
-    def _sac_values(sequences, attr):
-        vals = []
-        for s in sequences:
-            for sac in saccades.get((s.subject_id, s.painting_id), []):
-                if sac.valid:
-                    vals.append(getattr(sac, attr))
-        return np.array([v for v in vals if v > 0])
-
-    durations = np.concatenate([s.durations() for s in seqs if len(s)])
-    dur_fix = fit_gamma_mle(durations, "fixation_duration")
-    dur_sac = fit_gamma_mle(_sac_values(dataset.sequences, "duration"), "saccade_duration")
-    len_sac = fit_gamma_mle(_sac_values(seqs, "length"), "saccade_length")
+    dur_fix = fit_gamma_mle(dataset.pooled_durations(group), "fixation_duration")
+    dur_sac = fit_gamma_mle(
+        valid_saccade_values(dataset.sequences, saccades, "duration"), "saccade_duration"
+    )
+    len_sac = fit_gamma_mle(valid_saccade_values(seqs, saccades, "length"), "saccade_length")
 
     paintings = dataset.painting_ids()
     return FixationModel(

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fixproc.cli import main
+from fixproc import density
+from fixproc.cli import DEFAULT_H_GRID, main
 from fixproc.ingest import parse_fixations
 from helpers import simulated_dataset, toy_model, write_csv
 
@@ -91,6 +92,65 @@ class TestCommands:
         payload = json.loads((tmp_path / "envelope.json").read_text())
         assert set(payload["stats"]) == {"hull", "ball", "scanpath"}
         assert len(payload["transitions"]) == 16
+
+
+class TestBandwidthResolution:
+    # report at a small grid with every bandwidth left to cross-validation
+    REPORT = ["report", "--seed", "2", "--m", "9", "--n-runs", "20", "--nx", "20",
+              "--ny", "20", "--n-angles", "60", "--raster", "8", "--grid-points", "11",
+              "--trial-length", "10000", "--no-svg"]
+
+    def test_report_cross_validates_each_group_once(self, data_csv, tmp_path, monkeypatch):
+        # the comparison's h1/h2 and the two group models see the same point
+        # sets on a one-painting input, so each set is scored once per h
+        scored = []
+        real = density._lscv_score
+
+        def counting(points, w, h, nx, ny):
+            scored.append(h)
+            return real(points, w, h, nx, ny)
+
+        monkeypatch.setattr(density, "_lscv_score", counting)
+        assert run([*self.REPORT, "--input", data_csv, "--out", tmp_path]) == 0
+        assert len(scored) == 2 * len(DEFAULT_H_GRID)
+        assert sorted(scored) == sorted(2 * [float(h) for h in DEFAULT_H_GRID])
+        payload = json.loads((tmp_path / "report.json").read_text())
+        comparison = payload["intensity_comparison"]["koli"]
+        assert payload["groups"]["novice"]["model"]["bandwidth"] == comparison["h1"]
+        assert payload["groups"]["non_novice"]["model"]["bandwidth"] == comparison["h2"]
+
+    def test_h_grid_flag_reaches_comparison_and_models(self, data_csv, tmp_path):
+        assert run([*self.REPORT, "--input", data_csv, "--out", tmp_path,
+                    "--h-grid", "20"]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        comparison = payload["intensity_comparison"]["koli"]
+        assert comparison["h1"] == comparison["h2"] == 20.0
+        for group in ("novice", "non_novice"):
+            assert payload["groups"][group]["model"]["bandwidth"] == 20.0
+
+    def test_fixed_bandwidths_skip_cross_validation(self, data_csv, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cross-validation ran with every bandwidth fixed")
+
+        monkeypatch.setattr(density, "_lscv_score", refuse)
+        assert run([*self.REPORT, "--input", data_csv, "--out", tmp_path,
+                    "--h", "25", "--h1", "30", "--h2", "35"]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        comparison = payload["intensity_comparison"]["koli"]
+        assert (comparison["h1"], comparison["h2"]) == (30.0, 35.0)
+        assert payload["groups"]["novice"]["model"]["bandwidth"] == 25.0
+
+    @pytest.mark.parametrize("bandwidths", [[], ["--h1", "25", "--h2", "25"]])
+    def test_one_group_comparison_is_data_error(self, data_csv, tmp_path, capsys,
+                                                bandwidths):
+        assert run(["compare-intensity", "--input", data_csv, "--out", tmp_path,
+                    "--group", "novice", "--m", "9", "--seed", "1", "--nx", "20",
+                    "--ny", "20", "--trial-length", "10000", *bandwidths]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["exit_code"] == 3
+        # with fixed bandwidths the test's own size check speaks first; left
+        # to CV, the missing group has no points to cross-validate
+        assert ("2 subjects" if bandwidths else "at least 10 points") in err["message"]
 
 
 class TestSimulateCommand:

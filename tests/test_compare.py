@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixproc import (
     DataError,
@@ -145,14 +146,34 @@ class TestPermutationTest:
         assert a.T0 == b.T0 and a.p == b.p and a.k == b.k
         assert np.array_equal(a.r_grid.values, b.r_grid.values)
 
-    def test_group_sizes_validated(self, tiny_dataset):
-        with pytest.raises(DataError):
-            permutation_test(tiny_dataset, group_sizes=(3, 5), m=9, h1=30.0, h2=30.0, seed=1)
-
     def test_needs_two_subjects_per_group(self, short_model):
         d = simulated_dataset(short_model, n_subjects=2, seed=1)
         with pytest.raises(DataError, match="2 subjects"):
             permutation_test(d, m=9, h1=30.0, h2=30.0, seed=1)
+
+    def test_bandwidths_are_required(self, tiny_dataset):
+        with pytest.raises(TypeError):
+            permutation_test(tiny_dataset, m=9, seed=1)
+        with pytest.raises(TypeError):
+            permutation_test(tiny_dataset, m=9, h1=30.0, seed=1)
+
+    @settings(max_examples=20)
+    @given(st.permutations(range(4)), st.permutations(range(4)), st.booleans())
+    def test_T0_ignores_subject_order_within_groups(self, tiny_dataset, order1, order2, mixed):
+        # the statistic sees each group only as a sum over its subjects; the
+        # order of the sequences (grouped or interleaved) moves T0 in its
+        # last bits at most, and never the labels
+        novices = tiny_dataset.by_group("novice")
+        others = tiny_dataset.by_group("non_novice")
+        a = [novices[i] for i in order1]
+        b = [others[i] for i in order2]
+        seqs = [s for pair in zip(b, a) for s in pair] if mixed else a + b
+        reordered = Dataset(tiny_dataset.window, seqs, tiny_dataset.trial_length)
+        base = permutation_test(tiny_dataset, m=9, h1=28.0, h2=32.0, seed=3, nx=20, ny=20)
+        res = permutation_test(reordered, m=9, h1=28.0, h2=32.0, seed=3, nx=20, ny=20)
+        assert res.T0 == pytest.approx(base.T0, rel=1e-12)
+        scale = np.abs(base.r_grid.values).max()
+        assert np.allclose(res.r_grid.values, base.r_grid.values, rtol=0, atol=1e-12 * scale)
 
     def test_statistic_against_public_route(self, tiny_dataset):
         # the fast per-subject path must agree with the documented

@@ -34,6 +34,15 @@ class TestWindow:
         assert W.contains(770, 768)
         assert not W.contains(770.001, 10)
 
+    def test_contains_on_numpy_scalars_and_arrays(self):
+        assert W.contains(np.float64(770.0), np.float64(0.0))
+        assert not W.contains(np.float64(-1e-9), np.float64(5.0))
+        assert not W.contains(float("nan"), 5.0)
+        xs = np.array([0.0, 770.0, 770.5, np.nan, 300.0])
+        ys = np.array([768.0, 0.0, 10.0, 10.0, -0.1])
+        assert W.contains(xs, ys).tolist() == [True, True, False, False, False]
+        assert W.contains(xs[:, None], ys[None, :]).shape == (5, 5)
+
 
 class TestQuadrant:
     def test_corner_cases(self):
@@ -127,6 +136,30 @@ class TestSequences:
         assert d.painting_ids() == ["p1", "p2"]
         assert len(d.by_group("novice")) == 2
         assert d.pooled_locations("novice").shape == (2, 2)
+
+    def test_pooled_samples_follow_dataset_order(self):
+        seqs = [
+            FixationSequence("a", "novice", "p", [Fixation(1, 2, 0, 50), Fixation(3, 4, 90, 60)]),
+            FixationSequence("b", "non_novice", "p", []),
+            FixationSequence("c", "non_novice", "p", [Fixation(7, 8, 5, 80)]),
+            FixationSequence("d", "novice", "p", [Fixation(5, 6, 10, 70)]),
+        ]
+        d = Dataset(window=W, sequences=seqs)
+        assert d.pooled_durations().tolist() == [50, 60, 80, 70]
+        assert d.pooled_durations("novice").tolist() == [50, 60, 70]
+        assert d.pooled_onsets().tolist() == [0, 90, 5, 10]
+        assert d.pooled_locations("novice").tolist() == [[1, 2], [3, 4], [5, 6]]
+        assert d.pooled_locations().dtype == d.pooled_durations().dtype == float
+
+    def test_pooled_samples_empty_when_nothing_pooled(self):
+        d = Dataset(window=W, sequences=[FixationSequence("b", "non_novice", "p", [])])
+        assert d.pooled_locations().shape == (0, 2)
+        assert d.pooled_durations().shape == (0,)
+        assert d.pooled_durations("novice").shape == (0,)
+        assert d.pooled_onsets().shape == (0,)
+        d.sequences = []
+        assert d.pooled_locations("novice").shape == (0, 2)
+        assert d.pooled_onsets().shape == (0,)
 
 
 class TestStepCurve:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -246,7 +248,30 @@ class TestBandwidthCV:
         s_tiny = _lscv_score(pts, W, tiny, 64, 64)
         s_mod = _lscv_score(pts, W, moderate, 64, 64)
         assert s_mod < s_tiny
-        assert select_bandwidth_cv(pts, W, [tiny, moderate], 64, 64) == moderate
+        with pytest.warns(UserWarning, match="edge of h_grid"):
+            assert select_bandwidth_cv(pts, W, [tiny, moderate], 64, 64) == moderate
+
+    def test_warns_at_either_edge_of_the_grid(self):
+        # a tight cluster wants a small h, a uniform spread a large one
+        rng = np.random.default_rng(3)
+        cluster = rng.normal([385, 384], 4.0, size=(60, 2))
+        uniform = rng.uniform([0, 0], [770, 768], size=(300, 2))
+        with pytest.warns(UserWarning, match=r"bandwidth 40 is at the edge of h_grid \[40, 80\]"):
+            assert select_bandwidth_cv(cluster, W, [80.0, 40.0, 60.0], 48, 48) == 40.0
+        with pytest.warns(UserWarning, match=r"bandwidth 6 is at the edge of h_grid \[2, 6\]"):
+            assert select_bandwidth_cv(uniform, W, [2.0, 6.0, 4.0], 48, 48) == 6.0
+
+    def test_interior_or_single_choice_is_silent(self):
+        rng = np.random.default_rng(3)
+        clusters = np.vstack([
+            rng.normal([200, 200], 35, size=(100, 2)),
+            rng.normal([560, 540], 35, size=(100, 2)),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert select_bandwidth_cv(clusters, W, [400.0, 20.0, 2.0], 48, 48) == 20.0
+            assert select_bandwidth_cv(clusters, W, [6.0, 6.0], 48, 48) == 6.0
+            assert select_bandwidth_cv(clusters, W, [23.0], 48, 48) == 23.0
 
     def test_clusters_prefer_smaller_h_than_uniform(self):
         rng = np.random.default_rng(7)
@@ -260,13 +285,16 @@ class TestBandwidthCV:
             ]
         ).clip([0, 0], [770, 768])
         h_grid = [8.0, 16.0, 32.0, 64.0, 128.0]
-        h_uni = select_bandwidth_cv(uniform, W, h_grid, 64, 64)
+        with pytest.warns(UserWarning, match="edge of h_grid"):
+            h_uni = select_bandwidth_cv(uniform, W, h_grid, 64, 64)
         h_clu = select_bandwidth_cv(clusters, W, h_grid, 64, 64)
         assert h_clu < h_uni
 
     def test_too_few_points(self):
         with pytest.raises(DataError):
             select_bandwidth_cv(np.ones((5, 2)) * 100, W, [10.0])
+        with pytest.raises(DataError, match="at least 10 points .* got 0"):
+            select_bandwidth_cv(np.empty((0, 2)), W, [10.0])
 
 
 class TestResiduals:

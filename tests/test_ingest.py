@@ -12,7 +12,7 @@ from fixproc import (
     parse_fixations,
     write_fixations,
 )
-from fixproc.ingest import ingest_pipeline
+from fixproc.ingest import ingest_pipeline, valid_saccade_values
 
 W = Window(0.0, 0.0, 770.0, 768.0)
 HEADER = "subject_id,group,painting_id,onset_ms,duration_ms,x_px,y_px\n"
@@ -182,6 +182,30 @@ class TestPipeline:
         assert len(all_sacs) == n_retained - n_seq
         assert n_valid == n_retained - n_seq - report.n_saccades_missing
         assert report.n_saccades_missing == 1  # the spliced pair around the short one
+
+    def test_valid_saccade_values(self, tmp_path):
+        body = (
+            "s1,novice,koli,0,100,10,10\n"
+            "s1,novice,koli,200,100,20,20\n"
+            "s1,novice,koli,400,10,30,30\n"  # short: the jump over it is spliced
+            "s1,novice,koli,600,100,40,40\n"
+            "s1,novice,koli,800,100,50,50\n"
+            "s2,non_novice,koli,0,100,60,60\n"
+            "s2,non_novice,koli,100,100,60,60\n"  # zero gap and zero length
+            "s3,novice,koli,0,100,100,100\n"
+            "s3,novice,koli,150,100,130,140\n"
+        )
+        dataset, saccades, _ = ingest_pipeline(_write(tmp_path, body))
+        step = float(np.hypot(10, 10))
+        lengths = valid_saccade_values(dataset.sequences, saccades, "length")
+        assert lengths.tolist() == [step, step, 50.0]
+        durations = valid_saccade_values(dataset.sequences, saccades, "duration")
+        assert durations.tolist() == [100.0, 100.0, 50.0]
+        # sequences are walked in the order given, not the mapping's
+        reordered = dataset.sequences[::-1]
+        assert valid_saccade_values(reordered, saccades, "length").tolist() == [50.0, step, step]
+        assert valid_saccade_values(dataset.by_group("non_novice"), saccades, "length").shape == (0,)
+        assert valid_saccade_values(dataset.sequences, {}, "duration").shape == (0,)
 
     def test_report_json_shape(self, tmp_path, short_csv):
         _, _, report = ingest_pipeline(short_csv)

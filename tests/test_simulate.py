@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixproc import (
     DataError,
@@ -7,13 +11,16 @@ from fixproc import (
     build_model,
     max_corner_distance,
     next_location,
+    parse_fixations,
     sample_initial,
     sample_saccade_length,
     simulate_many,
     simulate_run,
+    write_fixations,
 )
 from fixproc import FixationModel
 from fixproc.density import IntensityGrid
+from fixproc.simulate import runs_to_dataset
 from helpers import WINDOW, next_location_reference, simulated_dataset, toy_model
 
 W = WINDOW
@@ -34,6 +41,10 @@ class TestBuildModel:
         model = build_model(short_dataset, "novice", h=20.0, nx=32, ny=32)
         assert model.intensity_all.bandwidth == 20.0
         assert model.intensity_first.bandwidth == 20.0
+
+    def test_bandwidth_is_required(self, short_dataset):
+        with pytest.raises(TypeError):
+            build_model(short_dataset, "novice", nx=32, ny=32)
 
     def test_single_subject_group(self, short_model):
         d = simulated_dataset(short_model, n_subjects=2, seed=4)
@@ -254,3 +265,23 @@ class TestSimulateRun:
     def test_simulate_many_streams_differ(self, short_model):
         runs = simulate_many(short_model, 3, seed=5)
         assert len({r.sequence.fixations[0].x for r in runs}) == 3
+
+
+class TestIngestRoundTrip:
+    @settings(max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0]))
+    def test_simulated_runs_round_trip_exactly(self, seed, p_long):
+        # the written CSV reads back to the same sequences, bit for bit,
+        # including the horizon-clipped final fixation
+        model = toy_model(trial_length=20_000.0, p_long=p_long)
+        runs = simulate_many(model, 3, seed)
+        data = runs_to_dataset(runs, model.window, model.trial_length)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sim_fixations.csv"
+            write_fixations(data, path)
+            back = parse_fixations(path, model.window, model.trial_length)
+
+        def rows(d):
+            return [(s.subject_id, s.group, s.painting_id, s.fixations) for s in d.sequences]
+
+        assert rows(back) == rows(data)
