@@ -77,6 +77,7 @@ from .simulate import (
     sample_saccade_length,
     simulate_many,
     simulate_run,
+    simulate_runs,
 )
 from .summaries import (
     TransitionCurves,

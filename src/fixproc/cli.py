@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .compare import fisher_combine, permutation_test, shift_function
+from .compare import comparison_groups, fisher_combine, permutation_test, shift_function
 from .core import DataError, Dataset, NumericError, Window
 from .density import (
     estimate_intensity,
@@ -294,6 +294,7 @@ def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     _require(cfg, "seed")
     dataset, _, _ = _load_filtered(cfg)
     dataset = _single_painting(dataset)
+    comparison_groups(dataset)  # refuse a bad design before cross-validating
     result = permutation_test(
         dataset, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny,
         h1=_pick_bandwidth(cfg, cfg.h1, dataset.pooled_locations("novice"), dataset.window),
@@ -508,11 +509,16 @@ def cmd_report(cfg: PipelineConfig) -> None:
             chosen[key] = _pick_bandwidth(cfg, fixed, points, dataset.window)
         return chosen[key]
 
-    paintings = dataset.painting_ids()
+    subsets = {
+        painting: replace(
+            dataset, sequences=[s for s in dataset.sequences if s.painting_id == painting]
+        )
+        for painting in dataset.painting_ids()
+    }
+    for sub in subsets.values():
+        comparison_groups(sub)  # refuse a bad design before cross-validating
     p_values = []
-    for painting in paintings:
-        seqs = [s for s in dataset.sequences if s.painting_id == painting]
-        sub = replace(dataset, sequences=seqs)
+    for painting, sub in subsets.items():
         res = permutation_test(
             sub, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny,
             h1=bandwidth(cfg.h1, sub.pooled_locations("novice")),

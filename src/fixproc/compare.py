@@ -173,6 +173,28 @@ def _labeled_statistic(
     return float((r**2).sum() * cell_area), r
 
 
+def comparison_groups(dataset: Dataset) -> tuple[list, list]:
+    """The novice and the non-novice sequences of a two-group comparison.
+
+    Raises DataError unless the dataset holds one painting and each group
+    has at least 2 subjects, each with a fixation. This depends on the
+    design alone, so callers can check it before cross-validating.
+    """
+    paintings = dataset.painting_ids()
+    if len(paintings) != 1:
+        raise DataError(
+            f"permutation test expects one painting, dataset has {paintings}"
+        )
+    seqs1 = dataset.by_group("novice")
+    seqs2 = dataset.by_group("non_novice")
+    n1, n2 = len(seqs1), len(seqs2)
+    if n1 < 2 or n2 < 2:
+        raise DataError(f"need at least 2 subjects per group, got {n1} and {n2}")
+    if any(len(s) == 0 for s in seqs1 + seqs2):
+        raise DataError("every subject needs at least one fixation")
+    return seqs1, seqs2
+
+
 def permutation_test(
     dataset: Dataset,
     *,
@@ -195,20 +217,9 @@ def permutation_test(
     of each observed group's pooled fixations (novice for h1, non-novice
     for h2). Deterministic given ``seed``.
     """
-    paintings = dataset.painting_ids()
-    if len(paintings) != 1:
-        raise DataError(
-            f"permutation test expects one painting, dataset has {paintings}"
-        )
-    seqs1 = dataset.by_group("novice")
-    seqs2 = dataset.by_group("non_novice")
+    seqs1, seqs2 = comparison_groups(dataset)
     n1, n2 = len(seqs1), len(seqs2)
-    if n1 < 2 or n2 < 2:
-        raise DataError(f"need at least 2 subjects per group, got {n1} and {n2}")
-
     subject_pts = [s.locations() for s in seqs1 + seqs2]
-    if any(len(p) == 0 for p in subject_pts):
-        raise DataError("every subject needs at least one fixation")
     w = dataset.window
     if h1 <= 0 or h2 <= 0:
         raise DataError("bandwidths must be positive")

@@ -163,6 +163,44 @@ def sample_gamma(fit: GammaFit, rng: np.random.Generator, size=None):
     return rng.gamma(fit.shape, 1.0 / fit.rate, size=size)
 
 
+def _truncation_mass(fit: GammaFit, lower: float, upper):
+    """CDF at ``lower`` and the law's mass on (lower, upper].
+
+    Elementwise over ``upper``; the CDF is exactly 0 at 0 and 1 at inf.
+    """
+    c_lo = gammainc(fit.shape, fit.rate * max(lower, 0.0))
+    return c_lo, gammainc(fit.shape, fit.rate * upper) - c_lo
+
+
+def _no_mass_error(lower: float, upper: float) -> NumericError:
+    return NumericError(f"truncation region ({lower}, {upper}] has no representable mass")
+
+
+def _truncation(fit: GammaFit, lower: float, upper: float):
+    """:func:`_truncation_mass` of one interval, which must hold some mass."""
+    if not upper > lower:
+        raise DataError(f"need upper > lower, got ({lower}, {upper}]")
+    c_lo, mass = _truncation_mass(fit, lower, upper)
+    if mass <= 0.0:
+        raise _no_mass_error(lower, upper)
+    return c_lo, mass
+
+
+def _truncated_quantile(fit: GammaFit, u, lower: float, upper, c_lo, mass):
+    """Quantile at uniform level ``u`` of the law conditioned on (lower, upper].
+
+    ``c_lo`` and ``mass`` come from :func:`_truncation_mass`. Elementwise
+    over ``u``, ``upper``, ``c_lo`` and ``mass``, so a block of draws is one
+    ``gammaincinv`` call with the bits of one call per draw.
+    """
+    draws = gammaincinv(fit.shape, c_lo + u * mass) / fit.rate
+    # inverse-CDF rounding can land a hair past a bound
+    draws = np.minimum(draws, upper)
+    if lower > 0.0:
+        draws = np.maximum(draws, np.nextafter(lower, np.inf))
+    return draws
+
+
 def sample_truncated_gamma(
     fit: GammaFit,
     upper: float,
@@ -176,22 +214,8 @@ def sample_truncated_gamma(
     and loop-free. ``upper`` may be inf; ``lower`` defaults to 0 (plain
     upper truncation).
     """
-    if not upper > lower:
-        raise DataError(f"need upper > lower, got ({lower}, {upper}]")
-    c_lo = float(gammainc(fit.shape, fit.rate * lower)) if lower > 0 else 0.0
-    c_hi = float(gammainc(fit.shape, fit.rate * upper)) if np.isfinite(upper) else 1.0
-    mass = c_hi - c_lo
-    if mass <= 0.0:
-        raise NumericError(
-            f"truncation region ({lower}, {upper}] has no representable mass"
-        )
-    u = rng.random(size)
-    draws = gammaincinv(fit.shape, c_lo + u * mass) / fit.rate
-    # inverse-CDF rounding can land a hair past a finite bound
-    if np.isfinite(upper):
-        draws = np.minimum(draws, upper)
-    if lower > 0.0:
-        draws = np.maximum(draws, np.nextafter(lower, np.inf))
+    c_lo, mass = _truncation(fit, lower, upper)
+    draws = _truncated_quantile(fit, rng.random(size), lower, upper, c_lo, mass)
     return draws if size is not None else float(draws)
 
 

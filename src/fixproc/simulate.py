@@ -26,7 +26,15 @@ from .core import (
     max_corner_distance,
 )
 from .density import IntensityGrid, estimate_intensity
-from .fitdist import GammaFit, fit_gamma_mle, sample_gamma, sample_truncated_gamma
+from .fitdist import (
+    GammaFit,
+    _no_mass_error,
+    _truncated_quantile,
+    _truncation,
+    _truncation_mass,
+    fit_gamma_mle,
+    sample_gamma,
+)
 from .ingest import derive_saccades, valid_saccade_values
 from .rng import substream
 
@@ -60,11 +68,17 @@ class FixationModel:
             raise DataError("need at least 4 circle directions")
         if not self.intensity_all.same_geometry(self.intensity_first):
             raise DataError("intensity surfaces must share window and resolution")
+        for grid in (self.intensity_all, self.intensity_first):
+            # candidate weights and start cells are drawn by cumulative mass
+            if not (np.isfinite(grid.values).all() and (grid.values >= 0).all()):
+                raise DataError("intensity surfaces must be finite and non-negative")
         theta = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
         self._cos = np.cos(theta)
         self._sin = np.sin(theta)
         surface = self.intensity_first if self.use_first_surface else self.intensity_all
         masses = np.cumsum(surface.values.ravel())
+        if not masses[-1] > 0:
+            raise DataError("the surface that seeds first fixations has zero mass")
         self._initial_cdf = masses / masses[-1]
 
     def to_dict(self) -> dict:
@@ -159,61 +173,238 @@ def sample_initial(model: FixationModel, rng: np.random.Generator) -> tuple[floa
     return float(x), float(y)
 
 
+# Candidate landing points per lockstep block: a block of runs advances one
+# fixation at a time, and its (runs x candidates) work set stays in cache.
+_BLOCK_CANDIDATES = 12_000
+
+
+def _raise_lowest(failures: dict) -> None:
+    """Raise the error of the lowest failing row, as a row-by-row loop would."""
+    if failures:
+        raise failures[min(failures)]
+
+
+def _jump_lengths(model: FixationModel, xs, ys, rngs) -> tuple[np.ndarray, list[str]]:
+    """One jump length per row from the truncated-gamma / uniform-long-jump mixture.
+
+    The truncation point is the distance to the furthest window corner, so
+    a jump can always land inside the window. Row i draws from ``rngs[i]``:
+    ``u_plong``, then either the uniform long length or the level ``u_len``
+    of its truncated-gamma length. The gamma quantiles of all rows are then
+    one vector call. Returns the lengths and their branch names.
+    """
+    lengths = np.empty(len(rngs))
+    branches = []
+    failures = {}
+    gamma_rows, tops, levels = [], [], []
+    for i, rng in enumerate(rngs):
+        try:
+            l_max = max_corner_distance(xs[i], ys[i], model.window)
+        except DataError as exc:
+            failures[i] = exc
+            branches.append("")
+            continue
+        if rng.random() < model.p_long:
+            lengths[i] = rng.uniform(l_max / 2.0, l_max)
+            branches.append("uniform_long")
+        else:
+            gamma_rows.append(i)
+            tops.append(l_max)
+            levels.append(rng.random())
+            branches.append("gamma")
+    if gamma_rows:
+        tops = np.array(tops)
+        c_lo, mass = _truncation_mass(model.len_sac, 0.0, tops)
+        lengths[gamma_rows] = _truncated_quantile(
+            model.len_sac, np.array(levels), 0.0, tops, c_lo, mass
+        )
+        for j in np.flatnonzero(mass <= 0.0).tolist():
+            failures[gamma_rows[j]] = _no_mass_error(0.0, float(tops[j]))
+    _raise_lowest(failures)
+    return lengths, branches
+
+
+def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``min(max(v, lo), hi)`` elementwise, with the builtins' tie rules."""
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
+
+
+def _landings(model: FixationModel, xs, ys, lengths, u_pick) -> tuple[list, list]:
+    """Landing point of one jump per row, on the circle of its radius.
+
+    The circle is discretized into equal arcs; candidates outside the
+    window get weight zero, the rest are weighted by the interpolated
+    intensity surface. The direction toward the furthest corner is always
+    added, so a feasible radius always has at least one candidate. The
+    rows' candidates form one (rows, n_angles + 1) array and one ``interp``
+    call; row i takes the first candidate whose cumulative weight exceeds
+    ``u_pick[i]`` times its total weight.
+    """
+    w = model.window
+    n = model.n_angles
+    x = np.array(xs, dtype=float)
+    y = np.array(ys, dtype=float)
+    length = np.array(lengths, dtype=float)
+    # the circle's n candidates per row, then the guaranteed one
+    cand_x = np.empty((len(x), n + 1))
+    cand_y = np.empty((len(x), n + 1))
+    np.multiply(model._cos, length[:, None], out=cand_x[:, :n])
+    np.add(cand_x[:, :n], x[:, None], out=cand_x[:, :n])
+    np.multiply(model._sin, length[:, None], out=cand_y[:, :n])
+    np.add(cand_y[:, :n], y[:, None], out=cand_y[:, :n])
+
+    corners = np.array([farthest_corner(x0, y0, w) for x0, y0 in zip(xs, ys)])
+    dx = corners[:, 0] - x
+    dy = corners[:, 1] - y
+    far = np.hypot(dx, dy)
+    # clamp the guaranteed candidate: convexity puts it inside, floating
+    # rounding may not
+    cand_x[:, n] = _clamp(x + length * (dx / far), w.x_min, w.x_max)
+    cand_y[:, n] = _clamp(y + length * (dy / far), w.y_min, w.y_max)
+
+    inside = (cand_x >= w.x_min) & (cand_x <= w.x_max) & (cand_y >= w.y_min) & (cand_y <= w.y_max)
+    weights = np.where(inside, model.intensity_all.interp(cand_x, cand_y), 0.0)
+    total = weights.sum(axis=1)
+    failures = {}
+    for i in np.flatnonzero(~(total > 0)).tolist():
+        if not inside[i].any():
+            failures[i] = DataError(
+                f"jump of {float(lengths[i])} px from ({xs[i]}, {ys[i]}) cannot stay in window"
+            )
+        else:
+            failures[i] = DataError("all candidate landing points have zero weight")
+    _raise_lowest(failures)
+    # weights are >= 0, so the cumulative sums are sorted and this count is
+    # searchsorted(..., side="right") of each row's target
+    below = np.cumsum(weights, axis=1) <= (np.array(u_pick) * total)[:, None]
+    pick = np.minimum(np.count_nonzero(below, axis=1), n)
+    rows = np.arange(len(x))
+    return cand_x[rows, pick].tolist(), cand_y[rows, pick].tolist()
+
+
 def sample_saccade_length(
     model: FixationModel, x: float, y: float, rng: np.random.Generator
 ) -> tuple[float, str]:
-    """Next jump length from the truncated-gamma / uniform-long-jump mixture.
+    """Next jump length and its branch; one row of :func:`_jump_lengths`.
 
-    The truncation point is the distance to the furthest window corner, so
-    a jump can always land inside the window.
+    The length comes from the truncated-gamma / uniform-long-jump mixture.
     """
-    l_max = max_corner_distance(x, y, model.window)
-    if rng.random() < model.p_long:
-        return float(rng.uniform(l_max / 2.0, l_max)), "uniform_long"
-    return (
-        float(sample_truncated_gamma(model.len_sac, upper=l_max, rng=rng)),
-        "gamma",
-    )
+    lengths, branches = _jump_lengths(model, [x], [y], [rng])
+    return float(lengths[0]), branches[0]
 
 
 def next_location(
     model: FixationModel, x: float, y: float, length: float, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Landing point on the circle of the sampled radius around (x, y).
+    """Landing point of a jump from (x, y); one row of :func:`_landings`.
 
-    The circle is discretized into equal arcs; candidates outside the
-    window get weight zero, the rest are weighted by the interpolated
-    intensity surface. The direction toward the furthest corner is always
-    added, so a feasible radius always has at least one candidate.
+    It lies on the circle of radius ``length``, picked by the intensity
+    surface's weights.
     """
-    w = model.window
-    n = model.n_angles
-    # the circle's n candidates, then the guaranteed one, filled in place
-    cand_x = np.empty(n + 1)
-    cand_y = np.empty(n + 1)
-    np.multiply(model._cos, length, out=cand_x[:n])
-    np.add(cand_x[:n], x, out=cand_x[:n])
-    np.multiply(model._sin, length, out=cand_y[:n])
-    np.add(cand_y[:n], y, out=cand_y[:n])
+    to_x, to_y = _landings(model, [x], [y], [length], [rng.random()])
+    return to_x[0], to_y[0]
 
-    fx, fy = farthest_corner(x, y, w)
-    far_dist = np.hypot(fx - x, fy - y)
-    ux, uy = (fx - x) / far_dist, (fy - y) / far_dist
-    # clamp the guaranteed candidate: convexity puts it inside, floating
-    # rounding may not
-    cand_x[n] = min(max(x + length * ux, w.x_min), w.x_max)
-    cand_y[n] = min(max(y + length * uy, w.y_min), w.y_max)
 
-    inside = (cand_x >= w.x_min) & (cand_x <= w.x_max) & (cand_y >= w.y_min) & (cand_y <= w.y_max)
-    if not inside.any():
-        raise DataError(f"jump of {length} px from ({x}, {y}) cannot stay in window")
-    weights = np.where(inside, model.intensity_all.interp(cand_x, cand_y), 0.0)
-    total = weights.sum()
-    if not total > 0:
-        raise DataError("all candidate landing points have zero weight")
-    pick = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
-    pick = min(pick, len(weights) - 1)
-    return float(cand_x[pick]), float(cand_y[pick])
+def _simulate_block(
+    model: FixationModel, rngs: list, subject_ids: list, painting_id: str | None
+) -> list[SimRun]:
+    """Runs of one block, advanced together one fixation at a time."""
+    n = len(rngs)
+    horizon = model.trial_length
+    fixations: list[list[Fixation]] = [[] for _ in range(n)]
+    provenance: list[list[str]] = [[] for _ in range(n)]
+    lengths: list[list[float]] = [[] for _ in range(n)]
+
+    if horizon > 0 and n:
+        lower = model.min_fix_dur
+        c_lo, mass = _truncation(model.dur_fix, lower, np.inf)
+        starts = [sample_initial(model, rng) for rng in rngs]
+        xs = [p[0] for p in starts]
+        ys = [p[1] for p in starts]
+        clocks = [0.0] * n
+        rows = list(range(n))  # runs that start a fixation this step
+        levels = [rng.random() for rng in rngs]  # their duration levels
+        while rows:
+            durs = _truncated_quantile(model.dur_fix, np.array(levels), lower, np.inf, c_lo, mass)
+            movers = []
+            for r, dur in zip(rows, durs.tolist()):
+                clock = clocks[r]
+                fixations[r].append(
+                    Fixation(xs[r], ys[r], onset=clock, duration=min(dur, horizon - clock))
+                )
+                clocks[r] = clock = clock + dur
+                if not clock >= horizon:
+                    movers.append(r)
+            if not movers:
+                break
+            from_x = [xs[r] for r in movers]
+            from_y = [ys[r] for r in movers]
+            mover_rngs = [rngs[r] for r in movers]
+            jumps, branches = _jump_lengths(model, from_x, from_y, mover_rngs)
+            u_pick = [rng.random() for rng in mover_rngs]
+            to_x, to_y = _landings(model, from_x, from_y, jumps, u_pick)
+            rows, levels = [], []
+            for i, (r, jump) in enumerate(zip(movers, jumps.tolist())):
+                rng = rngs[r]
+                clocks[r] = clock = clocks[r] + float(sample_gamma(model.dur_sac, rng))
+                if clock >= horizon:
+                    continue
+                provenance[r].append(branches[i])
+                lengths[r].append(jump)
+                xs[r], ys[r] = to_x[i], to_y[i]
+                rows.append(r)
+                levels.append(rng.random())
+
+    return [
+        SimRun(
+            sequence=FixationSequence(
+                subject_ids[i], model.group, painting_id or model.painting_id, fixations[i]
+            ),
+            jump_provenance=provenance[i],
+            jump_lengths=lengths[i],
+        )
+        for i in range(n)
+    ]
+
+
+def simulate_runs(
+    model: FixationModel,
+    rngs,
+    subject_ids,
+    painting_id: str | None = None,
+) -> list[SimRun]:
+    """Trials of the fixation process, run i drawing only from ``rngs[i]``.
+
+    Each run draws from its own generator in a fixed order: the start cell
+    and its two jitters; then, per fixation, the duration level ``u_dur``
+    and, while the trial goes on, ``u_plong``, the uniform long length or
+    the gamma length level ``u_len``, the landing level ``u_pick`` and the
+    saccade duration. So a run's output does not depend on which or how
+    many runs are simulated with it. The runs advance in lockstep blocks of
+    ``max(1, _BLOCK_CANDIDATES // (n_angles + 1))``: per fixation step, the
+    block's duration and length quantiles, candidate circles and picks are
+    vector calls with the bits of the one-row calls.
+
+    Fixation durations are gamma draws truncated below at the short-fixation
+    threshold (the fit excluded shorter ones, and emitting them would only
+    get them filtered back out). A fixation that starts before the horizon
+    is kept with its duration clipped there; a non-positive horizon yields
+    empty runs. When runs fail in one step, the lowest run's error is
+    raised.
+    """
+    rngs = list(rngs)
+    subject_ids = list(subject_ids)
+    if len(rngs) != len(subject_ids):
+        raise ValueError(f"{len(rngs)} generators for {len(subject_ids)} subject ids")
+    if len({id(rng) for rng in rngs}) != len(rngs):
+        raise ValueError("each run needs its own generator")
+    block = max(1, _BLOCK_CANDIDATES // (model.n_angles + 1))
+    runs: list[SimRun] = []
+    for start in range(0, len(rngs), block):
+        stop = start + block
+        runs += _simulate_block(model, rngs[start:stop], subject_ids[start:stop], painting_id)
+    return runs
 
 
 def simulate_run(
@@ -222,52 +413,27 @@ def simulate_run(
     subject_id: str = "sim",
     painting_id: str | None = None,
 ) -> SimRun:
-    """One trial of the fixation process; deterministic given the seed.
+    """One trial of the fixation process: :func:`simulate_runs` of one run.
 
-    Fixation durations are gamma draws truncated below at the short-fixation
-    threshold (the fit excluded shorter ones, and emitting them would only
-    get them filtered back out). A fixation that starts before the horizon
-    is kept with its duration clipped there; a non-positive horizon yields
-    an empty run.
+    Deterministic given the seed, and draws in the order that function
+    states, so it equals the same run simulated among others.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    horizon = model.trial_length
-    fixations: list[Fixation] = []
-    provenance: list[str] = []
-    lengths: list[float] = []
-
-    if horizon > 0:
-        x, y = sample_initial(model, rng)
-        clock = 0.0
-        while True:
-            dur = sample_truncated_gamma(
-                model.dur_fix, upper=np.inf, rng=rng, lower=model.min_fix_dur
-            )
-            fixations.append(Fixation(x, y, onset=clock, duration=min(dur, horizon - clock)))
-            clock += dur
-            if clock >= horizon:
-                break
-            jump, branch = sample_saccade_length(model, x, y, rng)
-            to_x, to_y = next_location(model, x, y, jump, rng)
-            clock += float(sample_gamma(model.dur_sac, rng))
-            if clock >= horizon:
-                break
-            provenance.append(branch)
-            lengths.append(jump)
-            x, y = to_x, to_y
-
-    seq = FixationSequence(
-        subject_id, model.group, painting_id or model.painting_id, fixations
-    )
-    return SimRun(sequence=seq, jump_provenance=provenance, jump_lengths=lengths)
+    return simulate_runs(model, [rng], [subject_id], painting_id)[0]
 
 
 def simulate_many(model: FixationModel, n_runs: int, seed: int) -> list[SimRun]:
-    """Independent runs on sub-streams derived from (seed, run index)."""
-    return [
-        simulate_run(model, substream(seed, "run", i), subject_id=f"sim{i:04d}")
-        for i in range(n_runs)
-    ]
+    """Runs ``sim0000``, ``sim0001``, ... on sub-streams ``substream(seed, "run", i)``.
+
+    :func:`simulate_runs` keeps each run on its own stream in the stated
+    draw order, so run i equals ``simulate_run(model, substream(seed, "run",
+    i), subject_id=f"sim{i:04d}")``.
+    """
+    return simulate_runs(
+        model,
+        [substream(seed, "run", i) for i in range(n_runs)],
+        [f"sim{i:04d}" for i in range(n_runs)],
+    )
 
 
 def runs_to_dataset(runs: list[SimRun], window: Window, trial_length: float) -> Dataset:

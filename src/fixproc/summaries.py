@@ -8,6 +8,7 @@ construction consumes. Times are fixation onsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,8 +31,28 @@ def _domain_end(seq: FixationSequence, domain_end: float | None) -> float:
     return float(seq.fixations[-1].end) if len(seq) else 0.0
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+# Bound on the rounding error of the float orientation determinant below,
+# relative to its two products (Shewchuk 1997, "Adaptive precision
+# floating-point arithmetic and fast robust geometric predicates",
+# ccwerrboundA); the absolute term covers products that underflow.
+_EPS = 2.0**-53
+_ORIENT_REL_ERR = (3.0 + 16.0 * _EPS) * _EPS
+_ORIENT_ABS_ERR = 2.0**-1074
+
+
+def _cross(o, a, b) -> float | Fraction:
+    """Orientation of o -> a -> b: > 0 left turn, < 0 right turn, 0 collinear.
+
+    The sign is exact: the float determinant is returned when it clears the
+    error bound, and recomputed in rationals of the coordinates otherwise.
+    """
+    left = (a[0] - o[0]) * (b[1] - o[1])
+    right = (a[1] - o[1]) * (b[0] - o[0])
+    det = left - right
+    if abs(det) > _ORIENT_REL_ERR * (abs(left) + abs(right)) + _ORIENT_ABS_ERR:
+        return det
+    (ox, oy), (ax, ay), (bx, by) = (map(Fraction, p) for p in (o, a, b))
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
+
+from scipy.special import gammainc, gammaincinv
 
 from fixproc import (
     Dataset,
@@ -11,12 +15,21 @@ from fixproc import (
     FixationSequence,
     GammaFit,
     Window,
-    simulate_run,
+    simulate_runs,
 )
-from fixproc.core import DataError, StepCurve, farthest_corner, quadrant_of
+from fixproc.core import (
+    DataError,
+    NumericError,
+    StepCurve,
+    farthest_corner,
+    max_corner_distance,
+    quadrant_of,
+)
 from fixproc.density import IntensityGrid
+from fixproc.fitdist import sample_gamma
 from fixproc.ingest import write_fixations
 from fixproc.rng import substream
+from fixproc.simulate import SimRun, sample_initial
 from fixproc.summaries import _cross, _domain_end, _step, polygon_area
 
 WINDOW = Window(0.0, 0.0, 770.0, 768.0)
@@ -69,9 +82,13 @@ def simulated_dataset(
     painting_id: str = "koli",
 ) -> Dataset:
     """Subjects simulated from one model, first half novice, second half not."""
+    runs = simulate_runs(
+        model,
+        [substream(seed, "subject", i) for i in range(n_subjects)],
+        [f"s{i:02d}" for i in range(n_subjects)],
+    )
     seqs = []
-    for i in range(n_subjects):
-        run = simulate_run(model, substream(seed, "subject", i), subject_id=f"s{i:02d}")
+    for i, run in enumerate(runs):
         group = "novice" if i < n_subjects // 2 else "non_novice"
         seqs.append(
             FixationSequence(f"s{i:02d}", group, painting_id, run.sequence.fixations)
@@ -148,6 +165,30 @@ def convex_hull_unique(points) -> np.ndarray:
     upper: list[np.ndarray] = []
     for p in pts[::-1]:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def convex_hull_exact(points) -> np.ndarray:
+    """Monotone chain with every orientation test in exact rationals."""
+    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
+    if len(pts) <= 2:
+        return pts
+
+    def turn(o, a, b):
+        (ox, oy), (ax, ay), (bx, by) = (map(Fraction, p) for p in (o, a, b))
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+    rows = pts.tolist()
+    lower: list = []
+    for p in rows:
+        while len(lower) >= 2 and turn(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in reversed(rows):
+        while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     return np.array(lower[:-1] + upper[:-1])
@@ -240,8 +281,69 @@ def next_location_reference(model, x, y, length, rng) -> tuple[float, float]:
     cand_x = np.append(cand_x, min(max(x + length * ux, w.x_min), w.x_max))
     cand_y = np.append(cand_y, min(max(y + length * uy, w.y_min), w.y_max))
     inside = w.contains(cand_x, cand_y)
+    if not inside.any():
+        raise DataError(f"jump of {length} px from ({x}, {y}) cannot stay in window")
     weights = np.where(inside, interp_reference(model.intensity_all, cand_x, cand_y), 0.0)
     total = weights.sum()
+    if not total > 0:
+        raise DataError("all candidate landing points have zero weight")
     pick = int(np.searchsorted(np.cumsum(weights), rng.random() * total, side="right"))
     pick = min(pick, len(weights) - 1)
     return float(cand_x[pick]), float(cand_y[pick])
+
+
+# Reference (one run at a time) simulator: the per-run loop the lockstep
+# engine in fixproc.simulate replaced. Its runs must equal the engine's bit
+# for bit, run by run.
+
+
+def sample_truncated_gamma_reference(fit, upper, rng, lower=0.0) -> float:
+    """One inverse-CDF draw of the gamma law conditioned on (lower, upper]."""
+    if not upper > lower:
+        raise DataError(f"need upper > lower, got ({lower}, {upper}]")
+    c_lo = float(gammainc(fit.shape, fit.rate * lower)) if lower > 0 else 0.0
+    c_hi = float(gammainc(fit.shape, fit.rate * upper)) if np.isfinite(upper) else 1.0
+    mass = c_hi - c_lo
+    if mass <= 0.0:
+        raise NumericError(f"truncation region ({lower}, {upper}] has no representable mass")
+    draw = gammaincinv(fit.shape, c_lo + rng.random() * mass) / fit.rate
+    if np.isfinite(upper):
+        draw = np.minimum(draw, upper)
+    if lower > 0.0:
+        draw = np.maximum(draw, np.nextafter(lower, np.inf))
+    return float(draw)
+
+
+def sample_saccade_length_reference(model, x, y, rng) -> tuple[float, str]:
+    """Jump length from the truncated-gamma / uniform-long-jump mixture."""
+    l_max = max_corner_distance(x, y, model.window)
+    if rng.random() < model.p_long:
+        return float(rng.uniform(l_max / 2.0, l_max)), "uniform_long"
+    return sample_truncated_gamma_reference(model.len_sac, upper=l_max, rng=rng), "gamma"
+
+
+def simulate_run_reference(model, rng, subject_id="sim", painting_id=None) -> SimRun:
+    """One trial, one fixation and one scalar draw at a time."""
+    horizon = model.trial_length
+    fixations, provenance, lengths = [], [], []
+    if horizon > 0:
+        x, y = sample_initial(model, rng)
+        clock = 0.0
+        while True:
+            dur = sample_truncated_gamma_reference(
+                model.dur_fix, upper=np.inf, rng=rng, lower=model.min_fix_dur
+            )
+            fixations.append(Fixation(x, y, onset=clock, duration=min(dur, horizon - clock)))
+            clock += dur
+            if clock >= horizon:
+                break
+            jump, branch = sample_saccade_length_reference(model, x, y, rng)
+            to_x, to_y = next_location_reference(model, x, y, jump, rng)
+            clock += float(sample_gamma(model.dur_sac, rng))
+            if clock >= horizon:
+                break
+            provenance.append(branch)
+            lengths.append(jump)
+            x, y = to_x, to_y
+    seq = FixationSequence(subject_id, model.group, painting_id or model.painting_id, fixations)
+    return SimRun(sequence=seq, jump_provenance=provenance, jump_lengths=lengths)

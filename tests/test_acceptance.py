@@ -41,10 +41,9 @@ def _line(num: int, name: str, ok: bool, detail: str = "") -> bool:
 def reference_runs():
     """200 three-minute runs of the fitted-style model (criteria 9 and 10)."""
     model = toy_model(trial_length=180_000.0, n_angles=360, p_long=0.2)
-    runs = [
-        fp.simulate_run(model, substream(90_210, "run", i), subject_id=f"r{i:03d}")
-        for i in range(200)
-    ]
+    runs = fp.simulate_runs(
+        model, [substream(90_210, "run", i) for i in range(200)], [f"r{i:03d}" for i in range(200)]
+    )
     return model, runs
 
 
@@ -108,11 +107,11 @@ def test_criterion_05_permutation_test_validity():
     rejections = 0
     n_rep = 200
     for rep in range(n_rep):
-        runs = [
-            fp.simulate_run(model, substream(505, "rep", rep, "subj", i),
-                            subject_id=f"s{i:02d}")
-            for i in range(20)
-        ]
+        runs = fp.simulate_runs(
+            model,
+            [substream(505, "rep", rep, "subj", i) for i in range(20)],
+            [f"s{i:02d}" for i in range(20)],
+        )
         d = Dataset(window=W, sequences=_relabeled(runs), trial_length=60_000.0)
         res = fp.permutation_test(d, m=199, h1=25.0, h2=25.0, seed=rep, nx=32, ny=32)
         rejections += res.p <= 0.05

@@ -16,6 +16,16 @@ def data_csv(tmp_path_factory):
     return write_csv(d, path)
 
 
+@pytest.fixture(scope="module")
+def one_novice_csv(tmp_path_factory):
+    model = toy_model(trial_length=10_000.0)
+    d = simulated_dataset(model, n_subjects=8, seed=42)
+    d.sequences = [s for s in d.sequences if s.group == "non_novice" or s.subject_id == "s00"]
+    assert len(d.by_group("novice")[0]) >= 10
+    path = tmp_path_factory.mktemp("one_novice") / "fix.csv"
+    return write_csv(d, path)
+
+
 FAST = [
     "--trial-length", "10000", "--h", "25", "--nx", "20", "--ny", "20",
     "--n-angles", "90", "--raster", "8", "--grid-points", "21",
@@ -148,9 +158,21 @@ class TestBandwidthResolution:
                     "--ny", "20", "--trial-length", "10000", *bandwidths]) == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["exit_code"] == 3
-        # with fixed bandwidths the test's own size check speaks first; left
-        # to CV, the missing group has no points to cross-validate
-        assert ("2 subjects" if bandwidths else "at least 10 points") in err["message"]
+        # the design is checked before any bandwidth is cross-validated
+        assert "2 subjects" in err["message"]
+
+    @pytest.mark.parametrize("command", ["compare-intensity", "report"])
+    def test_bad_design_fails_before_cross_validation(self, one_novice_csv, tmp_path,
+                                                      capsys, monkeypatch, command):
+        # one novice with enough fixations to cross-validate: the design
+        # check refuses it before a single LSCV score is computed
+        scored = []
+        monkeypatch.setattr(density, "_lscv_score", lambda *args: scored.append(args))
+        assert run([command, *self.REPORT[1:], "--input", one_novice_csv,
+                    "--out", tmp_path]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "need at least 2 subjects per group, got 1 and 4" in err["message"]
+        assert scored == []
 
 
 class TestSimulateCommand:

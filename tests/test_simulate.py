@@ -16,23 +16,32 @@ from fixproc import (
     sample_saccade_length,
     simulate_many,
     simulate_run,
+    simulate_runs,
     write_fixations,
 )
 from fixproc import FixationModel
 from fixproc.density import IntensityGrid
-from fixproc.simulate import runs_to_dataset
-from helpers import WINDOW, next_location_reference, simulated_dataset, toy_model
+from fixproc.rng import substream
+from fixproc.simulate import _BLOCK_CANDIDATES, runs_to_dataset
+from helpers import (
+    WINDOW,
+    hotspot_grid,
+    next_location_reference,
+    simulate_run_reference,
+    simulated_dataset,
+    toy_model,
+)
 
 W = WINDOW
 
 
-def model_with_surface(grid, n_angles=360, p_long=0.2):
-    """Toy model around an explicit intensity surface."""
+def model_with_surface(grid, n_angles=360, p_long=0.2, first=None, trial_length=1000.0):
+    """Toy model around an explicit intensity surface (and first-fixation surface)."""
     base = toy_model()
     return FixationModel(
-        intensity_all=grid, intensity_first=grid, dur_fix=base.dur_fix,
-        dur_sac=base.dur_sac, len_sac=base.len_sac, window=W,
-        trial_length=1000.0, n_angles=n_angles, p_long=p_long,
+        intensity_all=grid, intensity_first=grid if first is None else first,
+        dur_fix=base.dur_fix, dur_sac=base.dur_sac, len_sac=base.len_sac, window=W,
+        trial_length=trial_length, n_angles=n_angles, p_long=p_long,
     )
 
 
@@ -74,6 +83,21 @@ class TestBuildModel:
         assert model.len_sac.shape == pytest.approx(2.0, rel=0.05)
         assert model.len_sac.rate == pytest.approx(1.0 / 40.0, rel=0.05)
         assert model.dur_sac.shape == pytest.approx(2.5, rel=0.05)
+
+
+class TestModelSurfaces:
+    # landing candidates and start cells are drawn by cumulative mass
+    def test_negative_surface_rejected(self):
+        vals = np.ones((8, 8))
+        vals[3, 3] = -1e-9
+        with pytest.raises(DataError, match="non-negative"):
+            model_with_surface(IntensityGrid(W, 8, 8, vals, 10.0))
+
+    def test_massless_start_surface_rejected(self):
+        # an all-zero start surface would seed every run in cell (0, 0)
+        with pytest.raises(DataError, match="zero mass"):
+            model_with_surface(hotspot_grid(nx=8, ny=8),
+                               first=IntensityGrid(W, 8, 8, np.zeros((8, 8)), 10.0))
 
 
 class TestSampleInitial:
@@ -265,6 +289,112 @@ class TestSimulateRun:
     def test_simulate_many_streams_differ(self, short_model):
         runs = simulate_many(short_model, 3, seed=5)
         assert len({r.sequence.fixations[0].x for r in runs}) == 3
+
+
+def run_fields(run):
+    return (run.sequence.subject_id, run.sequence.fixations, run.jump_provenance,
+            run.jump_lengths)
+
+
+def assert_engine_matches_reference(model, n_runs, seed):
+    rngs = [substream(seed, "run", i) for i in range(n_runs)]
+    ids = [f"r{i:03d}" for i in range(n_runs)]
+    runs = simulate_runs(model, rngs, ids)
+    assert len(runs) == n_runs
+    for i, run in enumerate(runs):
+        ref = simulate_run_reference(model, substream(seed, "run", i), ids[i])
+        assert run_fields(run) == run_fields(ref), f"run {i}"
+    return runs
+
+
+def block_size(n_angles):
+    return max(1, _BLOCK_CANDIDATES // (n_angles + 1))
+
+
+class TestLockstepEngine:
+    @pytest.mark.parametrize("p_long", [0.0, 1.0])
+    @pytest.mark.parametrize("n_angles", [4, 360, 720])
+    @pytest.mark.parametrize("size", ["one", "block-1", "block", "block+1", "forty"])
+    def test_runs_equal_reference(self, size, n_angles, p_long):
+        block = block_size(n_angles)
+        n_runs = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+                  "forty": 40}[size]
+        # few-fixation trials keep the 2 401-run case of n_angles=4 quick
+        trial = 1_500.0 if n_runs > 100 else 4_000.0
+        model = toy_model(trial_length=trial, n_angles=n_angles, p_long=p_long,
+                          nx=128, ny=128)
+        runs = assert_engine_matches_reference(model, n_runs, seed=n_runs + n_angles)
+        branches = {b for run in runs for b in run.jump_provenance}
+        assert branches == {"uniform_long" if p_long else "gamma"}
+
+    def test_zero_horizon_gives_empty_runs(self):
+        runs = assert_engine_matches_reference(toy_model(trial_length=0.0), 5, seed=3)
+        assert all(len(run.sequence) == 0 for run in runs)
+
+    def test_runs_end_on_different_steps(self):
+        # a horizon shorter than most first fixations: most runs stop after
+        # one fixation, some after one or a few jumps
+        model = toy_model(trial_length=200.0, n_angles=360)
+        runs = assert_engine_matches_reference(model, 40, seed=4)
+        counts = {len(run.sequence) for run in runs}
+        assert 1 in counts and max(counts) >= 2
+
+    def test_surface_with_zero_regions(self):
+        # a hotspot with two interior blocks zeroed: candidates there weigh
+        # nothing, and runs must route around them (a zero region along the
+        # rim could leave a long jump with no weighted candidate at all)
+        grid = hotspot_grid(nx=128, ny=128)
+        vals = grid.values.copy()
+        vals[40:80, 30:70] = 0.0
+        vals[20:30, 90:120] = 0.0
+        zeroed = IntensityGrid(W, 128, 128, vals, grid.bandwidth)
+        model = model_with_surface(zeroed, trial_length=20_000.0)
+        runs = assert_engine_matches_reference(model, 40, seed=5)
+        for run in runs:
+            # every landing point carries weight
+            locs = run.sequence.locations()[1:]
+            assert np.all(zeroed.interp(locs[:, 0], locs[:, 1]) > 0)
+
+    def test_runs_start_near_a_corner(self):
+        # every first fixation lands in the bottom-left cell
+        first = np.zeros((64, 64))
+        first[0, 0] = 1.0
+        model = model_with_surface(hotspot_grid(), first=IntensityGrid(W, 64, 64, first, 10.0),
+                                   trial_length=5_000.0)
+        runs = assert_engine_matches_reference(model, 20, seed=6)
+        cw, ch = W.width / 64, W.height / 64
+        assert all(
+            run.sequence.fixations[0].x < cw and run.sequence.fixations[0].y < ch
+            for run in runs
+        )
+
+    def test_zero_surface_error_matches_reference(self):
+        # the landing surface is zero everywhere: both paths refuse the
+        # first jump with the same message
+        model = model_with_surface(IntensityGrid(W, 16, 16, np.zeros((16, 16)), 10.0),
+                                   first=hotspot_grid(nx=16, ny=16))
+        with pytest.raises(DataError) as ref:
+            simulate_run_reference(model, substream(7, "run", 0))
+        with pytest.raises(DataError) as got:
+            simulate_many(model, 3, seed=7)
+        assert str(got.value) == str(ref.value) == (
+            "all candidate landing points have zero weight"
+        )
+
+    def test_simulate_many_equals_simulate_run(self):
+        model = toy_model(trial_length=10_000.0, n_angles=720)
+        n = block_size(720) + 3
+        many = simulate_many(model, n, seed=8)
+        for i, run in enumerate(many):
+            one = simulate_run(model, substream(8, "run", i), subject_id=f"sim{i:04d}")
+            assert run_fields(run) == run_fields(one)
+
+    def test_generators_must_be_distinct(self, short_model):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            simulate_runs(short_model, [rng, rng], ["a", "b"])
+        with pytest.raises(ValueError):
+            simulate_runs(short_model, [rng], ["a", "b"])
 
 
 class TestIngestRoundTrip:

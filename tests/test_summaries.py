@@ -21,6 +21,7 @@ from helpers import (
     WINDOW,
     ball_union_coverage_recount,
     convex_hull_coverage_prefix,
+    convex_hull_exact,
     convex_hull_unique,
     transition_table_per_step,
 )
@@ -165,6 +166,21 @@ class TestIncrementalMatchesRecount:
             for b in range(4):
                 assert np.isnan(tc.curves[a][b].values).all()
         assert np.array_equal(tc.row_counts, [3, 0, 0, 0])
+
+
+class TestConvexHullExact:
+    def test_near_degenerate_vertex_kept(self):
+        # the float cross product of (0, 384) -> (1, 0) -> (1, 7.25e-285)
+        # rounds to 0, which would drop the true vertex (1, 0)
+        pts = [(0.0, 384.0), (1.0, 0.0), (1.0, 7.25e-285)]
+        assert convex_hull(pts).tolist() == [[0.0, 384.0], [1.0, 0.0], [1.0, 7.25e-285]]
+
+    @settings(max_examples=200)
+    @given(fixation_paths(max_size=30))
+    @example([(0.0, 384.0), (1.0, 0.0), (1.0, 7.25e-285)])
+    @example([(0.0, 0.0), (0.1, 0.1), (0.3, 0.3), (0.7, 0.7 + 2**-50)])
+    def test_matches_exact_orientation(self, pts):
+        assert np.array_equal(convex_hull(pts), convex_hull_exact(pts))
 
 
 class TestConvexHullCoverage:
