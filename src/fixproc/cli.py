@@ -280,20 +280,10 @@ def cmd_shift(cfg: PipelineConfig) -> None:
             (out / f"shift_{name}.svg").write_text(shift_plot_svg(c, name))
 
 
-def _single_painting(dataset: Dataset) -> Dataset:
-    paintings = dataset.painting_ids()
-    if len(paintings) > 1:
-        raise DataError(
-            f"multiple paintings {paintings}; pick one with --painting"
-        )
-    return dataset
-
-
 def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     _require(cfg, "seed")
     dataset, _, _ = _load_filtered(cfg)
-    dataset = _single_painting(dataset)
     comparison_groups(dataset)  # refuse a bad design before cross-validating
     result = permutation_test(
         dataset, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny,
@@ -469,7 +459,7 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     _require(cfg, "seed", "group")
     dataset, saccades, _ = _load_filtered(cfg)
-    dataset = _single_painting(dataset)
+    dataset.require_one_painting()
     grid = default_grid(cfg.trial_length, cfg.grid_points)
     h = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
     result, envelopes = _group_envelopes(cfg, dataset, saccades, cfg.group, grid, h)

@@ -20,6 +20,10 @@ from .core import DataError, Dataset, Window
 from .density import _TINY, IntensityGrid, _grid_factors, chisq_sf
 from .rng import substream
 
+# label rows per permutation block times grid cells: 16 draws at 128 x 128,
+# about 2 MB per group surface matrix
+_BLOCK_CELLS = 2**18
+
 
 @dataclass
 class ShiftCurve:
@@ -56,6 +60,12 @@ class RatioTestResult:
     h2: float
     r_grid: IntensityGrid
     k: int
+    distinct_partitions: int
+
+    @property
+    def mc_se(self) -> float:
+        """Monte Carlo standard error of p, sqrt(p(1 - p)/m)."""
+        return float(np.sqrt(self.p * (1.0 - self.p) / self.m))
 
     def to_dict(self) -> dict:
         w = self.r_grid.window
@@ -64,6 +74,8 @@ class RatioTestResult:
             "p": self.p,
             "m": self.m,
             "k": self.k,
+            "mc_se": self.mc_se,
+            "distinct_partitions": self.distinct_partitions,
             "h1": self.h1,
             "h2": self.h2,
             "window": {"x_min": w.x_min, "y_min": w.y_min, "x_max": w.x_max, "y_max": w.y_max},
@@ -173,6 +185,63 @@ def _labeled_statistic(
     return float((r**2).sum() * cell_area), r
 
 
+def _block_statistic(
+    labels: np.ndarray, rows1: np.ndarray, rows2: np.ndarray, cell_area: float,
+    lam1: np.ndarray, lam2: np.ndarray,
+) -> np.ndarray:
+    """T for each row of a (B, s) 0/1 label matrix; ones mark the first group.
+
+    ``_log_ratio`` row by row, worked in the (B, cells) buffers ``lam1`` and
+    ``lam2``. The second group is summed from its own rows, not taken as
+    total minus the first, which would cancel in the far field.
+    """
+    np.matmul(labels, rows1, out=lam1)
+    np.matmul(1.0 - labels, rows2, out=lam2)
+    for lam in (lam1, lam2):
+        np.maximum(lam, _TINY, out=lam)
+        lam /= lam.sum(axis=1, keepdims=True) * cell_area
+        np.log(lam, out=lam)
+    lam1 -= lam2
+    np.square(lam1, out=lam1)
+    return lam1.sum(axis=1) * cell_area
+
+
+def _count_permutations(
+    rows1: np.ndarray, rows2: np.ndarray, n1: int, T0: float, m: int, seed: int,
+    cell_area: float, mirror_ties: bool,
+) -> tuple[int, int]:
+    """k and the number of distinct first-group sets over draws 1..m.
+
+    Draws are scored in blocks of ``_BLOCK_CELLS // cells``. A draw whose
+    first group is the observed one (or, with ``mirror_ties``, the observed
+    second group) is a tie and counts; any other counts when its T >= T0.
+    """
+    total = len(rows1)
+    observed = np.arange(total) < n1
+    tied = {observed.tobytes()}
+    if mirror_ties:
+        tied.add((~observed).tobytes())
+    block = min(m, max(1, _BLOCK_CELLS // rows1.shape[1]))
+    # reused by every block: fresh megabyte-sized results would be returned
+    # to the OS and faulted in again on each block
+    lam1 = np.empty((block, rows1.shape[1]))
+    lam2 = np.empty_like(lam1)
+    k = 0
+    seen: set[bytes] = set()
+    for start in range(1, m + 1, block):
+        draws = range(start, min(start + block, m + 1))
+        b = len(draws)
+        first = np.zeros((b, total), dtype=bool)
+        for row, j in enumerate(draws):
+            first[row, substream(seed, "perm", j).permutation(total)[:n1]] = True
+        keys = [row.tobytes() for row in first]
+        T = _block_statistic(first.astype(float), rows1, rows2, cell_area, lam1[:b], lam2[:b])
+        ties = np.array([key in tied for key in keys])
+        k += int(np.count_nonzero(ties | (T >= T0)))
+        seen.update(keys)
+    return k, len(seen)
+
+
 def comparison_groups(dataset: Dataset) -> tuple[list, list]:
     """The novice and the non-novice sequences of a two-group comparison.
 
@@ -180,11 +249,7 @@ def comparison_groups(dataset: Dataset) -> tuple[list, list]:
     has at least 2 subjects, each with a fixation. This depends on the
     design alone, so callers can check it before cross-validating.
     """
-    paintings = dataset.painting_ids()
-    if len(paintings) != 1:
-        raise DataError(
-            f"permutation test expects one painting, dataset has {paintings}"
-        )
+    dataset.require_one_painting()
     seqs1 = dataset.by_group("novice")
     seqs2 = dataset.by_group("non_novice")
     n1, n2 = len(seqs1), len(seqs2)
@@ -211,11 +276,23 @@ def permutation_test(
     random m times; the statistic is recomputed with the same fixed
     bandwidths h1/h2 applied to the first/second group slot, and
     p = (k+1)/(m+1) with k the count of permuted statistics >= the observed
-    one. The statistic depends only on the partition: equal partitions give
-    bit-equal T, so draws that reproduce the observed one are always
-    counted. To cross-validate the bandwidths, pass ``select_bandwidth_cv``
-    of each observed group's pooled fixations (novice for h1, non-novice
-    for h2). Deterministic given ``seed``.
+    one. Draw j is ``substream(seed, "perm", j).permutation(n1 + n2)``, whose
+    first n1 entries form the first group.
+
+    Draws are scored in blocks: the first-group labels of a block form a
+    0/1 matrix, and each group's surfaces are one matrix product of it with
+    the per-subject kernel rows. A matrix product need not round like the
+    observed statistic's row sums, so ties are decided on the partition,
+    not on the floats: a draw whose first group is the observed one always
+    counts, and so does the mirror draw (first group = observed second
+    group) when h1 == h2 and n1 == n2, where it gives the same T. Every
+    other draw counts when its T >= T0. The result also reports the Monte
+    Carlo standard error of p and the number of distinct first-group sets
+    drawn.
+
+    To cross-validate the bandwidths, pass ``select_bandwidth_cv`` of each
+    observed group's pooled fixations (novice for h1, non-novice for h2).
+    Deterministic given ``seed``.
     """
     seqs1, seqs2 = comparison_groups(dataset)
     n1, n2 = len(seqs1), len(seqs2)
@@ -223,6 +300,8 @@ def permutation_test(
     w = dataset.window
     if h1 <= 0 or h2 <= 0:
         raise DataError("bandwidths must be positive")
+    if m < 1:
+        raise DataError(f"need at least one permutation, got m={m}")
 
     rows_h1 = _subject_surfaces(subject_pts, w, h1, nx, ny)
     rows_h2 = _subject_surfaces(subject_pts, w, h2, nx, ny)
@@ -232,21 +311,14 @@ def permutation_test(
     observed2 = np.arange(n1, n1 + n2)
     T0, r0 = _labeled_statistic(rows_h1, rows_h2, observed1, observed2, cell_area)
 
-    k = 0
-    total = n1 + n2
-    for j in range(1, m + 1):
-        perm = substream(seed, "perm", j).permutation(total)
-        # sum rows in index order, so a draw of the observed partition
-        # reproduces T0 bit for bit instead of landing a few ulps below it
-        T_j, _ = _labeled_statistic(
-            rows_h1, rows_h2, np.sort(perm[:n1]), np.sort(perm[n1:]), cell_area
-        )
-        if T_j >= T0:
-            k += 1
+    k, distinct = _count_permutations(
+        rows_h1, rows_h2, n1, T0, m, seed, cell_area, mirror_ties=(h1 == h2 and n1 == n2)
+    )
 
     r_grid = IntensityGrid(w, nx, ny, r0.reshape(ny, nx), float("nan"))
     return RatioTestResult(
-        T0=T0, p=(k + 1) / (m + 1), m=m, h1=float(h1), h2=float(h2), r_grid=r_grid, k=k
+        T0=T0, p=(k + 1) / (m + 1), m=m, h1=float(h1), h2=float(h2), r_grid=r_grid, k=k,
+        distinct_partitions=distinct,
     )
 
 

@@ -166,6 +166,12 @@ class Dataset:
                 seen.append(s.painting_id)
         return seen
 
+    def require_one_painting(self) -> None:
+        """Raise DataError when the sequences come from more than one painting."""
+        paintings = self.painting_ids()
+        if len(paintings) > 1:
+            raise DataError(f"multiple paintings {paintings}; pick one with --painting")
+
     def by_group(self, group: str) -> list[FixationSequence]:
         if group not in GROUPS:
             raise DataError(f"unknown group {group!r}")

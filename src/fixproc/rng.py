@@ -8,14 +8,17 @@ reproduced from (seed, stream name).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 
-def _key_words(name: str) -> list[int]:
+@functools.lru_cache(maxsize=256)
+def _key_words(name: str) -> tuple[int, ...]:
+    # every permutation draw and simulated run hashes the same few names
     digest = hashlib.sha256(name.encode("utf-8")).digest()
-    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
 
 
 def substream(seed: int, *names: str | int) -> np.random.Generator:

@@ -17,6 +17,7 @@ from fixproc import (
     Window,
     simulate_runs,
 )
+from fixproc.compare import _labeled_statistic, _subject_surfaces, comparison_groups
 from fixproc.core import (
     DataError,
     NumericError,
@@ -347,3 +348,31 @@ def simulate_run_reference(model, rng, subject_id="sim", painting_id=None) -> Si
             x, y = to_x, to_y
     seq = FixationSequence(subject_id, model.group, painting_id or model.painting_id, fixations)
     return SimRun(sequence=seq, jump_provenance=provenance, jump_lengths=lengths)
+
+
+def permutation_test_reference(dataset: Dataset, *, h1, h2, m, seed, nx, ny) -> tuple[int, float]:
+    """k and T0 from the one-draw-at-a-time loop that the block engine replaced.
+
+    Each draw sums its subjects' rows in sorted index order, so a draw of the
+    observed partition reproduces T0 bit for bit and ties count by float
+    comparison.
+    """
+    seqs1, seqs2 = comparison_groups(dataset)
+    n1, n2 = len(seqs1), len(seqs2)
+    subject_pts = [s.locations() for s in seqs1 + seqs2]
+    w = dataset.window
+    rows_h1 = _subject_surfaces(subject_pts, w, h1, nx, ny)
+    rows_h2 = _subject_surfaces(subject_pts, w, h2, nx, ny)
+    cell_area = (w.width / nx) * (w.height / ny)
+    T0, _ = _labeled_statistic(
+        rows_h1, rows_h2, np.arange(n1), np.arange(n1, n1 + n2), cell_area
+    )
+    k = 0
+    for j in range(1, m + 1):
+        perm = substream(seed, "perm", j).permutation(n1 + n2)
+        T_j, _ = _labeled_statistic(
+            rows_h1, rows_h2, np.sort(perm[:n1]), np.sort(perm[n1:]), cell_area
+        )
+        if T_j >= T0:
+            k += 1
+    return k, T0

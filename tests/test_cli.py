@@ -79,6 +79,8 @@ class TestCommands:
                     "--nx", "20", "--ny", "20", "--trial-length", "10000"]) == 0
         payload = json.loads((tmp_path / "ratio_test.json").read_text())
         assert payload["p"] == (payload["k"] + 1) / 100
+        assert payload["mc_se"] == (payload["p"] * (1 - payload["p"]) / 99) ** 0.5
+        assert 1 <= payload["distinct_partitions"] <= 70  # C(8, 4)
         assert payload["meta"]["seed"] == 4
         assert len(payload["meta"]["config_sha256"]) == 64
 
@@ -275,7 +277,16 @@ class TestMultiPainting:
                     "--m", "9", "--seed", "1", "--h1", "25", "--h2", "25",
                     "--nx", "12", "--ny", "12", "--trial-length", "5000"])
         assert code == 3
-        assert "painting" in json.loads(capsys.readouterr().err.strip())["message"]
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert "pick one with --painting" in message
+
+    def test_envelope_requires_one_painting(self, two_painting_csv, tmp_path, capsys):
+        code = run(["envelope", "--input", two_painting_csv, "--out", tmp_path,
+                    "--group", "novice", "--seed", "1", "--n-runs", "5", "--h", "25",
+                    "--nx", "12", "--ny", "12", "--trial-length", "5000", "--no-svg"])
+        assert code == 3
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert "pick one with --painting" in message
 
     def test_painting_filter_selects_one(self, two_painting_csv, tmp_path):
         assert run(["compare-intensity", "--input", two_painting_csv, "--out", tmp_path,
@@ -292,6 +303,10 @@ class TestMultiPainting:
         comp = payload["intensity_comparison"]
         assert set(comp) == {"koli", "monet", "fisher"}
         assert comp["fisher"]["df"] == 4
+        for painting in ("koli", "monet"):
+            block = comp[painting]
+            assert block["mc_se"] == (block["p"] * (1 - block["p"]) / 9) ** 0.5
+            assert 1 <= block["distinct_partitions"] <= 9
         # every subject appears once per painting in the observed overlays
         hull_obs = payload["groups"]["novice"]["stats"]["hull"]["observed"]
         assert len(hull_obs) == 8  # 4 novice subjects x 2 paintings

@@ -1,12 +1,17 @@
+from dataclasses import replace
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixproc import compare
 from fixproc import (
     DataError,
     Dataset,
     Fixation,
     FixationSequence,
+    RatioTestResult,
     estimate_intensity,
     fisher_combine,
     log_density_ratio,
@@ -16,7 +21,7 @@ from fixproc import (
 )
 from fixproc.density import IntensityGrid
 from fixproc.rng import substream
-from helpers import WINDOW, simulated_dataset, toy_model
+from helpers import WINDOW, permutation_test_reference, simulated_dataset, toy_model
 
 W = WINDOW
 
@@ -151,6 +156,10 @@ class TestPermutationTest:
         with pytest.raises(DataError, match="2 subjects"):
             permutation_test(d, m=9, h1=30.0, h2=30.0, seed=1)
 
+    def test_needs_a_permutation(self, tiny_dataset):
+        with pytest.raises(DataError, match="at least one permutation"):
+            permutation_test(tiny_dataset, m=0, h1=30.0, h2=30.0, seed=1, nx=16, ny=16)
+
     def test_bandwidths_are_required(self, tiny_dataset):
         with pytest.raises(TypeError):
             permutation_test(tiny_dataset, m=9, seed=1)
@@ -208,6 +217,14 @@ def _overlapping_dataset():
     return Dataset(window=W, sequences=seqs, trial_length=10_000.0)
 
 
+def _draws_of(first_sets, m, seed, total, n1):
+    """How many of draws 1..m put one of ``first_sets`` in the first group."""
+    hits = 0
+    for j in range(1, m + 1):
+        hits += set(substream(seed, "perm", j).permutation(total)[:n1].tolist()) in first_sets
+    return hits
+
+
 class TestPermutationTies:
     def test_draws_of_the_observed_partition_are_counted(self):
         # With h1 == h2 the observed split and its mirror image give the same
@@ -217,13 +234,122 @@ class TestPermutationTies:
         data = _overlapping_dataset()
         m, seed = 700, 13
         res = permutation_test(data, m=m, h1=80.0, h2=80.0, seed=seed, nx=32, ny=32)
-        observed = ({0, 1, 2, 3}, {4, 5, 6, 7})
-        tied = 0
-        for j in range(1, m + 1):
-            first = set(substream(seed, "perm", j).permutation(8)[:4].tolist())
-            tied += first in observed
+        tied = _draws_of(({0, 1, 2, 3}, {4, 5, 6, 7}), m, seed, 8, 4)
         assert tied > 0
         assert res.k == tied
+
+    def test_ties_do_not_depend_on_the_floats(self, monkeypatch):
+        # every block statistic comes out a relative 1e-12 low, so no draw
+        # reaches T0 by float comparison; draws of the observed split and
+        # its mirror still count, because ties are decided on the partition
+        block_statistic = compare._block_statistic
+        monkeypatch.setattr(
+            compare, "_block_statistic", lambda *a: block_statistic(*a) * (1.0 - 1e-12)
+        )
+        data = _overlapping_dataset()
+        m, seed = 700, 13
+        res = permutation_test(data, m=m, h1=80.0, h2=80.0, seed=seed, nx=32, ny=32)
+        assert res.k == _draws_of(({0, 1, 2, 3}, {4, 5, 6, 7}), m, seed, 8, 4)
+
+    def test_mirror_is_no_tie_when_bandwidths_differ(self, monkeypatch):
+        # with h2 = 81 the mirror split's T is 1.5 % below T0, so only draws
+        # of the observed split may count
+        block_statistic = compare._block_statistic
+        monkeypatch.setattr(
+            compare, "_block_statistic", lambda *a: block_statistic(*a) * (1.0 - 1e-12)
+        )
+        data = _overlapping_dataset()
+        m, seed = 700, 13
+        res = permutation_test(data, m=m, h1=80.0, h2=81.0, seed=seed, nx=32, ny=32)
+        assert res.k == _draws_of(({0, 1, 2, 3},), m, seed, 8, 4)
+
+
+def _relabeled(dataset, n1):
+    """The dataset's subjects in order, the first n1 novices, the rest not."""
+    seqs = [
+        replace(s, group="novice" if i < n1 else "non_novice")
+        for i, s in enumerate(dataset.sequences)
+    ]
+    return replace(dataset, sequences=seqs)
+
+
+class TestBlockEngine:
+    """The block engine against the one-draw loop it replaced, ``==`` on k, p and T0."""
+
+    DESIGNS = {
+        "3v5_h_differ": (3, 26.0, 34.0),
+        "4v4_h_differ": (4, 28.0, 32.0),
+        "4v4_h_equal": (4, 30.0, 30.0),
+    }
+
+    @pytest.mark.parametrize("nx, ny", [(16, 16), (24, 20), (128, 128)])
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_matches_one_draw_loop(self, tiny_dataset, design, nx, ny):
+        n1, h1, h2 = self.DESIGNS[design]
+        data = _relabeled(tiny_dataset, n1)
+        block = max(1, compare._BLOCK_CELLS // (nx * ny))
+        for m in (1, block - 1, block, block + 1, 3 * block + 2):
+            res = permutation_test(data, m=m, h1=h1, h2=h2, seed=m, nx=nx, ny=ny)
+            k, T0 = permutation_test_reference(data, m=m, h1=h1, h2=h2, seed=m, nx=nx, ny=ny)
+            assert (res.k, res.T0) == (k, T0), (design, nx, ny, m)
+            assert res.p == (k + 1) / (m + 1)
+
+
+    @pytest.mark.parametrize("case", ["toy", "corner_clusters"])
+    def test_block_statistic_matches_row_sums(self, tiny_dataset, case):
+        # each group summed from its own rows and clamped, also where the
+        # far field of small clusters underflows
+        data, h1, h2, n = {
+            "toy": (tiny_dataset, 28.0, 32.0, 24),
+            "corner_clusters": (_corner_clusters_dataset(), 8.0, 8.0, 128),
+        }[case]
+        pts = [s.locations() for s in data.sequences]
+        rows1 = compare._subject_surfaces(pts, W, h1, n, n)
+        rows2 = compare._subject_surfaces(pts, W, h2, n, n)
+        cell_area = (W.width / n) * (W.height / n)
+        total = len(pts)
+        firsts = [substream(4, "perm", j).permutation(total)[: total // 2] for j in range(5)]
+        labels = np.zeros((len(firsts), total))
+        for row, first in enumerate(firsts):
+            labels[row, first] = 1.0
+        buffers = np.empty((2, len(firsts), n * n))
+        T = compare._block_statistic(labels, rows1, rows2, cell_area, *buffers)
+        for row, first in enumerate(firsts):
+            rest = np.setdiff1d(np.arange(total), first)
+            T_row, _ = compare._labeled_statistic(rows1, rows2, np.sort(first), rest, cell_area)
+            assert T[row] == pytest.approx(T_row, rel=1e-12)
+
+
+class TestMonteCarloDiagnostics:
+    def test_mc_se_by_hand(self):
+        grid = IntensityGrid(W, 2, 2, np.zeros((2, 2)), float("nan"))
+        res = RatioTestResult(
+            T0=1.0, p=0.25, m=12, h1=1.0, h2=1.0, r_grid=grid, k=2, distinct_partitions=3
+        )
+        # sqrt(0.25 * 0.75 / 12) = sqrt(1/64)
+        assert res.mc_se == 0.125
+        payload = res.to_dict()
+        assert payload["mc_se"] == 0.125
+        assert payload["distinct_partitions"] == 3
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 200])
+    def test_distinct_partitions_on_two_versus_two(self, short_model, m):
+        data = simulated_dataset(short_model, n_subjects=4, seed=1)
+        res = permutation_test(data, m=m, h1=30.0, h2=30.0, seed=8, nx=16, ny=16)
+        assert 1 <= res.distinct_partitions <= min(m, comb(4, 2))
+        firsts = {
+            frozenset(substream(8, "perm", j).permutation(4)[:2].tolist())
+            for j in range(1, m + 1)
+        }
+        assert res.distinct_partitions == len(firsts)
+
+
+class TestOnePainting:
+    def test_two_paintings_rejected(self, tiny_dataset):
+        other = [replace(s, painting_id="monet") for s in tiny_dataset.sequences]
+        data = replace(tiny_dataset, sequences=tiny_dataset.sequences + other)
+        with pytest.raises(DataError, match="pick one with --painting"):
+            permutation_test(data, m=9, h1=30.0, h2=30.0, seed=1, nx=16, ny=16)
 
 
 class TestFisher:

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from fixproc import (
@@ -85,6 +86,25 @@ class TestEstimateIntensity:
                           size=(60, 2))
         g = estimate_intensity(pts, W, h, 128, 128)
         assert g.integral() == pytest.approx(60.0, rel=0.01)
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(32, 96),
+        st.integers(32, 96),
+        st.floats(0.0, 1.0),
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=30),
+    )
+    def test_integrates_to_n_away_from_the_rim(self, nx, ny, unit_h, unit_pts):
+        # a kernel at least 4h from every side keeps all but ~3e-5 of its
+        # mass, and a midpoint sum over cells no wider than h/2 is far finer
+        # than 2 %; h runs from 2 cell widths to 90 px, so 8h fits the window
+        two_cells = 2 * max(W.width / nx, W.height / ny)
+        h = two_cells + unit_h * (90.0 - two_cells)
+        lo = np.array([W.x_min, W.y_min]) + 4 * h
+        hi = np.array([W.x_max, W.y_max]) - 4 * h
+        pts = lo + np.array(unit_pts) * (hi - lo)
+        g = estimate_intensity(pts, W, h, nx, ny)
+        assert g.integral() == pytest.approx(len(pts), rel=0.02)
 
     def test_brute_force_equivalence(self, rng):
         pts = rng.uniform([30, 30], [740, 738], size=(20, 2))
