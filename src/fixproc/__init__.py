@@ -35,6 +35,7 @@ from .core import (
     quadrant_of,
 )
 from .density import (
+    BandwidthCV,
     IntensityGrid,
     QuadratTestResult,
     chisq_sf,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -107,6 +108,11 @@ class PipelineConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _positive(value) -> bool:
+    """True for a finite number above 0; NaN fails both tests."""
+    return value > 0 and math.isfinite(value)
+
+
 def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
     values: dict = {}
     if path is not None:
@@ -131,10 +137,16 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
         raise ConfigError("window must be [x_min, y_min, x_max, y_max]")
     if cfg.h_grid is not None:
         cfg.h_grid = tuple(float(v) for v in cfg.h_grid)
+        if not cfg.h_grid or not all(_positive(h) for h in cfg.h_grid):
+            raise ConfigError("h_grid must list positive, finite bandwidths")
+    for name in ("h", "h1", "h2"):
+        value = getattr(cfg, name)
+        if value is not None and not _positive(value):
+            raise ConfigError(f"{name} must be positive and finite")
     for name in ("trial_length", "interval_ms", "radius", "raster", "nx", "ny",
                  "q", "n_runs", "m", "n_angles", "grid_points"):
-        if getattr(cfg, name) <= 0:
-            raise ConfigError(f"{name} must be positive")
+        if not _positive(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be positive and finite")
     if not 0 < cfg.alpha < 1:
         raise ConfigError("alpha must be in (0, 1)")
     if not 0 <= cfg.p_long <= 1:
@@ -187,12 +199,19 @@ def _load_filtered(cfg: PipelineConfig):
     return dataset, saccades, report
 
 
-def _pick_bandwidth(cfg: PipelineConfig, fixed: float | None, points, w: Window) -> float:
-    """``fixed`` if given, else the CV bandwidth of ``points`` over cfg.h_grid."""
+def _pick_bandwidth(
+    cfg: PipelineConfig, fixed: float | None, points, w: Window
+) -> tuple[float, dict | None]:
+    """``fixed`` if given, else the CV bandwidth of ``points`` over cfg.h_grid.
+
+    The second item is the JSON-ready CV table (``bandwidth_cv``), or None
+    for a fixed bandwidth.
+    """
     if fixed is not None:
-        return fixed
+        return fixed, None
     h_grid = cfg.h_grid if cfg.h_grid is not None else DEFAULT_H_GRID
-    return select_bandwidth_cv(points, w, h_grid, cfg.nx, cfg.ny)
+    cv = select_bandwidth_cv(points, w, h_grid, cfg.nx, cfg.ny, full_output=True)
+    return cv.h, cv.to_dict()
 
 
 def cmd_ingest(cfg: PipelineConfig) -> None:
@@ -207,10 +226,10 @@ def cmd_intensity(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
     points = dataset.pooled_locations()
-    h = _pick_bandwidth(cfg, cfg.h, points, dataset.window)
+    h, cv = _pick_bandwidth(cfg, cfg.h, points, dataset.window)
     grid = estimate_intensity(points, dataset.window, h, cfg.nx, cfg.ny)
     grid.to_csv(out / "intensity.csv")
-    payload = grid.to_dict()
+    payload = _with_cv(grid.to_dict(), cv)
     payload["meta"] = _meta(cfg, "intensity")
     payload["n_points"] = int(len(points))
     _write_json(out / "intensity.json", payload)
@@ -224,10 +243,10 @@ def cmd_intensity(cfg: PipelineConfig) -> None:
 def cmd_residuals(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
-    h = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(), dataset.window)
+    h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(), dataset.window)
     grids = residual_intensities(dataset, cfg.interval_ms, h, cfg.nx, cfg.ny)
-    combined = {"meta": _meta(cfg, "residuals"), "h": h, "interval_ms": cfg.interval_ms,
-                "intervals": []}
+    combined = _with_cv({"meta": _meta(cfg, "residuals"), "h": h,
+                         "interval_ms": cfg.interval_ms, "intervals": []}, cv)
     for j, grid in enumerate(grids):
         grid.to_csv(out / f"residual_{j:02d}.csv")
         combined["intervals"].append(grid.to_dict())
@@ -285,12 +304,10 @@ def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     _require(cfg, "seed")
     dataset, _, _ = _load_filtered(cfg)
     comparison_groups(dataset)  # refuse a bad design before cross-validating
-    result = permutation_test(
-        dataset, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny,
-        h1=_pick_bandwidth(cfg, cfg.h1, dataset.pooled_locations("novice"), dataset.window),
-        h2=_pick_bandwidth(cfg, cfg.h2, dataset.pooled_locations("non_novice"), dataset.window),
-    )
-    payload = result.to_dict()
+    h1, cv1 = _pick_bandwidth(cfg, cfg.h1, dataset.pooled_locations("novice"), dataset.window)
+    h2, cv2 = _pick_bandwidth(cfg, cfg.h2, dataset.pooled_locations("non_novice"), dataset.window)
+    result = permutation_test(dataset, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, h1=h1, h2=h2)
+    payload = _with_cv(result.to_dict(), _pair_cv(cv1, cv2))
     payload["meta"] = _meta(cfg, "compare-intensity")
     _write_json(out / "ratio_test.json", payload)
     result.r_grid.to_csv(out / "log_ratio.csv")
@@ -298,6 +315,18 @@ def cmd_compare_intensity(cfg: PipelineConfig) -> None:
         (out / "log_ratio.svg").write_text(
             heatmap_svg(result.r_grid, f"log density ratio (p={result.p:.4g})", diverging=True)
         )
+
+
+def _with_cv(payload: dict, cv: dict | None) -> dict:
+    """``payload`` with ``cv`` as its ``bandwidth_cv`` block, if there is one."""
+    if cv:
+        payload["bandwidth_cv"] = cv
+    return payload
+
+
+def _pair_cv(cv1: dict | None, cv2: dict | None) -> dict:
+    """A comparison's CV tables keyed by the bandwidth they chose; {} if both fixed."""
+    return {name: cv for name, cv in (("h1", cv1), ("h2", cv2)) if cv is not None}
 
 
 def _source_sample(cfg: PipelineConfig, dataset, saccades) -> np.ndarray:
@@ -345,13 +374,13 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     _require(cfg, "seed", "group")
     dataset, saccades, _ = _load_filtered(cfg)
-    h = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
+    h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
     model = _build_group_model(cfg, dataset, saccades, cfg.group, h)
     runs = simulate_many(model, cfg.n_runs, cfg.seed)
     write_fixations(runs_to_dataset(runs, model.window, model.trial_length),
                     out / "sim_fixations.csv")
     meta = _meta(cfg, "simulate")
-    meta["model"] = model.to_dict()
+    meta["model"] = _with_cv(model.to_dict(), cv)
     provenance_to_json(runs, out / "sim_provenance.json", meta)
 
 
@@ -389,10 +418,13 @@ def _stat_list(cfg: PipelineConfig) -> list[str]:
     return [cfg.stat]
 
 
-def _group_envelopes(cfg: PipelineConfig, dataset, saccades, group: str, grid, h: float):
+def _group_envelopes(
+    cfg: PipelineConfig, dataset, saccades, group: str, grid, h: float, cv: dict | None
+):
     """One group's model at bandwidth h, simulations, envelopes and observed overlays.
 
-    Returns the JSON-ready result and the envelopes by curve name.
+    ``cv`` is the CV table of h, or None for a fixed h. Returns the
+    JSON-ready result and the envelopes by curve name.
     """
     model = _build_group_model(cfg, dataset, saccades, group, h)
     runs = simulate_many(model, cfg.n_runs, cfg.seed)
@@ -412,7 +444,7 @@ def _group_envelopes(cfg: PipelineConfig, dataset, saccades, group: str, grid, h
         f"{s.subject_id}:{s.painting_id}": named_curves(s) for s in dataset.by_group(group)
     }
 
-    result: dict = {"model": model.to_dict()}
+    result: dict = {"model": _with_cv(model.to_dict(), cv)}
     envelopes = {}
     for family, names in (("stats", _stat_list(cfg)), ("transitions", TRANSITIONS)):
         result[family] = {}
@@ -461,8 +493,8 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
     dataset, saccades, _ = _load_filtered(cfg)
     dataset.require_one_painting()
     grid = default_grid(cfg.trial_length, cfg.grid_points)
-    h = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
-    result, envelopes = _group_envelopes(cfg, dataset, saccades, cfg.group, grid, h)
+    h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
+    result, envelopes = _group_envelopes(cfg, dataset, saccades, cfg.group, grid, h, cv)
     payload = {"meta": _meta(cfg, "envelope"), "group": cfg.group, **result}
     _write_json(out / "envelope.json", payload)
     for stat in result["stats"]:
@@ -491,9 +523,9 @@ def cmd_report(cfg: PipelineConfig) -> None:
     }
 
     # with cfg fixed, CV depends only on the points: score each set once
-    chosen: dict[tuple, float] = {}
+    chosen: dict[tuple, tuple[float, dict | None]] = {}
 
-    def bandwidth(fixed: float | None, points: np.ndarray) -> float:
+    def bandwidth(fixed: float | None, points: np.ndarray) -> tuple[float, dict | None]:
         key = (fixed, points.tobytes())
         if key not in chosen:
             chosen[key] = _pick_bandwidth(cfg, fixed, points, dataset.window)
@@ -509,12 +541,10 @@ def cmd_report(cfg: PipelineConfig) -> None:
         comparison_groups(sub)  # refuse a bad design before cross-validating
     p_values = []
     for painting, sub in subsets.items():
-        res = permutation_test(
-            sub, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny,
-            h1=bandwidth(cfg.h1, sub.pooled_locations("novice")),
-            h2=bandwidth(cfg.h2, sub.pooled_locations("non_novice")),
-        )
-        payload["intensity_comparison"][painting] = res.to_dict()
+        h1, cv1 = bandwidth(cfg.h1, sub.pooled_locations("novice"))
+        h2, cv2 = bandwidth(cfg.h2, sub.pooled_locations("non_novice"))
+        res = permutation_test(sub, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, h1=h1, h2=h2)
+        payload["intensity_comparison"][painting] = _with_cv(res.to_dict(), _pair_cv(cv1, cv2))
         p_values.append(res.p)
         if cfg.svg:
             (out / f"report_log_ratio_{painting}.svg").write_text(
@@ -529,8 +559,8 @@ def cmd_report(cfg: PipelineConfig) -> None:
     for group in ("novice", "non_novice"):
         if not dataset.by_group(group):
             continue
-        h = bandwidth(cfg.h, dataset.pooled_locations(group))
-        result, _ = _group_envelopes(cfg, dataset, saccades, group, grid, h)
+        h, cv = bandwidth(cfg.h, dataset.pooled_locations(group))
+        result, _ = _group_envelopes(cfg, dataset, saccades, group, grid, h, cv)
         payload["groups"][group] = result
         if cfg.svg:
             (out / f"report_{group}_coverage.svg").write_text(

@@ -10,6 +10,7 @@ preserved under the null.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -298,8 +299,8 @@ def permutation_test(
     n1, n2 = len(seqs1), len(seqs2)
     subject_pts = [s.locations() for s in seqs1 + seqs2]
     w = dataset.window
-    if h1 <= 0 or h2 <= 0:
-        raise DataError("bandwidths must be positive")
+    if not all(h > 0 and math.isfinite(h) for h in (h1, h2)):
+        raise DataError(f"bandwidths must be positive and finite, got h1={h1}, h2={h2}")
     if m < 1:
         raise DataError(f"need at least one permutation, got m={m}")
 

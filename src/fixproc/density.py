@@ -7,10 +7,16 @@ a product of two 1-D Gaussian CDF differences, which we evaluate in closed
 form instead of by quadrature. The Gaussian kernel factors over x and y in
 the same way, so on a grid the edge-corrected surface of any point subset
 is one matrix product of two small 1-D factor matrices (see _grid_factors).
+
+Least-squares cross-validation scores a whole bandwidth grid in one pass
+over the point pairs (see _lscv_scores): each tile of the upper triangle
+has its squared distances computed once, and every bandwidth takes its
+kernel values from them. Only the grid term is computed once per bandwidth.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,8 +25,16 @@ from scipy.special import chdtrc, ndtr
 
 from .core import DataError, NumericError, Window
 
-# Chunk size for point loops; keeps the (cells x points) work set in cache.
-_CHUNK = 512
+# Rows per tile of the pair sums in cross-validation. Two (rows x n) buffers
+# are allocated once per call and reused by every tile and every bandwidth.
+_TILE = 128
+
+# Floor on the exponent of a pair's kernel value in cross-validation. numpy's
+# vectorised exp leaves its fast path on lanes that underflow to 0 or to a
+# subnormal, as most far pairs do at small h (about 10x slower per element
+# on an AVX-512 Xeon). n floored values, each e^-700 < 1e-304, vanish below
+# half an ulp of a pair sum, which is at least 1 (the self pair).
+_EXP_FLOOR = -700.0
 
 # Smallest representable positive normal; guards log() of far-field cells.
 _TINY = np.finfo(float).tiny
@@ -165,22 +179,6 @@ def edge_correction(x, y, w: Window, h: float) -> np.ndarray:
     return _retained_mass(x, w.x_min, w.x_max, h) * _retained_mass(y, w.y_min, w.y_max, h)
 
 
-def _kernel_sum(points: np.ndarray, ex: np.ndarray, ey: np.ndarray, h: float) -> np.ndarray:
-    """Sum over data points of h^-2 K((e - x_i)/h) at evaluation points."""
-    inv2h2 = 1.0 / (2.0 * h * h)
-    norm = 1.0 / (2.0 * np.pi * h * h)
-    flat_x = ex.ravel()
-    flat_y = ey.ravel()
-    acc = np.zeros(flat_x.size, dtype=float)
-    for start in range(0, len(points), _CHUNK):
-        chunk = points[start : start + _CHUNK]
-        d2 = (flat_x[:, None] - chunk[None, :, 0]) ** 2 + (
-            flat_y[:, None] - chunk[None, :, 1]
-        ) ** 2
-        acc += np.exp(-d2 * inv2h2).sum(axis=1)
-    return (norm * acc).reshape(ex.shape)
-
-
 def _grid_factors(
     points: np.ndarray, w: Window, h: float, nx: int, ny: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +218,8 @@ def estimate_intensity(
     mass, so the surface integrates to roughly the point count when the
     pattern stays away from the boundary.
     """
-    if h <= 0:
-        raise DataError(f"bandwidth must be positive, got {h}")
+    if not (h > 0 and math.isfinite(h)):
+        raise DataError(f"bandwidth must be positive and finite, got {h}")
     points = _check_points(points, w)
     ax, ay = _grid_factors(points, w, h, nx, ny)
     # Far-field cells can underflow to exactly 0 in float64; keep the surface
@@ -229,61 +227,117 @@ def estimate_intensity(
     return IntensityGrid(w, nx, ny, np.maximum(ay @ ax.T, _TINY), h)
 
 
-def intensity_at(points, xs, ys, w: Window, h: float) -> np.ndarray:
-    """Exact (non-interpolated) edge-corrected estimate at arbitrary locations."""
-    points = _check_points(points, w)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    num = _kernel_sum(points, xs, ys, h)
-    return np.maximum(num / edge_correction(xs, ys, w, h), _TINY)
+@dataclass
+class BandwidthCV:
+    """Cross-validation table: the candidates, their LSCV scores and the choice.
+
+    ``at_edge`` is true when the chosen h is the smallest or largest of
+    several distinct candidates, so the optimum may lie outside the grid.
+    """
+
+    h_grid: tuple[float, ...]
+    scores: np.ndarray
+    h: float
+    at_edge: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "h_grid": list(self.h_grid),
+            # JSON has no NaN or inf; a non-finite score is written as null
+            "scores": [float(s) if math.isfinite(s) else None for s in self.scores],
+            "h": self.h,
+            "at_edge": self.at_edge,
+        }
 
 
 def select_bandwidth_cv(
-    points, w: Window, h_grid, nx: int = 128, ny: int = 128
-) -> float:
+    points, w: Window, h_grid, nx: int = 128, ny: int = 128, *, full_output: bool = False
+) -> float | BandwidthCV:
     """Least-squares cross-validation bandwidth over a candidate list.
 
     Minimizes LSCV(h) = int f^2 - (2/n) sum_i f_{-i}(x_i) where f is the
     edge-corrected estimate normalized to a density; the integral is a
-    midpoint Riemann sum on the nx-by-ny grid. Warns when the chosen h is
-    the smallest or largest of several distinct candidates: the optimum
-    may then lie outside the grid.
+    midpoint Riemann sum on the nx-by-ny grid. Every candidate is scored in
+    one pass over the point pairs: each pair's squared distance is computed
+    once and shared by all of h_grid. Warns when the chosen h is the
+    smallest or largest of several distinct candidates: the optimum may
+    then lie outside the grid.
+
+    Returns the chosen h, or with ``full_output`` the whole BandwidthCV
+    table (candidates, scores, chosen h and edge flag).
     """
     n = len(np.asarray(points).reshape(-1, 2))
     if n < 10:
         raise DataError(f"need at least 10 points for cross-validation, got {n}")
     points = _check_points(points, w)
-    h_grid = [float(h) for h in h_grid]
-    if not h_grid or any(h <= 0 for h in h_grid):
-        raise DataError("h_grid must be a non-empty list of positive bandwidths")
+    h_grid = tuple(float(h) for h in h_grid)
+    if not h_grid or not all(h > 0 and math.isfinite(h) for h in h_grid):
+        raise DataError("h_grid must be a non-empty list of positive, finite bandwidths")
 
-    scores = np.array([_lscv_score(points, w, h, nx, ny) for h in h_grid])
+    scores = _lscv_scores(points, w, h_grid, nx, ny)
     if not np.any(np.isfinite(scores)):
         raise NumericError("all cross-validation scores non-finite")
-    h = h_grid[int(np.nanargmin(np.where(np.isfinite(scores), scores, np.inf)))]
+    h = h_grid[int(np.argmin(np.where(np.isfinite(scores), scores, np.inf)))]
     lo, hi = min(h_grid), max(h_grid)
-    if lo < hi and h in (lo, hi):
+    at_edge = lo < hi and h in (lo, hi)
+    if at_edge:
         warnings.warn(f"cross-validated bandwidth {h:g} is at the edge of h_grid [{lo:g}, {hi:g}]")
-    return h
+    return BandwidthCV(h_grid, scores, h, at_edge) if full_output else h
 
 
-def _lscv_score(points: np.ndarray, w: Window, h: float, nx: int, ny: int) -> float:
+def _lscv_scores(points: np.ndarray, w: Window, h_grid, nx: int, ny: int) -> np.ndarray:
+    """LSCV score of every bandwidth in h_grid (see select_bandwidth_cv).
+
+    The leave-one-out term needs, for each point i and each h, the pair sum
+    sum_j exp(-d_ij^2 / 2h^2) over all j, the self pair included as
+    exp(0) = 1 and subtracted afterwards. Row tiles of the upper triangle
+    (rows a:b against columns a:n) hold each pair once: a tile's row sums
+    go to its rows and the column sums right of its diagonal block go to
+    those columns, so the block's own pairs are counted from both ends by
+    its row sums alone.
+    """
     n = len(points)
     cell = (w.width / nx) * (w.height / ny)
-    ax, ay = _grid_factors(points, w, h, nx, ny)
-    lam_grid = ay @ ax.T
-    point_mass = ax.sum(axis=0) * ay.sum(axis=0) * cell  # each point's term over the window
-    total_mass = point_mass.sum()
+    x = points[:, 0]
+    y = points[:, 1]
+    inv2h2 = [1.0 / (2.0 * h * h) for h in h_grid]
+    pair_sums = np.zeros((len(h_grid), n))
+    rows = min(_TILE, n)
+    d2_buf = np.empty(rows * n)
+    kern_buf = np.empty(rows * n)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        shape = (b - a, n - a)
+        d2 = d2_buf[: shape[0] * shape[1]].reshape(shape)
+        kern = kern_buf[: shape[0] * shape[1]].reshape(shape)
+        np.subtract(x[a:b, None], x[None, a:], out=d2)
+        np.square(d2, out=d2)
+        np.subtract(y[a:b, None], y[None, a:], out=kern)
+        np.square(kern, out=kern)
+        d2 += kern
+        for k, c in enumerate(inv2h2):
+            np.multiply(d2, -c, out=kern)
+            np.maximum(kern, _EXP_FLOOR, out=kern)
+            np.exp(kern, out=kern)
+            pair_sums[k, a:b] += kern.sum(axis=1)
+            pair_sums[k, b:] += kern[:, b - a :].sum(axis=0)
 
-    corr_pts = edge_correction(points[:, 0], points[:, 1], w, h)
-    lam_at_pts = _kernel_sum(points, points[:, 0], points[:, 1], h) / corr_pts
-    self_term = 1.0 / (2.0 * np.pi * h * h) / corr_pts
-    loo_lam = lam_at_pts - self_term
-    loo_mass = total_mass - point_mass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loo_density = loo_lam / loo_mass
-    int_f2 = float(((lam_grid / total_mass) ** 2).sum() * cell)
-    return int_f2 - 2.0 / n * float(loo_density.sum())
+    scores = np.empty(len(h_grid))
+    for k, h in enumerate(h_grid):
+        ax, ay = _grid_factors(points, w, h, nx, ny)
+        lam_grid = ay @ ax.T
+        point_mass = ax.sum(axis=0) * ay.sum(axis=0) * cell  # each point's term over the window
+        total_mass = point_mass.sum()
+
+        norm = 1.0 / (2.0 * np.pi * h * h)
+        corr_pts = edge_correction(x, y, w, h)
+        loo_lam = norm * pair_sums[k] / corr_pts - norm / corr_pts
+        loo_mass = total_mass - point_mass
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loo_density = loo_lam / loo_mass
+        int_f2 = float(((lam_grid / total_mass) ** 2).sum() * cell)
+        scores[k] = int_f2 - 2.0 / n * float(loo_density.sum())
+    return scores
 
 
 def residual_intensities(

@@ -114,22 +114,31 @@ class TestBandwidthResolution:
 
     def test_report_cross_validates_each_group_once(self, data_csv, tmp_path, monkeypatch):
         # the comparison's h1/h2 and the two group models see the same point
-        # sets on a one-painting input, so each set is scored once per h
+        # sets on a one-painting input, so each set is scored once, over the
+        # whole grid in one call
         scored = []
-        real = density._lscv_score
+        real = density._lscv_scores
 
-        def counting(points, w, h, nx, ny):
-            scored.append(h)
-            return real(points, w, h, nx, ny)
+        def counting(points, w, h_grid, nx, ny):
+            scored.append(tuple(h_grid))
+            return real(points, w, h_grid, nx, ny)
 
-        monkeypatch.setattr(density, "_lscv_score", counting)
+        monkeypatch.setattr(density, "_lscv_scores", counting)
         assert run([*self.REPORT, "--input", data_csv, "--out", tmp_path]) == 0
-        assert len(scored) == 2 * len(DEFAULT_H_GRID)
-        assert sorted(scored) == sorted(2 * [float(h) for h in DEFAULT_H_GRID])
+        assert scored == 2 * [tuple(float(h) for h in DEFAULT_H_GRID)]
         payload = json.loads((tmp_path / "report.json").read_text())
         comparison = payload["intensity_comparison"]["koli"]
         assert payload["groups"]["novice"]["model"]["bandwidth"] == comparison["h1"]
         assert payload["groups"]["non_novice"]["model"]["bandwidth"] == comparison["h2"]
+        # each CV table sits next to the bandwidth it chose
+        for slot, group in (("h1", "novice"), ("h2", "non_novice")):
+            table = comparison["bandwidth_cv"][slot]
+            assert payload["groups"][group]["model"]["bandwidth_cv"] == table
+            assert table["h_grid"] == [float(h) for h in DEFAULT_H_GRID]
+            assert len(table["scores"]) == len(DEFAULT_H_GRID)
+            best = min(range(len(table["scores"])), key=table["scores"].__getitem__)
+            assert table["h"] == table["h_grid"][best] == comparison[slot]
+            assert table["at_edge"] == (best in (0, len(DEFAULT_H_GRID) - 1))
 
     def test_h_grid_flag_reaches_comparison_and_models(self, data_csv, tmp_path):
         assert run([*self.REPORT, "--input", data_csv, "--out", tmp_path,
@@ -139,18 +148,42 @@ class TestBandwidthResolution:
         assert comparison["h1"] == comparison["h2"] == 20.0
         for group in ("novice", "non_novice"):
             assert payload["groups"][group]["model"]["bandwidth"] == 20.0
+            cv = payload["groups"][group]["model"]["bandwidth_cv"]
+            assert (cv["h_grid"], cv["h"], cv["at_edge"]) == ([20.0], 20.0, False)
 
     def test_fixed_bandwidths_skip_cross_validation(self, data_csv, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("cross-validation ran with every bandwidth fixed")
 
-        monkeypatch.setattr(density, "_lscv_score", refuse)
+        monkeypatch.setattr(density, "_lscv_scores", refuse)
         assert run([*self.REPORT, "--input", data_csv, "--out", tmp_path,
                     "--h", "25", "--h1", "30", "--h2", "35"]) == 0
         payload = json.loads((tmp_path / "report.json").read_text())
         comparison = payload["intensity_comparison"]["koli"]
         assert (comparison["h1"], comparison["h2"]) == (30.0, 35.0)
         assert payload["groups"]["novice"]["model"]["bandwidth"] == 25.0
+        # no CV table for a fixed bandwidth
+        assert "bandwidth_cv" not in comparison
+        for group in ("novice", "non_novice"):
+            assert "bandwidth_cv" not in payload["groups"][group]["model"]
+
+    def test_compare_intensity_tables_only_the_cross_validated_slot(self, data_csv,
+                                                                   tmp_path):
+        assert run(["compare-intensity", *self.REPORT[1:], "--input", data_csv,
+                    "--out", tmp_path, "--h1", "30"]) == 0
+        payload = json.loads((tmp_path / "ratio_test.json").read_text())
+        assert set(payload["bandwidth_cv"]) == {"h2"}
+        assert payload["bandwidth_cv"]["h2"]["h"] == payload["h2"]
+
+    @pytest.mark.parametrize("bandwidth, tabled", [([], True), (["--h", "25"], False)])
+    def test_envelope_model_tables_a_cross_validated_h(self, data_csv, tmp_path,
+                                                       bandwidth, tabled):
+        assert run(["envelope", *self.REPORT[1:], "--input", data_csv, "--out", tmp_path,
+                    "--group", "novice", *bandwidth]) == 0
+        model = json.loads((tmp_path / "envelope.json").read_text())["model"]
+        assert ("bandwidth_cv" in model) == tabled
+        if tabled:
+            assert model["bandwidth_cv"]["h"] == model["bandwidth"]
 
     @pytest.mark.parametrize("bandwidths", [[], ["--h1", "25", "--h2", "25"]])
     def test_one_group_comparison_is_data_error(self, data_csv, tmp_path, capsys,
@@ -169,7 +202,7 @@ class TestBandwidthResolution:
         # one novice with enough fixations to cross-validate: the design
         # check refuses it before a single LSCV score is computed
         scored = []
-        monkeypatch.setattr(density, "_lscv_score", lambda *args: scored.append(args))
+        monkeypatch.setattr(density, "_lscv_scores", lambda *args: scored.append(args))
         assert run([command, *self.REPORT[1:], "--input", one_novice_csv,
                     "--out", tmp_path]) == 3
         err = json.loads(capsys.readouterr().err.strip())
@@ -243,6 +276,35 @@ class TestErrorHandling:
         # constant durations make the gamma fit degenerate
         assert run(["fit", "--input", csv, "--out", tmp_path,
                     "--source", "fixation_duration"]) == 4
+
+
+class TestNonFiniteConfig:
+    COMPARE = ["compare-intensity", "--seed", "1", "--m", "9", "--nx", "20", "--ny", "20",
+               "--trial-length", "10000", "--no-svg"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--h1", "nan", "--h2", "20"],
+        ["--h1", "20", "--h2", "inf"],
+        ["--h", "nan", "--h1", "20", "--h2", "20"],
+        ["--h-grid", "nan,20,40"],
+        ["--h-grid", "20,inf"],
+    ])
+    def test_non_finite_bandwidth_is_config_error(self, data_csv, tmp_path, capsys, flags):
+        # --h1 nan used to exit 0 with T0 = NaN, k = 0 and p = 1/(m+1)
+        assert run([*self.COMPARE, "--input", data_csv, "--out", tmp_path, *flags]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert not (tmp_path / "ratio_test.json").exists()
+
+    @pytest.mark.parametrize("name", ["trial_length", "interval_ms", "radius", "raster"])
+    def test_nan_positive_setting_is_config_error(self, data_csv, tmp_path, capsys, name):
+        # NaN <= 0 is false, so a plain positivity test let NaN through
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: float("nan")}))
+        assert run(["quadrat", "--config", cfg, "--input", data_csv, "--out", tmp_path]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert name in err["message"]
 
 
 class TestConfigPrecedence:

@@ -160,6 +160,12 @@ class TestPermutationTest:
         with pytest.raises(DataError, match="at least one permutation"):
             permutation_test(tiny_dataset, m=0, h1=30.0, h2=30.0, seed=1, nx=16, ny=16)
 
+    @pytest.mark.parametrize("h1, h2", [(np.nan, 30.0), (30.0, np.inf), (-np.inf, 30.0)])
+    def test_non_finite_bandwidth_rejected(self, tiny_dataset, h1, h2):
+        # a NaN statistic compares false with every draw: k = 0 read as significant
+        with pytest.raises(DataError, match="bandwidths"):
+            permutation_test(tiny_dataset, m=9, h1=h1, h2=h2, seed=1, nx=16, ny=16)
+
     def test_bandwidths_are_required(self, tiny_dataset):
         with pytest.raises(TypeError):
             permutation_test(tiny_dataset, m=9, seed=1)

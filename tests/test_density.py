@@ -17,8 +17,14 @@ from fixproc import (
     residual_intensities,
     select_bandwidth_cv,
 )
-from fixproc.density import IntensityGrid, _lscv_score, intensity_at
-from helpers import WINDOW, interp_reference
+from fixproc.density import _TILE, IntensityGrid, _lscv_scores
+from helpers import (
+    WINDOW,
+    intensity_at,
+    interp_reference,
+    lscv_score_reference,
+    mixture_points,
+)
 
 W = WINDOW
 
@@ -139,6 +145,11 @@ class TestEstimateIntensity:
         with pytest.raises(DataError):
             estimate_intensity([[9999, 1]], W, 5.0)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bandwidth_rejected(self, h):
+        with pytest.raises(DataError, match="bandwidth"):
+            estimate_intensity([[100.0, 100.0]], W, h)
+
 
 def _probe_points(grid: IntensityGrid, rng) -> tuple[np.ndarray, np.ndarray]:
     """Random, rim, cell-centre, cell-edge and out-of-window probe points."""
@@ -252,10 +263,10 @@ def brute_force_lscv(points, w, h, nx, ny):
 class TestBandwidthCV:
     def test_score_matches_brute_force(self, rng):
         pts = rng.uniform([100, 100], [650, 650], size=(30, 2))
-        for h in (8.0, 15.0, 60.0):
-            fast = _lscv_score(pts, W, h, 24, 24)
-            slow = brute_force_lscv(pts, W, h, 24, 24)
-            assert fast == pytest.approx(slow, rel=1e-9)
+        h_grid = (8.0, 15.0, 60.0)
+        fast = _lscv_scores(pts, W, h_grid, 24, 24)
+        for h, score in zip(h_grid, fast):
+            assert score == pytest.approx(brute_force_lscv(pts, W, h, 24, 24), rel=1e-9)
 
     def test_single_candidate_returned(self, rng):
         pts = rng.uniform([100, 100], [600, 600], size=(50, 2))
@@ -265,8 +276,7 @@ class TestBandwidthCV:
         rng = np.random.default_rng(5)
         pts = rng.uniform([0, 0], [770, 768], size=(500, 2))
         tiny, moderate = 2.0, 60.0
-        s_tiny = _lscv_score(pts, W, tiny, 64, 64)
-        s_mod = _lscv_score(pts, W, moderate, 64, 64)
+        s_tiny, s_mod = _lscv_scores(pts, W, (tiny, moderate), 64, 64)
         assert s_mod < s_tiny
         with pytest.warns(UserWarning, match="edge of h_grid"):
             assert select_bandwidth_cv(pts, W, [tiny, moderate], 64, 64) == moderate
@@ -310,11 +320,114 @@ class TestBandwidthCV:
         h_clu = select_bandwidth_cv(clusters, W, h_grid, 64, 64)
         assert h_clu < h_uni
 
+    @pytest.mark.parametrize("h_grid", [[np.nan, 20.0, 40.0], [20.0, np.inf], [-np.inf, 20.0]])
+    def test_non_finite_candidate_rejected(self, h_grid):
+        # a leading NaN used to be dropped by the argmin and to hide the edge
+        # warning, and inf scored with divide warnings
+        pts = np.random.default_rng(4).uniform([100, 100], [600, 600], size=(50, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="h_grid"):
+                select_bandwidth_cv(pts, W, h_grid, 24, 24)
+
     def test_too_few_points(self):
         with pytest.raises(DataError):
             select_bandwidth_cv(np.ones((5, 2)) * 100, W, [10.0])
         with pytest.raises(DataError, match="at least 10 points .* got 0"):
             select_bandwidth_cv(np.empty((0, 2)), W, [10.0])
+
+
+def _rim_and_duplicates(rng, n):
+    """n points: corners, edge points, exact duplicates and a uniform rest."""
+    rim = np.array([[W.x_min, W.y_min], [W.x_max, W.y_max], [W.x_min, W.y_max],
+                    [W.x_max, 300.0], [250.0, W.y_min], [W.x_min, 400.0]])
+    base = np.vstack([rim, rng.uniform([0, 0], [770, 768], size=(max(n, 12), 2))])[:n]
+    base[-4:] = base[:4]  # duplicates of corner points: d^2 = 0 off the diagonal
+    base[n // 2] = base[n // 2 - 1]
+    return base
+
+
+def _reference_choice(points, h_grid, nx, ny):
+    scores = np.array([lscv_score_reference(points, W, h, nx, ny) for h in h_grid])
+    h = h_grid[int(np.argmin(scores))]
+    return h, min(h_grid) < max(h_grid) and h in (min(h_grid), max(h_grid))
+
+
+class TestLscvEngine:
+    """The one-pass grid engine against the per-bandwidth route it replaced."""
+
+    @pytest.mark.parametrize("n", [10, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 3])
+    def test_matches_reference_around_the_tile(self, rng, n):
+        pts = _rim_and_duplicates(rng, n)
+        h_grid = (40.0, 6.0, 40.0, 120.0, 15.0)  # unsorted, with a repeat
+        got = _lscv_scores(pts, W, h_grid, 32, 24)
+        ref = [lscv_score_reference(pts, W, h, 32, 24) for h in h_grid]
+        assert got.shape == (len(h_grid),)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        assert got[0] == got[2]
+
+    def test_pairs_beyond_the_exp_floor_leave_no_trace(self):
+        # 80 px apart at h <= 3, every pair but the self pair is floored at
+        # e^-700 where the reference underflows to 0: the scores must agree
+        # as if those pairs were 0
+        g = np.arange(40.0, 740.0, 80.0)
+        pts = np.array([(x, y) for x in g for y in g])
+        h_grid = (2.0, 3.0, 30.0)
+        got = _lscv_scores(pts, W, h_grid, 32, 32)
+        ref = [lscv_score_reference(pts, W, h, 32, 32) for h in h_grid]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_single_bandwidth(self, rng):
+        pts = _rim_and_duplicates(rng, _TILE + 5)
+        got = _lscv_scores(pts, W, (23.0,), 48, 48)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(lscv_score_reference(pts, W, 23.0, 48, 48), rel=1e-12)
+
+    @pytest.mark.parametrize("layout", ["clusters", "uniform"])
+    def test_bench_sized_choice_matches_reference(self, layout):
+        # 1 296 points per group, as in the benchmark's compare workload; the
+        # clusters pick an interior h and the uniform set the grid's top
+        rng = np.random.default_rng(741)
+        if layout == "clusters":
+            centres = rng.uniform(140, 630, size=(4, 2))
+            pts = np.vstack([mixture_points(rng, 324, cx, cy, sd=45.0) for cx, cy in centres])
+        else:
+            pts = rng.uniform([0, 0], [770, 768], size=(1296, 2))
+        h_grid = tuple(np.geomspace(8.0, 64.0, 9))
+        h_ref, edge_ref = _reference_choice(pts, h_grid, 128, 128)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cv = select_bandwidth_cv(pts, W, h_grid, full_output=True)
+        assert cv.h == h_ref
+        assert cv.at_edge == edge_ref == (layout == "uniform")
+        assert len(caught) == int(edge_ref)
+        np.testing.assert_allclose(
+            cv.scores, [lscv_score_reference(pts, W, h, 128, 128) for h in h_grid],
+            rtol=1e-12, atol=0,
+        )
+
+    def test_full_output_table(self):
+        rng = np.random.default_rng(3)
+        cluster = rng.normal([385, 384], 4.0, size=(60, 2))
+        with pytest.warns(UserWarning, match="edge of h_grid"):
+            cv = select_bandwidth_cv(cluster, W, [80.0, 40.0, 60.0], 48, 48, full_output=True)
+        assert cv.h_grid == (80.0, 40.0, 60.0)
+        assert (cv.h, cv.at_edge) == (40.0, True)
+        assert int(np.argmin(cv.scores)) == 1
+        d = cv.to_dict()
+        assert d == {"h_grid": [80.0, 40.0, 60.0], "scores": [float(v) for v in cv.scores],
+                     "h": 40.0, "at_edge": True}
+
+    def test_non_finite_score_is_written_as_null(self, rng):
+        # at h far below the cell size every grid factor underflows and the
+        # score is NaN; JSON has no NaN, so the table writes null
+        pts = rng.uniform([100, 100], [600, 600], size=(40, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.warns(UserWarning, match="edge of h_grid"):
+                cv = select_bandwidth_cv(pts, W, [0.01, 30.0], 4, 4, full_output=True)
+        assert np.isnan(cv.scores[0]) and cv.h == 30.0
+        assert cv.to_dict()["scores"] == [None, float(cv.scores[1])]
 
 
 class TestResiduals:
