@@ -11,6 +11,8 @@ preserved under the null.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,9 +23,14 @@ from .core import DataError, Dataset, Window
 from .density import _TINY, IntensityGrid, _grid_factors, chisq_sf
 from .rng import substream
 
-# label rows per permutation block times grid cells: 16 draws at 128 x 128,
-# about 2 MB per group surface matrix
-_BLOCK_CELLS = 2**18
+# draws per permutation block, and grid cells per tile for designs of up to
+# 20 subjects: a block's two (tile, draws) surface buffers take 512 KiB and
+# stay in one core's L2 cache, and a tile's matrix product (128 x 256 x 20
+# multiply-adds) is small enough for OpenBLAS to run it on the calling
+# thread. Larger designs get narrower tiles with products of the same size.
+_BLOCK_DRAWS = 128
+_TILE_CELLS = 256
+_TILE_SUBJECTS = 20
 
 
 @dataclass
@@ -187,24 +194,51 @@ def _labeled_statistic(
 
 
 def _block_statistic(
-    labels: np.ndarray, rows1: np.ndarray, rows2: np.ndarray, cell_area: float,
-    lam1: np.ndarray, lam2: np.ndarray,
+    labels: np.ndarray, rows1: np.ndarray, rows2: np.ndarray,
+    mass1: np.ndarray, mass2: np.ndarray, cell_area: float,
 ) -> np.ndarray:
     """T for each row of a (B, s) 0/1 label matrix; ones mark the first group.
 
-    ``_log_ratio`` row by row, worked in the (B, cells) buffers ``lam1`` and
-    ``lam2``. The second group is summed from its own rows, not taken as
-    total minus the first, which would cancel in the far field.
+    ``_log_ratio`` row by row, in one pass over tiles of grid cells. A
+    tile's two group surfaces are matrix products into (tile, B)
+    buffers reused by every tile; they are clamped at _TINY and logged
+    separately, since their ratio overflows where one side is clamped. The
+    normalisers come from the per-subject masses ``mass1`` and ``mass2``
+    (the row sums of ``rows1`` and ``rows2``) plus the most the clamp can
+    add, cells * _TINY, which is exact when a whole surface underflows and
+    lost in rounding otherwise. The second group is summed from its own
+    rows, not taken as total minus the first, which would cancel in the
+    far field.
     """
-    np.matmul(labels, rows1, out=lam1)
-    np.matmul(1.0 - labels, rows2, out=lam2)
-    for lam in (lam1, lam2):
-        np.maximum(lam, _TINY, out=lam)
-        lam /= lam.sum(axis=1, keepdims=True) * cell_area
-        np.log(lam, out=lam)
-    lam1 -= lam2
-    np.square(lam1, out=lam1)
-    return lam1.sum(axis=1) * cell_area
+    first = np.ascontiguousarray(labels.T)
+    second = 1.0 - first
+    cells = rows1.shape[1]
+    clamped = cells * _TINY
+    shift = np.log((mass1 @ first + clamped) * cell_area)
+    shift -= np.log((mass2 @ second + clamped) * cell_area)
+    tile = max(1, _TILE_CELLS * _TILE_SUBJECTS // max(len(rows1), _TILE_SUBJECTS))
+    lam1 = np.empty((tile, len(labels)))
+    lam2 = np.empty_like(lam1)
+    T = np.zeros(len(labels))
+    for start in range(0, cells, tile):
+        stop = min(start + tile, cells)
+        t1, t2 = lam1[: stop - start], lam2[: stop - start]
+        np.matmul(rows1[:, start:stop].T, first, out=t1)
+        np.matmul(rows2[:, start:stop].T, second, out=t2)
+        for t in (t1, t2):
+            np.maximum(t, _TINY, out=t)
+            np.log(t, out=t)
+        t1 -= t2
+        t1 -= shift
+        T += np.einsum("ij,ij->j", t1, t1)
+    return T * cell_area
+
+
+def _workers() -> int:
+    """Cores this process may run on: one permutation block is scored per core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _count_permutations(
@@ -213,34 +247,31 @@ def _count_permutations(
 ) -> tuple[int, int]:
     """k and the number of distinct first-group sets over draws 1..m.
 
-    Draws are scored in blocks of ``_BLOCK_CELLS // cells``. A draw whose
-    first group is the observed one (or, with ``mirror_ties``, the observed
-    second group) is a tie and counts; any other counts when its T >= T0.
+    The calling thread draws every label row in draw order; blocks of
+    ``_BLOCK_DRAWS`` rows are then scored on a pool of ``_workers()``
+    threads. Block boundaries depend on m alone, so each draw's T does not
+    depend on the worker count. A draw whose first group is the observed
+    one (or, with ``mirror_ties``, the observed second group) is a tie and
+    counts; any other counts when its T >= T0.
     """
     total = len(rows1)
+    first = np.zeros((m, total), dtype=bool)
+    for j in range(1, m + 1):
+        first[j - 1, substream(seed, "perm", j).permutation(total)[:n1]] = True
+    mass1, mass2 = rows1.sum(axis=1), rows2.sum(axis=1)
+
+    def score(start: int) -> np.ndarray:
+        labels = first[start : start + _BLOCK_DRAWS].astype(float)
+        return _block_statistic(labels, rows1, rows2, mass1, mass2, cell_area)
+
+    with ThreadPoolExecutor(_workers()) as pool:
+        T = np.concatenate(list(pool.map(score, range(0, m, _BLOCK_DRAWS))))
     observed = np.arange(total) < n1
-    tied = {observed.tobytes()}
+    ties = (first == observed).all(axis=1)
     if mirror_ties:
-        tied.add((~observed).tobytes())
-    block = min(m, max(1, _BLOCK_CELLS // rows1.shape[1]))
-    # reused by every block: fresh megabyte-sized results would be returned
-    # to the OS and faulted in again on each block
-    lam1 = np.empty((block, rows1.shape[1]))
-    lam2 = np.empty_like(lam1)
-    k = 0
-    seen: set[bytes] = set()
-    for start in range(1, m + 1, block):
-        draws = range(start, min(start + block, m + 1))
-        b = len(draws)
-        first = np.zeros((b, total), dtype=bool)
-        for row, j in enumerate(draws):
-            first[row, substream(seed, "perm", j).permutation(total)[:n1]] = True
-        keys = [row.tobytes() for row in first]
-        T = _block_statistic(first.astype(float), rows1, rows2, cell_area, lam1[:b], lam2[:b])
-        ties = np.array([key in tied for key in keys])
-        k += int(np.count_nonzero(ties | (T >= T0)))
-        seen.update(keys)
-    return k, len(seen)
+        ties |= (first == ~observed).all(axis=1)
+    k = int(np.count_nonzero(ties | (T >= T0)))
+    return k, len({row.tobytes() for row in first})
 
 
 def comparison_groups(dataset: Dataset) -> tuple[list, list]:
@@ -280,9 +311,14 @@ def permutation_test(
     one. Draw j is ``substream(seed, "perm", j).permutation(n1 + n2)``, whose
     first n1 entries form the first group.
 
-    Draws are scored in blocks: the first-group labels of a block form a
-    0/1 matrix, and each group's surfaces are one matrix product of it with
-    the per-subject kernel rows. A matrix product need not round like the
+    Draws are scored in blocks of 128: the first-group labels of a block
+    form a 0/1 matrix, and each group's surfaces are matrix products of it
+    with the per-subject kernel rows, taken over tiles of grid cells (256
+    for up to 20 subjects, fewer for more) that stay in cache while they are
+    clamped, logged and summed. Blocks are scored on one thread per
+    available core; the draws themselves are made in order on the calling
+    thread, and a draw's T does not depend on the number of threads. A
+    matrix product need not round like the
     observed statistic's row sums, so ties are decided on the partition,
     not on the floats: a draw whose first group is the observed one always
     counts, and so does the mirror draw (first group = observed second

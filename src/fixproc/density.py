@@ -259,9 +259,10 @@ def select_bandwidth_cv(
     edge-corrected estimate normalized to a density; the integral is a
     midpoint Riemann sum on the nx-by-ny grid. Every candidate is scored in
     one pass over the point pairs: each pair's squared distance is computed
-    once and shared by all of h_grid. Warns when the chosen h is the
-    smallest or largest of several distinct candidates: the optimum may
-    then lie outside the grid.
+    once and shared by all of h_grid. Warns, naming them, about candidates
+    whose score is not finite (h far below the cell size), which are
+    skipped. Warns when the chosen h is the smallest or largest of several
+    distinct candidates: the optimum may then lie outside the grid.
 
     Returns the chosen h, or with ``full_output`` the whole BandwidthCV
     table (candidates, scores, chosen h and edge flag).
@@ -277,6 +278,9 @@ def select_bandwidth_cv(
     scores = _lscv_scores(points, w, h_grid, nx, ny)
     if not np.any(np.isfinite(scores)):
         raise NumericError("all cross-validation scores non-finite")
+    skipped = [f"{h:g}" for h, score in zip(h_grid, scores) if not math.isfinite(score)]
+    if skipped:
+        warnings.warn(f"cross-validation score is not finite at h = {', '.join(skipped)}; skipped")
     h = h_grid[int(np.argmin(np.where(np.isfinite(scores), scores, np.inf)))]
     lo, hi = min(h_grid), max(h_grid)
     at_edge = lo < hi and h in (lo, hi)
@@ -333,9 +337,11 @@ def _lscv_scores(points: np.ndarray, w: Window, h_grid, nx: int, ny: int) -> np.
         corr_pts = edge_correction(x, y, w, h)
         loo_lam = norm * pair_sums[k] / corr_pts - norm / corr_pts
         loo_mass = total_mass - point_mass
+        # at h far below the cell size every grid factor underflows, both
+        # masses are 0 and the score is NaN; select_bandwidth_cv names it
         with np.errstate(divide="ignore", invalid="ignore"):
             loo_density = loo_lam / loo_mass
-        int_f2 = float(((lam_grid / total_mass) ** 2).sum() * cell)
+            int_f2 = float(((lam_grid / total_mass) ** 2).sum() * cell)
         scores[k] = int_f2 - 2.0 / n * float(loo_density.sum())
     return scores
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import DataError, StepCurve
 from .summaries import resample_curve
@@ -84,21 +83,40 @@ def default_grid(trial_length: float = 180_000.0, n: int = 361) -> np.ndarray:
     return np.linspace(0.0, trial_length, n)
 
 
+def _mid_ranks(rows: np.ndarray) -> np.ndarray:
+    """Rank of each entry within its column, ties averaged; NaN where not finite.
+
+    Only a column's finite entries are ranked, from 1 up to their count.
+    """
+    finite = np.isfinite(rows)
+    columns = np.where(finite, rows, np.nan).T
+    order = np.argsort(columns, axis=1)  # NaN sorts last
+    ordered = np.take_along_axis(columns, order, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    # a run of c ties from sorted position lo shares the rank lo + (c + 1) / 2
+    lo = np.flatnonzero(starts)
+    counts = np.diff(lo, append=starts.size)
+    ranks = np.empty(columns.shape)
+    mid = np.repeat(lo % len(rows) + (counts + 1) / 2, counts)
+    np.put_along_axis(ranks, order, mid.reshape(columns.shape), axis=1)
+    ranks = ranks.T
+    ranks[~finite] = np.nan
+    return ranks
+
+
 def extreme_ranks(rows: np.ndarray) -> np.ndarray:
     """Per-curve extreme rank: min over the grid of depth from below/above.
 
     Mid-ranks are used on ties so mass ties (e.g. many curves at zero early
-    on) do not pin every curve at rank 1. NaN entries (curve undefined at
-    that time, as for not-yet-visited transition rows) contribute no depth;
-    an everywhere-undefined curve gets rank +inf.
+    on) do not pin every curve at rank 1. Non-finite entries (NaN for a
+    curve undefined at that time, as for not-yet-visited transition rows,
+    and likewise +-inf) contribute no depth; an everywhere-undefined curve
+    gets rank +inf.
     """
     finite = np.isfinite(rows)
-    counts = finite.sum(axis=0)
-    if np.all(finite):
-        low = rankdata(rows, method="average", axis=0)
-    else:
-        low = rankdata(rows, method="average", axis=0, nan_policy="omit")
-    high = counts[None, :] + 1 - low
+    low = _mid_ranks(rows)
+    high = finite.sum(axis=0)[None, :] + 1 - low
     depth = np.where(finite, np.fmin(low, high), np.inf)
     return depth.min(axis=1)
 
@@ -110,9 +128,10 @@ def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
     share of the simulations stays fully inside the [k-th smallest, k-th
     largest] band. Grid points where all curves are undefined get NaN
     bounds (no constraint); points with fewer than k defined values fall
-    back to the min/max of what is defined.
+    back to the min/max of what is defined. Infinite entries count as
+    undefined, like NaN.
     """
-    rows = curves.rows
+    rows = np.where(np.isfinite(curves.rows), curves.rows, np.nan)
     s = rows.shape[0]
     if not 0 < alpha < 1:
         raise DataError("alpha must be in (0, 1)")

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 from math import comb
 
@@ -121,13 +122,13 @@ class TestRatioStatistic:
         assert ratio_statistic(g) >= 0
 
 
-def _corner_clusters_dataset():
-    """3 + 3 subjects of 30 fixations (sd 10) near (60, 60) and (120, 80)."""
+def _corner_clusters_dataset(n=30, sd=10.0, centres=((60.0, 60.0), (120.0, 80.0))):
+    """3 + 3 subjects of n fixations (sd) near the first and the second centre."""
     rng = np.random.default_rng(41)
     seqs = []
     for i in range(6):
-        group, centre = ("novice", (60.0, 60.0)) if i < 3 else ("non_novice", (120.0, 80.0))
-        pts = rng.normal(centre, 10.0, size=(30, 2))
+        group, centre = ("novice", centres[0]) if i < 3 else ("non_novice", centres[1])
+        pts = rng.normal(centre, sd, size=(n, 2))
         fixes = [Fixation(float(x), float(y), j * 300.0, 200.0) for j, (x, y) in enumerate(pts)]
         seqs.append(FixationSequence(f"s{i}", group, "koli", fixes))
     return Dataset(window=W, sequences=seqs, trial_length=10_000.0)
@@ -288,26 +289,80 @@ class TestBlockEngine:
         "4v4_h_equal": (4, 30.0, 30.0),
     }
 
-    @pytest.mark.parametrize("nx, ny", [(16, 16), (24, 20), (128, 128)])
+    # of 256-cell tiles, 12 x 10 fills less than one and 16 x 16 exactly
+    # one; 24 x 20 ends in a part tile and 128 x 128 in a whole one
+    @pytest.mark.parametrize("nx, ny", [(12, 10), (16, 16), (24, 20), (128, 128)])
     @pytest.mark.parametrize("design", sorted(DESIGNS))
     def test_matches_one_draw_loop(self, tiny_dataset, design, nx, ny):
         n1, h1, h2 = self.DESIGNS[design]
         data = _relabeled(tiny_dataset, n1)
-        block = max(1, compare._BLOCK_CELLS // (nx * ny))
+        block = compare._BLOCK_DRAWS
         for m in (1, block - 1, block, block + 1, 3 * block + 2):
             res = permutation_test(data, m=m, h1=h1, h2=h2, seed=m, nx=nx, ny=ny)
             k, T0 = permutation_test_reference(data, m=m, h1=h1, h2=h2, seed=m, nx=nx, ny=ny)
             assert (res.k, res.T0) == (k, T0), (design, nx, ny, m)
             assert res.p == (k + 1) / (m + 1)
 
+    def test_more_subjects_narrow_the_tiles(self, tiny_dataset):
+        # 24 subjects get tiles of 256 * 20 // 24 = 213 cells
+        seqs = [
+            replace(s, subject_id=f"{s.subject_id}_{i}")
+            for i in range(3)
+            for s in tiny_dataset.sequences
+        ]
+        data = _relabeled(replace(tiny_dataset, sequences=seqs), 12)
+        m = compare._BLOCK_DRAWS + 1
+        res = permutation_test(data, m=m, h1=28.0, h2=32.0, seed=3, nx=24, ny=20)
+        k, T0 = permutation_test_reference(data, m=m, h1=28.0, h2=32.0, seed=3, nx=24, ny=20)
+        assert (res.k, res.T0) == (k, T0)
 
-    @pytest.mark.parametrize("case", ["toy", "corner_clusters"])
+    @pytest.mark.parametrize("design", sorted(DESIGNS))
+    def test_worker_count_changes_nothing(self, tiny_dataset, design, monkeypatch):
+        # blocks are cut by draw number, never by worker, so one thread and
+        # three threads (switching as often as the interpreter allows) score
+        # every draw alike
+        n1, h1, h2 = self.DESIGNS[design]
+        data = _relabeled(tiny_dataset, n1)
+        m = 3 * compare._BLOCK_DRAWS + 2
+        results = []
+        interval = sys.getswitchinterval()
+        try:
+            for workers in (1, 3):
+                monkeypatch.setattr(compare, "_workers", lambda: workers)
+                sys.setswitchinterval(1e-6 if workers > 1 else interval)
+                res = permutation_test(data, m=m, h1=h1, h2=h2, seed=6, nx=24, ny=20)
+                results.append((res.k, res.p, res.distinct_partitions))
+        finally:
+            sys.setswitchinterval(interval)
+        k, _ = permutation_test_reference(data, m=m, h1=h1, h2=h2, seed=6, nx=24, ny=20)
+        total = len(data.sequences)
+        distinct = len({
+            frozenset(substream(6, "perm", j).permutation(total)[:n1].tolist())
+            for j in range(1, m + 1)
+        })
+        assert results[0] == results[1] == (k, (k + 1) / (m + 1), distinct)
+
+    def test_surfaces_that_underflow_everywhere(self, tiny_dataset):
+        # at h = 0.001 px every kernel value on a 16 x 16 grid underflows, so
+        # both groups clamp to the same flat surface: T0 = 0 and every draw
+        # ties it, as on the one-draw route
+        args = dict(m=40, h1=1e-3, h2=1e-3, seed=2, nx=16, ny=16)
+        res = permutation_test(tiny_dataset, **args)
+        k, T0 = permutation_test_reference(tiny_dataset, **args)
+        assert (res.T0, res.k) == (T0, k) == (0.0, 40)
+
+
+    @pytest.mark.parametrize("case", ["toy", "corner_clusters", "dense_clusters"])
     def test_block_statistic_matches_row_sums(self, tiny_dataset, case):
         # each group summed from its own rows and clamped, also where the
-        # far field of small clusters underflows
+        # far field of small clusters underflows, and where a dense cluster's
+        # peak (about 12) over the other group's clamped 2e-308 would
+        # overflow as one ratio
+        dense = _corner_clusters_dataset(60, 0.5, ((63.0, 63.0), (123.0, 81.0)))
         data, h1, h2, n = {
             "toy": (tiny_dataset, 28.0, 32.0, 24),
             "corner_clusters": (_corner_clusters_dataset(), 8.0, 8.0, 128),
+            "dense_clusters": (dense, 1.5, 1.5, 128),
         }[case]
         pts = [s.locations() for s in data.sequences]
         rows1 = compare._subject_surfaces(pts, W, h1, n, n)
@@ -318,8 +373,9 @@ class TestBlockEngine:
         labels = np.zeros((len(firsts), total))
         for row, first in enumerate(firsts):
             labels[row, first] = 1.0
-        buffers = np.empty((2, len(firsts), n * n))
-        T = compare._block_statistic(labels, rows1, rows2, cell_area, *buffers)
+        T = compare._block_statistic(
+            labels, rows1, rows2, rows1.sum(axis=1), rows2.sum(axis=1), cell_area
+        )
         for row, first in enumerate(firsts):
             rest = np.setdiff1d(np.arange(total), first)
             T_row, _ = compare._labeled_statistic(rows1, rows2, np.sort(first), rest, cell_area)

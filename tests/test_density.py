@@ -420,12 +420,16 @@ class TestLscvEngine:
 
     def test_non_finite_score_is_written_as_null(self, rng):
         # at h far below the cell size every grid factor underflows and the
-        # score is NaN; JSON has no NaN, so the table writes null
+        # score is NaN; JSON has no NaN, so the table writes null. The NaN is
+        # named in a warning of its own, and no numpy warning leaks
         pts = rng.uniform([100, 100], [600, 600], size=(40, 2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.warns(UserWarning, match="edge of h_grid"):
-                cv = select_bandwidth_cv(pts, W, [0.01, 30.0], 4, 4, full_output=True)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            cv = select_bandwidth_cv(pts, W, [0.01, 30.0], 4, 4, full_output=True)
+        messages = sorted(str(r.message) for r in record)
+        assert [r.category for r in record] == [UserWarning, UserWarning]
+        assert messages[0] == "cross-validated bandwidth 30 is at the edge of h_grid [0.01, 30]"
+        assert messages[1] == "cross-validation score is not finite at h = 0.01; skipped"
         assert np.isnan(cv.scores[0]) and cv.h == 30.0
         assert cv.to_dict()["scores"] == [None, float(cv.scores[1])]
 

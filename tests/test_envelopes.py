@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import rankdata
 
+import fixproc
 from fixproc import CurveMatrix, DataError, StepCurve, envelope_report, rank_envelope
-from fixproc.envelopes import default_grid, extreme_ranks
+from fixproc.envelopes import _mid_ranks, default_grid, extreme_ranks
 
 
 def smooth_brownian(rng, n, g=361):
@@ -80,6 +89,67 @@ class TestRankEnvelope:
         # driven by the second column
         ranks = extreme_ranks(rows)
         assert np.array_equal(ranks, [1.0, 2.0, 1.0])
+
+
+class TestMidRanks:
+    # few distinct values make heavy ties; NaN marks undefined entries
+    @settings(max_examples=200)
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 12), st.integers(1, 6)),
+            elements=st.sampled_from([0.0, 1.0, 2.5, -3.0, 1e300, np.nan]),
+        )
+    )
+    def test_matches_scipy_average_ranks(self, rows):
+        ranks = _mid_ranks(rows)
+        finite = np.isfinite(rows)
+        expected = rankdata(rows, method="average", axis=0, nan_policy="omit")
+        assert np.array_equal(ranks[finite], expected[finite])
+        assert np.isnan(ranks[~finite]).all()
+
+    def test_all_nan_column_and_single_row(self):
+        ranks = _mid_ranks(np.array([[np.nan, 3.0, -1.0]]))
+        assert np.isnan(ranks[0, 0]) and np.array_equal(ranks[0, 1:], [1.0, 1.0])
+
+
+class TestNonFiniteCurves:
+    """An infinite entry is undefined, exactly like NaN."""
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf])
+    def test_extreme_ranks_treat_infinity_as_nan(self, bad):
+        rows = np.array([[bad], [2.0], [3.0], [4.0], [5.0]])
+        ranks = extreme_ranks(rows)
+        rows[0, 0] = np.nan
+        assert np.array_equal(ranks, extreme_ranks(rows))
+        assert np.array_equal(ranks, [np.inf, 1.0, 2.0, 2.0, 1.0])
+        assert ranks.min() >= 1.0
+
+    def test_envelope_bounds_treat_infinity_as_nan(self):
+        rng = np.random.default_rng(5)
+        rows = smooth_brownian(rng, 40, 6)
+        rows[0, 1] = -np.inf
+        rows[[3, 7], 2] = np.inf
+        rows[:, 4] = -np.inf
+        as_nan = np.where(np.isfinite(rows), rows, np.nan)
+        grid = default_grid(100.0, 6)
+        env = rank_envelope(CurveMatrix(grid, rows), 0.05)
+        ref = rank_envelope(CurveMatrix(grid, as_nan), 0.05)
+        assert env.k == ref.k
+        assert np.array_equal(env.lower, ref.lower, equal_nan=True)
+        assert np.array_equal(env.upper, ref.upper, equal_nan=True)
+        assert np.isnan(env.lower[4]) and np.isfinite(env.lower[[1, 2]]).all()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about a third of a second at import; the CLI needs none of it
+    src = str(Path(fixproc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, fixproc.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestEnvelopeReport:
