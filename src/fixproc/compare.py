@@ -23,14 +23,13 @@ from .core import DataError, Dataset, Window
 from .density import _TINY, IntensityGrid, _grid_factors, chisq_sf
 from .rng import substream
 
-# draws per permutation block, and grid cells per tile for designs of up to
-# 20 subjects: a block's two (tile, draws) surface buffers take 512 KiB and
-# stay in one core's L2 cache, and a tile's matrix product (128 x 256 x 20
-# multiply-adds) is small enough for OpenBLAS to run it on the calling
-# thread. Larger designs get narrower tiles with products of the same size.
+# draws per permutation block, and grid cells per tile: a block's two
+# (tile, draws) surface buffers take 512 KiB and stay in one core's L2
+# cache, and a tile's matrix product (128 x 256 x 20 multiply-adds at the
+# paper's 20 subjects) is small enough for OpenBLAS to run it on the
+# calling thread
 _BLOCK_DRAWS = 128
 _TILE_CELLS = 256
-_TILE_SUBJECTS = 20
 
 
 @dataclass
@@ -216,12 +215,11 @@ def _block_statistic(
     clamped = cells * _TINY
     shift = np.log((mass1 @ first + clamped) * cell_area)
     shift -= np.log((mass2 @ second + clamped) * cell_area)
-    tile = max(1, _TILE_CELLS * _TILE_SUBJECTS // max(len(rows1), _TILE_SUBJECTS))
-    lam1 = np.empty((tile, len(labels)))
+    lam1 = np.empty((_TILE_CELLS, len(labels)))
     lam2 = np.empty_like(lam1)
     T = np.zeros(len(labels))
-    for start in range(0, cells, tile):
-        stop = min(start + tile, cells)
+    for start in range(0, cells, _TILE_CELLS):
+        stop = min(start + _TILE_CELLS, cells)
         t1, t2 = lam1[: stop - start], lam2[: stop - start]
         np.matmul(rows1[:, start:stop].T, first, out=t1)
         np.matmul(rows2[:, start:stop].T, second, out=t2)
@@ -313,9 +311,8 @@ def permutation_test(
 
     Draws are scored in blocks of 128: the first-group labels of a block
     form a 0/1 matrix, and each group's surfaces are matrix products of it
-    with the per-subject kernel rows, taken over tiles of grid cells (256
-    for up to 20 subjects, fewer for more) that stay in cache while they are
-    clamped, logged and summed. Blocks are scored on one thread per
+    with the per-subject kernel rows, taken over tiles of 256 grid cells
+    that stay in cache while they are clamped, logged and summed. Blocks are scored on one thread per
     available core; the draws themselves are made in order on the calling
     thread, and a draw's T does not depend on the number of threads. A
     matrix product need not round like the

@@ -303,19 +303,6 @@ class TestBlockEngine:
             assert (res.k, res.T0) == (k, T0), (design, nx, ny, m)
             assert res.p == (k + 1) / (m + 1)
 
-    def test_more_subjects_narrow_the_tiles(self, tiny_dataset):
-        # 24 subjects get tiles of 256 * 20 // 24 = 213 cells
-        seqs = [
-            replace(s, subject_id=f"{s.subject_id}_{i}")
-            for i in range(3)
-            for s in tiny_dataset.sequences
-        ]
-        data = _relabeled(replace(tiny_dataset, sequences=seqs), 12)
-        m = compare._BLOCK_DRAWS + 1
-        res = permutation_test(data, m=m, h1=28.0, h2=32.0, seed=3, nx=24, ny=20)
-        k, T0 = permutation_test_reference(data, m=m, h1=28.0, h2=32.0, seed=3, nx=24, ny=20)
-        assert (res.k, res.T0) == (k, T0)
-
     @pytest.mark.parametrize("design", sorted(DESIGNS))
     def test_worker_count_changes_nothing(self, tiny_dataset, design, monkeypatch):
         # blocks are cut by draw number, never by worker, so one thread and
