@@ -2,8 +2,9 @@
 
 How much of the scene has the gaze covered by time t? How far has it
 traveled, and how does it move between quadrants? Each question becomes a
-step curve; 200 model simulations turn each curve family into a 95%
-simultaneous envelope, and observed subjects are judged against it.
+step curve, evaluated on a time grid as one row per curve; 200 model
+simulations turn each curve family into a 95% simultaneous envelope, and
+observed subjects are judged against it.
 
 Run:  python demos/05_summaries_and_envelopes.py
 """
@@ -46,7 +47,7 @@ model = FixationModel(
 )
 
 # --- one run, three summaries -------------------------------------------
-run = fp.simulate_run(model, seed=5)
+run = fp.simulate_many(model, 1, seed=5)[0]
 hull = fp.convex_hull_coverage(run.sequence, w, domain_end=TRIAL)
 ball = fp.ball_union_coverage(run.sequence, w, radius=35.0, raster=2.0, domain_end=TRIAL)
 path = fp.scanpath_length(run.sequence, domain_end=TRIAL)
@@ -61,35 +62,28 @@ print(trans.counts)
 
 # --- envelopes from 200 simulations ---------------------------------------
 grid = fp.default_grid(TRIAL, 121)
+
+
+def ball_row(seq):
+    """Ball coverage on the grid: the first row of curve_rows for ["ball"]."""
+    return fp.curve_rows(seq, w, grid, ["ball"], radius=35.0, raster=2.0)[0]
+
+
 sims = fp.simulate_many(model, 200, seed=6)
-matrix = fp.CurveMatrix.from_curves(
-    [fp.ball_union_coverage(r.sequence, w, 35.0, 2.0, domain_end=TRIAL) for r in sims],
-    grid,
-)
+matrix = fp.CurveMatrix(grid, np.array([ball_row(r.sequence) for r in sims]))
 env = fp.rank_envelope(matrix, alpha=0.05)
 print(f"95% envelope uses order-statistic depth k = {env.k}")
 
 # Judge a few fresh same-model curves and one deliberately different run
 # (a model with half the saccade-length scale explores much less).
-fresh = [
-    fp.resample_curve(
-        fp.ball_union_coverage(fp.simulate_run(model, seed=300 + i).sequence, w, 35.0,
-                               2.0, domain_end=TRIAL),
-        grid,
-    )
-    for i in range(3)
-]
+fresh = [ball_row(r.sequence) for r in fp.simulate_many(model, 3, seed=300)]
 slow = FixationModel(
     intensity_all=surface, intensity_first=surface,
     dur_fix=model.dur_fix, dur_sac=model.dur_sac,
     len_sac=GammaFit(1.8, 1 / 20.0, 1, "saccade_length"),
     window=w, trial_length=TRIAL, p_long=0.0, n_angles=360,
 )
-slow_curve = fp.resample_curve(
-    fp.ball_union_coverage(fp.simulate_run(slow, seed=200).sequence, w, 35.0, 2.0,
-                           domain_end=TRIAL),
-    grid,
-)
+slow_curve = ball_row(fp.simulate_many(slow, 1, seed=200)[0].sequence)
 labels = ["same model #1", "same model #2", "same model #3", "short-jump model"]
 for label, verdict in zip(labels, fp.envelope_report(fresh + [slow_curve], env)):
     print(f"  {label}: {verdict}")

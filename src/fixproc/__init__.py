@@ -75,9 +75,7 @@ from .simulate import (
     build_model,
     next_location,
     sample_initial,
-    sample_saccade_length,
     simulate_many,
-    simulate_run,
     simulate_runs,
 )
 from .summaries import (
@@ -85,6 +83,7 @@ from .summaries import (
     ball_union_coverage,
     convex_hull,
     convex_hull_coverage,
+    curve_rows,
     polygon_area,
     resample_curve,
     scanpath_length,

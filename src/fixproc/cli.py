@@ -35,23 +35,23 @@ from .fitdist import fit_gamma_mle, gamma_qq
 from .ingest import ingest_pipeline, valid_saccade_values, write_fixations, write_saccades
 from .simulate import build_model, provenance_to_json, runs_to_dataset, simulate_many
 from .summaries import (
+    STATS,
+    TRANSITIONS,
     ball_union_coverage,
     convex_hull_coverage,
+    curve_rows,
     curve_to_csv,
     curve_to_dict,
-    resample_curve,
     scanpath_length,
     transition_curves,
 )
-from .svgplot import heatmap_svg, panel_grid_svg, shift_plot_svg
+from .svgplot import ENVELOPE_COLOR, OBSERVED_COLOR, heatmap_svg, panel_grid_svg, shift_plot_svg
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-STATS = ("hull", "ball", "scanpath")
-TRANSITIONS = tuple(f"{a}->{b}" for a in range(1, 5) for b in range(1, 5))
 #: Bandwidth candidates for cross-validation when the config sets no h_grid.
 DEFAULT_H_GRID = tuple(np.geomspace(8.0, 64.0, 9))
 
@@ -147,6 +147,12 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
                  "q", "n_runs", "m", "n_angles", "grid_points"):
         if not _positive(getattr(cfg, name)):
             raise ConfigError(f"{name} must be positive and finite")
+    if cfg.raster > cfg.radius:
+        raise ConfigError(f"raster cell {cfg.raster} coarser than radius {cfg.radius}")
+    if cfg.n_angles < 4:
+        raise ConfigError("n_angles must be at least 4")
+    if cfg.stat not in STATS + ("all",):
+        raise ConfigError(f"--stat must be one of {STATS + ('all',)}")
     if not 0 < cfg.alpha < 1:
         raise ConfigError("alpha must be in (0, 1)")
     if not 0 <= cfg.p_long <= 1:
@@ -384,38 +390,25 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
     provenance_to_json(runs, out / "sim_provenance.json", meta)
 
 
-def _summary_curves(seq, w, cfg: PipelineConfig, end: float) -> dict:
-    return {
-        "hull": convex_hull_coverage(seq, w, domain_end=end),
-        "ball": ball_union_coverage(seq, w, cfg.radius, cfg.raster, domain_end=end),
-        "scanpath": scanpath_length(seq, domain_end=end),
-    }
-
-
 def cmd_summaries(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
+    w, end = dataset.window, dataset.trial_length
     bundle: dict = {"meta": _meta(cfg, "summaries"), "subjects": {}}
     for seq in dataset.sequences:
         name = f"{seq.subject_id}_{seq.painting_id}"
-        curves = _summary_curves(seq, dataset.window, cfg, dataset.trial_length)
+        curves = {
+            "hull": convex_hull_coverage(seq, w, domain_end=end),
+            "ball": ball_union_coverage(seq, w, cfg.radius, cfg.raster, domain_end=end),
+            "scanpath": scanpath_length(seq, domain_end=end),
+        }
         entry = {stat: curve_to_dict(c) for stat, c in curves.items()}
         for stat, c in curves.items():
             curve_to_csv(c, out / f"summary_{name}_{stat}.csv")
         if len(seq) >= 2:
-            entry["transitions"] = transition_curves(
-                seq, dataset.window, domain_end=dataset.trial_length
-            ).to_dict()
+            entry["transitions"] = transition_curves(seq, w, domain_end=end).to_dict()
         bundle["subjects"][name] = entry
     _write_json(out / "summaries.json", bundle)
-
-
-def _stat_list(cfg: PipelineConfig) -> list[str]:
-    if cfg.stat == "all":
-        return list(STATS)
-    if cfg.stat not in STATS:
-        raise ConfigError(f"--stat must be one of {STATS + ('all',)}")
-    return [cfg.stat]
 
 
 def _group_envelopes(
@@ -428,63 +421,51 @@ def _group_envelopes(
     """
     model = _build_group_model(cfg, dataset, saccades, group, h)
     runs = simulate_many(model, cfg.n_runs, cfg.seed)
-    end = model.trial_length
+    stats = list(STATS) if cfg.stat == "all" else [cfg.stat]
 
-    def named_curves(seq) -> dict:
-        curves = _summary_curves(seq, model.window, cfg, end)
-        # transition curves exist only for sequences with >= 2 fixations
-        if len(seq) >= 2:
-            t = transition_curves(seq, model.window, domain_end=end)
-            curves.update(zip(TRANSITIONS, (c for row in t.curves for c in row)))
-        return curves
+    def rows(seq) -> np.ndarray:
+        return curve_rows(seq, model.window, grid, stats, cfg.radius, cfg.raster)
 
-    sim_curves = [named_curves(r.sequence) for r in runs]
+    # curve j of every run is sim_rows[j]
+    sim_rows = np.empty((len(stats) + len(TRANSITIONS), len(runs), len(grid)))
+    for i, run in enumerate(runs):
+        sim_rows[:, i] = rows(run.sequence)
     # a subject appears once per painting; key on both
-    obs_curves = {
-        f"{s.subject_id}:{s.painting_id}": named_curves(s) for s in dataset.by_group(group)
-    }
+    observed = {f"{s.subject_id}:{s.painting_id}": s for s in dataset.by_group(group)}
+    obs_rows = {key: rows(s) for key, s in observed.items()}
 
-    result: dict = {"model": _with_cv(model.to_dict(), cv)}
+    result: dict = {"model": _with_cv(model.to_dict(), cv), "stats": {}, "transitions": {}}
     envelopes = {}
-    for family, names in (("stats", _stat_list(cfg)), ("transitions", TRANSITIONS)):
-        result[family] = {}
-        for name in names:
-            matrix = CurveMatrix.from_curves([c[name] for c in sim_curves if name in c], grid)
-            env = rank_envelope(matrix, cfg.alpha)
-            envelopes[name] = env
-            observed = {
-                k: resample_curve(c[name], grid) for k, c in obs_curves.items() if name in c
-            }
-            verdicts = envelope_report(list(observed.values()), env)
-            result[family][name] = {
-                "envelope": env.to_dict(),
-                "observed": {k: [float(v) for v in vals] for k, vals in observed.items()},
-                "report": dict(zip(observed.keys(), verdicts)),
-            }
+    families = ["stats"] * len(stats) + ["transitions"] * len(TRANSITIONS)
+    for j, (family, name) in enumerate(zip(families, stats + list(TRANSITIONS))):
+        # transition curves are defined only for sequences with >= 2 fixations
+        fewest = 2 if family == "transitions" else 0
+        sims = sim_rows[j][[len(r.sequence) >= fewest for r in runs]]
+        env = rank_envelope(CurveMatrix(grid, sims), cfg.alpha)
+        envelopes[name] = env
+        keys = [key for key, s in observed.items() if len(s) >= fewest]
+        curves = [obs_rows[key][j] for key in keys]
+        result[family][name] = {
+            "envelope": env.to_dict(),
+            "observed": {key: [float(v) for v in c] for key, c in zip(keys, curves)},
+            "report": dict(zip(keys, envelope_report(curves, env))),
+        }
     return result, envelopes
 
 
-def _coverage_panels_svg(group_result: dict, grid, title_prefix: str) -> str:
-    panels = []
-    for stat, block in group_result["stats"].items():
-        env = block["envelope"]
-        series = [(np.array(v), "#e6701b", 1.0) for v in block["observed"].values()]
-        series.append((np.array(env["lower"]), "#000000", 1.5))
-        series.append((np.array(env["upper"]), "#000000", 1.5))
-        panels.append(dict(x=grid, series=series, title=f"{title_prefix} {stat}"))
-    return panel_grid_svg(panels, ncols=len(panels) or 1)
-
-
-def _transition_panels_svg(group_result: dict, grid, title_prefix: str) -> str:
-    panels = []
-    for name in TRANSITIONS:
-        block = group_result["transitions"][name]
-        env = block["envelope"]
-        series = [(np.array(v), "#e6701b", 0.8) for v in block["observed"].values()]
-        series.append((np.array(env["lower"]), "#000000", 1.2))
-        series.append((np.array(env["upper"]), "#000000", 1.2))
-        panels.append(dict(x=grid, series=series, title=f"{title_prefix} {name}"))
-    return panel_grid_svg(panels, ncols=4)
+def _write_panels_svg(out: Path, stem: str, group_result: dict, grid, title_prefix: str) -> None:
+    """``<stem>_coverage.svg`` and ``<stem>_transitions.svg``: one panel per
+    curve, the observed curves drawn with their envelope's bounds."""
+    for family, suffix, thin, thick in (
+        ("stats", "coverage", 1.0, 1.5), ("transitions", "transitions", 0.8, 1.2)
+    ):
+        panels = []
+        for name, block in group_result[family].items():
+            env = block["envelope"]
+            series = [(np.array(v), OBSERVED_COLOR, thin) for v in block["observed"].values()]
+            series += [(np.array(env[side]), ENVELOPE_COLOR, thick) for side in ("lower", "upper")]
+            panels.append(dict(x=grid, series=series, title=f"{title_prefix} {name}"))
+        (out / f"{stem}_{suffix}.svg").write_text(panel_grid_svg(panels, ncols=min(len(panels), 4)))
 
 
 def cmd_envelope(cfg: PipelineConfig) -> None:
@@ -500,12 +481,7 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
     for stat in result["stats"]:
         envelopes[stat].to_csv(out / f"envelope_{stat}.csv")
     if cfg.svg:
-        (out / "envelope_coverage.svg").write_text(
-            _coverage_panels_svg(result, grid, cfg.group)
-        )
-        (out / "envelope_transitions.svg").write_text(
-            _transition_panels_svg(result, grid, cfg.group)
-        )
+        _write_panels_svg(out, "envelope", result, grid, cfg.group)
 
 
 def cmd_report(cfg: PipelineConfig) -> None:
@@ -563,12 +539,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
         result, _ = _group_envelopes(cfg, dataset, saccades, group, grid, h, cv)
         payload["groups"][group] = result
         if cfg.svg:
-            (out / f"report_{group}_coverage.svg").write_text(
-                _coverage_panels_svg(result, grid, group)
-            )
-            (out / f"report_{group}_transitions.svg").write_text(
-                _transition_panels_svg(result, grid, group)
-            )
+            _write_panels_svg(out, f"report_{group}", result, grid, group)
     _write_json(out / "report.json", payload)
 
 

@@ -283,17 +283,6 @@ def _landings(model: FixationModel, xs, ys, lengths, u_pick) -> tuple[list, list
     return cand_x[rows, pick].tolist(), cand_y[rows, pick].tolist()
 
 
-def sample_saccade_length(
-    model: FixationModel, x: float, y: float, rng: np.random.Generator
-) -> tuple[float, str]:
-    """Next jump length and its branch; one row of :func:`_jump_lengths`.
-
-    The length comes from the truncated-gamma / uniform-long-jump mixture.
-    """
-    lengths, branches = _jump_lengths(model, [x], [y], [rng])
-    return float(lengths[0]), branches[0]
-
-
 def next_location(
     model: FixationModel, x: float, y: float, length: float, rng: np.random.Generator
 ) -> tuple[float, float]:
@@ -407,27 +396,11 @@ def simulate_runs(
     return runs
 
 
-def simulate_run(
-    model: FixationModel,
-    seed: int | np.random.Generator,
-    subject_id: str = "sim",
-    painting_id: str | None = None,
-) -> SimRun:
-    """One trial of the fixation process: :func:`simulate_runs` of one run.
-
-    Deterministic given the seed, and draws in the order that function
-    states, so it equals the same run simulated among others.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return simulate_runs(model, [rng], [subject_id], painting_id)[0]
-
-
 def simulate_many(model: FixationModel, n_runs: int, seed: int) -> list[SimRun]:
     """Runs ``sim0000``, ``sim0001``, ... on sub-streams ``substream(seed, "run", i)``.
 
     :func:`simulate_runs` keeps each run on its own stream in the stated
-    draw order, so run i equals ``simulate_run(model, substream(seed, "run",
-    i), subject_id=f"sim{i:04d}")``.
+    draw order, so run i equals the same run simulated on its own.
     """
     return simulate_runs(
         model,

@@ -1,8 +1,9 @@
 """Functional summaries of a fixation sequence.
 
-Each summary is evaluated every time a new fixation appears and carried as
-a right-continuous step curve on [0, trial end], which is what the envelope
-construction consumes. Times are fixation onsets.
+Each summary is evaluated every time a new fixation appears, at its onset.
+The public functions carry it as a right-continuous step curve on
+[0, trial end]; :func:`curve_rows` evaluates a sequence's summaries on a
+time grid in one pass, as the rows that the envelope construction consumes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from fractions import Fraction
 import numpy as np
 
 from .core import DataError, FixationSequence, StepCurve, Window, quadrant_of
+
+#: Summary statistics :func:`curve_rows` can evaluate, in their row order.
+STATS = ("hull", "ball", "scanpath")
+#: Names of the 16 quadrant transition curves, in their row order.
+TRANSITIONS = tuple(f"{a}->{b}" for a in range(1, 5) for b in range(1, 5))
 
 
 def _step(times, values, domain_end: float, initial: float) -> StepCurve:
@@ -102,9 +108,16 @@ def convex_hull_coverage(
 ) -> StepCurve:
     """Relative area of the convex hull of all fixations seen so far.
 
-    Zero until at least three non-collinear fixations have appeared. The
-    hull is updated only when a new fixation falls outside the current one
-    (an interior point cannot change any later hull), and then from the
+    Zero until at least three non-collinear fixations have appeared.
+    """
+    return _step(seq.onsets(), _hull_values(seq, w), _domain_end(seq, domain_end), 0.0)
+
+
+def _hull_values(seq: FixationSequence, w: Window) -> list[float]:
+    """Hull coverage after each fixation.
+
+    The hull is updated only when a new fixation falls outside the current
+    one (an interior point cannot change any later hull), and then from the
     current hull's vertices plus that fixation, since
     hull(prefix + p) = hull(hull(prefix) + p). Each update costs the size of
     the hull, not of the prefix.
@@ -120,7 +133,7 @@ def convex_hull_coverage(
             edges = np.roll(hull, -1, axis=0) - hull
             area = polygon_area(hull)
         values.append(area / w.area)
-    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+    return values
 
 
 def ball_union_coverage(
@@ -134,10 +147,18 @@ def ball_union_coverage(
 
     Rasterizes the window at roughly ``raster`` px cells; a cell counts as
     covered once its center lies within ``radius`` of any fixation. The
-    raster must not be coarser than the disc radius. A running count of
-    covered cells is kept: each fixation adds only the cells of its disc's
-    bounding box that were not covered before, so an update costs the size
-    of the disc, not of the raster.
+    raster must not be coarser than the disc radius.
+    """
+    values = _ball_values(seq, w, radius, raster)
+    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+
+
+def _ball_values(seq: FixationSequence, w: Window, radius: float, raster: float) -> list[float]:
+    """Disc-union coverage after each fixation.
+
+    A running count of covered cells is kept: each fixation adds only the
+    cells of its disc's bounding box that were not covered before, so an
+    update costs the size of the disc, not of the raster.
     """
     if radius <= 0:
         raise DataError("radius must be positive")
@@ -163,19 +184,21 @@ def ball_union_coverage(
         count += int(np.count_nonzero(within & ~box))
         box |= within
         values.append(count / total)
-    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+    return values
 
 
 def scanpath_length(seq: FixationSequence, domain_end: float | None = None) -> StepCurve:
     """Cumulative saccade length; jumps at the onset of the arriving fixation."""
+    return _step(seq.onsets(), _scanpath_values(seq), _domain_end(seq, domain_end), 0.0)
+
+
+def _scanpath_values(seq: FixationSequence) -> np.ndarray:
+    """Scanpath length after each fixation."""
     locs = seq.locations()
-    onsets = seq.onsets()
     if len(locs) == 0:
-        return _step([], [], domain_end if domain_end is not None else 0.0, 0.0)
-    steps = np.hypot(*(np.diff(locs, axis=0).T)) if len(locs) > 1 else np.empty(0)
-    times = onsets
-    values = np.concatenate([[0.0], np.cumsum(steps)])
-    return _step(times, values, _domain_end(seq, domain_end), 0.0)
+        return np.empty(0)
+    steps = np.hypot(*(np.diff(locs, axis=0).T))
+    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 @dataclass
@@ -193,14 +216,7 @@ class TransitionCurves:
 
     def to_dict(self) -> dict:
         out: dict = {"counts": [[int(v) for v in row] for row in self.counts]}
-        for a in range(4):
-            for b in range(4):
-                c = self.curves[a][b]
-                out[f"{a + 1}->{b + 1}"] = {
-                    "knots": [float(t) for t in c.knots],
-                    "values": [float(v) for v in c.values],
-                    "domain_end": c.domain_end,
-                }
+        out.update(zip(TRANSITIONS, (curve_to_dict(c) for row in self.curves for c in row)))
         return out
 
 
@@ -214,23 +230,62 @@ def transition_curves(
     """
     if len(seq) < 2:
         raise DataError("need at least 2 fixations for transitions")
-    states = [quadrant_of(f.x, f.y, w) - 1 for f in seq.fixations]
-    onsets = seq.onsets()
+    n_ab, table = _transition_table(seq, w)
+    times = seq.onsets()[1:]
     end = _domain_end(seq, domain_end)
-
-    times = onsets[1:]
-    # one-hot transitions, accumulated into the running counts N_ab(t), N_a(t)
-    steps = np.zeros((len(times), 4, 4), dtype=int)
-    steps[np.arange(len(times)), states[:-1], states[1:]] = 1
-    n_ab = np.cumsum(steps, axis=0)
-    n_a = n_ab.sum(axis=2, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        table = n_ab / np.where(n_a == 0, np.nan, n_a)
-
     curves = [
         [_step(times, table[:, a, b], end, np.nan) for b in range(4)] for a in range(4)
     ]
-    return TransitionCurves(curves=curves, counts=n_ab[-1], row_counts=n_a[-1, :, 0])
+    return TransitionCurves(curves=curves, counts=n_ab[-1], row_counts=n_ab[-1].sum(axis=1))
+
+
+def _transition_table(seq: FixationSequence, w: Window) -> tuple[np.ndarray, np.ndarray]:
+    """Running counts N_ab and estimates N_ab/N_a after each transition.
+
+    Both are (transitions, 4, 4); an estimate row not yet visited is NaN.
+    """
+    states = [quadrant_of(f.x, f.y, w) - 1 for f in seq.fixations]
+    # one-hot transitions, accumulated into the running counts N_ab(t), N_a(t)
+    steps = np.zeros((max(len(states) - 1, 0), 4, 4), dtype=int)
+    steps[np.arange(len(steps)), states[:-1], states[1:]] = 1
+    n_ab = np.cumsum(steps, axis=0)
+    n_a = n_ab.sum(axis=2, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        return n_ab, n_ab / np.where(n_a == 0, np.nan, n_a)
+
+
+def curve_rows(
+    seq: FixationSequence,
+    window: Window,
+    grid,
+    stats=STATS,
+    radius: float = 35.0,
+    raster: float = 1.0,
+) -> np.ndarray:
+    """A sequence's summaries on a time grid, one row per curve.
+
+    The rows are the requested ``stats`` (names from :data:`STATS`) and
+    then the 16 transition curves in :data:`TRANSITIONS` order. Each row
+    equals its step curve evaluated on the grid, bit for bit, at grid times
+    >= 0. A sequence of fewer than 2 fixations has all-NaN transition rows.
+    Only the requested statistics are computed.
+    """
+    grid = np.asarray(grid, dtype=float)
+    # the last fixation with onset <= t, or -1 before the first one
+    idx = np.searchsorted(seq.onsets(), grid, side="right") - 1
+    values_of = {
+        "hull": lambda: _hull_values(seq, window),
+        "ball": lambda: _ball_values(seq, window, radius, raster),
+        "scanpath": lambda: _scanpath_values(seq),
+    }
+    rows = np.empty((len(stats) + len(TRANSITIONS), grid.size))
+    for i, stat in enumerate(stats):
+        # 0 before the first fixation
+        rows[i] = np.concatenate([[0.0], values_of[stat]()])[idx + 1]
+    # estimates start at the second fixation, NaN before it
+    table = np.concatenate([np.full((1, 4, 4), np.nan), _transition_table(seq, window)[1]])
+    rows[len(stats):] = table[np.maximum(idx, 0)].reshape(grid.size, -1).T
+    return rows
 
 
 def resample_curve(curve: StepCurve, grid) -> np.ndarray:

@@ -31,7 +31,17 @@ from fixproc.fitdist import sample_gamma
 from fixproc.ingest import write_fixations
 from fixproc.rng import substream
 from fixproc.simulate import SimRun, sample_initial
-from fixproc.summaries import _cross, _domain_end, _step, polygon_area
+from fixproc.summaries import (
+    _cross,
+    _domain_end,
+    _step,
+    ball_union_coverage,
+    convex_hull_coverage,
+    polygon_area,
+    resample_curve,
+    scanpath_length,
+    transition_curves,
+)
 
 WINDOW = Window(0.0, 0.0, 770.0, 768.0)
 
@@ -240,6 +250,26 @@ def transition_table_per_step(seq, w) -> tuple[np.ndarray, np.ndarray, np.ndarra
         with np.errstate(invalid="ignore"):
             table[i] = n_ab / np.where(n_a[:, None] == 0, np.nan, n_a[:, None])
     return table, n_ab, n_a
+
+
+def curve_rows_reference(seq, w, grid, stats, radius=35.0, raster=1.0) -> np.ndarray:
+    """Summary rows by the step-curve route that ``curve_rows`` replaced:
+    each summary's StepCurve, then ``resample_curve`` on the grid. Transition
+    rows are NaN for a sequence of fewer than 2 fixations."""
+    grid = np.asarray(grid, dtype=float)
+    end = float(grid.max())
+    curves = {
+        "hull": lambda: convex_hull_coverage(seq, w, domain_end=end),
+        "ball": lambda: ball_union_coverage(seq, w, radius, raster, domain_end=end),
+        "scanpath": lambda: scanpath_length(seq, domain_end=end),
+    }
+    rows = [resample_curve(curves[stat](), grid) for stat in stats]
+    if len(seq) >= 2:
+        table = transition_curves(seq, w, domain_end=end).curves
+        rows += [resample_curve(c, grid) for row in table for c in row]
+    else:
+        rows += [np.full(grid.size, np.nan)] * 16
+    return np.array(rows)
 
 
 def interp_reference(grid: IntensityGrid, x, y):

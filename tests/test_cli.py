@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fixproc import density
+from fixproc import cli, density, summaries
 from fixproc.cli import DEFAULT_H_GRID, main
 from fixproc.ingest import parse_fixations
 from helpers import simulated_dataset, toy_model, write_csv
@@ -104,6 +104,58 @@ class TestCommands:
         payload = json.loads((tmp_path / "envelope.json").read_text())
         assert set(payload["stats"]) == {"hull", "ball", "scanpath"}
         assert len(payload["transitions"]) == 16
+
+    def test_envelope_hull_only_builds_no_disc_raster(self, data_csv, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ball coverage computed for --stat hull")
+
+        monkeypatch.setattr(summaries, "_ball_values", refuse)
+        assert run(["envelope", "--input", data_csv, "--out", tmp_path, "--group",
+                    "novice", "--seed", "6", "--n-runs", "20", "--stat", "hull", *FAST]) == 0
+        payload = json.loads((tmp_path / "envelope.json").read_text())
+        assert set(payload["stats"]) == {"hull"}
+
+    def test_transition_envelopes_use_runs_with_two_fixations(self, tmp_path, monkeypatch):
+        # 400 ms trials: many runs end after their first fixation; so does
+        # one observed subject
+        d = simulated_dataset(toy_model(trial_length=10_000.0), n_subjects=8, seed=42)
+        d.sequences[1].fixations = d.sequences[1].fixations[:1]
+        data_csv = write_csv(d, tmp_path / "fix.csv")
+        runs, rows = [], {}
+        simulate_many, rank_envelope = cli.simulate_many, cli.rank_envelope
+
+        def keep_runs(*args):
+            runs.extend(simulate_many(*args))
+            return runs
+
+        def count_rows(curves, alpha):
+            env = rank_envelope(curves, alpha)
+            rows[len(rows)] = curves.rows.shape[0]
+            return env
+
+        monkeypatch.setattr(cli, "simulate_many", keep_runs)
+        monkeypatch.setattr(cli, "rank_envelope", count_rows)
+        assert run(["envelope", "--input", data_csv, "--out", tmp_path, "--group",
+                    "novice", "--seed", "6", "--n-runs", "80", *FAST,
+                    "--trial-length", "400"]) == 0
+        payload = json.loads((tmp_path / "envelope.json").read_text())
+        long_runs = sum(len(r.sequence) >= 2 for r in runs)
+        assert 20 <= long_runs < len(runs) == 80
+        assert list(rows.values()) == [80] * 3 + [long_runs] * 16
+        for name in payload["transitions"]:
+            assert set(payload["transitions"][name]["observed"]) == {
+                "s00:koli", "s02:koli", "s03:koli"
+            }
+        assert len(payload["stats"]["hull"]["observed"]) == 4
+
+    def test_too_few_runs_with_transitions_is_data_error(self, data_csv, tmp_path, capsys):
+        # 60 ms trials: no run reaches a second fixation, so no transition
+        # curve has a simulation to build its envelope from
+        assert run(["envelope", "--input", data_csv, "--out", tmp_path, "--group",
+                    "novice", "--seed", "6", "--n-runs", "20", *FAST,
+                    "--trial-length", "60"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == "need at least 20 curves, got 0"
 
 
 class TestBandwidthResolution:
@@ -209,6 +261,23 @@ class TestBandwidthResolution:
         assert "need at least 2 subjects per group, got 1 and 4" in err["message"]
         assert scored == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--raster", "50", "--radius", "35"], "raster cell 50.0 coarser than radius 35.0"),
+        (["--n-angles", "3"], "n_angles must be at least 4"),
+    ])
+    def test_inconsistent_setting_fails_before_cross_validation(
+        self, data_csv, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # both used to exit 3, as data errors, after cross-validation (and,
+        # for the raster, after every simulated run)
+        scored = []
+        monkeypatch.setattr(density, "_lscv_scores", lambda *args: scored.append(args))
+        assert run([*self.REPORT, "--input", data_csv, "--out", tmp_path, *flags]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert message in err["message"]
+        assert scored == []
+
 
 class TestSimulateCommand:
     def test_deterministic_outputs(self, data_csv, tmp_path):
@@ -257,6 +326,20 @@ class TestErrorHandling:
         cfg.write_text("{not json")
         assert run(["quadrat", "--config", cfg, "--input", data_csv,
                     "--out", tmp_path]) == 2
+
+    def test_unknown_stat_in_config_file(self, data_csv, tmp_path, capsys, monkeypatch):
+        # the flag's choices cannot catch a config file's value; it is
+        # refused with the config, before any run is simulated
+        def refuse(*args):
+            raise AssertionError("simulated before the config was checked")
+
+        monkeypatch.setattr(cli, "simulate_many", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"stat": "area"}')
+        assert run(["envelope", "--config", cfg, "--input", data_csv, "--group", "novice",
+                    "--seed", "1", "--out", tmp_path, *FAST]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "--stat must be one of" in err["message"]
 
     def test_unknown_config_key(self, data_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -13,20 +13,19 @@ from fixproc import (
     next_location,
     parse_fixations,
     sample_initial,
-    sample_saccade_length,
     simulate_many,
-    simulate_run,
     simulate_runs,
     write_fixations,
 )
 from fixproc import FixationModel
 from fixproc.density import IntensityGrid
 from fixproc.rng import substream
-from fixproc.simulate import _BLOCK_CANDIDATES, runs_to_dataset
+from fixproc.simulate import _BLOCK_CANDIDATES, _jump_lengths, runs_to_dataset
 from helpers import (
     WINDOW,
     hotspot_grid,
     next_location_reference,
+    sample_saccade_length_reference,
     simulate_run_reference,
     simulated_dataset,
     toy_model,
@@ -143,34 +142,45 @@ class TestSampleInitial:
         assert tv < 0.02
 
 
+def jump_lengths(model, x, y, rng, n):
+    """n jumps from (x, y), one row each, every row drawing from ``rng``."""
+    return _jump_lengths(model, [x] * n, [y] * n, [rng] * n)
+
+
 class TestSampleSaccadeLength:
     def test_p_zero_all_gamma(self):
         model = toy_model(p_long=0.0)
         rng = np.random.default_rng(4)
         l_max = max_corner_distance(100.0, 100.0, W)
-        for _ in range(300):
-            l, prov = sample_saccade_length(model, 100.0, 100.0, rng)
-            assert prov == "gamma"
-            assert 0 < l <= l_max
+        lengths, branches = jump_lengths(model, 100.0, 100.0, rng, 300)
+        assert branches == ["gamma"] * 300
+        assert np.all((0 < lengths) & (lengths <= l_max))
 
     def test_p_one_all_uniform_upper_half(self):
         model = toy_model(p_long=1.0)
         rng = np.random.default_rng(5)
         l_max = max_corner_distance(600.0, 300.0, W)
-        for _ in range(300):
-            l, prov = sample_saccade_length(model, 600.0, 300.0, rng)
-            assert prov == "uniform_long"
-            assert l_max / 2 <= l <= l_max
+        lengths, branches = jump_lengths(model, 600.0, 300.0, rng, 300)
+        assert branches == ["uniform_long"] * 300
+        assert np.all((l_max / 2 <= lengths) & (lengths <= l_max))
 
     def test_mixture_fraction(self):
         model = toy_model(p_long=0.2)
         rng = np.random.default_rng(6)
         n = 100_000
-        longs = sum(
-            sample_saccade_length(model, 400.0, 380.0, rng)[1] == "uniform_long"
-            for _ in range(n)
-        )
+        longs = jump_lengths(model, 400.0, 380.0, rng, n)[1].count("uniform_long")
         assert longs / n == pytest.approx(0.2, abs=0.004)
+
+    def test_rows_draw_as_one_row_calls(self):
+        # a row's length and branch equal the reference's draw from the same
+        # stream position, whatever the other rows drew
+        model = toy_model(p_long=0.5)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        lengths, branches = jump_lengths(model, 250.0, 600.0, rng, 200)
+        for length, branch in zip(lengths.tolist(), branches):
+            assert (length, branch) == sample_saccade_length_reference(
+                model, 250.0, 600.0, ref_rng
+            )
 
 
 class TestNextLocation:
@@ -246,21 +256,27 @@ class TestNextLocation:
         assert W.contains(x, y)
 
 
+def simulate_seeded(model, *seeds):
+    """One run per seed, run i on ``default_rng(seeds[i])``."""
+    return simulate_runs(model, [np.random.default_rng(s) for s in seeds],
+                         [f"sim{s}" for s in seeds])
+
+
 class TestSimulateRun:
     def test_zero_horizon_empty(self, short_model):
         model = toy_model(trial_length=0.0)
-        run = simulate_run(model, 1)
+        (run,) = simulate_seeded(model, 1)
         assert len(run.sequence) == 0
 
     def test_deterministic(self, short_model):
-        a = simulate_run(short_model, 123)
-        b = simulate_run(short_model, 123)
+        (a,) = simulate_seeded(short_model, 123)
+        (b,) = simulate_seeded(short_model, 123)
         assert a.sequence == b.sequence
         assert a.jump_provenance == b.jump_provenance
         assert a.jump_lengths == b.jump_lengths
 
     def test_temporal_bookkeeping(self, short_model):
-        run = simulate_run(short_model, 42)
+        (run,) = simulate_seeded(short_model, 42)
         seq = run.sequence
         onsets = seq.onsets()
         durs = seq.durations()
@@ -272,7 +288,7 @@ class TestSimulateRun:
         assert np.all(durs[:-1] >= short_model.min_fix_dur)
 
     def test_spatial_invariants(self, short_model):
-        run = simulate_run(short_model, 77)
+        (run,) = simulate_seeded(short_model, 77)
         locs = run.sequence.locations()
         assert np.all(W.contains(locs[:, 0], locs[:, 1]))
         dists = np.hypot(*np.diff(locs, axis=0).T)
@@ -283,7 +299,7 @@ class TestSimulateRun:
     def test_realistic_counts_plausible(self):
         # full-length trials: per-run fixation counts in the plausible range
         model = toy_model(trial_length=180_000.0)
-        counts = [len(simulate_run(model, s).sequence) for s in range(8)]
+        counts = [len(run.sequence) for run in simulate_seeded(model, *range(8))]
         assert all(326 <= c <= 770 for c in counts)
 
     def test_simulate_many_streams_differ(self, short_model):
@@ -386,7 +402,7 @@ class TestLockstepEngine:
         n = block_size(720) + 3
         many = simulate_many(model, n, seed=8)
         for i, run in enumerate(many):
-            one = simulate_run(model, substream(8, "run", i), subject_id=f"sim{i:04d}")
+            (one,) = simulate_runs(model, [substream(8, "run", i)], [f"sim{i:04d}"])
             assert run_fields(run) == run_fields(one)
 
     def test_generators_must_be_distinct(self, short_model):

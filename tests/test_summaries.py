@@ -12,17 +12,21 @@ from fixproc import (
     ball_union_coverage,
     convex_hull,
     convex_hull_coverage,
+    curve_rows,
     polygon_area,
     resample_curve,
     scanpath_length,
     transition_curves,
 )
+from fixproc import summaries
+from fixproc.summaries import STATS
 from helpers import (
     WINDOW,
     ball_union_coverage_recount,
     convex_hull_coverage_prefix,
     convex_hull_exact,
     convex_hull_unique,
+    curve_rows_reference,
     transition_table_per_step,
 )
 
@@ -349,3 +353,43 @@ class TestResample:
         c = StepCurve([0.0], [1.0], 10.0)
         with pytest.raises(DataError):
             resample_curve(c, [0.0, 20.0])
+
+
+class TestCurveRows:
+    """One pass on the grid equals each step curve resampled, bit for bit."""
+
+    @settings(max_examples=100)
+    @given(
+        fixation_paths(),
+        st.sampled_from([0.0, 130.0]),
+        st.sampled_from([(), ("ball",), ("scanpath", "hull"), STATS]),
+    )
+    @example([], 0.0, STATS)
+    @example([], 130.0, STATS)
+    @example([(10.0, 10.0)], 0.0, STATS)
+    @example([(10.0, 10.0)], 130.0, STATS)
+    @example([(10.0, 10.0), (700.0, 700.0)], 0.0, STATS)
+    @example([(10.0, 10.0), (700.0, 700.0)], 130.0, STATS)
+    @example([(float(31 * i % 770), float(47 * i % 768)) for i in range(25)], 130.0, STATS)
+    def test_equals_step_curve_route(self, pts, first_onset, stats):
+        fixes = [
+            Fixation(float(x), float(y), first_onset + 500.0 * i, 200.0)
+            for i, (x, y) in enumerate(pts)
+        ]
+        seq = FixationSequence("s", "novice", "koli", fixes)
+        onsets = seq.onsets()
+        last = float(onsets[-1]) if len(onsets) else 0.0
+        # a regular grid past the last onset, then every onset exactly
+        grid = np.concatenate([np.linspace(0.0, last + 1_000.0, 37), onsets])
+        got = curve_rows(seq, W, grid, stats, 35.0, 4.0)
+        ref = curve_rows_reference(seq, W, grid, stats, 35.0, 4.0)
+        assert got.shape == ref.shape == (len(stats) + 16, grid.size)
+        assert np.array_equal(got, ref, equal_nan=True)
+
+    def test_only_requested_stats_are_computed(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ball coverage computed")
+
+        monkeypatch.setattr(summaries, "_ball_values", refuse)
+        rows = curve_rows(seq_at([(10, 10), (400, 600)]), W, [0.0, 600.0], ["hull"])
+        assert rows.shape == (17, 2)
