@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .compare import comparison_groups, fisher_combine, permutation_test, shift_function
-from .core import DataError, Dataset, NumericError, Window
+from .core import DataError, Dataset, NumericError, Window, _positive
 from .density import (
     estimate_intensity,
     quadrat_chisq,
@@ -106,11 +105,6 @@ class PipelineConfig:
     def sha256(self) -> str:
         text = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _positive(value) -> bool:
-    """True for a finite number above 0; NaN fails both tests."""
-    return value > 0 and math.isfinite(value)
 
 
 def _load_config(path: str | None, overrides: dict) -> PipelineConfig:

@@ -26,6 +26,11 @@ class NumericError(ArithmeticError):
     """A numeric procedure failed (non-convergence, degenerate input)."""
 
 
+def _positive(value) -> bool:
+    """True for a finite number above 0; NaN fails both tests."""
+    return value > 0 and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class Window:
     """Rectangular observation region (the painting extent) in pixels."""

@@ -96,18 +96,29 @@ class IntensityGrid:
         )
 
     def interp(self, x, y) -> np.ndarray:
-        """Bilinear interpolation between cell centers, clamped at the rim."""
-        fx = (np.asarray(x, dtype=float) - self.window.x_min) / self.cell_width - 0.5
-        fy = (np.asarray(y, dtype=float) - self.window.y_min) / self.cell_height - 0.5
-        fx = np.minimum(np.maximum(fx, 0.0), self.nx - 1.0)
-        fy = np.minimum(np.maximum(fy, 0.0), self.ny - 1.0)
+        """Bilinear interpolation between cell centers, clamped at the rim.
+
+        The inputs are left unmodified; scalar and 0-d inputs give 0-d
+        values. The corner terms are added left to right,
+        ((v00 sx sy + v10 tx sy) + v01 sx ty) + v11 tx ty, into one buffer.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        fx = np.subtract(x, self.window.x_min, out=np.empty(x.shape))
+        fx /= self.cell_width
+        fx -= 0.5
+        np.clip(fx, 0.0, self.nx - 1.0, out=fx)
+        fy = np.subtract(y, self.window.y_min, out=np.empty(y.shape))
+        fy /= self.cell_height
+        fy -= 0.5
+        np.clip(fy, 0.0, self.ny - 1.0, out=fy)
         # fx >= 0, so truncation is floor (the lower bound only keeps a NaN
         # indexable); the lower cell stops one short of the last column (row)
         # unless the grid has a single one
-        ix = np.minimum(np.maximum(fx.astype(int), 0), max(self.nx - 2, 0))
-        iy = np.minimum(np.maximum(fy.astype(int), 0), max(self.ny - 2, 0))
-        tx = fx - ix
-        ty = fy - iy
+        ix = np.clip(fx.astype(int), 0, max(self.nx - 2, 0))
+        iy = np.clip(fy.astype(int), 0, max(self.ny - 2, 0))
+        tx = np.subtract(fx, ix, out=fx)
+        ty = np.subtract(fy, iy, out=fy)
         sx = 1 - tx
         sy = 1 - ty
         # flat offsets of the right and lower neighbours (none on a 1-cell axis)
@@ -115,12 +126,17 @@ class IntensityGrid:
         dy = self.nx if self.ny > 1 else 0
         v = self.values.ravel()
         k = iy * self.nx + ix
-        return (
-            v[k] * sx * sy
-            + v[k + dx] * tx * sy
-            + v[k + dy] * sx * ty
-            + v[k + dx + dy] * tx * ty
-        )
+        out = np.take(v, k)
+        out *= sx
+        out *= sy
+        term = np.empty_like(out)
+        for offset, wx, wy in ((dx, tx, sy), (dy - dx, sx, ty), (dx, tx, ty)):
+            k += offset
+            np.take(v, k, out=term)
+            term *= wx
+            term *= wy
+            out += term
+        return out[()]
 
     def to_csv(self, path) -> None:
         """One row per cell: cx, cy, value (x fastest)."""

@@ -237,9 +237,10 @@ def _landings(model: FixationModel, xs, ys, lengths, u_pick) -> tuple[list, list
     window get weight zero, the rest are weighted by the interpolated
     intensity surface. The direction toward the furthest corner is always
     added, so a feasible radius always has at least one candidate. The
-    rows' candidates form one (rows, n_angles + 1) array and one ``interp``
-    call; row i takes the first candidate whose cumulative weight exceeds
-    ``u_pick[i]`` times its total weight.
+    rows' candidates form one (rows, n_angles + 1) array; one ``interp``
+    call weighs the in-window candidates only. Row i takes the first
+    candidate whose cumulative weight exceeds ``u_pick[i]`` times its total
+    weight.
     """
     w = model.window
     n = model.n_angles
@@ -264,7 +265,8 @@ def _landings(model: FixationModel, xs, ys, lengths, u_pick) -> tuple[list, list
     cand_y[:, n] = _clamp(y + length * (dy / far), w.y_min, w.y_max)
 
     inside = (cand_x >= w.x_min) & (cand_x <= w.x_max) & (cand_y >= w.y_min) & (cand_y <= w.y_max)
-    weights = np.where(inside, model.intensity_all.interp(cand_x, cand_y), 0.0)
+    weights = np.zeros(cand_x.shape)
+    weights[inside] = model.intensity_all.interp(cand_x[inside], cand_y[inside])
     total = weights.sum(axis=1)
     failures = {}
     for i in np.flatnonzero(~(total > 0)).tolist():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DataError, FixationSequence, StepCurve, Window, quadrant_of
+from .core import DataError, FixationSequence, StepCurve, Window, _positive, quadrant_of
 
 #: Summary statistics :func:`curve_rows` can evaluate, in their row order.
 STATS = ("hull", "ball", "scanpath")
@@ -61,26 +61,30 @@ def _cross(o, a, b) -> float | Fraction:
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Hull vertices by the monotone chain, counterclockwise, no repeats."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+def _hull_chain(points: list) -> list:
+    """Monotone chain over [x, y] lists: hull vertices counterclockwise, no repeats."""
+    rows = sorted(points)
     # distinct points in lexicographic (x, y) order
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    pts = pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
-    if len(pts) <= 2:
-        return pts
-    rows = pts.tolist()
-    lower: list[list[float]] = []
+    rows = rows[:1] + [p for p, q in zip(rows[1:], rows) if p != q]
+    if len(rows) <= 2:
+        return rows
+    lower: list = []
     for p in rows:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[list[float]] = []
+    upper: list = []
     for p in reversed(rows):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    return lower[:-1] + upper[:-1]
+
+
+def convex_hull(points: np.ndarray) -> np.ndarray:
+    """Hull vertices by the monotone chain, counterclockwise, no repeats; shape (k, 2)."""
+    rows = np.asarray(points, dtype=float).reshape(-1, 2).tolist()
+    return np.array(_hull_chain(rows), dtype=float).reshape(-1, 2)
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -89,18 +93,10 @@ def polygon_area(vertices: np.ndarray) -> float:
         return 0.0
     x = vertices[:, 0]
     y = vertices[:, 1]
-    return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
-
-
-def _inside_convex(hull: np.ndarray, edges: np.ndarray, p: np.ndarray) -> bool:
-    """Point-in-convex-polygon for counterclockwise hull vertices (closed test).
-
-    ``edges[i]`` is the vector from vertex i to vertex i+1 (cyclically).
-    """
-    if len(hull) < 3:
-        return False
-    cross = edges[:, 0] * (p[1] - hull[:, 1]) - edges[:, 1] * (p[0] - hull[:, 0])
-    return bool(np.all(cross >= 0.0) or np.all(cross <= 0.0))
+    # the next vertex's coordinates, cyclically
+    y_next = np.concatenate((y[1:], y[:1]))
+    x_next = np.concatenate((x[1:], x[:1]))
+    return 0.5 * abs(float(x @ y_next - y @ x_next))
 
 
 def convex_hull_coverage(
@@ -113,26 +109,48 @@ def convex_hull_coverage(
     return _step(seq.onsets(), _hull_values(seq, w), _domain_end(seq, domain_end), 0.0)
 
 
-def _hull_values(seq: FixationSequence, w: Window) -> list[float]:
+# Hull edges times fixations tested in one array operation after a rebuild.
+_HULL_BLOCK = 4096
+
+
+def _hull_values(seq: FixationSequence, w: Window) -> np.ndarray:
     """Hull coverage after each fixation.
 
-    The hull is updated only when a new fixation falls outside the current
-    one (an interior point cannot change any later hull), and then from the
+    The hull is rebuilt only when a fixation falls outside the current one
+    (an interior point cannot change any later hull), and then from the
     current hull's vertices plus that fixation, since
-    hull(prefix + p) = hull(hull(prefix) + p). Each update costs the size of
-    the hull, not of the prefix.
+    hull(prefix + p) = hull(hull(prefix) + p). After each rebuild the later
+    fixations are tested against every hull edge in blocks of one array
+    operation (closed test: all edge cross products >= 0 or all <= 0), and
+    every fixation before the first outside one repeats the current area.
+    While the hull has fewer than three vertices, every fixation rebuilds.
     """
     locs = seq.locations()
-    hull = locs[:2]  # fewer than three points stand in for their own hull
-    edges = np.empty((0, 2))
-    area = 0.0
-    values = []
-    for i, p in enumerate(locs):
-        if i >= 2 and not _inside_convex(hull, edges, p):
-            hull = convex_hull(np.vstack([hull, p]))
-            edges = np.roll(hull, -1, axis=0) - hull
-            area = polygon_area(hull)
-        values.append(area / w.area)
+    rows = locs.tolist()
+    n = len(rows)
+    values = np.zeros(n)
+    hull = rows[:2]  # fewer than three points stand in for their own hull
+    i = 2
+    while i < n:
+        hull = _hull_chain(hull + [rows[i]])
+        vertices = np.array(hull)
+        area = polygon_area(vertices)
+        start = i
+        i += 1
+        if len(hull) >= 3:
+            edges = np.concatenate((vertices[1:], vertices[:1])) - vertices
+            step = max(1, _HULL_BLOCK // len(hull))
+            while i < n:
+                rest = locs[i : i + step]
+                cross = edges[:, :1] * (rest[:, 1] - vertices[:, 1:]) - edges[:, 1:] * (
+                    rest[:, 0] - vertices[:, :1]
+                )
+                outside = ~((cross >= 0.0).all(axis=0) | (cross <= 0.0).all(axis=0))
+                if outside.any():
+                    i += int(outside.argmax())
+                    break
+                i += len(rest)
+        values[start:i] = area / w.area
     return values
 
 
@@ -147,43 +165,73 @@ def ball_union_coverage(
 
     Rasterizes the window at roughly ``raster`` px cells; a cell counts as
     covered once its center lies within ``radius`` of any fixation. The
-    raster must not be coarser than the disc radius.
+    radius and raster must be positive and finite, and the raster must not
+    be coarser than the radius.
     """
     values = _ball_values(seq, w, radius, raster)
     return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
 
 
-def _ball_values(seq: FixationSequence, w: Window, radius: float, raster: float) -> list[float]:
+# Bytes of the float (fixations x box cells) array that one batch of disc
+# masks is computed in.
+_MASK_BYTES = 2**19
+
+
+def _ball_values(seq: FixationSequence, w: Window, radius: float, raster: float) -> np.ndarray:
     """Disc-union coverage after each fixation.
 
-    A running count of covered cells is kept: each fixation adds only the
-    cells of its disc's bounding box that were not covered before, so an
-    update costs the size of the disc, not of the raster.
+    A running count of covered cells is kept: each fixation ORs its disc
+    into the cells of its bounding box and adds the growth of the box's
+    count, so an update costs the size of the disc, not of the raster. The
+    boxes of all fixations are one vector computation, and the discs'
+    masks are built for batches of fixations at a time, each batch's float
+    array kept under ``_MASK_BYTES``. A box that lies wholly outside the
+    window is empty.
     """
-    if radius <= 0:
-        raise DataError("radius must be positive")
+    if not _positive(radius):
+        raise DataError(f"radius must be positive and finite, got {radius}")
+    if not _positive(raster):
+        raise DataError(f"raster must be positive and finite, got {raster}")
     if raster > radius:
         raise DataError(f"raster cell {raster} coarser than radius {radius}")
+    locs = seq.locations()
+    if not np.isfinite(locs).all():
+        raise DataError("fixation locations must be finite")
     nx = max(1, int(np.ceil(w.width / raster)))
     ny = max(1, int(np.ceil(w.height / raster)))
     cw, ch = w.width / nx, w.height / ny
+    xs, ys = locs[:, 0], locs[:, 1]
+    # astype(int) truncates toward zero, as int() does
+    x_lo = np.clip(((xs - radius - w.x_min) / cw).astype(int) - 1, 0, nx)
+    x_hi = np.clip(((xs + radius - w.x_min) / cw).astype(int) + 2, x_lo, nx)
+    y_lo = np.clip(((ys - radius - w.y_min) / ch).astype(int) - 1, 0, ny)
+    y_hi = np.clip(((ys + radius - w.y_min) / ch).astype(int) + 2, y_lo, ny)
+    box_w = int((x_hi - x_lo).max(initial=0))
+    box_h = int((y_hi - y_lo).max(initial=0))
+    # cell centres, padded so that every box's slice of them is box_w long
+    cx = w.x_min + (np.arange(nx + box_w) + 0.5) * cw
+    cy = w.y_min + (np.arange(ny + box_h) + 0.5) * ch
+    batch = max(1, _MASK_BYTES // (8 * max(1, box_w * box_h)))
     covered = np.zeros((ny, nx), dtype=bool)
     total = nx * ny
     count = 0
-
-    values = []
-    for f in seq.fixations:
-        ix_lo = max(0, int((f.x - radius - w.x_min) / cw) - 1)
-        ix_hi = min(nx, int((f.x + radius - w.x_min) / cw) + 2)
-        iy_lo = max(0, int((f.y - radius - w.y_min) / ch) - 1)
-        iy_hi = min(ny, int((f.y + radius - w.y_min) / ch) + 2)
-        cxs = w.x_min + (np.arange(ix_lo, ix_hi) + 0.5) * cw
-        cys = w.y_min + (np.arange(iy_lo, iy_hi) + 0.5) * ch
-        within = (cxs[None, :] - f.x) ** 2 + (cys[:, None] - f.y) ** 2 <= radius**2
-        box = covered[iy_lo:iy_hi, ix_lo:ix_hi]
-        count += int(np.count_nonzero(within & ~box))
-        box |= within
-        values.append(count / total)
+    values = np.empty(len(locs))
+    bounds = list(zip(x_lo.tolist(), x_hi.tolist(), y_lo.tolist(), y_hi.tolist()))
+    for start in range(0, len(locs), batch):
+        part = slice(start, start + batch)
+        dx2 = (cx[x_lo[part, None] + np.arange(box_w)] - xs[part, None]) ** 2
+        dy2 = (cy[y_lo[part, None] + np.arange(box_h)] - ys[part, None]) ** 2
+        # dy2 + dx2 per cell (addition commutes exactly); adding into the
+        # repeated rows is cheaper than one broadcast sum
+        sums = np.repeat(dy2, box_w, axis=1).reshape(-1, box_h, box_w)
+        sums += dx2[:, None, :]
+        masks = sums <= radius**2
+        for i, (x0, x1, y0, y1) in enumerate(bounds[part], start):
+            box = covered[y0:y1, x0:x1]
+            before = np.count_nonzero(box)
+            box |= masks[i - start, : y1 - y0, : x1 - x0]
+            count += np.count_nonzero(box) - before
+            values[i] = count / total
     return values
 
 

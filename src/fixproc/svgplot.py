@@ -67,13 +67,12 @@ def heatmap_svg(grid: IntensityGrid, title: str = "", diverging: bool = False) -
         f'<text x="4" y="14" font-family="sans-serif" font-size="12">{title}</text>',
         '<g transform="translate(0,24)">',
     ]
-    for iy in range(grid.ny):
-        for ix in range(grid.nx):
-            parts.append(
-                f'<rect x="{_fmt(ix * cw)}" y="{_fmt(iy * ch)}" '
-                f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" '
-                f'fill="{_ramp(float(norm[iy, ix]), stops)}"/>'
-            )
+    xs = [_fmt(ix * cw) for ix in range(grid.nx)]
+    size = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
+    for iy, row in enumerate(norm.tolist()):
+        y = _fmt(iy * ch)
+        for x, value in zip(xs, row):
+            parts.append(f'<rect x="{x}" y="{y}" {size} fill="{_ramp(value, stops)}"/>')
     parts.append("</g></svg>")
     return "\n".join(parts)
 
@@ -113,12 +112,10 @@ def _panel(
         return m_top + (y_hi - v) / (y_hi - y_lo) * ph
 
     def poly(xs, ys):
-        pts = [
-            f"{_fmt(sx(a))},{_fmt(sy(b))}"
-            for a, b in zip(xs, ys)
-            if np.isfinite(b)
-        ]
-        return " ".join(pts)
+        keep = np.isfinite(ys)
+        px = sx(xs[keep]).tolist()
+        py = sy(ys[keep]).tolist()
+        return " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
 
     parts = [
         f'<text x="{_fmt(m_left)}" y="14" font-family="sans-serif" font-size="11">{title}</text>',

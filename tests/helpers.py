@@ -137,30 +137,65 @@ def sequence_from_points(pts: np.ndarray, subject_id: str, group: str,
     return FixationSequence(subject_id, group, painting_id, fixes)
 
 
-# Reference (whole-recount) summaries. They recompute each value in full
-# at every fixation; the incremental versions in fixproc.summaries
-# must reproduce them bit for bit.
+# Reference summaries. The whole-recount ones recompute each value in full
+# at every fixation; the per-point ones are the loops that the skip-ahead
+# hull and the batched disc masks in fixproc.summaries replaced. The code
+# must reproduce all of them bit for bit.
+
+
+def disc_raster(w, raster) -> tuple[int, int, float, float]:
+    """Cells per axis and cell sizes of the disc-coverage raster."""
+    nx = max(1, int(np.ceil(w.width / raster)))
+    ny = max(1, int(np.ceil(w.height / raster)))
+    return nx, ny, w.width / nx, w.height / ny
+
+
+def disc_box_reference(x, y, w, radius, raster) -> tuple[int, int, int, int]:
+    """Cell bounds (x_lo, x_hi, y_lo, y_hi) of one disc's bounding box, by int()."""
+    nx, ny, cw, ch = disc_raster(w, raster)
+    ix_lo = max(0, int((x - radius - w.x_min) / cw) - 1)
+    ix_hi = min(nx, int((x + radius - w.x_min) / cw) + 2)
+    iy_lo = max(0, int((y - radius - w.y_min) / ch) - 1)
+    iy_hi = min(ny, int((y + radius - w.y_min) / ch) + 2)
+    return ix_lo, ix_hi, iy_lo, iy_hi
+
+
+def _disc_mask(f, w, radius, raster):
+    """Box bounds of fixation f's disc and the disc's mask over that box."""
+    _, _, cw, ch = disc_raster(w, raster)
+    ix_lo, ix_hi, iy_lo, iy_hi = disc_box_reference(f.x, f.y, w, radius, raster)
+    cxs = w.x_min + (np.arange(ix_lo, ix_hi) + 0.5) * cw
+    cys = w.y_min + (np.arange(iy_lo, iy_hi) + 0.5) * ch
+    within = (cxs[None, :] - f.x) ** 2 + (cys[:, None] - f.y) ** 2 <= radius**2
+    return (slice(iy_lo, iy_hi), slice(ix_lo, ix_hi)), within
 
 
 def ball_union_coverage_recount(seq, w, radius=35.0, raster=1.0, domain_end=None) -> StepCurve:
     """Disc-union coverage, counting the whole raster after every fixation."""
-    nx = max(1, int(np.ceil(w.width / raster)))
-    ny = max(1, int(np.ceil(w.height / raster)))
-    cw, ch = w.width / nx, w.height / ny
+    nx, ny, _, _ = disc_raster(w, raster)
     covered = np.zeros((ny, nx), dtype=bool)
     total = nx * ny
     values = []
     for f in seq.fixations:
-        ix_lo = max(0, int((f.x - radius - w.x_min) / cw) - 1)
-        ix_hi = min(nx, int((f.x + radius - w.x_min) / cw) + 2)
-        iy_lo = max(0, int((f.y - radius - w.y_min) / ch) - 1)
-        iy_hi = min(ny, int((f.y + radius - w.y_min) / ch) + 2)
-        cxs = w.x_min + (np.arange(ix_lo, ix_hi) + 0.5) * cw
-        cys = w.y_min + (np.arange(iy_lo, iy_hi) + 0.5) * ch
-        within = (cxs[None, :] - f.x) ** 2 + (cys[:, None] - f.y) ** 2 <= radius**2
-        covered[iy_lo:iy_hi, ix_lo:ix_hi] |= within
+        box, within = _disc_mask(f, w, radius, raster)
+        covered[box] |= within
         values.append(covered.sum() / total)
     return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+
+
+def ball_values_reference(seq, w, radius, raster) -> list[float]:
+    """Disc-union coverage, one fixation at a time with a running count."""
+    nx, ny, _, _ = disc_raster(w, raster)
+    covered = np.zeros((ny, nx), dtype=bool)
+    total = nx * ny
+    count = 0
+    values = []
+    for f in seq.fixations:
+        box, within = _disc_mask(f, w, radius, raster)
+        count += int(np.count_nonzero(within & ~covered[box]))
+        covered[box] |= within
+        values.append(count / total)
+    return values
 
 
 def convex_hull_unique(points) -> np.ndarray:
@@ -230,6 +265,24 @@ def convex_hull_coverage_prefix(seq, w, domain_end=None) -> StepCurve:
             area = polygon_area(hull)
         values.append(area / w.area)
     return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+
+
+def hull_values_reference(seq, w) -> list[float]:
+    """Hull coverage, testing each fixation against the current hull on its
+    own and rebuilding from the hull's vertices plus an outside fixation."""
+    locs = seq.locations()
+    hull = locs[:2]
+    area = 0.0
+    values = []
+    for i, p in enumerate(locs):
+        if i >= 2 and not _inside_convex_rolled(hull, p):
+            hull = convex_hull_unique(np.vstack([hull, p]))
+            x, y = hull[:, 0], hull[:, 1]
+            area = 0.0
+            if len(hull) >= 3:
+                area = 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
+        values.append(area / w.area)
+    return values
 
 
 def transition_table_per_step(seq, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -202,6 +202,16 @@ class TestInterp:
                 assert np.ndim(got) == 0
                 assert got == ref
 
+    def test_inputs_left_unmodified(self, rng):
+        grid = IntensityGrid(W, 37, 20, rng.gamma(2.0, 1.0, (20, 37)), 20.0)
+        x, y = _probe_points(grid, rng)
+        for args in [(x, y), (x[0], y[0]), (np.array(x[0]), np.array(y[0])),
+                     (x.astype(int), y.astype(int))]:
+            before = [np.copy(a) for a in args]
+            grid.interp(*args)
+            for a, b in zip(args, before):
+                assert np.array_equal(a, b, equal_nan=True)
+
     def test_corner_and_centre_values(self):
         vals = np.arange(12.0).reshape(3, 4)
         grid = IntensityGrid(W, 4, 3, vals, 20.0)

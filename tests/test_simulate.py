@@ -20,7 +20,7 @@ from fixproc import (
 from fixproc import FixationModel
 from fixproc.density import IntensityGrid
 from fixproc.rng import substream
-from fixproc.simulate import _BLOCK_CANDIDATES, _jump_lengths, runs_to_dataset
+from fixproc.simulate import _BLOCK_CANDIDATES, _jump_lengths, _landings, runs_to_dataset
 from helpers import (
     WINDOW,
     hotspot_grid,
@@ -247,6 +247,31 @@ class TestNextLocation:
             assert np.hypot(x - x0, y - y0) == pytest.approx(l, abs=1e-9)
             assert W.contains(x, y)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(["ok", "outside", "zero"]), min_size=1, max_size=6),
+           st.floats(0.0, 1.0, exclude_max=True))
+    def test_lowest_failing_row_raises_its_error(self, kinds, u):
+        # "outside": a NaN length puts every candidate of the row outside
+        # the window, so none of them is interpolated; "zero": every
+        # candidate lies on a zeroed block of the surface
+        vals = np.ones((16, 16))
+        vals[2:8, 2:8] = 0.0
+        model = model_with_surface(IntensityGrid(W, 16, 16, vals, 10.0))
+        jumps = {"ok": (385.0, 384.0, 50.0), "outside": (385.0, 384.0, np.nan),
+                 "zero": (240.0, 240.0, 60.0)}
+        xs, ys, lengths = (list(v) for v in zip(*(jumps[k] for k in kinds)))
+        refs = []
+        for x, y, length in zip(xs, ys, lengths):
+            try:
+                refs.append(next_location_reference(model, x, y, length, _Level(u)))
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    _landings(model, xs, ys, lengths, [u] * len(kinds))
+                assert str(got.value) == str(exc)
+                return
+        to_x, to_y = _landings(model, xs, ys, lengths, [u] * len(kinds))
+        assert list(zip(to_x, to_y)) == refs
+
     def test_near_max_jump_uses_guaranteed_direction(self):
         model = self._flat_model()
         rng = np.random.default_rng(10)
@@ -254,6 +279,16 @@ class TestNextLocation:
         l = max_corner_distance(x0, y0, W) * 0.99999
         x, y = next_location(model, x0, y0, l, rng)
         assert W.contains(x, y)
+
+
+class _Level:
+    """Stands in for a generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 def simulate_seeded(model, *seeds):

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,14 @@ from fixproc.summaries import STATS
 from helpers import (
     WINDOW,
     ball_union_coverage_recount,
+    ball_values_reference,
     convex_hull_coverage_prefix,
     convex_hull_exact,
     convex_hull_unique,
     curve_rows_reference,
+    disc_box_reference,
+    disc_raster,
+    hull_values_reference,
     transition_table_per_step,
 )
 
@@ -91,7 +96,7 @@ def fixation_paths(draw, min_size=1, max_size=25, dyadic=False):
         dx, dy = draw(st.integers(0, 30)), draw(st.integers(-30, 30))
         count = draw(st.integers(1, 9))
         pts = [(float(x0 + k * dx), float(y0 + k * dy)) for k in range(count)] + pts
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, 3)) if pts else 0):
         i = draw(st.integers(0, len(pts) - 1))
         pts.insert(draw(st.integers(i, len(pts))), pts[i])
     return pts
@@ -172,6 +177,88 @@ class TestIncrementalMatchesRecount:
         assert np.array_equal(tc.row_counts, [3, 0, 0, 0])
 
 
+@st.composite
+def near_edge_paths(draw):
+    """Fixation paths with points inserted within a few ulps of a segment
+    between two earlier points, where the float edge test is closest to 0."""
+    pts = draw(fixation_paths(min_size=2))
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts) - 1))
+        t = draw(st.floats(0.0, 1.0))
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        p = [ax + t * (bx - ax), ay + t * (by - ay)]
+        axis, ulps = draw(st.integers(0, 1)), draw(st.integers(-3, 3))
+        for _ in range(abs(ulps)):
+            p[axis] = float(np.nextafter(p[axis], np.inf if ulps > 0 else -np.inf))
+        pts.insert(draw(st.integers(max(i, j) + 1, len(pts))), (p[0], p[1]))
+    return pts
+
+
+class TestMatchesPerPointLoops:
+    """Skip-ahead hull and batched disc masks equal the per-point loops on
+    arbitrary float paths, value for value."""
+
+    @settings(max_examples=200)
+    @given(st.one_of(fixation_paths(min_size=0, max_size=40), near_edge_paths()),
+           st.sampled_from([1, 16, summaries._HULL_BLOCK]))
+    @example([], 16)
+    @example([(5.0, 5.0)], 16)
+    @example([(5.0, 5.0), (5.0, 5.0)], 16)
+    @example([(0.0, 0.0), (10.0, 10.0), (20.0, 20.0)], 16)
+    @example([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)], 1)
+    @example([(0.0, 0.0), (10.0, 10.0), (20.0, 20.0), (5.0, 5.0), (30.0, 0.0), (20.0, 20.0)], 1)
+    @example(_CORNERS + [(385.0, 0.0), (770.0, 384.0), (385.0, 384.0)] * 3, 1)
+    def test_hull_values(self, pts, block):
+        seq = seq_at(pts)
+        with mock.patch.object(summaries, "_HULL_BLOCK", block):
+            got = summaries._hull_values(seq, W)
+        assert got.tolist() == hull_values_reference(seq, W)
+
+    def test_hull_blocks_cover_long_paths(self, rng):
+        # a hull that stops growing early: later fixations are tested in
+        # several blocks before the next one falls outside
+        pts = np.vstack([_CORNERS[:3], rng.uniform(100, 600, (3_000, 2)), [(770.0, 768.0)]])
+        seq = seq_at(pts, dt=10.0)
+        assert summaries._hull_values(seq, W).tolist() == hull_values_reference(seq, W)
+
+    @settings(max_examples=100)
+    @given(fixation_paths(min_size=0), st.sampled_from([1.0, 2.0, 4.0]),
+           st.booleans(), st.sampled_from([1, 2**16, summaries._MASK_BYTES]))
+    @example(_CORNERS + [(385.0, 0.0), (770.0, 384.0), (385.0, 768.0), (0.0, 384.0)],
+             1.0, False, 1)
+    @example(_CORNERS + [(385.0, 0.0), (770.0, 384.0), (385.0, 768.0), (0.0, 384.0)],
+             4.0, True, 2**16)
+    def test_ball_values(self, pts, raster, radius_is_raster, mask_bytes):
+        # rim coordinates clip discs at every window edge
+        radius = raster if radius_is_raster else 35.0
+        seq = seq_at(pts)
+        with mock.patch.object(summaries, "_MASK_BYTES", mask_bytes):
+            got = summaries._ball_values(seq, W, radius, raster)
+        assert got.tolist() == ball_values_reference(seq, W, radius, raster)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("raster", [1.0, 2.0, 4.0])
+    def test_ball_batch_boundaries(self, rng, raster, extra):
+        # discs at one offset inside their cells, away from the rim, all have
+        # the same box, so the batch size is known: sequences end one short
+        # of, on, and one past a batch boundary
+        radius = 35.0
+        nx, ny, cw, ch = disc_raster(W, raster)
+        x0, x1, y0, y1 = disc_box_reference(W.x_min + 50.3 * cw, W.y_min + 50.3 * ch,
+                                            W, radius, raster)
+        batch = max(1, summaries._MASK_BYTES // (8 * (x1 - x0) * (y1 - y0)))
+        margin = int(radius / min(cw, ch)) + 3
+        n = batch + extra
+        xs = W.x_min + (rng.integers(margin, nx - margin, n) + 0.3) * cw
+        ys = W.y_min + (rng.integers(margin, ny - margin, n) + 0.3) * ch
+        boxes = [disc_box_reference(x, y, W, radius, raster) for x, y in zip(xs, ys)]
+        assert {(b[1] - b[0], b[3] - b[2]) for b in boxes} == {(x1 - x0, y1 - y0)}
+        seq = seq_at(np.column_stack([xs, ys]))
+        assert summaries._ball_values(seq, W, radius, raster).tolist() == (
+            ball_values_reference(seq, W, radius, raster)
+        )
+
+
 class TestConvexHullExact:
     def test_near_degenerate_vertex_kept(self):
         # the float cross product of (0, 384) -> (1, 0) -> (1, 7.25e-285)
@@ -245,6 +332,25 @@ class TestBallUnionCoverage:
     def test_coarse_raster_rejected(self):
         with pytest.raises(DataError):
             ball_union_coverage(seq_at([(100, 100)]), W, radius=5.0, raster=10.0)
+
+    @pytest.mark.parametrize("radius, raster", [
+        (35.0, -1.0), (35.0, 0.0), (35.0, np.nan), (35.0, np.inf), (35.0, -np.inf),
+        (-35.0, 1.0), (0.0, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+    ])
+    def test_radius_and_raster_must_be_positive_and_finite(self, radius, raster):
+        with pytest.raises(DataError, match="must be positive and finite"):
+            ball_union_coverage(seq_at([(100, 100)]), W, radius=radius, raster=raster)
+
+    @pytest.mark.parametrize("x, y", [(np.nan, 100.0), (100.0, np.inf)])
+    def test_non_finite_location_rejected(self, x, y):
+        with pytest.raises(DataError, match="finite"):
+            ball_union_coverage(seq_at([(100, 100), (x, y)]), W, 35.0, 1.0)
+
+    def test_disc_outside_the_window_covers_nothing(self):
+        # discs wholly left of, above, right of and below the window
+        pts = [(-500.0, 384.0), (385.0, -500.0), (1500.0, 384.0), (385.0, 1500.0)]
+        c = ball_union_coverage(seq_at(pts + [(385.0, 384.0)]), W, 35.0, 2.0)
+        assert np.all(c.values[:-1] == 0.0) and c.values[-1] > 0.0
 
     def test_nondecreasing(self, rng):
         pts = rng.uniform([0, 0], [770, 768], size=(30, 2))
