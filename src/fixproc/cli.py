@@ -31,7 +31,7 @@ from .density import (
 )
 from .envelopes import CurveMatrix, default_grid, envelope_report, rank_envelope
 from .fitdist import fit_gamma_mle, gamma_qq
-from .ingest import ingest_pipeline, valid_saccade_values, write_fixations, write_saccades
+from .ingest import ingest_pipeline, valid_saccade_values, write_fixations, write_json, write_saccades
 from .simulate import build_model, provenance_to_json, runs_to_dataset, simulate_many
 from .summaries import (
     STATS,
@@ -107,6 +107,19 @@ class PipelineConfig:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _fits(kind: str, value) -> bool:
+    """Whether a JSON value fits a field annotated ``kind``; a bool is no number."""
+    if kind.endswith(" | None"):
+        return value is None or _fits(kind.removesuffix(" | None"), value)
+    if kind.startswith("tuple["):
+        return isinstance(value, (list, tuple)) and all(_fits("float", v) for v in value)
+    if isinstance(value, bool):
+        return kind == "bool"
+    if kind == "float" and isinstance(value, int):
+        return abs(value) < 2**1024  # float() of a larger int overflows
+    return isinstance(value, {"int": int, "float": (int, float), "bool": bool, "str": str}[kind])
+
+
 def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
     values: dict = {}
     if path is not None:
@@ -124,11 +137,13 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     values.update({k: v for k, v in overrides.items() if v is not None})
+    for f in fields(PipelineConfig):
+        if f.name in values and not _fits(f.type, values[f.name]):
+            raise ConfigError(f"{f.name} must be {f.type}, got {values[f.name]!r}")
     cfg = PipelineConfig(**values)
-    if isinstance(cfg.window, list):
-        cfg.window = tuple(float(v) for v in cfg.window)
-    if len(cfg.window) != 4:
-        raise ConfigError("window must be [x_min, y_min, x_max, y_max]")
+    cfg.window = tuple(float(v) for v in cfg.window)
+    if len(cfg.window) != 4 or not np.isfinite(cfg.window).all():
+        raise ConfigError("window must be 4 finite numbers [x_min, y_min, x_max, y_max]")
     if cfg.h_grid is not None:
         cfg.h_grid = tuple(float(v) for v in cfg.h_grid)
         if not cfg.h_grid or not all(_positive(h) for h in cfg.h_grid):
@@ -167,12 +182,6 @@ def _meta(cfg: PipelineConfig, command: str) -> dict:
         "config_sha256": cfg.sha256(),
         "fixproc_version": __version__,
     }
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _outdir(cfg: PipelineConfig) -> Path:
@@ -232,7 +241,7 @@ def cmd_intensity(cfg: PipelineConfig) -> None:
     payload = _with_cv(grid.to_dict(), cv)
     payload["meta"] = _meta(cfg, "intensity")
     payload["n_points"] = int(len(points))
-    _write_json(out / "intensity.json", payload)
+    write_json(out / "intensity.json", payload)
     if cfg.svg:
         label = cfg.group or "all"
         (out / "intensity.svg").write_text(
@@ -255,7 +264,7 @@ def cmd_residuals(cfg: PipelineConfig) -> None:
             (out / f"residual_{j:02d}.svg").write_text(
                 heatmap_svg(grid, f"residual intensity, {start:g}s +", diverging=True)
             )
-    _write_json(out / "residuals.json", combined)
+    write_json(out / "residuals.json", combined)
 
 
 def cmd_quadrat(cfg: PipelineConfig) -> None:
@@ -265,7 +274,7 @@ def cmd_quadrat(cfg: PipelineConfig) -> None:
     payload = result.to_dict()
     payload["meta"] = _meta(cfg, "quadrat")
     payload["q"] = cfg.q
-    _write_json(out / "quadrat.json", payload)
+    write_json(out / "quadrat.json", payload)
 
 
 def _interval_durations(dataset: Dataset, interval: float) -> list[np.ndarray]:
@@ -293,7 +302,7 @@ def cmd_shift(cfg: PipelineConfig) -> None:
             )
     payload = {"meta": _meta(cfg, "shift"), "split": cfg.split,
                "curves": {name: c.to_dict() for name, c in curves}}
-    _write_json(out / "shift.json", payload)
+    write_json(out / "shift.json", payload)
     if cfg.svg:
         for name, c in curves:
             (out / f"shift_{name}.svg").write_text(shift_plot_svg(c, name))
@@ -309,7 +318,7 @@ def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     result = permutation_test(dataset, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, h1=h1, h2=h2)
     payload = _with_cv(result.to_dict(), _pair_cv(cv1, cv2))
     payload["meta"] = _meta(cfg, "compare-intensity")
-    _write_json(out / "ratio_test.json", payload)
+    write_json(out / "ratio_test.json", payload)
     result.r_grid.to_csv(out / "log_ratio.csv")
     if cfg.svg:
         (out / "log_ratio.svg").write_text(
@@ -345,7 +354,7 @@ def cmd_fit(cfg: PipelineConfig) -> None:
     payload = fit.to_dict()
     payload["meta"] = _meta(cfg, "fit")
     payload["group"] = cfg.group
-    _write_json(out / f"fit_{cfg.source}.json", payload)
+    write_json(out / f"fit_{cfg.source}.json", payload)
 
 
 def cmd_qq(cfg: PipelineConfig) -> None:
@@ -355,7 +364,7 @@ def cmd_qq(cfg: PipelineConfig) -> None:
     fit = fit_gamma_mle(sample, cfg.source)
     band = gamma_qq(sample, fit, cfg.alpha)
     band.to_csv(out / f"qq_{cfg.source}.csv")
-    _write_json(
+    write_json(
         out / f"qq_{cfg.source}.json",
         {"meta": _meta(cfg, "qq"), "fit": fit.to_dict(),
          "line_inside_band": band.line_inside(), "alpha": cfg.alpha},
@@ -402,7 +411,7 @@ def cmd_summaries(cfg: PipelineConfig) -> None:
         if len(seq) >= 2:
             entry["transitions"] = transition_curves(seq, w, domain_end=end).to_dict()
         bundle["subjects"][name] = entry
-    _write_json(out / "summaries.json", bundle)
+    write_json(out / "summaries.json", bundle)
 
 
 def _group_envelopes(
@@ -471,7 +480,7 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
     result, envelopes = _group_envelopes(cfg, dataset, saccades, cfg.group, grid, h, cv)
     payload = {"meta": _meta(cfg, "envelope"), "group": cfg.group, **result}
-    _write_json(out / "envelope.json", payload)
+    write_json(out / "envelope.json", payload)
     for stat in result["stats"]:
         envelopes[stat].to_csv(out / f"envelope_{stat}.csv")
     if cfg.svg:
@@ -534,7 +543,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
         payload["groups"][group] = result
         if cfg.svg:
             _write_panels_svg(out, f"report_{group}", result, grid, group)
-    _write_json(out / "report.json", payload)
+    write_json(out / "report.json", payload)
 
 
 COMMANDS = {

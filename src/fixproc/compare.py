@@ -10,7 +10,6 @@ preserved under the null.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import kolmogi
 
-from .core import DataError, Dataset, Window
+from .core import DataError, Dataset, Window, _positive
 from .density import _TINY, IntensityGrid, _grid_factors, chisq_sf
 from .rng import substream
 
@@ -332,7 +331,7 @@ def permutation_test(
     n1, n2 = len(seqs1), len(seqs2)
     subject_pts = [s.locations() for s in seqs1 + seqs2]
     w = dataset.window
-    if not all(h > 0 and math.isfinite(h) for h in (h1, h2)):
+    if not all(_positive(h) for h in (h1, h2)):
         raise DataError(f"bandwidths must be positive and finite, got h1={h1}, h2={h2}")
     if m < 1:
         raise DataError(f"need at least one permutation, got m={m}")

@@ -253,9 +253,3 @@ def max_corner_distance(x: float, y: float, w: Window) -> float:
     dy = max(y - w.y_min, w.y_max - y)
     return math.hypot(dx, dy)
 
-
-def farthest_corner(x: float, y: float, w: Window) -> tuple[float, float]:
-    """The corner achieving :func:`max_corner_distance`."""
-    cx = w.x_min if (x - w.x_min) > (w.x_max - x) else w.x_max
-    cy = w.y_min if (y - w.y_min) > (w.y_max - y) else w.y_max
-    return cx, cy

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .core import DataError, NumericError, Window
+from .core import DataError, NumericError, Window, _positive
 
 # Rows per tile of the pair sums in cross-validation. Two (rows x n) buffers
 # are allocated once per call and reused by every tile and every bandwidth.
@@ -234,7 +234,7 @@ def estimate_intensity(
     mass, so the surface integrates to roughly the point count when the
     pattern stays away from the boundary.
     """
-    if not (h > 0 and math.isfinite(h)):
+    if not _positive(h):
         raise DataError(f"bandwidth must be positive and finite, got {h}")
     points = _check_points(points, w)
     ax, ay = _grid_factors(points, w, h, nx, ny)
@@ -288,7 +288,7 @@ def select_bandwidth_cv(
         raise DataError(f"need at least 10 points for cross-validation, got {n}")
     points = _check_points(points, w)
     h_grid = tuple(float(h) for h in h_grid)
-    if not h_grid or not all(h > 0 and math.isfinite(h) for h in h_grid):
+    if not h_grid or not all(_positive(h) for h in h_grid):
         raise DataError("h_grid must be a non-empty list of positive, finite bandwidths")
 
     scores = _lscv_scores(points, w, h_grid, nx, ny)

@@ -98,9 +98,14 @@ class IngestReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
+
+
+def write_json(path, payload: dict) -> None:
+    """Every output's JSON writer: sorted keys, indent 2, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def parse_fixations(

@@ -10,7 +10,7 @@ intensity surface. All model components are stationary over the trial.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +22,6 @@ from .core import (
     FixationSequence,
     MIN_FIXATION_MS,
     Window,
-    farthest_corner,
     max_corner_distance,
 )
 from .density import IntensityGrid, estimate_intensity
@@ -35,7 +34,7 @@ from .fitdist import (
     fit_gamma_mle,
     sample_gamma,
 )
-from .ingest import derive_saccades, valid_saccade_values
+from .ingest import derive_saccades, valid_saccade_values, write_json
 from .rng import substream
 
 
@@ -184,44 +183,20 @@ def _raise_lowest(failures: dict) -> None:
         raise failures[min(failures)]
 
 
-def _jump_lengths(model: FixationModel, xs, ys, rngs) -> tuple[np.ndarray, list[str]]:
-    """One jump length per row from the truncated-gamma / uniform-long-jump mixture.
+def _corner_offsets(w: Window, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets ``(dx, dy)`` from each point to its farthest window corner.
 
-    The truncation point is the distance to the furthest window corner, so
-    a jump can always land inside the window. Row i draws from ``rngs[i]``:
-    ``u_plong``, then either the uniform long length or the level ``u_len``
-    of its truncated-gamma length. The gamma quantiles of all rows are then
-    one vector call. Returns the lengths and their branch names.
+    ``math.hypot(dx, dy)`` is :func:`max_corner_distance` bit for bit, whose
+    error the lowest point outside the window raises.
     """
-    lengths = np.empty(len(rngs))
-    branches = []
-    failures = {}
-    gamma_rows, tops, levels = [], [], []
-    for i, rng in enumerate(rngs):
-        try:
-            l_max = max_corner_distance(xs[i], ys[i], model.window)
-        except DataError as exc:
-            failures[i] = exc
-            branches.append("")
-            continue
-        if rng.random() < model.p_long:
-            lengths[i] = rng.uniform(l_max / 2.0, l_max)
-            branches.append("uniform_long")
-        else:
-            gamma_rows.append(i)
-            tops.append(l_max)
-            levels.append(rng.random())
-            branches.append("gamma")
-    if gamma_rows:
-        tops = np.array(tops)
-        c_lo, mass = _truncation_mass(model.len_sac, 0.0, tops)
-        lengths[gamma_rows] = _truncated_quantile(
-            model.len_sac, np.array(levels), 0.0, tops, c_lo, mass
-        )
-        for j in np.flatnonzero(mass <= 0.0).tolist():
-            failures[gamma_rows[j]] = _no_mass_error(0.0, float(tops[j]))
-    _raise_lowest(failures)
-    return lengths, branches
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    outside = np.flatnonzero(~w.contains(x, y))
+    if outside.size:
+        max_corner_distance(float(x[outside[0]]), float(y[outside[0]]), w)  # raises
+    dx = np.where(x - w.x_min > w.x_max - x, w.x_min, w.x_max) - x
+    dy = np.where(y - w.y_min > w.y_max - y, w.y_min, w.y_max) - y
+    return dx, dy
 
 
 def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -230,17 +205,17 @@ def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(hi < v, hi, v)
 
 
-def _landings(model: FixationModel, xs, ys, lengths, u_pick) -> tuple[list, list]:
+def _landings(model: FixationModel, xs, ys, dx, dy, lengths, u_pick) -> tuple[list, list]:
     """Landing point of one jump per row, on the circle of its radius.
 
     The circle is discretized into equal arcs; candidates outside the
     window get weight zero, the rest are weighted by the interpolated
-    intensity surface. The direction toward the furthest corner is always
-    added, so a feasible radius always has at least one candidate. The
-    rows' candidates form one (rows, n_angles + 1) array; one ``interp``
-    call weighs the in-window candidates only. Row i takes the first
-    candidate whose cumulative weight exceeds ``u_pick[i]`` times its total
-    weight.
+    intensity surface. The direction toward the furthest corner, at offsets
+    ``(dx, dy)`` from :func:`_corner_offsets`, is always added, so a feasible
+    radius always has at least one candidate. The rows' candidates form one
+    (rows, n_angles + 1) array; one ``interp`` call weighs the in-window
+    candidates only. Row i takes the first candidate whose cumulative weight
+    exceeds ``u_pick[i]`` times its total weight.
     """
     w = model.window
     n = model.n_angles
@@ -255,9 +230,6 @@ def _landings(model: FixationModel, xs, ys, lengths, u_pick) -> tuple[list, list
     np.multiply(model._sin, length[:, None], out=cand_y[:, :n])
     np.add(cand_y[:, :n], y[:, None], out=cand_y[:, :n])
 
-    corners = np.array([farthest_corner(x0, y0, w) for x0, y0 in zip(xs, ys)])
-    dx = corners[:, 0] - x
-    dy = corners[:, 1] - y
     far = np.hypot(dx, dy)
     # clamp the guaranteed candidate: convexity puts it inside, floating
     # rounding may not
@@ -291,15 +263,14 @@ def next_location(
     """Landing point of a jump from (x, y); one row of :func:`_landings`.
 
     It lies on the circle of radius ``length``, picked by the intensity
-    surface's weights.
+    surface's weights. A start outside the window raises ``DataError``.
     """
-    to_x, to_y = _landings(model, [x], [y], [length], [rng.random()])
+    dx, dy = _corner_offsets(model.window, [x], [y])
+    to_x, to_y = _landings(model, [x], [y], dx, dy, [length], [rng.random()])
     return to_x[0], to_y[0]
 
 
-def _simulate_block(
-    model: FixationModel, rngs: list, subject_ids: list, painting_id: str | None
-) -> list[SimRun]:
+def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list[SimRun]:
     """Runs of one block, advanced together one fixation at a time."""
     n = len(rngs)
     horizon = model.trial_length
@@ -331,27 +302,50 @@ def _simulate_block(
                 break
             from_x = [xs[r] for r in movers]
             from_y = [ys[r] for r in movers]
-            mover_rngs = [rngs[r] for r in movers]
-            jumps, branches = _jump_lengths(model, from_x, from_y, mover_rngs)
-            u_pick = [rng.random() for rng in mover_rngs]
-            to_x, to_y = _landings(model, from_x, from_y, jumps, u_pick)
-            rows, levels = [], []
-            for i, (r, jump) in enumerate(zip(movers, jumps.tolist())):
+            dx, dy = _corner_offsets(model.window, from_x, from_y)
+            # every draw of the step, row by row in the run's order
+            jumps = np.empty(len(movers))
+            branches, u_pick, kept, levels = [], [], [], []
+            gamma_rows, tops, u_len = [], [], []
+            for i, (r, off_x, off_y) in enumerate(zip(movers, dx.tolist(), dy.tolist())):
                 rng = rngs[r]
+                # not _landings' np.hypot: the two differ in the last bit for
+                # about 1 % of points, and the bits of each reach the outputs
+                l_max = math.hypot(off_x, off_y)
+                if rng.random() < model.p_long:
+                    jumps[i] = rng.uniform(l_max / 2.0, l_max)
+                    branches.append("uniform_long")
+                else:
+                    gamma_rows.append(i)
+                    tops.append(l_max)
+                    u_len.append(rng.random())
+                    branches.append("gamma")
+                u_pick.append(rng.random())
                 clocks[r] = clock = clocks[r] + float(sample_gamma(model.dur_sac, rng))
-                if clock >= horizon:
-                    continue
+                if not clock >= horizon:
+                    kept.append(i)
+                    levels.append(rng.random())
+            if gamma_rows:
+                tops = np.array(tops)
+                len_lo, len_mass = _truncation_mass(model.len_sac, 0.0, tops)
+                jumps[gamma_rows] = _truncated_quantile(
+                    model.len_sac, np.array(u_len), 0.0, tops, len_lo, len_mass
+                )
+                _raise_lowest({
+                    gamma_rows[j]: _no_mass_error(0.0, float(tops[j]))
+                    for j in np.flatnonzero(len_mass <= 0.0).tolist()
+                })
+            to_x, to_y = _landings(model, from_x, from_y, dx, dy, jumps, u_pick)
+            jumps = jumps.tolist()
+            rows = [movers[i] for i in kept]
+            for i, r in zip(kept, rows):
                 provenance[r].append(branches[i])
-                lengths[r].append(jump)
+                lengths[r].append(jumps[i])
                 xs[r], ys[r] = to_x[i], to_y[i]
-                rows.append(r)
-                levels.append(rng.random())
 
     return [
         SimRun(
-            sequence=FixationSequence(
-                subject_ids[i], model.group, painting_id or model.painting_id, fixations[i]
-            ),
+            sequence=FixationSequence(subject_ids[i], model.group, model.painting_id, fixations[i]),
             jump_provenance=provenance[i],
             jump_lengths=lengths[i],
         )
@@ -359,12 +353,7 @@ def _simulate_block(
     ]
 
 
-def simulate_runs(
-    model: FixationModel,
-    rngs,
-    subject_ids,
-    painting_id: str | None = None,
-) -> list[SimRun]:
+def simulate_runs(model: FixationModel, rngs, subject_ids) -> list[SimRun]:
     """Trials of the fixation process, run i drawing only from ``rngs[i]``.
 
     Each run draws from its own generator in a fixed order: the start cell
@@ -372,17 +361,19 @@ def simulate_runs(
     and, while the trial goes on, ``u_plong``, the uniform long length or
     the gamma length level ``u_len``, the landing level ``u_pick`` and the
     saccade duration. So a run's output does not depend on which or how
-    many runs are simulated with it. The runs advance in lockstep blocks of
-    ``max(1, _BLOCK_CANDIDATES // (n_angles + 1))``: per fixation step, the
-    block's duration and length quantiles, candidate circles and picks are
-    vector calls with the bits of the one-row calls.
+    many runs are simulated with it. The step loop of ``_simulate_block``
+    is the one place this order is written. The runs advance in lockstep
+    blocks of ``max(1, _BLOCK_CANDIDATES // (n_angles + 1))``: per fixation
+    step, one pass over the block makes the draws, and the quantiles,
+    corner offsets, candidate circles and picks are vector calls with the
+    bits of the one-row calls.
 
     Fixation durations are gamma draws truncated below at the short-fixation
     threshold (the fit excluded shorter ones, and emitting them would only
     get them filtered back out). A fixation that starts before the horizon
     is kept with its duration clipped there; a non-positive horizon yields
-    empty runs. When runs fail in one step, the lowest run's error is
-    raised.
+    empty runs. Failures of one step raise the lowest failing run's error,
+    by kind: start outside the window, no jump length mass, no landing.
     """
     rngs = list(rngs)
     subject_ids = list(subject_ids)
@@ -394,7 +385,7 @@ def simulate_runs(
     runs: list[SimRun] = []
     for start in range(0, len(rngs), block):
         stop = start + block
-        runs += _simulate_block(model, rngs[start:stop], subject_ids[start:stop], painting_id)
+        runs += _simulate_block(model, rngs[start:stop], subject_ids[start:stop])
     return runs
 
 
@@ -428,6 +419,4 @@ def provenance_to_json(runs: list[SimRun], path, meta: dict | None = None) -> No
             for r in runs
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)

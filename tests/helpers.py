@@ -22,7 +22,6 @@ from fixproc.core import (
     DataError,
     NumericError,
     StepCurve,
-    farthest_corner,
     max_corner_distance,
     quadrant_of,
 )
@@ -402,6 +401,13 @@ def lscv_score_reference(points: np.ndarray, w: Window, h: float, nx: int, ny: i
     return int_f2 - 2.0 / n * float(loo_density.sum())
 
 
+def farthest_corner(x: float, y: float, w: Window) -> tuple[float, float]:
+    """The corner achieving :func:`max_corner_distance`, by scalar comparisons."""
+    cx = w.x_min if (x - w.x_min) > (w.x_max - x) else w.x_max
+    cy = w.y_min if (y - w.y_min) > (w.y_max - y) else w.y_max
+    return cx, cy
+
+
 def next_location_reference(model, x, y, length, rng) -> tuple[float, float]:
     """Landing point with np.append, Window.contains and interp_reference."""
     w = model.window
@@ -454,7 +460,7 @@ def sample_saccade_length_reference(model, x, y, rng) -> tuple[float, str]:
     return sample_truncated_gamma_reference(model.len_sac, upper=l_max, rng=rng), "gamma"
 
 
-def simulate_run_reference(model, rng, subject_id="sim", painting_id=None) -> SimRun:
+def simulate_run_reference(model, rng, subject_id="sim") -> SimRun:
     """One trial, one fixation and one scalar draw at a time."""
     horizon = model.trial_length
     fixations, provenance, lengths = [], [], []
@@ -477,7 +483,7 @@ def simulate_run_reference(model, rng, subject_id="sim", painting_id=None) -> Si
             provenance.append(branch)
             lengths.append(jump)
             x, y = to_x, to_y
-    seq = FixationSequence(subject_id, model.group, painting_id or model.painting_id, fixations)
+    seq = FixationSequence(subject_id, model.group, model.painting_id, fixations)
     return SimRun(sequence=seq, jump_provenance=provenance, jump_lengths=lengths)
 
 

@@ -390,6 +390,52 @@ class TestNonFiniteConfig:
         assert name in err["message"]
 
 
+class TestConfigKinds:
+    # a JSON value of the wrong kind used to end in a traceback (exit 1), or
+    # be taken silently: seed 1.5 drew from seed 1, "no" was a true svg
+    @pytest.mark.parametrize("text, name", [
+        ('{"n_runs": 2.5}', "n_runs"),
+        ('{"m": 10.5}', "m"),
+        ('{"m": true}', "m"),
+        ('{"seed": 1.5}', "seed"),
+        ('{"q": null}', "q"),
+        ('{"radius": "35"}', "radius"),
+        ('{"alpha": true}', "alpha"),
+        ('{"svg": "no"}', "svg"),
+        ('{"use_first_surface": 1}', "use_first_surface"),
+        ('{"group": 1}', "group"),
+        ('{"window": [0, 0, 1e400, 768]}', "window"),
+        ('{"window": [0, 0, 1%s, 768]}' % ("0" * 400), "window"),
+        ('{"trial_length": 1%s}' % ("0" * 400), "trial_length"),
+        ('{"window": [0, 0, "770", 768]}', "window"),
+        ('{"window": "0,0,770,768"}', "window"),
+        ('{"h_grid": [20, "40"]}', "h_grid"),
+        ('{"h_grid": 20}', "h_grid"),
+    ])
+    def test_wrong_kind_is_config_error(self, data_csv, tmp_path, capsys, text, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["quadrat", "--config", cfg, "--input", data_csv, "--out", out]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert name in err["message"]
+        assert not out.exists()
+
+    def test_right_kinds_are_accepted(self, data_csv, tmp_path):
+        # integers stand for floats; null leaves an optional setting unset
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "n_runs": 2, "radius": 35, "p_long": 0,
+                                   "window": [0, 0, 770, 768.0], "svg": False,
+                                   "use_first_surface": True, "painting": None,
+                                   "h_grid": [20, 40.0]}))
+        assert run(["simulate", "--config", cfg, "--input", data_csv, "--out", tmp_path,
+                    "--group", "novice", *FAST]) == 0
+        meta = json.loads((tmp_path / "sim_provenance.json").read_text())["meta"]
+        assert meta["seed"] == 3
+        assert len(meta["config_sha256"]) == 64
+
+
 class TestConfigPrecedence:
     def test_flags_override_file(self, data_csv, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -14,7 +14,7 @@ from fixproc import (
     max_corner_distance,
     quadrant_of,
 )
-from fixproc.core import farthest_corner
+from helpers import farthest_corner
 
 W = Window(0.0, 0.0, 770.0, 768.0)
 

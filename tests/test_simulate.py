@@ -1,4 +1,6 @@
+import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fixproc import (
     DataError,
     GammaFit,
+    NumericError,
     build_model,
     max_corner_distance,
     next_location,
@@ -17,15 +20,15 @@ from fixproc import (
     simulate_runs,
     write_fixations,
 )
-from fixproc import FixationModel
+from fixproc import FixationModel, Window
 from fixproc.density import IntensityGrid
 from fixproc.rng import substream
-from fixproc.simulate import _BLOCK_CANDIDATES, _jump_lengths, _landings, runs_to_dataset
+from fixproc.simulate import _BLOCK_CANDIDATES, _corner_offsets, _landings, runs_to_dataset
 from helpers import (
     WINDOW,
+    farthest_corner,
     hotspot_grid,
     next_location_reference,
-    sample_saccade_length_reference,
     simulate_run_reference,
     simulated_dataset,
     toy_model,
@@ -142,45 +145,83 @@ class TestSampleInitial:
         assert tv < 0.02
 
 
-def jump_lengths(model, x, y, rng, n):
-    """n jumps from (x, y), one row each, every row drawing from ``rng``."""
-    return _jump_lengths(model, [x] * n, [y] * n, [rng] * n)
+def kept_jumps(model, n_runs, seed):
+    """(branch, length, l_max) of every kept jump of ``simulate_many`` runs,
+    l_max being the farthest-corner distance of the fixation it leaves."""
+    jumps = []
+    for run in simulate_many(model, n_runs, seed):
+        starts = run.sequence.locations()[:-1].tolist()
+        assert len(starts) == len(run.jump_provenance) == len(run.jump_lengths)
+        for (x, y), branch, length in zip(starts, run.jump_provenance, run.jump_lengths):
+            jumps.append((branch, length, max_corner_distance(x, y, W)))
+    return jumps
+
+
+def assert_lengths_in_branch_range(jumps):
+    for branch, length, l_max in jumps:
+        if branch == "gamma":
+            assert 0 < length <= l_max
+        else:
+            assert branch == "uniform_long"
+            assert l_max / 2 <= length <= l_max
 
 
 class TestSampleSaccadeLength:
     def test_p_zero_all_gamma(self):
-        model = toy_model(p_long=0.0)
-        rng = np.random.default_rng(4)
-        l_max = max_corner_distance(100.0, 100.0, W)
-        lengths, branches = jump_lengths(model, 100.0, 100.0, rng, 300)
-        assert branches == ["gamma"] * 300
-        assert np.all((0 < lengths) & (lengths <= l_max))
+        jumps = kept_jumps(toy_model(p_long=0.0, trial_length=20_000.0), 8, seed=4)
+        assert len(jumps) > 300
+        assert {branch for branch, _, _ in jumps} == {"gamma"}
+        assert_lengths_in_branch_range(jumps)
 
     def test_p_one_all_uniform_upper_half(self):
-        model = toy_model(p_long=1.0)
-        rng = np.random.default_rng(5)
-        l_max = max_corner_distance(600.0, 300.0, W)
-        lengths, branches = jump_lengths(model, 600.0, 300.0, rng, 300)
-        assert branches == ["uniform_long"] * 300
-        assert np.all((l_max / 2 <= lengths) & (lengths <= l_max))
+        jumps = kept_jumps(toy_model(p_long=1.0, trial_length=20_000.0), 8, seed=5)
+        assert len(jumps) > 300
+        assert {branch for branch, _, _ in jumps} == {"uniform_long"}
+        assert_lengths_in_branch_range(jumps)
 
     def test_mixture_fraction(self):
-        model = toy_model(p_long=0.2)
-        rng = np.random.default_rng(6)
-        n = 100_000
-        longs = jump_lengths(model, 400.0, 380.0, rng, n)[1].count("uniform_long")
-        assert longs / n == pytest.approx(0.2, abs=0.004)
+        # 36 directions keep 20 000 jumps quick; the branch draw ignores them
+        model = toy_model(p_long=0.2, n_angles=36, trial_length=40_000.0)
+        jumps = kept_jumps(model, 200, seed=6)
+        assert len(jumps) > 20_000
+        assert_lengths_in_branch_range(jumps)
+        longs = sum(branch == "uniform_long" for branch, _, _ in jumps)
+        assert longs / len(jumps) == pytest.approx(0.2, abs=0.01)
 
-    def test_rows_draw_as_one_row_calls(self):
-        # a row's length and branch equal the reference's draw from the same
-        # stream position, whatever the other rows drew
-        model = toy_model(p_long=0.5)
-        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        lengths, branches = jump_lengths(model, 250.0, 600.0, rng, 200)
-        for length, branch in zip(lengths.tolist(), branches):
-            assert (length, branch) == sample_saccade_length_reference(
-                model, 250.0, 600.0, ref_rng
-            )
+
+_MIDLINE_W = Window(-13.5, 7.25, 812.0, 600.5)
+
+
+def window_points(w):
+    """Points of ``w`` with its midlines, rim and corners drawn often."""
+    xs = st.one_of(st.floats(w.x_min, w.x_max),
+                   st.sampled_from([w.x_min, (w.x_min + w.x_max) / 2.0, w.x_max]))
+    ys = st.one_of(st.floats(w.y_min, w.y_max),
+                   st.sampled_from([w.y_min, (w.y_min + w.y_max) / 2.0, w.y_max]))
+    return st.lists(st.tuples(xs, ys), min_size=1, max_size=8)
+
+
+class TestCornerOffsets:
+    @settings(max_examples=200)
+    @given(st.sampled_from([W, _MIDLINE_W]).flatmap(
+        lambda w: st.tuples(st.just(w), window_points(w))))
+    def test_hypot_is_max_corner_distance(self, case):
+        w, points = case
+        xs, ys = (list(v) for v in zip(*points))
+        dx, dy = _corner_offsets(w, xs, ys)
+        for x, y, off_x, off_y in zip(xs, ys, dx.tolist(), dy.tolist()):
+            assert math.hypot(off_x, off_y) == max_corner_distance(x, y, w)
+            assert abs(off_x) == max(x - w.x_min, w.x_max - x)
+            assert abs(off_y) == max(y - w.y_min, w.y_max - y)
+            cx, cy = farthest_corner(x, y, w)
+            assert (off_x, off_y) == (cx - x, cy - y)
+
+    def test_lowest_outside_point_raises_its_error(self):
+        with pytest.raises(DataError) as ref:
+            max_corner_distance(-1.0, 5.0, W)
+        with pytest.raises(DataError) as got:
+            _corner_offsets(W, [10.0, -1.0, 900.0], [10.0, 5.0, 5.0])
+        assert str(got.value) == str(ref.value) == "point (-1.0, 5.0) outside window"
 
 
 class TestNextLocation:
@@ -260,17 +301,23 @@ class TestNextLocation:
         jumps = {"ok": (385.0, 384.0, 50.0), "outside": (385.0, 384.0, np.nan),
                  "zero": (240.0, 240.0, 60.0)}
         xs, ys, lengths = (list(v) for v in zip(*(jumps[k] for k in kinds)))
+        dx, dy = _corner_offsets(W, xs, ys)
         refs = []
         for x, y, length in zip(xs, ys, lengths):
             try:
                 refs.append(next_location_reference(model, x, y, length, _Level(u)))
             except DataError as exc:
                 with pytest.raises(DataError) as got:
-                    _landings(model, xs, ys, lengths, [u] * len(kinds))
+                    _landings(model, xs, ys, dx, dy, lengths, [u] * len(kinds))
                 assert str(got.value) == str(exc)
                 return
-        to_x, to_y = _landings(model, xs, ys, lengths, [u] * len(kinds))
+        to_x, to_y = _landings(model, xs, ys, dx, dy, lengths, [u] * len(kinds))
         assert list(zip(to_x, to_y)) == refs
+
+    @pytest.mark.parametrize("x, y", [(-1.0, 384.0), (385.0, 768.5), (np.nan, 384.0)])
+    def test_start_outside_window_rejected(self, x, y):
+        with pytest.raises(DataError, match="outside window"):
+            next_location(self._flat_model(), x, y, 10.0, np.random.default_rng(11))
 
     def test_near_max_jump_uses_guaranteed_direction(self):
         model = self._flat_model()
@@ -363,7 +410,7 @@ def block_size(n_angles):
 
 
 class TestLockstepEngine:
-    @pytest.mark.parametrize("p_long", [0.0, 1.0])
+    @pytest.mark.parametrize("p_long", [0.0, 1.0, 0.2])
     @pytest.mark.parametrize("n_angles", [4, 360, 720])
     @pytest.mark.parametrize("size", ["one", "block-1", "block", "block+1", "forty"])
     def test_runs_equal_reference(self, size, n_angles, p_long):
@@ -376,7 +423,8 @@ class TestLockstepEngine:
                           nx=128, ny=128)
         runs = assert_engine_matches_reference(model, n_runs, seed=n_runs + n_angles)
         branches = {b for run in runs for b in run.jump_provenance}
-        assert branches == {"uniform_long" if p_long else "gamma"}
+        assert branches == {0.0: {"gamma"}, 1.0: {"uniform_long"},
+                            0.2: {"gamma", "uniform_long"}}[p_long]
 
     def test_zero_horizon_gives_empty_runs(self):
         runs = assert_engine_matches_reference(toy_model(trial_length=0.0), 5, seed=3)
@@ -431,6 +479,19 @@ class TestLockstepEngine:
         assert str(got.value) == str(ref.value) == (
             "all candidate landing points have zero weight"
         )
+
+    def test_no_length_mass_raises_before_landing_failure(self):
+        # the jump length law has no mass below any farthest corner and the
+        # landing surface is zero: the length error of the lowest run wins
+        base = model_with_surface(IntensityGrid(W, 16, 16, np.zeros((16, 16)), 10.0),
+                                  first=hotspot_grid(nx=16, ny=16), p_long=0.0)
+        model = replace(base, len_sac=GammaFit(1e4, 1.0, 1000, "saccade_length"))
+        with pytest.raises(NumericError) as ref:
+            simulate_run_reference(model, substream(7, "run", 0))
+        with pytest.raises(NumericError) as got:
+            simulate_many(model, 3, seed=7)
+        assert str(got.value) == str(ref.value)
+        assert "no representable mass" in str(got.value)
 
     def test_simulate_many_equals_simulate_run(self):
         model = toy_model(trial_length=10_000.0, n_angles=720)

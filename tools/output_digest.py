@@ -1,0 +1,114 @@
+"""sha256 of every output file of a fixed set of CLI commands.
+
+    python tools/output_digest.py [--checkout DIR] [--work DIR]
+
+Runs the ``fixproc`` CLI of ``DIR/src`` (default: this checkout), one fresh
+interpreter per command, on seeded synthetic experiments from
+``bench/inputs.py``, and prints one line ``sha256  command/file`` per output
+file, the command's stdout and stderr included. Two checkouts print the same
+lines exactly when every output byte agrees, so a refactor that must keep
+outputs byte-identical is checked with
+
+    mkdir -p /tmp/parent && git archive PARENT | tar -x -C /tmp/parent
+    python tools/output_digest.py --checkout /tmp/parent > parent.txt
+    python tools/output_digest.py > change.txt
+    diff parent.txt change.txt
+
+The inputs are written to the same paths under ``--work`` on every run:
+``config_sha256`` hashes the ``--input`` path, so inputs at another path
+would change every output that records it. A command that exits non-zero
+stops the script with exit code 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from inputs import make_experiment  # noqa: E402
+
+SUBJECTS_PER_GROUP = 10
+
+# name: (seed, rows per subject, trial length in ms), as the bench workloads
+# "envelope" (seed 7 and 8) and "report" (seed 7) generate them
+INPUTS = {
+    "a": (7, 130, 40_000.0),
+    "b": (8, 130, 40_000.0),
+    "c": (7, 65, 20_000.0),
+}
+
+# name: (input, flags); every command draws its SVGs
+COMMANDS = {
+    "env_h24": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
+                      "--seed", "7"]),
+    "env_cv": ("b", ["envelope", "--group", "non_novice", "--n-runs", "60", "--seed", "8"]),
+    "env_ball": ("b", ["envelope", "--group", "novice", "--stat", "ball", "--raster", "2",
+                       "--radius", "20", "--n-runs", "40", "--seed", "8"]),
+    "sim_p05_a90": ("a", ["simulate", "--group", "novice", "--p-long", "0.5",
+                          "--n-angles", "90", "--n-runs", "50", "--seed", "7"]),
+    "sim_p0": ("a", ["simulate", "--group", "novice", "--p-long", "0", "--h", "24",
+                     "--n-runs", "50", "--seed", "7"]),
+    "sim_p1": ("a", ["simulate", "--group", "non_novice", "--p-long", "1", "--h", "24",
+                     "--n-runs", "50", "--seed", "7"]),
+    "sim_p05": ("a", ["simulate", "--group", "novice", "--p-long", "0.5", "--h", "24",
+                      "--n-runs", "50", "--seed", "9"]),
+    "report": ("c", ["report", "--m", "2000", "--n-runs", "100", "--seed", "7"]),
+}
+
+
+def write_inputs(work: Path) -> dict:
+    """Each input's CSV path and trial length, written once per run."""
+    paths = {}
+    for name, (seed, rows, trial) in INPUTS.items():
+        path = work / f"input_{name}.csv"
+        path.write_text(make_experiment(seed, SUBJECTS_PER_GROUP, rows, trial).csv_text)
+        paths[name] = (path, trial)
+    return paths
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--checkout", type=Path, default=ROOT,
+                        help="checkout whose src/ holds the fixproc under test")
+    parser.add_argument("--work", type=Path,
+                        default=Path(tempfile.gettempdir()) / "fixproc_output_digest",
+                        help="directory for the inputs and outputs")
+    args = parser.parse_args(argv)
+    work = args.work.resolve()
+    out_root = work / "out"
+    shutil.rmtree(out_root, ignore_errors=True)
+    out_root.mkdir(parents=True)
+    inputs = write_inputs(work)
+    env = dict(os.environ, PYTHONPATH=str(args.checkout.resolve() / "src"))
+
+    for name, (input_name, flags) in COMMANDS.items():
+        csv, trial = inputs[input_name]
+        out = out_root / name
+        argv = [*flags, "--input", str(csv), "--trial-length", repr(trial), "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "fixproc.cli", *argv], env=env,
+                              capture_output=True, cwd=work)
+        if done.returncode != 0:
+            print(f"{name} exited {done.returncode}: {done.stderr.decode()}", file=sys.stderr)
+            return 1
+        (out / "stdout.txt").write_bytes(done.stdout)
+        (out / "stderr.txt").write_bytes(done.stderr)
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            print(f"{sha256(path)}  {name}/{path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
