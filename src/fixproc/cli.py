@@ -156,6 +156,8 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
                  "q", "n_runs", "m", "n_angles", "grid_points"):
         if not _positive(getattr(cfg, name)):
             raise ConfigError(f"{name} must be positive and finite")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if cfg.raster > cfg.radius:
         raise ConfigError(f"raster cell {cfg.raster} coarser than radius {cfg.radius}")
     if cfg.n_angles < 4:

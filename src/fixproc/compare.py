@@ -20,7 +20,7 @@ from scipy.special import kolmogi
 
 from .core import DataError, Dataset, Window, _positive
 from .density import _TINY, IntensityGrid, _grid_factors, chisq_sf
-from .rng import substream
+from .rng import permutations
 
 # draws per permutation block, and grid cells per tile: a block's two
 # (tile, draws) surface buffers take 512 KiB and stay in one core's L2
@@ -244,8 +244,10 @@ def _count_permutations(
 ) -> tuple[int, int]:
     """k and the number of distinct first-group sets over draws 1..m.
 
-    The calling thread draws every label row in draw order; blocks of
-    ``_BLOCK_DRAWS`` rows are then scored on a pool of ``_workers()``
+    The calling thread draws every label row, ``_BLOCK_DRAWS`` draws per
+    ``permutations`` call (row j - 1 is draw j of ``substream(seed, "perm",
+    j)``), and sets each chunk's first-group cells in one assignment; blocks
+    of ``_BLOCK_DRAWS`` rows are then scored on a pool of ``_workers()``
     threads. Block boundaries depend on m alone, so each draw's T does not
     depend on the worker count. A draw whose first group is the observed
     one (or, with ``mirror_ties``, the observed second group) is a tie and
@@ -253,8 +255,10 @@ def _count_permutations(
     """
     total = len(rows1)
     first = np.zeros((m, total), dtype=bool)
-    for j in range(1, m + 1):
-        first[j - 1, substream(seed, "perm", j).permutation(total)[:n1]] = True
+    for start in range(0, m, _BLOCK_DRAWS):
+        stop = min(start + _BLOCK_DRAWS, m)
+        drawn = permutations(seed, "perm", range(start + 1, stop + 1), total)[:, :n1]
+        first[np.arange(start, stop)[:, None], drawn] = True
     mass1, mass2 = rows1.sum(axis=1), rows2.sum(axis=1)
 
     def score(start: int) -> np.ndarray:
@@ -306,7 +310,8 @@ def permutation_test(
     bandwidths h1/h2 applied to the first/second group slot, and
     p = (k+1)/(m+1) with k the count of permuted statistics >= the observed
     one. Draw j is ``substream(seed, "perm", j).permutation(n1 + n2)``, whose
-    first n1 entries form the first group.
+    first n1 entries form the first group; ``rng.permutations`` makes these
+    draws in chunks, seeding a chunk's generators in one vector pass.
 
     Draws are scored in blocks of 128: the first-group labels of a block
     form a 0/1 matrix, and each group's surfaces are matrix products of it

@@ -32,15 +32,26 @@ BAND_COLOR = "#bbbbbb"
 REFLINE_COLOR = "#cc0000"
 
 
-def _ramp(value: float, stops) -> str:
-    value = min(max(value, 0.0), 1.0)
-    for (p0, c0), (p1, c1) in zip(stops, stops[1:]):
-        if value <= p1:
-            t = 0.0 if p1 == p0 else (value - p0) / (p1 - p0)
-            rgb = [round(a + t * (b - a)) for a, b in zip(c0, c1)]
-            return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
-    r, g, b = stops[-1][1]
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _ramp_colors(values: np.ndarray, stops) -> list[str]:
+    """Hex colour of every value on the ramp through ``stops``, flattened.
+
+    A value is clamped to [0, 1] and coloured on the first segment whose
+    upper stop it does not exceed, as ``a + t * (b - a)`` per channel,
+    rounded half to even; NaN takes the last stop's colour. Stops must be
+    strictly increasing.
+    """
+    pos = np.array([p for p, _ in stops])
+    rgb = np.array([c for _, c in stops], dtype=float)
+    value = np.clip(np.asarray(values, dtype=float).ravel(), 0.0, 1.0)
+    seg = np.searchsorted(pos[1:], value)  # NaN sorts past the last segment
+    nan = seg == len(stops) - 1
+    seg[nan] = 0
+    t = (value - pos[seg]) / (pos[seg + 1] - pos[seg])
+    a, b = rgb[seg], rgb[seg + 1]
+    channels = np.rint(a + t[:, None] * (b - a))
+    channels[nan] = rgb[-1]
+    codes = channels.astype(np.int64) @ np.array([1 << 16, 1 << 8, 1])
+    return [f"#{code:06x}" for code in codes.tolist()]
 
 
 def _fmt(v: float) -> str:
@@ -69,10 +80,12 @@ def heatmap_svg(grid: IntensityGrid, title: str = "", diverging: bool = False) -
     ]
     xs = [_fmt(ix * cw) for ix in range(grid.nx)]
     size = f'width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}"'
-    for iy, row in enumerate(norm.tolist()):
+    colors = _ramp_colors(norm, stops)
+    for iy in range(grid.ny):
         y = _fmt(iy * ch)
-        for x, value in zip(xs, row):
-            parts.append(f'<rect x="{x}" y="{y}" {size} fill="{_ramp(value, stops)}"/>')
+        row = colors[iy * grid.nx : (iy + 1) * grid.nx]
+        for x, color in zip(xs, row):
+            parts.append(f'<rect x="{x}" y="{y}" {size} fill="{color}"/>')
     parts.append("</g></svg>")
     return "\n".join(parts)
 

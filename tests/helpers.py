@@ -513,3 +513,15 @@ def permutation_test_reference(dataset: Dataset, *, h1, h2, m, seed, nx, ny) -> 
         if T_j >= T0:
             k += 1
     return k, T0
+
+
+def ramp_reference(value: float, stops) -> str:
+    """One value's hex colour by the per-cell loop that ``svgplot._ramp_colors`` replaced."""
+    value = min(max(value, 0.0), 1.0)
+    for (p0, c0), (p1, c1) in zip(stops, stops[1:]):
+        if value <= p1:
+            t = 0.0 if p1 == p0 else (value - p0) / (p1 - p0)
+            rgb = [round(a + t * (b - a)) for a, b in zip(c0, c1)]
+            return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+    r, g, b = stops[-1][1]
+    return f"#{r:02x}{g:02x}{b:02x}"

@@ -321,6 +321,22 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err.strip())
         assert "seed" in err["message"]
 
+    @pytest.mark.parametrize("command", ["compare-intensity", "envelope", "report"])
+    def test_negative_seed_is_config_error(self, data_csv, tmp_path, capsys, monkeypatch,
+                                           command):
+        # compare-intensity --seed -1 used to cross-validate, then end in a
+        # traceback (exit 1) when the first permutation stream was seeded
+        ingested = []
+        monkeypatch.setattr(cli, "ingest_pipeline", lambda *a, **k: ingested.append(a))
+        out = tmp_path / "out"
+        assert run([command, "--seed", "-1", "--group", "novice", "--input", data_csv,
+                    "--out", out, *FAST]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "seed" in err["message"]
+        assert ingested == []
+        assert not out.exists()
+
     def test_bad_config_file(self, data_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

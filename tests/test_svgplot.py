@@ -1,0 +1,74 @@
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from fixproc.density import IntensityGrid
+from fixproc.svgplot import _DIV_STOPS, _SEQ_STOPS, _ramp_colors, heatmap_svg
+from helpers import WINDOW, ramp_reference
+
+STOPS = pytest.mark.parametrize("stops", [_SEQ_STOPS, _DIV_STOPS], ids=["seq", "div"])
+
+
+def _expected(values, stops):
+    return [ramp_reference(v, stops) for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _half_way_values(stops):
+    # values whose unrounded channel lands exactly on .5, so rounding breaks a tie
+    found = []
+    for (p0, c0), (p1, c1) in zip(stops, stops[1:]):
+        for value in np.linspace(p0, p1, 4097)[1:-1].tolist():
+            t = (value - p0) / (p1 - p0)
+            if any((a + t * (b - a)) % 1.0 == 0.5 for a, b in zip(c0, c1)):
+                found.append(value)
+    return found
+
+
+class TestRampColors:
+    @STOPS
+    def test_special_values(self, stops):
+        values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1e-300, 1.0 + 1e-15, 2.0, -5.0]
+        values += [p for p, _ in stops]
+        values += [np.nextafter(p, 2.0) for p, _ in stops]
+        values += [np.nextafter(p, -1.0) for p, _ in stops]
+        assert _ramp_colors(np.array(values), stops) == _expected(values, stops)
+
+    @STOPS
+    def test_half_way_channels_round_half_to_even(self, stops):
+        values = _half_way_values(stops)
+        assert len(values) >= 8
+        assert _ramp_colors(np.array(values), stops) == _expected(values, stops)
+
+    @STOPS
+    def test_dense_sweep(self, stops):
+        values = np.linspace(-0.1, 1.1, 20_001)
+        assert _ramp_colors(values, stops) == _expected(values, stops)
+
+    @STOPS
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+    def test_any_floats(self, stops, values):
+        assert _ramp_colors(np.array(values), stops) == _expected(values, stops)
+
+    def test_quarter_of_the_diverging_ramp(self):
+        # channels 140, 174.5 and 209.5 round to 140, 174 and 210
+        assert _ramp_colors(np.array([0.25]), _DIV_STOPS) == ["#8caed2"]
+
+    def test_two_dimensional_input_is_flattened_row_major(self):
+        values = np.array([[0.0, 0.3], [0.6, np.nan]])
+        assert _ramp_colors(values, _SEQ_STOPS) == _expected(values, _SEQ_STOPS)
+
+
+class TestHeatmap:
+    @pytest.mark.parametrize("diverging", [False, True])
+    def test_cells_take_the_reference_colours(self, rng, diverging):
+        nx, ny = 7, 5
+        values = rng.normal(size=(ny, nx))
+        values[0, 0] = 0.0
+        svg = heatmap_svg(IntensityGrid(WINDOW, nx, ny, values, 24.0), diverging=diverging)
+        if diverging:
+            norm, stops = 0.5 + values / (2.0 * np.abs(values).max()), _DIV_STOPS
+        else:
+            norm, stops = (values - values.min()) / (values.max() - values.min()), _SEQ_STOPS
+        assert re.findall(r'fill="(#[0-9a-f]{6})"', svg) == _expected(norm, stops)

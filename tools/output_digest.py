@@ -62,6 +62,11 @@ COMMANDS = {
     "sim_p05": ("a", ["simulate", "--group", "novice", "--p-long", "0.5", "--h", "24",
                       "--n-runs", "50", "--seed", "9"]),
     "report": ("c", ["report", "--m", "2000", "--n-runs", "100", "--seed", "7"]),
+    "cmp_cv": ("a", ["compare-intensity", "--m", "10000", "--seed", "7"]),
+    # equal bandwidths and group sizes make mirror draws ties; the seed is
+    # two 32-bit words
+    "cmp_h24": ("b", ["compare-intensity", "--h1", "24", "--h2", "24", "--m", "2000",
+                      "--seed", "4294967301"]),
 }
 
 
