@@ -15,7 +15,9 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +142,8 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
     for f in fields(PipelineConfig):
         if f.name in values and not _fits(f.type, values[f.name]):
             raise ConfigError(f"{f.name} must be {f.type}, got {values[f.name]!r}")
+        if f.type.startswith("float") and values.get(f.name) is not None:
+            values[f.name] = float(values[f.name])  # 10000 and 10000.0 hash alike
     cfg = PipelineConfig(**values)
     cfg.window = tuple(float(v) for v in cfg.window)
     if len(cfg.window) != 4 or not np.isfinite(cfg.window).all():
@@ -613,6 +617,52 @@ def _error_json(exc: Exception, code: int) -> str:
     )
 
 
+# (set, get) thread-count symbols: the scipy-openblas build that numpy
+# wheels ship, then OpenBLAS's generic names
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """The (set, get) thread-count functions of the OpenBLAS loaded with numpy, or None."""
+    import ctypes
+
+    wheel_libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(wheel_libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(path))
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(handle, set_name) and hasattr(handle, get_name):
+                return getattr(handle, set_name), getattr(handle, get_name)
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, the calling one.
+
+    OpenBLAS splits a large product over its threads, and the split changes
+    the last bits of the sums (``density._grid_factors``' ``ay @ ax.T``), so
+    seeded outputs would depend on the core count and
+    ``OPENBLAS_NUM_THREADS``. Idle BLAS threads also spin on other cores
+    after each threaded product. The previous count is restored on exit;
+    without an OpenBLAS this does nothing.
+    """
+    found = _openblas_threads()
+    if found is None:
+        yield
+        return
+    set_threads, get_threads = found
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
@@ -624,7 +674,8 @@ def main(argv=None) -> int:
                 except ValueError:
                     raise ConfigError(f"bad --{name.replace('_', '-')}") from None
         cfg = _load_config(args.config, overrides)
-        COMMANDS[args.command](cfg)
+        with _one_blas_thread():
+            COMMANDS[args.command](cfg)
         return EXIT_OK
     except ConfigError as exc:
         print(_error_json(exc, EXIT_CONFIG), file=sys.stderr)

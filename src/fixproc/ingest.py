@@ -17,6 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,10 +103,66 @@ class IngestReport:
 
 
 def write_json(path, payload: dict) -> None:
-    """Every output's JSON writer: sorted keys, indent 2, a final newline."""
+    """Every output's JSON writer: sorted keys, indent 2, a final newline.
+
+    The bytes are those of ``json.dump(payload, fh, indent=2,
+    sort_keys=True)`` followed by ``"\\n"``, NaN and infinities included.
+    Python walks the dicts and lists; a list that holds no container goes
+    to json's C encoder in one call, its item separator carrying the
+    indent, so no number is formatted by Python code. Chunks are written as
+    they are made: the document is never held as one string.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.writelines(_json_chunks(payload, "\n", set()))
         fh.write("\n")
+
+
+_SCALAR_ENCODER = json.JSONEncoder()
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(item_separator: str) -> json.JSONEncoder:
+    return json.JSONEncoder(separators=(item_separator, ": "))
+
+
+def _json_chunks(obj, newline: str, markers: set):
+    """Chunks of ``obj``'s indented JSON; ``newline`` ends with its indent."""
+    if isinstance(obj, dict):
+        is_dict, items = True, sorted(obj.items())
+    elif isinstance(obj, (list, tuple)):
+        is_dict, items = False, obj
+    else:
+        yield _SCALAR_ENCODER.encode(obj)
+        return
+    if not items:
+        yield "{}" if is_dict else "[]"
+        return
+    if id(obj) in markers:
+        raise ValueError("Circular reference detected")
+    markers.add(id(obj))
+    inner = newline + "  "
+    if not is_dict and not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, obj))):
+        text = _flat_encoder("," + inner).encode(obj)
+        yield "[" + inner + text[1:-1] + newline + "]"
+    else:
+        yield "{" if is_dict else "["
+        separator = inner
+        for item in items:
+            yield separator
+            separator = "," + inner
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    if not (key is None or isinstance(key, (int, float))):
+                        raise TypeError(
+                            f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}"
+                        )
+                    key = _SCALAR_ENCODER.encode(key)
+                yield _SCALAR_ENCODER.encode(key) + ": "
+            yield from _json_chunks(item, inner, markers)
+        yield newline + ("}" if is_dict else "]")
+    markers.discard(id(obj))
 
 
 def parse_fixations(

@@ -58,6 +58,49 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+def _fmt_columns(values) -> np.ndarray:
+    """``_fmt`` of each value as one column of ASCII codes, 0 where no byte is.
+
+    A value in [0, 1e6) is written from its cents ``np.rint(v * 100)``.
+    Those equal the correctly rounded cents of ``f"{v:.2f}"`` unless the
+    product lies within rounding of a half-cent tie, so such values, and
+    negative (``-0.0`` included), huge or non-finite ones, take ``_fmt``.
+    """
+    v = np.asarray(values, dtype=float)
+    slow = np.signbit(v) | ~(v < 1e6)
+    cents = np.where(slow, 0.0, v) * 100.0
+    k = np.rint(cents).astype(np.int64)
+    slow |= (np.abs(cents - np.floor(cents) - 0.5) < 1e-6) | (k >= 10**8)
+    texts = [_fmt(x).encode("ascii") for x in v[slow].tolist()]
+    cols = np.zeros((max([9] + [len(t) for t in texts]), len(v)), dtype=np.uint8)
+    # rows 0-5 hold the integer digits, 6 the point, 7-8 the decimals
+    rest = k
+    for row in (8, 7, 5, 4, 3, 2, 1, 0):
+        rest, digit = np.divmod(rest, 10)
+        cols[row] = ord("0") + digit
+    decimals = k % 100 > 0
+    cols[6] = np.where(decimals, ord("."), 0)
+    cols[7] *= decimals
+    cols[8] *= k % 10 > 0
+    for row, place in enumerate((10**7, 10**6, 10**5, 10**4, 10**3)):
+        cols[row] *= k >= place  # no leading zeros; the units digit always shows
+    cols[:, slow] = 0
+    for i, text in zip(np.flatnonzero(slow).tolist(), texts):
+        cols[: len(text), i] = np.frombuffer(text, dtype=np.uint8)
+    return cols
+
+
+def _points(xs, ys) -> str:
+    """SVG ``points`` text ``"x,y x,y ..."``, each number as ``_fmt`` writes it."""
+    n = len(xs)
+    if n == 0:
+        return ""
+    comma = np.full((1, n), ord(","), dtype=np.uint8)
+    space = np.full((1, n), ord(" "), dtype=np.uint8)
+    codes = np.concatenate([_fmt_columns(xs), comma, _fmt_columns(ys), space]).T.ravel()
+    return codes[codes != 0].tobytes()[:-1].decode("ascii")
+
+
 def heatmap_svg(grid: IntensityGrid, title: str = "", diverging: bool = False) -> str:
     """Grid surface as colored cells, y axis pointing down (image convention)."""
     values = np.asarray(grid.values, dtype=float)
@@ -99,7 +142,12 @@ def _panel(
     width: float = 320.0,
     height: float = 240.0,
 ) -> str:
-    """One cartesian panel as a <g> fragment. series: list of (values, color, width)."""
+    """One cartesian panel as a <g> fragment. series: list of (values, color, width).
+
+    Every coordinate is written as ``_fmt`` writes it: two decimals, trailing
+    zeros dropped. The points of the band and of each series are formatted
+    by ``_points`` in array passes, not one Python call per number.
+    """
     x = np.asarray(x, dtype=float)
     finite_vals = [np.asarray(v, dtype=float) for v, _, _ in series]
     if band is not None:
@@ -126,9 +174,7 @@ def _panel(
 
     def poly(xs, ys):
         keep = np.isfinite(ys)
-        px = sx(xs[keep]).tolist()
-        py = sy(ys[keep]).tolist()
-        return " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        return _points(sx(xs[keep]), sy(ys[keep]))
 
     parts = [
         f'<text x="{_fmt(m_left)}" y="14" font-family="sans-serif" font-size="11">{title}</text>',

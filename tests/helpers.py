@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from fixproc.fitdist import sample_gamma
 from fixproc.ingest import write_fixations
 from fixproc.rng import substream
 from fixproc.simulate import SimRun, sample_initial
+from fixproc.svgplot import _fmt
 from fixproc.summaries import (
     _cross,
     _domain_end,
@@ -525,3 +527,17 @@ def ramp_reference(value: float, stops) -> str:
             return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
     r, g, b = stops[-1][1]
     return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def write_json_reference(path, payload) -> None:
+    """The ``json.dump`` writer that the streaming ``ingest.write_json`` replaced."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def points_reference(xs, ys) -> str:
+    """SVG points text by the ``_fmt``-per-point loop that ``svgplot._points`` replaced."""
+    px = np.asarray(xs, dtype=float).tolist()
+    py = np.asarray(ys, dtype=float).tolist()
+    return " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fixproc
 from fixproc import cli, density, summaries
 from fixproc.cli import DEFAULT_H_GRID, main
 from fixproc.ingest import parse_fixations
@@ -450,6 +455,81 @@ class TestConfigKinds:
         meta = json.loads((tmp_path / "sim_provenance.json").read_text())["meta"]
         assert meta["seed"] == 3
         assert len(meta["config_sha256"]) == 64
+
+
+class TestConfigHash:
+    def test_int_and_float_spellings_hash_alike(self, tmp_path):
+        # an int given to a float field used to be kept, so 10000 and 10000.0
+        # described one run under two config_sha256 values
+        cfgs = []
+        for name, text in (("int", '{"trial_length": 10000, "radius": 35, "h": 24}'),
+                           ("float", '{"trial_length": 10000.0, "radius": 35.0, "h": 24.0}')):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            cfgs.append(cli._load_config(str(path), {}))
+        assert cfgs[0].sha256() == cfgs[1].sha256()
+        assert all(type(v) is float for v in (cfgs[0].trial_length, cfgs[0].radius, cfgs[0].h))
+        assert cfgs[0].h1 is None and type(cfgs[0].m) is int
+
+
+@pytest.fixture()
+def openblas():
+    found = cli._openblas_threads()
+    if found is None:
+        pytest.skip("numpy was not installed with a wheel's OpenBLAS")
+    return found
+
+
+class TestBlasThreads:
+    def test_one_blas_thread_inside_and_restored_after(self, openblas):
+        set_threads, get_threads = openblas
+        before = get_threads()
+        set_threads(2)
+        try:
+            with cli._one_blas_thread():
+                assert get_threads() == 1
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+
+    def test_main_runs_commands_on_one_blas_thread(self, openblas, data_csv, tmp_path,
+                                                    monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "quadrat", lambda cfg: seen.append(openblas[1]()))
+        assert run(["quadrat", "--input", data_csv, "--out", tmp_path]) == 0
+        assert seen == [1]
+
+    def test_without_openblas_the_body_still_runs(self, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        ran = []
+        with cli._one_blas_thread():
+            ran.append(True)
+        assert ran == [True]
+
+    def test_outputs_do_not_depend_on_blas_thread_count(self, tmp_path):
+        # two OpenBLAS threads split _grid_factors' product differently, and
+        # the CV scores in ratio_test.json changed in their last digits
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+        try:
+            from inputs import make_experiment
+        finally:
+            sys.path.pop(0)
+        csv = tmp_path / "input.csv"
+        csv.write_text(make_experiment(7, 10, 130, 40_000.0).csv_text)
+        src = str(Path(fixproc.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "fixproc.cli", "compare-intensity", "--input", str(csv),
+                 "--out", str(out), "--m", "500", "--seed", "7", "--trial-length", "40000.0",
+                 "--no-svg"],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append((out / "ratio_test.json").read_bytes())
+        assert b'"bandwidth_cv"' in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestConfigPrecedence:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fixproc import (
     DataError,
@@ -12,7 +13,8 @@ from fixproc import (
     parse_fixations,
     write_fixations,
 )
-from fixproc.ingest import ingest_pipeline, valid_saccade_values
+from fixproc.ingest import ingest_pipeline, valid_saccade_values, write_json
+from helpers import write_json_reference
 
 W = Window(0.0, 0.0, 770.0, 768.0)
 HEADER = "subject_id,group,painting_id,onset_ms,duration_ms,x_px,y_px\n"
@@ -231,3 +233,74 @@ class TestPipeline:
         write_fixations(d1, out)
         d2 = parse_fixations(out)
         assert [s.fixations for s in d1.sequences] == [s.fixations for s in d2.sequences]
+
+
+def _json_values():
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats().map(np.float64),
+        st.sampled_from([-0.0, 0.0, 1e-300, 1e300, 0.1]),
+        st.text(),
+    )
+    keys = st.one_of(st.text(), st.sampled_from(["", "é", "日本", "a\nb", '"q"']))
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=6),
+            st.lists(inner, max_size=6).map(tuple),
+            st.dictionaries(keys, inner, max_size=6),
+            st.dictionaries(st.integers(), inner, max_size=4),
+            st.dictionaries(st.floats(allow_nan=False), inner, max_size=4),
+        ),
+        max_leaves=40,
+    )
+
+
+class TestWriteJson:
+    # the streaming writer must give json.dump's bytes exactly
+    def _both(self, directory, payload):
+        write_json(directory / "new.json", payload)
+        write_json_reference(directory / "old.json", payload)
+        return (directory / "new.json").read_bytes(), (directory / "old.json").read_bytes()
+
+    @given(_json_values())
+    def test_bytes_equal_json_dump(self, tmp_path_factory, payload):
+        new, old = self._both(tmp_path_factory.mktemp("json"), payload)
+        assert new == old
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), {"a": []}, {"a": {}}, [[]], [{}],
+        [float("nan"), float("inf"), -float("inf"), -0.0, 0.0],
+        [np.float64(0.1), np.float64(-np.inf), 1, True, None, "ü"],
+        {"b": (1, (2.5, [3])), "a": [1.5, "x"]},
+        {True: 1}, {None: 2}, {1.5: 3, 2.0: 4}, {10: "a", 9: "b"},
+        {"ключ": "значение", "日本": ["語", " "]},
+        3.5, "top", None,
+    ])
+    def test_edge_payloads(self, tmp_path, payload):
+        new, old = self._both(tmp_path, payload)
+        assert new == old
+
+    def test_deep_nesting(self, tmp_path):
+        payload = [1.5]
+        for depth in range(60):
+            payload = {f"k{depth}": [payload, depth, -0.0]} if depth % 2 else [payload]
+        new, old = self._both(tmp_path, payload)
+        assert new == old
+
+    @pytest.mark.parametrize("payload", [[np.int64(1)], {"a": object()}, {(1, 2): 3}])
+    def test_unserializable_raises_as_json_does(self, tmp_path, payload):
+        with pytest.raises(TypeError) as new:
+            write_json(tmp_path / "new.json", payload)
+        with pytest.raises(TypeError) as old:
+            write_json_reference(tmp_path / "old.json", payload)
+        assert str(new.value) == str(old.value)
+
+    def test_circular_reference_raises(self, tmp_path):
+        loop = []
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference"):
+            write_json(tmp_path / "loop.json", {"a": loop})

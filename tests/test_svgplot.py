@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fixproc import svgplot
 from fixproc.density import IntensityGrid
-from fixproc.svgplot import _DIV_STOPS, _SEQ_STOPS, _ramp_colors, heatmap_svg
-from helpers import WINDOW, ramp_reference
+from fixproc.svgplot import _DIV_STOPS, _SEQ_STOPS, _points, _ramp_colors, heatmap_svg, panel_grid_svg
+from helpers import WINDOW, points_reference, ramp_reference
 
 STOPS = pytest.mark.parametrize("stops", [_SEQ_STOPS, _DIV_STOPS], ids=["seq", "div"])
 
@@ -72,3 +73,44 @@ class TestHeatmap:
         else:
             norm, stops = (values - values.min()) / (values.max() - values.min()), _SEQ_STOPS
         assert re.findall(r'fill="(#[0-9a-f]{6})"', svg) == _expected(norm, stops)
+
+
+class TestPoints:
+    # array-pass number text must give the bytes of _fmt on every point
+    @pytest.mark.parametrize("values", [
+        [0.125, 1.005, 2.675, 0.005, 0.015, 0.995, 99999.995],  # half-cent ties
+        [-0.001, -0.0, -0.005, -1.0, -123.456, -1e-300],
+        [1e-9, 0.0, 5e-324, 0.004999999999999999, 0.5, 10.0, 100.1, 0.1],
+        [1e6, 999999.994, 999999.996, 1e7, 1.5e8, 1e300],
+        [np.inf, -np.inf, np.nan],
+    ], ids=["ties", "negatives", "small", "huge", "non_finite"])
+    def test_edge_values(self, values):
+        xs = np.array(values)
+        ys = xs[::-1].copy()
+        assert _points(xs, ys) == points_reference(xs, ys)
+
+    def test_dense_sweeps(self, rng):
+        xs = np.concatenate([
+            np.arange(0.0, 50.0, 0.0005),
+            np.round(rng.uniform(0.0, 1000.0, 50_000), 3),
+            rng.uniform(0.0, 1e6, 50_000),
+        ])
+        ys = rng.permutation(xs)
+        assert _points(xs, ys) == points_reference(xs, ys)
+
+    @given(st.lists(st.tuples(st.floats(), st.floats()), max_size=40))
+    def test_any_floats(self, pairs):
+        xs = np.array([x for x, _ in pairs], dtype=float)
+        ys = np.array([y for _, y in pairs], dtype=float)
+        assert _points(xs, ys) == points_reference(xs, ys)
+
+    def test_panel_equals_the_per_point_writer(self, rng, monkeypatch):
+        grid = np.linspace(0.0, 20_000.0, 361)
+        lower, upper = -np.abs(rng.normal(size=361)), np.abs(rng.normal(size=361))
+        observed = rng.normal(size=361).cumsum()
+        observed[::17] = np.nan
+        panels = [dict(x=grid, series=[(observed, "#e6701b", 1.0), (upper, "#000000", 1.5)],
+                       band=(lower, upper), refline=0.0, title="t")]
+        svg = panel_grid_svg(panels)
+        monkeypatch.setattr(svgplot, "_points", points_reference)
+        assert svg == panel_grid_svg(panels)
