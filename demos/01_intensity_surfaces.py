@@ -42,7 +42,7 @@ print(f"quadrat test: X2 = {quad.statistic:.1f}, df = {quad.df}, p = {quad.p:.2e
 
 # Bandwidth by least-squares cross-validation over a candidate ladder.
 h_grid = np.geomspace(8, 96, 10)
-h = fp.select_bandwidth_cv(pts, w, h_grid, nx=96, ny=96)
+h = fp.select_bandwidth_cv(pts, w, h_grid, nx=96, ny=96).h
 print(f"cross-validated bandwidth: {h:.1f} px (candidates {h_grid.round(1)})")
 
 grid = fp.estimate_intensity(pts, w, h, nx=96, ny=96)

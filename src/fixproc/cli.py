@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .compare import comparison_groups, fisher_combine, permutation_test, shift_function
-from .core import DataError, Dataset, NumericError, Window, _positive
+from .core import GROUPS, DataError, Dataset, NumericError, Window, _positive
 from .density import (
     estimate_intensity,
     quadrat_chisq,
@@ -32,7 +32,7 @@ from .density import (
     select_bandwidth_cv,
 )
 from .envelopes import CurveMatrix, default_grid, envelope_report, rank_envelope
-from .fitdist import fit_gamma_mle, gamma_qq
+from .fitdist import FIT_SOURCES, fit_gamma_mle, gamma_qq
 from .ingest import ingest_pipeline, valid_saccade_values, write_fixations, write_json, write_saccades
 from .simulate import build_model, provenance_to_json, runs_to_dataset, simulate_many
 from .summaries import (
@@ -61,22 +61,31 @@ class ConfigError(ValueError):
     pass
 
 
+def _setting(default, help: str | None = None, *, choices: tuple | None = None,
+             off: str | None = None):
+    """A config field with its flag's help, allowed values and, for a bool, off flag."""
+    return field(default=default, metadata={"help": help, "choices": choices, "off": off})
+
+
 @dataclass
 class PipelineConfig:
-    input: str | None = None
-    out: str = "fixproc_out"
-    window: tuple[float, float, float, float] = (0.0, 0.0, 770.0, 768.0)
+    """Every setting of a run; each field is one flag (see ``_build_parser``)."""
+
+    input: str | None = _setting(None, "fixation CSV")
+    out: str = _setting("fixproc_out", "output directory")
+    window: tuple[float, float, float, float] = _setting(
+        (0.0, 0.0, 770.0, 768.0), "x_min,y_min,x_max,y_max")
     trial_length: float = 180_000.0
     min_fixation_ms: float = 40.0
-    group: str | None = None
+    group: str | None = _setting(None, choices=GROUPS)
     painting: str | None = None
     h: float | None = None
     h1: float | None = None
     h2: float | None = None
-    h_grid: tuple[float, ...] | None = None
+    h_grid: tuple[float, ...] | None = _setting(None, "comma-separated bandwidths")
     interval_ms: float = 30_000.0
     q: int = 5
-    m: int = 10_000
+    m: int = _setting(10_000, "permutation count")
     seed: int | None = None
     n_runs: int = 200
     radius: float = 35.0
@@ -87,14 +96,12 @@ class PipelineConfig:
     ny: int = 128
     alpha: float = 0.05
     grid_points: int = 361
-    source: str = "fixation_duration"
-    stat: str = "all"
-    split: str = "group"
-    svg: bool = True
-    use_first_surface: bool = True
-
-    def window_obj(self) -> Window:
-        return Window(*self.window)
+    source: str = _setting("fixation_duration", choices=FIT_SOURCES)
+    stat: str = _setting("all", choices=STATS + ("all",))
+    split: str = _setting("group", choices=("group", "interval"))
+    svg: bool = _setting(True, off="--no-svg")
+    use_first_surface: bool = _setting(
+        True, "seed runs from the all-fixation surface", off="--all-surface")
 
     def canonical(self) -> dict:
         d = asdict(self)
@@ -107,6 +114,11 @@ class PipelineConfig:
     def sha256(self) -> str:
         text = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _flag(name: str) -> str:
+    """The command-line flag of config field ``name``."""
+    return "--" + name.replace("_", "-")
 
 
 def _fits(kind: str, value) -> bool:
@@ -140,10 +152,15 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     values.update({k: v for k, v in overrides.items() if v is not None})
     for f in fields(PipelineConfig):
-        if f.name in values and not _fits(f.type, values[f.name]):
-            raise ConfigError(f"{f.name} must be {f.type}, got {values[f.name]!r}")
-        if f.type.startswith("float") and values.get(f.name) is not None:
-            values[f.name] = float(values[f.name])  # 10000 and 10000.0 hash alike
+        value = values.get(f.name)
+        if f.name in values and not _fits(f.type, value):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        # defaults are allowed values; a file's value meets no argparse choices
+        allowed = f.metadata.get("choices")
+        if allowed and value is not None and value not in allowed:
+            raise ConfigError(f"{_flag(f.name)} must be one of {allowed}")
+        if f.type.startswith("float") and value is not None:
+            values[f.name] = float(value)  # 10000 and 10000.0 hash alike
     cfg = PipelineConfig(**values)
     cfg.window = tuple(float(v) for v in cfg.window)
     if len(cfg.window) != 4 or not np.isfinite(cfg.window).all():
@@ -157,28 +174,24 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
         if value is not None and not _positive(value):
             raise ConfigError(f"{name} must be positive and finite")
     for name in ("trial_length", "interval_ms", "radius", "raster", "nx", "ny",
-                 "q", "n_runs", "m", "n_angles", "grid_points"):
+                 "n_runs", "m", "n_angles", "grid_points"):
         if not _positive(getattr(cfg, name)):
             raise ConfigError(f"{name} must be positive and finite")
+    if not 0 <= cfg.min_fixation_ms < np.inf:  # the simulator truncates durations here
+        raise ConfigError("min_fixation_ms must be non-negative and finite")
     if cfg.seed is not None and cfg.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if cfg.raster > cfg.radius:
         raise ConfigError(f"raster cell {cfg.raster} coarser than radius {cfg.radius}")
     if cfg.n_angles < 4:
         raise ConfigError("n_angles must be at least 4")
-    if cfg.stat not in STATS + ("all",):
-        raise ConfigError(f"--stat must be one of {STATS + ('all',)}")
+    if cfg.q < 2:
+        raise ConfigError("q must be at least 2")
     if not 0 < cfg.alpha < 1:
         raise ConfigError("alpha must be in (0, 1)")
     if not 0 <= cfg.p_long <= 1:
         raise ConfigError("p_long must be in [0, 1]")
     return cfg
-
-
-def _require(cfg: PipelineConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise ConfigError(f"--{name.replace('_', '-')} is required for this command")
 
 
 def _meta(cfg: PipelineConfig, command: str) -> dict:
@@ -197,9 +210,8 @@ def _outdir(cfg: PipelineConfig) -> Path:
 
 
 def _load_filtered(cfg: PipelineConfig):
-    _require(cfg, "input")
     dataset, saccades, report = ingest_pipeline(
-        cfg.input, cfg.min_fixation_ms, cfg.window_obj(), cfg.trial_length
+        cfg.input, cfg.min_fixation_ms, Window(*cfg.window), cfg.trial_length
     )
     if cfg.painting is not None:
         dataset.sequences = [s for s in dataset.sequences if s.painting_id == cfg.painting]
@@ -225,7 +237,7 @@ def _pick_bandwidth(
     if fixed is not None:
         return fixed, None
     h_grid = cfg.h_grid if cfg.h_grid is not None else DEFAULT_H_GRID
-    cv = select_bandwidth_cv(points, w, h_grid, cfg.nx, cfg.ny, full_output=True)
+    cv = select_bandwidth_cv(points, w, h_grid, cfg.nx, cfg.ny)
     return cv.h, cv.to_dict()
 
 
@@ -292,8 +304,6 @@ def _interval_durations(dataset: Dataset, interval: float) -> list[np.ndarray]:
 
 def cmd_shift(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
-    if cfg.split not in ("group", "interval"):
-        raise ConfigError("--split must be 'group' or 'interval'")
     dataset, _, _ = _load_filtered(cfg)
     curves = []
     if cfg.split == "group":
@@ -316,7 +326,6 @@ def cmd_shift(cfg: PipelineConfig) -> None:
 
 def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
-    _require(cfg, "seed")
     dataset, _, _ = _load_filtered(cfg)
     comparison_groups(dataset)  # refuse a bad design before cross-validating
     h1, cv1 = _pick_bandwidth(cfg, cfg.h1, dataset.pooled_locations("novice"), dataset.window)
@@ -347,10 +356,7 @@ def _pair_cv(cv1: dict | None, cv2: dict | None) -> dict:
 def _source_sample(cfg: PipelineConfig, dataset, saccades) -> np.ndarray:
     if cfg.source == "fixation_duration":
         return dataset.pooled_durations()
-    attr = {"saccade_duration": "duration", "saccade_length": "length"}.get(cfg.source)
-    if attr is None:
-        raise ConfigError(f"unknown source {cfg.source!r}")
-    return valid_saccade_values(dataset.sequences, saccades, attr)
+    return valid_saccade_values(dataset.sequences, saccades, cfg.source.removeprefix("saccade_"))
 
 
 def cmd_fit(cfg: PipelineConfig) -> None:
@@ -380,14 +386,13 @@ def cmd_qq(cfg: PipelineConfig) -> None:
 def _build_group_model(cfg: PipelineConfig, dataset, saccades, group: str, h: float):
     return build_model(
         dataset, group, h=h, nx=cfg.nx, ny=cfg.ny,
-        p_long=cfg.p_long, n_angles=cfg.n_angles,
+        p_long=cfg.p_long, n_angles=cfg.n_angles, min_fix_dur=cfg.min_fixation_ms,
         use_first_surface=cfg.use_first_surface, saccades=saccades,
     )
 
 
 def cmd_simulate(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
-    _require(cfg, "seed", "group")
     dataset, saccades, _ = _load_filtered(cfg)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
     model = _build_group_model(cfg, dataset, saccades, cfg.group, h)
@@ -479,7 +484,6 @@ def _write_panels_svg(out: Path, stem: str, group_result: dict, grid, title_pref
 
 def cmd_envelope(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
-    _require(cfg, "seed", "group")
     dataset, saccades, _ = _load_filtered(cfg)
     dataset.require_one_painting()
     grid = default_grid(cfg.trial_length, cfg.grid_points)
@@ -496,7 +500,6 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
 def cmd_report(cfg: PipelineConfig) -> None:
     """Model-based envelopes for both groups plus the intensity comparison."""
     out = _outdir(cfg)
-    _require(cfg, "seed")
     dataset, saccades, ingest_report = _load_filtered(cfg)
     grid = default_grid(cfg.trial_length, cfg.grid_points)
 
@@ -567,6 +570,14 @@ COMMANDS = {
     "report": cmd_report,
 }
 
+#: Settings a command needs beyond ``input``; all are checked before it runs.
+REQUIRED = {
+    "compare-intensity": ("seed",),
+    "simulate": ("seed", "group"),
+    "envelope": ("seed", "group"),
+    "report": ("seed",),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -577,36 +588,16 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--input", help="fixation CSV")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--window", help="x_min,y_min,x_max,y_max")
-        p.add_argument("--trial-length", dest="trial_length", type=float)
-        p.add_argument("--min-fixation-ms", dest="min_fixation_ms", type=float)
-        p.add_argument("--group", choices=("novice", "non_novice"))
-        p.add_argument("--painting")
-        p.add_argument("--h", type=float)
-        p.add_argument("--h1", type=float)
-        p.add_argument("--h2", type=float)
-        p.add_argument("--h-grid", dest="h_grid", help="comma-separated bandwidths")
-        p.add_argument("--interval-ms", dest="interval_ms", type=float)
-        p.add_argument("--q", type=int)
-        p.add_argument("--m", type=int, help="permutation count")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--n-runs", dest="n_runs", type=int)
-        p.add_argument("--radius", type=float)
-        p.add_argument("--raster", type=float)
-        p.add_argument("--p-long", dest="p_long", type=float)
-        p.add_argument("--n-angles", dest="n_angles", type=int)
-        p.add_argument("--nx", type=int)
-        p.add_argument("--ny", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--source", choices=("fixation_duration", "saccade_duration", "saccade_length"))
-        p.add_argument("--stat", choices=STATS + ("all",))
-        p.add_argument("--split", choices=("group", "interval"))
-        p.add_argument("--no-svg", dest="svg", action="store_const", const=False)
-        p.add_argument("--all-surface", dest="use_first_surface", action="store_const",
-                       const=False, help="seed runs from the all-fixation surface")
+        for f in fields(PipelineConfig):
+            meta = f.metadata
+            if meta.get("off"):
+                p.add_argument(meta["off"], dest=f.name, action="store_const", const=False,
+                               help=meta["help"])
+                continue
+            # str, and the tuples, which main splits at commas
+            kind = {"int": int, "float": float}.get(f.type.removesuffix(" | None"), str)
+            p.add_argument(_flag(f.name), dest=f.name, type=kind,
+                           choices=meta.get("choices"), help=meta.get("help"))
     return parser
 
 
@@ -672,8 +663,11 @@ def main(argv=None) -> int:
                 try:
                     overrides[name] = tuple(float(v) for v in overrides[name].split(","))
                 except ValueError:
-                    raise ConfigError(f"bad --{name.replace('_', '-')}") from None
+                    raise ConfigError(f"bad {_flag(name)}") from None
         cfg = _load_config(args.config, overrides)
+        for name in ("input", *REQUIRED.get(args.command, ())):
+            if getattr(cfg, name) is None:
+                raise ConfigError(f"{_flag(name)} is required for this command")
         with _one_blas_thread():
             COMMANDS[args.command](cfg)
         return EXIT_OK

@@ -328,8 +328,9 @@ def permutation_test(
     Carlo standard error of p and the number of distinct first-group sets
     drawn.
 
-    To cross-validate the bandwidths, pass ``select_bandwidth_cv`` of each
-    observed group's pooled fixations (novice for h1, non-novice for h2).
+    To cross-validate the bandwidths, pass the ``.h`` of
+    ``select_bandwidth_cv`` of each observed group's pooled fixations
+    (novice for h1, non-novice for h2).
     Deterministic given ``seed``.
     """
     seqs1, seqs2 = comparison_groups(dataset)

@@ -266,9 +266,7 @@ class BandwidthCV:
         }
 
 
-def select_bandwidth_cv(
-    points, w: Window, h_grid, nx: int = 128, ny: int = 128, *, full_output: bool = False
-) -> float | BandwidthCV:
+def select_bandwidth_cv(points, w: Window, h_grid, nx: int = 128, ny: int = 128) -> BandwidthCV:
     """Least-squares cross-validation bandwidth over a candidate list.
 
     Minimizes LSCV(h) = int f^2 - (2/n) sum_i f_{-i}(x_i) where f is the
@@ -280,8 +278,8 @@ def select_bandwidth_cv(
     skipped. Warns when the chosen h is the smallest or largest of several
     distinct candidates: the optimum may then lie outside the grid.
 
-    Returns the chosen h, or with ``full_output`` the whole BandwidthCV
-    table (candidates, scores, chosen h and edge flag).
+    Returns the whole BandwidthCV table: candidates, scores, the chosen
+    ``h`` and the edge flag.
     """
     n = len(np.asarray(points).reshape(-1, 2))
     if n < 10:
@@ -302,7 +300,7 @@ def select_bandwidth_cv(
     at_edge = lo < hi and h in (lo, hi)
     if at_edge:
         warnings.warn(f"cross-validated bandwidth {h:g} is at the edge of h_grid [{lo:g}, {hi:g}]")
-    return BandwidthCV(h_grid, scores, h, at_edge) if full_output else h
+    return BandwidthCV(h_grid, scores, h, at_edge)
 
 
 def _lscv_scores(points: np.ndarray, w: Window, h_grid, nx: int, ny: int) -> np.ndarray:

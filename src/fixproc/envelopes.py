@@ -3,9 +3,15 @@
 A simultaneous envelope is cut from pointwise order statistics of simulated
 curves: each curve gets an extreme rank (its most extreme depth over the
 whole grid, from below or above, mid-ranks on ties), and the envelope depth
-k is pushed as far as possible while keeping the requested fraction of
-simulations entirely inside. A same-law curve then falls outside with
-probability close to alpha.
+k is pushed as far as possible while keeping at least 1 - alpha of the
+simulations entirely inside.
+
+That level is a share of the simulations, not the chance that a new
+same-law curve stays inside. With many grid points most curves tie at
+extreme rank 1, k falls to 1, and the band is the simulations' min/max. A
+held-out curve against 200 simulations on 361 points at alpha = 0.05 left
+it in 17.3 % of trials for independent Brownian paths and in 98.3 % for
+white noise. ROADMAP item 1 (extreme rank length ordering) is the fix.
 """
 
 from __future__ import annotations
@@ -122,14 +128,15 @@ def extreme_ranks(rows: np.ndarray) -> np.ndarray:
 
 
 def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
-    """Global simultaneous envelope at level 1-alpha from simulated curves.
+    """Global envelope holding at least 1-alpha of the simulated curves.
 
     k is the largest order-statistic depth for which at least a (1-alpha)
     share of the simulations stays fully inside the [k-th smallest, k-th
-    largest] band. Grid points where all curves are undefined get NaN
-    bounds (no constraint); points with fewer than k defined values fall
-    back to the min/max of what is defined. Infinite entries count as
-    undefined, like NaN.
+    largest] band. A new same-law curve may leave the band far more often
+    than alpha (see the module docstring). Grid points where all curves are
+    undefined get NaN bounds (no constraint); points with fewer than k
+    defined values fall back to the min/max of what is defined. Infinite
+    entries count as undefined, like NaN.
     """
     rows = np.where(np.isfinite(curves.rows), curves.rows, np.nan)
     s = rows.shape[0]

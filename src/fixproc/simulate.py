@@ -115,16 +115,19 @@ def build_model(
     n_angles: int = 720,
     use_first_surface: bool = True,
     saccades=None,
+    min_fix_dur: float = MIN_FIXATION_MS,
 ) -> FixationModel:
     """Fit the reference model to one group of a (filtered) dataset.
 
     Both intensity surfaces (all fixations, first fixations) use the one
-    bandwidth ``h``. To cross-validate it, pass ``select_bandwidth_cv`` of
-    ``dataset.pooled_locations(group)``. Fixation durations and saccade
-    lengths are fitted per group; saccade durations pool every subject of
-    both groups, since saccades are involuntary. Pass the ``saccades``
-    mapping from ingest to exclude jumps that span removed fixations;
-    otherwise saccades are re-derived assuming no exclusions.
+    bandwidth ``h``. To cross-validate it, pass the ``.h`` of
+    ``select_bandwidth_cv`` of ``dataset.pooled_locations(group)``. Fixation
+    durations and saccade lengths are fitted per group; saccade durations
+    pool every subject of both groups, since saccades are involuntary. Pass
+    the ``saccades`` mapping from ingest to exclude jumps that span removed
+    fixations; otherwise saccades are re-derived assuming no exclusions.
+    Simulated durations are truncated below at ``min_fix_dur``, the
+    threshold ingest filtered the dataset with.
     """
     seqs = dataset.by_group(group)
     if not seqs:
@@ -155,6 +158,7 @@ def build_model(
         trial_length=dataset.trial_length,
         p_long=p_long,
         n_angles=n_angles,
+        min_fix_dur=min_fix_dur,
         group=group,
         painting_id=paintings[0] if len(paintings) == 1 else "pooled",
         use_first_surface=use_first_surface,

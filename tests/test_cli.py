@@ -1,14 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import fixproc
 from fixproc import cli, density, summaries
-from fixproc.cli import DEFAULT_H_GRID, main
+from fixproc.cli import DEFAULT_H_GRID, PipelineConfig, main
 from fixproc.ingest import parse_fixations
 from helpers import simulated_dataset, toy_model, write_csv
 
@@ -294,6 +296,19 @@ class TestSimulateCommand:
         assert (a / "sim_fixations.csv").read_bytes() == (b / "sim_fixations.csv").read_bytes()
         assert (a / "sim_provenance.json").read_bytes() == (b / "sim_provenance.json").read_bytes()
 
+    def test_min_fixation_threshold_reaches_the_model(self, data_csv, tmp_path):
+        # the model's truncation point used to stay at 40 ms whatever the
+        # threshold, so ingest would drop simulated fixations fed back in
+        out = tmp_path / "sim"
+        assert run(["simulate", "--input", data_csv, "--group", "novice", "--seed", "3",
+                    "--n-runs", "20", "--min-fixation-ms", "80", "--out", out, *FAST]) == 0
+        meta = json.loads((out / "sim_provenance.json").read_text())["meta"]
+        assert meta["model"]["min_fix_dur"] == 80.0
+        d = parse_fixations(out / "sim_fixations.csv", trial_length=10_000.0)
+        unclipped = [f.duration for s in d.sequences for f in s.fixations if f.end < 10_000.0]
+        assert len(unclipped) > 100
+        assert min(unclipped) >= 80.0
+
     def test_output_round_trips_through_ingest(self, data_csv, tmp_path):
         out = tmp_path / "sim"
         assert run(["simulate", "--input", data_csv, "--group", "novice", "--seed", "7",
@@ -411,6 +426,18 @@ class TestNonFiniteConfig:
         assert name in err["message"]
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_fixation_threshold_is_config_error(self, data_csv, tmp_path, capsys, value):
+        # a NaN threshold kept every fixation at ingest, then stopped the
+        # simulator's duration truncation with a DataError (exit 3)
+        out = tmp_path / "out"
+        assert run(["simulate", "--min-fixation-ms", value, "--group", "novice", "--seed", "1",
+                    "--input", data_csv, "--out", out, *FAST]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "min_fixation_ms" in err["message"]
+        assert not out.exists()
+
+
 class TestConfigKinds:
     # a JSON value of the wrong kind used to end in a traceback (exit 1), or
     # be taken silently: seed 1.5 drew from seed 1, "no" was a true svg
@@ -455,6 +482,85 @@ class TestConfigKinds:
         meta = json.loads((tmp_path / "sim_provenance.json").read_text())["meta"]
         assert meta["seed"] == 3
         assert len(meta["config_sha256"]) == 64
+
+
+class TestConfigChoices:
+    # a config file's choice values used to reach the commands unchecked:
+    # group "experts" failed after ingest (exit 3), source "blink" and split
+    # "time" ran wherever the command did not read them, and q 1 failed in
+    # quadrat_chisq (exit 3)
+    @pytest.mark.parametrize("values, name, reader, other", [
+        ({"group": "experts"}, "group", "intensity", "quadrat"),
+        ({"source": "blink"}, "source", "fit", "quadrat"),
+        ({"split": "time"}, "split", "shift", "quadrat"),
+        ({"q": 1}, "q", "quadrat", "ingest"),
+    ])
+    @pytest.mark.parametrize("reads", [True, False], ids=["reader", "other"])
+    def test_bad_choice_is_config_error_before_ingest(self, data_csv, tmp_path, capsys,
+                                                       monkeypatch, values, name, reader,
+                                                       other, reads):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ingested before the config was checked")
+
+        monkeypatch.setattr(cli, "ingest_pipeline", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        command = reader if reads else other
+        assert run([command, "--config", cfg, "--input", data_csv, "--out", out, *FAST]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert f"{name} must" in err["message"]
+        assert not out.exists()
+
+    def test_q_flag_below_two_is_config_error(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["quadrat", "--q", "1", "--input", data_csv, "--out", out]) == 2
+        assert "q must be at least 2" in json.loads(capsys.readouterr().err.strip())["message"]
+        assert not out.exists()
+
+
+class TestParser:
+    def test_one_option_per_config_field(self):
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(commands.choices) == list(cli.COMMANDS)
+        names = [f.name for f in fields(PipelineConfig)]
+        for sub in commands.choices.values():
+            options = [a for a in sub._actions if a.dest != "help"]
+            assert all(a.option_strings for a in options)
+            assert [a.dest for a in options] == ["config", *names]
+
+
+class TestRequiredSettings:
+    # a missing required setting used to be found after the output directory
+    # was made, leaving an empty one behind
+    @pytest.mark.parametrize("command, flags, name", [
+        ("envelope", ["--group", "novice"], "seed"),
+        ("envelope", ["--seed", "1"], "group"),
+        ("simulate", ["--seed", "1"], "group"),
+        ("compare-intensity", [], "seed"),
+        ("report", [], "seed"),
+    ])
+    def test_missing_setting_makes_no_output_directory(self, data_csv, tmp_path, capsys,
+                                                       monkeypatch, command, flags, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ingested before the config was checked")
+
+        monkeypatch.setattr(cli, "ingest_pipeline", refuse)
+        out = tmp_path / "o2"
+        assert run([command, *flags, "--input", data_csv, "--out", out, *FAST]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert f"--{name} is required" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_missing_input_makes_no_output_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "o2"
+        assert run([command, "--seed", "1", "--group", "novice", "--out", out]) == 2
+        assert "--input is required" in json.loads(capsys.readouterr().err.strip())["message"]
+        assert not out.exists()
 
 
 class TestConfigHash:

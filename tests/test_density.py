@@ -280,7 +280,7 @@ class TestBandwidthCV:
 
     def test_single_candidate_returned(self, rng):
         pts = rng.uniform([100, 100], [600, 600], size=(50, 2))
-        assert select_bandwidth_cv(pts, W, [23.0], 48, 48) == 23.0
+        assert select_bandwidth_cv(pts, W, [23.0], 48, 48).h == 23.0
 
     def test_moderate_beats_tiny_on_uniform(self):
         rng = np.random.default_rng(5)
@@ -289,7 +289,7 @@ class TestBandwidthCV:
         s_tiny, s_mod = _lscv_scores(pts, W, (tiny, moderate), 64, 64)
         assert s_mod < s_tiny
         with pytest.warns(UserWarning, match="edge of h_grid"):
-            assert select_bandwidth_cv(pts, W, [tiny, moderate], 64, 64) == moderate
+            assert select_bandwidth_cv(pts, W, [tiny, moderate], 64, 64).h == moderate
 
     def test_warns_at_either_edge_of_the_grid(self):
         # a tight cluster wants a small h, a uniform spread a large one
@@ -297,9 +297,9 @@ class TestBandwidthCV:
         cluster = rng.normal([385, 384], 4.0, size=(60, 2))
         uniform = rng.uniform([0, 0], [770, 768], size=(300, 2))
         with pytest.warns(UserWarning, match=r"bandwidth 40 is at the edge of h_grid \[40, 80\]"):
-            assert select_bandwidth_cv(cluster, W, [80.0, 40.0, 60.0], 48, 48) == 40.0
+            assert select_bandwidth_cv(cluster, W, [80.0, 40.0, 60.0], 48, 48).h == 40.0
         with pytest.warns(UserWarning, match=r"bandwidth 6 is at the edge of h_grid \[2, 6\]"):
-            assert select_bandwidth_cv(uniform, W, [2.0, 6.0, 4.0], 48, 48) == 6.0
+            assert select_bandwidth_cv(uniform, W, [2.0, 6.0, 4.0], 48, 48).h == 6.0
 
     def test_interior_or_single_choice_is_silent(self):
         rng = np.random.default_rng(3)
@@ -309,9 +309,9 @@ class TestBandwidthCV:
         ])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert select_bandwidth_cv(clusters, W, [400.0, 20.0, 2.0], 48, 48) == 20.0
-            assert select_bandwidth_cv(clusters, W, [6.0, 6.0], 48, 48) == 6.0
-            assert select_bandwidth_cv(clusters, W, [23.0], 48, 48) == 23.0
+            assert select_bandwidth_cv(clusters, W, [400.0, 20.0, 2.0], 48, 48).h == 20.0
+            assert select_bandwidth_cv(clusters, W, [6.0, 6.0], 48, 48).h == 6.0
+            assert select_bandwidth_cv(clusters, W, [23.0], 48, 48).h == 23.0
 
     def test_clusters_prefer_smaller_h_than_uniform(self):
         rng = np.random.default_rng(7)
@@ -326,8 +326,8 @@ class TestBandwidthCV:
         ).clip([0, 0], [770, 768])
         h_grid = [8.0, 16.0, 32.0, 64.0, 128.0]
         with pytest.warns(UserWarning, match="edge of h_grid"):
-            h_uni = select_bandwidth_cv(uniform, W, h_grid, 64, 64)
-        h_clu = select_bandwidth_cv(clusters, W, h_grid, 64, 64)
+            h_uni = select_bandwidth_cv(uniform, W, h_grid, 64, 64).h
+        h_clu = select_bandwidth_cv(clusters, W, h_grid, 64, 64).h
         assert h_clu < h_uni
 
     @pytest.mark.parametrize("h_grid", [[np.nan, 20.0, 40.0], [20.0, np.inf], [-np.inf, 20.0]])
@@ -407,7 +407,7 @@ class TestLscvEngine:
         h_ref, edge_ref = _reference_choice(pts, h_grid, 128, 128)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cv = select_bandwidth_cv(pts, W, h_grid, full_output=True)
+            cv = select_bandwidth_cv(pts, W, h_grid)
         assert cv.h == h_ref
         assert cv.at_edge == edge_ref == (layout == "uniform")
         assert len(caught) == int(edge_ref)
@@ -420,7 +420,7 @@ class TestLscvEngine:
         rng = np.random.default_rng(3)
         cluster = rng.normal([385, 384], 4.0, size=(60, 2))
         with pytest.warns(UserWarning, match="edge of h_grid"):
-            cv = select_bandwidth_cv(cluster, W, [80.0, 40.0, 60.0], 48, 48, full_output=True)
+            cv = select_bandwidth_cv(cluster, W, [80.0, 40.0, 60.0], 48, 48)
         assert cv.h_grid == (80.0, 40.0, 60.0)
         assert (cv.h, cv.at_edge) == (40.0, True)
         assert int(np.argmin(cv.scores)) == 1
@@ -435,7 +435,7 @@ class TestLscvEngine:
         pts = rng.uniform([100, 100], [600, 600], size=(40, 2))
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            cv = select_bandwidth_cv(pts, W, [0.01, 30.0], 4, 4, full_output=True)
+            cv = select_bandwidth_cv(pts, W, [0.01, 30.0], 4, 4)
         messages = sorted(str(r.message) for r in record)
         assert [r.category for r in record] == [UserWarning, UserWarning]
         assert messages[0] == "cross-validated bandwidth 30 is at the edge of h_grid [0.01, 30]"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -46,7 +47,7 @@ INPUTS = {
     "c": (7, 65, 20_000.0),
 }
 
-# name: (input, flags); every command draws its SVGs
+# name: (input, flags); every command draws its SVGs unless its config turns them off
 COMMANDS = {
     "env_h24": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
                       "--seed", "7"]),
@@ -67,6 +68,21 @@ COMMANDS = {
     # two 32-bit words
     "cmp_h24": ("b", ["compare-intensity", "--h1", "24", "--h2", "24", "--m", "2000",
                       "--seed", "4294967301"]),
+    "ingest": ("c", ["ingest"]),
+    "intensity_cv": ("c", ["intensity", "--group", "novice"]),
+    "residuals": ("c", ["residuals", "--h", "24", "--interval-ms", "10000"]),
+    "quadrat": ("c", ["quadrat", "--q", "4"]),
+    "shift_group": ("c", ["shift", "--split", "group"]),
+    "shift_interval": ("a", ["shift", "--split", "interval", "--interval-ms", "10000"]),
+    "fit_len": ("c", ["fit", "--source", "saccade_length"]),
+    "qq": ("c", ["qq", "--source", "saccade_duration", "--alpha", "0.1"]),
+    "summaries": ("c", ["summaries", "--radius", "30", "--raster", "3"]),
+    "env_config": ("b", ["envelope", "--h", "24", "--n-runs", "40", "--seed", "8"]),
+}
+
+# name: the JSON config file a command reads through --config
+CONFIGS = {
+    "env_config": {"group": "non_novice", "stat": "scanpath", "svg": False},
 }
 
 
@@ -103,6 +119,10 @@ def main(argv=None) -> int:
         csv, trial = inputs[input_name]
         out = out_root / name
         argv = [*flags, "--input", str(csv), "--trial-length", repr(trial), "--out", str(out)]
+        if name in CONFIGS:
+            config = work / f"config_{name}.json"
+            config.write_text(json.dumps(CONFIGS[name]))
+            argv += ["--config", str(config)]
         done = subprocess.run([sys.executable, "-m", "fixproc.cli", *argv], env=env,
                               capture_output=True, cwd=work)
         if done.returncode != 0:
