@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import fixproc as fp
-from fixproc.svgplot import envelope_plot_svg
+from fixproc.svgplot import envelope_panel, panel_grid_svg
 
 OUT = Path(__file__).parent / "output"
 OUT.mkdir(exist_ok=True)
@@ -89,6 +89,10 @@ for label, verdict in zip(labels, fp.envelope_report(fresh + [slow_curve], env))
     print(f"  {label}: {verdict}")
 
 (OUT / "05_envelope.svg").write_text(
-    envelope_plot_svg(env, fresh + [slow_curve], "ball union coverage, 95% envelope")
+    panel_grid_svg(
+        [envelope_panel(env.grid, env.lower, env.upper, fresh + [slow_curve],
+                        "ball union coverage, 95% envelope", 1.0, 1.5)],
+        ncols=1, panel_w=480, panel_h=360,
+    )
 )
 print(f"wrote {OUT / '05_envelope.svg'}")

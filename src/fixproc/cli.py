@@ -17,14 +17,14 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .compare import comparison_groups, fisher_combine, permutation_test, shift_function
-from .core import GROUPS, DataError, Dataset, NumericError, Window, _positive
+from .core import GROUPS, DataError, NumericError, Window, _positive
 from .density import (
     estimate_intensity,
     quadrat_chisq,
@@ -46,7 +46,7 @@ from .summaries import (
     scanpath_length,
     transition_curves,
 )
-from .svgplot import ENVELOPE_COLOR, OBSERVED_COLOR, heatmap_svg, panel_grid_svg, shift_plot_svg
+from .svgplot import envelope_panel, heatmap_svg, panel_grid_svg, shift_plot_svg
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -295,13 +295,6 @@ def cmd_quadrat(cfg: PipelineConfig) -> None:
     write_json(out / "quadrat.json", payload)
 
 
-def _interval_durations(dataset: Dataset, interval: float) -> list[np.ndarray]:
-    onsets = dataset.pooled_onsets()
-    durs = dataset.pooled_durations()
-    k = int(np.ceil(dataset.trial_length / interval))
-    return [durs[(onsets >= j * interval) & (onsets < (j + 1) * interval)] for j in range(k)]
-
-
 def cmd_shift(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
@@ -311,7 +304,8 @@ def cmd_shift(cfg: PipelineConfig) -> None:
         y = dataset.pooled_durations("non_novice")
         curves.append(("novice_vs_non_novice", shift_function(x, y, cfg.alpha)))
     else:
-        buckets = _interval_durations(dataset, cfg.interval_ms)
+        durs = dataset.pooled_durations()
+        buckets = [durs[mask] for mask in dataset.interval_masks(cfg.interval_ms)]
         for j in range(1, len(buckets)):
             curves.append(
                 (f"interval_{j + 1}_vs_1", shift_function(buckets[0], buckets[j], cfg.alpha))
@@ -324,14 +318,24 @@ def cmd_shift(cfg: PipelineConfig) -> None:
             (out / f"shift_{name}.svg").write_text(shift_plot_svg(c, name))
 
 
+def _intensity_test(cfg: PipelineConfig, dataset, bandwidth) -> tuple:
+    """Novice-against-non-novice permutation test and its JSON block.
+
+    ``bandwidth(fixed, points)`` resolves h1 and h2 as :func:`_pick_bandwidth`
+    does; the block tables the CV of each cross-validated one under its name.
+    """
+    h1, cv1 = bandwidth(cfg.h1, dataset.pooled_locations("novice"))
+    h2, cv2 = bandwidth(cfg.h2, dataset.pooled_locations("non_novice"))
+    result = permutation_test(dataset, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, h1=h1, h2=h2)
+    cvs = {name: cv for name, cv in (("h1", cv1), ("h2", cv2)) if cv is not None}
+    return result, _with_cv(result.to_dict(), cvs)
+
+
 def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
     comparison_groups(dataset)  # refuse a bad design before cross-validating
-    h1, cv1 = _pick_bandwidth(cfg, cfg.h1, dataset.pooled_locations("novice"), dataset.window)
-    h2, cv2 = _pick_bandwidth(cfg, cfg.h2, dataset.pooled_locations("non_novice"), dataset.window)
-    result = permutation_test(dataset, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, h1=h1, h2=h2)
-    payload = _with_cv(result.to_dict(), _pair_cv(cv1, cv2))
+    result, payload = _intensity_test(cfg, dataset, partial(_pick_bandwidth, cfg, w=dataset.window))
     payload["meta"] = _meta(cfg, "compare-intensity")
     write_json(out / "ratio_test.json", payload)
     result.r_grid.to_csv(out / "log_ratio.csv")
@@ -346,11 +350,6 @@ def _with_cv(payload: dict, cv: dict | None) -> dict:
     if cv:
         payload["bandwidth_cv"] = cv
     return payload
-
-
-def _pair_cv(cv1: dict | None, cv2: dict | None) -> dict:
-    """A comparison's CV tables keyed by the bandwidth they chose; {} if both fixed."""
-    return {name: cv for name, cv in (("h1", cv1), ("h2", cv2)) if cv is not None}
 
 
 def _source_sample(cfg: PipelineConfig, dataset, saccades) -> np.ndarray:
@@ -473,12 +472,11 @@ def _write_panels_svg(out: Path, stem: str, group_result: dict, grid, title_pref
     for family, suffix, thin, thick in (
         ("stats", "coverage", 1.0, 1.5), ("transitions", "transitions", 0.8, 1.2)
     ):
-        panels = []
-        for name, block in group_result[family].items():
-            env = block["envelope"]
-            series = [(np.array(v), OBSERVED_COLOR, thin) for v in block["observed"].values()]
-            series += [(np.array(env[side]), ENVELOPE_COLOR, thick) for side in ("lower", "upper")]
-            panels.append(dict(x=grid, series=series, title=f"{title_prefix} {name}"))
+        panels = [
+            envelope_panel(grid, block["envelope"]["lower"], block["envelope"]["upper"],
+                           block["observed"].values(), f"{title_prefix} {name}", thin, thick)
+            for name, block in group_result[family].items()
+        ]
         (out / f"{stem}_{suffix}.svg").write_text(panel_grid_svg(panels, ncols=min(len(panels), 4)))
 
 
@@ -529,10 +527,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
         comparison_groups(sub)  # refuse a bad design before cross-validating
     p_values = []
     for painting, sub in subsets.items():
-        h1, cv1 = bandwidth(cfg.h1, sub.pooled_locations("novice"))
-        h2, cv2 = bandwidth(cfg.h2, sub.pooled_locations("non_novice"))
-        res = permutation_test(sub, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, h1=h1, h2=h2)
-        payload["intensity_comparison"][painting] = _with_cv(res.to_dict(), _pair_cv(cv1, cv2))
+        res, payload["intensity_comparison"][painting] = _intensity_test(cfg, sub, bandwidth)
         p_values.append(res.p)
         if cfg.svg:
             (out / f"report_log_ratio_{painting}.svg").write_text(

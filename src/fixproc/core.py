@@ -195,6 +195,18 @@ class Dataset:
     def pooled_onsets(self) -> np.ndarray:
         return np.concatenate([np.empty(0)] + [s.onsets() for s in self.sequences])
 
+    def interval_masks(self, interval: float) -> list[np.ndarray]:
+        """Masks over :meth:`pooled_onsets`, mask j of the onsets in [j, j + 1) * interval,
+        for ``ceil(trial_length / interval)`` intervals; the last may be shorter."""
+        if not interval > 0:
+            raise DataError("interval must be positive")
+        k = math.ceil(self.trial_length / interval)
+        if k < 2:  # one interval has nothing to be compared with
+            raise DataError(f"trial_length {self.trial_length} ms cut at interval {interval} "
+                            f"ms gives {k} interval(s); need at least 2")
+        onsets = self.pooled_onsets()
+        return [(onsets >= j * interval) & (onsets < (j + 1) * interval) for j in range(k)]
+
 
 @dataclass
 class StepCurve:

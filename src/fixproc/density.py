@@ -365,24 +365,16 @@ def residual_intensities(
 ) -> list[IntensityGrid]:
     """Interval-wise intensity minus the mean over intervals, at a common h.
 
-    Fixations are binned by onset into consecutive windows of ``interval``
-    ms; a trailing shorter interval is kept. An interval with no fixations
-    contributes an all-zero surface (with a warning) so the residuals remain
-    well-defined. The returned grids sum pointwise to zero.
+    Fixations are binned by onset as :meth:`~fixproc.core.Dataset.interval_masks`
+    bins them, which refuses fewer than 2 intervals. An interval with no
+    fixations contributes an all-zero surface (with a warning) so the
+    residuals remain well-defined. The returned grids sum pointwise to zero.
     """
-    if interval <= 0:
-        raise DataError("interval must be positive")
-    k = int(np.ceil(dataset.trial_length / interval))
-    if k < 1:
-        raise DataError("trial shorter than one interval")
     pooled = dataset.pooled_locations()
-    onsets = dataset.pooled_onsets()
-
     surfaces = []
-    for j in range(k):
-        lo, hi = j * interval, (j + 1) * interval
-        mask = (onsets >= lo) & (onsets < hi)
+    for j, mask in enumerate(dataset.interval_masks(interval)):
         if not mask.any():
+            lo, hi = j * interval, (j + 1) * interval
             warnings.warn(f"interval {j} ({lo:.0f}-{hi:.0f} ms) has no fixations")
             surfaces.append(IntensityGrid(dataset.window, nx, ny, np.zeros((ny, nx)), h))
         else:

@@ -53,6 +53,32 @@ class GammaFit:
     def quantile(self, p) -> np.ndarray:
         return gammaincinv(self.shape, np.asarray(p, dtype=float)) / self.rate
 
+    def truncated_quantile(self, u, lower: float, upper) -> np.ndarray:
+        """Quantile at uniform level ``u`` of the law conditioned on (lower, upper].
+
+        Elementwise over ``u`` and ``upper``, so a block of draws is one
+        ``gammaincinv`` call with the bits of one call per draw; the CDF is
+        exactly 0 at 0 and 1 at inf. Raises ``DataError`` unless every upper
+        exceeds ``lower``, and ``NumericError`` naming the first interval
+        that holds no representable mass.
+        """
+        upper = np.asarray(upper, dtype=float)
+        bad = ~(upper > lower)
+        if bad.any():
+            raise DataError(f"need upper > lower, got ({lower}, {float(upper[bad][0])}]")
+        c_lo = gammainc(self.shape, self.rate * max(lower, 0.0))
+        mass = gammainc(self.shape, self.rate * upper) - c_lo
+        empty = mass <= 0.0
+        if empty.any():
+            top = float(upper[empty][0])
+            raise NumericError(f"truncation region ({lower}, {top}] has no representable mass")
+        draws = gammaincinv(self.shape, c_lo + u * mass) / self.rate
+        # inverse-CDF rounding can land a hair past a bound
+        draws = np.minimum(draws, upper)
+        if lower > 0.0:
+            draws = np.maximum(draws, np.nextafter(lower, np.inf))
+        return draws
+
     def loglik(self, sample: np.ndarray) -> float:
         n = len(sample)
         return float(
@@ -163,44 +189,6 @@ def sample_gamma(fit: GammaFit, rng: np.random.Generator, size=None):
     return rng.gamma(fit.shape, 1.0 / fit.rate, size=size)
 
 
-def _truncation_mass(fit: GammaFit, lower: float, upper):
-    """CDF at ``lower`` and the law's mass on (lower, upper].
-
-    Elementwise over ``upper``; the CDF is exactly 0 at 0 and 1 at inf.
-    """
-    c_lo = gammainc(fit.shape, fit.rate * max(lower, 0.0))
-    return c_lo, gammainc(fit.shape, fit.rate * upper) - c_lo
-
-
-def _no_mass_error(lower: float, upper: float) -> NumericError:
-    return NumericError(f"truncation region ({lower}, {upper}] has no representable mass")
-
-
-def _truncation(fit: GammaFit, lower: float, upper: float):
-    """:func:`_truncation_mass` of one interval, which must hold some mass."""
-    if not upper > lower:
-        raise DataError(f"need upper > lower, got ({lower}, {upper}]")
-    c_lo, mass = _truncation_mass(fit, lower, upper)
-    if mass <= 0.0:
-        raise _no_mass_error(lower, upper)
-    return c_lo, mass
-
-
-def _truncated_quantile(fit: GammaFit, u, lower: float, upper, c_lo, mass):
-    """Quantile at uniform level ``u`` of the law conditioned on (lower, upper].
-
-    ``c_lo`` and ``mass`` come from :func:`_truncation_mass`. Elementwise
-    over ``u``, ``upper``, ``c_lo`` and ``mass``, so a block of draws is one
-    ``gammaincinv`` call with the bits of one call per draw.
-    """
-    draws = gammaincinv(fit.shape, c_lo + u * mass) / fit.rate
-    # inverse-CDF rounding can land a hair past a bound
-    draws = np.minimum(draws, upper)
-    if lower > 0.0:
-        draws = np.maximum(draws, np.nextafter(lower, np.inf))
-    return draws
-
-
 def sample_truncated_gamma(
     fit: GammaFit,
     upper: float,
@@ -214,8 +202,7 @@ def sample_truncated_gamma(
     and loop-free. ``upper`` may be inf; ``lower`` defaults to 0 (plain
     upper truncation).
     """
-    c_lo, mass = _truncation(fit, lower, upper)
-    draws = _truncated_quantile(fit, rng.random(size), lower, upper, c_lo, mass)
+    draws = fit.truncated_quantile(rng.random(size), lower, upper)
     return draws if size is not None else float(draws)
 
 

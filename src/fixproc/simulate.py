@@ -25,15 +25,7 @@ from .core import (
     max_corner_distance,
 )
 from .density import IntensityGrid, estimate_intensity
-from .fitdist import (
-    GammaFit,
-    _no_mass_error,
-    _truncated_quantile,
-    _truncation,
-    _truncation_mass,
-    fit_gamma_mle,
-    sample_gamma,
-)
+from .fitdist import GammaFit, fit_gamma_mle, sample_gamma
 from .ingest import derive_saccades, valid_saccade_values, write_json
 from .rng import substream
 
@@ -181,12 +173,6 @@ def sample_initial(model: FixationModel, rng: np.random.Generator) -> tuple[floa
 _BLOCK_CANDIDATES = 12_000
 
 
-def _raise_lowest(failures: dict) -> None:
-    """Raise the error of the lowest failing row, as a row-by-row loop would."""
-    if failures:
-        raise failures[min(failures)]
-
-
 def _corner_offsets(w: Window, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Offsets ``(dx, dy)`` from each point to its farthest window corner.
 
@@ -244,15 +230,14 @@ def _landings(model: FixationModel, xs, ys, dx, dy, lengths, u_pick) -> tuple[li
     weights = np.zeros(cand_x.shape)
     weights[inside] = model.intensity_all.interp(cand_x[inside], cand_y[inside])
     total = weights.sum(axis=1)
-    failures = {}
-    for i in np.flatnonzero(~(total > 0)).tolist():
+    failed = np.flatnonzero(~(total > 0))
+    if failed.size:  # the lowest failing row's error, as a row-by-row loop would raise it
+        i = int(failed[0])
         if not inside[i].any():
-            failures[i] = DataError(
+            raise DataError(
                 f"jump of {float(lengths[i])} px from ({xs[i]}, {ys[i]}) cannot stay in window"
             )
-        else:
-            failures[i] = DataError("all candidate landing points have zero weight")
-    _raise_lowest(failures)
+        raise DataError("all candidate landing points have zero weight")
     # weights are >= 0, so the cumulative sums are sorted and this count is
     # searchsorted(..., side="right") of each row's target
     below = np.cumsum(weights, axis=1) <= (np.array(u_pick) * total)[:, None]
@@ -283,8 +268,6 @@ def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list
     lengths: list[list[float]] = [[] for _ in range(n)]
 
     if horizon > 0 and n:
-        lower = model.min_fix_dur
-        c_lo, mass = _truncation(model.dur_fix, lower, np.inf)
         starts = [sample_initial(model, rng) for rng in rngs]
         xs = [p[0] for p in starts]
         ys = [p[1] for p in starts]
@@ -292,7 +275,7 @@ def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list
         rows = list(range(n))  # runs that start a fixation this step
         levels = [rng.random() for rng in rngs]  # their duration levels
         while rows:
-            durs = _truncated_quantile(model.dur_fix, np.array(levels), lower, np.inf, c_lo, mass)
+            durs = model.dur_fix.truncated_quantile(np.array(levels), model.min_fix_dur, np.inf)
             movers = []
             for r, dur in zip(rows, durs.tolist()):
                 clock = clocks[r]
@@ -330,15 +313,8 @@ def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list
                     kept.append(i)
                     levels.append(rng.random())
             if gamma_rows:
-                tops = np.array(tops)
-                len_lo, len_mass = _truncation_mass(model.len_sac, 0.0, tops)
-                jumps[gamma_rows] = _truncated_quantile(
-                    model.len_sac, np.array(u_len), 0.0, tops, len_lo, len_mass
-                )
-                _raise_lowest({
-                    gamma_rows[j]: _no_mass_error(0.0, float(tops[j]))
-                    for j in np.flatnonzero(len_mass <= 0.0).tolist()
-                })
+                # rows in run order: a top without mass names the lowest run's
+                jumps[gamma_rows] = model.len_sac.truncated_quantile(np.array(u_len), 0.0, tops)
             to_x, to_y = _landings(model, from_x, from_y, dx, dy, jumps, u_pick)
             jumps = jumps.tolist()
             rows = [movers[i] for i in kept]

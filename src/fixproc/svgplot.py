@@ -54,6 +54,12 @@ def _ramp_colors(values: np.ndarray, stops) -> list[str]:
     return [f"#{code:06x}" for code in codes.tolist()]
 
 
+def _text(title: str) -> str:
+    """``title`` as SVG text: ``&`` and ``<`` escaped; ``>`` needs no escape
+    and keeps its byte, as in the transition name ``1->2``."""
+    return title.replace("&", "&amp;").replace("<", "&lt;")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
@@ -118,7 +124,7 @@ def heatmap_svg(grid: IntensityGrid, title: str = "", diverging: bool = False) -
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height + 24)}" viewBox="0 0 {_fmt(width)} {_fmt(height + 24)}">',
-        f'<text x="4" y="14" font-family="sans-serif" font-size="12">{title}</text>',
+        f'<text x="4" y="14" font-family="sans-serif" font-size="12">{_text(title)}</text>',
         '<g transform="translate(0,24)">',
     ]
     xs = [_fmt(ix * cw) for ix in range(grid.nx)]
@@ -177,7 +183,8 @@ def _panel(
         return _points(sx(xs[keep]), sy(ys[keep]))
 
     parts = [
-        f'<text x="{_fmt(m_left)}" y="14" font-family="sans-serif" font-size="11">{title}</text>',
+        f'<text x="{_fmt(m_left)}" y="14" font-family="sans-serif" font-size="11">'
+        f'{_text(title)}</text>',
         f'<rect x="{_fmt(m_left)}" y="{_fmt(m_top)}" width="{_fmt(pw)}" height="{_fmt(ph)}" '
         'fill="none" stroke="#888888" stroke-width="0.5"/>',
     ]
@@ -229,29 +236,16 @@ def panel_grid_svg(panels: list[dict], ncols: int = 2, panel_w: float = 320.0, p
     return "\n".join(parts)
 
 
-def line_plot_svg(x, series, band=None, refline=None, title: str = "") -> str:
-    return panel_grid_svg(
-        [dict(x=x, series=series, band=band, refline=refline, title=title)],
-        ncols=1,
-        panel_w=480.0,
-        panel_h=360.0,
-    )
+def envelope_panel(grid, lower, upper, observed, title: str, thin: float, thick: float) -> dict:
+    """A :func:`panel_grid_svg` panel: the ``observed`` curves in orange,
+    stroked ``thin``, then the envelope's bounds in black, stroked ``thick``."""
+    series = [(v, OBSERVED_COLOR, thin) for v in observed]
+    series += [(lower, ENVELOPE_COLOR, thick), (upper, ENVELOPE_COLOR, thick)]
+    return dict(x=grid, series=series, title=title)
 
 
 def shift_plot_svg(curve, title: str = "") -> str:
     """Shift estimate with band and the equal-distributions reference line."""
-    return line_plot_svg(
-        curve.abscissae,
-        [(curve.delta, "#000000", 1.5)],
-        band=(curve.lower, curve.upper),
-        refline=0.0,
-        title=title,
-    )
-
-
-def envelope_plot_svg(env, observed: list[np.ndarray], title: str = "") -> str:
-    """Envelope bounds in black with observed curves overlaid in orange."""
-    series = [(obs, OBSERVED_COLOR, 1.0) for obs in observed]
-    series.append((env.lower, ENVELOPE_COLOR, 1.5))
-    series.append((env.upper, ENVELOPE_COLOR, 1.5))
-    return line_plot_svg(env.grid, series, title=title)
+    panel = dict(x=curve.abscissae, series=[(curve.delta, "#000000", 1.5)],
+                 band=(curve.lower, curve.upper), refline=0.0, title=title)
+    return panel_grid_svg([panel], ncols=1, panel_w=480.0, panel_h=360.0)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
 
@@ -730,3 +731,44 @@ class TestFlagVariants:
         assert run(["quadrat", "--input", csv, "--out", tmp_path]) == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert "no fixations left" in err["message"]
+
+
+class TestIntervalSplits:
+    # data_csv's trials last 10 000 ms: an interval of 10 000 ms or more
+    # leaves one interval, which has nothing to be compared with
+    @pytest.mark.parametrize("interval", ["10000", "30000"])
+    def test_shift_by_one_interval_is_data_error(self, data_csv, tmp_path, capsys, interval):
+        code = run(["shift", "--input", data_csv, "--out", tmp_path, "--split", "interval",
+                    "--interval-ms", interval, "--trial-length", "10000"])
+        assert code == 3
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert f"{float(interval)}" in message and "10000.0" in message
+        assert not (tmp_path / "shift.json").exists()
+
+    @pytest.mark.parametrize("interval", ["10000", "30000"])
+    def test_residuals_of_one_interval_is_data_error(self, data_csv, tmp_path, capsys,
+                                                     interval):
+        code = run(["residuals", "--input", data_csv, "--out", tmp_path,
+                    "--interval-ms", interval, *FAST])
+        assert code == 3
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert f"{float(interval)}" in message and "10000.0" in message
+        assert not (tmp_path / "residuals.json").exists()
+
+
+class TestSvgText:
+    def test_report_svgs_parse_with_markup_in_the_painting_id(self, tmp_path):
+        model = toy_model(trial_length=5_000.0)
+        csv = write_csv(simulated_dataset(model, n_subjects=8, seed=21, painting_id="A&B<1>"),
+                        tmp_path / "marked.csv")
+        out = tmp_path / "out"
+        assert run(["report", "--input", csv, "--out", out, "--seed", "2", "--m", "9",
+                    "--n-runs", "20", "--h", "25", "--nx", "12", "--ny", "12",
+                    "--n-angles", "60", "--raster", "8", "--grid-points", "11",
+                    "--trial-length", "5000"]) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert out / "report_log_ratio_A&B<1>.svg" in svgs and len(svgs) == 5
+        for path in svgs:
+            ET.fromstring(path.read_text())
+        title = ET.fromstring((out / "report_log_ratio_A&B<1>.svg").read_text())[0].text
+        assert title.startswith("log ratio A&B<1> (p=")

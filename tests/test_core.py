@@ -162,6 +162,37 @@ class TestSequences:
         assert d.pooled_onsets().shape == (0,)
 
 
+class TestIntervalMasks:
+    SEQS = [
+        FixationSequence("a", "novice", "p", [Fixation(1, 1, 0, 50), Fixation(1, 1, 999.5, 50),
+                                              Fixation(1, 1, 1000, 50)]),
+        FixationSequence("b", "non_novice", "p", [Fixation(1, 1, 1500, 50),
+                                                  Fixation(1, 1, 2400, 50)]),
+    ]
+
+    def test_half_open_disjoint_masks_keep_the_trailing_partial_interval(self):
+        d = Dataset(window=W, sequences=self.SEQS, trial_length=2500.0)
+        masks = d.interval_masks(1000.0)
+        assert [m.tolist() for m in masks] == [
+            [True, True, False, False, False],
+            [False, False, True, True, False],
+            [False, False, False, False, True],
+        ]
+        assert (np.sum(masks, axis=0) <= 1).all()
+
+    @pytest.mark.parametrize("interval", [2500.0, 3000.0, 1e9])
+    def test_fewer_than_two_intervals_rejected(self, interval):
+        d = Dataset(window=W, sequences=self.SEQS, trial_length=2500.0)
+        with pytest.raises(DataError, match=f"2500.0.*{interval}"):
+            d.interval_masks(interval)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_interval_must_be_positive(self, interval):
+        d = Dataset(window=W, sequences=self.SEQS, trial_length=2500.0)
+        with pytest.raises(DataError, match="positive"):
+            d.interval_masks(interval)
+
+
 class TestStepCurve:
     def test_right_continuous_at_knots(self):
         c = StepCurve([0.0, 10.0, 20.0], [0.0, 1.0, 3.0], 30.0)

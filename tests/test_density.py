@@ -486,6 +486,12 @@ class TestResiduals:
         with pytest.warns(UserWarning, match="no fixations"):
             residual_intensities(d, 30_000.0, h=20.0, nx=16, ny=16)
 
+    def test_one_interval_rejected(self, rng):
+        # one interval has no mean to differ from: its residual would be all zeros
+        d = self._dataset([rng.uniform([100, 100], [600, 600], size=(10, 2))])
+        with pytest.raises(DataError, match="30000.0"):
+            residual_intensities(d, 30_000.0, h=20.0, nx=16, ny=16)
+
 
 class TestQuadrat:
     def test_balanced_counts(self):

@@ -143,6 +143,39 @@ class TestTruncatedSampler:
             sample_truncated_gamma(self.FIT, 1.0, np.random.default_rng(0), lower=2.0)
 
 
+class TestTruncatedQuantile:
+    FIT = GammaFit(2.5, 0.01, 1, "fixation_duration")
+
+    @pytest.mark.parametrize("lower", [0.0, 40.0])
+    def test_vector_call_equals_scalar_calls_bit_for_bit(self, lower):
+        rng = np.random.default_rng(114)
+        upper = np.array([60.0, 100.0, np.inf, 250.0, 1e4, np.inf, 41.0] * 30)
+        u = rng.random(len(upper))
+        u[:4] = [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0)]
+        got = self.FIT.truncated_quantile(u, lower, upper)
+        one_by_one = [float(self.FIT.truncated_quantile(a, lower, b)) for a, b in zip(u, upper)]
+        assert got.tobytes() == np.array(one_by_one).tobytes()
+        assert np.all(got <= upper)
+        # level 0 lands on a lower bound of 0; a positive one is clamped above
+        assert np.all(got > lower) if lower else np.all(got >= 0.0)
+
+    def test_scalar_upper_broadcasts_over_levels(self):
+        u = np.random.default_rng(115).random(50)
+        got = self.FIT.truncated_quantile(u, 40.0, np.inf)
+        assert got.tobytes() == self.FIT.truncated_quantile(u, 40.0, np.full(50, np.inf)).tobytes()
+
+    def test_first_interval_without_mass_is_named(self):
+        tight = GammaFit(5.0, 1.0, 1, "saccade_length")
+        upper = np.array([1.0, 1e-200, 2.0, 1e-250, 1e-300])
+        with pytest.raises(NumericError, match=r"^truncation region \(0\.0, 1e-200\] has no"):
+            tight.truncated_quantile(np.full(5, 0.5), 0.0, upper)
+
+    @pytest.mark.parametrize("upper", [40.0, 39.0, np.nan])
+    def test_upper_at_or_below_lower_rejected(self, upper):
+        with pytest.raises(DataError, match="need upper > lower"):
+            self.FIT.truncated_quantile(np.full(3, 0.5), 40.0, np.array([100.0, upper, np.inf]))
+
+
 class TestAcf:
     def test_white_noise_small(self):
         rng = np.random.default_rng(113)

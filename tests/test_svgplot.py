@@ -1,4 +1,5 @@
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -6,7 +7,17 @@ from hypothesis import given, strategies as st
 
 from fixproc import svgplot
 from fixproc.density import IntensityGrid
-from fixproc.svgplot import _DIV_STOPS, _SEQ_STOPS, _points, _ramp_colors, heatmap_svg, panel_grid_svg
+from fixproc.svgplot import (
+    _DIV_STOPS,
+    _SEQ_STOPS,
+    ENVELOPE_COLOR,
+    OBSERVED_COLOR,
+    _points,
+    _ramp_colors,
+    envelope_panel,
+    heatmap_svg,
+    panel_grid_svg,
+)
 from helpers import WINDOW, points_reference, ramp_reference
 
 STOPS = pytest.mark.parametrize("stops", [_SEQ_STOPS, _DIV_STOPS], ids=["seq", "div"])
@@ -114,3 +125,25 @@ class TestPoints:
         svg = panel_grid_svg(panels)
         monkeypatch.setattr(svgplot, "_points", points_reference)
         assert svg == panel_grid_svg(panels)
+
+
+class TestEnvelopePanel:
+    def test_equals_the_hand_built_series(self, rng):
+        grid = np.linspace(0.0, 20_000.0, 41)
+        lower, upper = -np.abs(rng.normal(size=41)), np.abs(rng.normal(size=41))
+        observed = [rng.normal(size=41).cumsum() for _ in range(3)]
+        panel = envelope_panel(grid, lower, upper, observed, "hull", 0.8, 1.2)
+        series = [(v, OBSERVED_COLOR, 0.8) for v in observed]
+        series += [(lower, ENVELOPE_COLOR, 1.2), (upper, ENVELOPE_COLOR, 1.2)]
+        by_hand = dict(x=grid, series=series, title="hull")
+        assert panel_grid_svg([panel], ncols=1) == panel_grid_svg([by_hand], ncols=1)
+
+
+class TestTitleText:
+    def test_markup_in_titles_is_escaped(self):
+        grid = IntensityGrid(WINDOW, 4, 4, np.ones((4, 4)), 10.0)
+        heat = heatmap_svg(grid, "A&B<1> 1->2")
+        panels = panel_grid_svg([dict(x=np.arange(3.0), series=[], title="A&B<1> 1->2")])
+        for svg in (heat, panels):
+            assert ">A&amp;B&lt;1> 1->2</text>" in svg
+            ET.fromstring(svg)

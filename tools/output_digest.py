@@ -47,6 +47,13 @@ INPUTS = {
     "c": (7, 65, 20_000.0),
 }
 
+# name: (base input, seed, rows per subject): the base input's rows, then the
+# rows of a second experiment at the base's trial length relabelled to
+# painting p02, so a command sees two paintings
+TWO_PAINTINGS = {
+    "d": ("c", 8, 65),
+}
+
 # name: (input, flags); every command draws its SVGs unless its config turns them off
 COMMANDS = {
     "env_h24": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
@@ -62,7 +69,11 @@ COMMANDS = {
                      "--n-runs", "50", "--seed", "7"]),
     "sim_p05": ("a", ["simulate", "--group", "novice", "--p-long", "0.5", "--h", "24",
                       "--n-runs", "50", "--seed", "9"]),
+    # lower truncation of durations at a threshold other than 40 ms
+    "sim_min80": ("a", ["simulate", "--group", "novice", "--min-fixation-ms", "80",
+                        "--h", "24", "--n-runs", "20", "--seed", "3"]),
     "report": ("c", ["report", "--m", "2000", "--n-runs", "100", "--seed", "7"]),
+    "report_2p": ("d", ["report", "--m", "500", "--n-runs", "20", "--seed", "7"]),
     "cmp_cv": ("a", ["compare-intensity", "--m", "10000", "--seed", "7"]),
     # equal bandwidths and group sizes make mirror draws ties; the seed is
     # two 32-bit words
@@ -92,6 +103,13 @@ def write_inputs(work: Path) -> dict:
     for name, (seed, rows, trial) in INPUTS.items():
         path = work / f"input_{name}.csv"
         path.write_text(make_experiment(seed, SUBJECTS_PER_GROUP, rows, trial).csv_text)
+        paths[name] = (path, trial)
+    for name, (base, seed, rows) in TWO_PAINTINGS.items():
+        base_path, trial = paths[base]
+        text = make_experiment(seed, SUBJECTS_PER_GROUP, rows, trial).csv_text
+        second = [line.replace(",p01,", ",p02,", 1) for line in text.splitlines(True)[1:]]
+        path = work / f"input_{name}.csv"
+        path.write_text(base_path.read_text() + "".join(second))
         paths[name] = (path, trial)
     return paths
 
