@@ -75,6 +75,7 @@ from .simulate import (
     build_model,
     next_location,
     sample_initial,
+    simulate_curves,
     simulate_many,
     simulate_runs,
 )

@@ -34,7 +34,13 @@ from .density import (
 from .envelopes import CurveMatrix, default_grid, envelope_report, rank_envelope
 from .fitdist import FIT_SOURCES, fit_gamma_mle, gamma_qq
 from .ingest import ingest_pipeline, valid_saccade_values, write_fixations, write_json, write_saccades
-from .simulate import build_model, provenance_to_json, runs_to_dataset, simulate_many
+from .simulate import (
+    build_model,
+    provenance_to_json,
+    runs_to_dataset,
+    simulate_curves,
+    simulate_many,
+)
 from .summaries import (
     STATS,
     TRANSITIONS,
@@ -429,23 +435,22 @@ def _group_envelopes(
 ):
     """One group's model at bandwidth h, simulations, envelopes and observed overlays.
 
-    ``cv`` is the CV table of h, or None for a fixed h. Returns the
-    JSON-ready result and the envelopes by curve name.
+    ``cv`` is the CV table of h, or None for a fixed h. Returns the result,
+    ready for ``write_json`` (each observed curve is its float row), and
+    the envelopes by curve name.
     """
     model = _build_group_model(cfg, dataset, saccades, group, h)
-    runs = simulate_many(model, cfg.n_runs, cfg.seed)
     stats = list(STATS) if cfg.stat == "all" else [cfg.stat]
-
-    def rows(seq) -> np.ndarray:
-        return curve_rows(seq, model.window, grid, stats, cfg.radius, cfg.raster)
-
     # curve j of every run is sim_rows[j]
-    sim_rows = np.empty((len(stats) + len(TRANSITIONS), len(runs), len(grid)))
-    for i, run in enumerate(runs):
-        sim_rows[:, i] = rows(run.sequence)
+    sim_rows, counts = simulate_curves(
+        model, cfg.n_runs, cfg.seed, grid, stats, cfg.radius, cfg.raster
+    )
     # a subject appears once per painting; key on both
     observed = {f"{s.subject_id}:{s.painting_id}": s for s in dataset.by_group(group)}
-    obs_rows = {key: rows(s) for key, s in observed.items()}
+    obs_rows = {
+        key: curve_rows(s, model.window, grid, stats, cfg.radius, cfg.raster)
+        for key, s in observed.items()
+    }
 
     result: dict = {"model": _with_cv(model.to_dict(), cv), "stats": {}, "transitions": {}}
     envelopes = {}
@@ -453,14 +458,14 @@ def _group_envelopes(
     for j, (family, name) in enumerate(zip(families, stats + list(TRANSITIONS))):
         # transition curves are defined only for sequences with >= 2 fixations
         fewest = 2 if family == "transitions" else 0
-        sims = sim_rows[j][[len(r.sequence) >= fewest for r in runs]]
+        sims = sim_rows[j][counts >= fewest]
         env = rank_envelope(CurveMatrix(grid, sims), cfg.alpha)
         envelopes[name] = env
         keys = [key for key, s in observed.items() if len(s) >= fewest]
         curves = [obs_rows[key][j] for key in keys]
         result[family][name] = {
             "envelope": env.to_dict(),
-            "observed": {key: [float(v) for v in c] for key, c in zip(keys, curves)},
+            "observed": dict(zip(keys, curves)),
             "report": dict(zip(keys, envelope_report(curves, env))),
         }
     return result, envelopes

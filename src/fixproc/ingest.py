@@ -7,7 +7,9 @@ Canonical schema (header required):
 with group one of ``novice`` / ``non_novice``. Fixations shorter than 40 ms
 are treated as spurious and removed, as are fixations outside the painting
 extent; a saccade adjacent to any removed fixation does not correspond to a
-real eye movement and is flagged invalid rather than spliced.
+real eye movement and is flagged invalid rather than spliced. Subject and
+painting ids become parts of output file names, so an id holding ``/``,
+a backslash or NUL, or equal to ``.`` or ``..``, is refused.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ from .core import (
 )
 
 COLUMNS = ("subject_id", "group", "painting_id", "onset_ms", "duration_ms", "x_px", "y_px")
+
+
+def _names_a_file(value: str) -> bool:
+    """Whether an id can be part of an output file name: no path
+    separator or NUL, and not ``.`` or ``..``."""
+    return value not in (".", "..") and not any(c in value for c in "/\\\0")
 
 
 @dataclass
@@ -106,7 +114,8 @@ def write_json(path, payload: dict) -> None:
     """Every output's JSON writer: sorted keys, indent 2, a final newline.
 
     The bytes are those of ``json.dump(payload, fh, indent=2,
-    sort_keys=True)`` followed by ``"\\n"``, NaN and infinities included.
+    sort_keys=True)`` followed by ``"\\n"``, NaN and infinities included,
+    with a 1-D float array written as its ``.tolist()``.
     Python walks the dicts and lists; a list that holds no container goes
     to json's C encoder in one call, its item separator carrying the
     indent, so no number is formatted by Python code. Chunks are written as
@@ -127,6 +136,8 @@ def _flat_encoder(item_separator: str) -> json.JSONEncoder:
 
 def _json_chunks(obj, newline: str, markers: set):
     """Chunks of ``obj``'s indented JSON; ``newline`` ends with its indent."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        obj = obj.tolist()
     if isinstance(obj, dict):
         is_dict, items = True, sorted(obj.items())
     elif isinstance(obj, (list, tuple)):
@@ -208,6 +219,14 @@ def parse_fixations(
             if duration <= 0:
                 raise DataError(f"{path}:{line}: non-positive duration {duration}")
             key = (subject, painting)
+            if key not in groups:
+                # outputs such as summary_<subject>_<painting>_hull.csv carry the ids
+                for column, value in (("subject_id", subject), ("painting_id", painting)):
+                    if not _names_a_file(value):
+                        raise DataError(
+                            f"{path}:{line}: {column} {value!r} cannot be part of a file name"
+                            " (no '/', '\\' or NUL, and not '.' or '..')"
+                        )
             prior = groups.setdefault(key, group)
             if prior != group:
                 raise DataError(f"{path}:{line}: subject {subject!r} has two group labels")

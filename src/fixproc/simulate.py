@@ -28,6 +28,7 @@ from .density import IntensityGrid, estimate_intensity
 from .fitdist import GammaFit, fit_gamma_mle, sample_gamma
 from .ingest import derive_saccades, valid_saccade_values, write_json
 from .rng import substream
+from .summaries import STATS, TRANSITIONS, curve_rows
 
 
 @dataclass
@@ -171,6 +172,11 @@ def sample_initial(model: FixationModel, rng: np.random.Generator) -> tuple[floa
 # Candidate landing points per lockstep block: a block of runs advances one
 # fixation at a time, and its (runs x candidates) work set stays in cache.
 _BLOCK_CANDIDATES = 12_000
+
+
+def _block_runs(model: FixationModel) -> int:
+    """Runs per lockstep block: ``max(1, _BLOCK_CANDIDATES // (n_angles + 1))``."""
+    return max(1, _BLOCK_CANDIDATES // (model.n_angles + 1))
 
 
 def _corner_offsets(w: Window, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +349,7 @@ def simulate_runs(model: FixationModel, rngs, subject_ids) -> list[SimRun]:
     saccade duration. So a run's output does not depend on which or how
     many runs are simulated with it. The step loop of ``_simulate_block``
     is the one place this order is written. The runs advance in lockstep
-    blocks of ``max(1, _BLOCK_CANDIDATES // (n_angles + 1))``: per fixation
+    blocks of :func:`_block_runs` runs: per fixation
     step, one pass over the block makes the draws, and the quantiles,
     corner offsets, candidate circles and picks are vector calls with the
     bits of the one-row calls.
@@ -361,7 +367,7 @@ def simulate_runs(model: FixationModel, rngs, subject_ids) -> list[SimRun]:
         raise ValueError(f"{len(rngs)} generators for {len(subject_ids)} subject ids")
     if len({id(rng) for rng in rngs}) != len(rngs):
         raise ValueError("each run needs its own generator")
-    block = max(1, _BLOCK_CANDIDATES // (model.n_angles + 1))
+    block = _block_runs(model)
     runs: list[SimRun] = []
     for start in range(0, len(rngs), block):
         stop = start + block
@@ -369,17 +375,49 @@ def simulate_runs(model: FixationModel, rngs, subject_ids) -> list[SimRun]:
     return runs
 
 
-def simulate_many(model: FixationModel, n_runs: int, seed: int) -> list[SimRun]:
-    """Runs ``sim0000``, ``sim0001``, ... on sub-streams ``substream(seed, "run", i)``.
+def simulate_many(model: FixationModel, n_runs: int, seed: int, first: int = 0) -> list[SimRun]:
+    """Runs ``sim{i:04d}`` on sub-streams ``substream(seed, "run", i)``, i from ``first``.
 
     :func:`simulate_runs` keeps each run on its own stream in the stated
-    draw order, so run i equals the same run simulated on its own.
+    draw order, so run i equals the same run simulated on its own, or in
+    any other call that covers it.
     """
+    ids = range(first, first + n_runs)
     return simulate_runs(
-        model,
-        [substream(seed, "run", i) for i in range(n_runs)],
-        [f"sim{i:04d}" for i in range(n_runs)],
+        model, [substream(seed, "run", i) for i in ids], [f"sim{i:04d}" for i in ids]
     )
+
+
+def simulate_curves(
+    model: FixationModel,
+    n_runs: int,
+    seed: int,
+    grid,
+    stats=STATS,
+    radius: float = 35.0,
+    raster: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Summary curves of the runs of :func:`simulate_many`, without the runs.
+
+    Returns ``(curves, counts)``: ``curves[j, i]`` is row j of
+    :func:`~fixproc.summaries.curve_rows` of run i (the ``stats``, then the
+    16 transitions), shape ``(len(stats) + 16, n_runs, len(grid))``, and
+    ``counts[i]`` is run i's fixation count. The runs are simulated one
+    lockstep block at a time, each block through :func:`simulate_many`, and
+    a block's runs are dropped once its rows are written: the matrix is all
+    that grows with ``n_runs``.
+    """
+    grid = np.asarray(grid, dtype=float)
+    curves = np.empty((len(stats) + len(TRANSITIONS), n_runs, grid.size))
+    counts = np.empty(n_runs, dtype=int)
+    block = _block_runs(model)
+    for first in range(0, n_runs, block):
+        runs = simulate_many(model, min(block, n_runs - first), seed, first)
+        for i, run in enumerate(runs, first):
+            curves[:, i] = curve_rows(run.sequence, model.window, grid, stats, radius, raster)
+            counts[i] = len(run.sequence)
+        del runs, run  # before the next block is simulated, not after
+    return curves, counts
 
 
 def runs_to_dataset(runs: list[SimRun], window: Window, trial_length: float) -> Dataset:

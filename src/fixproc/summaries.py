@@ -106,15 +106,16 @@ def convex_hull_coverage(
 
     Zero until at least three non-collinear fixations have appeared.
     """
-    return _step(seq.onsets(), _hull_values(seq, w), _domain_end(seq, domain_end), 0.0)
+    values = _hull_values(seq.locations(), w)
+    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
 
 
 # Hull edges times fixations tested in one array operation after a rebuild.
 _HULL_BLOCK = 4096
 
 
-def _hull_values(seq: FixationSequence, w: Window) -> np.ndarray:
-    """Hull coverage after each fixation.
+def _hull_values(locs: np.ndarray, w: Window) -> np.ndarray:
+    """Hull coverage after each of the (n, 2) fixation locations ``locs``.
 
     The hull is rebuilt only when a fixation falls outside the current one
     (an interior point cannot change any later hull), and then from the
@@ -125,7 +126,6 @@ def _hull_values(seq: FixationSequence, w: Window) -> np.ndarray:
     every fixation before the first outside one repeats the current area.
     While the hull has fewer than three vertices, every fixation rebuilds.
     """
-    locs = seq.locations()
     rows = locs.tolist()
     n = len(rows)
     values = np.zeros(n)
@@ -168,7 +168,7 @@ def ball_union_coverage(
     radius and raster must be positive and finite, and the raster must not
     be coarser than the radius.
     """
-    values = _ball_values(seq, w, radius, raster)
+    values = _ball_values(seq.locations(), w, radius, raster)
     return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
 
 
@@ -177,8 +177,8 @@ def ball_union_coverage(
 _MASK_BYTES = 2**19
 
 
-def _ball_values(seq: FixationSequence, w: Window, radius: float, raster: float) -> np.ndarray:
-    """Disc-union coverage after each fixation.
+def _ball_values(locs: np.ndarray, w: Window, radius: float, raster: float) -> np.ndarray:
+    """Disc-union coverage after each of the (n, 2) fixation locations ``locs``.
 
     A running count of covered cells is kept: each fixation ORs its disc
     into the cells of its bounding box and adds the growth of the box's
@@ -194,7 +194,6 @@ def _ball_values(seq: FixationSequence, w: Window, radius: float, raster: float)
         raise DataError(f"raster must be positive and finite, got {raster}")
     if raster > radius:
         raise DataError(f"raster cell {raster} coarser than radius {radius}")
-    locs = seq.locations()
     if not np.isfinite(locs).all():
         raise DataError("fixation locations must be finite")
     nx = max(1, int(np.ceil(w.width / raster)))
@@ -237,12 +236,12 @@ def _ball_values(seq: FixationSequence, w: Window, radius: float, raster: float)
 
 def scanpath_length(seq: FixationSequence, domain_end: float | None = None) -> StepCurve:
     """Cumulative saccade length; jumps at the onset of the arriving fixation."""
-    return _step(seq.onsets(), _scanpath_values(seq), _domain_end(seq, domain_end), 0.0)
+    values = _scanpath_values(seq.locations())
+    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
 
 
-def _scanpath_values(seq: FixationSequence) -> np.ndarray:
-    """Scanpath length after each fixation."""
-    locs = seq.locations()
+def _scanpath_values(locs: np.ndarray) -> np.ndarray:
+    """Scanpath length after each of the (n, 2) fixation locations ``locs``."""
     if len(locs) == 0:
         return np.empty(0)
     steps = np.hypot(*(np.diff(locs, axis=0).T))
@@ -278,7 +277,7 @@ def transition_curves(
     """
     if len(seq) < 2:
         raise DataError("need at least 2 fixations for transitions")
-    n_ab, table = _transition_table(seq, w)
+    n_ab, table = _transition_table(seq.locations(), w)
     times = seq.onsets()[1:]
     end = _domain_end(seq, domain_end)
     curves = [
@@ -287,12 +286,29 @@ def transition_curves(
     return TransitionCurves(curves=curves, counts=n_ab[-1], row_counts=n_ab[-1].sum(axis=1))
 
 
-def _transition_table(seq: FixationSequence, w: Window) -> tuple[np.ndarray, np.ndarray]:
-    """Running counts N_ab and estimates N_ab/N_a after each transition.
+def _quadrants(locs: np.ndarray, w: Window) -> np.ndarray:
+    """``quadrant_of(x, y, w) - 1`` of each location, in one array pass.
+
+    A location outside the window raises :func:`quadrant_of`'s error for
+    the first such one.
+    """
+    xs, ys = locs[:, 0], locs[:, 1]
+    outside = np.flatnonzero(~w.contains(xs, ys))
+    if outside.size:
+        quadrant_of(float(xs[outside[0]]), float(ys[outside[0]]), w)  # raises
+    # quadrant_of's midline rule: a point on a midline takes the larger index
+    right = xs >= (w.x_min + w.x_max) / 2.0
+    lower = ys >= (w.y_min + w.y_max) / 2.0
+    return right.astype(int) + 2 * lower.astype(int)
+
+
+def _transition_table(locs: np.ndarray, w: Window) -> tuple[np.ndarray, np.ndarray]:
+    """Running counts N_ab and estimates N_ab/N_a after each transition
+    between the (n, 2) fixation locations ``locs``.
 
     Both are (transitions, 4, 4); an estimate row not yet visited is NaN.
     """
-    states = [quadrant_of(f.x, f.y, w) - 1 for f in seq.fixations]
+    states = _quadrants(locs, w)
     # one-hot transitions, accumulated into the running counts N_ab(t), N_a(t)
     steps = np.zeros((max(len(states) - 1, 0), 4, 4), dtype=int)
     steps[np.arange(len(steps)), states[:-1], states[1:]] = 1
@@ -321,17 +337,18 @@ def curve_rows(
     grid = np.asarray(grid, dtype=float)
     # the last fixation with onset <= t, or -1 before the first one
     idx = np.searchsorted(seq.onsets(), grid, side="right") - 1
+    locs = seq.locations()
     values_of = {
-        "hull": lambda: _hull_values(seq, window),
-        "ball": lambda: _ball_values(seq, window, radius, raster),
-        "scanpath": lambda: _scanpath_values(seq),
+        "hull": lambda: _hull_values(locs, window),
+        "ball": lambda: _ball_values(locs, window, radius, raster),
+        "scanpath": lambda: _scanpath_values(locs),
     }
     rows = np.empty((len(stats) + len(TRANSITIONS), grid.size))
     for i, stat in enumerate(stats):
         # 0 before the first fixation
         rows[i] = np.concatenate([[0.0], values_of[stat]()])[idx + 1]
     # estimates start at the second fixation, NaN before it
-    table = np.concatenate([np.full((1, 4, 4), np.nan), _transition_table(seq, window)[1]])
+    table = np.concatenate([np.full((1, 4, 4), np.nan), _transition_table(locs, window)[1]])
     rows[len(stats):] = table[np.maximum(idx, 0)].reshape(grid.size, -1).T
     return rows
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fixproc
-from fixproc import cli, density, summaries
+from fixproc import cli, density, simulate, summaries
 from fixproc.cli import DEFAULT_H_GRID, PipelineConfig, main
 from fixproc.ingest import parse_fixations
 from helpers import simulated_dataset, toy_model, write_csv
@@ -130,18 +130,20 @@ class TestCommands:
         d.sequences[1].fixations = d.sequences[1].fixations[:1]
         data_csv = write_csv(d, tmp_path / "fix.csv")
         runs, rows = [], {}
-        simulate_many, rank_envelope = cli.simulate_many, cli.rank_envelope
+        simulate_many, rank_envelope = simulate.simulate_many, cli.rank_envelope
 
+        # simulate_curves simulates its runs a block at a time through this name
         def keep_runs(*args):
-            runs.extend(simulate_many(*args))
-            return runs
+            block = simulate_many(*args)
+            runs.extend(block)
+            return block
 
         def count_rows(curves, alpha):
             env = rank_envelope(curves, alpha)
             rows[len(rows)] = curves.rows.shape[0]
             return env
 
-        monkeypatch.setattr(cli, "simulate_many", keep_runs)
+        monkeypatch.setattr(simulate, "simulate_many", keep_runs)
         monkeypatch.setattr(cli, "rank_envelope", count_rows)
         assert run(["envelope", "--input", data_csv, "--out", tmp_path, "--group",
                     "novice", "--seed", "6", "--n-runs", "80", *FAST,
@@ -370,7 +372,7 @@ class TestErrorHandling:
         def refuse(*args):
             raise AssertionError("simulated before the config was checked")
 
-        monkeypatch.setattr(cli, "simulate_many", refuse)
+        monkeypatch.setattr(cli, "simulate_curves", refuse)
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"stat": "area"}')
         assert run(["envelope", "--config", cfg, "--input", data_csv, "--group", "novice",
@@ -772,3 +774,35 @@ class TestSvgText:
             ET.fromstring(path.read_text())
         title = ET.fromstring((out / "report_log_ratio_A&B<1>.svg").read_text())[0].text
         assert title.startswith("log ratio A&B<1> (p=")
+
+
+class TestIdsThatAreNotFileNames:
+    # outputs are named after subject and painting ids, so ingest refuses an
+    # id that is not a file-name part before any command does its work
+    @pytest.mark.parametrize("command, column, bad", [
+        (["report", "--seed", "2", "--m", "9", "--n-runs", "20"], "painting_id", "room/a"),
+        (["summaries"], "painting_id", "room/a"),
+        (["summaries"], "subject_id", ".."),
+    ])
+    def test_refused_before_cross_validation(self, tmp_path, monkeypatch, capsys,
+                                             command, column, bad):
+        d = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=8, seed=21)
+        if column == "painting_id":
+            for seq in d.sequences:
+                seq.painting_id = bad
+        else:
+            d.sequences[3].subject_id = bad
+        csv = write_csv(d, tmp_path / "fix.csv")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("cross-validated before the ids were checked")
+
+        monkeypatch.setattr(cli, "select_bandwidth_cv", refuse)
+        out = tmp_path / "out"
+        assert run([*command, "--input", csv, "--out", out, "--nx", "12", "--ny", "12",
+                    "--n-angles", "60", "--raster", "8", "--grid-points", "11",
+                    "--trial-length", "5000"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError"
+        assert f"{column} {bad!r} cannot be part of a file name" in err["message"]
+        assert list(out.iterdir()) == []

@@ -92,6 +92,23 @@ class TestParse:
         with pytest.raises(DataError, match="missing columns"):
             parse_fixations(p)
 
+    @pytest.mark.parametrize("bad", ["room/a", "room\\a", "a\0b", ".", "..", "/", "a/"])
+    @pytest.mark.parametrize("column", ["subject_id", "painting_id"])
+    def test_id_that_cannot_be_a_file_name_part_rejected(self, tmp_path, column, bad):
+        # outputs are named after the ids; the second sequence is the bad one
+        subject, painting = (bad, "koli") if column == "subject_id" else ("s1", bad)
+        p = _write(tmp_path, "s0,novice,koli,0,100,10,10\n"
+                   f"{subject},novice,{painting},0,100,10,10\n")
+        with pytest.raises(DataError) as err:
+            parse_fixations(p)
+        assert str(err.value).startswith(f"{p}:3: {column} {bad!r} cannot be part of a file name")
+
+    @pytest.mark.parametrize("ok", ["a.b", "...", ".a", "a..b", "room-a", "r a", "ü"])
+    def test_dots_inside_ids_accepted(self, tmp_path, ok):
+        p = _write(tmp_path, f"{ok},novice,{ok},0,100,10,10\n")
+        d = parse_fixations(p)
+        assert (d.sequences[0].subject_id, d.sequences[0].painting_id) == (ok, ok)
+
 
 def _dataset(fixes):
     return Dataset(window=W, sequences=[FixationSequence("s1", "novice", "koli", fixes)])
@@ -283,6 +300,20 @@ class TestWriteJson:
     def test_edge_payloads(self, tmp_path, payload):
         new, old = self._both(tmp_path, payload)
         assert new == old
+
+    @pytest.mark.parametrize("values", [[], [0.1, -0.0, np.nan, np.inf, 1e300], [5e-324]])
+    def test_float_array_written_as_its_list(self, tmp_path, values):
+        row = np.array(values, dtype=float)
+        write_json(tmp_path / "array.json", {"k": [row, {"r": row[::-1]}], "r": row})
+        write_json_reference(tmp_path / "list.json", {
+            "k": [row.tolist(), {"r": row[::-1].tolist()}], "r": row.tolist()
+        })
+        assert (tmp_path / "array.json").read_bytes() == (tmp_path / "list.json").read_bytes()
+
+    @pytest.mark.parametrize("array", [np.zeros((2, 2)), np.arange(3)])
+    def test_other_arrays_raise_as_json_does(self, tmp_path, array):
+        with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+            write_json(tmp_path / "array.json", {"a": array})
 
     def test_deep_nesting(self, tmp_path):
         payload = [1.5]

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,13 +17,17 @@ from fixproc import (
     next_location,
     parse_fixations,
     sample_initial,
+    simulate_curves,
     simulate_many,
     simulate_runs,
     write_fixations,
 )
+from fixproc import simulate
 from fixproc import FixationModel, Window
 from fixproc.density import IntensityGrid
+from fixproc.envelopes import default_grid
 from fixproc.rng import substream
+from fixproc.summaries import STATS, curve_rows
 from fixproc.simulate import _BLOCK_CANDIDATES, _corner_offsets, _landings, runs_to_dataset
 from helpers import (
     WINDOW,
@@ -507,6 +512,79 @@ class TestLockstepEngine:
             simulate_runs(short_model, [rng, rng], ["a", "b"])
         with pytest.raises(ValueError):
             simulate_runs(short_model, [rng], ["a", "b"])
+
+
+def curves_of_held_runs(model, n_runs, seed, grid, stats, raster):
+    """``simulate_curves``' result from the runs of one ``simulate_many`` call."""
+    runs = simulate_many(model, n_runs, seed)
+    rows = [curve_rows(r.sequence, model.window, grid, stats, 35.0, raster) for r in runs]
+    return np.stack(rows, axis=1), np.array([len(r.sequence) for r in runs])
+
+
+class TestSimulateCurves:
+    @pytest.mark.parametrize("stats", [STATS, ("ball",)])
+    @pytest.mark.parametrize("n_angles", [60, 720])
+    @pytest.mark.parametrize("size", ["one", "block-1", "block", "block+1", "2block+3"])
+    def test_equals_curve_rows_of_the_runs(self, size, n_angles, stats):
+        block = block_size(n_angles)
+        n_runs = {"one": 1, "block-1": block - 1, "block": block, "block+1": block + 1,
+                  "2block+3": 2 * block + 3}[size]
+        # short trials keep the 395-run case of n_angles=60 quick; some runs
+        # have one fixation, so their transition rows are NaN
+        model = toy_model(trial_length=1_500.0, n_angles=n_angles, nx=32, ny=32)
+        grid = default_grid(2_000.0, 41)
+        got, counts = simulate_curves(model, n_runs, 3, grid, stats, 35.0, 8.0)
+        ref, ref_counts = curves_of_held_runs(model, n_runs, 3, grid, stats, 8.0)
+        assert got.shape == ref.shape == (len(stats) + 16, n_runs, 41)
+        assert got.tobytes() == ref.tobytes()
+        assert counts.tolist() == ref_counts.tolist()
+
+    def test_blocks_go_through_simulate_many(self, monkeypatch):
+        # one call per lockstep block, so tracing simulate_many sees every run
+        calls = []
+        original = simulate.simulate_many
+
+        def record(model, n_runs, seed, first=0):
+            calls.append((n_runs, first))
+            return original(model, n_runs, seed, first)
+
+        monkeypatch.setattr(simulate, "simulate_many", record)
+        model = toy_model(trial_length=1_000.0, n_angles=720, nx=32, ny=32)
+        simulate_curves(model, 2 * block_size(720) + 3, 4, [0.0, 500.0], ["scanpath"])
+        assert calls == [(16, 0), (16, 16), (3, 32)]
+
+    def test_first_run_index(self):
+        model = toy_model(trial_length=2_000.0, nx=32, ny=32)
+        later = simulate_many(model, 3, seed=6, first=5)
+        assert [r.sequence.subject_id for r in later] == ["sim0005", "sim0006", "sim0007"]
+        alone = simulate_many(model, 8, seed=6)[5:]
+        assert list(map(run_fields, later)) == list(map(run_fields, alone))
+
+    def test_no_runs(self):
+        curves, counts = simulate_curves(toy_model(nx=32, ny=32), 0, 1, [0.0, 1.0], ["hull"])
+        assert curves.shape == (17, 0, 2) and counts.shape == (0,)
+
+    def test_holds_one_block_of_runs(self):
+        # 8 blocks of 40 s runs: every run held at once would take about
+        # 3 MB more than the matrix; one block at a time plus the lockstep
+        # step's arrays stays under the margin
+        margin = 2_500_000
+        model = toy_model(trial_length=40_000.0, n_angles=720, nx=32, ny=32)
+        n_runs = 8 * block_size(720)
+        grid = default_grid(40_000.0, 21)
+        tracemalloc.start()
+        try:
+            curves, _ = simulate_curves(model, n_runs, 5, grid, ["scanpath"])
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            runs = simulate_many(model, n_runs, 5)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < curves.nbytes + margin
+        del runs
+        # the runs themselves would not fit under the margin
+        assert held > margin + curves.nbytes
 
 
 class TestIngestRoundTrip:

@@ -10,11 +10,13 @@ from fixproc import (
     Fixation,
     FixationSequence,
     StepCurve,
+    Window,
     ball_union_coverage,
     convex_hull,
     convex_hull_coverage,
     curve_rows,
     polygon_area,
+    quadrant_of,
     resample_curve,
     scanpath_length,
     transition_curves,
@@ -211,7 +213,7 @@ class TestMatchesPerPointLoops:
     def test_hull_values(self, pts, block):
         seq = seq_at(pts)
         with mock.patch.object(summaries, "_HULL_BLOCK", block):
-            got = summaries._hull_values(seq, W)
+            got = summaries._hull_values(seq.locations(), W)
         assert got.tolist() == hull_values_reference(seq, W)
 
     def test_hull_blocks_cover_long_paths(self, rng):
@@ -219,7 +221,8 @@ class TestMatchesPerPointLoops:
         # several blocks before the next one falls outside
         pts = np.vstack([_CORNERS[:3], rng.uniform(100, 600, (3_000, 2)), [(770.0, 768.0)]])
         seq = seq_at(pts, dt=10.0)
-        assert summaries._hull_values(seq, W).tolist() == hull_values_reference(seq, W)
+        got = summaries._hull_values(seq.locations(), W)
+        assert got.tolist() == hull_values_reference(seq, W)
 
     @settings(max_examples=100)
     @given(fixation_paths(min_size=0), st.sampled_from([1.0, 2.0, 4.0]),
@@ -233,7 +236,7 @@ class TestMatchesPerPointLoops:
         radius = raster if radius_is_raster else 35.0
         seq = seq_at(pts)
         with mock.patch.object(summaries, "_MASK_BYTES", mask_bytes):
-            got = summaries._ball_values(seq, W, radius, raster)
+            got = summaries._ball_values(seq.locations(), W, radius, raster)
         assert got.tolist() == ball_values_reference(seq, W, radius, raster)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -254,7 +257,7 @@ class TestMatchesPerPointLoops:
         boxes = [disc_box_reference(x, y, W, radius, raster) for x, y in zip(xs, ys)]
         assert {(b[1] - b[0], b[3] - b[2]) for b in boxes} == {(x1 - x0, y1 - y0)}
         seq = seq_at(np.column_stack([xs, ys]))
-        assert summaries._ball_values(seq, W, radius, raster).tolist() == (
+        assert summaries._ball_values(seq.locations(), W, radius, raster).tolist() == (
             ball_values_reference(seq, W, radius, raster)
         )
 
@@ -430,6 +433,40 @@ class TestTransitions:
     def test_needs_two_fixations(self):
         with pytest.raises(DataError):
             transition_curves(seq_at([(10, 10)]), W)
+
+
+def _around(v: float) -> list:
+    """``v`` and its two float neighbours."""
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+class TestQuadrants:
+    # the one-pass states equal quadrant_of point by point
+    @pytest.mark.parametrize("w", [W, Window(10.0, 20.0, 31.0, 45.0), Window(-3.5, 0.0, 0.1, 0.3)])
+    def test_equal_quadrant_of_on_midlines_and_edges(self, w, rng):
+        mx, my = (w.x_min + w.x_max) / 2.0, (w.y_min + w.y_max) / 2.0
+        xs = [w.x_min, np.nextafter(w.x_min, np.inf), *_around(mx),
+              np.nextafter(w.x_max, -np.inf), w.x_max]
+        ys = [w.y_min, np.nextafter(w.y_min, np.inf), *_around(my),
+              np.nextafter(w.y_max, -np.inf), w.y_max]
+        pts = np.vstack([list(itertools.product(xs, ys)),
+                         rng.uniform([w.x_min, w.y_min], [w.x_max, w.y_max], (200, 2))])
+        got = summaries._quadrants(pts, w)
+        assert got.tolist() == [quadrant_of(x, y, w) - 1 for x, y in pts.tolist()]
+
+    def test_empty(self):
+        assert summaries._quadrants(np.empty((0, 2)), W).tolist() == []
+
+    @pytest.mark.parametrize("bad", [(-1e-9, 5.0), (5.0, 768.5), (np.nan, 5.0), (np.inf, 9.0)])
+    def test_first_outside_point_raises_its_error(self, bad):
+        pts = np.array([(10.0, 10.0), bad, (800.0, 5.0)])
+        with pytest.raises(DataError) as ref:
+            quadrant_of(*bad, W)
+        with pytest.raises(DataError) as got:
+            summaries._quadrants(pts, W)
+        assert str(got.value) == str(ref.value)
+        with pytest.raises(DataError, match=r"outside window"):
+            curve_rows(seq_at(pts), W, [0.0, 1_000.0], ["scanpath"])
 
 
 class TestResample:

@@ -61,6 +61,9 @@ COMMANDS = {
     "env_cv": ("b", ["envelope", "--group", "non_novice", "--n-runs", "60", "--seed", "8"]),
     "env_ball": ("b", ["envelope", "--group", "novice", "--stat", "ball", "--raster", "2",
                        "--radius", "20", "--n-runs", "40", "--seed", "8"]),
+    # 90 angles: lockstep blocks of 131 runs, so 150 runs end on a partial block
+    "env_a90": ("a", ["envelope", "--group", "non_novice", "--h", "24", "--n-angles", "90",
+                      "--n-runs", "150", "--seed", "5"]),
     "sim_p05_a90": ("a", ["simulate", "--group", "novice", "--p-long", "0.5",
                           "--n-angles", "90", "--n-runs", "50", "--seed", "7"]),
     "sim_p0": ("a", ["simulate", "--group", "novice", "--p-long", "0", "--h", "24",
