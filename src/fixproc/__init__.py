@@ -80,6 +80,7 @@ from .simulate import (
     simulate_runs,
 )
 from .summaries import (
+    RunCurves,
     TransitionCurves,
     ball_union_coverage,
     convex_hull,

@@ -210,6 +210,8 @@ def _meta(cfg: PipelineConfig, command: str) -> dict:
 
 
 def _outdir(cfg: PipelineConfig) -> Path:
+    """``cfg.out``, created. Commands call it once their input is read and
+    checked, so a config or data error leaves no output directory."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -248,16 +250,16 @@ def _pick_bandwidth(
 
 
 def cmd_ingest(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, saccades, report = _load_filtered(cfg)
+    out = _outdir(cfg)
     write_fixations(dataset, out / "fixations_clean.csv")
     write_saccades(saccades, out / "saccades.csv")
     report.to_json(out / "ingest_report.json")
 
 
 def cmd_intensity(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
+    out = _outdir(cfg)
     points = dataset.pooled_locations()
     h, cv = _pick_bandwidth(cfg, cfg.h, points, dataset.window)
     grid = estimate_intensity(points, dataset.window, h, cfg.nx, cfg.ny)
@@ -274,8 +276,8 @@ def cmd_intensity(cfg: PipelineConfig) -> None:
 
 
 def cmd_residuals(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
+    out = _outdir(cfg)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(), dataset.window)
     grids = residual_intensities(dataset, cfg.interval_ms, h, cfg.nx, cfg.ny)
     combined = _with_cv({"meta": _meta(cfg, "residuals"), "h": h,
@@ -292,8 +294,8 @@ def cmd_residuals(cfg: PipelineConfig) -> None:
 
 
 def cmd_quadrat(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
+    out = _outdir(cfg)
     result = quadrat_chisq(dataset.pooled_locations(), dataset.window, cfg.q)
     payload = result.to_dict()
     payload["meta"] = _meta(cfg, "quadrat")
@@ -302,8 +304,8 @@ def cmd_quadrat(cfg: PipelineConfig) -> None:
 
 
 def cmd_shift(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
+    out = _outdir(cfg)
     curves = []
     if cfg.split == "group":
         x = dataset.pooled_durations("novice")
@@ -338,9 +340,9 @@ def _intensity_test(cfg: PipelineConfig, dataset, bandwidth) -> tuple:
 
 
 def cmd_compare_intensity(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
     comparison_groups(dataset)  # refuse a bad design before cross-validating
+    out = _outdir(cfg)
     result, payload = _intensity_test(cfg, dataset, partial(_pick_bandwidth, cfg, w=dataset.window))
     payload["meta"] = _meta(cfg, "compare-intensity")
     write_json(out / "ratio_test.json", payload)
@@ -365,8 +367,8 @@ def _source_sample(cfg: PipelineConfig, dataset, saccades) -> np.ndarray:
 
 
 def cmd_fit(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, saccades, _ = _load_filtered(cfg)
+    out = _outdir(cfg)
     fit = fit_gamma_mle(_source_sample(cfg, dataset, saccades), cfg.source)
     payload = fit.to_dict()
     payload["meta"] = _meta(cfg, "fit")
@@ -375,8 +377,8 @@ def cmd_fit(cfg: PipelineConfig) -> None:
 
 
 def cmd_qq(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, saccades, _ = _load_filtered(cfg)
+    out = _outdir(cfg)
     sample = _source_sample(cfg, dataset, saccades)
     fit = fit_gamma_mle(sample, cfg.source)
     band = gamma_qq(sample, fit, cfg.alpha)
@@ -397,8 +399,8 @@ def _build_group_model(cfg: PipelineConfig, dataset, saccades, group: str, h: fl
 
 
 def cmd_simulate(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, saccades, _ = _load_filtered(cfg)
+    out = _outdir(cfg)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
     model = _build_group_model(cfg, dataset, saccades, cfg.group, h)
     runs = simulate_many(model, cfg.n_runs, cfg.seed)
@@ -410,8 +412,8 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
 
 
 def cmd_summaries(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, _, _ = _load_filtered(cfg)
+    out = _outdir(cfg)
     w, end = dataset.window, dataset.trial_length
     bundle: dict = {"meta": _meta(cfg, "summaries"), "subjects": {}}
     for seq in dataset.sequences:
@@ -486,9 +488,9 @@ def _write_panels_svg(out: Path, stem: str, group_result: dict, grid, title_pref
 
 
 def cmd_envelope(cfg: PipelineConfig) -> None:
-    out = _outdir(cfg)
     dataset, saccades, _ = _load_filtered(cfg)
     dataset.require_one_painting()
+    out = _outdir(cfg)
     grid = default_grid(cfg.trial_length, cfg.grid_points)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
     result, envelopes = _group_envelopes(cfg, dataset, saccades, cfg.group, grid, h, cv)
@@ -502,7 +504,6 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
 
 def cmd_report(cfg: PipelineConfig) -> None:
     """Model-based envelopes for both groups plus the intensity comparison."""
-    out = _outdir(cfg)
     dataset, saccades, ingest_report = _load_filtered(cfg)
     grid = default_grid(cfg.trial_length, cfg.grid_points)
 
@@ -530,6 +531,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
     }
     for sub in subsets.values():
         comparison_groups(sub)  # refuse a bad design before cross-validating
+    out = _outdir(cfg)
     p_values = []
     for painting, sub in subsets.items():
         res, payload["intensity_comparison"][painting] = _intensity_test(cfg, sub, bandwidth)

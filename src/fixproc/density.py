@@ -26,7 +26,8 @@ from scipy.special import chdtrc, ndtr
 from .core import DataError, NumericError, Window, _positive
 
 # Rows per tile of the pair sums in cross-validation. Two (rows x n) buffers
-# are allocated once per call and reused by every tile and every bandwidth.
+# are allocated once per call, reused by every tile and every bandwidth, and
+# freed before the grid term.
 _TILE = 128
 
 # Floor on the exponent of a pair's kernel value in cross-validation. numpy's
@@ -209,8 +210,16 @@ def _grid_factors(
     norm = 1.0 / (2.0 * np.pi * h * h)
     cx = _centres(w.x_min, w.width, nx)
     cy = _centres(w.y_min, w.height, ny)
-    ax = np.exp(-((cx[:, None] - points[None, :, 0]) ** 2) * inv2h2)
-    ay = np.exp(-((cy[:, None] - points[None, :, 1]) ** 2) * inv2h2)
+    factors = []
+    for c, v in ((cx, points[:, 0]), (cy, points[:, 1])):
+        # exp(-(c - v)^2 / 2h^2), each step into one buffer; negating the
+        # factor instead of the square gives the same bits
+        f = np.subtract(c[:, None], v[None, :])
+        np.square(f, out=f)
+        f *= -inv2h2
+        np.exp(f, out=f)
+        factors.append(f)
+    ax, ay = factors
     ax /= _retained_mass(cx, w.x_min, w.x_max, h)[:, None]
     ay *= (norm / _retained_mass(cy, w.y_min, w.y_max, h))[:, None]
     return ax, ay
@@ -339,12 +348,14 @@ def _lscv_scores(points: np.ndarray, w: Window, h_grid, nx: int, ny: int) -> np.
             np.exp(kern, out=kern)
             pair_sums[k, a:b] += kern.sum(axis=1)
             pair_sums[k, b:] += kern[:, b - a :].sum(axis=0)
+    del d2_buf, kern_buf, d2, kern  # the grid factors below take their place
 
     scores = np.empty(len(h_grid))
     for k, h in enumerate(h_grid):
         ax, ay = _grid_factors(points, w, h, nx, ny)
         lam_grid = ay @ ax.T
         point_mass = ax.sum(axis=0) * ay.sum(axis=0) * cell  # each point's term over the window
+        del ax, ay  # before the next h's are built
         total_mass = point_mass.sum()
 
         norm = 1.0 / (2.0 * np.pi * h * h)

@@ -89,26 +89,73 @@ def default_grid(trial_length: float = 180_000.0, n: int = 361) -> np.ndarray:
     return np.linspace(0.0, trial_length, n)
 
 
+def _finite_or_nan(rows: np.ndarray) -> np.ndarray:
+    """``rows``, or a copy with NaN for +-inf when it holds any."""
+    infinite = np.isinf(rows)
+    return np.where(infinite, np.nan, rows) if infinite.any() else rows
+
+
+def _sorted_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's sort order and its sorted values; NaN sorts last."""
+    order = np.argsort(rows, axis=0)
+    return order, np.take_along_axis(rows, order, axis=0)
+
+
+def _sorted_mid_ranks(ordered: np.ndarray) -> np.ndarray:
+    """Mid-rank of each entry of the sorted columns ``ordered``.
+
+    A run of c ties from sorted position lo shares the rank lo + (c + 1) / 2.
+    Every NaN is a run of its own; its rank means nothing.
+    """
+    pos = np.arange(len(ordered), dtype=np.int32)[:, None]
+    starts = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    lo = np.where(starts, pos, 0)
+    np.maximum.accumulate(lo, axis=0, out=lo)
+    ends = starts  # a run ends where the next one starts, and at the last row
+    ends[:-1] = starts[1:]
+    ends[-1] = True
+    span = np.minimum.accumulate(np.where(ends, pos, len(ordered))[::-1], axis=0)[::-1]
+    span -= lo
+    span += 2  # the run's length plus 1
+    ranks = span / 2
+    del span
+    ranks += lo
+    return ranks
+
+
+def _unsorted(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``values`` of sorted columns, moved back to the rows ``order`` took them from."""
+    out = np.empty(values.shape)
+    np.put_along_axis(out, order, values, axis=0)
+    return out
+
+
 def _mid_ranks(rows: np.ndarray) -> np.ndarray:
     """Rank of each entry within its column, ties averaged; NaN where not finite.
 
     Only a column's finite entries are ranked, from 1 up to their count.
     """
-    finite = np.isfinite(rows)
-    columns = np.where(finite, rows, np.nan).T
-    order = np.argsort(columns, axis=1)  # NaN sorts last
-    ordered = np.take_along_axis(columns, order, axis=1)
-    starts = np.ones(ordered.shape, dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    # a run of c ties from sorted position lo shares the rank lo + (c + 1) / 2
-    lo = np.flatnonzero(starts)
-    counts = np.diff(lo, append=starts.size)
-    ranks = np.empty(columns.shape)
-    mid = np.repeat(lo % len(rows) + (counts + 1) / 2, counts)
-    np.put_along_axis(ranks, order, mid.reshape(columns.shape), axis=1)
-    ranks = ranks.T
-    ranks[~finite] = np.nan
+    order, ordered = _sorted_columns(_finite_or_nan(rows))
+    ranks = _unsorted(_sorted_mid_ranks(ordered), order)
+    ranks[~np.isfinite(rows)] = np.nan
     return ranks
+
+
+def _sorted_extreme_ranks(
+    order: np.ndarray, ordered: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """:func:`extreme_ranks` from the column sort of rows without infinities.
+
+    ``counts`` are the columns' numbers of finite entries.
+    """
+    depth = _sorted_mid_ranks(ordered)
+    high = (counts + 1) - depth
+    np.fmin(depth, high, out=depth)
+    del high
+    # a column's non-finite entries sort after its finite ones
+    depth[np.arange(len(ordered))[:, None] >= counts] = np.inf
+    return _unsorted(depth, order).min(axis=1)
 
 
 def extreme_ranks(rows: np.ndarray) -> np.ndarray:
@@ -120,11 +167,8 @@ def extreme_ranks(rows: np.ndarray) -> np.ndarray:
     and likewise +-inf) contribute no depth; an everywhere-undefined curve
     gets rank +inf.
     """
-    finite = np.isfinite(rows)
-    low = _mid_ranks(rows)
-    high = finite.sum(axis=0)[None, :] + 1 - low
-    depth = np.where(finite, np.fmin(low, high), np.inf)
-    return depth.min(axis=1)
+    counts = np.isfinite(rows).sum(axis=0)
+    return _sorted_extreme_ranks(*_sorted_columns(_finite_or_nan(rows)), counts)
 
 
 def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
@@ -137,24 +181,28 @@ def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
     undefined get NaN bounds (no constraint); points with fewer than k
     defined values fall back to the min/max of what is defined. Infinite
     entries count as undefined, like NaN.
+
+    The columns are sorted once, for the ranks and the bounds; besides the
+    curves, about four arrays of their size are held at a time. A bound
+    drawn from a tie of 0.0 and -0.0 may carry either sign.
     """
-    rows = np.where(np.isfinite(curves.rows), curves.rows, np.nan)
-    s = rows.shape[0]
+    s = curves.rows.shape[0]
     if not 0 < alpha < 1:
         raise DataError("alpha must be in (0, 1)")
     if s < int(np.ceil(1.0 / alpha)):
         raise DataError(f"need at least {int(np.ceil(1.0 / alpha))} curves, got {s}")
 
-    ranks = extreme_ranks(rows)
+    counts = np.isfinite(curves.rows).sum(axis=0)
+    order, ordered = _sorted_columns(_finite_or_nan(curves.rows))
+    ranks = _sorted_extreme_ranks(order, ordered, counts)
+    del order
     need = int(np.ceil((1.0 - alpha) * s - 1e-9))
     # largest integer k with #{R_j >= k} >= need, i.e. floor of the
     # need-th largest extreme rank
     k = int(np.floor(min(np.sort(ranks)[s - need], (s + 1) / 2) + 1e-9))
     k = max(k, 1)
 
-    ordered = np.sort(rows, axis=0)  # NaN sorts last
-    counts = np.isfinite(rows).sum(axis=0)
-    cols = np.arange(rows.shape[1])
+    cols = np.arange(ordered.shape[1])
     # depth per column, capped so short columns keep lower <= upper
     k_eff = np.minimum(k, (np.maximum(counts, 1) + 1) // 2)
     lower = np.where(counts > 0, ordered[k_eff - 1, cols], np.nan)

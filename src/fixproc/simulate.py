@@ -28,7 +28,7 @@ from .density import IntensityGrid, estimate_intensity
 from .fitdist import GammaFit, fit_gamma_mle, sample_gamma
 from .ingest import derive_saccades, valid_saccade_values, write_json
 from .rng import substream
-from .summaries import STATS, TRANSITIONS, curve_rows
+from .summaries import STATS, RunCurves, _grid_columns
 
 
 @dataclass
@@ -396,28 +396,35 @@ def simulate_curves(
     stats=STATS,
     radius: float = 35.0,
     raster: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[RunCurves, np.ndarray]:
     """Summary curves of the runs of :func:`simulate_many`, without the runs.
 
-    Returns ``(curves, counts)``: ``curves[j, i]`` is row j of
-    :func:`~fixproc.summaries.curve_rows` of run i (the ``stats``, then the
-    16 transitions), shape ``(len(stats) + 16, n_runs, len(grid))``, and
-    ``counts[i]`` is run i's fixation count. The runs are simulated one
-    lockstep block at a time, each block through :func:`simulate_many`, and
-    a block's runs are dropped once its rows are written: the matrix is all
-    that grows with ``n_runs``.
+    Returns ``(curves, counts)``: ``curves[j]`` is the ``(n_runs,
+    len(grid))`` array of row j of :func:`~fixproc.summaries.curve_rows` of
+    every run (the ``stats``, then the 16 transitions), and ``counts[i]`` is
+    run i's fixation count. The runs are simulated one lockstep block at a
+    time, each block through :func:`simulate_many`, and a block's runs are
+    dropped once its curves are stored. What grows with ``n_runs`` is the
+    :class:`~fixproc.summaries.RunCurves` store: float rows of the stats,
+    and for the transitions one byte per fixation plus one index per grid
+    time.
     """
     grid = np.asarray(grid, dtype=float)
-    curves = np.empty((len(stats) + len(TRANSITIONS), n_runs, grid.size))
-    counts = np.empty(n_runs, dtype=int)
+    stat_rows = np.empty((len(stats), n_runs, grid.size))
+    at = np.empty((n_runs, grid.size), dtype=np.int32)
+    states = []
     block = _block_runs(model)
     for first in range(0, n_runs, block):
         runs = simulate_many(model, min(block, n_runs - first), seed, first)
         for i, run in enumerate(runs, first):
-            curves[:, i] = curve_rows(run.sequence, model.window, grid, stats, radius, raster)
-            counts[i] = len(run.sequence)
+            stat_rows[:, i], run_states, at[i] = _grid_columns(
+                run.sequence, model.window, grid, stats, radius, raster
+            )
+            states.append(run_states)
         del runs, run  # before the next block is simulated, not after
-    return curves, counts
+    starts = np.cumsum([0] + [len(s) for s in states])
+    curves = RunCurves(stat_rows, np.concatenate([np.empty(0, np.uint8), *states]), starts, at)
+    return curves, curves.counts
 
 
 def runs_to_dataset(runs: list[SimRun], window: Window, trial_length: float) -> Dataset:

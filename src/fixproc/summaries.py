@@ -3,7 +3,8 @@
 Each summary is evaluated every time a new fixation appears, at its onset.
 The public functions carry it as a right-continuous step curve on
 [0, trial end]; :func:`curve_rows` evaluates a sequence's summaries on a
-time grid in one pass, as the rows that the envelope construction consumes.
+time grid in one pass, as the rows that the envelope construction consumes,
+and :class:`RunCurves` holds those rows of many runs.
 """
 
 from __future__ import annotations
@@ -277,17 +278,23 @@ def transition_curves(
     """
     if len(seq) < 2:
         raise DataError("need at least 2 fixations for transitions")
-    n_ab, table = _transition_table(seq.locations(), w)
+    states = _quadrants(seq.locations(), w)
+    # knot i is the onset of fixation i + 1
+    knots = np.arange(1, len(states))[None, :]
+    starts = np.array([0, len(states)])
     times = seq.onsets()[1:]
     end = _domain_end(seq, domain_end)
     curves = [
-        [_step(times, table[:, a, b], end, np.nan) for b in range(4)] for a in range(4)
+        [_step(times, _transition_estimates(states, starts, knots, 4 * a + b)[0], end, np.nan)
+         for b in range(4)]
+        for a in range(4)
     ]
-    return TransitionCurves(curves=curves, counts=n_ab[-1], row_counts=n_ab[-1].sum(axis=1))
+    counts = np.bincount(4 * states[:-1] + states[1:], minlength=16).reshape(4, 4)
+    return TransitionCurves(curves=curves, counts=counts, row_counts=counts.sum(axis=1))
 
 
 def _quadrants(locs: np.ndarray, w: Window) -> np.ndarray:
-    """``quadrant_of(x, y, w) - 1`` of each location, in one array pass.
+    """``quadrant_of(x, y, w) - 1`` of each location as uint8, in one array pass.
 
     A location outside the window raises :func:`quadrant_of`'s error for
     the first such one.
@@ -299,23 +306,110 @@ def _quadrants(locs: np.ndarray, w: Window) -> np.ndarray:
     # quadrant_of's midline rule: a point on a midline takes the larger index
     right = xs >= (w.x_min + w.x_max) / 2.0
     lower = ys >= (w.y_min + w.y_max) / 2.0
-    return right.astype(int) + 2 * lower.astype(int)
+    return right.astype(np.uint8) + 2 * lower.astype(np.uint8)
 
 
-def _transition_table(locs: np.ndarray, w: Window) -> tuple[np.ndarray, np.ndarray]:
-    """Running counts N_ab and estimates N_ab/N_a after each transition
-    between the (n, 2) fixation locations ``locs``.
+def _transition_estimates(
+    states: np.ndarray, starts: np.ndarray, at: np.ndarray, j: int
+) -> np.ndarray:
+    """Running estimate N_ab/N_a of transition ``TRANSITIONS[j]`` of runs of quadrant states.
 
-    Both are (transitions, 4, 4); an estimate row not yet visited is NaN.
+    Run i's states are ``states[starts[i]:starts[i + 1]]``. Entry (i, g) is
+    the estimate after fixation ``at[i, g]`` of run i: its transitions into
+    fixations 1 to ``at[i, g]`` are counted. The estimate is NaN while N_a is
+    0, and so for an index below 1. Returns an array of ``at``'s shape.
     """
-    states = _quadrants(locs, w)
-    # one-hot transitions, accumulated into the running counts N_ab(t), N_a(t)
-    steps = np.zeros((max(len(states) - 1, 0), 4, 4), dtype=int)
-    steps[np.arange(len(steps)), states[:-1], states[1:]] = 1
-    n_ab = np.cumsum(steps, axis=0)
-    n_a = n_ab.sum(axis=2, keepdims=True)
+    a, b = divmod(j, 4)
+    first = starts[:-1][np.diff(starts) > 0]
+    # from_a[p + 1]: the transition into fixation p leaves state a
+    from_a = np.zeros(states.size + 1, dtype=np.intp)
+    from_a[2:] = states[:-1] == a
+    from_a[first + 1] = 0  # no transition into a run's first fixation
+    to_b = from_a.copy()
+    to_b[1:] &= states == b
+    # prefix counts before fixation q; a run's counts are differences from its start
+    n_a = np.cumsum(from_a)
+    n_ab = np.cumsum(to_b)
+    base = starts[:-1, None]
+    pos = at + 1
+    pos += base
+    n_a, n_ab = n_a[pos] - n_a[base], n_ab[pos] - n_ab[base]
+    del pos
     with np.errstate(invalid="ignore"):
-        return n_ab, n_ab / np.where(n_a == 0, np.nan, n_a)
+        estimates = np.where(n_a == 0, np.nan, n_a)
+        return np.divide(n_ab, estimates, out=estimates)
+
+
+def _grid_columns(
+    seq: FixationSequence, window: Window, grid: np.ndarray, stats, radius: float, raster: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sequence's ``(stat_rows, states, at)`` as :class:`RunCurves` holds one run.
+
+    ``stat_rows`` is (len(stats), grid), ``states`` the uint8 quadrant state of
+    each fixation and ``at`` the index of the last fixation with onset <= t
+    at each grid time t, or -1 before the first one.
+    """
+    at = np.searchsorted(seq.onsets(), grid, side="right") - 1
+    locs = seq.locations()
+    values_of = {
+        "hull": lambda: _hull_values(locs, window),
+        "ball": lambda: _ball_values(locs, window, radius, raster),
+        "scanpath": lambda: _scanpath_values(locs),
+    }
+    stat_rows = np.empty((len(stats), grid.size))
+    for i, stat in enumerate(stats):
+        # 0 before the first fixation
+        stat_rows[i] = np.concatenate([[0.0], values_of[stat]()])[at + 1]
+    return stat_rows, _quadrants(locs, window), at
+
+
+@dataclass
+class RunCurves:
+    """The :func:`curve_rows` of many runs on one time grid, held compactly.
+
+    ``curves[j]`` is the (runs, grid) array of row j of every run's
+    ``curve_rows``, bit for bit. Statistic rows are stored as floats in
+    ``stat_rows``. The 16 transition rows are ratios of small counts, so
+    only integers are stored: each fixation's quadrant state (``states``,
+    uint8, runs back to back, run i from ``starts[i]`` to
+    ``starts[i + 1]``) and each grid time's fixation index (``at``, -1
+    before the first fixation). A transition row is built when it is
+    indexed. ``np.asarray(curves)`` is the whole (rows, runs, grid) matrix.
+    """
+
+    stat_rows: np.ndarray
+    states: np.ndarray
+    starts: np.ndarray
+    at: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.stat_rows) + len(TRANSITIONS)
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        j = range(len(self))[j]  # IndexError past either end
+        n_stats = len(self.stat_rows)
+        if j < n_stats:
+            return self.stat_rows[j]
+        return _transition_estimates(self.states, self.starts, self.at, j - n_stats)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.empty(self.shape)
+        for j in range(len(self)):
+            out[j] = self[j]
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (len(self), *self.at.shape)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Each run's fixation count."""
+        return np.diff(self.starts)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.stat_rows, self.states, self.starts, self.at))
 
 
 def curve_rows(
@@ -332,25 +426,13 @@ def curve_rows(
     then the 16 transition curves in :data:`TRANSITIONS` order. Each row
     equals its step curve evaluated on the grid, bit for bit, at grid times
     >= 0. A sequence of fewer than 2 fixations has all-NaN transition rows.
-    Only the requested statistics are computed.
+    Only the requested statistics are computed. The rows are those of a
+    one-run :class:`RunCurves`.
     """
     grid = np.asarray(grid, dtype=float)
-    # the last fixation with onset <= t, or -1 before the first one
-    idx = np.searchsorted(seq.onsets(), grid, side="right") - 1
-    locs = seq.locations()
-    values_of = {
-        "hull": lambda: _hull_values(locs, window),
-        "ball": lambda: _ball_values(locs, window, radius, raster),
-        "scanpath": lambda: _scanpath_values(locs),
-    }
-    rows = np.empty((len(stats) + len(TRANSITIONS), grid.size))
-    for i, stat in enumerate(stats):
-        # 0 before the first fixation
-        rows[i] = np.concatenate([[0.0], values_of[stat]()])[idx + 1]
-    # estimates start at the second fixation, NaN before it
-    table = np.concatenate([np.full((1, 4, 4), np.nan), _transition_table(locs, window)[1]])
-    rows[len(stats):] = table[np.maximum(idx, 0)].reshape(grid.size, -1).T
-    return rows
+    stat_rows, states, at = _grid_columns(seq, window, grid, stats, radius, raster)
+    one = RunCurves(stat_rows[:, None], states, np.array([0, len(states)]), at[None])
+    return np.asarray(one)[:, 0]
 
 
 def resample_curve(curve: StepCurve, grid) -> np.ndarray:

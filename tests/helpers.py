@@ -541,3 +541,43 @@ def points_reference(xs, ys) -> str:
     px = np.asarray(xs, dtype=float).tolist()
     py = np.asarray(ys, dtype=float).tolist()
     return " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+
+
+def mid_ranks_reference(rows: np.ndarray) -> np.ndarray:
+    """Column mid-ranks by one flat pass over the runs of ties, as
+    ``envelopes._mid_ranks`` computed them before the columns' sort was
+    shared with the bounds."""
+    finite = np.isfinite(rows)
+    columns = np.where(finite, rows, np.nan).T
+    order = np.argsort(columns, axis=1)  # NaN sorts last
+    ordered = np.take_along_axis(columns, order, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    lo = np.flatnonzero(starts)
+    counts = np.diff(lo, append=starts.size)
+    ranks = np.empty(columns.shape)
+    mid = np.repeat(lo % len(rows) + (counts + 1) / 2, counts)
+    np.put_along_axis(ranks, order, mid.reshape(columns.shape), axis=1)
+    ranks = ranks.T
+    ranks[~finite] = np.nan
+    return ranks
+
+
+def rank_envelope_reference(rows: np.ndarray, alpha: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(k, lower, upper)`` of ``rank_envelope`` as it was computed with
+    :func:`mid_ranks_reference` and a second sort of the columns."""
+    rows = np.where(np.isfinite(rows), rows, np.nan)
+    s = rows.shape[0]
+    finite = np.isfinite(rows)
+    low = mid_ranks_reference(rows)
+    high = finite.sum(axis=0)[None, :] + 1 - low
+    ranks = np.where(finite, np.fmin(low, high), np.inf).min(axis=1)
+    need = int(np.ceil((1.0 - alpha) * s - 1e-9))
+    k = max(int(np.floor(min(np.sort(ranks)[s - need], (s + 1) / 2) + 1e-9)), 1)
+    ordered = np.sort(rows, axis=0)
+    counts = finite.sum(axis=0)
+    cols = np.arange(rows.shape[1])
+    k_eff = np.minimum(k, (np.maximum(counts, 1) + 1) // 2)
+    lower = np.where(counts > 0, ordered[k_eff - 1, cols], np.nan)
+    upper = np.where(counts > 0, ordered[np.maximum(counts - k_eff, 0), cols], np.nan)
+    return k, lower, upper

@@ -566,6 +566,31 @@ class TestRequiredSettings:
         assert not out.exists()
 
 
+class TestDataErrorsMakeNoOutputDirectory:
+    # every command used to create --out before it read its input, so a data
+    # error at ingest left an empty output directory behind
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_missing_input_file(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run([command, "--seed", "1", "--group", "novice", "--input",
+                    tmp_path / "nope.csv", "--out", out]) == 3
+        assert json.loads(capsys.readouterr().err.strip())["exit_code"] == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_painting_id_that_is_not_a_file_name(self, tmp_path, capsys, command):
+        d = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=4, seed=21)
+        for seq in d.sequences:
+            seq.painting_id = "room/a"
+        out = tmp_path / "out"
+        assert run([command, "--seed", "1", "--group", "novice", "--input",
+                    write_csv(d, tmp_path / "fix.csv"), "--out", out,
+                    "--trial-length", "5000"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "painting_id 'room/a' cannot be part of a file name" in err["message"]
+        assert not out.exists()
+
+
 class TestConfigHash:
     def test_int_and_float_spellings_hash_alike(self, tmp_path):
         # an int given to a float field used to be kept, so 10000 and 10000.0
@@ -805,4 +830,4 @@ class TestIdsThatAreNotFileNames:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "DataError"
         assert f"{column} {bad!r} cannot be part of a file name" in err["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()

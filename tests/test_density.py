@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -271,6 +272,21 @@ def brute_force_lscv(points, w, h, nx, ny):
 
 
 class TestBandwidthCV:
+    def test_peak_memory_under_three_factor_matrices(self):
+        # the pair-tile buffers are freed before the grid factors are built,
+        # and each h's factors before the next h's; it peaked at 6.9 of these
+        n = 1_300
+        pts = mixture_points(np.random.default_rng(8), n, 400.0, 350.0)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                select_bandwidth_cv(pts, W, np.geomspace(8.0, 64.0, 9), 128, 128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 128 * n * 8
+
     def test_score_matches_brute_force(self, rng):
         pts = rng.uniform([100, 100], [650, 650], size=(30, 2))
         h_grid = (8.0, 15.0, 60.0)

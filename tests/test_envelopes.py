@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.stats import rankdata
 import fixproc
 from fixproc import CurveMatrix, DataError, StepCurve, envelope_report, rank_envelope
 from fixproc.envelopes import _mid_ranks, default_grid, extreme_ranks
+from helpers import mid_ranks_reference, rank_envelope_reference
 
 
 def smooth_brownian(rng, n, g=361):
@@ -111,6 +113,72 @@ class TestMidRanks:
     def test_all_nan_column_and_single_row(self):
         ranks = _mid_ranks(np.array([[np.nan, 3.0, -1.0]]))
         assert np.isnan(ranks[0, 0]) and np.array_equal(ranks[0, 1:], [1.0, 1.0])
+
+
+def _matrix(kind: str, rng, shape=(200, 361)) -> np.ndarray:
+    """Curves whose columns are continuous, tied, NaN-led or hold infinities."""
+    rows = smooth_brownian(rng, *shape)
+    if kind == "tied":
+        # + 0.0 turns the negative zeros of rounding into zeros
+        rows = np.round(rows / rows.std()) * 0.5 + 0.0
+        rows[:, : shape[1] // 4] = 0.0
+    elif kind == "nan_led":
+        # undefined until each curve's own start, as transition rows are
+        rows[np.arange(shape[1]) < rng.integers(0, shape[1], shape[0])[:, None]] = np.nan
+        rows[:, :3] = np.nan
+    elif kind == "infinite":
+        rows[rng.random(shape) < 0.05] = np.inf
+        rows[rng.random(shape) < 0.05] = -np.inf
+        rows[rng.random(shape) < 0.05] = np.nan
+        rows[:, shape[1] // 2] = np.inf
+    return rows
+
+
+class TestSharedColumnSort:
+    """Ranks and bounds from one column sort keep the bits of two sorts."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "tied", "nan_led", "infinite"])
+    @pytest.mark.parametrize("shape", [(200, 361), (20, 5), (41, 1)])
+    def test_equals_reference(self, kind, shape):
+        rows = _matrix(kind, np.random.default_rng(31), shape)
+        ranks = _mid_ranks(rows)
+        assert ranks.tobytes() == mid_ranks_reference(rows).tobytes()
+        for alpha in (0.05, 0.5):
+            env = rank_envelope(CurveMatrix(default_grid(100.0, shape[1]), rows), alpha)
+            k, lower, upper = rank_envelope_reference(rows, alpha)
+            assert env.k == k
+            assert env.lower.tobytes() == lower.tobytes()
+            assert env.upper.tobytes() == upper.tobytes()
+
+    def test_signed_zero_ties_keep_their_values(self):
+        # the sort places -0.0 and 0.0 in either order, so a tied zero bound
+        # may carry either sign; it equals the reference's as a number
+        rows = np.tile([[-0.0], [0.0]], (20, 3))
+        rows[:, 2] = np.arange(40.0)
+        env = rank_envelope(CurveMatrix(default_grid(100.0, 3), rows), 0.05)
+        k, lower, upper = rank_envelope_reference(rows, 0.05)
+        assert env.k == k
+        assert np.array_equal(env.lower, lower) and np.array_equal(env.upper, upper)
+        assert env.lower.tobytes()[16:] == lower.tobytes()[16:]
+        assert env.upper.tobytes()[16:] == upper.tobytes()[16:]
+
+    def test_input_rows_untouched(self):
+        rows = _matrix("infinite", np.random.default_rng(2), (30, 9))
+        before = rows.copy()
+        rank_envelope(CurveMatrix(default_grid(100.0, 9), rows))
+        assert rows.tobytes() == before.tobytes()
+
+    def test_peak_memory_is_five_matrices_or_less(self):
+        # the flat tie-run pass and a second sort held 10.5 matrices at once
+        rows = _matrix("continuous", np.random.default_rng(3))
+        curves = CurveMatrix(default_grid(100.0, 361), rows)
+        tracemalloc.start()
+        try:
+            rank_envelope(curves)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * rows.nbytes
 
 
 class TestNonFiniteCurves:

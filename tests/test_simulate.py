@@ -536,7 +536,24 @@ class TestSimulateCurves:
         got, counts = simulate_curves(model, n_runs, 3, grid, stats, 35.0, 8.0)
         ref, ref_counts = curves_of_held_runs(model, n_runs, 3, grid, stats, 8.0)
         assert got.shape == ref.shape == (len(stats) + 16, n_runs, 41)
-        assert got.tobytes() == ref.tobytes()
+        assert len(got) == len(ref)
+        for j in range(len(ref)):
+            assert got[j].tobytes() == ref[j].tobytes()
+        assert np.asarray(got).tobytes() == ref.tobytes()
+        assert counts.tolist() == ref_counts.tolist()
+
+    @pytest.mark.parametrize("trial_length, fixations", [
+        (-5.0, {0}), (0.0, {0}), (260.0, {1, 2}),
+    ])
+    def test_runs_of_few_fixations(self, trial_length, fixations):
+        # no fixation, one fixation (NaN transition rows) or one transition
+        model = toy_model(trial_length=trial_length, n_angles=60, nx=32, ny=32)
+        grid = default_grid(400.0, 41)
+        got, counts = simulate_curves(model, 40, 12, grid, STATS, 35.0, 8.0)
+        ref, ref_counts = curves_of_held_runs(model, 40, 12, grid, STATS, 8.0)
+        assert fixations <= set(counts.tolist()) <= {0, 1, 2, 3}
+        for j in range(len(ref)):
+            assert got[j].tobytes() == ref[j].tobytes()
         assert counts.tolist() == ref_counts.tolist()
 
     def test_blocks_go_through_simulate_many(self, monkeypatch):
@@ -566,8 +583,8 @@ class TestSimulateCurves:
 
     def test_holds_one_block_of_runs(self):
         # 8 blocks of 40 s runs: every run held at once would take about
-        # 3 MB more than the matrix; one block at a time plus the lockstep
-        # step's arrays stays under the margin
+        # 3 MB more than the curve store; one block at a time plus the
+        # lockstep step's arrays stays under the margin
         margin = 2_500_000
         model = toy_model(trial_length=40_000.0, n_angles=720, nx=32, ny=32)
         n_runs = 8 * block_size(720)
@@ -585,6 +602,22 @@ class TestSimulateCurves:
         del runs
         # the runs themselves would not fit under the margin
         assert held > margin + curves.nbytes
+
+    def test_transitions_take_an_eighth_of_their_float_rows(self):
+        # 16 float rows per run and grid time are replaced by one byte per
+        # fixation and one index per grid time
+        model = toy_model(trial_length=20_000.0, n_angles=90, nx=32, ny=32)
+        n_runs, grid = 3 * block_size(90), default_grid(20_000.0, 361)
+        tracemalloc.start()
+        try:
+            curves, counts = simulate_curves(model, n_runs, 6, grid, ["scanpath"])
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        float_rows = 16 * n_runs * grid.size * 8
+        assert curves.nbytes - curves.stat_rows.nbytes <= float_rows / 8
+        assert held - curves.stat_rows.nbytes - counts.nbytes <= float_rows / 8
+        assert np.asarray(curves).nbytes == curves.stat_rows.nbytes + float_rows
 
 
 class TestIngestRoundTrip:

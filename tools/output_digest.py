@@ -92,6 +92,15 @@ COMMANDS = {
     "qq": ("c", ["qq", "--source", "saccade_duration", "--alpha", "0.1"]),
     "summaries": ("c", ["summaries", "--radius", "30", "--raster", "3"]),
     "env_config": ("b", ["envelope", "--h", "24", "--n-runs", "40", "--seed", "8"]),
+    # at TRIAL_LENGTHS' 173 ms, 180 of the 200 runs have one fixation and
+    # the transition envelopes take the other 20, the fewest they accept
+    "env_short": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
+                        "--seed", "7"]),
+}
+
+# name: the --trial-length a command runs with, when not its input's
+TRIAL_LENGTHS = {
+    "env_short": 173.0,
 }
 
 # name: the JSON config file a command reads through --config
@@ -138,6 +147,7 @@ def main(argv=None) -> int:
 
     for name, (input_name, flags) in COMMANDS.items():
         csv, trial = inputs[input_name]
+        trial = TRIAL_LENGTHS.get(name, trial)
         out = out_root / name
         argv = [*flags, "--input", str(csv), "--trial-length", repr(trial), "--out", str(out)]
         if name in CONFIGS:
