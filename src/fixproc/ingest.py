@@ -186,10 +186,12 @@ def parse_fixations(
     Rows may arrive in any time order; each sequence is sorted by onset and
     a warning is emitted when sorting actually changed the order. Duplicate
     onsets within one sequence, malformed rows and non-finite (nan/inf)
-    times or coordinates raise with the offending line number.
+    times or coordinates raise with the offending line number. A subject
+    keeps one group label on every painting; a second label raises with
+    both line numbers.
     """
     rows: dict[tuple[str, str], list[tuple[float, Fixation]]] = {}
-    groups: dict[tuple[str, str], str] = {}
+    labels: dict[str, tuple[str, int]] = {}  # subject: (group, line of its first row)
     seen_onsets: dict[tuple[str, str], set[float]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -219,7 +221,7 @@ def parse_fixations(
             if duration <= 0:
                 raise DataError(f"{path}:{line}: non-positive duration {duration}")
             key = (subject, painting)
-            if key not in groups:
+            if key not in rows:
                 # outputs such as summary_<subject>_<painting>_hull.csv carry the ids
                 for column, value in (("subject_id", subject), ("painting_id", painting)):
                     if not _names_a_file(value):
@@ -227,9 +229,12 @@ def parse_fixations(
                             f"{path}:{line}: {column} {value!r} cannot be part of a file name"
                             " (no '/', '\\' or NUL, and not '.' or '..')"
                         )
-            prior = groups.setdefault(key, group)
+            prior, first_line = labels.setdefault(subject, (group, line))
             if prior != group:
-                raise DataError(f"{path}:{line}: subject {subject!r} has two group labels")
+                raise DataError(
+                    f"{path}:{line}: subject {subject!r} has two group labels:"
+                    f" {prior!r} on line {first_line}, {group!r} on line {line}"
+                )
             onsets = seen_onsets.setdefault(key, set())
             if onset in onsets:
                 raise DataError(
@@ -246,7 +251,7 @@ def parse_fixations(
             warnings.warn(f"fixations for {key} were out of time order; sorted by onset")
             bucket.sort(key=lambda t: t[0])
         sequences.append(
-            FixationSequence(key[0], groups[key], key[1], [f for _, f in bucket])
+            FixationSequence(key[0], labels[key[0]][0], key[1], [f for _, f in bucket])
         )
     return Dataset(window=window, sequences=sequences, trial_length=trial_length)
 

@@ -10,7 +10,6 @@ intensity surface. All model components are stationary over the trial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from .core import (
     max_corner_distance,
 )
 from .density import IntensityGrid, estimate_intensity
-from .fitdist import GammaFit, fit_gamma_mle, sample_gamma
+from .fitdist import GammaFit, fit_gamma_mle
 from .ingest import derive_saccades, valid_saccade_values, write_json
 from .rng import substream
 from .summaries import STATS, RunCurves, _grid_columns
@@ -182,8 +181,8 @@ def _block_runs(model: FixationModel) -> int:
 def _corner_offsets(w: Window, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Offsets ``(dx, dy)`` from each point to its farthest window corner.
 
-    ``math.hypot(dx, dy)`` is :func:`max_corner_distance` bit for bit, whose
-    error the lowest point outside the window raises.
+    ``np.hypot(dx, dy)`` is the longest jump that stays in the window. The
+    lowest point outside the window raises :func:`max_corner_distance`'s error.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -201,7 +200,9 @@ def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.where(hi < v, hi, v)
 
 
-def _landings(model: FixationModel, xs, ys, dx, dy, lengths, u_pick) -> tuple[list, list]:
+def _landings(
+    model: FixationModel, xs, ys, dx, dy, lengths, u_pick
+) -> tuple[np.ndarray, np.ndarray]:
     """Landing point of one jump per row, on the circle of its radius.
 
     The circle is discretized into equal arcs; candidates outside the
@@ -241,7 +242,8 @@ def _landings(model: FixationModel, xs, ys, dx, dy, lengths, u_pick) -> tuple[li
         i = int(failed[0])
         if not inside[i].any():
             raise DataError(
-                f"jump of {float(lengths[i])} px from ({xs[i]}, {ys[i]}) cannot stay in window"
+                f"jump of {float(length[i])} px from ({float(x[i])}, {float(y[i])})"
+                " cannot stay in window"
             )
         raise DataError("all candidate landing points have zero weight")
     # weights are >= 0, so the cumulative sums are sorted and this count is
@@ -249,7 +251,7 @@ def _landings(model: FixationModel, xs, ys, dx, dy, lengths, u_pick) -> tuple[li
     below = np.cumsum(weights, axis=1) <= (np.array(u_pick) * total)[:, None]
     pick = np.minimum(np.count_nonzero(below, axis=1), n)
     rows = np.arange(len(x))
-    return cand_x[rows, pick].tolist(), cand_y[rows, pick].tolist()
+    return cand_x[rows, pick], cand_y[rows, pick]
 
 
 def next_location(
@@ -262,97 +264,103 @@ def next_location(
     """
     dx, dy = _corner_offsets(model.window, [x], [y])
     to_x, to_y = _landings(model, [x], [y], dx, dy, [length], [rng.random()])
-    return to_x[0], to_y[0]
+    return float(to_x[0]), float(to_y[0])
+
+
+# Uniforms of one fixation step, in the order a step uses them:
+# u_dur, u_plong, u_len, u_pick, u_sac
+_STEP_UNIFORMS = 5
+# Steps whose uniforms a run takes from its stream at once. PCG64's
+# random(k) equals k calls of random(), so this changes no output.
+_CHUNK_STEPS = 32
 
 
 def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list[SimRun]:
-    """Runs of one block, advanced together one fixation at a time."""
+    """Runs of one block, advanced together one fixation at a time.
+
+    Every run is alive from step 0 until it ends, so row s of the step
+    tables holds fixation s of each run that reaches it (x, y, onset,
+    duration), and the length and long-jump flag of its jump s for each run
+    that goes on to fixation s + 1. There is one table per chunk of steps;
+    after the block, each is turned into the runs' objects and dropped.
+    """
     n = len(rngs)
     horizon = model.trial_length
-    fixations: list[list[Fixation]] = [[] for _ in range(n)]
-    provenance: list[list[str]] = [[] for _ in range(n)]
-    lengths: list[list[float]] = [[] for _ in range(n)]
+    tables = []
+    counts = np.zeros(n, dtype=int)  # fixations per run
 
     if horizon > 0 and n:
-        starts = [sample_initial(model, rng) for rng in rngs]
-        xs = [p[0] for p in starts]
-        ys = [p[1] for p in starts]
-        clocks = [0.0] * n
-        rows = list(range(n))  # runs that start a fixation this step
-        levels = [rng.random() for rng in rngs]  # their duration levels
-        while rows:
-            durs = model.dur_fix.truncated_quantile(np.array(levels), model.min_fix_dur, np.inf)
-            movers = []
-            for r, dur in zip(rows, durs.tolist()):
-                clock = clocks[r]
-                fixations[r].append(
-                    Fixation(xs[r], ys[r], onset=clock, duration=min(dur, horizon - clock))
-                )
-                clocks[r] = clock = clock + dur
-                if not clock >= horizon:
-                    movers.append(r)
-            if not movers:
+        x, y = np.array([sample_initial(model, rng) for rng in rngs]).T
+        clock = np.zeros(n)
+        live = np.arange(n)
+        uniforms = np.empty((n, _CHUNK_STEPS, _STEP_UNIFORMS))
+        step = 0
+        while live.size:
+            row = step % _CHUNK_STEPS
+            if row == 0:
+                for r in live.tolist():
+                    uniforms[r] = rngs[r].random((_CHUNK_STEPS, _STEP_UNIFORMS))
+                tables.append(np.empty((6, _CHUNK_STEPS, n)))
+            table = tables[-1]
+            u = uniforms[live, row]
+            dur = model.dur_fix.truncated_quantile(u[:, 0], model.min_fix_dur, np.inf)
+            counts[live] = step + 1
+            table[:4, row, live] = x, y, clock, np.minimum(dur, horizon - clock)
+            clock = clock + dur
+            moving = ~(clock >= horizon)
+            if not moving.any():
                 break
-            from_x = [xs[r] for r in movers]
-            from_y = [ys[r] for r in movers]
-            dx, dy = _corner_offsets(model.window, from_x, from_y)
-            # every draw of the step, row by row in the run's order
-            jumps = np.empty(len(movers))
-            branches, u_pick, kept, levels = [], [], [], []
-            gamma_rows, tops, u_len = [], [], []
-            for i, (r, off_x, off_y) in enumerate(zip(movers, dx.tolist(), dy.tolist())):
-                rng = rngs[r]
-                # not _landings' np.hypot: the two differ in the last bit for
-                # about 1 % of points, and the bits of each reach the outputs
-                l_max = math.hypot(off_x, off_y)
-                if rng.random() < model.p_long:
-                    jumps[i] = rng.uniform(l_max / 2.0, l_max)
-                    branches.append("uniform_long")
-                else:
-                    gamma_rows.append(i)
-                    tops.append(l_max)
-                    u_len.append(rng.random())
-                    branches.append("gamma")
-                u_pick.append(rng.random())
-                clocks[r] = clock = clocks[r] + float(sample_gamma(model.dur_sac, rng))
-                if not clock >= horizon:
-                    kept.append(i)
-                    levels.append(rng.random())
-            if gamma_rows:
-                # rows in run order: a top without mass names the lowest run's
-                jumps[gamma_rows] = model.len_sac.truncated_quantile(np.array(u_len), 0.0, tops)
-            to_x, to_y = _landings(model, from_x, from_y, dx, dy, jumps, u_pick)
-            jumps = jumps.tolist()
-            rows = [movers[i] for i in kept]
-            for i, r in zip(kept, rows):
-                provenance[r].append(branches[i])
-                lengths[r].append(jumps[i])
-                xs[r], ys[r] = to_x[i], to_y[i]
+            live, x, y, clock, u = live[moving], x[moving], y[moving], clock[moving], u[moving]
+            _, u_plong, u_len, u_pick, u_sac = u.T
+            dx, dy = _corner_offsets(model.window, x, y)
+            l_max = np.hypot(dx, dy)
+            long = u_plong < model.p_long
+            half = l_max / 2.0
+            # rng.uniform(l_max / 2, l_max)'s arithmetic
+            lengths = half + (l_max - half) * u_len
+            # rows in run order: a top without mass names the lowest run's
+            lengths[~long] = model.len_sac.truncated_quantile(u_len[~long], 0.0, l_max[~long])
+            to_x, to_y = _landings(model, x, y, dx, dy, lengths, u_pick)
+            table[4:, row, live] = lengths, long
+            clock = clock + model.dur_sac.quantile(u_sac)
+            kept = ~(clock >= horizon)
+            live, x, y, clock = live[kept], to_x[kept], to_y[kept], clock[kept]
+            step += 1
 
+    fixations, provenance, jump_lengths = ([[] for _ in range(n)] for _ in range(3))
+    for first in range(0, _CHUNK_STEPS * len(tables), _CHUNK_STEPS):
+        table = tables.pop(0)  # dropped once its rows are the runs' objects
+        n_fix = np.clip(counts - first, 0, _CHUNK_STEPS).tolist()
+        # a run's last fixation has no kept jump
+        n_jump = np.clip(counts - 1 - first, 0, _CHUNK_STEPS).tolist()
+        for r, column in enumerate(table.transpose(2, 0, 1)):
+            x, y, onset, duration, length, long = column[:, : n_fix[r]].tolist()
+            fixations[r] += map(Fixation, x, y, onset, duration)
+            jump_lengths[r] += length[: n_jump[r]]
+            provenance[r] += ["uniform_long" if flag else "gamma" for flag in long[: n_jump[r]]]
     return [
-        SimRun(
-            sequence=FixationSequence(subject_ids[i], model.group, model.painting_id, fixations[i]),
-            jump_provenance=provenance[i],
-            jump_lengths=lengths[i],
-        )
-        for i in range(n)
+        SimRun(FixationSequence(subject_id, model.group, model.painting_id, fix), prov, lengths)
+        for subject_id, fix, prov, lengths in zip(subject_ids, fixations, provenance, jump_lengths)
     ]
 
 
 def simulate_runs(model: FixationModel, rngs, subject_ids) -> list[SimRun]:
     """Trials of the fixation process, run i drawing only from ``rngs[i]``.
 
-    Each run draws from its own generator in a fixed order: the start cell
-    and its two jitters; then, per fixation, the duration level ``u_dur``
-    and, while the trial goes on, ``u_plong``, the uniform long length or
-    the gamma length level ``u_len``, the landing level ``u_pick`` and the
-    saccade duration. So a run's output does not depend on which or how
-    many runs are simulated with it. The step loop of ``_simulate_block``
-    is the one place this order is written. The runs advance in lockstep
-    blocks of :func:`_block_runs` runs: per fixation
-    step, one pass over the block makes the draws, and the quantiles,
-    corner offsets, candidate circles and picks are vector calls with the
-    bits of the one-row calls.
+    Each run draws uniforms from its own generator in a fixed order: three
+    for the start (cell, x and y jitter), then five per fixation step,
+    ``u_dur, u_plong, u_len, u_pick, u_sac``. The fixation duration is the
+    quantile of ``u_dur`` of the duration law truncated below; a long jump
+    (``u_plong < p_long``) has length ``l_max/2 + (l_max - l_max/2) * u_len``,
+    otherwise ``u_len`` is the quantile level of the length law truncated at
+    ``l_max``, the distance to the farthest window corner; ``u_pick`` picks
+    the landing point and the saccade duration is the quantile of ``u_sac``.
+    Every draw is an inverse CDF, so outputs do not depend on numpy's gamma
+    sampler, and a run takes its uniforms in chunks of ``_CHUNK_STEPS``
+    steps, which changes no output. A run's output does not depend on which
+    or how many runs are simulated with it. The runs advance in lockstep
+    blocks of :func:`_block_runs` runs, one fixation step at a time, each
+    step a few array operations over the block's live runs.
 
     Fixation durations are gamma draws truncated below at the short-fixation
     threshold (the fit excluded shorter ones, and emitting them would only

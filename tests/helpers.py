@@ -27,7 +27,6 @@ from fixproc.core import (
     quadrant_of,
 )
 from fixproc.density import IntensityGrid, _grid_factors, edge_correction
-from fixproc.fitdist import sample_gamma
 from fixproc.ingest import write_fixations
 from fixproc.rng import substream
 from fixproc.simulate import SimRun, sample_initial
@@ -455,15 +454,24 @@ def sample_truncated_gamma_reference(fit, upper, rng, lower=0.0) -> float:
 
 
 def sample_saccade_length_reference(model, x, y, rng) -> tuple[float, str]:
-    """Jump length from the truncated-gamma / uniform-long-jump mixture."""
-    l_max = max_corner_distance(x, y, model.window)
+    """Jump length from the truncated-gamma / uniform-long-jump mixture.
+
+    Two draws: ``u_plong``, then the uniform long length or the gamma level.
+    """
+    max_corner_distance(x, y, model.window)  # a start outside the window raises
+    fx, fy = farthest_corner(x, y, model.window)
+    l_max = float(np.hypot(fx - x, fy - y))
     if rng.random() < model.p_long:
         return float(rng.uniform(l_max / 2.0, l_max)), "uniform_long"
     return sample_truncated_gamma_reference(model.len_sac, upper=l_max, rng=rng), "gamma"
 
 
 def simulate_run_reference(model, rng, subject_id="sim") -> SimRun:
-    """One trial, one fixation and one scalar draw at a time."""
+    """One trial, one fixation and one scalar draw at a time.
+
+    Per fixation: ``u_dur``; then, while the trial goes on, ``u_plong``,
+    ``u_len``, ``u_pick`` and the saccade duration's level ``u_sac``.
+    """
     horizon = model.trial_length
     fixations, provenance, lengths = [], [], []
     if horizon > 0:
@@ -479,7 +487,8 @@ def simulate_run_reference(model, rng, subject_id="sim") -> SimRun:
                 break
             jump, branch = sample_saccade_length_reference(model, x, y, rng)
             to_x, to_y = next_location_reference(model, x, y, jump, rng)
-            clock += float(sample_gamma(model.dur_sac, rng))
+            sac = model.dur_sac
+            clock += float(gammaincinv(sac.shape, rng.random()) / sac.rate)
             if clock >= horizon:
                 break
             provenance.append(branch)

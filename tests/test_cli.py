@@ -159,11 +159,13 @@ class TestCommands:
         assert len(payload["stats"]["hull"]["observed"]) == 4
 
     def test_too_few_runs_with_transitions_is_data_error(self, data_csv, tmp_path, capsys):
-        # 60 ms trials: no run reaches a second fixation, so no transition
-        # curve has a simulation to build its envelope from
+        # 40 ms trials: every simulated fixation lasts longer than the 40 ms
+        # short-fixation floor, so no run reaches a second fixation, whatever
+        # the draws, and no transition curve has a simulation to build its
+        # envelope from
         assert run(["envelope", "--input", data_csv, "--out", tmp_path, "--group",
                     "novice", "--seed", "6", "--n-runs", "20", *FAST,
-                    "--trial-length", "60"]) == 3
+                    "--trial-length", "40"]) == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"] == "need at least 20 curves, got 0"
 

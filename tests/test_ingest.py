@@ -72,6 +72,17 @@ class TestParse:
         with pytest.raises(DataError, match="two group labels"):
             parse_fixations(p)
 
+    def test_subject_with_two_group_labels_across_paintings_rejected(self, tmp_path):
+        # expertise belongs to the viewer, not to the (viewer, painting) pair
+        p = _write(tmp_path, "s1,novice,a,0,100,10,10\ns2,non_novice,a,0,100,10,10\n"
+                             "s1,non_novice,b,0,100,20,20\n")
+        with pytest.raises(DataError) as err:
+            parse_fixations(p)
+        assert str(err.value) == (
+            f"{p}:4: subject 's1' has two group labels: 'novice' on line 2,"
+            " 'non_novice' on line 4"
+        )
+
     @pytest.mark.parametrize(
         "row",
         [

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import kstest
 
 from fixproc import (
     DataError,
@@ -505,6 +506,44 @@ class TestLockstepEngine:
         for i, run in enumerate(many):
             (one,) = simulate_runs(model, [substream(8, "run", i)], [f"sim{i:04d}"])
             assert run_fields(run) == run_fields(one)
+
+    @pytest.mark.parametrize("chunk", [1, 7, simulate._CHUNK_STEPS])
+    def test_chunk_size_changes_no_output(self, chunk, monkeypatch):
+        # runs of about 34 steps: they cross chunk boundaries at every size
+        # and end inside a chunk
+        model = toy_model(trial_length=12_000.0, n_angles=60, nx=32, ny=32)
+        n = block_size(60) + 2
+        expected = list(map(run_fields, simulate_many(model, n, seed=9)))
+        monkeypatch.setattr(simulate, "_CHUNK_STEPS", chunk)
+        assert list(map(run_fields, simulate_many(model, n, seed=9))) == expected
+
+    def test_runs_draw_only_uniforms(self):
+        # generators that offer nothing but random(size): no gamma or other
+        # distribution method is left in the simulator
+        class UniformsOnly:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def random(self, size=None):
+                return self._rng.random(size)
+
+        model = toy_model(trial_length=8_000.0, n_angles=60, nx=32, ny=32)
+        ids = [f"r{i}" for i in range(5)]
+        wrapped = simulate_runs(model, [UniformsOnly(substream(2, "run", i)) for i in range(5)],
+                                ids)
+        plain = simulate_runs(model, [substream(2, "run", i) for i in range(5)], ids)
+        assert list(map(run_fields, wrapped)) == list(map(run_fields, plain))
+
+    def test_saccade_durations_follow_their_gamma(self):
+        # the gap between consecutive fixations is the saccade duration
+        model = toy_model(trial_length=180_000.0, n_angles=60, nx=32, ny=32)
+        gaps = []
+        for run in simulate_many(model, 48, seed=10):
+            onsets, durations = run.sequence.onsets(), run.sequence.durations()
+            gaps.append(onsets[1:] - (onsets[:-1] + durations[:-1]))
+        gaps = np.concatenate(gaps)
+        assert len(gaps) >= 20_000
+        assert kstest(gaps, model.dur_sac.cdf).pvalue >= 0.01
 
     def test_generators_must_be_distinct(self, short_model):
         rng = np.random.default_rng(0)

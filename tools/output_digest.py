@@ -92,8 +92,8 @@ COMMANDS = {
     "qq": ("c", ["qq", "--source", "saccade_duration", "--alpha", "0.1"]),
     "summaries": ("c", ["summaries", "--radius", "30", "--raster", "3"]),
     "env_config": ("b", ["envelope", "--h", "24", "--n-runs", "40", "--seed", "8"]),
-    # at TRIAL_LENGTHS' 173 ms, 180 of the 200 runs have one fixation and
-    # the transition envelopes take the other 20, the fewest they accept
+    # at TRIAL_LENGTHS' 173 ms, 177 of the 200 runs have one fixation and
+    # the transition envelopes take the other 23, near the 20 they accept
     "env_short": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
                         "--seed", "7"]),
 }
