@@ -16,15 +16,15 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .compare import comparison_groups, fisher_combine, permutation_test, shift_function
-from .core import GROUPS, DataError, NumericError, Window, _positive
+from .compare import fisher_combine, permutation_test, shift_function
+from .core import GROUPS, DataError, NumericError, Window, _positive, sequence_name
 from .density import (
     estimate_intensity,
     quadrat_chisq,
@@ -341,7 +341,7 @@ def _intensity_test(cfg: PipelineConfig, dataset, bandwidth) -> tuple:
 
 def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     dataset, _, _ = _load_filtered(cfg)
-    comparison_groups(dataset)  # refuse a bad design before cross-validating
+    dataset.two_groups()  # refuse a bad design before cross-validating
     out = _outdir(cfg)
     result, payload = _intensity_test(cfg, dataset, partial(_pick_bandwidth, cfg, w=dataset.window))
     payload["meta"] = _meta(cfg, "compare-intensity")
@@ -417,7 +417,7 @@ def cmd_summaries(cfg: PipelineConfig) -> None:
     w, end = dataset.window, dataset.trial_length
     bundle: dict = {"meta": _meta(cfg, "summaries"), "subjects": {}}
     for seq in dataset.sequences:
-        name = f"{seq.subject_id}_{seq.painting_id}"
+        name = sequence_name(seq.subject_id, seq.painting_id, "_")
         curves = {
             "hull": convex_hull_coverage(seq, w, domain_end=end),
             "ball": ball_union_coverage(seq, w, cfg.radius, cfg.raster, domain_end=end),
@@ -448,7 +448,7 @@ def _group_envelopes(
         model, cfg.n_runs, cfg.seed, grid, stats, cfg.radius, cfg.raster
     )
     # a subject appears once per painting; key on both
-    observed = {f"{s.subject_id}:{s.painting_id}": s for s in dataset.by_group(group)}
+    observed = {sequence_name(s.subject_id, s.painting_id, ":"): s for s in dataset.by_group(group)}
     obs_rows = {
         key: curve_rows(s, model.window, grid, stats, cfg.radius, cfg.raster)
         for key, s in observed.items()
@@ -523,14 +523,9 @@ def cmd_report(cfg: PipelineConfig) -> None:
             chosen[key] = _pick_bandwidth(cfg, fixed, points, dataset.window)
         return chosen[key]
 
-    subsets = {
-        painting: replace(
-            dataset, sequences=[s for s in dataset.sequences if s.painting_id == painting]
-        )
-        for painting in dataset.painting_ids()
-    }
+    subsets = dataset.by_painting()
     for sub in subsets.values():
-        comparison_groups(sub)  # refuse a bad design before cross-validating
+        sub.two_groups()  # refuse a bad design before cross-validating
     out = _outdir(cfg)
     p_values = []
     for painting, sub in subsets.items():
@@ -547,8 +542,6 @@ def cmd_report(cfg: PipelineConfig) -> None:
         }
 
     for group in ("novice", "non_novice"):
-        if not dataset.by_group(group):
-            continue
         h, cv = bandwidth(cfg.h, dataset.pooled_locations(group))
         result, _ = _group_envelopes(cfg, dataset, saccades, group, grid, h, cv)
         payload["groups"][group] = result

@@ -275,24 +275,6 @@ def _count_permutations(
     return k, len({row.tobytes() for row in first})
 
 
-def comparison_groups(dataset: Dataset) -> tuple[list, list]:
-    """The novice and the non-novice sequences of a two-group comparison.
-
-    Raises DataError unless the dataset holds one painting and each group
-    has at least 2 subjects, each with a fixation. This depends on the
-    design alone, so callers can check it before cross-validating.
-    """
-    dataset.require_one_painting()
-    seqs1 = dataset.by_group("novice")
-    seqs2 = dataset.by_group("non_novice")
-    n1, n2 = len(seqs1), len(seqs2)
-    if n1 < 2 or n2 < 2:
-        raise DataError(f"need at least 2 subjects per group, got {n1} and {n2}")
-    if any(len(s) == 0 for s in seqs1 + seqs2):
-        raise DataError("every subject needs at least one fixation")
-    return seqs1, seqs2
-
-
 def permutation_test(
     dataset: Dataset,
     *,
@@ -333,7 +315,7 @@ def permutation_test(
     (novice for h1, non-novice for h2).
     Deterministic given ``seed``.
     """
-    seqs1, seqs2 = comparison_groups(dataset)
+    seqs1, seqs2 = dataset.two_groups()
     n1, n2 = len(seqs1), len(seqs2)
     subject_pts = [s.locations() for s in seqs1 + seqs2]
     w = dataset.window

@@ -77,6 +77,9 @@ REFERENCE_WINDOW = Window(0.0, 0.0, 770.0, 768.0)
 #: Trials in the reference experiment last three minutes.
 DEFAULT_TRIAL_LENGTH_MS = 180_000.0
 
+#: Separators of :func:`sequence_name`: ``_`` in file names, ``:`` in envelope JSON keys.
+NAME_SEPARATORS = ("_", ":")
+
 #: Fixations shorter than this are treated as spurious and excluded.
 MIN_FIXATION_MS = 40.0
 
@@ -164,18 +167,32 @@ class Dataset:
                 seen.append(s.subject_id)
         return seen
 
-    def painting_ids(self) -> list[str]:
-        seen = []
+    def by_painting(self) -> dict[str, Dataset]:
+        """Per painting, first seen first, its sequences with this window and trial length."""
+        seqs: dict[str, list[FixationSequence]] = {}
         for s in self.sequences:
-            if s.painting_id not in seen:
-                seen.append(s.painting_id)
-        return seen
+            seqs.setdefault(s.painting_id, []).append(s)
+        return {p: Dataset(self.window, v, self.trial_length) for p, v in seqs.items()}
 
     def require_one_painting(self) -> None:
         """Raise DataError when the sequences come from more than one painting."""
-        paintings = self.painting_ids()
+        paintings = list(self.by_painting())
         if len(paintings) > 1:
             raise DataError(f"multiple paintings {paintings}; pick one with --painting")
+
+    def two_groups(self) -> tuple[list[FixationSequence], list[FixationSequence]]:
+        """The novice and the non-novice sequences of a two-group comparison.
+
+        DataError unless there is one painting and each group has at least 2
+        subjects, each with a fixation: a check of the design alone."""
+        self.require_one_painting()
+        seqs1, seqs2 = self.by_group(NOVICE), self.by_group(NON_NOVICE)
+        n1, n2 = len(seqs1), len(seqs2)
+        if n1 < 2 or n2 < 2:
+            raise DataError(f"need at least 2 subjects per group, got {n1} and {n2}")
+        if any(len(s) == 0 for s in seqs1 + seqs2):
+            raise DataError("every subject needs at least one fixation")
+        return seqs1, seqs2
 
     def by_group(self, group: str) -> list[FixationSequence]:
         if group not in GROUPS:
@@ -206,6 +223,11 @@ class Dataset:
                             f"ms gives {k} interval(s); need at least 2")
         onsets = self.pooled_onsets()
         return [(onsets >= j * interval) & (onsets < (j + 1) * interval) for j in range(k)]
+
+
+def sequence_name(subject_id: str, painting_id: str, sep: str) -> str:
+    """The name of one subject's outputs on one painting: the ids joined by ``sep``."""
+    return f"{subject_id}{sep}{painting_id}"
 
 
 @dataclass

@@ -27,6 +27,7 @@ from .core import (
     DEFAULT_TRIAL_LENGTH_MS,
     GROUPS,
     MIN_FIXATION_MS,
+    NAME_SEPARATORS,
     REFERENCE_WINDOW,
     DataError,
     Dataset,
@@ -34,6 +35,7 @@ from .core import (
     FixationSequence,
     Saccade,
     Window,
+    sequence_name,
 )
 
 COLUMNS = ("subject_id", "group", "painting_id", "onset_ms", "duration_ms", "x_px", "y_px")
@@ -188,10 +190,12 @@ def parse_fixations(
     onsets within one sequence, malformed rows and non-finite (nan/inf)
     times or coordinates raise with the offending line number. A subject
     keeps one group label on every painting; a second label raises with
-    both line numbers.
+    both line numbers, and so does a sequence whose output name (see
+    ``core.sequence_name``) is an earlier sequence's.
     """
     rows: dict[tuple[str, str], list[tuple[float, Fixation]]] = {}
     labels: dict[str, tuple[str, int]] = {}  # subject: (group, line of its first row)
+    names: dict[tuple[str, str], tuple[tuple[str, str], int]] = {}  # (sep, name): (ids, line)
     seen_onsets: dict[tuple[str, str], set[float]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -228,6 +232,15 @@ def parse_fixations(
                         raise DataError(
                             f"{path}:{line}: {column} {value!r} cannot be part of a file name"
                             " (no '/', '\\' or NUL, and not '.' or '..')"
+                        )
+                for sep in NAME_SEPARATORS:
+                    name = sequence_name(subject, painting, sep)
+                    (s0, p0), first = names.setdefault((sep, name), (key, line))
+                    if first != line:
+                        raise DataError(
+                            f"{path}:{line}: subject {subject!r} on painting {painting!r} has"
+                            f" the output name {name!r} of subject {s0!r} on painting {p0!r}"
+                            f" on line {first}"
                         )
             prior, first_line = labels.setdefault(subject, (group, line))
             if prior != group:

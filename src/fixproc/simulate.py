@@ -119,7 +119,9 @@ def build_model(
     the ``saccades`` mapping from ingest to exclude jumps that span removed
     fixations; otherwise saccades are re-derived assuming no exclusions.
     Simulated durations are truncated below at ``min_fix_dur``, the
-    threshold ingest filtered the dataset with.
+    threshold ingest filtered the dataset with. A dataset of several
+    paintings gives one model fitted over all of them, whose ``painting_id``
+    is ``"pooled"``; ``report`` builds its group models this way.
     """
     seqs = dataset.by_group(group)
     if not seqs:
@@ -139,7 +141,7 @@ def build_model(
     )
     len_sac = fit_gamma_mle(valid_saccade_values(seqs, saccades, "length"), "saccade_length")
 
-    paintings = dataset.painting_ids()
+    paintings = list(dataset.by_painting())
     return FixationModel(
         intensity_all=estimate_intensity(all_pts, dataset.window, h, nx, ny),
         intensity_first=estimate_intensity(first_pts, dataset.window, h, nx, ny),

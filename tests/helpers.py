@@ -18,7 +18,7 @@ from fixproc import (
     Window,
     simulate_runs,
 )
-from fixproc.compare import _labeled_statistic, _subject_surfaces, comparison_groups
+from fixproc.compare import _labeled_statistic, _subject_surfaces
 from fixproc.core import (
     DataError,
     NumericError,
@@ -505,7 +505,7 @@ def permutation_test_reference(dataset: Dataset, *, h1, h2, m, seed, nx, ny) -> 
     observed partition reproduces T0 bit for bit and ties count by float
     comparison.
     """
-    seqs1, seqs2 = comparison_groups(dataset)
+    seqs1, seqs2 = dataset.two_groups()
     n1, n2 = len(seqs1), len(seqs2)
     subject_pts = [s.locations() for s in seqs1 + seqs2]
     w = dataset.window

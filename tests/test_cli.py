@@ -833,3 +833,17 @@ class TestIdsThatAreNotFileNames:
         assert err["error"] == "DataError"
         assert f"{column} {bad!r} cannot be part of a file name" in err["message"]
         assert not out.exists()
+
+    def test_two_sequences_with_one_file_name_refused(self, tmp_path, capsys):
+        # subject s_1 on x and subject s on 1_x both name summary_s_1_x_*.csv;
+        # summaries used to write one and drop the other
+        csv = tmp_path / "fix.csv"
+        csv.write_text("subject_id,group,painting_id,onset_ms,duration_ms,x_px,y_px\n"
+                       "s_1,novice,x,0,100,10,10\ns,novice,1_x,0,100,10,10\n")
+        out = tmp_path / "out"
+        assert run(["summaries", "--input", csv, "--out", out, "--trial-length", "1000",
+                    "--no-svg"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError"
+        assert "has the output name 's_1_x' of subject 's_1' on painting 'x'" in err["message"]
+        assert not out.exists()

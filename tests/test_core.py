@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,7 +134,7 @@ class TestSequences:
         ]
         d = Dataset(window=W, sequences=seqs)
         assert d.subjects() == ["a", "b"]
-        assert d.painting_ids() == ["p1", "p2"]
+        assert list(d.by_painting()) == ["p1", "p2"]
         assert len(d.by_group("novice")) == 2
         assert d.pooled_locations("novice").shape == (2, 2)
 
@@ -160,6 +161,53 @@ class TestSequences:
         d.sequences = []
         assert d.pooled_locations("novice").shape == (0, 2)
         assert d.pooled_onsets().shape == (0,)
+
+
+class TestDesign:
+    def _dataset(self):
+        seqs = [
+            FixationSequence("a", "novice", "p2", [Fixation(1, 1, 0, 50)]),
+            FixationSequence("a", "novice", "p1", [Fixation(2, 2, 0, 50)]),
+            FixationSequence("b", "non_novice", "p2", [Fixation(3, 3, 0, 50)]),
+            FixationSequence("b", "non_novice", "p1", [Fixation(4, 4, 0, 50)]),
+            FixationSequence("c", "novice", "p2", [Fixation(5, 5, 0, 50)]),
+        ]
+        return Dataset(window=Window(0, 0, 10, 10), sequences=seqs, trial_length=5_000.0)
+
+    def test_by_painting(self):
+        d = self._dataset()
+        parts = d.by_painting()
+        assert list(parts) == ["p2", "p1"]  # first seen first
+        assert [s.subject_id for s in parts["p2"].sequences] == ["a", "b", "c"]
+        assert [s.subject_id for s in parts["p1"].sequences] == ["a", "b"]
+        for part in parts.values():
+            assert (part.window, part.trial_length) == (d.window, 5_000.0)
+        # the per-painting subsets report used to build with dataclasses.replace
+        assert parts == {
+            p: replace(d, sequences=[s for s in d.sequences if s.painting_id == p])
+            for p in ("p2", "p1")
+        }
+
+    def test_two_groups(self):
+        d = self._dataset()
+        d.sequences.append(FixationSequence("e", "non_novice", "p2", [Fixation(6, 6, 0, 50)]))
+        novices, others = d.by_painting()["p2"].two_groups()
+        assert [s.subject_id for s in novices] == ["a", "c"]
+        assert [s.subject_id for s in others] == ["b", "e"]
+
+    @pytest.mark.parametrize("keep, message", [
+        (None, "multiple paintings ['p2', 'p1']; pick one with --painting"),
+        ("p1", "need at least 2 subjects per group, got 1 and 1"),
+        ("p2", "every subject needs at least one fixation"),
+    ])
+    def test_two_groups_refuses_a_bad_design(self, keep, message):
+        d = self._dataset()
+        d.sequences.append(FixationSequence("e", "non_novice", "p2", []))
+        if keep is not None:
+            d = d.by_painting()[keep]
+        with pytest.raises(DataError) as err:
+            d.two_groups()
+        assert str(err.value) == message
 
 
 class TestIntervalMasks:

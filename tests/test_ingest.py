@@ -114,6 +114,26 @@ class TestParse:
             parse_fixations(p)
         assert str(err.value).startswith(f"{p}:3: {column} {bad!r} cannot be part of a file name")
 
+    @pytest.mark.parametrize("first, second, name", [
+        (("s_1", "x"), ("s", "1_x"), "s_1_x"),  # summary_<subject>_<painting>_*.csv
+        (("a:b", "c"), ("a", "b:c"), "a:b:c"),  # envelope keys <subject>:<painting>
+    ])
+    def test_two_sequences_with_one_output_name_rejected(self, tmp_path, first, second, name):
+        # the second sequence's outputs used to overwrite the first's
+        p = _write(tmp_path, f"{first[0]},novice,{first[1]},0,100,10,10\n"
+                             f"{second[0]},novice,{second[1]},0,100,10,10\n")
+        with pytest.raises(DataError) as err:
+            parse_fixations(p)
+        assert str(err.value) == (
+            f"{p}:3: subject {second[0]!r} on painting {second[1]!r} has the output name"
+            f" {name!r} of subject {first[0]!r} on painting {first[1]!r} on line 2"
+        )
+
+    def test_one_name_under_two_separators_accepted(self, tmp_path):
+        # "_" names files and ":" names JSON keys, so these two never meet
+        p = _write(tmp_path, "a:b,novice,c,0,100,10,10\na,novice,b_c,0,100,10,10\n")
+        assert len(parse_fixations(p).sequences) == 2
+
     @pytest.mark.parametrize("ok", ["a.b", "...", ".a", "a..b", "room-a", "r a", "ü"])
     def test_dots_inside_ids_accepted(self, tmp_path, ok):
         p = _write(tmp_path, f"{ok},novice,{ok},0,100,10,10\n")

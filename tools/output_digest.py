@@ -91,6 +91,12 @@ COMMANDS = {
     "fit_len": ("c", ["fit", "--source", "saccade_length"]),
     "qq": ("c", ["qq", "--source", "saccade_duration", "--alpha", "0.1"]),
     "summaries": ("c", ["summaries", "--radius", "30", "--raster", "3"]),
+    # one painting picked out of two, and every painting's sequences named
+    "summaries_2p": ("d", ["summaries", "--radius", "30", "--raster", "3"]),
+    "env_p02": ("d", ["envelope", "--painting", "p02", "--group", "novice", "--h", "24",
+                      "--n-runs", "40", "--seed", "7"]),
+    "cmp_p02": ("d", ["compare-intensity", "--painting", "p02", "--h1", "24", "--h2", "24",
+                      "--m", "500", "--seed", "7"]),
     "env_config": ("b", ["envelope", "--h", "24", "--n-runs", "40", "--seed", "8"]),
     # at TRIAL_LENGTHS' 173 ms, 177 of the 200 runs have one fixation and
     # the transition envelopes take the other 23, near the 20 they accept
