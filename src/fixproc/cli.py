@@ -438,13 +438,17 @@ def _group_envelopes(
     """One group's model at bandwidth h, simulations, envelopes and observed overlays.
 
     ``cv`` is the CV table of h, or None for a fixed h. Returns the result,
-    ready for ``write_json`` (each observed curve is its float row), and
-    the envelopes by curve name.
+    ready for ``write_json`` (each observed curve is its float row, and each
+    envelope's grid and bounds are its arrays), and the envelopes by curve
+    name. Each envelope is cut from the simulated rows of the runs its curve
+    is defined on (:meth:`~fixproc.summaries.RunCurves.defined`): a
+    statistic's stored rows without a copy, a transition's rows built for
+    the runs of at least 2 fixations only.
     """
     model = _build_group_model(cfg, dataset, saccades, group, h)
     stats = list(STATS) if cfg.stat == "all" else [cfg.stat]
-    # curve j of every run is sim_rows[j]
-    sim_rows, counts = simulate_curves(
+    # curve j of every run it is defined on is sim_rows.defined(j)
+    sim_rows = simulate_curves(
         model, cfg.n_runs, cfg.seed, grid, stats, cfg.radius, cfg.raster
     )
     # a subject appears once per painting; key on both
@@ -460,8 +464,7 @@ def _group_envelopes(
     for j, (family, name) in enumerate(zip(families, stats + list(TRANSITIONS))):
         # transition curves are defined only for sequences with >= 2 fixations
         fewest = 2 if family == "transitions" else 0
-        sims = sim_rows[j][counts >= fewest]
-        env = rank_envelope(CurveMatrix(grid, sims), cfg.alpha)
+        env = rank_envelope(CurveMatrix(grid, sim_rows.defined(j)), cfg.alpha)
         envelopes[name] = env
         keys = [key for key, s in observed.items() if len(s) >= fewest]
         curves = [obs_rows[key][j] for key in keys]

@@ -328,9 +328,10 @@ def permutation_test(
     rows_h2 = _subject_surfaces(subject_pts, w, h2, nx, ny)
     cell_area = (w.width / nx) * (w.height / ny)
 
-    observed1 = np.arange(n1)
-    observed2 = np.arange(n1, n1 + n2)
-    T0, r0 = _labeled_statistic(rows_h1, rows_h2, observed1, observed2, cell_area)
+    # row slices of the observed groups: views, not fancy-indexed copies
+    T0, r0 = _labeled_statistic(
+        rows_h1, rows_h2, slice(0, n1), slice(n1, n1 + n2), cell_area
+    )
 
     k, distinct = _count_permutations(
         rows_h1, rows_h2, n1, T0, m, seed, cell_area, mirror_ties=(h1 == h2 and n1 == n2)

@@ -76,13 +76,11 @@ class RankEnvelope:
                 fh.write(f"{float(t)!r},{float(lo)!r},{float(up)!r}\n")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "alpha": self.alpha,
-            "grid": [float(t) for t in self.grid],
-            "lower": [float(v) for v in self.lower],
-            "upper": [float(v) for v in self.upper],
-        }
+        """``k``, ``alpha`` and the ``grid``, ``lower`` and ``upper`` arrays
+        themselves, not copies: ``ingest.write_json`` writes a 1-D float
+        array as its ``.tolist()``."""
+        return {"k": self.k, "alpha": self.alpha,
+                "grid": self.grid, "lower": self.lower, "upper": self.upper}
 
 
 def default_grid(trial_length: float = 180_000.0, n: int = 361) -> np.ndarray:

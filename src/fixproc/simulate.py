@@ -406,13 +406,13 @@ def simulate_curves(
     stats=STATS,
     radius: float = 35.0,
     raster: float = 1.0,
-) -> tuple[RunCurves, np.ndarray]:
+) -> RunCurves:
     """Summary curves of the runs of :func:`simulate_many`, without the runs.
 
-    Returns ``(curves, counts)``: ``curves[j]`` is the ``(n_runs,
-    len(grid))`` array of row j of :func:`~fixproc.summaries.curve_rows` of
-    every run (the ``stats``, then the 16 transitions), and ``counts[i]`` is
-    run i's fixation count. The runs are simulated one lockstep block at a
+    ``curves[j]`` of the result is the ``(n_runs, len(grid))`` array of row
+    j of :func:`~fixproc.summaries.curve_rows` of every run (the ``stats``,
+    then the 16 transitions), and ``curves.counts[i]`` is run i's fixation
+    count. The runs are simulated one lockstep block at a
     time, each block through :func:`simulate_many`, and a block's runs are
     dropped once its curves are stored. What grows with ``n_runs`` is the
     :class:`~fixproc.summaries.RunCurves` store: float rows of the stats,
@@ -433,8 +433,7 @@ def simulate_curves(
             states.append(run_states)
         del runs, run  # before the next block is simulated, not after
     starts = np.cumsum([0] + [len(s) for s in states])
-    curves = RunCurves(stat_rows, np.concatenate([np.empty(0, np.uint8), *states]), starts, at)
-    return curves, curves.counts
+    return RunCurves(stat_rows, np.concatenate([np.empty(0, np.uint8), *states]), starts, at)
 
 
 def runs_to_dataset(runs: list[SimRun], window: Window, trial_length: float) -> Dataset:

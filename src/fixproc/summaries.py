@@ -123,8 +123,11 @@ def _hull_values(locs: np.ndarray, w: Window) -> np.ndarray:
     current hull's vertices plus that fixation, since
     hull(prefix + p) = hull(hull(prefix) + p). After each rebuild the later
     fixations are tested against every hull edge in blocks of one array
-    operation (closed test: all edge cross products >= 0 or all <= 0), and
-    every fixation before the first outside one repeats the current area.
+    operation, and every fixation before the first one not surely inside
+    repeats the current area. A fixation is surely inside when it lies left
+    of every counterclockwise edge by more than :func:`_cross`'s error
+    bound; one outside, on an edge or too close to call takes the exact
+    rebuild, which leaves the hull as it was unless the fixation is outside.
     While the hull has fewer than three vertices, every fixation rebuilds.
     """
     rows = locs.tolist()
@@ -143,12 +146,17 @@ def _hull_values(locs: np.ndarray, w: Window) -> np.ndarray:
             step = max(1, _HULL_BLOCK // len(hull))
             while i < n:
                 rest = locs[i : i + step]
-                cross = edges[:, :1] * (rest[:, 1] - vertices[:, 1:]) - edges[:, 1:] * (
-                    rest[:, 0] - vertices[:, :1]
-                )
-                outside = ~((cross >= 0.0).all(axis=0) | (cross <= 0.0).all(axis=0))
-                if outside.any():
-                    i += int(outside.argmax())
+                # _cross(vertex, next vertex, fixation) per edge and fixation
+                left = edges[:, :1] * (rest[:, 1] - vertices[:, 1:])
+                right = edges[:, 1:] * (rest[:, 0] - vertices[:, :1])
+                bound = np.abs(left)
+                bound += np.abs(right)
+                bound *= _ORIENT_REL_ERR
+                bound += _ORIENT_ABS_ERR
+                left -= right
+                unsure = ~(left > bound).all(axis=0)
+                if unsure.any():
+                    i += int(unsure.argmax())
                     break
                 i += len(rest)
         values[start:i] = area / w.area
@@ -310,34 +318,45 @@ def _quadrants(locs: np.ndarray, w: Window) -> np.ndarray:
 
 
 def _transition_estimates(
-    states: np.ndarray, starts: np.ndarray, at: np.ndarray, j: int
+    states: np.ndarray, starts: np.ndarray, at: np.ndarray, j: int, runs=slice(None)
 ) -> np.ndarray:
     """Running estimate N_ab/N_a of transition ``TRANSITIONS[j]`` of runs of quadrant states.
 
-    Run i's states are ``states[starts[i]:starts[i + 1]]``. Entry (i, g) is
-    the estimate after fixation ``at[i, g]`` of run i: its transitions into
-    fixations 1 to ``at[i, g]`` are counted. The estimate is NaN while N_a is
-    0, and so for an index below 1. Returns an array of ``at``'s shape.
+    Run i's states are ``states[starts[i]:starts[i + 1]]``. Row r of the
+    result is run ``i = runs[r]`` (every run by default): entry (r, g) is
+    the estimate after fixation ``at[i, g]`` of run i, counting its
+    transitions into fixations 1 to ``at[i, g]``. The estimate is NaN while
+    N_a is 0, and so for an index below 1.
+
+    The prefix counts are int32 per fixation. Besides the float result, at
+    most two (runs, grid) arrays are held at a time: int32 positions and
+    counts (int64 positions for an int64 ``at``).
     """
     a, b = divmod(j, 4)
     first = starts[:-1][np.diff(starts) > 0]
-    # from_a[p + 1]: the transition into fixation p leaves state a
-    from_a = np.zeros(states.size + 1, dtype=np.intp)
-    from_a[2:] = states[:-1] == a
-    from_a[first + 1] = 0  # no transition into a run's first fixation
-    to_b = from_a.copy()
-    to_b[1:] &= states == b
+    # leaves_a[p + 1]: the transition into fixation p leaves state a
+    leaves_a = np.zeros(states.size + 1, dtype=bool)
+    leaves_a[2:] = states[:-1] == a
+    leaves_a[first + 1] = False  # no transition into a run's first fixation
+    enters_b = leaves_a.copy()
+    enters_b[1:] &= states == b
     # prefix counts before fixation q; a run's counts are differences from its start
-    n_a = np.cumsum(from_a)
-    n_ab = np.cumsum(to_b)
-    base = starts[:-1, None]
-    pos = at + 1
-    pos += base
-    n_a, n_ab = n_a[pos] - n_a[base], n_ab[pos] - n_ab[base]
+    n_a = np.cumsum(leaves_a, dtype=np.int32)
+    n_ab = np.cumsum(enters_b, dtype=np.int32)
+    del leaves_a, enters_b
+    base = starts[:-1][runs, None]
+    pos = at[runs] + (base + 1).astype(np.int32)
+    counts_a = n_a[pos]
+    counts_a -= n_a[base]
+    counts_ab = n_ab[pos]
     del pos
+    counts_ab -= n_ab[base]
+    estimates = counts_ab.astype(float)
+    del counts_ab
     with np.errstate(invalid="ignore"):
-        estimates = np.where(n_a == 0, np.nan, n_a)
-        return np.divide(n_ab, estimates, out=estimates)
+        estimates /= counts_a
+    estimates[counts_a == 0] = np.nan  # 0/0 there, whose NaN has the sign bit set
+    return estimates
 
 
 def _grid_columns(
@@ -375,6 +394,7 @@ class RunCurves:
     ``starts[i + 1]``) and each grid time's fixation index (``at``, -1
     before the first fixation). A transition row is built when it is
     indexed. ``np.asarray(curves)`` is the whole (rows, runs, grid) matrix.
+    :meth:`defined` gives a row over only the runs it is defined on.
     """
 
     stat_rows: np.ndarray
@@ -386,11 +406,25 @@ class RunCurves:
         return len(self.stat_rows) + len(TRANSITIONS)
 
     def __getitem__(self, j: int) -> np.ndarray:
+        return self._row(j, slice(None))
+
+    def defined(self, j: int) -> np.ndarray:
+        """Row j of only the runs it is defined on, in run order.
+
+        A statistic is defined on every run, and its stored row comes back
+        without a copy; a transition is defined on the runs of at least 2
+        fixations, and only their rows are built.
+        """
+        return self._row(j, np.flatnonzero(self.counts >= 2))
+
+    def _row(self, j: int, transition_runs) -> np.ndarray:
         j = range(len(self))[j]  # IndexError past either end
         n_stats = len(self.stat_rows)
         if j < n_stats:
             return self.stat_rows[j]
-        return _transition_estimates(self.states, self.starts, self.at, j - n_stats)
+        return _transition_estimates(
+            self.states, self.starts, self.at, j - n_stats, transition_runs
+        )
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         out = np.empty(self.shape)

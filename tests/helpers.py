@@ -241,13 +241,11 @@ def convex_hull_exact(points) -> np.ndarray:
 
 
 def _inside_convex_rolled(hull, p) -> bool:
+    """Closed point-in-hull test with exact orientation signs."""
     if len(hull) < 3:
         return False
-    nxt = np.roll(hull, -1, axis=0)
-    cross = (nxt[:, 0] - hull[:, 0]) * (p[1] - hull[:, 1]) - (nxt[:, 1] - hull[:, 1]) * (
-        p[0] - hull[:, 0]
-    )
-    return bool(np.all(cross >= 0.0) or np.all(cross <= 0.0))
+    cross = [_cross(a, b, p) for a, b in zip(hull, np.roll(hull, -1, axis=0))]
+    return all(c >= 0 for c in cross) or all(c <= 0 for c in cross)
 
 
 def convex_hull_coverage_prefix(seq, w, domain_end=None) -> StepCurve:
@@ -590,3 +588,26 @@ def rank_envelope_reference(rows: np.ndarray, alpha: float) -> tuple[int, np.nda
     lower = np.where(counts > 0, ordered[k_eff - 1, cols], np.nan)
     upper = np.where(counts > 0, ordered[np.maximum(counts - k_eff, 0), cols], np.nan)
     return k, lower, upper
+
+
+def transition_estimates_reference(
+    states: np.ndarray, starts: np.ndarray, at: np.ndarray, j: int
+) -> np.ndarray:
+    """``summaries._transition_estimates`` over every run, as it was computed
+    with intp prefix counts and int64 (runs, grid) count arrays."""
+    a, b = divmod(j, 4)
+    first = starts[:-1][np.diff(starts) > 0]
+    from_a = np.zeros(states.size + 1, dtype=np.intp)
+    from_a[2:] = states[:-1] == a
+    from_a[first + 1] = 0
+    to_b = from_a.copy()
+    to_b[1:] &= states == b
+    n_a = np.cumsum(from_a)
+    n_ab = np.cumsum(to_b)
+    base = starts[:-1, None]
+    pos = at + 1
+    pos += base
+    n_a, n_ab = n_a[pos] - n_a[base], n_ab[pos] - n_ab[base]
+    with np.errstate(invalid="ignore"):
+        estimates = np.where(n_a == 0, np.nan, n_a)
+        return np.divide(n_ab, estimates, out=estimates)

@@ -152,6 +152,23 @@ class TestPermutationTest:
         assert a.T0 == b.T0 and a.p == b.p and a.k == b.k
         assert np.array_equal(a.r_grid.values, b.r_grid.values)
 
+    def test_observed_statistic_equals_the_index_array_path(self, tiny_dataset):
+        # the observed groups are summed from row slices; index arrays copy
+        # the same rows and sum them in the same order, to the same bits
+        res = permutation_test(tiny_dataset, m=9, h1=30.0, h2=45.0, seed=2, nx=64, ny=64)
+        seqs1, seqs2 = tiny_dataset.two_groups()
+        n1, n2 = len(seqs1), len(seqs2)
+        pts = [s.locations() for s in seqs1 + seqs2]
+        w = tiny_dataset.window
+        rows1 = compare._subject_surfaces(pts, w, 30.0, 64, 64)
+        rows2 = compare._subject_surfaces(pts, w, 45.0, 64, 64)
+        cell_area = (w.width / 64) * (w.height / 64)
+        T0, r0 = compare._labeled_statistic(
+            rows1, rows2, np.arange(n1), np.arange(n1, n1 + n2), cell_area
+        )
+        assert res.T0 == T0
+        assert res.r_grid.values.tobytes() == r0.reshape(64, 64).tobytes()
+
     def test_needs_two_subjects_per_group(self, short_model):
         d = simulated_dataset(short_model, n_subjects=2, seed=1)
         with pytest.raises(DataError, match="2 subjects"):

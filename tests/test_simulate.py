@@ -572,14 +572,14 @@ class TestSimulateCurves:
         # have one fixation, so their transition rows are NaN
         model = toy_model(trial_length=1_500.0, n_angles=n_angles, nx=32, ny=32)
         grid = default_grid(2_000.0, 41)
-        got, counts = simulate_curves(model, n_runs, 3, grid, stats, 35.0, 8.0)
+        got = simulate_curves(model, n_runs, 3, grid, stats, 35.0, 8.0)
         ref, ref_counts = curves_of_held_runs(model, n_runs, 3, grid, stats, 8.0)
         assert got.shape == ref.shape == (len(stats) + 16, n_runs, 41)
         assert len(got) == len(ref)
         for j in range(len(ref)):
             assert got[j].tobytes() == ref[j].tobytes()
         assert np.asarray(got).tobytes() == ref.tobytes()
-        assert counts.tolist() == ref_counts.tolist()
+        assert got.counts.tolist() == ref_counts.tolist()
 
     @pytest.mark.parametrize("trial_length, fixations", [
         (-5.0, {0}), (0.0, {0}), (260.0, {1, 2}),
@@ -588,12 +588,12 @@ class TestSimulateCurves:
         # no fixation, one fixation (NaN transition rows) or one transition
         model = toy_model(trial_length=trial_length, n_angles=60, nx=32, ny=32)
         grid = default_grid(400.0, 41)
-        got, counts = simulate_curves(model, 40, 12, grid, STATS, 35.0, 8.0)
+        got = simulate_curves(model, 40, 12, grid, STATS, 35.0, 8.0)
         ref, ref_counts = curves_of_held_runs(model, 40, 12, grid, STATS, 8.0)
-        assert fixations <= set(counts.tolist()) <= {0, 1, 2, 3}
+        assert fixations <= set(got.counts.tolist()) <= {0, 1, 2, 3}
         for j in range(len(ref)):
             assert got[j].tobytes() == ref[j].tobytes()
-        assert counts.tolist() == ref_counts.tolist()
+        assert got.counts.tolist() == ref_counts.tolist()
 
     def test_blocks_go_through_simulate_many(self, monkeypatch):
         # one call per lockstep block, so tracing simulate_many sees every run
@@ -617,8 +617,8 @@ class TestSimulateCurves:
         assert list(map(run_fields, later)) == list(map(run_fields, alone))
 
     def test_no_runs(self):
-        curves, counts = simulate_curves(toy_model(nx=32, ny=32), 0, 1, [0.0, 1.0], ["hull"])
-        assert curves.shape == (17, 0, 2) and counts.shape == (0,)
+        curves = simulate_curves(toy_model(nx=32, ny=32), 0, 1, [0.0, 1.0], ["hull"])
+        assert curves.shape == (17, 0, 2) and curves.counts.shape == (0,)
 
     def test_holds_one_block_of_runs(self):
         # 8 blocks of 40 s runs: every run held at once would take about
@@ -630,7 +630,7 @@ class TestSimulateCurves:
         grid = default_grid(40_000.0, 21)
         tracemalloc.start()
         try:
-            curves, _ = simulate_curves(model, n_runs, 5, grid, ["scanpath"])
+            curves = simulate_curves(model, n_runs, 5, grid, ["scanpath"])
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             runs = simulate_many(model, n_runs, 5)
@@ -649,13 +649,13 @@ class TestSimulateCurves:
         n_runs, grid = 3 * block_size(90), default_grid(20_000.0, 361)
         tracemalloc.start()
         try:
-            curves, counts = simulate_curves(model, n_runs, 6, grid, ["scanpath"])
+            curves = simulate_curves(model, n_runs, 6, grid, ["scanpath"])
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         float_rows = 16 * n_runs * grid.size * 8
         assert curves.nbytes - curves.stat_rows.nbytes <= float_rows / 8
-        assert held - curves.stat_rows.nbytes - counts.nbytes <= float_rows / 8
+        assert held - curves.stat_rows.nbytes <= float_rows / 8
         assert np.asarray(curves).nbytes == curves.stat_rows.nbytes + float_rows
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ from helpers import (
     disc_box_reference,
     disc_raster,
     hull_values_reference,
+    transition_estimates_reference,
     transition_table_per_step,
 )
 
@@ -275,6 +277,15 @@ class TestConvexHullExact:
     @example([(0.0, 0.0), (0.1, 0.1), (0.3, 0.3), (0.7, 0.7 + 2**-50)])
     def test_matches_exact_orientation(self, pts):
         assert np.array_equal(convex_hull(pts), convex_hull_exact(pts))
+
+    def test_fixation_just_outside_an_edge_grows_the_hull(self):
+        # the fourth point lies outside the triangle's edge from the third
+        # vertex back to the first, but its float cross product there is 0.0
+        pts = [(169.16259490502188, 535.3008897279934), (254.01941214225334, 597.5949167328752),
+               (509.08690801770456, 183.82436831293995), (195.96254847470763, 554.9749369731579)]
+        locs = np.array(pts)
+        assert len(convex_hull_exact(pts)) == 4
+        assert summaries._hull_values(locs, W)[3] == polygon_area(convex_hull(locs)) / W.area
 
 
 class TestConvexHullCoverage:
@@ -536,3 +547,57 @@ class TestCurveRows:
         monkeypatch.setattr(summaries, "_ball_values", refuse)
         rows = curve_rows(seq_at([(10, 10), (400, 600)]), W, [0.0, 600.0], ["hull"])
         assert rows.shape == (17, 2)
+
+
+def run_store(rng, counts, grid_points) -> summaries.RunCurves:
+    """A statistic-free RunCurves of runs with the given fixation counts:
+    random quadrant states and uniform onsets in [0, 1] on a uniform grid."""
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    states = rng.integers(0, 4, starts[-1]).astype(np.uint8)
+    grid = np.linspace(0.0, 1.0, grid_points)
+    at = np.empty((len(counts), grid_points), dtype=np.int32)
+    for i, n in enumerate(counts):
+        at[i] = np.searchsorted(np.sort(rng.uniform(0.0, 1.0, n)), grid, side="right") - 1
+    return summaries.RunCurves(np.empty((0, len(counts), grid_points)), states, starts, at)
+
+
+class TestTransitionEstimates:
+    """Transition rows from int32 counts equal the intp-count route, bit for bit."""
+
+    @pytest.mark.parametrize("counts", [[0], [1], [2], [0, 1, 2, 3, 40, 0, 250, 1]])
+    def test_equal_the_intp_route(self, rng, counts):
+        curves = run_store(rng, counts, 61)
+        at64 = curves.at.astype(np.int64)  # as curve_rows passes it, from searchsorted
+        counted = np.array(counts) >= 2
+        for j in range(16):
+            ref = transition_estimates_reference(curves.states, curves.starts, at64, j)
+            for at in (curves.at, at64):
+                got = summaries._transition_estimates(curves.states, curves.starts, at, j)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert curves[j].tobytes() == ref.tobytes()
+            assert curves.defined(j).tobytes() == ref[counted].tobytes()
+
+    def test_defined_rows_of_statistics_are_the_stored_rows(self, rng):
+        store = run_store(rng, [0, 1, 5], 11)
+        curves = summaries.RunCurves(rng.uniform(size=(2, 3, 11)), *vars(store).values()[1:]) \
+            if False else summaries.RunCurves(rng.uniform(size=(2, 3, 11)), store.states,
+                                              store.starts, store.at)
+        assert curves.defined(1) is not None
+        assert np.shares_memory(curves.defined(1), curves.stat_rows)
+        assert curves.defined(1).tobytes() == curves.stat_rows[1].tobytes()
+        assert curves.defined(2).shape == (1, 11)  # the one run of 5 fixations
+
+    def test_one_row_holds_two_int32_arrays_besides_its_floats(self, rng):
+        # 200 runs of about 130 fixations on 361 grid times, as the envelope
+        # benchmark simulates them; intp positions and counts held 5x
+        curves = run_store(rng, rng.integers(0, 260, 200), 361)
+        row_bytes = 200 * 361 * 8
+        for build in (lambda j: curves[j], curves.defined):
+            tracemalloc.start()
+            try:
+                row = build(len(curves) - 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert row.nbytes <= row_bytes
+            assert peak <= 2.5 * row_bytes
