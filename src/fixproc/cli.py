@@ -110,9 +110,7 @@ class PipelineConfig:
         True, "seed runs from the all-fixation surface", off="--all-surface")
 
     def canonical(self) -> dict:
-        d = asdict(self)
-        d["window"] = list(self.window)
-        d["h_grid"] = list(self.h_grid) if self.h_grid is not None else None
+        d = asdict(self)  # JSON writes the tuples as lists
         # where outputs land does not affect what they contain
         d.pop("out")
         return d

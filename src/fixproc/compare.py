@@ -46,13 +46,9 @@ class ShiftCurve:
         return bool(np.all(self.lower <= 0.0) and np.all(self.upper >= 0.0))
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "abscissae": [float(v) for v in self.abscissae],
-            "delta": [float(v) for v in self.delta],
-            "lower": [float(v) for v in self.lower],
-            "upper": [float(v) for v in self.upper],
-        }
+        """The fields, each array itself (``ingest.write_json`` writes its list)."""
+        return {"alpha": self.alpha, "abscissae": self.abscissae, "delta": self.delta,
+                "lower": self.lower, "upper": self.upper}
 
 
 @dataclass
@@ -74,21 +70,13 @@ class RatioTestResult:
         return float(np.sqrt(self.p * (1.0 - self.p) / self.m))
 
     def to_dict(self) -> dict:
-        w = self.r_grid.window
-        return {
-            "T0": self.T0,
-            "p": self.p,
-            "m": self.m,
-            "k": self.k,
-            "mc_se": self.mc_se,
-            "distinct_partitions": self.distinct_partitions,
-            "h1": self.h1,
-            "h2": self.h2,
-            "window": {"x_min": w.x_min, "y_min": w.y_min, "x_max": w.x_max, "y_max": w.y_max},
-            "nx": self.r_grid.nx,
-            "ny": self.r_grid.ny,
-            "log_ratio": [[float(v) for v in row] for row in self.r_grid.values],
-        }
+        """The test's numbers, and the window, ``nx``, ``ny`` and values array
+        (as ``log_ratio``) of :meth:`IntensityGrid.to_dict`."""
+        grid = self.r_grid.to_dict()
+        return {"T0": self.T0, "p": self.p, "m": self.m, "k": self.k, "mc_se": self.mc_se,
+                "distinct_partitions": self.distinct_partitions, "h1": self.h1, "h2": self.h2,
+                "window": grid["window"], "nx": grid["nx"], "ny": grid["ny"],
+                "log_ratio": grid["values"]}
 
 
 class FisherResult(NamedTuple):

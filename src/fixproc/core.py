@@ -60,16 +60,6 @@ class Window:
         """Closed-rectangle membership test on floats, numpy scalars or arrays."""
         return (x >= self.x_min) & (x <= self.x_max) & (y >= self.y_min) & (y <= self.y_max)
 
-    def corners(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.x_min, self.y_min],
-                [self.x_max, self.y_min],
-                [self.x_min, self.y_max],
-                [self.x_max, self.y_max],
-            ]
-        )
-
 
 #: Extent of the reference painting image (770 x 768 px).
 REFERENCE_WINDOW = Window(0.0, 0.0, 770.0, 768.0)

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .core import DataError, NumericError, Window, _positive
+from .ingest import write_csv
 
 # Rows per tile of the pair sums in cross-validation. Two (rows x n) buffers
 # are allocated once per call, reused by every tile and every bandwidth, and
@@ -108,16 +109,18 @@ class IntensityGrid:
         fx = np.subtract(x, self.window.x_min, out=np.empty(x.shape))
         fx /= self.cell_width
         fx -= 0.5
-        np.clip(fx, 0.0, self.nx - 1.0, out=fx)
+        np.minimum(np.maximum(fx, 0.0, out=fx), self.nx - 1.0, out=fx)
         fy = np.subtract(y, self.window.y_min, out=np.empty(y.shape))
         fy /= self.cell_height
         fy -= 0.5
-        np.clip(fy, 0.0, self.ny - 1.0, out=fy)
+        np.minimum(np.maximum(fy, 0.0, out=fy), self.ny - 1.0, out=fy)
         # fx >= 0, so truncation is floor (the lower bound only keeps a NaN
         # indexable); the lower cell stops one short of the last column (row)
         # unless the grid has a single one
-        ix = np.clip(fx.astype(int), 0, max(self.nx - 2, 0))
-        iy = np.clip(fy.astype(int), 0, max(self.ny - 2, 0))
+        ix = fx.astype(int)
+        np.minimum(np.maximum(ix, 0, out=ix), max(self.nx - 2, 0), out=ix)
+        iy = fy.astype(int)
+        np.minimum(np.maximum(iy, 0, out=iy), max(self.ny - 2, 0), out=iy)
         tx = np.subtract(fx, ix, out=fx)
         ty = np.subtract(fy, iy, out=fy)
         sx = 1 - tx
@@ -141,25 +144,14 @@ class IntensityGrid:
 
     def to_csv(self, path) -> None:
         """One row per cell: cx, cy, value (x fastest)."""
-        cx = self.centers_x()
-        cy = self.centers_y()
-        with open(path, "w", newline="") as fh:
-            fh.write("cx,cy,value\n")
-            for iy in range(self.ny):
-                for ix in range(self.nx):
-                    fh.write(
-                        f"{float(cx[ix])!r},{float(cy[iy])!r},{float(self.values[iy, ix])!r}\n"
-                    )
+        cx = np.tile(self.centers_x(), self.ny)
+        cy = np.repeat(self.centers_y(), self.nx)
+        write_csv(path, ("cx", "cy", "value"), [(cx, cy, self.values.ravel())])
 
     def to_dict(self) -> dict:
-        w = self.window
-        return {
-            "window": {"x_min": w.x_min, "y_min": w.y_min, "x_max": w.x_max, "y_max": w.y_max},
-            "nx": self.nx,
-            "ny": self.ny,
-            "bandwidth": self.bandwidth,
-            "values": [[float(v) for v in row] for row in self.values],
-        }
+        """The fields, ``values`` as the array itself (``ingest.write_json`` writes its list)."""
+        return {"window": asdict(self.window), "nx": self.nx, "ny": self.ny,
+                "bandwidth": self.bandwidth, "values": self.values}
 
 
 @dataclass
@@ -172,12 +164,8 @@ class QuadratTestResult:
     counts: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "df": self.df,
-            "p": self.p,
-            "counts": [[int(c) for c in row] for row in self.counts],
-        }
+        """The fields, ``counts`` as the array itself (``ingest.write_json`` writes its list)."""
+        return {"statistic": self.statistic, "df": self.df, "p": self.p, "counts": self.counts}
 
 
 def _retained_mass(v, lo: float, hi: float, h: float) -> np.ndarray:

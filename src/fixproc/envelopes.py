@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataError, StepCurve
+from .ingest import write_csv
 from .summaries import resample_curve
 
 
@@ -70,10 +71,7 @@ class RankEnvelope:
         return float(self.grid[bad[0]]) if bad.size else None
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("time_ms,lower,upper\n")
-            for t, lo, up in zip(self.grid, self.lower, self.upper):
-                fh.write(f"{float(t)!r},{float(lo)!r},{float(up)!r}\n")
+        write_csv(path, ("time_ms", "lower", "upper"), [(self.grid, self.lower, self.upper)])
 
     def to_dict(self) -> dict:
         """``k``, ``alpha`` and the ``grid``, ``lower`` and ``upper`` arrays

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, kolmogi, polygamma, psi
 
 from .core import DataError, NumericError
+from .ingest import write_csv
 
 FIT_SOURCES = ("fixation_duration", "saccade_duration", "saccade_length")
 
@@ -113,10 +114,8 @@ class QQBand:
         )
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("theoretical,empirical,lower,upper\n")
-            for t, e, lo, up in zip(self.theoretical, self.empirical, self.lower, self.upper):
-                fh.write(f"{float(t)!r},{float(e)!r},{float(lo)!r},{float(up)!r}\n")
+        write_csv(path, ("theoretical", "empirical", "lower", "upper"),
+                  [(self.theoretical, self.empirical, self.lower, self.upper)])
 
 
 def _validated_sample(sample) -> np.ndarray:

@@ -17,8 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -58,15 +59,7 @@ class SequenceReport:
     excluded_indices: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "subject_id": self.subject_id,
-            "painting_id": self.painting_id,
-            "n_total": self.n_total,
-            "n_short_excluded": self.n_short_excluded,
-            "n_outside_excluded": self.n_outside_excluded,
-            "n_saccades_missing": self.n_saccades_missing,
-            "excluded_indices": list(self.excluded_indices),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -98,15 +91,9 @@ class IngestReport:
         return sum(e.n_saccades_missing for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {
-            "sequences": [e.to_dict() for e in self.entries],
-            "totals": {
-                "n_total": self.n_total,
-                "n_short_excluded": self.n_short_excluded,
-                "n_outside_excluded": self.n_outside_excluded,
-                "n_saccades_missing": self.n_saccades_missing,
-            },
-        }
+        totals = ("n_total", "n_short_excluded", "n_outside_excluded", "n_saccades_missing")
+        return {"sequences": [e.to_dict() for e in self.entries],
+                "totals": {name: getattr(self, name) for name in totals}}
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
@@ -117,9 +104,10 @@ def write_json(path, payload: dict) -> None:
 
     The bytes are those of ``json.dump(payload, fh, indent=2,
     sort_keys=True)`` followed by ``"\\n"``, NaN and infinities included,
-    with a 1-D float array written as its ``.tolist()``.
-    Python walks the dicts and lists; a list that holds no container goes
-    to json's C encoder in one call, its item separator carrying the
+    with a float or integer array written as its ``.tolist()``; an n-D
+    array is walked row by row, so one row's Python numbers exist at a
+    time. Python walks the dicts and lists; a list that holds no container
+    goes to json's C encoder in one call, its item separator carrying the
     indent, so no number is formatted by Python code. Chunks are written as
     they are made: the document is never held as one string.
     """
@@ -128,7 +116,48 @@ def write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+# Rows formatted at a time by write_csv: bounds the text and the Python
+# numbers that exist at once
+_CSV_ROWS = 4096
+
+
+def write_csv(path, header, blocks) -> None:
+    """Every output's CSV writer: a header line, then the rows of ``blocks``.
+
+    Each block is a tuple of equal-length columns (numpy arrays or lists).
+    A number is written as the ``repr`` of its Python value, a text field as
+    it is, or quoted as ``csv.QUOTE_MINIMAL`` would when it holds ``,``,
+    ``"``, CR or LF. Lines end in LF; ``_CSV_ROWS`` rows are formatted at a time.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(map(_csv_text, header)) + "\n")
+        for block in blocks:
+            for start in range(0, len(block[0]), _CSV_ROWS):
+                fields = [_csv_fields(column[start:start + _CSV_ROWS]) for column in block]
+                fh.write("\n".join(map(",".join, zip(*fields))))
+                fh.write("\n")
+
+
+def _csv_fields(column) -> list[str]:
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    if values and isinstance(values[0], str):
+        return list(map(_csv_text, values))
+    return list(map(repr, values))
+
+
+def _csv_text(value: str) -> str:
+    if _NEEDS_QUOTES(value):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 _SCALAR_ENCODER = json.JSONEncoder()
+# what _json_chunks walks itself (an array that is not a number table raises
+# json's TypeError as a scalar)
+_CONTAINERS = (list, tuple, dict, np.ndarray)
 
 
 @lru_cache(maxsize=None)
@@ -138,8 +167,8 @@ def _flat_encoder(item_separator: str) -> json.JSONEncoder:
 
 def _json_chunks(obj, newline: str, markers: set):
     """Chunks of ``obj``'s indented JSON; ``newline`` ends with its indent."""
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-        obj = obj.tolist()
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "fiu":
+        obj = obj.tolist() if obj.ndim < 2 else list(obj)  # rows are views
     if isinstance(obj, dict):
         is_dict, items = True, sorted(obj.items())
     elif isinstance(obj, (list, tuple)):
@@ -154,7 +183,7 @@ def _json_chunks(obj, newline: str, markers: set):
         raise ValueError("Circular reference detected")
     markers.add(id(obj))
     inner = newline + "  "
-    if not is_dict and not any(issubclass(t, (list, tuple, dict)) for t in set(map(type, obj))):
+    if not is_dict and not any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
         text = _flat_encoder("," + inner).encode(obj)
         yield "[" + inner + text[1:-1] + newline + "]"
     else:
@@ -366,23 +395,25 @@ def ingest_pipeline(
 
 
 def write_fixations(dataset: Dataset, path) -> None:
-    """Serialize back to the canonical CSV schema (floats in shortest repr)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(COLUMNS) + "\n")
-        for seq in dataset.sequences:
-            for f in seq.fixations:
-                fh.write(
-                    f"{seq.subject_id},{seq.group},{seq.painting_id},"
-                    f"{float(f.onset)!r},{float(f.duration)!r},{float(f.x)!r},{float(f.y)!r}\n"
-                )
+    """Serialize back to the canonical CSV schema, one block per sequence."""
+
+    def block(seq: FixationSequence) -> tuple:
+        n = len(seq)
+        values = np.array([(f.onset, f.duration, f.x, f.y) for f in seq.fixations], float)
+        ids = ([seq.subject_id] * n, [seq.group] * n, [seq.painting_id] * n)
+        return (*ids, *values.reshape(n, 4).T)
+
+    write_csv(path, COLUMNS, map(block, dataset.sequences))
 
 
 def write_saccades(saccades: dict[tuple[str, str], list[Saccade]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("subject_id,painting_id,from_index,to_index,length_px,duration_ms,valid\n")
-        for (subject, painting), sacs in saccades.items():
-            for s in sacs:
-                fh.write(
-                    f"{subject},{painting},{s.from_index},{s.to_index},"
-                    f"{float(s.length)!r},{float(s.duration)!r},{int(s.valid)}\n"
-                )
+    """One row per saccade, one block per sequence; ``valid`` as 0 or 1."""
+    header = ("subject_id", "painting_id", "from_index", "to_index", "length_px",
+              "duration_ms", "valid")
+    write_csv(path, header, (
+        ([subject] * len(sacs), [painting] * len(sacs),
+         [s.from_index for s in sacs], [s.to_index for s in sacs],
+         np.array([s.length for s in sacs], float), np.array([s.duration for s in sacs], float),
+         [int(s.valid) for s in sacs])
+        for (subject, painting), sacs in saccades.items()
+    ))

@@ -302,10 +302,16 @@ def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list
             if row == 0:
                 for r in live.tolist():
                     uniforms[r] = rngs[r].random((_CHUNK_STEPS, _STEP_UNIFORMS))
+                # u_dur and u_sac become the chunk's durations, one elementwise
+                # quantile call each, with the bits of one call per step
+                uniforms[live, :, 0] = model.dur_fix.truncated_quantile(
+                    uniforms[live, :, 0], model.min_fix_dur, np.inf
+                )
+                uniforms[live, :, 4] = model.dur_sac.quantile(uniforms[live, :, 4])
                 tables.append(np.empty((6, _CHUNK_STEPS, n)))
             table = tables[-1]
             u = uniforms[live, row]
-            dur = model.dur_fix.truncated_quantile(u[:, 0], model.min_fix_dur, np.inf)
+            dur = u[:, 0]
             counts[live] = step + 1
             table[:4, row, live] = x, y, clock, np.minimum(dur, horizon - clock)
             clock = clock + dur
@@ -313,7 +319,7 @@ def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list
             if not moving.any():
                 break
             live, x, y, clock, u = live[moving], x[moving], y[moving], clock[moving], u[moving]
-            _, u_plong, u_len, u_pick, u_sac = u.T
+            _, u_plong, u_len, u_pick, gap = u.T
             dx, dy = _corner_offsets(model.window, x, y)
             l_max = np.hypot(dx, dy)
             long = u_plong < model.p_long
@@ -324,7 +330,7 @@ def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list
             lengths[~long] = model.len_sac.truncated_quantile(u_len[~long], 0.0, l_max[~long])
             to_x, to_y = _landings(model, x, y, dx, dy, lengths, u_pick)
             table[4:, row, live] = lengths, long
-            clock = clock + model.dur_sac.quantile(u_sac)
+            clock = clock + gap
             kept = ~(clock >= horizon)
             live, x, y, clock = live[kept], to_x[kept], to_y[kept], clock[kept]
             step += 1
@@ -448,7 +454,7 @@ def provenance_to_json(runs: list[SimRun], path, meta: dict | None = None) -> No
             {
                 "subject_id": r.sequence.subject_id,
                 "jump_provenance": r.jump_provenance,
-                "jump_lengths": [float(v) for v in r.jump_lengths],
+                "jump_lengths": r.jump_lengths,
             }
             for r in runs
         ],

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import DataError, FixationSequence, StepCurve, Window, _positive, quadrant_of
+from .ingest import write_csv
 
 #: Summary statistics :func:`curve_rows` can evaluate, in their row order.
 STATS = ("hull", "ball", "scanpath")
@@ -271,7 +272,9 @@ class TransitionCurves:
     row_counts: np.ndarray
 
     def to_dict(self) -> dict:
-        out: dict = {"counts": [[int(v) for v in row] for row in self.counts]}
+        """``counts`` as the array itself (``ingest.write_json`` writes its
+        list) and each transition's :func:`curve_to_dict`."""
+        out: dict = {"counts": self.counts}
         out.update(zip(TRANSITIONS, (curve_to_dict(c) for row in self.curves for c in row)))
         return out
 
@@ -478,15 +481,9 @@ def resample_curve(curve: StepCurve, grid) -> np.ndarray:
 
 
 def curve_to_csv(curve: StepCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("time_ms,value\n")
-        for t, v in zip(curve.knots, curve.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+    write_csv(path, ("time_ms", "value"), [(curve.knots, curve.values)])
 
 
 def curve_to_dict(curve: StepCurve) -> dict:
-    return {
-        "knots": [float(t) for t in curve.knots],
-        "values": [float(v) for v in curve.values],
-        "domain_end": curve.domain_end,
-    }
+    """The fields, each array itself (``ingest.write_json`` writes its list)."""
+    return {"knots": curve.knots, "values": curve.values, "domain_end": curve.domain_end}

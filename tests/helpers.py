@@ -543,6 +543,25 @@ def write_json_reference(path, payload) -> None:
         fh.write("\n")
 
 
+def write_csv_reference(path, header, blocks) -> None:
+    """The per-row f-string writer that ``ingest.write_csv`` replaced: text
+    as it is, an integer by its ``int`` text, any other number as
+    ``repr(float(v))``, fields joined by ``,`` and rows ended by LF."""
+
+    def text(v) -> str:
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return f"{int(v)}"
+        return f"{float(v)!r}"
+
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            for row in zip(*block):
+                fh.write(",".join(text(v) for v in row) + "\n")
+
+
 def points_reference(xs, ys) -> str:
     """SVG points text by the ``_fmt``-per-point loop that ``svgplot._points`` replaced."""
     px = np.asarray(xs, dtype=float).tolist()

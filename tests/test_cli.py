@@ -847,3 +847,21 @@ class TestIdsThatAreNotFileNames:
         assert err["error"] == "DataError"
         assert "has the output name 's_1_x' of subject 's_1' on painting 'x'" in err["message"]
         assert not out.exists()
+
+
+class TestIdsThatNeedQuotes:
+    def test_ingest_output_ingests_again(self, tmp_path):
+        # "s,1" is read as one quoted id; fixations_clean.csv used to write it
+        # unquoted, and ingesting that file failed at its first row
+        source = tmp_path / "fix.csv"
+        source.write_text("subject_id,group,painting_id,onset_ms,duration_ms,x_px,y_px\n"
+                          '"s,1",novice,p1,0,100,10,10\n"s,1",novice,p1,150,80,30,40\n'
+                          "s2,non_novice,p1,0,100,5,5\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["ingest", "--input", source, "--out", first]) == 0
+        assert run(["ingest", "--input", first / "fixations_clean.csv", "--out", second]) == 0
+        for name in ("fixations_clean.csv", "saccades.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert (first / "fixations_clean.csv").read_text().splitlines()[1] == (
+            '"s,1",novice,p1,0.0,100.0,10.0,10.0'
+        )

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +15,18 @@ from fixproc import (
     parse_fixations,
     write_fixations,
 )
-from fixproc.ingest import ingest_pipeline, valid_saccade_values, write_json
-from helpers import write_json_reference
+from fixproc.ingest import (
+    _CSV_ROWS,
+    ingest_pipeline,
+    valid_saccade_values,
+    write_csv,
+    write_json,
+    write_saccades,
+)
+from fixproc.compare import RatioTestResult, shift_function
+from fixproc.density import quadrat_chisq
+from fixproc.summaries import transition_curves
+from helpers import hotspot_grid, write_csv_reference, write_json_reference
 
 W = Window(0.0, 0.0, 770.0, 768.0)
 HEADER = "subject_id,group,painting_id,onset_ms,duration_ms,x_px,y_px\n"
@@ -341,7 +353,55 @@ class TestWriteJson:
         })
         assert (tmp_path / "array.json").read_bytes() == (tmp_path / "list.json").read_bytes()
 
-    @pytest.mark.parametrize("array", [np.zeros((2, 2)), np.arange(3)])
+    @pytest.mark.parametrize("array", [
+        np.zeros((2, 3)), np.arange(6).reshape(3, 2), np.arange(24, dtype=np.uint8).reshape(2, 3, 4),
+        np.array([[0.1, -0.0], [np.nan, -np.inf], [5e-324, 1e22]]), np.zeros((0, 3)),
+        np.zeros((2, 0), dtype=int), np.array(2.5), np.arange(4, dtype=np.int32),
+    ])
+    def test_number_array_written_as_its_list(self, tmp_path, array):
+        # an n-D array goes row by row, and must still give json.dump's bytes
+        write_json(tmp_path / "array.json", {"a": array, "b": [array, array]})
+        write_json_reference(tmp_path / "list.json",
+                             {"a": array.tolist(), "b": [array.tolist(), array.tolist()]})
+        assert (tmp_path / "array.json").read_bytes() == (tmp_path / "list.json").read_bytes()
+
+    def test_producers_hand_over_arrays(self, tmp_path):
+        # each to_dict holds its arrays, not float lists, with unchanged bytes
+        rng = np.random.default_rng(5)
+        grid = hotspot_grid(nx=6, ny=5)
+        seq = FixationSequence("s", "novice", "p", [
+            Fixation(float(x), float(y), 100.0 * i, 50.0)
+            for i, (x, y) in enumerate(rng.uniform(0, 760, (12, 2)))
+        ])
+        ratio = RatioTestResult(T0=1.5, p=0.5, m=9, h1=2.0, h2=3.0, r_grid=grid, k=4,
+                                distinct_partitions=9)
+        payloads = {
+            "grid": grid.to_dict(),
+            "ratio": ratio.to_dict(),
+            "quadrat": quadrat_chisq(rng.uniform(0, 760, (80, 2)), W, 3).to_dict(),
+            "shift": shift_function(rng.gamma(2, 50, 30), rng.gamma(2, 60, 25)).to_dict(),
+            "transitions": transition_curves(seq, W).to_dict(),
+        }
+        assert payloads["grid"]["values"] is grid.values
+        assert payloads["ratio"]["log_ratio"] is grid.values
+        assert payloads["grid"]["window"] == payloads["ratio"]["window"] == {
+            "x_min": 0.0, "y_min": 0.0, "x_max": 770.0, "y_max": 768.0}
+        assert isinstance(payloads["quadrat"]["counts"], np.ndarray)
+        assert isinstance(payloads["transitions"]["counts"], np.ndarray)
+        assert isinstance(payloads["transitions"]["1->2"]["knots"], np.ndarray)
+
+        def as_lists(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.tolist()
+            if isinstance(obj, dict):
+                return {k: as_lists(v) for k, v in obj.items()}
+            return obj
+
+        write_json(tmp_path / "arrays.json", payloads)
+        write_json_reference(tmp_path / "lists.json", as_lists(payloads))
+        assert (tmp_path / "arrays.json").read_bytes() == (tmp_path / "lists.json").read_bytes()
+
+    @pytest.mark.parametrize("array", [np.zeros((2, 2), dtype=bool), np.arange(3) + 0j])
     def test_other_arrays_raise_as_json_does(self, tmp_path, array):
         with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
             write_json(tmp_path / "array.json", {"a": array})
@@ -366,3 +426,77 @@ class TestWriteJson:
         loop.append(loop)
         with pytest.raises(ValueError, match="Circular reference"):
             write_json(tmp_path / "loop.json", {"a": loop})
+
+
+SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e22, 0.1, 0.0, 1.0, -2.5e-300]
+
+
+class TestWriteCsv:
+    # the one CSV writer must give the per-row f-string writer's bytes
+    def _both(self, directory, header, blocks):
+        write_csv(directory / "new.csv", header, blocks)
+        write_csv_reference(directory / "old.csv", header, blocks)
+        return (directory / "new.csv").read_bytes(), (directory / "old.csv").read_bytes()
+
+    def test_special_floats_integers_and_text(self, tmp_path):
+        x = np.array(SPECIAL)
+        block = (["s01"] * len(x), x, np.arange(len(x)) - 3, list(range(len(x))), x[::-1])
+        new, old = self._both(tmp_path, ("id", "x", "i", "j", "rx"), [block, block])
+        assert new == old
+        assert new.splitlines()[1] == b"s01,-0.0,-3,0,-2.5e-300"
+
+    def test_zero_rows(self, tmp_path):
+        empty = (np.empty(0), [], np.empty(0, dtype=int))
+        new, old = self._both(tmp_path, ("a", "b", "c"), [empty, empty])
+        assert new == old == b"a,b,c\n"
+        new, old = self._both(tmp_path, ("a",), [])
+        assert new == old == b"a\n"
+
+    @pytest.mark.parametrize("n", [_CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 3])
+    def test_blocks_around_the_row_chunk(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        values[rng.integers(0, n, 20)] = rng.choice(SPECIAL, 20)
+        block = (values, np.arange(n), ["p"] * n)
+        new, old = self._both(tmp_path, ("v", "k", "p"), [block, block[:2] + (["q"] * n,)])
+        assert new == old
+        assert new.count(b"\n") == 2 * n + 1
+
+    @pytest.mark.parametrize("text", ["s,1", '"s1', 's"1', "s\n1", "s\r1", 'a,"b"\r\n'])
+    def test_text_that_needs_quotes_reads_back(self, tmp_path, text):
+        # quoted exactly as csv.QUOTE_MINIMAL quotes it, so csv reads it back
+        path = tmp_path / "q.csv"
+        write_csv(path, ("id", "x"), [([text, "plain"], np.array([1.5, -0.0]))])
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["id", "x"], [text, "1.5"], ["plain", "-0.0"]]
+        quoted = '"' + text.replace('"', '""') + '"'
+        assert path.read_bytes().decode().split("\n", 1)[1].startswith(quoted + ",1.5\n")
+
+
+class TestIdsThatNeedQuotes:
+    # parse_fixations reads a quoted id such as "s,1"; the CSVs written back
+    # must quote it too, or reading them splits the id across columns
+    @pytest.mark.parametrize("subject", ["s,1", '"s1', 'q"t', "two\nlines"])
+    def test_written_files_read_back(self, tmp_path, subject):
+        rows = [(subject, "novice", "p,1", 0.0, 100.0, 10.0, 20.5),
+                (subject, "novice", "p,1", 130.0, 20.0, 30.0, 40.0),
+                (subject, "novice", "p,1", 170.0, 90.0, 50.0, 60.25),
+                ("s2", "non_novice", "p,1", 0.0, 50.0, 1.0, 2.0)]
+        source = tmp_path / "in.csv"
+        with open(source, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(HEADER.strip().split(","))
+            writer.writerows(rows)
+        dataset, saccades, _ = ingest_pipeline(source)
+        assert dataset.sequences[0].subject_id == subject
+        clean, sacs = tmp_path / "clean.csv", tmp_path / "saccades.csv"
+        write_fixations(dataset, clean)
+        again = parse_fixations(clean)
+        assert [(s.subject_id, s.painting_id, s.fixations) for s in again.sequences] == [
+            (s.subject_id, s.painting_id, s.fixations) for s in dataset.sequences
+        ]
+        write_saccades(saccades, sacs)
+        with open(sacs, newline="") as fh:
+            table = list(csv.reader(fh))
+        assert [row[:4] for row in table[1:]] == [[subject, "p,1", "0", "1"]]
+        assert table[1][6] == "0"  # the 20 ms fixation between was removed
