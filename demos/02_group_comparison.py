@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import fixproc as fp
-from fixproc import Dataset, Fixation, FixationSequence
+from fixproc import Dataset, FixationSequence
 from fixproc.svgplot import heatmap_svg, shift_plot_svg
 
 OUT = Path(__file__).parent / "output"
@@ -32,9 +32,7 @@ def make_subject(sid, group, hotspot, dur_scale):
     durations = rng.gamma(2.0, dur_scale, n) + 40.0
     gaps = rng.gamma(2.5, 20.0, n)
     onsets = np.concatenate([[0.0], np.cumsum(durations[:-1] + gaps[:-1])])
-    fixes = [Fixation(float(a), float(b), float(t), float(d))
-             for a, b, t, d in zip(x, y, onsets, durations)]
-    return FixationSequence(sid, group, "demo", fixes)
+    return FixationSequence(sid, group, "demo", np.column_stack((x, y)), onsets, durations)
 
 
 seqs = [make_subject(f"nov{i}", "novice", (330, 380), 130.0) for i in range(10)]
@@ -42,8 +40,8 @@ seqs += [make_subject(f"non{i}", "non_novice", (450, 380), 110.0) for i in range
 dataset = Dataset(window=w, sequences=seqs, trial_length=420_000.0)
 
 # --- duration comparison -------------------------------------------------
-novice_durs = np.concatenate([s.durations() for s in dataset.by_group("novice")])
-non_durs = np.concatenate([s.durations() for s in dataset.by_group("non_novice")])
+novice_durs = np.concatenate([s.durations for s in dataset.by_group("novice")])
+non_durs = np.concatenate([s.durations for s in dataset.by_group("non_novice")])
 curve = fp.shift_function(novice_durs, non_durs, alpha=0.05)
 (OUT / "02_shift.svg").write_text(shift_plot_svg(curve, "duration shift: novice -> non-novice"))
 print(f"shift at median abscissa: {curve.delta[len(curve.delta) // 2]:.1f} ms")

@@ -24,7 +24,7 @@ w = fp.REFERENCE_WINDOW
 rng = np.random.default_rng(4)
 
 # Synthetic observed data: 10 subjects with a shared hotspot.
-from fixproc import Dataset, Fixation, FixationSequence
+from fixproc import Dataset, FixationSequence
 
 seqs = []
 for i in range(10):
@@ -35,11 +35,7 @@ for i in range(10):
     durs = rng.gamma(2.0, 130.0, n) + 40.0
     gaps = rng.gamma(2.5, 20.0, n)
     onsets = np.concatenate([[0.0], np.cumsum(durs[:-1] + gaps[:-1])])
-    seqs.append(FixationSequence(
-        f"s{i}", "novice", "demo",
-        [Fixation(float(a), float(b), float(t), float(d))
-         for a, b, t, d in zip(x, y, onsets, durs)],
-    ))
+    seqs.append(FixationSequence(f"s{i}", "novice", "demo", np.column_stack((x, y)), onsets, durs))
 observed = Dataset(window=w, sequences=seqs, trial_length=180_000.0)
 
 model = fp.build_model(observed, "novice", h=22.0, nx=96, ny=96, p_long=0.2)
@@ -56,7 +52,7 @@ print(f"fixations per 3-minute run: {min(counts)}..{max(counts)} (mean {np.mean(
 # Structural guarantees: jumps stay in the window and never exceed the
 # distance to the furthest corner.
 run = runs[0]
-locs = run.sequence.locations()
+locs = run.sequence.locations
 assert np.all(w.contains(locs[:, 0], locs[:, 1]))
 dists = np.hypot(*np.diff(locs, axis=0).T)
 assert np.allclose(dists, run.jump_lengths, atol=1e-9)

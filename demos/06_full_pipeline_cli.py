@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import fixproc as fp
-from fixproc import Dataset, Fixation, FixationSequence
+from fixproc import Dataset, FixationSequence
 from fixproc.cli import main as fixproc_cli
 from fixproc.ingest import write_fixations
 
@@ -35,9 +35,8 @@ def subject(sid, group, cx):
     gaps = rng.gamma(2.5, 18.0, n)
     onsets = np.concatenate([[0.0], np.cumsum(durs[:-1] + gaps[:-1])])
     keep = onsets + durs <= TRIAL
-    fixes = [Fixation(float(a), float(b), float(t), float(d))
-             for a, b, t, d, k in zip(x, y, onsets, durs, keep) if k]
-    return FixationSequence(sid, group, "koli", fixes)
+    locations = np.column_stack((x, y))[keep]
+    return FixationSequence(sid, group, "koli", locations, onsets[keep], durs[keep])
 
 
 seqs = [subject(f"nov{i:02d}", "novice", 340.0) for i in range(6)]

@@ -25,7 +25,6 @@ from .core import (
     REFERENCE_WINDOW,
     DataError,
     Dataset,
-    Fixation,
     FixationSequence,
     NumericError,
     Saccade,

@@ -305,7 +305,7 @@ def permutation_test(
     """
     seqs1, seqs2 = dataset.two_groups()
     n1, n2 = len(seqs1), len(seqs2)
-    subject_pts = [s.locations() for s in seqs1 + seqs2]
+    subject_pts = [s.locations for s in seqs1 + seqs2]
     w = dataset.window
     if not all(_positive(h) for h in (h1, h2)):
         raise DataError(f"bandwidths must be positive and finite, got h1={h1}, h2={h2}")

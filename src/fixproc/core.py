@@ -2,14 +2,16 @@
 
 Coordinates are continuous pixels in image convention: the y axis points
 down, so "upper" quadrants have *smaller* y. Times are milliseconds since
-trial start. All types here are immutable value objects and safe to share
-between threads.
+trial start. ``Window``, ``Saccade`` and ``FixationSequence`` are immutable
+value objects, safe to share between threads: a sequence holds its
+fixations as three read-only columns (locations, onsets, durations), as a
+spatio-temporal point pattern.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +43,8 @@ class Window:
     y_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_min, self.y_min, self.x_max, self.y_max))):
+            raise DataError(f"non-finite window {self!r}")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise DataError(f"degenerate window {self!r}")
 
@@ -75,24 +79,6 @@ MIN_FIXATION_MS = 40.0
 
 
 @dataclass(frozen=True, slots=True)
-class Fixation:
-    """One gaze stop: location (px), onset and duration (ms)."""
-
-    x: float
-    y: float
-    onset: float
-    duration: float
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise DataError(f"fixation duration must be positive, got {self.duration}")
-
-    @property
-    def end(self) -> float:
-        return self.onset + self.duration
-
-
-@dataclass(frozen=True, slots=True)
 class Saccade:
     """Jump between two fixations of one sequence.
 
@@ -108,38 +94,63 @@ class Saccade:
     valid: bool = True
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FixationSequence:
-    """One subject's ordered fixations on one painting."""
+    """One subject's fixations on one painting, in onset order, as columns.
+
+    ``locations`` is the (n, 2) array of (x, y) in px, ``onsets`` and
+    ``durations`` the (n,) arrays in ms. The columns are copied to float64
+    and made read-only. Every value must be finite, every duration
+    positive and the onsets strictly increasing. Two sequences are equal
+    when their ids and every column are.
+    """
 
     subject_id: str
     group: str
     painting_id: str
-    fixations: list[Fixation] = field(default_factory=list)
+    locations: np.ndarray = ()
+    onsets: np.ndarray = ()
+    durations: np.ndarray = ()
 
     def __post_init__(self):
         if self.group not in GROUPS:
             raise DataError(f"unknown group {self.group!r}, expected one of {GROUPS}")
-        onsets = [f.onset for f in self.fixations]
-        if any(b <= a for a, b in zip(onsets, onsets[1:])):
+        columns = [np.array(c, dtype=np.float64, order="C") for c in self._columns()]
+        locations, onsets, durations = columns
+        if locations.size == 0:
+            columns[0] = locations = locations.reshape(0, 2)
+        n = onsets.size
+        if locations.shape != (n, 2) or onsets.shape != (n,) or durations.shape != (n,):
+            raise DataError(
+                f"columns of subject {self.subject_id!r} need shapes (n, 2), (n,), (n,);"
+                f" got {locations.shape}, {onsets.shape}, {durations.shape}"
+            )
+        for name, column in zip(("locations", "onsets", "durations"), columns):
+            if not np.isfinite(column).all():
+                raise DataError(f"non-finite {name} for subject {self.subject_id!r}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not (durations > 0).all():
+            bad = float(durations[np.argmin(durations > 0)])
+            raise DataError(f"fixation duration must be positive, got {bad}")
+        if not (onsets[1:] > onsets[:-1]).all():
             raise DataError(
                 f"onsets not strictly increasing for subject {self.subject_id!r}"
             )
 
+    def _columns(self) -> tuple:
+        return self.locations, self.onsets, self.durations
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FixationSequence):
+            return NotImplemented
+        ids = (self.subject_id, self.group, self.painting_id)
+        return ids == (other.subject_id, other.group, other.painting_id) and all(
+            map(np.array_equal, self._columns(), other._columns())
+        )
+
     def __len__(self) -> int:
-        return len(self.fixations)
-
-    def locations(self) -> np.ndarray:
-        """(n, 2) array of fixation locations."""
-        if not self.fixations:
-            return np.empty((0, 2))
-        return np.array([[f.x, f.y] for f in self.fixations])
-
-    def onsets(self) -> np.ndarray:
-        return np.array([f.onset for f in self.fixations])
-
-    def durations(self) -> np.ndarray:
-        return np.array([f.duration for f in self.fixations])
+        return len(self.onsets)
 
 
 @dataclass
@@ -149,13 +160,6 @@ class Dataset:
     window: Window
     sequences: list[FixationSequence]
     trial_length: float = DEFAULT_TRIAL_LENGTH_MS
-
-    def subjects(self) -> list[str]:
-        seen = []
-        for s in self.sequences:
-            if s.subject_id not in seen:
-                seen.append(s.subject_id)
-        return seen
 
     def by_painting(self) -> dict[str, Dataset]:
         """Per painting, first seen first, its sequences with this window and trial length."""
@@ -194,13 +198,13 @@ class Dataset:
 
     # pooled arrays follow dataset order; the leading empty array fixes the empty shape
     def pooled_locations(self, group: str | None = None) -> np.ndarray:
-        return np.vstack([np.empty((0, 2))] + [s.locations() for s in self._sequences(group)])
+        return np.vstack([np.empty((0, 2))] + [s.locations for s in self._sequences(group)])
 
     def pooled_durations(self, group: str | None = None) -> np.ndarray:
-        return np.concatenate([np.empty(0)] + [s.durations() for s in self._sequences(group)])
+        return np.concatenate([np.empty(0)] + [s.durations for s in self._sequences(group)])
 
     def pooled_onsets(self) -> np.ndarray:
-        return np.concatenate([np.empty(0)] + [s.onsets() for s in self.sequences])
+        return np.concatenate([np.empty(0)] + [s.onsets for s in self.sequences])
 
     def interval_masks(self, interval: float) -> list[np.ndarray]:
         """Masks over :meth:`pooled_onsets`, mask j of the onsets in [j, j + 1) * interval,

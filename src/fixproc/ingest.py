@@ -32,7 +32,6 @@ from .core import (
     REFERENCE_WINDOW,
     DataError,
     Dataset,
-    Fixation,
     FixationSequence,
     Saccade,
     Window,
@@ -67,12 +66,6 @@ class IngestReport:
     """Exclusion bookkeeping, one entry per (subject, painting) sequence."""
 
     entries: list[SequenceReport] = field(default_factory=list)
-
-    def entry(self, subject_id: str, painting_id: str) -> SequenceReport:
-        for e in self.entries:
-            if e.subject_id == subject_id and e.painting_id == painting_id:
-                return e
-        raise KeyError((subject_id, painting_id))
 
     @property
     def n_total(self) -> int:
@@ -222,7 +215,7 @@ def parse_fixations(
     both line numbers, and so does a sequence whose output name (see
     ``core.sequence_name``) is an earlier sequence's.
     """
-    rows: dict[tuple[str, str], list[tuple[float, Fixation]]] = {}
+    rows: dict[tuple[str, str], list[tuple[float, float, float, float]]] = {}
     labels: dict[str, tuple[str, int]] = {}  # subject: (group, line of its first row)
     names: dict[tuple[str, str], tuple[tuple[str, str], int]] = {}  # (sep, name): (ids, line)
     seen_onsets: dict[tuple[str, str], set[float]] = {}
@@ -283,18 +276,17 @@ def parse_fixations(
                     f"{path}:{line}: duplicate onset {onset} for subject {subject!r}"
                 )
             onsets.add(onset)
-            rows.setdefault(key, []).append((onset, Fixation(x, y, onset, duration)))
+            rows.setdefault(key, []).append((onset, duration, x, y))
 
     sequences = []
-    for key in rows:
-        bucket = rows[key]
-        onsets = [o for o, _ in bucket]
-        if onsets != sorted(onsets):
+    for key, bucket in rows.items():
+        if bucket != sorted(bucket):  # a key's onsets are distinct: tuples sort by onset
             warnings.warn(f"fixations for {key} were out of time order; sorted by onset")
-            bucket.sort(key=lambda t: t[0])
-        sequences.append(
-            FixationSequence(key[0], labels[key[0]][0], key[1], [f for _, f in bucket])
-        )
+            bucket.sort()
+        onsets, durations, x, y = np.array(bucket).T
+        sequences.append(FixationSequence(
+            key[0], labels[key[0]][0], key[1], np.column_stack((x, y)), onsets, durations
+        ))
     return Dataset(window=window, sequences=sequences, trial_length=trial_length)
 
 
@@ -313,19 +305,19 @@ def filter_fixations(
     report = IngestReport()
     filtered = []
     for seq in dataset.sequences:
-        entry = SequenceReport(seq.subject_id, seq.painting_id, n_total=len(seq))
-        kept = []
-        for i, f in enumerate(seq.fixations):
-            if f.duration < min_dur:
-                entry.n_short_excluded += 1
-                entry.excluded_indices.append(i)
-            elif not w.contains(f.x, f.y):
-                entry.n_outside_excluded += 1
-                entry.excluded_indices.append(i)
-            else:
-                kept.append(f)
-        report.entries.append(entry)
-        filtered.append(FixationSequence(seq.subject_id, seq.group, seq.painting_id, kept))
+        short = seq.durations < min_dur
+        outside = ~short & ~w.contains(seq.locations[:, 0], seq.locations[:, 1])
+        dropped = short | outside
+        report.entries.append(SequenceReport(
+            seq.subject_id, seq.painting_id, n_total=len(seq),
+            n_short_excluded=int(short.sum()), n_outside_excluded=int(outside.sum()),
+            excluded_indices=np.flatnonzero(dropped).tolist(),
+        ))
+        kept = ~dropped
+        filtered.append(FixationSequence(
+            seq.subject_id, seq.group, seq.painting_id,
+            seq.locations[kept], seq.onsets[kept], seq.durations[kept],
+        ))
     return (
         Dataset(window=w, sequences=filtered, trial_length=dataset.trial_length),
         report,
@@ -344,27 +336,24 @@ def derive_saccades(seq: FixationSequence, exclusions: set[int] | None = None) -
     n_orig = len(seq) + len(exclusions)
     if exclusions and (min(exclusions) < 0 or max(exclusions) >= n_orig):
         raise DataError("exclusion indices out of range for the original sequence")
-    retained_orig = [i for i in range(n_orig) if i not in exclusions]
+    retained = np.ones(n_orig, dtype=bool)
+    retained[list(exclusions)] = False
+    valid = np.diff(np.flatnonzero(retained)) == 1
 
-    saccades = []
-    for k in range(len(seq) - 1):
-        a, b = seq.fixations[k], seq.fixations[k + 1]
-        gap = b.onset - a.end
-        if gap < 0:
-            raise DataError(
-                f"overlapping fixations at onsets {a.onset} and {b.onset} "
-                f"for subject {seq.subject_id!r}"
-            )
-        saccades.append(
-            Saccade(
-                from_index=k,
-                to_index=k + 1,
-                length=float(np.hypot(b.x - a.x, b.y - a.y)),
-                duration=float(gap),
-                valid=retained_orig[k + 1] == retained_orig[k] + 1,
-            )
+    onsets = seq.onsets
+    gaps = onsets[1:] - (onsets[:-1] + seq.durations[:-1])
+    if (gaps < 0).any():
+        k = int(np.argmax(gaps < 0))
+        raise DataError(
+            f"overlapping fixations at onsets {float(onsets[k])} and {float(onsets[k + 1])} "
+            f"for subject {seq.subject_id!r}"
         )
-    return saccades
+    lengths = np.hypot(*np.diff(seq.locations, axis=0).T)
+    return [
+        Saccade(k, k + 1, length, gap, ok)
+        for k, (length, gap, ok) in enumerate(zip(lengths.tolist(), gaps.tolist(),
+                                                   valid.tolist()))
+    ]
 
 
 def valid_saccade_values(sequences, saccades: dict, attr: str) -> np.ndarray:
@@ -386,8 +375,8 @@ def ingest_pipeline(
     raw = parse_fixations(path, window, trial_length)
     dataset, report = filter_fixations(raw, min_dur, window)
     saccades = {}
-    for seq in dataset.sequences:
-        entry = report.entry(seq.subject_id, seq.painting_id)
+    # filter_fixations appends one report entry per sequence, in dataset order
+    for seq, entry in zip(dataset.sequences, report.entries):
         sacs = derive_saccades(seq, set(entry.excluded_indices))
         entry.n_saccades_missing = sum(1 for s in sacs if not s.valid)
         saccades[(seq.subject_id, seq.painting_id)] = sacs
@@ -399,9 +388,8 @@ def write_fixations(dataset: Dataset, path) -> None:
 
     def block(seq: FixationSequence) -> tuple:
         n = len(seq)
-        values = np.array([(f.onset, f.duration, f.x, f.y) for f in seq.fixations], float)
         ids = ([seq.subject_id] * n, [seq.group] * n, [seq.painting_id] * n)
-        return (*ids, *values.reshape(n, 4).T)
+        return (*ids, seq.onsets, seq.durations, *seq.locations.T)
 
     write_csv(path, COLUMNS, map(block, dataset.sequences))
 

@@ -17,7 +17,6 @@ import numpy as np
 from .core import (
     DataError,
     Dataset,
-    Fixation,
     FixationSequence,
     MIN_FIXATION_MS,
     Window,
@@ -127,7 +126,7 @@ def build_model(
     if not seqs:
         raise DataError(f"no sequences for group {group!r}")
     all_pts = dataset.pooled_locations(group)
-    first_pts = np.array([s.locations()[0] for s in seqs if len(s)])
+    first_pts = np.array([s.locations[0] for s in seqs if len(s)])
     if len(first_pts) < 1:
         raise DataError("no first fixations to build the initial surface from")
 
@@ -284,7 +283,7 @@ def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list
     tables holds fixation s of each run that reaches it (x, y, onset,
     duration), and the length and long-jump flag of its jump s for each run
     that goes on to fixation s + 1. There is one table per chunk of steps;
-    after the block, each is turned into the runs' objects and dropped.
+    after the block, each run's columns are sliced out of them.
     """
     n = len(rngs)
     horizon = model.trial_length
@@ -335,21 +334,19 @@ def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list
             live, x, y, clock = live[kept], to_x[kept], to_y[kept], clock[kept]
             step += 1
 
-    fixations, provenance, jump_lengths = ([[] for _ in range(n)] for _ in range(3))
-    for first in range(0, _CHUNK_STEPS * len(tables), _CHUNK_STEPS):
-        table = tables.pop(0)  # dropped once its rows are the runs' objects
-        n_fix = np.clip(counts - first, 0, _CHUNK_STEPS).tolist()
+    steps = np.concatenate(tables, axis=1) if tables else np.empty((6, 0, n))
+    del tables
+    runs = []
+    for r, (subject_id, count) in enumerate(zip(subject_ids, counts.tolist())):
+        column = steps[:, :count, r]
         # a run's last fixation has no kept jump
-        n_jump = np.clip(counts - 1 - first, 0, _CHUNK_STEPS).tolist()
-        for r, column in enumerate(table.transpose(2, 0, 1)):
-            x, y, onset, duration, length, long = column[:, : n_fix[r]].tolist()
-            fixations[r] += map(Fixation, x, y, onset, duration)
-            jump_lengths[r] += length[: n_jump[r]]
-            provenance[r] += ["uniform_long" if flag else "gamma" for flag in long[: n_jump[r]]]
-    return [
-        SimRun(FixationSequence(subject_id, model.group, model.painting_id, fix), prov, lengths)
-        for subject_id, fix, prov, lengths in zip(subject_ids, fixations, provenance, jump_lengths)
-    ]
+        lengths, long = column[4:, : max(count - 1, 0)].tolist()
+        sequence = FixationSequence(
+            subject_id, model.group, model.painting_id, column[:2].T, column[2], column[3]
+        )
+        provenance = ["uniform_long" if flag else "gamma" for flag in long]
+        runs.append(SimRun(sequence, provenance, lengths))
+    return runs
 
 
 def simulate_runs(model: FixationModel, rngs, subject_ids) -> list[SimRun]:

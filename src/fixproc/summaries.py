@@ -36,7 +36,7 @@ def _step(times, values, domain_end: float, initial: float) -> StepCurve:
 def _domain_end(seq: FixationSequence, domain_end: float | None) -> float:
     if domain_end is not None:
         return float(domain_end)
-    return float(seq.fixations[-1].end) if len(seq) else 0.0
+    return float(seq.onsets[-1] + seq.durations[-1]) if len(seq) else 0.0
 
 
 # Bound on the rounding error of the float orientation determinant below,
@@ -108,8 +108,8 @@ def convex_hull_coverage(
 
     Zero until at least three non-collinear fixations have appeared.
     """
-    values = _hull_values(seq.locations(), w)
-    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+    values = _hull_values(seq.locations, w)
+    return _step(seq.onsets, values, _domain_end(seq, domain_end), 0.0)
 
 
 # Hull edges times fixations tested in one array operation after a rebuild.
@@ -178,8 +178,8 @@ def ball_union_coverage(
     radius and raster must be positive and finite, and the raster must not
     be coarser than the radius.
     """
-    values = _ball_values(seq.locations(), w, radius, raster)
-    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+    values = _ball_values(seq.locations, w, radius, raster)
+    return _step(seq.onsets, values, _domain_end(seq, domain_end), 0.0)
 
 
 # Bytes of the float (fixations x box cells) array that one batch of disc
@@ -246,8 +246,8 @@ def _ball_values(locs: np.ndarray, w: Window, radius: float, raster: float) -> n
 
 def scanpath_length(seq: FixationSequence, domain_end: float | None = None) -> StepCurve:
     """Cumulative saccade length; jumps at the onset of the arriving fixation."""
-    values = _scanpath_values(seq.locations())
-    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+    values = _scanpath_values(seq.locations)
+    return _step(seq.onsets, values, _domain_end(seq, domain_end), 0.0)
 
 
 def _scanpath_values(locs: np.ndarray) -> np.ndarray:
@@ -263,13 +263,12 @@ class TransitionCurves:
     """Running quadrant transition-probability estimates.
 
     ``curves[a][b]`` (0-based indices for states a+1, b+1) tracks
-    N_ab(t)/N_a(t); rows not yet visited hold NaN. ``counts``/``row_counts``
-    are the final tallies.
+    N_ab(t)/N_a(t); rows not yet visited hold NaN. ``counts`` holds the
+    final tallies N_ab.
     """
 
     curves: list[list[StepCurve]]
     counts: np.ndarray
-    row_counts: np.ndarray
 
     def to_dict(self) -> dict:
         """``counts`` as the array itself (``ingest.write_json`` writes its
@@ -289,11 +288,11 @@ def transition_curves(
     """
     if len(seq) < 2:
         raise DataError("need at least 2 fixations for transitions")
-    states = _quadrants(seq.locations(), w)
+    states = _quadrants(seq.locations, w)
     # knot i is the onset of fixation i + 1
     knots = np.arange(1, len(states))[None, :]
     starts = np.array([0, len(states)])
-    times = seq.onsets()[1:]
+    times = seq.onsets[1:]
     end = _domain_end(seq, domain_end)
     curves = [
         [_step(times, _transition_estimates(states, starts, knots, 4 * a + b)[0], end, np.nan)
@@ -301,7 +300,7 @@ def transition_curves(
         for a in range(4)
     ]
     counts = np.bincount(4 * states[:-1] + states[1:], minlength=16).reshape(4, 4)
-    return TransitionCurves(curves=curves, counts=counts, row_counts=counts.sum(axis=1))
+    return TransitionCurves(curves=curves, counts=counts)
 
 
 def _quadrants(locs: np.ndarray, w: Window) -> np.ndarray:
@@ -371,8 +370,8 @@ def _grid_columns(
     each fixation and ``at`` the index of the last fixation with onset <= t
     at each grid time t, or -1 before the first one.
     """
-    at = np.searchsorted(seq.onsets(), grid, side="right") - 1
-    locs = seq.locations()
+    at = np.searchsorted(seq.onsets, grid, side="right") - 1
+    locs = seq.locations
     values_of = {
         "hull": lambda: _hull_values(locs, window),
         "ball": lambda: _ball_values(locs, window, radius, raster),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from scipy.special import gammainc, gammaincinv
 
 from fixproc import (
     Dataset,
-    Fixation,
     FixationModel,
     FixationSequence,
     GammaFit,
@@ -44,6 +44,14 @@ from fixproc.summaries import (
 )
 
 WINDOW = Window(0.0, 0.0, 770.0, 768.0)
+
+
+def sequence(subject_id: str, group: str, painting_id: str, rows) -> FixationSequence:
+    """A sequence from ``(x, y, onset, duration)`` rows, in the given order."""
+    columns = np.array(rows, dtype=float).reshape(-1, 4)
+    return FixationSequence(
+        subject_id, group, painting_id, columns[:, :2], columns[:, 2], columns[:, 3]
+    )
 
 
 def hotspot_grid(
@@ -101,9 +109,7 @@ def simulated_dataset(
     seqs = []
     for i, run in enumerate(runs):
         group = "novice" if i < n_subjects // 2 else "non_novice"
-        seqs.append(
-            FixationSequence(f"s{i:02d}", group, painting_id, run.sequence.fixations)
-        )
+        seqs.append(replace(run.sequence, group=group, painting_id=painting_id))
     return Dataset(window=model.window, sequences=seqs, trial_length=model.trial_length)
 
 
@@ -131,10 +137,10 @@ def mixture_points(rng: np.random.Generator, n: int, cx: float, cy: float,
 
 def sequence_from_points(pts: np.ndarray, subject_id: str, group: str,
                          painting_id: str = "koli") -> FixationSequence:
-    fixes = [
-        Fixation(float(x), float(y), 1000.0 * i, 200.0) for i, (x, y) in enumerate(pts)
-    ]
-    return FixationSequence(subject_id, group, painting_id, fixes)
+    n = len(pts)
+    return FixationSequence(
+        subject_id, group, painting_id, pts, 1000.0 * np.arange(n), np.full(n, 200.0)
+    )
 
 
 # Reference summaries. The whole-recount ones recompute each value in full
@@ -160,13 +166,13 @@ def disc_box_reference(x, y, w, radius, raster) -> tuple[int, int, int, int]:
     return ix_lo, ix_hi, iy_lo, iy_hi
 
 
-def _disc_mask(f, w, radius, raster):
-    """Box bounds of fixation f's disc and the disc's mask over that box."""
+def _disc_mask(x, y, w, radius, raster):
+    """Box bounds of the disc around (x, y) and the disc's mask over that box."""
     _, _, cw, ch = disc_raster(w, raster)
-    ix_lo, ix_hi, iy_lo, iy_hi = disc_box_reference(f.x, f.y, w, radius, raster)
+    ix_lo, ix_hi, iy_lo, iy_hi = disc_box_reference(x, y, w, radius, raster)
     cxs = w.x_min + (np.arange(ix_lo, ix_hi) + 0.5) * cw
     cys = w.y_min + (np.arange(iy_lo, iy_hi) + 0.5) * ch
-    within = (cxs[None, :] - f.x) ** 2 + (cys[:, None] - f.y) ** 2 <= radius**2
+    within = (cxs[None, :] - x) ** 2 + (cys[:, None] - y) ** 2 <= radius**2
     return (slice(iy_lo, iy_hi), slice(ix_lo, ix_hi)), within
 
 
@@ -176,11 +182,11 @@ def ball_union_coverage_recount(seq, w, radius=35.0, raster=1.0, domain_end=None
     covered = np.zeros((ny, nx), dtype=bool)
     total = nx * ny
     values = []
-    for f in seq.fixations:
-        box, within = _disc_mask(f, w, radius, raster)
+    for x, y in seq.locations.tolist():
+        box, within = _disc_mask(x, y, w, radius, raster)
         covered[box] |= within
         values.append(covered.sum() / total)
-    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+    return _step(seq.onsets, values, _domain_end(seq, domain_end), 0.0)
 
 
 def ball_values_reference(seq, w, radius, raster) -> list[float]:
@@ -190,8 +196,8 @@ def ball_values_reference(seq, w, radius, raster) -> list[float]:
     total = nx * ny
     count = 0
     values = []
-    for f in seq.fixations:
-        box, within = _disc_mask(f, w, radius, raster)
+    for x, y in seq.locations.tolist():
+        box, within = _disc_mask(x, y, w, radius, raster)
         count += int(np.count_nonzero(within & ~covered[box]))
         covered[box] |= within
         values.append(count / total)
@@ -250,7 +256,7 @@ def _inside_convex_rolled(hull, p) -> bool:
 
 def convex_hull_coverage_prefix(seq, w, domain_end=None) -> StepCurve:
     """Hull coverage, re-hulling the whole prefix whenever a point falls outside."""
-    locs = seq.locations()
+    locs = seq.locations
     values = []
     hull = np.empty((0, 2))
     area = 0.0
@@ -262,13 +268,13 @@ def convex_hull_coverage_prefix(seq, w, domain_end=None) -> StepCurve:
             hull = convex_hull_unique(locs[:i])
             area = polygon_area(hull)
         values.append(area / w.area)
-    return _step(seq.onsets(), values, _domain_end(seq, domain_end), 0.0)
+    return _step(seq.onsets, values, _domain_end(seq, domain_end), 0.0)
 
 
 def hull_values_reference(seq, w) -> list[float]:
     """Hull coverage, testing each fixation against the current hull on its
     own and rebuilding from the hull's vertices plus an outside fixation."""
-    locs = seq.locations()
+    locs = seq.locations
     hull = locs[:2]
     area = 0.0
     values = []
@@ -291,7 +297,7 @@ def transition_table_per_step(seq, w) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     if len(seq) < 2:
         raise DataError("need at least 2 fixations for transitions")
-    states = [quadrant_of(f.x, f.y, w) - 1 for f in seq.fixations]
+    states = [quadrant_of(x, y, w) - 1 for x, y in seq.locations.tolist()]
     n_ab = np.zeros((4, 4), dtype=int)
     n_a = np.zeros(4, dtype=int)
     table = np.full((len(states) - 1, 4, 4), np.nan)
@@ -471,7 +477,7 @@ def simulate_run_reference(model, rng, subject_id="sim") -> SimRun:
     ``u_len``, ``u_pick`` and the saccade duration's level ``u_sac``.
     """
     horizon = model.trial_length
-    fixations, provenance, lengths = [], [], []
+    fixations, provenance, lengths = [], [], []  # fixations: (x, y, onset, duration) rows
     if horizon > 0:
         x, y = sample_initial(model, rng)
         clock = 0.0
@@ -479,7 +485,7 @@ def simulate_run_reference(model, rng, subject_id="sim") -> SimRun:
             dur = sample_truncated_gamma_reference(
                 model.dur_fix, upper=np.inf, rng=rng, lower=model.min_fix_dur
             )
-            fixations.append(Fixation(x, y, onset=clock, duration=min(dur, horizon - clock)))
+            fixations.append((x, y, clock, min(dur, horizon - clock)))
             clock += dur
             if clock >= horizon:
                 break
@@ -492,7 +498,7 @@ def simulate_run_reference(model, rng, subject_id="sim") -> SimRun:
             provenance.append(branch)
             lengths.append(jump)
             x, y = to_x, to_y
-    seq = FixationSequence(subject_id, model.group, model.painting_id, fixations)
+    seq = sequence(subject_id, model.group, model.painting_id, fixations)
     return SimRun(sequence=seq, jump_provenance=provenance, jump_lengths=lengths)
 
 
@@ -505,7 +511,7 @@ def permutation_test_reference(dataset: Dataset, *, h1, h2, m, seed, nx, ny) -> 
     """
     seqs1, seqs2 = dataset.two_groups()
     n1, n2 = len(seqs1), len(seqs2)
-    subject_pts = [s.locations() for s in seqs1 + seqs2]
+    subject_pts = [s.locations for s in seqs1 + seqs2]
     w = dataset.window
     rows_h1 = _subject_surfaces(subject_pts, w, h1, nx, ny)
     rows_h2 = _subject_surfaces(subject_pts, w, h2, nx, ny)

@@ -7,6 +7,7 @@ seed choices during development.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scipy.stats import kstest
 
 import fixproc as fp
 from fixproc.cli import main as cli_main
-from fixproc.core import Dataset, FixationSequence
+from fixproc.core import Dataset
 from fixproc.envelopes import default_grid
 from fixproc.rng import substream
 from helpers import (
@@ -97,7 +98,8 @@ def _relabeled(runs, painting="koli"):
     seqs = []
     for i, run in enumerate(runs):
         group = "novice" if i < len(runs) // 2 else "non_novice"
-        seqs.append(FixationSequence(f"s{i:02d}", group, painting, run.sequence.fixations))
+        seqs.append(replace(run.sequence, subject_id=f"s{i:02d}", group=group,
+                            painting_id=painting))
     return seqs
 
 
@@ -174,7 +176,7 @@ def test_criterion_09_simulator_invariants(reference_runs):
     inside = True
     within_reach = True
     for run in runs:
-        locs = run.sequence.locations()
+        locs = run.sequence.locations
         inside &= bool(np.all(W.contains(locs[:, 0], locs[:, 1])))
         for (x, y), length in zip(locs[:-1], run.jump_lengths):
             within_reach &= length <= fp.max_corner_distance(x, y, W) + 1e-9
@@ -183,7 +185,7 @@ def test_criterion_09_simulator_invariants(reference_runs):
     long_frac = np.mean([b == "uniform_long" for b in branches])
 
     # the final fixation of a run is horizon-clipped, not a law draw
-    durations = np.concatenate([run.sequence.durations()[:-1] for run in runs])
+    durations = np.concatenate([run.sequence.durations[:-1] for run in runs])
     lo_mass = float(gammainc(model.dur_fix.shape, model.dur_fix.rate * model.min_fix_dur))
     cdf = lambda x: (
         np.clip(gammainc(model.dur_fix.shape, model.dur_fix.rate * np.maximum(x, 0)),

@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fixproc
@@ -127,7 +128,9 @@ class TestCommands:
         # 400 ms trials: many runs end after their first fixation; so does
         # one observed subject
         d = simulated_dataset(toy_model(trial_length=10_000.0), n_subjects=8, seed=42)
-        d.sequences[1].fixations = d.sequences[1].fixations[:1]
+        s = d.sequences[1]
+        d.sequences[1] = replace(s, locations=s.locations[:1], onsets=s.onsets[:1],
+                                 durations=s.durations[:1])
         data_csv = write_csv(d, tmp_path / "fix.csv")
         runs, rows = [], {}
         simulate_many, rank_envelope = simulate.simulate_many, cli.rank_envelope
@@ -310,7 +313,8 @@ class TestSimulateCommand:
         meta = json.loads((out / "sim_provenance.json").read_text())["meta"]
         assert meta["model"]["min_fix_dur"] == 80.0
         d = parse_fixations(out / "sim_fixations.csv", trial_length=10_000.0)
-        unclipped = [f.duration for s in d.sequences for f in s.fixations if f.end < 10_000.0]
+        unclipped = np.concatenate(
+            [s.durations[s.onsets + s.durations < 10_000.0] for s in d.sequences])
         assert len(unclipped) > 100
         assert min(unclipped) >= 80.0
 
@@ -581,9 +585,8 @@ class TestDataErrorsMakeNoOutputDirectory:
 
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_painting_id_that_is_not_a_file_name(self, tmp_path, capsys, command):
-        d = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=4, seed=21)
-        for seq in d.sequences:
-            seq.painting_id = "room/a"
+        d = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=4, seed=21,
+                              painting_id="room/a")
         out = tmp_path / "out"
         assert run([command, "--seed", "1", "--group", "novice", "--input",
                     write_csv(d, tmp_path / "fix.csv"), "--out", out,
@@ -813,12 +816,11 @@ class TestIdsThatAreNotFileNames:
     ])
     def test_refused_before_cross_validation(self, tmp_path, monkeypatch, capsys,
                                              command, column, bad):
-        d = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=8, seed=21)
-        if column == "painting_id":
-            for seq in d.sequences:
-                seq.painting_id = bad
-        else:
-            d.sequences[3].subject_id = bad
+        painting = bad if column == "painting_id" else "koli"
+        d = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=8, seed=21,
+                              painting_id=painting)
+        if column == "subject_id":
+            d.sequences[3] = replace(d.sequences[3], subject_id=bad)
         csv = write_csv(d, tmp_path / "fix.csv")
 
         def refuse(*args, **kwargs):

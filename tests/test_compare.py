@@ -10,8 +10,6 @@ from fixproc import compare
 from fixproc import (
     DataError,
     Dataset,
-    Fixation,
-    FixationSequence,
     RatioTestResult,
     estimate_intensity,
     fisher_combine,
@@ -22,7 +20,7 @@ from fixproc import (
 )
 from fixproc.density import IntensityGrid
 from fixproc.rng import substream
-from helpers import WINDOW, permutation_test_reference, simulated_dataset, toy_model
+from helpers import WINDOW, permutation_test_reference, sequence, simulated_dataset, toy_model
 
 W = WINDOW
 
@@ -129,8 +127,8 @@ def _corner_clusters_dataset(n=30, sd=10.0, centres=((60.0, 60.0), (120.0, 80.0)
     for i in range(6):
         group, centre = ("novice", centres[0]) if i < 3 else ("non_novice", centres[1])
         pts = rng.normal(centre, sd, size=(n, 2))
-        fixes = [Fixation(float(x), float(y), j * 300.0, 200.0) for j, (x, y) in enumerate(pts)]
-        seqs.append(FixationSequence(f"s{i}", group, "koli", fixes))
+        rows = [(x, y, j * 300.0, 200.0) for j, (x, y) in enumerate(pts)]
+        seqs.append(sequence(f"s{i}", group, "koli", rows))
     return Dataset(window=W, sequences=seqs, trial_length=10_000.0)
 
 
@@ -158,7 +156,7 @@ class TestPermutationTest:
         res = permutation_test(tiny_dataset, m=9, h1=30.0, h2=45.0, seed=2, nx=64, ny=64)
         seqs1, seqs2 = tiny_dataset.two_groups()
         n1, n2 = len(seqs1), len(seqs2)
-        pts = [s.locations() for s in seqs1 + seqs2]
+        pts = [s.locations for s in seqs1 + seqs2]
         w = tiny_dataset.window
         rows1 = compare._subject_surfaces(pts, w, 30.0, 64, 64)
         rows2 = compare._subject_surfaces(pts, w, 45.0, 64, 64)
@@ -236,8 +234,8 @@ def _overlapping_dataset():
     for i in range(8):
         group, centre = ("novice", (250.0, 300.0)) if i < 4 else ("non_novice", (500.0, 450.0))
         pts = np.clip(rng.normal(centre, 110.0, size=(30, 2)), 1.0, 767.0)
-        fixes = [Fixation(float(x), float(y), j * 300.0, 200.0) for j, (x, y) in enumerate(pts)]
-        seqs.append(FixationSequence(f"s{i}", group, "koli", fixes))
+        rows = [(x, y, j * 300.0, 200.0) for j, (x, y) in enumerate(pts)]
+        seqs.append(sequence(f"s{i}", group, "koli", rows))
     return Dataset(window=W, sequences=seqs, trial_length=10_000.0)
 
 
@@ -368,7 +366,7 @@ class TestBlockEngine:
             "corner_clusters": (_corner_clusters_dataset(), 8.0, 8.0, 128),
             "dense_clusters": (dense, 1.5, 1.5, 128),
         }[case]
-        pts = [s.locations() for s in data.sequences]
+        pts = [s.locations for s in data.sequences]
         rows1 = compare._subject_surfaces(pts, W, h1, n, n)
         rows2 = compare._subject_surfaces(pts, W, h2, n, n)
         cell_area = (W.width / n) * (W.height / n)

@@ -8,14 +8,13 @@ from hypothesis import given, strategies as st
 from fixproc import (
     DataError,
     Dataset,
-    Fixation,
     FixationSequence,
     StepCurve,
     Window,
     max_corner_distance,
     quadrant_of,
 )
-from helpers import farthest_corner
+from helpers import farthest_corner, sequence
 
 W = Window(0.0, 0.0, 770.0, 768.0)
 
@@ -29,6 +28,15 @@ class TestWindow:
             Window(0, 0, 0, 10)
         with pytest.raises(DataError):
             Window(0, 5, 10, 5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("side", range(4))
+    def test_non_finite_rejected(self, side, bad):
+        # inf passes the degenerate-window test and gives an infinite area
+        bounds = [0.0, 0.0, 770.0, 768.0]
+        bounds[side] = bad
+        with pytest.raises(DataError, match="non-finite window"):
+            Window(*bounds)
 
     def test_contains_is_closed(self):
         assert W.contains(0, 0)
@@ -113,37 +121,99 @@ class TestMaxCornerDistance:
 class TestSequences:
     def test_onsets_must_increase(self):
         with pytest.raises(DataError):
-            FixationSequence(
-                "s", "novice", "p",
-                [Fixation(1, 1, 100, 50), Fixation(2, 2, 100, 50)],
-            )
+            sequence("s", "novice", "p", [(1, 1, 100, 50), (2, 2, 100, 50)])
 
     def test_group_validated(self):
         with pytest.raises(DataError):
-            FixationSequence("s", "expert", "p", [])
+            sequence("s", "expert", "p", [])
 
     def test_duration_positive(self):
-        with pytest.raises(DataError):
-            Fixation(1, 1, 0, 0)
+        with pytest.raises(DataError, match="duration must be positive, got 0.0"):
+            sequence("s", "novice", "p", [(1, 1, 0, 50), (2, 2, 100, 0)])
+
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, column, bad):
+        # every comparison with NaN is false, so the duration and onset-order
+        # tests alone let it through, to wrong curve_rows
+        rows = [[1.0, 1.0, 0.0, 50.0], [2.0, 2.0, 100.0, 50.0], [3.0, 3.0, 200.0, 50.0]]
+        rows[1][column] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            sequence("s", "novice", "p", rows)
+
+    @pytest.mark.parametrize("shapes", [
+        ((3, 2), (3,), (2,)),
+        ((3, 2), (2,), (3,)),
+        ((2, 2), (3,), (3,)),
+        ((3, 3), (3,), (3,)),
+        ((3,), (3,), (3,)),
+        ((3, 2), (3, 1), (3,)),
+    ])
+    def test_mismatched_columns_rejected(self, shapes):
+        locations, onsets, durations = (np.ones(shape) for shape in shapes)
+        onsets = np.cumsum(onsets, axis=0)
+        with pytest.raises(DataError, match="need shapes"):
+            FixationSequence("s", "novice", "p", locations, onsets, durations)
+
+    def test_columns_are_read_only_copies(self):
+        locations = np.array([[1.0, 2.0], [3.0, 4.0]])
+        onsets, durations = np.array([0.0, 100.0]), np.array([50.0, 60.0])
+        seq = FixationSequence("s", "novice", "p", locations, onsets, durations)
+        locations[0, 0] = onsets[0] = durations[0] = 99.0
+        assert seq.locations.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert seq.onsets.tolist() == [0.0, 100.0]
+        assert seq.durations.tolist() == [50.0, 60.0]
+        for column in (seq.locations, seq.onsets, seq.durations):
+            assert column.dtype == np.float64 and column.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        with pytest.raises(AttributeError):
+            seq.onsets = np.array([0.0, 1.0])
+
+    def test_empty_sequence_has_empty_columns(self):
+        seq = FixationSequence("s", "novice", "p")
+        assert len(seq) == 0
+        assert seq.locations.shape == (0, 2)
+        assert seq.onsets.shape == seq.durations.shape == (0,)
+        assert seq == sequence("s", "novice", "p", [])
+
+    @pytest.mark.parametrize("column, index", [
+        ("locations", (1, 0)), ("locations", (0, 1)), ("onsets", 1), ("durations", 0),
+    ])
+    def test_equality_sees_one_ulp_in_any_column(self, column, index):
+        rows = [(1.0, 2.0, 0.0, 50.0), (3.0, 4.0, 100.0, 60.0)]
+        a, b = sequence("s", "novice", "p", rows), sequence("s", "novice", "p", rows)
+        assert a == b and a is not b
+        values = getattr(a, column).copy()
+        values[index] = np.nextafter(values[index], np.inf)
+        c = replace(a, **{column: values})
+        assert c != a
+        assert replace(c, **{column: getattr(a, column)}) == a
+
+    def test_equality_compares_ids(self):
+        a = sequence("s", "novice", "p", [(1, 2, 0, 50)])
+        assert a != replace(a, subject_id="t")
+        assert a != replace(a, group="non_novice")
+        assert a != replace(a, painting_id="q")
+        assert a != (a.subject_id, a.group, a.painting_id)
 
     def test_dataset_accessors(self):
         seqs = [
-            FixationSequence("a", "novice", "p1", [Fixation(1, 1, 0, 50)]),
-            FixationSequence("b", "non_novice", "p1", [Fixation(2, 2, 0, 50)]),
-            FixationSequence("a", "novice", "p2", [Fixation(3, 3, 0, 50)]),
+            sequence("a", "novice", "p1", [(1, 1, 0, 50)]),
+            sequence("b", "non_novice", "p1", [(2, 2, 0, 50)]),
+            sequence("a", "novice", "p2", [(3, 3, 0, 50)]),
         ]
         d = Dataset(window=W, sequences=seqs)
-        assert d.subjects() == ["a", "b"]
         assert list(d.by_painting()) == ["p1", "p2"]
         assert len(d.by_group("novice")) == 2
         assert d.pooled_locations("novice").shape == (2, 2)
 
     def test_pooled_samples_follow_dataset_order(self):
         seqs = [
-            FixationSequence("a", "novice", "p", [Fixation(1, 2, 0, 50), Fixation(3, 4, 90, 60)]),
-            FixationSequence("b", "non_novice", "p", []),
-            FixationSequence("c", "non_novice", "p", [Fixation(7, 8, 5, 80)]),
-            FixationSequence("d", "novice", "p", [Fixation(5, 6, 10, 70)]),
+            sequence("a", "novice", "p", [(1, 2, 0, 50), (3, 4, 90, 60)]),
+            sequence("b", "non_novice", "p", []),
+            sequence("c", "non_novice", "p", [(7, 8, 5, 80)]),
+            sequence("d", "novice", "p", [(5, 6, 10, 70)]),
         ]
         d = Dataset(window=W, sequences=seqs)
         assert d.pooled_durations().tolist() == [50, 60, 80, 70]
@@ -153,7 +223,7 @@ class TestSequences:
         assert d.pooled_locations().dtype == d.pooled_durations().dtype == float
 
     def test_pooled_samples_empty_when_nothing_pooled(self):
-        d = Dataset(window=W, sequences=[FixationSequence("b", "non_novice", "p", [])])
+        d = Dataset(window=W, sequences=[sequence("b", "non_novice", "p", [])])
         assert d.pooled_locations().shape == (0, 2)
         assert d.pooled_durations().shape == (0,)
         assert d.pooled_durations("novice").shape == (0,)
@@ -166,11 +236,11 @@ class TestSequences:
 class TestDesign:
     def _dataset(self):
         seqs = [
-            FixationSequence("a", "novice", "p2", [Fixation(1, 1, 0, 50)]),
-            FixationSequence("a", "novice", "p1", [Fixation(2, 2, 0, 50)]),
-            FixationSequence("b", "non_novice", "p2", [Fixation(3, 3, 0, 50)]),
-            FixationSequence("b", "non_novice", "p1", [Fixation(4, 4, 0, 50)]),
-            FixationSequence("c", "novice", "p2", [Fixation(5, 5, 0, 50)]),
+            sequence("a", "novice", "p2", [(1, 1, 0, 50)]),
+            sequence("a", "novice", "p1", [(2, 2, 0, 50)]),
+            sequence("b", "non_novice", "p2", [(3, 3, 0, 50)]),
+            sequence("b", "non_novice", "p1", [(4, 4, 0, 50)]),
+            sequence("c", "novice", "p2", [(5, 5, 0, 50)]),
         ]
         return Dataset(window=Window(0, 0, 10, 10), sequences=seqs, trial_length=5_000.0)
 
@@ -190,7 +260,7 @@ class TestDesign:
 
     def test_two_groups(self):
         d = self._dataset()
-        d.sequences.append(FixationSequence("e", "non_novice", "p2", [Fixation(6, 6, 0, 50)]))
+        d.sequences.append(sequence("e", "non_novice", "p2", [(6, 6, 0, 50)]))
         novices, others = d.by_painting()["p2"].two_groups()
         assert [s.subject_id for s in novices] == ["a", "c"]
         assert [s.subject_id for s in others] == ["b", "e"]
@@ -202,7 +272,7 @@ class TestDesign:
     ])
     def test_two_groups_refuses_a_bad_design(self, keep, message):
         d = self._dataset()
-        d.sequences.append(FixationSequence("e", "non_novice", "p2", []))
+        d.sequences.append(sequence("e", "non_novice", "p2", []))
         if keep is not None:
             d = d.by_painting()[keep]
         with pytest.raises(DataError) as err:
@@ -212,10 +282,8 @@ class TestDesign:
 
 class TestIntervalMasks:
     SEQS = [
-        FixationSequence("a", "novice", "p", [Fixation(1, 1, 0, 50), Fixation(1, 1, 999.5, 50),
-                                              Fixation(1, 1, 1000, 50)]),
-        FixationSequence("b", "non_novice", "p", [Fixation(1, 1, 1500, 50),
-                                                  Fixation(1, 1, 2400, 50)]),
+        sequence("a", "novice", "p", [(1, 1, 0, 50), (1, 1, 999.5, 50), (1, 1, 1000, 50)]),
+        sequence("b", "non_novice", "p", [(1, 1, 1500, 50), (1, 1, 2400, 50)]),
     ]
 
     def test_half_open_disjoint_masks_keep_the_trailing_partial_interval(self):

@@ -9,8 +9,6 @@ from scipy.stats import kstest
 from fixproc import (
     DataError,
     Dataset,
-    Fixation,
-    FixationSequence,
     chisq_sf,
     edge_correction,
     estimate_intensity,
@@ -25,6 +23,7 @@ from helpers import (
     interp_reference,
     lscv_score_reference,
     mixture_points,
+    sequence,
 )
 
 W = WINDOW
@@ -465,11 +464,8 @@ class TestResiduals:
         # one sequence per interval, its fixations early in that interval
         seqs = []
         for i, pts in enumerate(point_sets):
-            fixes = [
-                Fixation(float(x), float(y), i * interval + j * 100.0, 50.0)
-                for j, (x, y) in enumerate(pts)
-            ]
-            seqs.append(FixationSequence(f"s{i}", "novice", "koli", fixes))
+            rows = [(x, y, i * interval + j * 100.0, 50.0) for j, (x, y) in enumerate(pts)]
+            seqs.append(sequence(f"s{i}", "novice", "koli", rows))
         return Dataset(window=W, sequences=seqs,
                        trial_length=interval * len(point_sets))
 

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from fixproc import (
     DataError,
     Dataset,
-    Fixation,
-    FixationSequence,
     Window,
     derive_saccades,
     filter_fixations,
@@ -26,7 +24,7 @@ from fixproc.ingest import (
 from fixproc.compare import RatioTestResult, shift_function
 from fixproc.density import quadrat_chisq
 from fixproc.summaries import transition_curves
-from helpers import hotspot_grid, write_csv_reference, write_json_reference
+from helpers import hotspot_grid, sequence, write_csv_reference, write_json_reference
 
 W = Window(0.0, 0.0, 770.0, 768.0)
 HEADER = "subject_id,group,painting_id,onset_ms,duration_ms,x_px,y_px\n"
@@ -60,7 +58,7 @@ class TestParse:
         with pytest.warns(UserWarning, match="out of time order"):
             d1 = parse_fixations(shuffled)
         d2 = parse_fixations(ordered)
-        assert d1.sequences[0].fixations == d2.sequences[0].fixations
+        assert d1.sequences[0] == d2.sequences[0]
 
     def test_malformed_row_reports_line(self, tmp_path):
         p = _write(tmp_path, "s1,novice,koli,0,100,10,10\ns1,novice,koli,abc,100,1,1\n")
@@ -153,26 +151,26 @@ class TestParse:
         assert (d.sequences[0].subject_id, d.sequences[0].painting_id) == (ok, ok)
 
 
-def _dataset(fixes):
-    return Dataset(window=W, sequences=[FixationSequence("s1", "novice", "koli", fixes)])
+def _dataset(rows):
+    return Dataset(window=W, sequences=[sequence("s1", "novice", "koli", rows)])
 
 
 class TestFilter:
     def test_all_valid_unchanged(self):
-        d = _dataset([Fixation(10, 10, 0, 100), Fixation(20, 20, 200, 100)])
+        d = _dataset([(10, 10, 0, 100), (20, 20, 200, 100)])
         out, rep = filter_fixations(d)
-        assert out.sequences[0].fixations == d.sequences[0].fixations
+        assert out.sequences[0] == d.sequences[0]
         assert rep.n_short_excluded == rep.n_outside_excluded == 0
 
     def test_39ms_excluded_40ms_kept(self):
-        d = _dataset([Fixation(10, 10, 0, 39), Fixation(20, 20, 100, 40)])
+        d = _dataset([(10, 10, 0, 39), (20, 20, 100, 40)])
         out, rep = filter_fixations(d, min_dur=40)
         assert len(out.sequences[0]) == 1
         assert rep.n_short_excluded == 1
-        assert out.sequences[0].fixations[0].duration == 40
+        assert out.sequences[0].durations.tolist() == [40]
 
     def test_outside_excluded(self):
-        d = _dataset([Fixation(780, 10, 0, 100), Fixation(20, 20, 200, 100)])
+        d = _dataset([(780, 10, 0, 100), (20, 20, 200, 100)])
         out, rep = filter_fixations(d)
         assert rep.n_outside_excluded == 1
         assert len(out.sequences[0]) == 1
@@ -180,16 +178,14 @@ class TestFilter:
     def test_everything_valid_after_filter(self, short_dataset):
         out, _ = filter_fixations(short_dataset, min_dur=40)
         for seq in out.sequences:
-            assert np.all(seq.durations() >= 40)
-            locs = seq.locations()
+            assert np.all(seq.durations >= 40)
+            locs = seq.locations
             assert np.all(W.contains(locs[:, 0], locs[:, 1]))
 
 
 class TestSaccades:
     def test_three_four_five(self):
-        s = FixationSequence(
-            "s1", "novice", "koli", [Fixation(0, 0, 0, 100), Fixation(3, 4, 120, 50)]
-        )
+        s = sequence("s1", "novice", "koli", [(0, 0, 0, 100), (3, 4, 120, 50)])
         (sac,) = derive_saccades(s)
         assert sac.length == pytest.approx(5.0)
         assert sac.duration == pytest.approx(20.0)
@@ -198,27 +194,21 @@ class TestSaccades:
     def test_jump_spanning_exclusion_is_missing(self):
         # originally A, B, C with B removed: the derived A->C pair is not a
         # real saccade
-        s = FixationSequence(
-            "s1", "novice", "koli", [Fixation(0, 0, 0, 100), Fixation(9, 9, 400, 100)]
-        )
+        s = sequence("s1", "novice", "koli", [(0, 0, 0, 100), (9, 9, 400, 100)])
         (sac,) = derive_saccades(s, exclusions={1})
         assert not sac.valid
 
     def test_exclusion_before_start_keeps_pair_valid(self):
-        s = FixationSequence(
-            "s1", "novice", "koli", [Fixation(0, 0, 200, 100), Fixation(9, 9, 400, 100)]
-        )
+        s = sequence("s1", "novice", "koli", [(0, 0, 200, 100), (9, 9, 400, 100)])
         (sac,) = derive_saccades(s, exclusions={0})
         assert sac.valid
 
     def test_single_fixation_no_saccades(self):
-        s = FixationSequence("s1", "novice", "koli", [Fixation(0, 0, 0, 100)])
+        s = sequence("s1", "novice", "koli", [(0, 0, 0, 100)])
         assert derive_saccades(s) == []
 
     def test_overlap_rejected(self):
-        s = FixationSequence(
-            "s1", "novice", "koli", [Fixation(0, 0, 0, 300), Fixation(1, 1, 200, 100)]
-        )
+        s = sequence("s1", "novice", "koli", [(0, 0, 0, 300), (1, 1, 200, 100)])
         with pytest.raises(DataError, match="overlapping"):
             derive_saccades(s)
 
@@ -292,7 +282,7 @@ class TestPipeline:
         out = tmp_path / "w.csv"
         write_fixations(d1, out)
         d2 = parse_fixations(out)
-        assert [s.fixations for s in d1.sequences] == [s.fixations for s in d2.sequences]
+        assert d1.sequences == d2.sequences
 
 
 def _json_values():
@@ -369,9 +359,8 @@ class TestWriteJson:
         # each to_dict holds its arrays, not float lists, with unchanged bytes
         rng = np.random.default_rng(5)
         grid = hotspot_grid(nx=6, ny=5)
-        seq = FixationSequence("s", "novice", "p", [
-            Fixation(float(x), float(y), 100.0 * i, 50.0)
-            for i, (x, y) in enumerate(rng.uniform(0, 760, (12, 2)))
+        seq = sequence("s", "novice", "p", [
+            (x, y, 100.0 * i, 50.0) for i, (x, y) in enumerate(rng.uniform(0, 760, (12, 2)))
         ])
         ratio = RatioTestResult(T0=1.5, p=0.5, m=9, h1=2.0, h2=3.0, r_grid=grid, k=4,
                                 distinct_partitions=9)
@@ -492,9 +481,7 @@ class TestIdsThatNeedQuotes:
         clean, sacs = tmp_path / "clean.csv", tmp_path / "saccades.csv"
         write_fixations(dataset, clean)
         again = parse_fixations(clean)
-        assert [(s.subject_id, s.painting_id, s.fixations) for s in again.sequences] == [
-            (s.subject_id, s.painting_id, s.fixations) for s in dataset.sequences
-        ]
+        assert again.sequences == dataset.sequences
         write_saccades(saccades, sacs)
         with open(sacs, newline="") as fh:
             table = list(csv.reader(fh))

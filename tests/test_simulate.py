@@ -156,7 +156,7 @@ def kept_jumps(model, n_runs, seed):
     l_max being the farthest-corner distance of the fixation it leaves."""
     jumps = []
     for run in simulate_many(model, n_runs, seed):
-        starts = run.sequence.locations()[:-1].tolist()
+        starts = run.sequence.locations[:-1].tolist()
         assert len(starts) == len(run.jump_provenance) == len(run.jump_lengths)
         for (x, y), branch, length in zip(starts, run.jump_provenance, run.jump_lengths):
             jumps.append((branch, length, max_corner_distance(x, y, W)))
@@ -366,8 +366,8 @@ class TestSimulateRun:
     def test_temporal_bookkeeping(self, short_model):
         (run,) = simulate_seeded(short_model, 42)
         seq = run.sequence
-        onsets = seq.onsets()
-        durs = seq.durations()
+        onsets = seq.onsets
+        durs = seq.durations
         assert np.all(np.diff(onsets) > 0)
         # every uncut fixation respects the gap structure
         assert np.all(onsets[1:] >= onsets[:-1] + durs[:-1])
@@ -377,7 +377,7 @@ class TestSimulateRun:
 
     def test_spatial_invariants(self, short_model):
         (run,) = simulate_seeded(short_model, 77)
-        locs = run.sequence.locations()
+        locs = run.sequence.locations
         assert np.all(W.contains(locs[:, 0], locs[:, 1]))
         dists = np.hypot(*np.diff(locs, axis=0).T)
         assert np.allclose(dists, run.jump_lengths, atol=1e-9)
@@ -392,12 +392,11 @@ class TestSimulateRun:
 
     def test_simulate_many_streams_differ(self, short_model):
         runs = simulate_many(short_model, 3, seed=5)
-        assert len({r.sequence.fixations[0].x for r in runs}) == 3
+        assert len({float(r.sequence.locations[0, 0]) for r in runs}) == 3
 
 
 def run_fields(run):
-    return (run.sequence.subject_id, run.sequence.fixations, run.jump_provenance,
-            run.jump_lengths)
+    return (run.sequence, run.jump_provenance, run.jump_lengths)
 
 
 def assert_engine_matches_reference(model, n_runs, seed):
@@ -457,7 +456,7 @@ class TestLockstepEngine:
         runs = assert_engine_matches_reference(model, 40, seed=5)
         for run in runs:
             # every landing point carries weight
-            locs = run.sequence.locations()[1:]
+            locs = run.sequence.locations[1:]
             assert np.all(zeroed.interp(locs[:, 0], locs[:, 1]) > 0)
 
     def test_runs_start_near_a_corner(self):
@@ -468,10 +467,7 @@ class TestLockstepEngine:
                                    trial_length=5_000.0)
         runs = assert_engine_matches_reference(model, 20, seed=6)
         cw, ch = W.width / 64, W.height / 64
-        assert all(
-            run.sequence.fixations[0].x < cw and run.sequence.fixations[0].y < ch
-            for run in runs
-        )
+        assert all((run.sequence.locations[0] < (cw, ch)).all() for run in runs)
 
     def test_zero_surface_error_matches_reference(self):
         # the landing surface is zero everywhere: both paths refuse the
@@ -539,7 +535,7 @@ class TestLockstepEngine:
         model = toy_model(trial_length=180_000.0, n_angles=60, nx=32, ny=32)
         gaps = []
         for run in simulate_many(model, 48, seed=10):
-            onsets, durations = run.sequence.onsets(), run.sequence.durations()
+            onsets, durations = run.sequence.onsets, run.sequence.durations
             gaps.append(onsets[1:] - (onsets[:-1] + durations[:-1]))
         gaps = np.concatenate(gaps)
         assert len(gaps) >= 20_000
@@ -621,26 +617,32 @@ class TestSimulateCurves:
         assert curves.shape == (17, 0, 2) and curves.counts.shape == (0,)
 
     def test_holds_one_block_of_runs(self):
-        # 8 blocks of 40 s runs: every run held at once would take about
-        # 3 MB more than the curve store; one block at a time plus the
-        # lockstep step's arrays stays under the margin
-        margin = 2_500_000
+        # 8 blocks of 40 s runs peak no higher than 1 block, beyond the curve
+        # store: one block at a time plus the lockstep step's arrays stays
+        # under the margin, and the runs of the 7 more blocks would not fit
+        # in the slack
+        margin, slack = 2_500_000, 250_000
         model = toy_model(trial_length=40_000.0, n_angles=720, nx=32, ny=32)
         n_runs = 8 * block_size(720)
         grid = default_grid(40_000.0, 21)
+        peaks = []
         tracemalloc.start()
         try:
-            curves = simulate_curves(model, n_runs, 5, grid, ["scanpath"])
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
+            for n in (block_size(720), n_runs):
+                tracemalloc.reset_peak()
+                curves = simulate_curves(model, n, 5, grid, ["scanpath"])
+                peaks.append(tracemalloc.get_traced_memory()[1] - curves.nbytes)
+                del curves
+            before, _ = tracemalloc.get_traced_memory()
             runs = simulate_many(model, n_runs, 5)
-            held, _ = tracemalloc.get_traced_memory()
+            held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert peak < curves.nbytes + margin
         del runs
-        # the runs themselves would not fit under the margin
-        assert held > margin + curves.nbytes
+        one_block, eight_blocks = peaks
+        assert eight_blocks < margin
+        assert eight_blocks < one_block + slack
+        assert held * 7 / 8 > slack
 
     def test_transitions_take_an_eighth_of_their_float_rows(self):
         # 16 float rows per run and grid time are replaced by one byte per
@@ -673,7 +675,4 @@ class TestIngestRoundTrip:
             write_fixations(data, path)
             back = parse_fixations(path, model.window, model.trial_length)
 
-        def rows(d):
-            return [(s.subject_id, s.group, s.painting_id, s.fixations) for s in d.sequences]
-
-        assert rows(back) == rows(data)
+        assert back.sequences == data.sequences

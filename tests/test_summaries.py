@@ -8,8 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from fixproc import (
     DataError,
-    Fixation,
-    FixationSequence,
     StepCurve,
     Window,
     ball_union_coverage,
@@ -35,6 +33,7 @@ from helpers import (
     disc_box_reference,
     disc_raster,
     hull_values_reference,
+    sequence,
     transition_estimates_reference,
     transition_table_per_step,
 )
@@ -43,8 +42,8 @@ W = WINDOW
 
 
 def seq_at(points, dt=500.0):
-    fixes = [Fixation(float(x), float(y), i * dt, 200.0) for i, (x, y) in enumerate(points)]
-    return FixationSequence("s", "novice", "koli", fixes)
+    rows = [(x, y, i * dt, 200.0) for i, (x, y) in enumerate(points)]
+    return sequence("s", "novice", "koli", rows)
 
 
 def hull_area_by_enumeration(points):
@@ -164,11 +163,11 @@ class TestIncrementalMatchesRecount:
         tc = transition_curves(seq, W)
         table, n_ab, n_a = transition_table_per_step(seq, W)
         assert np.array_equal(tc.counts, n_ab)
-        assert np.array_equal(tc.row_counts, n_a)
+        assert np.array_equal(tc.counts.sum(axis=1), n_a)
         for a in range(4):
             for b in range(4):
                 c = tc.curves[a][b]
-                assert np.array_equal(c.knots, np.concatenate([[0.0], seq.onsets()[1:]]))
+                assert np.array_equal(c.knots, np.concatenate([[0.0], seq.onsets[1:]]))
                 assert np.array_equal(c.values[1:], table[:, a, b], equal_nan=True)
                 assert np.isnan(c.values[0])
 
@@ -178,7 +177,7 @@ class TestIncrementalMatchesRecount:
         for a in (1, 2, 3):
             for b in range(4):
                 assert np.isnan(tc.curves[a][b].values).all()
-        assert np.array_equal(tc.row_counts, [3, 0, 0, 0])
+        assert np.array_equal(tc.counts.sum(axis=1), [3, 0, 0, 0])
 
 
 @st.composite
@@ -215,7 +214,7 @@ class TestMatchesPerPointLoops:
     def test_hull_values(self, pts, block):
         seq = seq_at(pts)
         with mock.patch.object(summaries, "_HULL_BLOCK", block):
-            got = summaries._hull_values(seq.locations(), W)
+            got = summaries._hull_values(seq.locations, W)
         assert got.tolist() == hull_values_reference(seq, W)
 
     def test_hull_blocks_cover_long_paths(self, rng):
@@ -223,7 +222,7 @@ class TestMatchesPerPointLoops:
         # several blocks before the next one falls outside
         pts = np.vstack([_CORNERS[:3], rng.uniform(100, 600, (3_000, 2)), [(770.0, 768.0)]])
         seq = seq_at(pts, dt=10.0)
-        got = summaries._hull_values(seq.locations(), W)
+        got = summaries._hull_values(seq.locations, W)
         assert got.tolist() == hull_values_reference(seq, W)
 
     @settings(max_examples=100)
@@ -238,7 +237,7 @@ class TestMatchesPerPointLoops:
         radius = raster if radius_is_raster else 35.0
         seq = seq_at(pts)
         with mock.patch.object(summaries, "_MASK_BYTES", mask_bytes):
-            got = summaries._ball_values(seq.locations(), W, radius, raster)
+            got = summaries._ball_values(seq.locations, W, radius, raster)
         assert got.tolist() == ball_values_reference(seq, W, radius, raster)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -259,7 +258,7 @@ class TestMatchesPerPointLoops:
         boxes = [disc_box_reference(x, y, W, radius, raster) for x, y in zip(xs, ys)]
         assert {(b[1] - b[0], b[3] - b[2]) for b in boxes} == {(x1 - x0, y1 - y0)}
         seq = seq_at(np.column_stack([xs, ys]))
-        assert summaries._ball_values(seq.locations(), W, radius, raster).tolist() == (
+        assert summaries._ball_values(seq.locations, W, radius, raster).tolist() == (
             ball_values_reference(seq, W, radius, raster)
         )
 
@@ -396,8 +395,8 @@ class TestScanpathLength:
         seq = seq_at(pts, dt=100.0)
         c = scanpath_length(seq)
         t1, t2 = 450.0, 2050.0
-        jump_times = seq.onsets()[1:]
-        lengths = np.hypot(*np.diff(seq.locations(), axis=0).T)
+        jump_times = seq.onsets[1:]
+        lengths = np.hypot(*np.diff(seq.locations, axis=0).T)
         expected = lengths[(jump_times > t1) & (jump_times <= t2)].sum()
         assert c(t2) - c(t1) == pytest.approx(expected, abs=1e-9)
 
@@ -476,6 +475,10 @@ class TestQuadrants:
         with pytest.raises(DataError) as got:
             summaries._quadrants(pts, W)
         assert str(got.value) == str(ref.value)
+        if not np.isfinite(bad).all():  # a sequence cannot hold it
+            with pytest.raises(DataError, match="non-finite locations"):
+                seq_at(pts)
+            return
         with pytest.raises(DataError, match=r"outside window"):
             curve_rows(seq_at(pts), W, [0.0, 1_000.0], ["scanpath"])
 
@@ -526,12 +529,10 @@ class TestCurveRows:
     @example([(10.0, 10.0), (700.0, 700.0)], 130.0, STATS)
     @example([(float(31 * i % 770), float(47 * i % 768)) for i in range(25)], 130.0, STATS)
     def test_equals_step_curve_route(self, pts, first_onset, stats):
-        fixes = [
-            Fixation(float(x), float(y), first_onset + 500.0 * i, 200.0)
-            for i, (x, y) in enumerate(pts)
-        ]
-        seq = FixationSequence("s", "novice", "koli", fixes)
-        onsets = seq.onsets()
+        seq = sequence("s", "novice", "koli", [
+            (x, y, first_onset + 500.0 * i, 200.0) for i, (x, y) in enumerate(pts)
+        ])
+        onsets = seq.onsets
         last = float(onsets[-1]) if len(onsets) else 0.0
         # a regular grid past the last onset, then every onset exactly
         grid = np.concatenate([np.linspace(0.0, last + 1_000.0, 37), onsets])

@@ -83,6 +83,8 @@ COMMANDS = {
     "cmp_h24": ("b", ["compare-intensity", "--h1", "24", "--h2", "24", "--m", "2000",
                       "--seed", "4294967301"]),
     "ingest": ("c", ["ingest"]),
+    # two paintings sharing subject ids: one sequence per (subject, painting)
+    "ingest_2p": ("d", ["ingest"]),
     "intensity_cv": ("c", ["intensity", "--group", "novice"]),
     "residuals": ("c", ["residuals", "--h", "24", "--interval-ms", "10000"]),
     "quadrat": ("c", ["quadrat", "--q", "4"]),
@@ -90,6 +92,7 @@ COMMANDS = {
     "shift_interval": ("a", ["shift", "--split", "interval", "--interval-ms", "10000"]),
     "fit_len": ("c", ["fit", "--source", "saccade_length"]),
     "qq": ("c", ["qq", "--source", "saccade_duration", "--alpha", "0.1"]),
+    "qq_fix": ("c", ["qq", "--source", "fixation_duration"]),
     "summaries": ("c", ["summaries", "--radius", "30", "--raster", "3"]),
     # one painting picked out of two, and every painting's sequences named
     "summaries_2p": ("d", ["summaries", "--radius", "30", "--raster", "3"]),
