@@ -56,7 +56,7 @@ locs = run.sequence.locations
 assert np.all(w.contains(locs[:, 0], locs[:, 1]))
 dists = np.hypot(*np.diff(locs, axis=0).T)
 assert np.allclose(dists, run.jump_lengths, atol=1e-9)
-frac_long = np.mean([p == "uniform_long" for r in runs for p in r.jump_provenance])
+frac_long = np.mean(np.concatenate([r.long_jump for r in runs]))
 print(f"long-jump branch frequency: {frac_long:.3f} (target {model.p_long})")
 
 # Simulated runs serialize in the same CSV schema the pipeline ingests.

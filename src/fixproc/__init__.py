@@ -27,7 +27,7 @@ from .core import (
     Dataset,
     FixationSequence,
     NumericError,
-    Saccade,
+    Saccades,
     StepCurve,
     Window,
     max_corner_distance,

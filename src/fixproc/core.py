@@ -2,10 +2,10 @@
 
 Coordinates are continuous pixels in image convention: the y axis points
 down, so "upper" quadrants have *smaller* y. Times are milliseconds since
-trial start. ``Window``, ``Saccade`` and ``FixationSequence`` are immutable
+trial start. ``Window``, ``FixationSequence`` and ``Saccades`` are immutable
 value objects, safe to share between threads: a sequence holds its
 fixations as three read-only columns (locations, onsets, durations), as a
-spatio-temporal point pattern.
+spatio-temporal point pattern, and ``Saccades`` the jumps between them.
 """
 
 from __future__ import annotations
@@ -78,20 +78,11 @@ NAME_SEPARATORS = ("_", ":")
 MIN_FIXATION_MS = 40.0
 
 
-@dataclass(frozen=True, slots=True)
-class Saccade:
-    """Jump between two fixations of one sequence.
-
-    ``from_index``/``to_index`` are positions in the (filtered) sequence.
-    ``valid`` is False when the jump spans one or more excluded fixations
-    and therefore does not correspond to a single real saccade.
-    """
-
-    from_index: int
-    to_index: int
-    length: float
-    duration: float
-    valid: bool = True
+def read_only(values, dtype=np.float64) -> np.ndarray:
+    """A C-ordered copy of ``values`` as ``dtype``, made read-only."""
+    column = np.array(values, dtype=dtype, order="C")
+    column.flags.writeable = False
+    return column
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +106,7 @@ class FixationSequence:
     def __post_init__(self):
         if self.group not in GROUPS:
             raise DataError(f"unknown group {self.group!r}, expected one of {GROUPS}")
-        columns = [np.array(c, dtype=np.float64, order="C") for c in self._columns()]
+        columns = [read_only(c) for c in self._columns()]
         locations, onsets, durations = columns
         if locations.size == 0:
             columns[0] = locations = locations.reshape(0, 2)
@@ -128,7 +119,6 @@ class FixationSequence:
         for name, column in zip(("locations", "onsets", "durations"), columns):
             if not np.isfinite(column).all():
                 raise DataError(f"non-finite {name} for subject {self.subject_id!r}")
-            column.flags.writeable = False
             object.__setattr__(self, name, column)
         if not (durations > 0).all():
             bad = float(durations[np.argmin(durations > 0)])
@@ -151,6 +141,27 @@ class FixationSequence:
 
     def __len__(self) -> int:
         return len(self.onsets)
+
+
+@dataclass(frozen=True, eq=False)
+class Saccades:
+    """One sequence's jumps as read-only columns, jump k from fixation k to k + 1:
+    float64 ``lengths`` (px) and ``durations`` (the gaps, ms), and bool ``valid``,
+    False where a jump spans an excluded fixation and so is no single real saccade."""
+
+    lengths: np.ndarray = ()
+    durations: np.ndarray = ()
+    valid: np.ndarray = ()
+
+    def __post_init__(self):
+        columns = read_only(self.lengths), read_only(self.durations), read_only(self.valid, bool)
+        if any(c.shape != (columns[0].size,) for c in columns):
+            raise DataError(f"saccade columns need shape (n,), got {[c.shape for c in columns]}")
+        for name, column in zip(("lengths", "durations", "valid"), columns):
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
 
 
 @dataclass

@@ -216,7 +216,6 @@ def envelope_report(observed: list[np.ndarray], env: RankEnvelope) -> list[dict]
             raise DataError(
                 f"curve of length {values.size} does not match grid of {env.grid.size}"
             )
-        out.append(
-            {"inside": env.contains(values), "first_exit_time": env.first_exit_time(values)}
-        )
+        exit_time = env.first_exit_time(values)
+        out.append({"inside": exit_time is None, "first_exit_time": exit_time})
     return out

@@ -33,7 +33,7 @@ from .core import (
     DataError,
     Dataset,
     FixationSequence,
-    Saccade,
+    Saccades,
     Window,
     sequence_name,
 )
@@ -324,7 +324,7 @@ def filter_fixations(
     )
 
 
-def derive_saccades(seq: FixationSequence, exclusions: set[int] | None = None) -> list[Saccade]:
+def derive_saccades(seq: FixationSequence, exclusions: set[int] | None = None) -> Saccades:
     """Saccades between consecutive retained fixations.
 
     ``exclusions`` holds original (pre-filter) indices of removed fixations.
@@ -348,21 +348,15 @@ def derive_saccades(seq: FixationSequence, exclusions: set[int] | None = None) -
             f"overlapping fixations at onsets {float(onsets[k])} and {float(onsets[k + 1])} "
             f"for subject {seq.subject_id!r}"
         )
-    lengths = np.hypot(*np.diff(seq.locations, axis=0).T)
-    return [
-        Saccade(k, k + 1, length, gap, ok)
-        for k, (length, gap, ok) in enumerate(zip(lengths.tolist(), gaps.tolist(),
-                                                   valid.tolist()))
-    ]
+    return Saccades(np.hypot(*np.diff(seq.locations, axis=0).T), gaps, valid)
 
 
 def valid_saccade_values(sequences, saccades: dict, attr: str) -> np.ndarray:
     """Positive ``attr`` ("length" or "duration") of the valid saccades of
     ``sequences``, in their order; ``saccades`` is keyed by (subject, painting)."""
-    return np.array([
-        v for s in sequences for sac in saccades.get((s.subject_id, s.painting_id), [])
-        if sac.valid and (v := getattr(sac, attr)) > 0
-    ])
+    jumps = [saccades.get((s.subject_id, s.painting_id), Saccades()) for s in sequences]
+    values = [getattr(j, attr + "s") for j in jumps]
+    return np.concatenate([np.empty(0)] + [v[j.valid & (v > 0)] for j, v in zip(jumps, values)])
 
 
 def ingest_pipeline(
@@ -370,7 +364,7 @@ def ingest_pipeline(
     min_dur: float = MIN_FIXATION_MS,
     window: Window = REFERENCE_WINDOW,
     trial_length: float = DEFAULT_TRIAL_LENGTH_MS,
-) -> tuple[Dataset, dict[tuple[str, str], list[Saccade]], IngestReport]:
+) -> tuple[Dataset, dict[tuple[str, str], Saccades], IngestReport]:
     """parse -> filter -> derive saccades, with the report fully filled in."""
     raw = parse_fixations(path, window, trial_length)
     dataset, report = filter_fixations(raw, min_dur, window)
@@ -378,7 +372,7 @@ def ingest_pipeline(
     # filter_fixations appends one report entry per sequence, in dataset order
     for seq, entry in zip(dataset.sequences, report.entries):
         sacs = derive_saccades(seq, set(entry.excluded_indices))
-        entry.n_saccades_missing = sum(1 for s in sacs if not s.valid)
+        entry.n_saccades_missing = int(np.count_nonzero(~sacs.valid))
         saccades[(seq.subject_id, seq.painting_id)] = sacs
     return dataset, saccades, report
 
@@ -394,14 +388,12 @@ def write_fixations(dataset: Dataset, path) -> None:
     write_csv(path, COLUMNS, map(block, dataset.sequences))
 
 
-def write_saccades(saccades: dict[tuple[str, str], list[Saccade]], path) -> None:
+def write_saccades(saccades: dict[tuple[str, str], Saccades], path) -> None:
     """One row per saccade, one block per sequence; ``valid`` as 0 or 1."""
     header = ("subject_id", "painting_id", "from_index", "to_index", "length_px",
               "duration_ms", "valid")
     write_csv(path, header, (
-        ([subject] * len(sacs), [painting] * len(sacs),
-         [s.from_index for s in sacs], [s.to_index for s in sacs],
-         np.array([s.length for s in sacs], float), np.array([s.duration for s in sacs], float),
-         [int(s.valid) for s in sacs])
+        ([subject] * len(sacs), [painting] * len(sacs), np.arange(len(sacs)),
+         np.arange(1, len(sacs) + 1), sacs.lengths, sacs.durations, sacs.valid.astype(int))
         for (subject, painting), sacs in saccades.items()
     ))

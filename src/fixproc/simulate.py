@@ -21,6 +21,7 @@ from .core import (
     MIN_FIXATION_MS,
     Window,
     max_corner_distance,
+    read_only,
 )
 from .density import IntensityGrid, estimate_intensity
 from .fitdist import GammaFit, fit_gamma_mle
@@ -87,13 +88,18 @@ class FixationModel:
         }
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimRun:
-    """One simulated trial plus per-saccade sampling provenance."""
+    """One simulated trial and, as read-only columns, its jumps: jump k, from fixation k
+    to k + 1, is ``jump_lengths[k]`` px long and ``long_jump[k]`` on the uniform branch."""
 
     sequence: FixationSequence
-    jump_provenance: list[str]
-    jump_lengths: list[float]
+    jump_lengths: np.ndarray
+    long_jump: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "jump_lengths", read_only(self.jump_lengths))
+        object.__setattr__(self, "long_jump", read_only(self.long_jump, bool))
 
 
 def build_model(
@@ -131,9 +137,7 @@ def build_model(
         raise DataError("no first fixations to build the initial surface from")
 
     if saccades is None:
-        saccades = {
-            (s.subject_id, s.painting_id): derive_saccades(s) for s in dataset.sequences
-        }
+        saccades = {(s.subject_id, s.painting_id): derive_saccades(s) for s in dataset.sequences}
     dur_fix = fit_gamma_mle(dataset.pooled_durations(group), "fixation_duration")
     dur_sac = fit_gamma_mle(
         valid_saccade_values(dataset.sequences, saccades, "duration"), "saccade_duration"
@@ -339,13 +343,10 @@ def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list
     runs = []
     for r, (subject_id, count) in enumerate(zip(subject_ids, counts.tolist())):
         column = steps[:, :count, r]
-        # a run's last fixation has no kept jump
-        lengths, long = column[4:, : max(count - 1, 0)].tolist()
         sequence = FixationSequence(
-            subject_id, model.group, model.painting_id, column[:2].T, column[2], column[3]
-        )
-        provenance = ["uniform_long" if flag else "gamma" for flag in long]
-        runs.append(SimRun(sequence, provenance, lengths))
+            subject_id, model.group, model.painting_id, column[:2].T, *column[2:4])
+        # a run's last fixation has no kept jump; SimRun copies the columns
+        runs.append(SimRun(sequence, *column[4:, : max(count - 1, 0)]))
     return runs
 
 
@@ -445,15 +446,10 @@ def runs_to_dataset(runs: list[SimRun], window: Window, trial_length: float) -> 
 
 
 def provenance_to_json(runs: list[SimRun], path, meta: dict | None = None) -> None:
-    payload = {
-        "meta": meta or {},
-        "runs": [
-            {
-                "subject_id": r.sequence.subject_id,
-                "jump_provenance": r.jump_provenance,
-                "jump_lengths": r.jump_lengths,
-            }
-            for r in runs
-        ],
-    }
-    write_json(path, payload)
+    """Each run's jump lengths, and its branches as ``"uniform_long"`` or ``"gamma"``."""
+    write_json(path, {"meta": meta or {}, "runs": [
+        {"subject_id": r.sequence.subject_id,
+         "jump_provenance": np.where(r.long_jump, "uniform_long", "gamma").tolist(),
+         "jump_lengths": r.jump_lengths}
+        for r in runs
+    ]})

@@ -135,6 +135,34 @@ def mixture_points(rng: np.random.Generator, n: int, cx: float, cy: float,
     return pts
 
 
+def derive_saccades_reference(seq: FixationSequence, exclusions=()) -> list[tuple]:
+    """``(length, gap, valid)`` of each jump, one jump at a time: jump k joins
+    retained fixations k and k + 1, and is valid when no original fixation
+    (retained or in ``exclusions``) lies between them."""
+    kept = [i for i in range(len(seq) + len(exclusions)) if i not in exclusions]
+    xy, onsets, durations = seq.locations.tolist(), seq.onsets.tolist(), seq.durations.tolist()
+    jumps = []
+    for k in range(len(seq) - 1):
+        (x0, y0), (x1, y1) = xy[k], xy[k + 1]
+        length = float(np.hypot(x1 - x0, y1 - y0))
+        gap = onsets[k + 1] - (onsets[k] + durations[k])
+        jumps.append((length, gap, kept[k + 1] == kept[k] + 1))
+    return jumps
+
+
+def valid_saccade_values_reference(sequences, jumps: dict, attr: str) -> list[float]:
+    """The positive lengths (``attr`` "length") or gaps ("duration") of the
+    valid jumps of :func:`derive_saccades_reference`, sequence by sequence;
+    ``jumps`` is keyed by (subject, painting)."""
+    column = {"length": 0, "duration": 1}[attr]
+    values = []
+    for s in sequences:
+        for jump in jumps.get((s.subject_id, s.painting_id), []):
+            if jump[2] and jump[column] > 0:
+                values.append(jump[column])
+    return values
+
+
 def sequence_from_points(pts: np.ndarray, subject_id: str, group: str,
                          painting_id: str = "koli") -> FixationSequence:
     n = len(pts)
@@ -477,7 +505,7 @@ def simulate_run_reference(model, rng, subject_id="sim") -> SimRun:
     ``u_len``, ``u_pick`` and the saccade duration's level ``u_sac``.
     """
     horizon = model.trial_length
-    fixations, provenance, lengths = [], [], []  # fixations: (x, y, onset, duration) rows
+    fixations, branches, lengths = [], [], []  # fixations: (x, y, onset, duration) rows
     if horizon > 0:
         x, y = sample_initial(model, rng)
         clock = 0.0
@@ -495,11 +523,12 @@ def simulate_run_reference(model, rng, subject_id="sim") -> SimRun:
             clock += float(gammaincinv(sac.shape, rng.random()) / sac.rate)
             if clock >= horizon:
                 break
-            provenance.append(branch)
+            branches.append(branch)
             lengths.append(jump)
             x, y = to_x, to_y
     seq = sequence(subject_id, model.group, model.painting_id, fixations)
-    return SimRun(sequence=seq, jump_provenance=provenance, jump_lengths=lengths)
+    long_jump = [branch == "uniform_long" for branch in branches]
+    return SimRun(sequence=seq, jump_lengths=lengths, long_jump=long_jump)
 
 
 def permutation_test_reference(dataset: Dataset, *, h1, h2, m, seed, nx, ny) -> tuple[int, float]:

@@ -181,8 +181,7 @@ def test_criterion_09_simulator_invariants(reference_runs):
         for (x, y), length in zip(locs[:-1], run.jump_lengths):
             within_reach &= length <= fp.max_corner_distance(x, y, W) + 1e-9
 
-    branches = [p for run in runs for p in run.jump_provenance]
-    long_frac = np.mean([b == "uniform_long" for b in branches])
+    long_frac = np.mean(np.concatenate([run.long_jump for run in runs]))
 
     # the final fixation of a run is horizon-clipped, not a law draw
     durations = np.concatenate([run.sequence.durations[:-1] for run in runs])

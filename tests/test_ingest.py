@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from fixproc import (
     DataError,
     Dataset,
+    Saccades,
     Window,
     derive_saccades,
     filter_fixations,
@@ -24,7 +25,14 @@ from fixproc.ingest import (
 from fixproc.compare import RatioTestResult, shift_function
 from fixproc.density import quadrat_chisq
 from fixproc.summaries import transition_curves
-from helpers import hotspot_grid, sequence, write_csv_reference, write_json_reference
+from helpers import (
+    derive_saccades_reference,
+    hotspot_grid,
+    sequence,
+    valid_saccade_values_reference,
+    write_csv_reference,
+    write_json_reference,
+)
 
 W = Window(0.0, 0.0, 770.0, 768.0)
 HEADER = "subject_id,group,painting_id,onset_ms,duration_ms,x_px,y_px\n"
@@ -186,31 +194,105 @@ class TestFilter:
 class TestSaccades:
     def test_three_four_five(self):
         s = sequence("s1", "novice", "koli", [(0, 0, 0, 100), (3, 4, 120, 50)])
-        (sac,) = derive_saccades(s)
-        assert sac.length == pytest.approx(5.0)
-        assert sac.duration == pytest.approx(20.0)
-        assert sac.valid
+        sacs = derive_saccades(s)
+        (length,), (duration,), (valid,) = sacs.lengths, sacs.durations, sacs.valid
+        assert length == pytest.approx(5.0)
+        assert duration == pytest.approx(20.0)
+        assert valid
 
     def test_jump_spanning_exclusion_is_missing(self):
         # originally A, B, C with B removed: the derived A->C pair is not a
         # real saccade
         s = sequence("s1", "novice", "koli", [(0, 0, 0, 100), (9, 9, 400, 100)])
-        (sac,) = derive_saccades(s, exclusions={1})
-        assert not sac.valid
+        (valid,) = derive_saccades(s, exclusions={1}).valid
+        assert not valid
 
     def test_exclusion_before_start_keeps_pair_valid(self):
         s = sequence("s1", "novice", "koli", [(0, 0, 200, 100), (9, 9, 400, 100)])
-        (sac,) = derive_saccades(s, exclusions={0})
-        assert sac.valid
+        (valid,) = derive_saccades(s, exclusions={0}).valid
+        assert valid
 
     def test_single_fixation_no_saccades(self):
         s = sequence("s1", "novice", "koli", [(0, 0, 0, 100)])
-        assert derive_saccades(s) == []
+        assert len(derive_saccades(s)) == 0
 
     def test_overlap_rejected(self):
         s = sequence("s1", "novice", "koli", [(0, 0, 0, 300), (1, 1, 200, 100)])
         with pytest.raises(DataError, match="overlapping"):
             derive_saccades(s)
+
+
+# (original fixations, excluded original indices): empty and one-fixation
+# sequences, exclusions at either end and runs of adjacent exclusions
+_EDGE_CASES = [
+    (0, set()), (1, set()), (1, {0}), (2, {0}), (2, {1}), (5, {0}), (5, {4}), (5, {0, 4}),
+    (6, {2, 3}), (7, {1, 2, 3}), (6, {0, 1}), (6, {4, 5}), (7, {0, 1, 3, 5, 6}), (4, {0, 1, 2, 3}),
+]
+
+
+def _saccade_cases(rng, n_random=40):
+    """(retained sequence, exclusions) pairs: the edge cases, then random ones.
+
+    Locations sit on a coarse grid, some with a fractional offset, so some
+    jumps have length 0; some gaps are 0 too."""
+    shapes = list(_EDGE_CASES)
+    for _ in range(n_random):
+        n_orig = int(rng.integers(0, 15))
+        shapes.append((n_orig, set(np.flatnonzero(rng.random(n_orig) < 0.3).tolist())))
+    cases = []
+    for i, (n_orig, exclusions) in enumerate(shapes):
+        n = n_orig - len(exclusions)
+        xy = rng.integers(0, 4, (n, 2)) * 150.0 + rng.uniform(0, 1, (n, 2)) * (rng.random() < 0.5)
+        durations = rng.uniform(40, 400, n)
+        gaps = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0, 300, n))
+        onsets = np.concatenate([[0.0], np.cumsum(durations + gaps)[:-1]])[:n]
+        rows = np.column_stack([xy, onsets, durations])
+        cases.append((sequence(f"s{i:02d}", "novice", "p", rows), exclusions))
+    return cases
+
+
+class TestSaccadesMatchReference:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_columns_equal_scalar_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = _saccade_cases(rng)
+        saccades, jumps = {}, {}
+        for seq, exclusions in cases:
+            sacs = derive_saccades(seq, exclusions)
+            ref = derive_saccades_reference(seq, exclusions)
+            lengths, gaps, valid = (np.array([j[c] for j in ref], dtype) for c, dtype in
+                                    ((0, np.float64), (1, np.float64), (2, bool)))
+            for got, want in ((sacs.lengths, lengths), (sacs.durations, gaps),
+                              (sacs.valid, valid)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            assert len(sacs) == max(len(seq) - 1, 0)
+            saccades[(seq.subject_id, "p")], jumps[(seq.subject_id, "p")] = sacs, ref
+        # a random order, and sequences that have no saccades entry
+        seqs = [cases[i][0] for i in rng.permutation(len(cases))]
+        for keep in (slice(None), slice(None, None, 2)):
+            held, held_ref = dict(list(saccades.items())[keep]), dict(list(jumps.items())[keep])
+            for attr in ("length", "duration"):
+                got = valid_saccade_values(seqs, held, attr)
+                want = np.array(valid_saccade_values_reference(seqs, held_ref, attr), np.float64)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_cases_cover_the_edges(self):
+        cases = _saccade_cases(np.random.default_rng(0))
+        ref = [derive_saccades_reference(seq, exclusions) for seq, exclusions in cases]
+        assert {len(seq) for seq, _ in cases} >= {0, 1}
+        assert any(not ok for jumps in ref for _, _, ok in jumps)
+        assert any(length == 0 for jumps in ref for length, _, ok in jumps if ok)
+        assert any(gap == 0 for jumps in ref for _, gap, ok in jumps if ok)
+
+    def test_columns_of_one_shape(self):
+        with pytest.raises(DataError, match="shape"):
+            Saccades([1.0, 2.0], [3.0], [True, True])
+        with pytest.raises(DataError, match="shape"):
+            Saccades(np.ones((2, 1)), np.ones(2), np.ones(2, bool))
+        empty = Saccades()
+        assert len(empty) == 0 and empty.valid.dtype == bool
 
 
 class TestPipeline:
@@ -229,9 +311,9 @@ class TestPipeline:
         dataset, saccades, report = ingest_pipeline(p)
         n_retained = sum(len(s) for s in dataset.sequences)
         n_seq = len(dataset.sequences)
-        all_sacs = [s for sacs in saccades.values() for s in sacs]
-        n_valid = sum(1 for s in all_sacs if s.valid)
-        assert len(all_sacs) == n_retained - n_seq
+        all_valid = np.concatenate([sacs.valid for sacs in saccades.values()])
+        n_valid = int(all_valid.sum())
+        assert len(all_valid) == n_retained - n_seq
         assert n_valid == n_retained - n_seq - report.n_saccades_missing
         assert report.n_saccades_missing == 1  # the spliced pair around the short one
 

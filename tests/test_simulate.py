@@ -1,3 +1,4 @@
+import itertools
 import math
 import tempfile
 import tracemalloc
@@ -35,6 +36,7 @@ from helpers import (
     farthest_corner,
     hotspot_grid,
     next_location_reference,
+    sequence,
     simulate_run_reference,
     simulated_dataset,
     toy_model,
@@ -157,8 +159,9 @@ def kept_jumps(model, n_runs, seed):
     jumps = []
     for run in simulate_many(model, n_runs, seed):
         starts = run.sequence.locations[:-1].tolist()
-        assert len(starts) == len(run.jump_provenance) == len(run.jump_lengths)
-        for (x, y), branch, length in zip(starts, run.jump_provenance, run.jump_lengths):
+        assert len(starts) == len(run.long_jump) == len(run.jump_lengths)
+        branches = np.where(run.long_jump, "uniform_long", "gamma").tolist()
+        for (x, y), branch, length in zip(starts, branches, run.jump_lengths.tolist()):
             jumps.append((branch, length, max_corner_distance(x, y, W)))
     return jumps
 
@@ -360,8 +363,8 @@ class TestSimulateRun:
         (a,) = simulate_seeded(short_model, 123)
         (b,) = simulate_seeded(short_model, 123)
         assert a.sequence == b.sequence
-        assert a.jump_provenance == b.jump_provenance
-        assert a.jump_lengths == b.jump_lengths
+        assert a.long_jump.tobytes() == b.long_jump.tobytes()
+        assert a.jump_lengths.tobytes() == b.jump_lengths.tobytes()
 
     def test_temporal_bookkeeping(self, short_model):
         (run,) = simulate_seeded(short_model, 42)
@@ -396,7 +399,8 @@ class TestSimulateRun:
 
 
 def run_fields(run):
-    return (run.sequence, run.jump_provenance, run.jump_lengths)
+    return (run.sequence, run.long_jump.dtype, run.long_jump.tobytes(),
+            run.jump_lengths.dtype, run.jump_lengths.tobytes())
 
 
 def assert_engine_matches_reference(model, n_runs, seed):
@@ -414,6 +418,42 @@ def block_size(n_angles):
     return max(1, _BLOCK_CANDIDATES // (n_angles + 1))
 
 
+class TestRunColumns:
+    @pytest.mark.parametrize("trial", [0.0, 200.0, 4_000.0])
+    def test_jump_columns_are_owned_read_only_and_match_the_reference(self, trial):
+        # 90 directions: lockstep blocks of 131 runs, so 150 runs span two;
+        # at 200 ms most runs hold one fixation and no jump
+        model = toy_model(trial_length=trial, n_angles=90, p_long=0.3)
+        runs = simulate_many(model, 150, seed=11)
+        columns = []
+        for i, run in enumerate(runs):
+            n_jumps = max(len(run.sequence) - 1, 0)
+            for column, dtype in ((run.jump_lengths, np.float64), (run.long_jump, np.bool_)):
+                assert column.dtype == dtype and column.shape == (n_jumps,)
+                assert not column.flags.writeable
+                assert column.base is None  # a copy, not a view of the block's step table
+                columns.append(column)
+            ref = simulate_run_reference(model, substream(11, "run", i), f"sim{i:04d}")
+            assert run.long_jump.tobytes() == ref.long_jump.tobytes(), f"run {i}"
+        for a, b in itertools.combinations(columns, 2):
+            assert not np.shares_memory(a, b)
+        # each horizon covers its case: no fixation, runs of one and of two
+        # fixations, runs of several jumps
+        counts = {len(run.sequence) for run in runs}
+        assert {0.0: counts == {0}, 200.0: {1, 2} <= counts, 4_000.0: min(counts) > 2}[trial]
+
+    def test_columns_are_copied_read_only(self):
+        lengths, long = np.array([3.0, 4.0]), np.array([0.0, 1.0])
+        seq = sequence("sim", "novice", "model", [(0, 0, 0, 100), (3, 4, 150, 100),
+                                                  (3, 8, 300, 100)])
+        run = simulate.SimRun(seq, lengths, long)
+        lengths[0] = long[0] = 7.0
+        assert run.jump_lengths.tolist() == [3.0, 4.0]
+        assert run.long_jump.tolist() == [False, True]
+        with pytest.raises(ValueError, match="read-only"):
+            run.long_jump[0] = True
+
+
 class TestLockstepEngine:
     @pytest.mark.parametrize("p_long", [0.0, 1.0, 0.2])
     @pytest.mark.parametrize("n_angles", [4, 360, 720])
@@ -427,9 +467,8 @@ class TestLockstepEngine:
         model = toy_model(trial_length=trial, n_angles=n_angles, p_long=p_long,
                           nx=128, ny=128)
         runs = assert_engine_matches_reference(model, n_runs, seed=n_runs + n_angles)
-        branches = {b for run in runs for b in run.jump_provenance}
-        assert branches == {0.0: {"gamma"}, 1.0: {"uniform_long"},
-                            0.2: {"gamma", "uniform_long"}}[p_long]
+        branches = {b for run in runs for b in run.long_jump.tolist()}
+        assert branches == {0.0: {False}, 1.0: {True}, 0.2: {False, True}}[p_long]
 
     def test_zero_horizon_gives_empty_runs(self):
         runs = assert_engine_matches_reference(toy_model(trial_length=0.0), 5, seed=3)

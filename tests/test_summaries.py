@@ -580,9 +580,8 @@ class TestTransitionEstimates:
 
     def test_defined_rows_of_statistics_are_the_stored_rows(self, rng):
         store = run_store(rng, [0, 1, 5], 11)
-        curves = summaries.RunCurves(rng.uniform(size=(2, 3, 11)), *vars(store).values()[1:]) \
-            if False else summaries.RunCurves(rng.uniform(size=(2, 3, 11)), store.states,
-                                              store.starts, store.at)
+        curves = summaries.RunCurves(rng.uniform(size=(2, 3, 11)), store.states, store.starts,
+                                     store.at)
         assert curves.defined(1) is not None
         assert np.shares_memory(curves.defined(1), curves.stat_rows)
         assert curves.defined(1).tobytes() == curves.stat_rows[1].tobytes()

@@ -35,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
-from inputs import make_experiment  # noqa: E402
+from inputs import WINDOW, make_experiment  # noqa: E402
 
 SUBJECTS_PER_GROUP = 10
 
@@ -52,6 +52,13 @@ INPUTS = {
 # painting p02, so a command sees two paintings
 TWO_PAINTINGS = {
     "d": ("c", 8, 65),
+}
+
+# name: base input whose every subject's first fixation is made shorter than
+# 40 ms and whose last fixation is moved out of the window, so ingest
+# excludes a fixation at both ends of every sequence
+EDGE_EXCLUSIONS = {
+    "e": "c",
 }
 
 # name: (input, flags); every command draws its SVGs unless its config turns them off
@@ -85,6 +92,10 @@ COMMANDS = {
     "ingest": ("c", ["ingest"]),
     # two paintings sharing subject ids: one sequence per (subject, painting)
     "ingest_2p": ("d", ["ingest"]),
+    # exclusions before the first and after the last retained fixation
+    "ingest_edge": ("e", ["ingest"]),
+    "fit_len_edge": ("e", ["fit", "--source", "saccade_length"]),
+    "qq_edge": ("e", ["qq", "--source", "saccade_duration"]),
     "intensity_cv": ("c", ["intensity", "--group", "novice"]),
     "residuals": ("c", ["residuals", "--h", "24", "--interval-ms", "10000"]),
     "quadrat": ("c", ["quadrat", "--q", "4"]),
@@ -131,6 +142,18 @@ def write_inputs(work: Path) -> dict:
         second = [line.replace(",p01,", ",p02,", 1) for line in text.splitlines(True)[1:]]
         path = work / f"input_{name}.csv"
         path.write_text(base_path.read_text() + "".join(second))
+        paths[name] = (path, trial)
+    for name, base in EDGE_EXCLUSIONS.items():
+        base_path, trial = paths[base]
+        header, *rows = [line.split(",") for line in base_path.read_text().splitlines()]
+        ends = {}  # subject: [its first row, its last row]; a subject's rows are contiguous
+        for i, row in enumerate(rows):
+            ends.setdefault(row[0], [i, i])[1] = i
+        for first, last in ends.values():
+            rows[first][4] = "20.0"  # duration_ms
+            rows[last][5] = repr(WINDOW[2] + 30.0)  # x_px
+        path = work / f"input_{name}.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
         paths[name] = (path, trial)
     return paths
 
