@@ -226,27 +226,29 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _count_permutations(
-    rows1: np.ndarray, rows2: np.ndarray, n1: int, T0: float, m: int, seed: int,
-    cell_area: float, mirror_ties: bool,
-) -> tuple[int, int]:
-    """k and the number of distinct first-group sets over draws 1..m.
-
-    The calling thread draws every label row, ``_BLOCK_DRAWS`` draws per
-    ``permutations`` call (row j - 1 is draw j of ``substream(seed, "perm",
-    j)``), and sets each chunk's first-group cells in one assignment; blocks
-    of ``_BLOCK_DRAWS`` rows are then scored on a pool of ``_workers()``
-    threads. Block boundaries depend on m alone, so each draw's T does not
-    depend on the worker count. A draw whose first group is the observed
-    one (or, with ``mirror_ties``, the observed second group) is a tie and
-    counts; any other counts when its T >= T0.
-    """
-    total = len(rows1)
+def _first_groups(seed: int, m: int, total: int, n1: int) -> np.ndarray:
+    """The (m, total) bool first-group flags of draws 1..m: row j - 1 marks the
+    first n1 entries of ``substream(seed, "perm", j).permutation(total)``. The calling
+    thread makes ``_BLOCK_DRAWS`` draws per ``permutations`` call and sets their flags
+    in one assignment."""
     first = np.zeros((m, total), dtype=bool)
     for start in range(0, m, _BLOCK_DRAWS):
         stop = min(start + _BLOCK_DRAWS, m)
         drawn = permutations(seed, "perm", range(start + 1, stop + 1), total)[:, :n1]
         first[np.arange(start, stop)[:, None], drawn] = True
+    return first
+
+
+def _draw_statistics(
+    first: np.ndarray, rows1: np.ndarray, rows2: np.ndarray, cell_area: float
+) -> np.ndarray:
+    """T for every row of the bool first-group matrix ``first``.
+
+    Blocks of ``_BLOCK_DRAWS`` rows, each made float on its own, are scored
+    by ``_block_statistic`` on a pool of ``_workers()`` threads. Block
+    boundaries depend on the row count alone, so a row's T does not depend
+    on the worker count.
+    """
     mass1, mass2 = rows1.sum(axis=1), rows2.sum(axis=1)
 
     def score(start: int) -> np.ndarray:
@@ -254,13 +256,7 @@ def _count_permutations(
         return _block_statistic(labels, rows1, rows2, mass1, mass2, cell_area)
 
     with ThreadPoolExecutor(_workers()) as pool:
-        T = np.concatenate(list(pool.map(score, range(0, m, _BLOCK_DRAWS))))
-    observed = np.arange(total) < n1
-    ties = (first == observed).all(axis=1)
-    if mirror_ties:
-        ties |= (first == ~observed).all(axis=1)
-    k = int(np.count_nonzero(ties | (T >= T0)))
-    return k, len({row.tobytes() for row in first})
+        return np.concatenate(list(pool.map(score, range(0, len(first), _BLOCK_DRAWS))))
 
 
 def permutation_test(
@@ -279,29 +275,27 @@ def permutation_test(
     random m times; the statistic is recomputed with the same fixed
     bandwidths h1/h2 applied to the first/second group slot, and
     p = (k+1)/(m+1) with k the count of permuted statistics >= the observed
-    one. Draw j is ``substream(seed, "perm", j).permutation(n1 + n2)``, whose
-    first n1 entries form the first group; ``rng.permutations`` makes these
-    draws in chunks, seeding a chunk's generators in one vector pass.
+    one. The label source ``_first_groups`` makes draw j from
+    ``substream(seed, "perm", j).permutation(n1 + n2)``, whose first n1
+    entries form the first group, a chunk of draws per ``rng.permutations``
+    call. The scorer ``_draw_statistics`` scores 128 draws at a time, one
+    block per available core: a block's first-group labels form a 0/1
+    matrix, and each group's surfaces are matrix products of it with the
+    per-subject kernel rows, over tiles of 256 grid cells that stay in cache
+    while they are clamped, logged and summed. A draw's T does not depend on
+    the number of threads.
 
-    Draws are scored in blocks of 128: the first-group labels of a block
-    form a 0/1 matrix, and each group's surfaces are matrix products of it
-    with the per-subject kernel rows, taken over tiles of 256 grid cells
-    that stay in cache while they are clamped, logged and summed. Blocks are scored on one thread per
-    available core; the draws themselves are made in order on the calling
-    thread, and a draw's T does not depend on the number of threads. A
-    matrix product need not round like the
-    observed statistic's row sums, so ties are decided on the partition,
-    not on the floats: a draw whose first group is the observed one always
-    counts, and so does the mirror draw (first group = observed second
-    group) when h1 == h2 and n1 == n2, where it gives the same T. Every
-    other draw counts when its T >= T0. The result also reports the Monte
-    Carlo standard error of p and the number of distinct first-group sets
-    drawn.
+    A matrix product need not round like the observed statistic's row sums,
+    so ties are decided on the partition, not on the floats: a draw whose
+    first group is the observed one always counts, and when h1 == h2 so does
+    one whose first group is the observed second group (possible only when
+    n1 == n2), which gives the same T. Every other draw counts when its
+    T >= T0. The result also reports the Monte Carlo standard error of p and
+    the number of distinct first-group sets drawn.
 
     To cross-validate the bandwidths, pass the ``.h`` of
     ``select_bandwidth_cv`` of each observed group's pooled fixations
-    (novice for h1, non-novice for h2).
-    Deterministic given ``seed``.
+    (novice for h1, non-novice for h2). Deterministic given ``seed``.
     """
     seqs1, seqs2 = dataset.two_groups()
     n1, n2 = len(seqs1), len(seqs2)
@@ -321,9 +315,14 @@ def permutation_test(
         rows_h1, rows_h2, slice(0, n1), slice(n1, n1 + n2), cell_area
     )
 
-    k, distinct = _count_permutations(
-        rows_h1, rows_h2, n1, T0, m, seed, cell_area, mirror_ties=(h1 == h2 and n1 == n2)
-    )
+    first = _first_groups(seed, m, n1 + n2, n1)
+    T = _draw_statistics(first, rows_h1, rows_h2, cell_area)
+    observed = np.arange(n1 + n2) < n1
+    ties = (first == observed).all(axis=1)
+    if h1 == h2:
+        ties |= (first == ~observed).all(axis=1)
+    k = int(np.count_nonzero(ties | (T >= T0)))
+    distinct = len({row.tobytes() for row in first})
 
     r_grid = IntensityGrid(w, nx, ny, r0.reshape(ny, nx), float("nan"))
     return RatioTestResult(

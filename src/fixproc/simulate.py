@@ -98,8 +98,15 @@ class SimRun:
     long_jump: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "jump_lengths", read_only(self.jump_lengths))
-        object.__setattr__(self, "long_jump", read_only(self.long_jump, bool))
+        if not isinstance(self.sequence, FixationSequence):
+            raise DataError(f"a run's sequence must be a FixationSequence, "
+                            f"got {type(self.sequence).__name__}")
+        columns = read_only(self.jump_lengths), read_only(self.long_jump, bool)
+        jumps = (max(len(self.sequence) - 1, 0),)
+        if any(c.shape != jumps for c in columns):
+            raise DataError(f"jump columns need shape {jumps}, got {[c.shape for c in columns]}")
+        object.__setattr__(self, "jump_lengths", columns[0])
+        object.__setattr__(self, "long_jump", columns[1])
 
 
 def build_model(

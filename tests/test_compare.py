@@ -300,6 +300,7 @@ class TestBlockEngine:
 
     DESIGNS = {
         "3v5_h_differ": (3, 26.0, 34.0),
+        "3v5_h_equal": (3, 30.0, 30.0),
         "4v4_h_differ": (4, 28.0, 32.0),
         "4v4_h_equal": (4, 30.0, 30.0),
     }

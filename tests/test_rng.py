@@ -96,22 +96,13 @@ class TestPermutations:
 class TestPermutationLabels:
     @pytest.mark.parametrize("m", [1, compare._BLOCK_DRAWS - 1, compare._BLOCK_DRAWS + 1,
                                    10_000])
-    def test_label_rows_are_the_substream_draws(self, monkeypatch, m):
-        # the first-group rows that _count_permutations fills chunk by chunk
-        # hold draw j's first n1 subjects in row j - 1
-        scored = []
-
-        def record(labels, *args):
-            scored.append(labels)
-            return np.zeros(len(labels))
-
-        monkeypatch.setattr(compare, "_block_statistic", record)
-        monkeypatch.setattr(compare, "_workers", lambda: 1)
+    def test_label_rows_are_the_substream_draws(self, m):
+        # the first-group rows that _first_groups fills chunk by chunk hold
+        # draw j's first n1 subjects in row j - 1
         total, n1, seed = 9, 4, 11
-        rows = np.ones((total, 6))
-        compare._count_permutations(rows, rows, n1, 1.0, m, seed, 1.0, mirror_ties=False)
-        labels = np.concatenate(scored)
-        expected = np.zeros((m, total))
+        first = compare._first_groups(seed, m, total, n1)
+        expected = np.zeros((m, total), dtype=bool)
         for j, perm in enumerate(_reference(seed, "perm", range(1, m + 1), total)):
-            expected[j, perm[:n1]] = 1.0
-        assert np.array_equal(labels, expected)
+            expected[j, perm[:n1]] = True
+        assert first.dtype == bool and first.shape == (m, total)
+        assert (first == expected).all()

@@ -453,6 +453,20 @@ class TestRunColumns:
         with pytest.raises(ValueError, match="read-only"):
             run.long_jump[0] = True
 
+    def test_columns_must_fit_the_sequence(self):
+        # a sequence of n fixations has max(n - 1, 0) jumps, and each column
+        # holds one entry per jump
+        seq = sequence("sim", "novice", "model", [(0, 0, 0, 100), (3, 4, 150, 100)])
+        run = simulate.SimRun(seq, [5.0], [False])
+        empty = sequence("sim", "novice", "model", [])
+        assert len(simulate.SimRun(empty, [], []).jump_lengths) == 0
+        with pytest.raises(DataError, match="shape"):
+            simulate.SimRun(seq, [1.0, 2.0, 3.0], [True])
+        with pytest.raises(DataError, match="shape"):
+            simulate.SimRun(seq, [1.0, 2.0], [True, False])
+        with pytest.raises(DataError, match="FixationSequence"):
+            simulate.SimRun(run, [1.0], [False])
+
 
 class TestLockstepEngine:
     @pytest.mark.parametrize("p_long", [0.0, 1.0, 0.2])

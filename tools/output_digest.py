@@ -61,6 +61,12 @@ EDGE_EXCLUSIONS = {
     "e": "c",
 }
 
+# name: base input without the rows of its last two non-novice subjects, so
+# its groups have 10 and 8 subjects
+UNEQUAL_GROUPS = {
+    "f": "c",
+}
+
 # name: (input, flags); every command draws its SVGs unless its config turns them off
 COMMANDS = {
     "env_h24": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
@@ -111,6 +117,9 @@ COMMANDS = {
                       "--n-runs", "40", "--seed", "7"]),
     "cmp_p02": ("d", ["compare-intensity", "--painting", "p02", "--h1", "24", "--h2", "24",
                       "--m", "500", "--seed", "7"]),
+    # equal bandwidths and unequal group sizes: no draw is the mirror split
+    "cmp_unequal": ("f", ["compare-intensity", "--h1", "24", "--h2", "24", "--m", "500",
+                          "--seed", "7"]),
     "env_config": ("b", ["envelope", "--h", "24", "--n-runs", "40", "--seed", "8"]),
     # at TRIAL_LENGTHS' 173 ms, 177 of the 200 runs have one fixation and
     # the transition envelopes take the other 23, near the 20 they accept
@@ -154,6 +163,14 @@ def write_inputs(work: Path) -> dict:
             rows[last][5] = repr(WINDOW[2] + 30.0)  # x_px
         path = work / f"input_{name}.csv"
         path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+        paths[name] = (path, trial)
+    for name, base in UNEQUAL_GROUPS.items():
+        base_path, trial = paths[base]
+        header, *rows = [line.split(",") for line in base_path.read_text().splitlines()]
+        non_novice = list(dict.fromkeys(row[0] for row in rows if row[1] == "non_novice"))
+        kept = [row for row in rows if row[0] not in non_novice[-2:]]
+        path = work / f"input_{name}.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in [header, *kept]))
         paths[name] = (path, trial)
     return paths
 
