@@ -44,9 +44,9 @@ from .simulate import (
 from .summaries import (
     STATS,
     TRANSITIONS,
+    RunCurves,
     ball_union_coverage,
     convex_hull_coverage,
-    curve_rows,
     curve_to_csv,
     curve_to_dict,
     scanpath_length,
@@ -438,34 +438,29 @@ def _group_envelopes(
     ``cv`` is the CV table of h, or None for a fixed h. Returns the result,
     ready for ``write_json`` (each observed curve is its float row, and each
     envelope's grid and bounds are its arrays), and the envelopes by curve
-    name. Each envelope is cut from the simulated rows of the runs its curve
-    is defined on (:meth:`~fixproc.summaries.RunCurves.defined`): a
-    statistic's stored rows without a copy, a transition's rows built for
-    the runs of at least 2 fixations only.
+    name. Simulated runs and observed subjects are each one ``RunCurves``
+    store of ``RunCurves.from_sequences``. Row j's envelope is cut from the
+    runs row j is defined on, and its observed curves are those of the
+    subjects it is defined on (:meth:`~fixproc.summaries.RunCurves.defined_runs`).
     """
     model = _build_group_model(cfg, dataset, saccades, group, h)
     stats = list(STATS) if cfg.stat == "all" else [cfg.stat]
-    # curve j of every run it is defined on is sim_rows.defined(j)
-    sim_rows = simulate_curves(
-        model, cfg.n_runs, cfg.seed, grid, stats, cfg.radius, cfg.raster
-    )
+    sim_rows = simulate_curves(model, cfg.n_runs, cfg.seed, grid, stats, cfg.radius, cfg.raster)
     # a subject appears once per painting; key on both
     observed = {sequence_name(s.subject_id, s.painting_id, ":"): s for s in dataset.by_group(group)}
-    obs_rows = {
-        key: curve_rows(s, model.window, grid, stats, cfg.radius, cfg.raster)
-        for key, s in observed.items()
-    }
+    obs_rows = RunCurves.from_sequences(
+        observed.values(), len(observed), model.window, grid, stats, cfg.radius, cfg.raster
+    )
+    subjects = list(observed)
 
     result: dict = {"model": _with_cv(model.to_dict(), cv), "stats": {}, "transitions": {}}
     envelopes = {}
     families = ["stats"] * len(stats) + ["transitions"] * len(TRANSITIONS)
     for j, (family, name) in enumerate(zip(families, stats + list(TRANSITIONS))):
-        # transition curves are defined only for sequences with >= 2 fixations
-        fewest = 2 if family == "transitions" else 0
         env = rank_envelope(CurveMatrix(grid, sim_rows.defined(j)), cfg.alpha)
         envelopes[name] = env
-        keys = [key for key, s in observed.items() if len(s) >= fewest]
-        curves = [obs_rows[key][j] for key in keys]
+        keys = [subjects[i] for i in obs_rows.defined_runs(j)]
+        curves = obs_rows.defined(j)
         result[family][name] = {
             "envelope": env.to_dict(),
             "observed": dict(zip(keys, curves)),

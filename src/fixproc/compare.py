@@ -306,8 +306,8 @@ def permutation_test(
     if m < 1:
         raise DataError(f"need at least one permutation, got m={m}")
 
-    rows_h1 = _subject_surfaces(subject_pts, w, h1, nx, ny)
-    rows_h2 = _subject_surfaces(subject_pts, w, h2, nx, ny)
+    rows = {h: _subject_surfaces(subject_pts, w, h, nx, ny) for h in {h1, h2}}  # distinct h only
+    rows_h1, rows_h2 = rows[h1], rows[h2]
     cell_area = (w.width / nx) * (w.height / ny)
 
     # row slices of the observed groups: views, not fancy-indexed copies

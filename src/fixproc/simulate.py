@@ -27,7 +27,7 @@ from .density import IntensityGrid, estimate_intensity
 from .fitdist import GammaFit, fit_gamma_mle
 from .ingest import derive_saccades, valid_saccade_values, write_json
 from .rng import substream
-from .summaries import STATS, RunCurves, _grid_columns
+from .summaries import STATS, RunCurves
 
 
 @dataclass
@@ -423,28 +423,23 @@ def simulate_curves(
     ``curves[j]`` of the result is the ``(n_runs, len(grid))`` array of row
     j of :func:`~fixproc.summaries.curve_rows` of every run (the ``stats``,
     then the 16 transitions), and ``curves.counts[i]`` is run i's fixation
-    count. The runs are simulated one lockstep block at a
-    time, each block through :func:`simulate_many`, and a block's runs are
-    dropped once its curves are stored. What grows with ``n_runs`` is the
-    :class:`~fixproc.summaries.RunCurves` store: float rows of the stats,
-    and for the transitions one byte per fixation plus one index per grid
-    time.
+    count. :meth:`~fixproc.summaries.RunCurves.from_sequences` stores the
+    runs' sequences as a generator yields them: the runs are simulated one
+    lockstep block at a time, each block through :func:`simulate_many`,
+    and a block's runs are dropped before the next block is simulated.
+    What grows with ``n_runs`` is the store: float rows of the stats, and
+    for the transitions one byte per fixation plus one index per grid time.
     """
-    grid = np.asarray(grid, dtype=float)
-    stat_rows = np.empty((len(stats), n_runs, grid.size))
-    at = np.empty((n_runs, grid.size), dtype=np.int32)
-    states = []
-    block = _block_runs(model)
-    for first in range(0, n_runs, block):
-        runs = simulate_many(model, min(block, n_runs - first), seed, first)
-        for i, run in enumerate(runs, first):
-            stat_rows[:, i], run_states, at[i] = _grid_columns(
-                run.sequence, model.window, grid, stats, radius, raster
-            )
-            states.append(run_states)
-        del runs, run  # before the next block is simulated, not after
-    starts = np.cumsum([0] + [len(s) for s in states])
-    return RunCurves(stat_rows, np.concatenate([np.empty(0, np.uint8), *states]), starts, at)
+
+    def sequences():
+        block = _block_runs(model)
+        for first in range(0, n_runs, block):
+            runs = simulate_many(model, min(block, n_runs - first), seed, first)
+            for run in runs:
+                yield run.sequence
+            del runs, run  # before the next block is simulated, not after
+
+    return RunCurves.from_sequences(sequences(), n_runs, model.window, grid, stats, radius, raster)
 
 
 def runs_to_dataset(runs: list[SimRun], window: Window, trial_length: float) -> Dataset:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -361,42 +362,20 @@ def _transition_estimates(
     return estimates
 
 
-def _grid_columns(
-    seq: FixationSequence, window: Window, grid: np.ndarray, stats, radius: float, raster: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A sequence's ``(stat_rows, states, at)`` as :class:`RunCurves` holds one run.
-
-    ``stat_rows`` is (len(stats), grid), ``states`` the uint8 quadrant state of
-    each fixation and ``at`` the index of the last fixation with onset <= t
-    at each grid time t, or -1 before the first one.
-    """
-    at = np.searchsorted(seq.onsets, grid, side="right") - 1
-    locs = seq.locations
-    values_of = {
-        "hull": lambda: _hull_values(locs, window),
-        "ball": lambda: _ball_values(locs, window, radius, raster),
-        "scanpath": lambda: _scanpath_values(locs),
-    }
-    stat_rows = np.empty((len(stats), grid.size))
-    for i, stat in enumerate(stats):
-        # 0 before the first fixation
-        stat_rows[i] = np.concatenate([[0.0], values_of[stat]()])[at + 1]
-    return stat_rows, _quadrants(locs, window), at
-
-
 @dataclass
 class RunCurves:
     """The :func:`curve_rows` of many runs on one time grid, held compactly.
 
-    ``curves[j]`` is the (runs, grid) array of row j of every run's
-    ``curve_rows``, bit for bit. Statistic rows are stored as floats in
-    ``stat_rows``. The 16 transition rows are ratios of small counts, so
+    Built by :meth:`from_sequences`, for observed subjects and simulated
+    runs alike. ``curves[j]`` is the (runs, grid) array of row j of every
+    run's ``curve_rows``, bit for bit. Statistic rows are stored as floats
+    in ``stat_rows``. The 16 transition rows are ratios of small counts, so
     only integers are stored: each fixation's quadrant state (``states``,
-    uint8, runs back to back, run i from ``starts[i]`` to
-    ``starts[i + 1]``) and each grid time's fixation index (``at``, -1
-    before the first fixation). A transition row is built when it is
-    indexed. ``np.asarray(curves)`` is the whole (rows, runs, grid) matrix.
-    :meth:`defined` gives a row over only the runs it is defined on.
+    uint8, runs back to back, run i from ``starts[i]`` to ``starts[i + 1]``)
+    and each grid time's fixation index (``at``, -1 before the first
+    fixation). A transition row is built when it is indexed.
+    ``np.asarray(curves)`` is the whole (rows, runs, grid) matrix, and
+    ``defined(j)`` is row j over the runs of :meth:`defined_runs` only.
     """
 
     stat_rows: np.ndarray
@@ -404,20 +383,52 @@ class RunCurves:
     starts: np.ndarray
     at: np.ndarray
 
+    @classmethod
+    def from_sequences(
+        cls, sequences, n: int, window: Window, grid, stats=STATS,
+        radius: float = 35.0, raster: float = 1.0,
+    ) -> RunCurves:
+        """The store of exactly ``n`` sequences, taken one at a time from an
+        iterable that is read no further than item n + 1: ``ValueError`` if it
+        yields fewer or more. Only the requested ``stats`` are computed."""
+        grid = np.asarray(grid, dtype=float)
+        values_of = {
+            "hull": lambda locs: _hull_values(locs, window),
+            "ball": lambda locs: _ball_values(locs, window, radius, raster),
+            "scanpath": _scanpath_values,
+        }
+        stat_rows = np.empty((len(stats), n, grid.size))
+        at = np.empty((n, grid.size), dtype=np.int32)
+        states = []
+        sequences = iter(sequences)
+        for i, seq in enumerate(islice(sequences, n)):
+            # the last fixation with onset <= t, or -1 before the first one
+            at[i] = last = np.searchsorted(seq.onsets, grid, side="right") - 1
+            for k, stat in enumerate(stats):
+                # 0 before the first fixation
+                stat_rows[k, i] = np.concatenate([[0.0], values_of[stat](seq.locations)])[last + 1]
+            states.append(_quadrants(seq.locations, window))
+        if len(states) < n or next(sequences, None) is not None:
+            got = len(states) if len(states) < n else f"more than {n}"
+            raise ValueError(f"{n} sequences expected, got {got}")
+        starts = np.cumsum([0] + [len(s) for s in states])
+        return cls(stat_rows, np.concatenate([np.empty(0, np.uint8), *states]), starts, at)
+
     def __len__(self) -> int:
         return len(self.stat_rows) + len(TRANSITIONS)
 
     def __getitem__(self, j: int) -> np.ndarray:
         return self._row(j, slice(None))
 
-    def defined(self, j: int) -> np.ndarray:
-        """Row j of only the runs it is defined on, in run order.
+    def defined_runs(self, j: int) -> np.ndarray:
+        """Runs row j is defined on: all for a stat, those of >= 2 fixations for a transition."""
+        if range(len(self))[j] < len(self.stat_rows):
+            return np.arange(len(self.at))
+        return np.flatnonzero(self.counts >= 2)
 
-        A statistic is defined on every run, and its stored row comes back
-        without a copy; a transition is defined on the runs of at least 2
-        fixations, and only their rows are built.
-        """
-        return self._row(j, np.flatnonzero(self.counts >= 2))
+    def defined(self, j: int) -> np.ndarray:
+        """Row j of the :meth:`defined_runs`; a statistic's stored row is not copied."""
+        return self._row(j, self.defined_runs(j))
 
     def _row(self, j: int, transition_runs) -> np.ndarray:
         j = range(len(self))[j]  # IndexError past either end
@@ -462,12 +473,10 @@ def curve_rows(
     then the 16 transition curves in :data:`TRANSITIONS` order. Each row
     equals its step curve evaluated on the grid, bit for bit, at grid times
     >= 0. A sequence of fewer than 2 fixations has all-NaN transition rows.
-    Only the requested statistics are computed. The rows are those of a
-    one-run :class:`RunCurves`.
+    Only the requested statistics are computed. The rows are those of the
+    one-run store :meth:`RunCurves.from_sequences` builds.
     """
-    grid = np.asarray(grid, dtype=float)
-    stat_rows, states, at = _grid_columns(seq, window, grid, stats, radius, raster)
-    one = RunCurves(stat_rows[:, None], states, np.array([0, len(states)]), at[None])
+    one = RunCurves.from_sequences([seq], 1, window, grid, stats, radius, raster)
     return np.asarray(one)[:, 0]
 
 

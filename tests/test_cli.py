@@ -13,7 +13,8 @@ import pytest
 import fixproc
 from fixproc import cli, density, simulate, summaries
 from fixproc.cli import DEFAULT_H_GRID, PipelineConfig, main
-from fixproc.ingest import parse_fixations
+from fixproc.core import Window
+from fixproc.ingest import ingest_pipeline, parse_fixations
 from helpers import simulated_dataset, toy_model, write_csv
 
 
@@ -160,6 +161,35 @@ class TestCommands:
                 "s00:koli", "s02:koli", "s03:koli"
             }
         assert len(payload["stats"]["hull"]["observed"]) == 4
+
+    def test_observed_curves_are_each_subjects_curve_rows(self, tmp_path):
+        # read back from envelope.json, every observed curve is its row of the
+        # subject's curve_rows; the one-fixation subject has no transitions
+        d = simulated_dataset(toy_model(trial_length=10_000.0), n_subjects=8, seed=42)
+        s = d.sequences[1]
+        d.sequences[1] = replace(s, locations=s.locations[:1], onsets=s.onsets[:1],
+                                 durations=s.durations[:1])
+        data_csv = write_csv(d, tmp_path / "fix.csv")
+        assert run(["envelope", "--input", data_csv, "--out", tmp_path, "--group",
+                    "novice", "--seed", "6", "--n-runs", "20", *FAST]) == 0
+        payload = json.loads((tmp_path / "envelope.json").read_text())
+        window = Window(*PipelineConfig().window)
+        dataset, _, _ = ingest_pipeline(data_csv, 40.0, window, 10_000.0)
+        grid = np.array(payload["stats"]["hull"]["envelope"]["grid"])
+        families = ["stats"] * len(summaries.STATS) + ["transitions"] * 16
+        names = [*summaries.STATS, *summaries.TRANSITIONS]
+        expected = {name: set() for name in names}
+        for seq in dataset.by_group("novice"):
+            key = f"{seq.subject_id}:{seq.painting_id}"
+            rows = summaries.curve_rows(seq, window, grid, summaries.STATS, 35.0, 8.0)
+            for j, (family, name) in enumerate(zip(families, names)):
+                if family == "stats" or len(seq) >= 2:
+                    expected[name].add(key)
+                    got = np.array(payload[family][name]["observed"][key], dtype=float)
+                    assert np.array_equal(got, rows[j], equal_nan=True), (key, name)
+        for family, name in zip(families, names):
+            assert set(payload[family][name]["observed"]) == expected[name]
+        assert "s01:koli" in expected["hull"] and "s01:koli" not in expected["1->1"]
 
     def test_too_few_runs_with_transitions_is_data_error(self, data_csv, tmp_path, capsys):
         # 40 ms trials: every simulated fixation lasts longer than the 40 ms

@@ -167,6 +167,20 @@ class TestPermutationTest:
         assert res.T0 == T0
         assert res.r_grid.values.tobytes() == r0.reshape(64, 64).tobytes()
 
+    @pytest.mark.parametrize("h2, calls", [(30.0, [30.0]), (45.0, [30.0, 45.0])])
+    def test_kernel_rows_once_per_distinct_bandwidth(self, tiny_dataset, monkeypatch, h2, calls):
+        # equal bandwidths share one (subjects, cells) matrix
+        seen = []
+        surfaces = compare._subject_surfaces
+
+        def count(subjects, w, h, nx, ny):
+            seen.append(h)
+            return surfaces(subjects, w, h, nx, ny)
+
+        monkeypatch.setattr(compare, "_subject_surfaces", count)
+        permutation_test(tiny_dataset, m=9, h1=30.0, h2=h2, seed=2, nx=16, ny=16)
+        assert sorted(seen) == calls
+
     def test_needs_two_subjects_per_group(self, short_model):
         d = simulated_dataset(short_model, n_subjects=2, seed=1)
         with pytest.raises(DataError, match="2 subjects"):

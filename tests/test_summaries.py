@@ -550,6 +550,57 @@ class TestCurveRows:
         assert rows.shape == (17, 2)
 
 
+class TestFromSequences:
+    """One store of many sequences holds each sequence's curve_rows, bit for bit."""
+
+    @staticmethod
+    def sequences():
+        # 0, 1, 2 and 40 fixations
+        rng = np.random.default_rng(30)
+        return [
+            sequence(f"s{n}", "novice", "koli", [
+                (*rng.uniform([0.0, 0.0], [770.0, 768.0]), 130.0 + 500.0 * i, 200.0)
+                for i in range(n)
+            ])
+            for n in (0, 1, 2, 40)
+        ]
+
+    @pytest.mark.parametrize("stats", [STATS, ("ball",)])
+    def test_equals_curve_rows_of_each_sequence(self, stats):
+        seqs = self.sequences()
+        grid = np.linspace(0.0, 21_000.0, 43)
+        store = summaries.RunCurves.from_sequences(iter(seqs), 4, W, grid, stats, 35.0, 4.0)
+        ref = np.stack([curve_rows(s, W, grid, stats, 35.0, 4.0) for s in seqs], axis=1)
+        assert store.shape == ref.shape == (len(stats) + 16, 4, 43)
+        assert np.asarray(store).tobytes() == ref.tobytes()
+        assert store.counts.tolist() == [0, 1, 2, 40]
+
+    def test_defined_runs(self):
+        store = summaries.RunCurves.from_sequences(self.sequences(), 4, W, [0.0, 1.0])
+        for j in range(len(STATS)):
+            assert store.defined_runs(j).tolist() == [0, 1, 2, 3]
+        for j in range(len(STATS), len(store)):
+            assert store.defined_runs(j).tolist() == [2, 3]
+        with pytest.raises(IndexError):
+            store.defined_runs(len(store))
+
+    # 4 sequences: two long, one long and one short
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_yielding_more_or_fewer_is_an_error(self, n):
+        seqs = self.sequences()
+        pulled = []
+
+        def one_at_a_time():
+            for s in seqs:
+                pulled.append(s)
+                yield s
+
+        with pytest.raises(ValueError, match=f"{n} sequences expected, got "):
+            summaries.RunCurves.from_sequences(one_at_a_time(), n, W, [0.0, 1.0])
+        # an extra sequence is found at item n + 1, and no further one is read
+        assert len(pulled) == min(n + 1, len(seqs))
+
+
 def run_store(rng, counts, grid_points) -> summaries.RunCurves:
     """A statistic-free RunCurves of runs with the given fixation counts:
     random quadrant states and uniform onsets in [0, 1] on a uniform grid."""

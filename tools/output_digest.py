@@ -67,6 +67,12 @@ UNEQUAL_GROUPS = {
     "f": "c",
 }
 
+# name: base input whose first novice subject keeps only its first row, so
+# an observed subject has one fixation and no transition curves
+SINGLE_FIXATION = {
+    "g": "a",
+}
+
 # name: (input, flags); every command draws its SVGs unless its config turns them off
 COMMANDS = {
     "env_h24": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
@@ -120,6 +126,9 @@ COMMANDS = {
     # equal bandwidths and unequal group sizes: no draw is the mirror split
     "cmp_unequal": ("f", ["compare-intensity", "--h1", "24", "--h2", "24", "--m", "500",
                           "--seed", "7"]),
+    # the one-fixation subject is observed under the stats, not the transitions
+    "env_single": ("g", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
+                         "--seed", "7"]),
     "env_config": ("b", ["envelope", "--h", "24", "--n-runs", "40", "--seed", "8"]),
     # at TRIAL_LENGTHS' 173 ms, 177 of the 200 runs have one fixation and
     # the transition envelopes take the other 23, near the 20 they accept
@@ -169,6 +178,14 @@ def write_inputs(work: Path) -> dict:
         header, *rows = [line.split(",") for line in base_path.read_text().splitlines()]
         non_novice = list(dict.fromkeys(row[0] for row in rows if row[1] == "non_novice"))
         kept = [row for row in rows if row[0] not in non_novice[-2:]]
+        path = work / f"input_{name}.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in [header, *kept]))
+        paths[name] = (path, trial)
+    for name, base in SINGLE_FIXATION.items():
+        base_path, trial = paths[base]
+        header, *rows = [line.split(",") for line in base_path.read_text().splitlines()]
+        first = next(i for i, row in enumerate(rows) if row[1] == "novice")
+        kept = [row for i, row in enumerate(rows) if i == first or row[0] != rows[first][0]]
         path = work / f"input_{name}.csv"
         path.write_text("".join(",".join(row) + "\n" for row in [header, *kept]))
         paths[name] = (path, trial)
