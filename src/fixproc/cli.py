@@ -31,7 +31,7 @@ from .density import (
     residual_intensities,
     select_bandwidth_cv,
 )
-from .envelopes import CurveMatrix, default_grid, envelope_report, rank_envelope
+from .envelopes import RankEnvelope, default_grid, judge
 from .fitdist import FIT_SOURCES, fit_gamma_mle, gamma_qq
 from .ingest import ingest_pipeline, valid_saccade_values, write_fixations, write_json, write_saccades
 from .simulate import (
@@ -43,7 +43,6 @@ from .simulate import (
 )
 from .summaries import (
     STATS,
-    TRANSITIONS,
     RunCurves,
     ball_union_coverage,
     convex_hull_coverage,
@@ -432,17 +431,10 @@ def cmd_summaries(cfg: PipelineConfig) -> None:
 
 def _group_envelopes(
     cfg: PipelineConfig, dataset, saccades, group: str, grid, h: float, cv: dict | None
-):
-    """One group's model at bandwidth h, simulations, envelopes and observed overlays.
-
-    ``cv`` is the CV table of h, or None for a fixed h. Returns the result,
-    ready for ``write_json`` (each observed curve is its float row, and each
-    envelope's grid and bounds are its arrays), and the envelopes by curve
-    name. Simulated runs and observed subjects are each one ``RunCurves``
-    store of ``RunCurves.from_sequences``. Row j's envelope is cut from the
-    runs row j is defined on, and its observed curves are those of the
-    subjects it is defined on (:meth:`~fixproc.summaries.RunCurves.defined_runs`).
-    """
+) -> dict:
+    """One group's model at bandwidth h (``cv`` is its CV table, or None for
+    a fixed h) and the :func:`~fixproc.envelopes.judge` of the group's
+    subjects against runs simulated from it, ready for ``write_json``."""
     model = _build_group_model(cfg, dataset, saccades, group, h)
     stats = list(STATS) if cfg.stat == "all" else [cfg.stat]
     sim_rows = simulate_curves(model, cfg.n_runs, cfg.seed, grid, stats, cfg.radius, cfg.raster)
@@ -451,22 +443,8 @@ def _group_envelopes(
     obs_rows = RunCurves.from_sequences(
         observed.values(), len(observed), model.window, grid, stats, cfg.radius, cfg.raster
     )
-    subjects = list(observed)
-
-    result: dict = {"model": _with_cv(model.to_dict(), cv), "stats": {}, "transitions": {}}
-    envelopes = {}
-    families = ["stats"] * len(stats) + ["transitions"] * len(TRANSITIONS)
-    for j, (family, name) in enumerate(zip(families, stats + list(TRANSITIONS))):
-        env = rank_envelope(CurveMatrix(grid, sim_rows.defined(j)), cfg.alpha)
-        envelopes[name] = env
-        keys = [subjects[i] for i in obs_rows.defined_runs(j)]
-        curves = obs_rows.defined(j)
-        result[family][name] = {
-            "envelope": env.to_dict(),
-            "observed": dict(zip(keys, curves)),
-            "report": dict(zip(keys, envelope_report(curves, env))),
-        }
-    return result, envelopes
+    return {"model": _with_cv(model.to_dict(), cv),
+            **judge(obs_rows, list(observed), sim_rows, grid, cfg.alpha, stats)}
 
 
 def _write_panels_svg(out: Path, stem: str, group_result: dict, grid, title_prefix: str) -> None:
@@ -489,11 +467,11 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     grid = default_grid(cfg.trial_length, cfg.grid_points)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
-    result, envelopes = _group_envelopes(cfg, dataset, saccades, cfg.group, grid, h, cv)
+    result = _group_envelopes(cfg, dataset, saccades, cfg.group, grid, h, cv)
     payload = {"meta": _meta(cfg, "envelope"), "group": cfg.group, **result}
     write_json(out / "envelope.json", payload)
-    for stat in result["stats"]:
-        envelopes[stat].to_csv(out / f"envelope_{stat}.csv")
+    for stat, block in result["stats"].items():
+        RankEnvelope(**block["envelope"]).to_csv(out / f"envelope_{stat}.csv")
     if cfg.svg:
         _write_panels_svg(out, "envelope", result, grid, cfg.group)
 
@@ -539,7 +517,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
 
     for group in ("novice", "non_novice"):
         h, cv = bandwidth(cfg.h, dataset.pooled_locations(group))
-        result, _ = _group_envelopes(cfg, dataset, saccades, group, grid, h, cv)
+        result = _group_envelopes(cfg, dataset, saccades, group, grid, h, cv)
         payload["groups"][group] = result
         if cfg.svg:
             _write_panels_svg(out, f"report_{group}", result, grid, group)

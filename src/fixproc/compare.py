@@ -141,15 +141,11 @@ def log_density_ratio(g1: IntensityGrid, g2: IntensityGrid) -> IntensityGrid:
     """
     if not g1.same_geometry(g2):
         raise DataError("grids differ in window or resolution")
-    r = _log_ratio(g1.values, g2.values, g1.cell_area)
+    lam1 = np.maximum(g1.values, _TINY)
+    lam2 = np.maximum(g2.values, _TINY)
+    area = g1.cell_area
+    r = np.log(lam1 / (lam1.sum() * area)) - np.log(lam2 / (lam2.sum() * area))
     return IntensityGrid(g1.window, g1.nx, g1.ny, r, float("nan"))
-
-
-def _log_ratio(lam1: np.ndarray, lam2: np.ndarray, cell_area: float) -> np.ndarray:
-    """Cellwise log ratio of two surfaces, each clamped at _TINY, then normalized."""
-    lam1 = np.maximum(lam1, _TINY)
-    lam2 = np.maximum(lam2, _TINY)
-    return np.log(lam1 / (lam1.sum() * cell_area)) - np.log(lam2 / (lam2.sum() * cell_area))
 
 
 def ratio_statistic(r_grid: IntensityGrid) -> float:
@@ -172,20 +168,13 @@ def _subject_surfaces(
     return rows
 
 
-def _labeled_statistic(
-    rows1: np.ndarray, rows2: np.ndarray, idx1, idx2, cell_area: float
-) -> tuple[float, np.ndarray]:
-    r = _log_ratio(rows1[idx1].sum(axis=0), rows2[idx2].sum(axis=0), cell_area)
-    return float((r**2).sum() * cell_area), r
-
-
 def _block_statistic(
     labels: np.ndarray, rows1: np.ndarray, rows2: np.ndarray,
     mass1: np.ndarray, mass2: np.ndarray, cell_area: float,
 ) -> np.ndarray:
     """T for each row of a (B, s) 0/1 label matrix; ones mark the first group.
 
-    ``_log_ratio`` row by row, in one pass over tiles of grid cells. A
+    ``log_density_ratio`` row by row, in one pass over tiles of grid cells. A
     tile's two group surfaces are matrix products into (tile, B)
     buffers reused by every tile; they are clamped at _TINY and logged
     separately, since their ratio overflows where one side is clamped. The
@@ -308,15 +297,16 @@ def permutation_test(
 
     rows = {h: _subject_surfaces(subject_pts, w, h, nx, ny) for h in {h1, h2}}  # distinct h only
     rows_h1, rows_h2 = rows[h1], rows[h2]
-    cell_area = (w.width / nx) * (w.height / ny)
 
-    # row slices of the observed groups: views, not fancy-indexed copies
-    T0, r0 = _labeled_statistic(
-        rows_h1, rows_h2, slice(0, n1), slice(n1, n1 + n2), cell_area
+    # the observed groups' surfaces, summed from row slices: views, not copies
+    r_grid = log_density_ratio(
+        IntensityGrid(w, nx, ny, rows_h1[:n1].sum(axis=0).reshape(ny, nx), h1),
+        IntensityGrid(w, nx, ny, rows_h2[n1:].sum(axis=0).reshape(ny, nx), h2),
     )
+    T0 = ratio_statistic(r_grid)
 
     first = _first_groups(seed, m, n1 + n2, n1)
-    T = _draw_statistics(first, rows_h1, rows_h2, cell_area)
+    T = _draw_statistics(first, rows_h1, rows_h2, r_grid.cell_area)
     observed = np.arange(n1 + n2) < n1
     ties = (first == observed).all(axis=1)
     if h1 == h2:
@@ -324,7 +314,6 @@ def permutation_test(
     k = int(np.count_nonzero(ties | (T >= T0)))
     distinct = len({row.tobytes() for row in first})
 
-    r_grid = IntensityGrid(w, nx, ny, r0.reshape(ny, nx), float("nan"))
     return RatioTestResult(
         T0=T0, p=(k + 1) / (m + 1), m=m, h1=float(h1), h2=float(h2), r_grid=r_grid, k=k,
         distinct_partitions=distinct,

@@ -13,6 +13,8 @@ held-out curve against 200 simulations on 361 points at alpha = 0.05 left
 it in 21.0 % of 300 trials for independent Brownian paths and in 96.0 % for
 white noise (measured at commit 018fd4a). ROADMAP item 1 (extreme rank
 length ordering) is the fix.
+
+:func:`judge` is where an observed curve meets its envelope.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .core import DataError, StepCurve
 from .ingest import write_csv
-from .summaries import resample_curve
+from .summaries import STATS, TRANSITIONS, RunCurves, resample_curve
 
 
 @dataclass
@@ -219,3 +221,31 @@ def envelope_report(observed: list[np.ndarray], env: RankEnvelope) -> list[dict]
         exit_time = env.first_exit_time(values)
         out.append({"inside": exit_time is None, "first_exit_time": exit_time})
     return out
+
+
+def judge(observed: RunCurves, keys, simulated: RunCurves, grid, alpha: float = 0.05,
+          stats=STATS) -> dict:
+    """Envelope, observed curves and verdicts of each summary curve.
+
+    Row j of both stores (``stats``, then the 16 transitions) gets the
+    :func:`rank_envelope` of the simulated runs it is defined on, and the
+    curves and :func:`envelope_report` of the observed runs it is defined
+    on (``RunCurves.defined_runs``), keyed by ``keys``. Returns these
+    blocks by curve name under ``"stats"`` and ``"transitions"``, ready for
+    ``write_json``. One simulated row is held at a time. A row with too few
+    simulated runs raises ``DataError`` naming its curve.
+    """
+    result: dict = {"stats": {}, "transitions": {}}
+    for j, name in enumerate([*stats, *TRANSITIONS]):
+        try:
+            env = rank_envelope(CurveMatrix(grid, simulated.defined(j)), alpha)
+        except DataError as exc:
+            raise DataError(f"{name}: {exc}") from exc
+        names = [keys[i] for i in observed.defined_runs(j)]
+        curves = observed.defined(j)
+        result["stats" if j < len(stats) else "transitions"][name] = {
+            "envelope": env.to_dict(),
+            "observed": dict(zip(names, curves)),
+            "report": dict(zip(names, envelope_report(curves, env))),
+        }
+    return result

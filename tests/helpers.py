@@ -18,7 +18,7 @@ from fixproc import (
     Window,
     simulate_runs,
 )
-from fixproc.compare import _labeled_statistic, _subject_surfaces
+from fixproc.compare import _subject_surfaces, log_density_ratio, ratio_statistic
 from fixproc.core import (
     DataError,
     NumericError,
@@ -27,11 +27,13 @@ from fixproc.core import (
     quadrant_of,
 )
 from fixproc.density import IntensityGrid, _grid_factors, edge_correction
+from fixproc.envelopes import CurveMatrix, envelope_report, rank_envelope
 from fixproc.ingest import write_fixations
 from fixproc.rng import substream
 from fixproc.simulate import SimRun, sample_initial
 from fixproc.svgplot import _fmt
 from fixproc.summaries import (
+    TRANSITIONS,
     _cross,
     _domain_end,
     _step,
@@ -531,6 +533,16 @@ def simulate_run_reference(model, rng, subject_id="sim") -> SimRun:
     return SimRun(sequence=seq, jump_lengths=lengths, long_jump=long_jump)
 
 
+def labeled_statistic(rows1, rows2, idx1, idx2, w: Window, nx: int, ny: int):
+    """``(T, r_grid)`` of the groups whose kernel rows ``idx1`` and ``idx2``
+    pick, through the public ``log_density_ratio`` and ``ratio_statistic``."""
+    r_grid = log_density_ratio(
+        IntensityGrid(w, nx, ny, rows1[idx1].sum(axis=0).reshape(ny, nx), float("nan")),
+        IntensityGrid(w, nx, ny, rows2[idx2].sum(axis=0).reshape(ny, nx), float("nan")),
+    )
+    return ratio_statistic(r_grid), r_grid
+
+
 def permutation_test_reference(dataset: Dataset, *, h1, h2, m, seed, nx, ny) -> tuple[int, float]:
     """k and T0 from the one-draw-at-a-time loop that the block engine replaced.
 
@@ -544,15 +556,12 @@ def permutation_test_reference(dataset: Dataset, *, h1, h2, m, seed, nx, ny) -> 
     w = dataset.window
     rows_h1 = _subject_surfaces(subject_pts, w, h1, nx, ny)
     rows_h2 = _subject_surfaces(subject_pts, w, h2, nx, ny)
-    cell_area = (w.width / nx) * (w.height / ny)
-    T0, _ = _labeled_statistic(
-        rows_h1, rows_h2, np.arange(n1), np.arange(n1, n1 + n2), cell_area
-    )
+    T0, _ = labeled_statistic(rows_h1, rows_h2, np.arange(n1), np.arange(n1, n1 + n2), w, nx, ny)
     k = 0
     for j in range(1, m + 1):
         perm = substream(seed, "perm", j).permutation(n1 + n2)
-        T_j, _ = _labeled_statistic(
-            rows_h1, rows_h2, np.sort(perm[:n1]), np.sort(perm[n1:]), cell_area
+        T_j, _ = labeled_statistic(
+            rows_h1, rows_h2, np.sort(perm[:n1]), np.sort(perm[n1:]), w, nx, ny
         )
         if T_j >= T0:
             k += 1
@@ -642,6 +651,23 @@ def rank_envelope_reference(rows: np.ndarray, alpha: float) -> tuple[int, np.nda
     lower = np.where(counts > 0, ordered[k_eff - 1, cols], np.nan)
     upper = np.where(counts > 0, ordered[np.maximum(counts - k_eff, 0), cols], np.nan)
     return k, lower, upper
+
+
+def judge_reference(observed, keys, simulated, grid, alpha: float, stats) -> dict:
+    """``envelopes.judge`` by the row loop of the CLI's ``_group_envelopes``
+    that it replaced."""
+    result: dict = {"stats": {}, "transitions": {}}
+    families = ["stats"] * len(stats) + ["transitions"] * len(TRANSITIONS)
+    for j, (family, name) in enumerate(zip(families, list(stats) + list(TRANSITIONS))):
+        env = rank_envelope(CurveMatrix(grid, simulated.defined(j)), alpha)
+        names = [keys[i] for i in observed.defined_runs(j)]
+        curves = observed.defined(j)
+        result[family][name] = {
+            "envelope": env.to_dict(),
+            "observed": dict(zip(names, curves)),
+            "report": dict(zip(names, envelope_report(curves, env))),
+        }
+    return result
 
 
 def transition_estimates_reference(

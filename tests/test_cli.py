@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fixproc
-from fixproc import cli, density, simulate, summaries
+from fixproc import cli, density, envelopes, simulate, summaries
 from fixproc.cli import DEFAULT_H_GRID, PipelineConfig, main
 from fixproc.core import Window
 from fixproc.ingest import ingest_pipeline, parse_fixations
@@ -134,7 +134,7 @@ class TestCommands:
                                  durations=s.durations[:1])
         data_csv = write_csv(d, tmp_path / "fix.csv")
         runs, rows = [], {}
-        simulate_many, rank_envelope = simulate.simulate_many, cli.rank_envelope
+        simulate_many, rank_envelope = simulate.simulate_many, envelopes.rank_envelope
 
         # simulate_curves simulates its runs a block at a time through this name
         def keep_runs(*args):
@@ -148,7 +148,7 @@ class TestCommands:
             return env
 
         monkeypatch.setattr(simulate, "simulate_many", keep_runs)
-        monkeypatch.setattr(cli, "rank_envelope", count_rows)
+        monkeypatch.setattr(envelopes, "rank_envelope", count_rows)
         assert run(["envelope", "--input", data_csv, "--out", tmp_path, "--group",
                     "novice", "--seed", "6", "--n-runs", "80", *FAST,
                     "--trial-length", "400"]) == 0
@@ -200,7 +200,7 @@ class TestCommands:
                     "novice", "--seed", "6", "--n-runs", "20", *FAST,
                     "--trial-length", "40"]) == 3
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["message"] == "need at least 20 curves, got 0"
+        assert err["message"] == "1->1: need at least 20 curves, got 0"
 
 
 class TestBandwidthResolution:

@@ -20,7 +20,14 @@ from fixproc import (
 )
 from fixproc.density import IntensityGrid
 from fixproc.rng import substream
-from helpers import WINDOW, permutation_test_reference, sequence, simulated_dataset, toy_model
+from helpers import (
+    WINDOW,
+    labeled_statistic,
+    permutation_test_reference,
+    sequence,
+    simulated_dataset,
+    toy_model,
+)
 
 W = WINDOW
 
@@ -160,12 +167,9 @@ class TestPermutationTest:
         w = tiny_dataset.window
         rows1 = compare._subject_surfaces(pts, w, 30.0, 64, 64)
         rows2 = compare._subject_surfaces(pts, w, 45.0, 64, 64)
-        cell_area = (w.width / 64) * (w.height / 64)
-        T0, r0 = compare._labeled_statistic(
-            rows1, rows2, np.arange(n1), np.arange(n1, n1 + n2), cell_area
-        )
+        T0, r0 = labeled_statistic(rows1, rows2, np.arange(n1), np.arange(n1, n1 + n2), w, 64, 64)
         assert res.T0 == T0
-        assert res.r_grid.values.tobytes() == r0.reshape(64, 64).tobytes()
+        assert res.r_grid.values.tobytes() == r0.values.tobytes()
 
     @pytest.mark.parametrize("h2, calls", [(30.0, [30.0]), (45.0, [30.0, 45.0])])
     def test_kernel_rows_once_per_distinct_bandwidth(self, tiny_dataset, monkeypatch, h2, calls):
@@ -395,7 +399,7 @@ class TestBlockEngine:
         )
         for row, first in enumerate(firsts):
             rest = np.setdiff1d(np.arange(total), first)
-            T_row, _ = compare._labeled_statistic(rows1, rows2, np.sort(first), rest, cell_area)
+            T_row, _ = labeled_statistic(rows1, rows2, np.sort(first), rest, W, n, n)
             assert T[row] == pytest.approx(T_row, rel=1e-12)
 
 

@@ -12,8 +12,9 @@ from scipy.stats import rankdata
 
 import fixproc
 from fixproc import CurveMatrix, DataError, StepCurve, envelope_report, rank_envelope
-from fixproc.envelopes import _mid_ranks, default_grid, extreme_ranks
-from helpers import mid_ranks_reference, rank_envelope_reference
+from fixproc.envelopes import _mid_ranks, default_grid, extreme_ranks, judge
+from fixproc.summaries import STATS, TRANSITIONS, RunCurves
+from helpers import WINDOW, judge_reference, mid_ranks_reference, rank_envelope_reference, sequence
 
 
 def smooth_brownian(rng, n, g=361):
@@ -245,6 +246,50 @@ class TestEnvelopeReport:
         env, _ = self._env()
         with pytest.raises(DataError):
             envelope_report([np.zeros(5)], env)
+
+
+class TestJudge:
+    GRID = default_grid(1000.0, 41)
+
+    def _store(self, rng, counts) -> RunCurves:
+        """Runs of the given fixation counts, at random places and onsets."""
+        seqs = []
+        for n in counts:
+            rows = np.column_stack([rng.uniform(0.0, 770.0, n), rng.uniform(0.0, 768.0, n),
+                                    np.sort(rng.uniform(0.0, 1000.0, n)), np.full(n, 5.0)])
+            seqs.append(sequence("s", "novice", "koli", rows))
+        return RunCurves.from_sequences(seqs, len(seqs), WINDOW, self.GRID, STATS, 35.0, 8.0)
+
+    def test_equals_the_row_loop(self, rng):
+        # a quarter of the runs, and subject b, have one fixation and no transitions
+        simulated = self._store(rng, [1, 2, 5, 30] * 10)
+        observed = self._store(rng, [12, 1, 7, 20])
+        keys = ["a", "b", "c", "d"]
+        got = judge(observed, keys, simulated, self.GRID, 0.05)
+        ref = judge_reference(observed, keys, simulated, self.GRID, 0.05, STATS)
+        assert {f: list(blocks) for f, blocks in got.items()} == {
+            "stats": list(STATS), "transitions": list(TRANSITIONS)
+        }
+        for family, blocks in ref.items():
+            for name, block in blocks.items():
+                mine = got[family][name]
+                assert mine["envelope"]["k"] == block["envelope"]["k"]
+                for bound in ("lower", "upper"):
+                    assert mine["envelope"][bound].tobytes() == block["envelope"][bound].tobytes()
+                assert mine["report"] == block["report"]
+                assert list(mine["observed"]) == list(block["observed"])
+                for key, curve in block["observed"].items():
+                    assert mine["observed"][key].tobytes() == curve.tobytes()
+        assert "b" in got["stats"]["hull"]["report"]
+        assert "b" not in got["transitions"]["1->1"]["report"]
+
+    def test_too_few_runs_names_the_curve(self, rng):
+        simulated = self._store(rng, [1] * 5 + [3] * 19)
+        observed = self._store(rng, [4])
+        with pytest.raises(DataError, match=r"^1->1: need at least 20 curves, got 19$"):
+            judge(observed, ["a"], simulated, self.GRID, 0.05)
+        with pytest.raises(DataError, match=r"^ball: need at least 20 curves, got 10$"):
+            judge(observed, ["a"], self._store(rng, [3] * 10), self.GRID, 0.05, ("ball",))
 
 
 class TestCurveMatrix:

@@ -619,7 +619,7 @@ class TestTransitionEstimates:
     @pytest.mark.parametrize("counts", [[0], [1], [2], [0, 1, 2, 3, 40, 0, 250, 1]])
     def test_equal_the_intp_route(self, rng, counts):
         curves = run_store(rng, counts, 61)
-        at64 = curves.at.astype(np.int64)  # as curve_rows passes it, from searchsorted
+        at64 = curves.at.astype(np.int64)  # the intp route; the store passes its int32 at
         counted = np.array(counts) >= 2
         for j in range(16):
             ref = transition_estimates_reference(curves.states, curves.starts, at64, j)
