@@ -215,7 +215,7 @@ def _outdir(cfg: PipelineConfig) -> Path:
 
 
 def _load_filtered(cfg: PipelineConfig):
-    dataset, saccades, report = ingest_pipeline(
+    dataset, _, report = ingest_pipeline(
         cfg.input, cfg.min_fixation_ms, Window(*cfg.window), cfg.trial_length
     )
     if cfg.painting is not None:
@@ -226,9 +226,7 @@ def _load_filtered(cfg: PipelineConfig):
         raise DataError("no sequences left after group/painting filters")
     if all(len(s) == 0 for s in dataset.sequences):
         raise DataError("no fixations left after exclusion filtering")
-    keys = {(s.subject_id, s.painting_id) for s in dataset.sequences}
-    saccades = {k: v for k, v in saccades.items() if k in keys}
-    return dataset, saccades, report
+    return dataset, report
 
 
 def _pick_bandwidth(
@@ -247,15 +245,15 @@ def _pick_bandwidth(
 
 
 def cmd_ingest(cfg: PipelineConfig) -> None:
-    dataset, saccades, report = _load_filtered(cfg)
+    dataset, report = _load_filtered(cfg)
     out = _outdir(cfg)
     write_fixations(dataset, out / "fixations_clean.csv")
-    write_saccades(saccades, out / "saccades.csv")
+    write_saccades(dataset.sequences, out / "saccades.csv")
     report.to_json(out / "ingest_report.json")
 
 
 def cmd_intensity(cfg: PipelineConfig) -> None:
-    dataset, _, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg)
     out = _outdir(cfg)
     points = dataset.pooled_locations()
     h, cv = _pick_bandwidth(cfg, cfg.h, points, dataset.window)
@@ -273,7 +271,7 @@ def cmd_intensity(cfg: PipelineConfig) -> None:
 
 
 def cmd_residuals(cfg: PipelineConfig) -> None:
-    dataset, _, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg)
     out = _outdir(cfg)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(), dataset.window)
     grids = residual_intensities(dataset, cfg.interval_ms, h, cfg.nx, cfg.ny)
@@ -291,7 +289,7 @@ def cmd_residuals(cfg: PipelineConfig) -> None:
 
 
 def cmd_quadrat(cfg: PipelineConfig) -> None:
-    dataset, _, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg)
     out = _outdir(cfg)
     result = quadrat_chisq(dataset.pooled_locations(), dataset.window, cfg.q)
     payload = result.to_dict()
@@ -301,7 +299,7 @@ def cmd_quadrat(cfg: PipelineConfig) -> None:
 
 
 def cmd_shift(cfg: PipelineConfig) -> None:
-    dataset, _, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg)
     out = _outdir(cfg)
     curves = []
     if cfg.split == "group":
@@ -337,7 +335,7 @@ def _intensity_test(cfg: PipelineConfig, dataset, bandwidth) -> tuple:
 
 
 def cmd_compare_intensity(cfg: PipelineConfig) -> None:
-    dataset, _, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg)
     dataset.two_groups()  # refuse a bad design before cross-validating
     out = _outdir(cfg)
     result, payload = _intensity_test(cfg, dataset, partial(_pick_bandwidth, cfg, w=dataset.window))
@@ -357,16 +355,16 @@ def _with_cv(payload: dict, cv: dict | None) -> dict:
     return payload
 
 
-def _source_sample(cfg: PipelineConfig, dataset, saccades) -> np.ndarray:
+def _source_sample(cfg: PipelineConfig, dataset) -> np.ndarray:
     if cfg.source == "fixation_duration":
         return dataset.pooled_durations()
-    return valid_saccade_values(dataset.sequences, saccades, cfg.source.removeprefix("saccade_"))
+    return valid_saccade_values(dataset.sequences, cfg.source.removeprefix("saccade_"))
 
 
 def cmd_fit(cfg: PipelineConfig) -> None:
-    dataset, saccades, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg)
     out = _outdir(cfg)
-    fit = fit_gamma_mle(_source_sample(cfg, dataset, saccades), cfg.source)
+    fit = fit_gamma_mle(_source_sample(cfg, dataset), cfg.source)
     payload = fit.to_dict()
     payload["meta"] = _meta(cfg, "fit")
     payload["group"] = cfg.group
@@ -374,9 +372,9 @@ def cmd_fit(cfg: PipelineConfig) -> None:
 
 
 def cmd_qq(cfg: PipelineConfig) -> None:
-    dataset, saccades, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg)
     out = _outdir(cfg)
-    sample = _source_sample(cfg, dataset, saccades)
+    sample = _source_sample(cfg, dataset)
     fit = fit_gamma_mle(sample, cfg.source)
     band = gamma_qq(sample, fit, cfg.alpha)
     band.to_csv(out / f"qq_{cfg.source}.csv")
@@ -387,19 +385,19 @@ def cmd_qq(cfg: PipelineConfig) -> None:
     )
 
 
-def _build_group_model(cfg: PipelineConfig, dataset, saccades, group: str, h: float):
+def _build_group_model(cfg: PipelineConfig, dataset, group: str, h: float):
     return build_model(
         dataset, group, h=h, nx=cfg.nx, ny=cfg.ny,
         p_long=cfg.p_long, n_angles=cfg.n_angles, min_fix_dur=cfg.min_fixation_ms,
-        use_first_surface=cfg.use_first_surface, saccades=saccades,
+        use_first_surface=cfg.use_first_surface,
     )
 
 
 def cmd_simulate(cfg: PipelineConfig) -> None:
-    dataset, saccades, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg)
     out = _outdir(cfg)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
-    model = _build_group_model(cfg, dataset, saccades, cfg.group, h)
+    model = _build_group_model(cfg, dataset, cfg.group, h)
     runs = simulate_many(model, cfg.n_runs, cfg.seed)
     write_fixations(runs_to_dataset(runs, model.window, model.trial_length),
                     out / "sim_fixations.csv")
@@ -409,7 +407,7 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
 
 
 def cmd_summaries(cfg: PipelineConfig) -> None:
-    dataset, _, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg)
     out = _outdir(cfg)
     w, end = dataset.window, dataset.trial_length
     bundle: dict = {"meta": _meta(cfg, "summaries"), "subjects": {}}
@@ -430,12 +428,12 @@ def cmd_summaries(cfg: PipelineConfig) -> None:
 
 
 def _group_envelopes(
-    cfg: PipelineConfig, dataset, saccades, group: str, grid, h: float, cv: dict | None
+    cfg: PipelineConfig, dataset, group: str, grid, h: float, cv: dict | None
 ) -> dict:
     """One group's model at bandwidth h (``cv`` is its CV table, or None for
     a fixed h) and the :func:`~fixproc.envelopes.judge` of the group's
     subjects against runs simulated from it, ready for ``write_json``."""
-    model = _build_group_model(cfg, dataset, saccades, group, h)
+    model = _build_group_model(cfg, dataset, group, h)
     stats = list(STATS) if cfg.stat == "all" else [cfg.stat]
     sim_rows = simulate_curves(model, cfg.n_runs, cfg.seed, grid, stats, cfg.radius, cfg.raster)
     # a subject appears once per painting; key on both
@@ -462,12 +460,12 @@ def _write_panels_svg(out: Path, stem: str, group_result: dict, grid, title_pref
 
 
 def cmd_envelope(cfg: PipelineConfig) -> None:
-    dataset, saccades, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg)
     dataset.require_one_painting()
     out = _outdir(cfg)
     grid = default_grid(cfg.trial_length, cfg.grid_points)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
-    result = _group_envelopes(cfg, dataset, saccades, cfg.group, grid, h, cv)
+    result = _group_envelopes(cfg, dataset, cfg.group, grid, h, cv)
     payload = {"meta": _meta(cfg, "envelope"), "group": cfg.group, **result}
     write_json(out / "envelope.json", payload)
     for stat, block in result["stats"].items():
@@ -478,7 +476,7 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
 
 def cmd_report(cfg: PipelineConfig) -> None:
     """Model-based envelopes for both groups plus the intensity comparison."""
-    dataset, saccades, ingest_report = _load_filtered(cfg)
+    dataset, ingest_report = _load_filtered(cfg)
     grid = default_grid(cfg.trial_length, cfg.grid_points)
 
     payload: dict = {
@@ -517,7 +515,7 @@ def cmd_report(cfg: PipelineConfig) -> None:
 
     for group in ("novice", "non_novice"):
         h, cv = bandwidth(cfg.h, dataset.pooled_locations(group))
-        result = _group_envelopes(cfg, dataset, saccades, group, grid, h, cv)
+        result = _group_envelopes(cfg, dataset, group, grid, h, cv)
         payload["groups"][group] = result
         if cfg.svg:
             _write_panels_svg(out, f"report_{group}", result, grid, group)

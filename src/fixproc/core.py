@@ -5,7 +5,9 @@ down, so "upper" quadrants have *smaller* y. Times are milliseconds since
 trial start. ``Window``, ``FixationSequence`` and ``Saccades`` are immutable
 value objects, safe to share between threads: a sequence holds its
 fixations as three read-only columns (locations, onsets, durations), as a
-spatio-temporal point pattern, and ``Saccades`` the jumps between them.
+spatio-temporal point pattern, plus which jumps between them are real
+saccades, and ``Saccades`` is the derived per-jump view. ``quadrants`` and
+``corner_offsets`` state the window's midline and farthest-corner rules.
 """
 
 from __future__ import annotations
@@ -90,10 +92,13 @@ class FixationSequence:
     """One subject's fixations on one painting, in onset order, as columns.
 
     ``locations`` is the (n, 2) array of (x, y) in px, ``onsets`` and
-    ``durations`` the (n,) arrays in ms. The columns are copied to float64
-    and made read-only. Every value must be finite, every duration
-    positive and the onsets strictly increasing. Two sequences are equal
-    when their ids and every column are.
+    ``durations`` the (n,) arrays in ms. ``valid_jumps`` is the bool
+    (max(n - 1, 0),) array whose entry k says whether the jump from
+    fixation k to k + 1 is one real saccade; it is all true by default, and
+    false where ingest dropped a fixation between the two. The columns are
+    copied (to float64, the flags to bool) and made read-only. Every value
+    must be finite, every duration positive and the onsets strictly
+    increasing. Two sequences are equal when their ids and every column are.
     """
 
     subject_id: str
@@ -102,22 +107,25 @@ class FixationSequence:
     locations: np.ndarray = ()
     onsets: np.ndarray = ()
     durations: np.ndarray = ()
+    valid_jumps: np.ndarray | None = None
 
     def __post_init__(self):
         if self.group not in GROUPS:
             raise DataError(f"unknown group {self.group!r}, expected one of {GROUPS}")
-        columns = [read_only(c) for c in self._columns()]
-        locations, onsets, durations = columns
+        locations, onsets, durations = map(read_only, (self.locations, self.onsets, self.durations))
         if locations.size == 0:
-            columns[0] = locations = locations.reshape(0, 2)
+            locations = locations.reshape(0, 2)
         n = onsets.size
-        if locations.shape != (n, 2) or onsets.shape != (n,) or durations.shape != (n,):
+        jumps = (max(n - 1, 0),)
+        valid = np.ones(jumps, bool) if self.valid_jumps is None else self.valid_jumps
+        columns = locations, onsets, durations, read_only(valid, bool)
+        if tuple(c.shape for c in columns) != ((n, 2), (n,), (n,), jumps):
             raise DataError(
-                f"columns of subject {self.subject_id!r} need shapes (n, 2), (n,), (n,);"
-                f" got {locations.shape}, {onsets.shape}, {durations.shape}"
+                f"columns of subject {self.subject_id!r} need shapes (n, 2), (n,), (n,),"
+                f" (max(n - 1, 0),); got {', '.join(str(c.shape) for c in columns)}"
             )
-        for name, column in zip(("locations", "onsets", "durations"), columns):
-            if not np.isfinite(column).all():
+        for name, column in zip(("locations", "onsets", "durations", "valid_jumps"), columns):
+            if column.dtype != bool and not np.isfinite(column).all():
                 raise DataError(f"non-finite {name} for subject {self.subject_id!r}")
             object.__setattr__(self, name, column)
         if not (durations > 0).all():
@@ -129,7 +137,7 @@ class FixationSequence:
             )
 
     def _columns(self) -> tuple:
-        return self.locations, self.onsets, self.durations
+        return self.locations, self.onsets, self.durations, self.valid_jumps
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FixationSequence):
@@ -264,31 +272,51 @@ class StepCurve:
         return out if out.ndim else float(out)
 
 
-def quadrant_of(x: float, y: float, w: Window) -> int:
-    """Quadrant index of a point: 1 upper-left, 2 upper-right, 3 lower-left,
-    4 lower-right, split at the window midlines.
+def _require_inside(w: Window, x: np.ndarray, y: np.ndarray) -> None:
+    """DataError naming the lowest-index point (x[i], y[i]) outside ``w``."""
+    outside = np.flatnonzero(~w.contains(x, y))
+    if outside.size:
+        i = outside[0]
+        raise DataError(f"point ({float(x[i])}, {float(y[i])}) outside window")
 
-    Image convention: upper means smaller y. A point exactly on a midline
-    belongs to the larger-index side.
+
+def quadrants(locs: np.ndarray, w: Window) -> np.ndarray:
+    """Quadrant index minus 1 of each (x, y) row of ``locs``, as uint8: 0
+    upper-left, 1 upper-right, 2 lower-left, 3 lower-right.
+
+    The window's midlines split it. Image convention: upper means smaller
+    y. A point exactly on a midline belongs to the larger-index side. The
+    first location outside the window raises ``DataError``.
     """
-    if not w.contains(x, y):
-        raise DataError(f"point ({x}, {y}) outside window")
-    mx = (w.x_min + w.x_max) / 2.0
-    my = (w.y_min + w.y_max) / 2.0
-    right = x >= mx
-    lower = y >= my
-    return 1 + int(right) + 2 * int(lower)
+    xs, ys = locs[:, 0], locs[:, 1]
+    _require_inside(w, xs, ys)
+    right = xs >= (w.x_min + w.x_max) / 2.0
+    lower = ys >= (w.y_min + w.y_max) / 2.0
+    return right.astype(np.uint8) + 2 * lower.astype(np.uint8)
+
+
+def quadrant_of(x: float, y: float, w: Window) -> int:
+    """Quadrant index of one point, 1 to 4 in :func:`quadrants`' order."""
+    return int(quadrants(np.array([[x, y]], dtype=float), w)[0]) + 1
+
+
+def corner_offsets(w: Window, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets ``(dx, dy)`` from each point to its farthest window corner.
+
+    ``np.hypot(dx, dy)`` is the longest jump the gaze can take from the
+    point without leaving the window, and the truncation point for
+    saccade-length sampling. The lowest point outside the window raises
+    ``DataError``.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _require_inside(w, x, y)
+    dx = np.where(x - w.x_min > w.x_max - x, w.x_min, w.x_max) - x
+    dy = np.where(y - w.y_min > w.y_max - y, w.y_min, w.y_max) - y
+    return dx, dy
 
 
 def max_corner_distance(x: float, y: float, w: Window) -> float:
-    """Distance from a point to the furthest window corner.
-
-    This is the longest jump the gaze can take from (x, y) without leaving
-    the window, and the truncation point for saccade-length sampling.
-    """
-    if not w.contains(x, y):
-        raise DataError(f"point ({x}, {y}) outside window")
-    dx = max(x - w.x_min, w.x_max - x)
-    dy = max(y - w.y_min, w.y_max - y)
-    return math.hypot(dx, dy)
-
+    """Distance from one point to its farthest window corner (:func:`corner_offsets`)."""
+    dx, dy = corner_offsets(w, [x], [y])
+    return math.hypot(dx[0], dy[0])

@@ -6,8 +6,9 @@ Canonical schema (header required):
 
 with group one of ``novice`` / ``non_novice``. Fixations shorter than 40 ms
 are treated as spurious and removed, as are fixations outside the painting
-extent; a saccade adjacent to any removed fixation does not correspond to a
-real eye movement and is flagged invalid rather than spliced. Subject and
+extent. The jump that joins the fixations either side of a removed one was
+no real eye movement, so the filtered sequence marks it invalid in its
+``valid_jumps`` column, and every saccade fit skips it. Subject and
 painting ids become parts of output file names, so an id holding ``/``,
 a backslash or NUL, or equal to ``.`` or ``..``, is refused.
 """
@@ -298,8 +299,11 @@ def filter_fixations(
     """Drop short and out-of-window fixations, counting both classes.
 
     A fixation failing both rules is counted once, as short. The report
-    keeps the original indices of removed fixations so saccade derivation
-    can tell real from spliced jumps.
+    keeps the original indices of removed fixations. A kept jump is valid
+    when its two ends were next to each other in the input and the input's
+    jump between them was valid: a jump spliced across a removed fixation
+    never happened as one saccade. The report counts the kept invalid jumps
+    as ``n_saccades_missing``.
     """
     w = window or dataset.window
     report = IngestReport()
@@ -308,15 +312,17 @@ def filter_fixations(
         short = seq.durations < min_dur
         outside = ~short & ~w.contains(seq.locations[:, 0], seq.locations[:, 1])
         dropped = short | outside
+        kept = np.flatnonzero(~dropped)
+        valid = (np.diff(kept) == 1) & seq.valid_jumps[kept[:-1]]
         report.entries.append(SequenceReport(
             seq.subject_id, seq.painting_id, n_total=len(seq),
             n_short_excluded=int(short.sum()), n_outside_excluded=int(outside.sum()),
+            n_saccades_missing=int(np.count_nonzero(~valid)),
             excluded_indices=np.flatnonzero(dropped).tolist(),
         ))
-        kept = ~dropped
         filtered.append(FixationSequence(
             seq.subject_id, seq.group, seq.painting_id,
-            seq.locations[kept], seq.onsets[kept], seq.durations[kept],
+            seq.locations[kept], seq.onsets[kept], seq.durations[kept], valid,
         ))
     return (
         Dataset(window=w, sequences=filtered, trial_length=dataset.trial_length),
@@ -324,22 +330,9 @@ def filter_fixations(
     )
 
 
-def derive_saccades(seq: FixationSequence, exclusions: set[int] | None = None) -> Saccades:
-    """Saccades between consecutive retained fixations.
-
-    ``exclusions`` holds original (pre-filter) indices of removed fixations.
-    A pair of retained fixations with anything removed between them gets
-    valid=False: the straight jump between them never happened as a single
-    saccade. Overlapping fixations (negative gap) raise.
-    """
-    exclusions = exclusions or set()
-    n_orig = len(seq) + len(exclusions)
-    if exclusions and (min(exclusions) < 0 or max(exclusions) >= n_orig):
-        raise DataError("exclusion indices out of range for the original sequence")
-    retained = np.ones(n_orig, dtype=bool)
-    retained[list(exclusions)] = False
-    valid = np.diff(np.flatnonzero(retained)) == 1
-
+def derive_saccades(seq: FixationSequence) -> Saccades:
+    """The jumps between consecutive fixations of ``seq``, valid where
+    ``seq.valid_jumps`` is. Overlapping fixations (negative gap) raise."""
     onsets = seq.onsets
     gaps = onsets[1:] - (onsets[:-1] + seq.durations[:-1])
     if (gaps < 0).any():
@@ -348,15 +341,15 @@ def derive_saccades(seq: FixationSequence, exclusions: set[int] | None = None) -
             f"overlapping fixations at onsets {float(onsets[k])} and {float(onsets[k + 1])} "
             f"for subject {seq.subject_id!r}"
         )
-    return Saccades(np.hypot(*np.diff(seq.locations, axis=0).T), gaps, valid)
+    return Saccades(np.hypot(*np.diff(seq.locations, axis=0).T), gaps, seq.valid_jumps)
 
 
-def valid_saccade_values(sequences, saccades: dict, attr: str) -> np.ndarray:
+def valid_saccade_values(sequences, attr: str) -> np.ndarray:
     """Positive ``attr`` ("length" or "duration") of the valid saccades of
-    ``sequences``, in their order; ``saccades`` is keyed by (subject, painting)."""
-    jumps = [saccades.get((s.subject_id, s.painting_id), Saccades()) for s in sequences]
-    values = [getattr(j, attr + "s") for j in jumps]
-    return np.concatenate([np.empty(0)] + [v[j.valid & (v > 0)] for j, v in zip(jumps, values)])
+    ``sequences``, in their order."""
+    jumps = map(derive_saccades, sequences)
+    values = [(j.valid, getattr(j, attr + "s")) for j in jumps]
+    return np.concatenate([np.empty(0)] + [v[valid & (v > 0)] for valid, v in values])
 
 
 def ingest_pipeline(
@@ -365,15 +358,13 @@ def ingest_pipeline(
     window: Window = REFERENCE_WINDOW,
     trial_length: float = DEFAULT_TRIAL_LENGTH_MS,
 ) -> tuple[Dataset, dict[tuple[str, str], Saccades], IngestReport]:
-    """parse -> filter -> derive saccades, with the report fully filled in."""
+    """parse -> filter -> derive saccades: the filtered dataset, each
+    sequence's :class:`Saccades` keyed by (subject, painting), and the report.
+
+    Deriving the saccades refuses overlapping fixations."""
     raw = parse_fixations(path, window, trial_length)
     dataset, report = filter_fixations(raw, min_dur, window)
-    saccades = {}
-    # filter_fixations appends one report entry per sequence, in dataset order
-    for seq, entry in zip(dataset.sequences, report.entries):
-        sacs = derive_saccades(seq, set(entry.excluded_indices))
-        entry.n_saccades_missing = int(np.count_nonzero(~sacs.valid))
-        saccades[(seq.subject_id, seq.painting_id)] = sacs
+    saccades = {(s.subject_id, s.painting_id): derive_saccades(s) for s in dataset.sequences}
     return dataset, saccades, report
 
 
@@ -388,12 +379,15 @@ def write_fixations(dataset: Dataset, path) -> None:
     write_csv(path, COLUMNS, map(block, dataset.sequences))
 
 
-def write_saccades(saccades: dict[tuple[str, str], Saccades], path) -> None:
-    """One row per saccade, one block per sequence; ``valid`` as 0 or 1."""
+def write_saccades(sequences, path) -> None:
+    """One row per saccade of ``sequences``, one block per sequence; ``valid`` as 0 or 1."""
     header = ("subject_id", "painting_id", "from_index", "to_index", "length_px",
               "duration_ms", "valid")
-    write_csv(path, header, (
-        ([subject] * len(sacs), [painting] * len(sacs), np.arange(len(sacs)),
-         np.arange(1, len(sacs) + 1), sacs.lengths, sacs.durations, sacs.valid.astype(int))
-        for (subject, painting), sacs in saccades.items()
-    ))
+
+    def block(seq: FixationSequence) -> tuple:
+        sacs = derive_saccades(seq)
+        n = len(sacs)
+        return ([seq.subject_id] * n, [seq.painting_id] * n, np.arange(n), np.arange(1, n + 1),
+                sacs.lengths, sacs.durations, sacs.valid.astype(int))
+
+    write_csv(path, header, map(block, sequences))

@@ -20,12 +20,12 @@ from .core import (
     FixationSequence,
     MIN_FIXATION_MS,
     Window,
-    max_corner_distance,
+    corner_offsets,
     read_only,
 )
 from .density import IntensityGrid, estimate_intensity
 from .fitdist import GammaFit, fit_gamma_mle
-from .ingest import derive_saccades, valid_saccade_values, write_json
+from .ingest import valid_saccade_values, write_json
 from .rng import substream
 from .summaries import STATS, RunCurves
 
@@ -118,7 +118,6 @@ def build_model(
     p_long: float = 0.2,
     n_angles: int = 720,
     use_first_surface: bool = True,
-    saccades=None,
     min_fix_dur: float = MIN_FIXATION_MS,
 ) -> FixationModel:
     """Fit the reference model to one group of a (filtered) dataset.
@@ -127,9 +126,9 @@ def build_model(
     bandwidth ``h``. To cross-validate it, pass the ``.h`` of
     ``select_bandwidth_cv`` of ``dataset.pooled_locations(group)``. Fixation
     durations and saccade lengths are fitted per group; saccade durations
-    pool every subject of both groups, since saccades are involuntary. Pass
-    the ``saccades`` mapping from ingest to exclude jumps that span removed
-    fixations; otherwise saccades are re-derived assuming no exclusions.
+    pool every subject of both groups, since saccades are involuntary. Both
+    saccade laws are fitted on the sequences' valid jumps only, so a jump
+    ingest spliced across a removed fixation is left out.
     Simulated durations are truncated below at ``min_fix_dur``, the
     threshold ingest filtered the dataset with. A dataset of several
     paintings gives one model fitted over all of them, whose ``painting_id``
@@ -143,13 +142,9 @@ def build_model(
     if len(first_pts) < 1:
         raise DataError("no first fixations to build the initial surface from")
 
-    if saccades is None:
-        saccades = {(s.subject_id, s.painting_id): derive_saccades(s) for s in dataset.sequences}
     dur_fix = fit_gamma_mle(dataset.pooled_durations(group), "fixation_duration")
-    dur_sac = fit_gamma_mle(
-        valid_saccade_values(dataset.sequences, saccades, "duration"), "saccade_duration"
-    )
-    len_sac = fit_gamma_mle(valid_saccade_values(seqs, saccades, "length"), "saccade_length")
+    dur_sac = fit_gamma_mle(valid_saccade_values(dataset.sequences, "duration"), "saccade_duration")
+    len_sac = fit_gamma_mle(valid_saccade_values(seqs, "length"), "saccade_length")
 
     paintings = list(dataset.by_painting())
     return FixationModel(
@@ -190,22 +185,6 @@ def _block_runs(model: FixationModel) -> int:
     return max(1, _BLOCK_CANDIDATES // (model.n_angles + 1))
 
 
-def _corner_offsets(w: Window, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets ``(dx, dy)`` from each point to its farthest window corner.
-
-    ``np.hypot(dx, dy)`` is the longest jump that stays in the window. The
-    lowest point outside the window raises :func:`max_corner_distance`'s error.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    outside = np.flatnonzero(~w.contains(x, y))
-    if outside.size:
-        max_corner_distance(float(x[outside[0]]), float(y[outside[0]]), w)  # raises
-    dx = np.where(x - w.x_min > w.x_max - x, w.x_min, w.x_max) - x
-    dy = np.where(y - w.y_min > w.y_max - y, w.y_min, w.y_max) - y
-    return dx, dy
-
-
 def _clamp(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """``min(max(v, lo), hi)`` elementwise, with the builtins' tie rules."""
     v = np.where(lo > v, lo, v)
@@ -220,7 +199,7 @@ def _landings(
     The circle is discretized into equal arcs; candidates outside the
     window get weight zero, the rest are weighted by the interpolated
     intensity surface. The direction toward the furthest corner, at offsets
-    ``(dx, dy)`` from :func:`_corner_offsets`, is always added, so a feasible
+    ``(dx, dy)`` from :func:`corner_offsets`, is always added, so a feasible
     radius always has at least one candidate. The rows' candidates form one
     (rows, n_angles + 1) array; one ``interp`` call weighs the in-window
     candidates only. Row i takes the first candidate whose cumulative weight
@@ -274,7 +253,7 @@ def next_location(
     It lies on the circle of radius ``length``, picked by the intensity
     surface's weights. A start outside the window raises ``DataError``.
     """
-    dx, dy = _corner_offsets(model.window, [x], [y])
+    dx, dy = corner_offsets(model.window, [x], [y])
     to_x, to_y = _landings(model, [x], [y], dx, dy, [length], [rng.random()])
     return float(to_x[0]), float(to_y[0])
 
@@ -330,7 +309,7 @@ def _simulate_block(model: FixationModel, rngs: list, subject_ids: list) -> list
                 break
             live, x, y, clock, u = live[moving], x[moving], y[moving], clock[moving], u[moving]
             _, u_plong, u_len, u_pick, gap = u.T
-            dx, dy = _corner_offsets(model.window, x, y)
+            dx, dy = corner_offsets(model.window, x, y)
             l_max = np.hypot(dx, dy)
             long = u_plong < model.p_long
             half = l_max / 2.0

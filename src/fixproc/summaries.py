@@ -15,7 +15,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import DataError, FixationSequence, StepCurve, Window, _positive, quadrant_of
+from .core import DataError, FixationSequence, StepCurve, Window, _positive, quadrants
 from .ingest import write_csv
 
 #: Summary statistics :func:`curve_rows` can evaluate, in their row order.
@@ -289,7 +289,7 @@ def transition_curves(
     """
     if len(seq) < 2:
         raise DataError("need at least 2 fixations for transitions")
-    states = _quadrants(seq.locations, w)
+    states = quadrants(seq.locations, w)
     # knot i is the onset of fixation i + 1
     knots = np.arange(1, len(states))[None, :]
     starts = np.array([0, len(states)])
@@ -302,22 +302,6 @@ def transition_curves(
     ]
     counts = np.bincount(4 * states[:-1] + states[1:], minlength=16).reshape(4, 4)
     return TransitionCurves(curves=curves, counts=counts)
-
-
-def _quadrants(locs: np.ndarray, w: Window) -> np.ndarray:
-    """``quadrant_of(x, y, w) - 1`` of each location as uint8, in one array pass.
-
-    A location outside the window raises :func:`quadrant_of`'s error for
-    the first such one.
-    """
-    xs, ys = locs[:, 0], locs[:, 1]
-    outside = np.flatnonzero(~w.contains(xs, ys))
-    if outside.size:
-        quadrant_of(float(xs[outside[0]]), float(ys[outside[0]]), w)  # raises
-    # quadrant_of's midline rule: a point on a midline takes the larger index
-    right = xs >= (w.x_min + w.x_max) / 2.0
-    lower = ys >= (w.y_min + w.y_max) / 2.0
-    return right.astype(np.uint8) + 2 * lower.astype(np.uint8)
 
 
 def _transition_estimates(
@@ -407,7 +391,7 @@ class RunCurves:
             for k, stat in enumerate(stats):
                 # 0 before the first fixation
                 stat_rows[k, i] = np.concatenate([[0.0], values_of[stat](seq.locations)])[last + 1]
-            states.append(_quadrants(seq.locations, window))
+            states.append(quadrants(seq.locations, window))
         if len(states) < n or next(sequences, None) is not None:
             got = len(states) if len(states) < n else f"more than {n}"
             raise ValueError(f"{n} sequences expected, got {got}")

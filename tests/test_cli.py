@@ -131,7 +131,7 @@ class TestCommands:
         d = simulated_dataset(toy_model(trial_length=10_000.0), n_subjects=8, seed=42)
         s = d.sequences[1]
         d.sequences[1] = replace(s, locations=s.locations[:1], onsets=s.onsets[:1],
-                                 durations=s.durations[:1])
+                                 durations=s.durations[:1], valid_jumps=s.valid_jumps[:0])
         data_csv = write_csv(d, tmp_path / "fix.csv")
         runs, rows = [], {}
         simulate_many, rank_envelope = simulate.simulate_many, envelopes.rank_envelope
@@ -168,7 +168,7 @@ class TestCommands:
         d = simulated_dataset(toy_model(trial_length=10_000.0), n_subjects=8, seed=42)
         s = d.sequences[1]
         d.sequences[1] = replace(s, locations=s.locations[:1], onsets=s.onsets[:1],
-                                 durations=s.durations[:1])
+                                 durations=s.durations[:1], valid_jumps=s.valid_jumps[:0])
         data_csv = write_csv(d, tmp_path / "fix.csv")
         assert run(["envelope", "--input", data_csv, "--out", tmp_path, "--group",
                     "novice", "--seed", "6", "--n-runs", "20", *FAST]) == 0

@@ -148,25 +148,35 @@ class TestSequences:
         ((3, 3), (3,), (3,)),
         ((3,), (3,), (3,)),
         ((3, 2), (3, 1), (3,)),
+        # valid_jumps, the fourth, needs shape (max(n - 1, 0),)
+        ((3, 2), (3,), (3,), (3,)),
+        ((3, 2), (3,), (3,), (1,)),
+        ((3, 2), (3,), (3,), (2, 1)),
+        ((1, 2), (1,), (1,), (1,)),
+        ((0,), (0,), (0,), (1,)),
     ])
     def test_mismatched_columns_rejected(self, shapes):
-        locations, onsets, durations = (np.ones(shape) for shape in shapes)
+        locations, onsets, durations, *valid_jumps = (np.ones(shape) for shape in shapes)
         onsets = np.cumsum(onsets, axis=0)
         with pytest.raises(DataError, match="need shapes"):
-            FixationSequence("s", "novice", "p", locations, onsets, durations)
+            FixationSequence("s", "novice", "p", locations, onsets, durations, *valid_jumps)
 
     def test_columns_are_read_only_copies(self):
         locations = np.array([[1.0, 2.0], [3.0, 4.0]])
         onsets, durations = np.array([0.0, 100.0]), np.array([50.0, 60.0])
-        seq = FixationSequence("s", "novice", "p", locations, onsets, durations)
+        valid_jumps = np.array([False])
+        seq = FixationSequence("s", "novice", "p", locations, onsets, durations, valid_jumps)
         locations[0, 0] = onsets[0] = durations[0] = 99.0
+        valid_jumps[0] = True
         assert seq.locations.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert seq.onsets.tolist() == [0.0, 100.0]
         assert seq.durations.tolist() == [50.0, 60.0]
-        for column in (seq.locations, seq.onsets, seq.durations):
-            assert column.dtype == np.float64 and column.flags.c_contiguous
+        assert seq.valid_jumps.tolist() == [False]
+        for column, dtype in ((seq.locations, np.float64), (seq.onsets, np.float64),
+                              (seq.durations, np.float64), (seq.valid_jumps, bool)):
+            assert column.dtype == dtype and column.flags.c_contiguous
             with pytest.raises(ValueError, match="read-only"):
-                column[0] = 1.0
+                column[0] = 1
         with pytest.raises(AttributeError):
             seq.onsets = np.array([0.0, 1.0])
 
@@ -174,18 +184,27 @@ class TestSequences:
         seq = FixationSequence("s", "novice", "p")
         assert len(seq) == 0
         assert seq.locations.shape == (0, 2)
-        assert seq.onsets.shape == seq.durations.shape == (0,)
+        assert seq.onsets.shape == seq.durations.shape == seq.valid_jumps.shape == (0,)
         assert seq == sequence("s", "novice", "p", [])
+
+    def test_jumps_valid_by_default(self):
+        seq = sequence("s", "novice", "p", [(1, 2, 0, 50), (3, 4, 90, 60), (5, 6, 200, 70)])
+        assert seq.valid_jumps.dtype == bool and seq.valid_jumps.tolist() == [True, True]
+        assert len(sequence("s", "novice", "p", [(1, 2, 0, 50)]).valid_jumps) == 0
 
     @pytest.mark.parametrize("column, index", [
         ("locations", (1, 0)), ("locations", (0, 1)), ("onsets", 1), ("durations", 0),
+        ("valid_jumps", 0),
     ])
     def test_equality_sees_one_ulp_in_any_column(self, column, index):
         rows = [(1.0, 2.0, 0.0, 50.0), (3.0, 4.0, 100.0, 60.0)]
         a, b = sequence("s", "novice", "p", rows), sequence("s", "novice", "p", rows)
         assert a == b and a is not b
         values = getattr(a, column).copy()
-        values[index] = np.nextafter(values[index], np.inf)
+        if values.dtype == bool:  # a flag's one step is its negation
+            values[index] = not values[index]
+        else:
+            values[index] = np.nextafter(values[index], np.inf)
         c = replace(a, **{column: values})
         assert c != a
         assert replace(c, **{column: getattr(a, column)}) == a

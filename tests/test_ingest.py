@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from fixproc import (
     DataError,
     Dataset,
+    FixationSequence,
     Saccades,
     Window,
     derive_saccades,
@@ -190,6 +192,22 @@ class TestFilter:
             locs = seq.locations
             assert np.all(W.contains(locs[:, 0], locs[:, 1]))
 
+    def test_second_filter_keeps_a_spliced_jump_invalid(self):
+        # A, B (short), C, D: A->C is spliced; filtering the result again
+        # drops nothing, and must not make A->C a real saccade
+        d = _dataset([(10, 10, 0, 100), (20, 20, 200, 10), (30, 30, 400, 100),
+                      (40, 40, 600, 100)])
+        once, rep1 = filter_fixations(d)
+        twice, rep2 = filter_fixations(once)
+        assert once.sequences[0].valid_jumps.tolist() == [False, True]
+        assert twice.sequences == once.sequences
+        assert rep1.n_saccades_missing == rep2.n_saccades_missing == 1
+        assert rep2.entries[0].excluded_indices == []
+        # a removal next to a spliced jump splices it further: A->D
+        again, rep3 = filter_fixations(once, window=Window(0.0, 0.0, 35.0, 768.0))
+        assert again.sequences[0].valid_jumps.tolist() == [False]
+        assert rep3.n_saccades_missing == 1
+
 
 class TestSaccades:
     def test_three_four_five(self):
@@ -203,14 +221,21 @@ class TestSaccades:
     def test_jump_spanning_exclusion_is_missing(self):
         # originally A, B, C with B removed: the derived A->C pair is not a
         # real saccade
-        s = sequence("s1", "novice", "koli", [(0, 0, 0, 100), (9, 9, 400, 100)])
-        (valid,) = derive_saccades(s, exclusions={1}).valid
+        d = _dataset([(0, 0, 0, 100), (5, 5, 200, 10), (9, 9, 400, 100)])
+        (s,) = filter_fixations(d)[0].sequences
+        (valid,) = derive_saccades(s).valid
         assert not valid
 
     def test_exclusion_before_start_keeps_pair_valid(self):
-        s = sequence("s1", "novice", "koli", [(0, 0, 200, 100), (9, 9, 400, 100)])
-        (valid,) = derive_saccades(s, exclusions={0}).valid
+        d = _dataset([(5, 5, 0, 10), (0, 0, 200, 100), (9, 9, 400, 100)])
+        (s,) = filter_fixations(d)[0].sequences
+        (valid,) = derive_saccades(s).valid
         assert valid
+
+    def test_valid_is_the_sequences_column(self):
+        s = FixationSequence("s1", "novice", "koli", [(0, 0), (3, 4), (6, 8)], [0, 200, 400],
+                             [100, 100, 100], [True, False])
+        assert derive_saccades(s).valid.tolist() == [True, False]
 
     def test_single_fixation_no_saccades(self):
         s = sequence("s1", "novice", "koli", [(0, 0, 0, 100)])
@@ -233,21 +258,25 @@ _EDGE_CASES = [
 def _saccade_cases(rng, n_random=40):
     """(retained sequence, exclusions) pairs: the edge cases, then random ones.
 
-    Locations sit on a coarse grid, some with a fractional offset, so some
-    jumps have length 0; some gaps are 0 too."""
+    Each retained sequence is what ``filter_fixations`` keeps of an original
+    one whose excluded fixations last 20 ms. Locations sit on a coarse grid,
+    some with a fractional offset, so some jumps have length 0; some gaps
+    are 0 too."""
     shapes = list(_EDGE_CASES)
     for _ in range(n_random):
         n_orig = int(rng.integers(0, 15))
         shapes.append((n_orig, set(np.flatnonzero(rng.random(n_orig) < 0.3).tolist())))
     cases = []
-    for i, (n_orig, exclusions) in enumerate(shapes):
-        n = n_orig - len(exclusions)
+    for i, (n, exclusions) in enumerate(shapes):
         xy = rng.integers(0, 4, (n, 2)) * 150.0 + rng.uniform(0, 1, (n, 2)) * (rng.random() < 0.5)
         durations = rng.uniform(40, 400, n)
+        durations[list(exclusions)] = 20.0
         gaps = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0, 300, n))
         onsets = np.concatenate([[0.0], np.cumsum(durations + gaps)[:-1]])[:n]
-        rows = np.column_stack([xy, onsets, durations])
-        cases.append((sequence(f"s{i:02d}", "novice", "p", rows), exclusions))
+        original = sequence(f"s{i:02d}", "novice", "p", np.column_stack([xy, onsets, durations]))
+        filtered, report = filter_fixations(Dataset(W, [original]))
+        assert report.entries[0].excluded_indices == sorted(exclusions)
+        cases.append((filtered.sequences[0], exclusions))
     return cases
 
 
@@ -256,9 +285,9 @@ class TestSaccadesMatchReference:
     def test_columns_equal_scalar_reference(self, seed):
         rng = np.random.default_rng(seed)
         cases = _saccade_cases(rng)
-        saccades, jumps = {}, {}
+        jumps = {}
         for seq, exclusions in cases:
-            sacs = derive_saccades(seq, exclusions)
+            sacs = derive_saccades(seq)
             ref = derive_saccades_reference(seq, exclusions)
             lengths, gaps, valid = (np.array([j[c] for j in ref], dtype) for c, dtype in
                                     ((0, np.float64), (1, np.float64), (2, bool)))
@@ -268,14 +297,13 @@ class TestSaccadesMatchReference:
                 assert got.tobytes() == want.tobytes()
                 assert not got.flags.writeable
             assert len(sacs) == max(len(seq) - 1, 0)
-            saccades[(seq.subject_id, "p")], jumps[(seq.subject_id, "p")] = sacs, ref
-        # a random order, and sequences that have no saccades entry
+            jumps[(seq.subject_id, "p")] = ref
+        # a random order, of every sequence and of every other one
         seqs = [cases[i][0] for i in rng.permutation(len(cases))]
         for keep in (slice(None), slice(None, None, 2)):
-            held, held_ref = dict(list(saccades.items())[keep]), dict(list(jumps.items())[keep])
             for attr in ("length", "duration"):
-                got = valid_saccade_values(seqs, held, attr)
-                want = np.array(valid_saccade_values_reference(seqs, held_ref, attr), np.float64)
+                got = valid_saccade_values(seqs[keep], attr)
+                want = np.array(valid_saccade_values_reference(seqs[keep], jumps, attr), np.float64)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_cases_cover_the_edges(self):
@@ -312,6 +340,8 @@ class TestPipeline:
         n_retained = sum(len(s) for s in dataset.sequences)
         n_seq = len(dataset.sequences)
         all_valid = np.concatenate([sacs.valid for sacs in saccades.values()])
+        carried = np.concatenate([s.valid_jumps for s in dataset.sequences])
+        assert all_valid.tolist() == carried.tolist()
         n_valid = int(all_valid.sum())
         assert len(all_valid) == n_retained - n_seq
         assert n_valid == n_retained - n_seq - report.n_saccades_missing
@@ -329,17 +359,17 @@ class TestPipeline:
             "s3,novice,koli,0,100,100,100\n"
             "s3,novice,koli,150,100,130,140\n"
         )
-        dataset, saccades, _ = ingest_pipeline(_write(tmp_path, body))
+        dataset, _, _ = ingest_pipeline(_write(tmp_path, body))
         step = float(np.hypot(10, 10))
-        lengths = valid_saccade_values(dataset.sequences, saccades, "length")
+        lengths = valid_saccade_values(dataset.sequences, "length")
         assert lengths.tolist() == [step, step, 50.0]
-        durations = valid_saccade_values(dataset.sequences, saccades, "duration")
+        durations = valid_saccade_values(dataset.sequences, "duration")
         assert durations.tolist() == [100.0, 100.0, 50.0]
-        # sequences are walked in the order given, not the mapping's
+        # sequences are walked in the order given
         reordered = dataset.sequences[::-1]
-        assert valid_saccade_values(reordered, saccades, "length").tolist() == [50.0, step, step]
-        assert valid_saccade_values(dataset.by_group("non_novice"), saccades, "length").shape == (0,)
-        assert valid_saccade_values(dataset.sequences, {}, "duration").shape == (0,)
+        assert valid_saccade_values(reordered, "length").tolist() == [50.0, step, step]
+        assert valid_saccade_values(dataset.by_group("non_novice"), "length").shape == (0,)
+        assert valid_saccade_values([], "duration").shape == (0,)
 
     def test_report_json_shape(self, tmp_path, short_csv):
         _, _, report = ingest_pipeline(short_csv)
@@ -558,13 +588,14 @@ class TestIdsThatNeedQuotes:
             writer = csv.writer(fh)
             writer.writerow(HEADER.strip().split(","))
             writer.writerows(rows)
-        dataset, saccades, _ = ingest_pipeline(source)
+        dataset, _, _ = ingest_pipeline(source)
         assert dataset.sequences[0].subject_id == subject
         clean, sacs = tmp_path / "clean.csv", tmp_path / "saccades.csv"
         write_fixations(dataset, clean)
         again = parse_fixations(clean)
-        assert again.sequences == dataset.sequences
-        write_saccades(saccades, sacs)
+        # the fixation schema has no jump validity; saccades.csv carries it
+        assert again.sequences == [replace(s, valid_jumps=None) for s in dataset.sequences]
+        write_saccades(dataset.sequences, sacs)
         with open(sacs, newline="") as fh:
             table = list(csv.reader(fh))
         assert [row[:4] for row in table[1:]] == [[subject, "p,1", "0", "1"]]

@@ -15,6 +15,8 @@ from fixproc import (
     GammaFit,
     NumericError,
     build_model,
+    fit_gamma_mle,
+    ingest_pipeline,
     max_corner_distance,
     next_location,
     parse_fixations,
@@ -26,13 +28,15 @@ from fixproc import (
 )
 from fixproc import simulate
 from fixproc import FixationModel, Window
+from fixproc.core import corner_offsets
 from fixproc.density import IntensityGrid
 from fixproc.envelopes import default_grid
 from fixproc.rng import substream
 from fixproc.summaries import STATS, curve_rows
-from fixproc.simulate import _BLOCK_CANDIDATES, _corner_offsets, _landings, runs_to_dataset
+from fixproc.simulate import _BLOCK_CANDIDATES, _landings, runs_to_dataset
 from helpers import (
     WINDOW,
+    derive_saccades_reference,
     farthest_corner,
     hotspot_grid,
     next_location_reference,
@@ -40,6 +44,8 @@ from helpers import (
     simulate_run_reference,
     simulated_dataset,
     toy_model,
+    valid_saccade_values_reference,
+    write_csv,
 )
 
 W = WINDOW
@@ -75,6 +81,28 @@ class TestBuildModel:
         d.sequences = d.by_group("novice")
         with pytest.raises(DataError):
             build_model(d, "non_novice", h=25.0)
+
+    def test_fits_only_the_real_jumps_of_an_ingested_dataset(self, short_dataset, tmp_path):
+        # every fourth fixation lasts 20 ms, so ingest drops it, and the
+        # jump spliced across it must reach neither saccade law
+        seqs = [replace(s, durations=np.where(np.arange(len(s)) % 4 == 2, 20.0, s.durations))
+                for s in short_dataset.sequences]
+        path = write_csv(replace(short_dataset, sequences=seqs), tmp_path / "fix.csv")
+        dataset, _, report = ingest_pipeline(path, 40.0, W, short_dataset.trial_length)
+        assert report.n_saccades_missing > 0
+        model = build_model(dataset, "novice", h=20.0, nx=32, ny=32)
+        jumps = {(s.subject_id, s.painting_id): derive_saccades_reference(s, e.excluded_indices)
+                 for s, e in zip(dataset.sequences, report.entries)}
+        for fit, pooled, attr in ((model.len_sac, dataset.by_group("novice"), "length"),
+                                  (model.dur_sac, dataset.sequences, "duration")):
+            values = valid_saccade_values_reference(pooled, jumps, attr)
+            assert fit == fit_gamma_mle(np.array(values), fit.source)
+        # counting the spliced jumps would change both fits
+        spliced = replace(dataset, sequences=[replace(s, valid_jumps=None)
+                                              for s in dataset.sequences])
+        every_jump = build_model(spliced, "novice", h=20.0, nx=32, ny=32)
+        assert every_jump.len_sac.n > model.len_sac.n
+        assert every_jump.dur_sac.n > model.dur_sac.n
 
     def test_round_trip_parameter_recovery(self):
         # generator with no long jumps and negligible truncation so the
@@ -217,7 +245,7 @@ class TestCornerOffsets:
     def test_hypot_is_max_corner_distance(self, case):
         w, points = case
         xs, ys = (list(v) for v in zip(*points))
-        dx, dy = _corner_offsets(w, xs, ys)
+        dx, dy = corner_offsets(w, xs, ys)
         for x, y, off_x, off_y in zip(xs, ys, dx.tolist(), dy.tolist()):
             assert math.hypot(off_x, off_y) == max_corner_distance(x, y, w)
             assert abs(off_x) == max(x - w.x_min, w.x_max - x)
@@ -229,7 +257,7 @@ class TestCornerOffsets:
         with pytest.raises(DataError) as ref:
             max_corner_distance(-1.0, 5.0, W)
         with pytest.raises(DataError) as got:
-            _corner_offsets(W, [10.0, -1.0, 900.0], [10.0, 5.0, 5.0])
+            corner_offsets(W, [10.0, -1.0, 900.0], [10.0, 5.0, 5.0])
         assert str(got.value) == str(ref.value) == "point (-1.0, 5.0) outside window"
 
 
@@ -310,7 +338,7 @@ class TestNextLocation:
         jumps = {"ok": (385.0, 384.0, 50.0), "outside": (385.0, 384.0, np.nan),
                  "zero": (240.0, 240.0, 60.0)}
         xs, ys, lengths = (list(v) for v in zip(*(jumps[k] for k in kinds)))
-        dx, dy = _corner_offsets(W, xs, ys)
+        dx, dy = corner_offsets(W, xs, ys)
         refs = []
         for x, y, length in zip(xs, ys, lengths):
             try:

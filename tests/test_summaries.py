@@ -21,6 +21,7 @@ from fixproc import (
     transition_curves,
 )
 from fixproc import summaries
+from fixproc.core import quadrants
 from fixproc.summaries import STATS
 from helpers import (
     WINDOW,
@@ -461,11 +462,11 @@ class TestQuadrants:
               np.nextafter(w.y_max, -np.inf), w.y_max]
         pts = np.vstack([list(itertools.product(xs, ys)),
                          rng.uniform([w.x_min, w.y_min], [w.x_max, w.y_max], (200, 2))])
-        got = summaries._quadrants(pts, w)
+        got = quadrants(pts, w)
         assert got.tolist() == [quadrant_of(x, y, w) - 1 for x, y in pts.tolist()]
 
     def test_empty(self):
-        assert summaries._quadrants(np.empty((0, 2)), W).tolist() == []
+        assert quadrants(np.empty((0, 2)), W).tolist() == []
 
     @pytest.mark.parametrize("bad", [(-1e-9, 5.0), (5.0, 768.5), (np.nan, 5.0), (np.inf, 9.0)])
     def test_first_outside_point_raises_its_error(self, bad):
@@ -473,7 +474,7 @@ class TestQuadrants:
         with pytest.raises(DataError) as ref:
             quadrant_of(*bad, W)
         with pytest.raises(DataError) as got:
-            summaries._quadrants(pts, W)
+            quadrants(pts, W)
         assert str(got.value) == str(ref.value)
         if not np.isfinite(bad).all():  # a sequence cannot hold it
             with pytest.raises(DataError, match="non-finite locations"):

@@ -108,6 +108,9 @@ COMMANDS = {
     "ingest_edge": ("e", ["ingest"]),
     "fit_len_edge": ("e", ["fit", "--source", "saccade_length"]),
     "qq_edge": ("e", ["qq", "--source", "saccade_duration"]),
+    # a model fitted with exclusions at both ends of every sequence
+    "sim_edge": ("e", ["simulate", "--group", "novice", "--h", "24", "--n-runs", "20",
+                       "--seed", "7"]),
     "intensity_cv": ("c", ["intensity", "--group", "novice"]),
     "residuals": ("c", ["residuals", "--h", "24", "--interval-ms", "10000"]),
     "quadrat": ("c", ["quadrat", "--q", "4"]),
