@@ -214,18 +214,22 @@ def _outdir(cfg: PipelineConfig) -> Path:
     return out
 
 
-def _load_filtered(cfg: PipelineConfig):
+def _load_filtered(cfg: PipelineConfig, keep_groups: bool = False):
+    """The ingested dataset of ``cfg.painting`` and ``cfg.group``, and the
+    ingest report. With ``keep_groups`` the group is checked but the other
+    group's sequences stay, for a model whose saccade durations pool both."""
     dataset, _, report = ingest_pipeline(
         cfg.input, cfg.min_fixation_ms, Window(*cfg.window), cfg.trial_length
     )
     if cfg.painting is not None:
         dataset.sequences = [s for s in dataset.sequences if s.painting_id == cfg.painting]
-    if cfg.group is not None:
-        dataset.sequences = dataset.by_group(cfg.group)
-    if not dataset.sequences:
+    chosen = dataset.sequences if cfg.group is None else dataset.by_group(cfg.group)
+    if not chosen:
         raise DataError("no sequences left after group/painting filters")
-    if all(len(s) == 0 for s in dataset.sequences):
+    if all(len(s) == 0 for s in chosen):
         raise DataError("no fixations left after exclusion filtering")
+    if not keep_groups:
+        dataset.sequences = chosen
     return dataset, report
 
 
@@ -394,7 +398,7 @@ def _build_group_model(cfg: PipelineConfig, dataset, group: str, h: float):
 
 
 def cmd_simulate(cfg: PipelineConfig) -> None:
-    dataset, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg, keep_groups=True)
     out = _outdir(cfg)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
     model = _build_group_model(cfg, dataset, cfg.group, h)
@@ -460,7 +464,7 @@ def _write_panels_svg(out: Path, stem: str, group_result: dict, grid, title_pref
 
 
 def cmd_envelope(cfg: PipelineConfig) -> None:
-    dataset, _ = _load_filtered(cfg)
+    dataset, _ = _load_filtered(cfg, keep_groups=True)
     dataset.require_one_painting()
     out = _outdir(cfg)
     grid = default_grid(cfg.trial_length, cfg.grid_points)

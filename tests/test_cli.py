@@ -162,6 +162,19 @@ class TestCommands:
             }
         assert len(payload["stats"]["hull"]["observed"]) == 4
 
+    @pytest.mark.parametrize("group", ["novice", "non_novice"])
+    def test_envelope_is_the_report_block_of_its_group(self, data_csv, tmp_path, group):
+        # saccade durations pool both groups, so --group must not drop the
+        # other group before the model is fitted
+        args = ["--input", data_csv, "--seed", "6", "--n-runs", "20", "--no-svg", *FAST]
+        assert run(["envelope", "--group", group, "--out", tmp_path / "env", *args]) == 0
+        assert run(["report", "--m", "9", "--h1", "25", "--h2", "25",
+                    "--out", tmp_path / "rep", *args]) == 0
+        envelope = json.loads((tmp_path / "env" / "envelope.json").read_text())
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        del envelope["meta"], envelope["group"]
+        assert envelope == report["groups"][group]
+
     def test_observed_curves_are_each_subjects_curve_rows(self, tmp_path):
         # read back from envelope.json, every observed curve is its row of the
         # subject's curve_rows; the one-fixation subject has no transitions
