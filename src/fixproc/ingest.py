@@ -345,11 +345,11 @@ def derive_saccades(seq: FixationSequence) -> Saccades:
 
 
 def valid_saccade_values(sequences, attr: str) -> np.ndarray:
-    """Positive ``attr`` ("length" or "duration") of the valid saccades of
-    ``sequences``, in their order."""
-    jumps = map(derive_saccades, sequences)
-    values = [(j.valid, getattr(j, attr + "s")) for j in jumps]
-    return np.concatenate([np.empty(0)] + [v[valid & (v > 0)] for valid, v in values])
+    """Positive ``attr`` ("length" or "duration") of the saccades of
+    ``sequences`` that their ``valid_jumps`` mark valid, in their order."""
+    jumps = [derive_saccades(s) for s in sequences]
+    values = [getattr(j, attr + "s") for j in jumps]
+    return np.concatenate([np.empty(0)] + [v[j.valid & (v > 0)] for j, v in zip(jumps, values)])
 
 
 def ingest_pipeline(
