@@ -96,6 +96,9 @@ COMMANDS = {
                         "--h", "24", "--n-runs", "20", "--seed", "3"]),
     "report": ("c", ["report", "--m", "2000", "--n-runs", "100", "--seed", "7"]),
     "report_2p": ("d", ["report", "--m", "500", "--n-runs", "20", "--seed", "7"]),
+    # one statistic in both groups' envelopes
+    "report_hull": ("c", ["report", "--stat", "hull", "--h", "24", "--h1", "24", "--h2", "24",
+                          "--m", "200", "--n-runs", "40", "--seed", "7"]),
     "cmp_cv": ("a", ["compare-intensity", "--m", "10000", "--seed", "7"]),
     # equal bandwidths and group sizes make mirror draws ties; the seed is
     # two 32-bit words
