@@ -431,13 +431,12 @@ def cmd_summaries(cfg: PipelineConfig) -> None:
     write_json(out / "summaries.json", bundle)
 
 
-def _group_envelopes(
-    cfg: PipelineConfig, dataset, group: str, grid, h: float, cv: dict | None
-) -> dict:
-    """One group's model at bandwidth h (``cv`` is its CV table, or None for
-    a fixed h) and the :func:`~fixproc.envelopes.judge` of the group's
-    subjects against runs simulated from it, ready for ``write_json``."""
+def _group_envelopes(cfg: PipelineConfig, dataset, group: str, h: float, cv: dict | None) -> dict:
+    """One group's model at bandwidth h (``cv``: its CV table, or None for a
+    fixed h) and the :func:`~fixproc.envelopes.judge` of its subjects against
+    runs simulated from it on the config's time grid, ready for ``write_json``."""
     model = _build_group_model(cfg, dataset, group, h)
+    grid = default_grid(cfg.trial_length, cfg.grid_points)
     stats = list(STATS) if cfg.stat == "all" else [cfg.stat]
     sim_rows = simulate_curves(model, cfg.n_runs, cfg.seed, grid, stats, cfg.radius, cfg.raster)
     # a subject appears once per painting; key on both
@@ -446,17 +445,17 @@ def _group_envelopes(
         observed.values(), len(observed), model.window, grid, stats, cfg.radius, cfg.raster
     )
     return {"model": _with_cv(model.to_dict(), cv),
-            **judge(obs_rows, list(observed), sim_rows, grid, cfg.alpha, stats)}
+            **judge(obs_rows, list(observed), sim_rows, cfg.alpha)}
 
 
-def _write_panels_svg(out: Path, stem: str, group_result: dict, grid, title_prefix: str) -> None:
+def _write_panels_svg(out: Path, stem: str, group_result: dict, title_prefix: str) -> None:
     """``<stem>_coverage.svg`` and ``<stem>_transitions.svg``: one panel per
-    curve, the observed curves drawn with their envelope's bounds."""
+    curve, the observed curves drawn with their envelope's bounds on its grid."""
     for family, suffix, thin, thick in (
         ("stats", "coverage", 1.0, 1.5), ("transitions", "transitions", 0.8, 1.2)
     ):
         panels = [
-            envelope_panel(grid, block["envelope"]["lower"], block["envelope"]["upper"],
+            envelope_panel(*(block["envelope"][k] for k in ("grid", "lower", "upper")),
                            block["observed"].values(), f"{title_prefix} {name}", thin, thick)
             for name, block in group_result[family].items()
         ]
@@ -467,21 +466,19 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg, keep_groups=True)
     dataset.require_one_painting()
     out = _outdir(cfg)
-    grid = default_grid(cfg.trial_length, cfg.grid_points)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
-    result = _group_envelopes(cfg, dataset, cfg.group, grid, h, cv)
+    result = _group_envelopes(cfg, dataset, cfg.group, h, cv)
     payload = {"meta": _meta(cfg, "envelope"), "group": cfg.group, **result}
     write_json(out / "envelope.json", payload)
     for stat, block in result["stats"].items():
         RankEnvelope(**block["envelope"]).to_csv(out / f"envelope_{stat}.csv")
     if cfg.svg:
-        _write_panels_svg(out, "envelope", result, grid, cfg.group)
+        _write_panels_svg(out, "envelope", result, cfg.group)
 
 
 def cmd_report(cfg: PipelineConfig) -> None:
     """Model-based envelopes for both groups plus the intensity comparison."""
     dataset, ingest_report = _load_filtered(cfg)
-    grid = default_grid(cfg.trial_length, cfg.grid_points)
 
     payload: dict = {
         "meta": _meta(cfg, "report"),
@@ -519,10 +516,10 @@ def cmd_report(cfg: PipelineConfig) -> None:
 
     for group in ("novice", "non_novice"):
         h, cv = bandwidth(cfg.h, dataset.pooled_locations(group))
-        result = _group_envelopes(cfg, dataset, group, grid, h, cv)
+        result = _group_envelopes(cfg, dataset, group, h, cv)
         payload["groups"][group] = result
         if cfg.svg:
-            _write_panels_svg(out, f"report_{group}", result, grid, group)
+            _write_panels_svg(out, f"report_{group}", result, group)
     write_json(out / "report.json", payload)
 
 

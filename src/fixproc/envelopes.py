@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import DataError, StepCurve
 from .ingest import write_csv
-from .summaries import STATS, TRANSITIONS, RunCurves, resample_curve
+from .summaries import TRANSITIONS, RunCurves, resample_curve
 
 
 @dataclass
@@ -223,18 +223,22 @@ def envelope_report(observed: list[np.ndarray], env: RankEnvelope) -> list[dict]
     return out
 
 
-def judge(observed: RunCurves, keys, simulated: RunCurves, grid, alpha: float = 0.05,
-          stats=STATS) -> dict:
+def judge(observed: RunCurves, keys, simulated: RunCurves, alpha: float = 0.05) -> dict:
     """Envelope, observed curves and verdicts of each summary curve.
 
-    Row j of both stores (``stats``, then the 16 transitions) gets the
-    :func:`rank_envelope` of the simulated runs it is defined on, and the
-    curves and :func:`envelope_report` of the observed runs it is defined
-    on (``RunCurves.defined_runs``), keyed by ``keys``. Returns these
-    blocks by curve name under ``"stats"`` and ``"transitions"``, ready for
-    ``write_json``. One simulated row is held at a time. A row with too few
-    simulated runs raises ``DataError`` naming its curve.
+    Row j of both stores (their ``stats``, then the 16 transitions, on their
+    ``grid``) gets the :func:`rank_envelope` of the simulated runs it is
+    defined on, and the curves and :func:`envelope_report` of the observed runs
+    it is defined on (``RunCurves.defined_runs``), keyed by ``keys``. Returns
+    these blocks by curve name under ``"stats"`` and ``"transitions"``, ready
+    for ``write_json``. One simulated row is held at a time. ``DataError`` says
+    where the stores differ, or names a row with too few simulated runs.
     """
+    grid, stats = simulated.grid, simulated.stats
+    if observed.stats != stats:
+        raise DataError(f"observed statistics {observed.stats} differ from simulated {stats}")
+    if not np.array_equal(observed.grid, grid):
+        raise DataError("observed and simulated curves lie on different time grids")
     result: dict = {"stats": {}, "transitions": {}}
     for j, name in enumerate([*stats, *TRANSITIONS]):
         try:

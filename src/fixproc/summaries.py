@@ -350,22 +350,24 @@ def _transition_estimates(
 class RunCurves:
     """The :func:`curve_rows` of many runs on one time grid, held compactly.
 
-    Built by :meth:`from_sequences`, for observed subjects and simulated
-    runs alike. ``curves[j]`` is the (runs, grid) array of row j of every
-    run's ``curve_rows``, bit for bit. Statistic rows are stored as floats
-    in ``stat_rows``. The 16 transition rows are ratios of small counts, so
-    only integers are stored: each fixation's quadrant state (``states``,
-    uint8, runs back to back, run i from ``starts[i]`` to ``starts[i + 1]``)
-    and each grid time's fixation index (``at``, -1 before the first
-    fixation). A transition row is built when it is indexed.
-    ``np.asarray(curves)`` is the whole (rows, runs, grid) matrix, and
-    ``defined(j)`` is row j over the runs of :meth:`defined_runs` only.
+    Built by :meth:`from_sequences`, for observed subjects and simulated runs
+    alike, with the ``grid`` and ``stats`` it holds. ``curves[j]`` is the
+    (runs, grid) array of row j of every run's ``curve_rows``, bit for bit.
+    Statistic rows are stored as floats in ``stat_rows``. The 16 transition
+    rows are ratios of small counts, so only integers are stored: each
+    fixation's quadrant state (``states``, uint8, runs back to back, run i from
+    ``starts[i]`` to ``starts[i + 1]``) and each grid time's fixation index
+    (``at``, -1 before the first fixation). A transition row is built when it
+    is indexed. ``np.asarray(curves)`` is the whole (rows, runs, grid) matrix,
+    and ``defined(j)`` is row j over the runs of :meth:`defined_runs` only.
     """
 
     stat_rows: np.ndarray
     states: np.ndarray
     starts: np.ndarray
     at: np.ndarray
+    grid: np.ndarray
+    stats: tuple[str, ...]
 
     @classmethod
     def from_sequences(
@@ -374,7 +376,7 @@ class RunCurves:
     ) -> RunCurves:
         """The store of exactly ``n`` sequences, taken one at a time from an
         iterable that is read no further than item n + 1: ``ValueError`` if it
-        yields fewer or more. Only the requested ``stats`` are computed."""
+        yields fewer or more. Only the requested ``stats`` are computed and named."""
         grid = np.asarray(grid, dtype=float)
         values_of = {
             "hull": lambda locs: _hull_values(locs, window),
@@ -396,7 +398,8 @@ class RunCurves:
             got = len(states) if len(states) < n else f"more than {n}"
             raise ValueError(f"{n} sequences expected, got {got}")
         starts = np.cumsum([0] + [len(s) for s in states])
-        return cls(stat_rows, np.concatenate([np.empty(0, np.uint8), *states]), starts, at)
+        states = np.concatenate([np.empty(0, np.uint8), *states])
+        return cls(stat_rows, states, starts, at, grid, tuple(stats))
 
     def __len__(self) -> int:
         return len(self.stat_rows) + len(TRANSITIONS)

@@ -13,7 +13,7 @@ from scipy.stats import rankdata
 import fixproc
 from fixproc import CurveMatrix, DataError, StepCurve, envelope_report, rank_envelope
 from fixproc.envelopes import _mid_ranks, default_grid, extreme_ranks, judge
-from fixproc.summaries import STATS, TRANSITIONS, RunCurves
+from fixproc.summaries import STATS, TRANSITIONS, RunCurves, curve_rows
 from helpers import WINDOW, judge_reference, mid_ranks_reference, rank_envelope_reference, sequence
 
 
@@ -251,22 +251,27 @@ class TestEnvelopeReport:
 class TestJudge:
     GRID = default_grid(1000.0, 41)
 
-    def _store(self, rng, counts) -> RunCurves:
+    @staticmethod
+    def _runs(rng, counts) -> list:
         """Runs of the given fixation counts, at random places and onsets."""
         seqs = []
         for n in counts:
             rows = np.column_stack([rng.uniform(0.0, 770.0, n), rng.uniform(0.0, 768.0, n),
                                     np.sort(rng.uniform(0.0, 1000.0, n)), np.full(n, 5.0)])
             seqs.append(sequence("s", "novice", "koli", rows))
-        return RunCurves.from_sequences(seqs, len(seqs), WINDOW, self.GRID, STATS, 35.0, 8.0)
+        return seqs
+
+    def _store(self, rng, counts, stats=STATS, grid=GRID) -> RunCurves:
+        seqs = self._runs(rng, counts)
+        return RunCurves.from_sequences(seqs, len(seqs), WINDOW, grid, stats, 35.0, 8.0)
 
     def test_equals_the_row_loop(self, rng):
         # a quarter of the runs, and subject b, have one fixation and no transitions
         simulated = self._store(rng, [1, 2, 5, 30] * 10)
         observed = self._store(rng, [12, 1, 7, 20])
         keys = ["a", "b", "c", "d"]
-        got = judge(observed, keys, simulated, self.GRID, 0.05)
-        ref = judge_reference(observed, keys, simulated, self.GRID, 0.05, STATS)
+        got = judge(observed, keys, simulated, 0.05)
+        ref = judge_reference(observed, keys, simulated, simulated.grid, 0.05, simulated.stats)
         assert {f: list(blocks) for f, blocks in got.items()} == {
             "stats": list(STATS), "transitions": list(TRANSITIONS)
         }
@@ -283,13 +288,43 @@ class TestJudge:
         assert "b" in got["stats"]["hull"]["report"]
         assert "b" not in got["transitions"]["1->1"]["report"]
 
+    def test_one_statistic_names_each_observed_row(self, rng):
+        seqs = self._runs(rng, [9, 1, 4])
+        observed = RunCurves.from_sequences(seqs, 3, WINDOW, self.GRID, ("ball",), 35.0, 8.0)
+        got = judge(observed, ["a", "b", "c"], self._store(rng, [6] * 20, ("ball",)), 0.05)
+        assert list(got["stats"]) == ["ball"]
+        for key, seq in zip("abc", seqs):
+            rows = curve_rows(seq, WINDOW, self.GRID, ("ball",), 35.0, 8.0)
+            for name, row in zip(["ball", *TRANSITIONS], rows):
+                block = got["stats" if name == "ball" else "transitions"][name]
+                if name == "ball" or len(seq) >= 2:
+                    assert block["observed"][key].tobytes() == row.tobytes()
+                else:
+                    assert key not in block["observed"]
+
+    def test_stores_of_other_statistics_are_refused(self, rng):
+        everything, ball = self._store(rng, [4, 5]), self._store(rng, [3] * 20, ("ball",))
+        message = (r"observed statistics \('hull', 'ball', 'scanpath'\) "
+                   r"differ from simulated \('ball',\)")
+        with pytest.raises(DataError, match=message):
+            judge(everything, ["a", "b"], ball, 0.05)
+        with pytest.raises(DataError, match=r"observed statistics \('ball',\) differ"):
+            judge(self._store(rng, [4], ("ball",)), ["a"], self._store(rng, [3] * 20), 0.05)
+
+    def test_stores_on_other_grids_are_refused(self, rng):
+        # as many grid times, at other times
+        observed = self._store(rng, [4], grid=default_grid(500.0, self.GRID.size))
+        with pytest.raises(DataError, match="different time grids"):
+            judge(observed, ["a"], self._store(rng, [3] * 20), 0.05)
+
     def test_too_few_runs_names_the_curve(self, rng):
         simulated = self._store(rng, [1] * 5 + [3] * 19)
         observed = self._store(rng, [4])
         with pytest.raises(DataError, match=r"^1->1: need at least 20 curves, got 19$"):
-            judge(observed, ["a"], simulated, self.GRID, 0.05)
+            judge(observed, ["a"], simulated, 0.05)
         with pytest.raises(DataError, match=r"^ball: need at least 20 curves, got 10$"):
-            judge(observed, ["a"], self._store(rng, [3] * 10), self.GRID, 0.05, ("ball",))
+            judge(self._store(rng, [4], ("ball",)), ["a"],
+                  self._store(rng, [3] * 10, ("ball",)), 0.05)
 
 
 class TestCurveMatrix:

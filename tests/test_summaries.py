@@ -575,6 +575,7 @@ class TestFromSequences:
         assert store.shape == ref.shape == (len(stats) + 16, 4, 43)
         assert np.asarray(store).tobytes() == ref.tobytes()
         assert store.counts.tolist() == [0, 1, 2, 40]
+        assert store.stats == stats and store.grid.tobytes() == grid.tobytes()
 
     def test_defined_runs(self):
         store = summaries.RunCurves.from_sequences(self.sequences(), 4, W, [0.0, 1.0])
@@ -611,7 +612,8 @@ def run_store(rng, counts, grid_points) -> summaries.RunCurves:
     at = np.empty((len(counts), grid_points), dtype=np.int32)
     for i, n in enumerate(counts):
         at[i] = np.searchsorted(np.sort(rng.uniform(0.0, 1.0, n)), grid, side="right") - 1
-    return summaries.RunCurves(np.empty((0, len(counts), grid_points)), states, starts, at)
+    return summaries.RunCurves(np.empty((0, len(counts), grid_points)), states, starts, at,
+                               grid, ())
 
 
 class TestTransitionEstimates:
@@ -633,7 +635,7 @@ class TestTransitionEstimates:
     def test_defined_rows_of_statistics_are_the_stored_rows(self, rng):
         store = run_store(rng, [0, 1, 5], 11)
         curves = summaries.RunCurves(rng.uniform(size=(2, 3, 11)), store.states, store.starts,
-                                     store.at)
+                                     store.at, store.grid, ("hull", "ball"))
         assert curves.defined(1) is not None
         assert np.shares_memory(curves.defined(1), curves.stat_rows)
         assert curves.defined(1).tobytes() == curves.stat_rows[1].tobytes()
