@@ -40,7 +40,6 @@ model = FixationModel(
     dur_fix=GammaFit(2.0, 1 / 150.0, 1, "fixation_duration"),
     dur_sac=GammaFit(2.5, 1 / 20.0, 1, "saccade_duration"),
     len_sac=GammaFit(1.8, 1 / 80.0, 1, "saccade_length"),
-    window=w,
     trial_length=TRIAL,
     p_long=0.2,
     n_angles=360,
@@ -81,7 +80,7 @@ slow = FixationModel(
     intensity_all=surface, intensity_first=surface,
     dur_fix=model.dur_fix, dur_sac=model.dur_sac,
     len_sac=GammaFit(1.8, 1 / 20.0, 1, "saccade_length"),
-    window=w, trial_length=TRIAL, p_long=0.0, n_angles=360,
+    trial_length=TRIAL, p_long=0.0, n_angles=360,
 )
 slow_curve = ball_row(fp.simulate_many(slow, 1, seed=200)[0].sequence)
 labels = ["same model #1", "same model #2", "same model #3", "short-jump model"]

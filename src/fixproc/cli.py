@@ -166,8 +166,11 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
             values[f.name] = float(value)  # 10000 and 10000.0 hash alike
     cfg = PipelineConfig(**values)
     cfg.window = tuple(float(v) for v in cfg.window)
-    if len(cfg.window) != 4 or not np.isfinite(cfg.window).all():
-        raise ConfigError("window must be 4 finite numbers [x_min, y_min, x_max, y_max]")
+    try:
+        Window(*cfg.window)
+    except (TypeError, DataError) as exc:  # not 4 numbers, or a window Window refuses
+        raise ConfigError("window must be 4 finite numbers [x_min, y_min, x_max, y_max] with "
+                          f"x_min < x_max and y_min < y_max, got {list(cfg.window)}") from exc
     if cfg.h_grid is not None:
         cfg.h_grid = tuple(float(v) for v in cfg.h_grid)
         if not cfg.h_grid or not all(_positive(h) for h in cfg.h_grid):

@@ -32,14 +32,13 @@ from .summaries import STATS, RunCurves
 
 @dataclass
 class FixationModel:
-    """Everything needed to simulate one group's fixation process."""
+    """Everything needed to simulate one group's fixation process, in its surfaces' window."""
 
     intensity_all: IntensityGrid
     intensity_first: IntensityGrid
     dur_fix: GammaFit
     dur_sac: GammaFit
     len_sac: GammaFit
-    window: Window
     trial_length: float
     p_long: float = 0.2
     n_angles: int = 720
@@ -71,6 +70,10 @@ class FixationModel:
         if not masses[-1] > 0:
             raise DataError("the surface that seeds first fixations has zero mass")
         self._initial_cdf = masses / masses[-1]
+
+    @property
+    def window(self) -> Window:
+        return self.intensity_all.window
 
     def to_dict(self) -> dict:
         return {
@@ -153,7 +156,6 @@ def build_model(
         dur_fix=dur_fix,
         dur_sac=dur_sac,
         len_sac=len_sac,
-        window=dataset.window,
         trial_length=dataset.trial_length,
         p_long=p_long,
         n_angles=n_angles,
@@ -166,7 +168,7 @@ def build_model(
 
 def sample_initial(model: FixationModel, rng: np.random.Generator) -> tuple[float, float]:
     """First fixation location: a cell drawn by intensity mass, jittered uniformly."""
-    grid = model.intensity_first if model.use_first_surface else model.intensity_all
+    grid = model.intensity_all  # both surfaces share their cells
     idx = int(np.searchsorted(model._initial_cdf, rng.random(), side="right"))
     idx = min(idx, grid.nx * grid.ny - 1)
     iy, ix = divmod(idx, grid.nx)
@@ -400,7 +402,7 @@ def simulate_curves(
     """Summary curves of the runs of :func:`simulate_many`, without the runs.
 
     ``curves[j]`` of the result is the ``(n_runs, len(grid))`` array of row
-    j of :func:`~fixproc.summaries.curve_rows` of every run (the ``stats``,
+    j of :func:`~fixproc.summaries.curve_rows` of every run (``curves.stats``,
     then the 16 transitions), and ``curves.counts[i]`` is run i's fixation
     count. :meth:`~fixproc.summaries.RunCurves.from_sequences` stores the
     runs' sequences as a generator yields them: the runs are simulated one

@@ -89,7 +89,6 @@ def toy_model(
         dur_fix=dur_fix or GammaFit(2.0, 1.0 / 150.0, 1000, "fixation_duration"),
         dur_sac=GammaFit(2.5, 1.0 / 20.0, 1000, "saccade_duration"),
         len_sac=len_sac or GammaFit(1.8, 1.0 / 80.0, 1000, "saccade_length"),
-        window=WINDOW,
         trial_length=trial_length,
         p_long=p_long,
         n_angles=n_angles,

@@ -505,6 +505,7 @@ class TestConfigKinds:
         ('{"use_first_surface": 1}', "use_first_surface"),
         ('{"group": 1}', "group"),
         ('{"window": [0, 0, 1e400, 768]}', "window"),
+        ('{"window": [770, 0, 0, 768]}', "window"),
         ('{"window": [0, 0, 1%s, 768]}' % ("0" * 400), "window"),
         ('{"trial_length": 1%s}' % ("0" * 400), "trial_length"),
         ('{"window": [0, 0, "770", 768]}', "window"),

@@ -56,7 +56,7 @@ def model_with_surface(grid, n_angles=360, p_long=0.2, first=None, trial_length=
     base = toy_model()
     return FixationModel(
         intensity_all=grid, intensity_first=grid if first is None else first,
-        dur_fix=base.dur_fix, dur_sac=base.dur_sac, len_sac=base.len_sac, window=W,
+        dur_fix=base.dur_fix, dur_sac=base.dur_sac, len_sac=base.len_sac,
         trial_length=trial_length, n_angles=n_angles, p_long=p_long,
     )
 
