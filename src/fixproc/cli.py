@@ -31,7 +31,7 @@ from .density import (
     residual_intensities,
     select_bandwidth_cv,
 )
-from .envelopes import RankEnvelope, default_grid, judge
+from .envelopes import default_grid, judge
 from .fitdist import FIT_SOURCES, fit_gamma_mle, gamma_qq
 from .ingest import ingest_pipeline, valid_saccade_values, write_fixations, write_json, write_saccades
 from .simulate import (
@@ -47,7 +47,6 @@ from .summaries import (
     ball_union_coverage,
     convex_hull_coverage,
     curve_to_csv,
-    curve_to_dict,
     scanpath_length,
     transition_curves,
 )
@@ -210,8 +209,12 @@ def _meta(cfg: PipelineConfig, command: str) -> dict:
 
 
 def _outdir(cfg: PipelineConfig) -> Path:
-    """``cfg.out``, created. Commands call it once their input is read and
-    checked, so a config or data error leaves no output directory."""
+    """``cfg.out``, created. Each command calls it once its results are
+    computed, just before its first write, so a config, data or numeric
+    error leaves no output directory. ``report`` is the one exception: it
+    writes each painting's log-ratio SVG before it builds the group models,
+    so that no SVG text is drawn while both groups' envelopes are held, and
+    an error in a group model leaves the directory with those SVGs."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -256,17 +259,17 @@ def cmd_ingest(cfg: PipelineConfig) -> None:
     out = _outdir(cfg)
     write_fixations(dataset, out / "fixations_clean.csv")
     write_saccades(dataset.sequences, out / "saccades.csv")
-    report.to_json(out / "ingest_report.json")
+    write_json(out / "ingest_report.json", report.to_dict())
 
 
 def cmd_intensity(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    out = _outdir(cfg)
     points = dataset.pooled_locations()
     h, cv = _pick_bandwidth(cfg, cfg.h, points, dataset.window)
     grid = estimate_intensity(points, dataset.window, h, cfg.nx, cfg.ny)
+    out = _outdir(cfg)
     grid.to_csv(out / "intensity.csv")
-    payload = _with_cv(grid.to_dict(), cv)
+    payload = _with_cv(asdict(grid), cv)
     payload["meta"] = _meta(cfg, "intensity")
     payload["n_points"] = int(len(points))
     write_json(out / "intensity.json", payload)
@@ -279,14 +282,13 @@ def cmd_intensity(cfg: PipelineConfig) -> None:
 
 def cmd_residuals(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    out = _outdir(cfg)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(), dataset.window)
     grids = residual_intensities(dataset, cfg.interval_ms, h, cfg.nx, cfg.ny)
+    out = _outdir(cfg)
     combined = _with_cv({"meta": _meta(cfg, "residuals"), "h": h,
-                         "interval_ms": cfg.interval_ms, "intervals": []}, cv)
+                         "interval_ms": cfg.interval_ms, "intervals": grids}, cv)
     for j, grid in enumerate(grids):
         grid.to_csv(out / f"residual_{j:02d}.csv")
-        combined["intervals"].append(grid.to_dict())
         if cfg.svg:
             start = j * cfg.interval_ms / 1000.0
             (out / f"residual_{j:02d}.svg").write_text(
@@ -297,9 +299,9 @@ def cmd_residuals(cfg: PipelineConfig) -> None:
 
 def cmd_quadrat(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    out = _outdir(cfg)
     result = quadrat_chisq(dataset.pooled_locations(), dataset.window, cfg.q)
-    payload = result.to_dict()
+    out = _outdir(cfg)
+    payload = asdict(result)
     payload["meta"] = _meta(cfg, "quadrat")
     payload["q"] = cfg.q
     write_json(out / "quadrat.json", payload)
@@ -307,7 +309,6 @@ def cmd_quadrat(cfg: PipelineConfig) -> None:
 
 def cmd_shift(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    out = _outdir(cfg)
     curves = []
     if cfg.split == "group":
         x = dataset.pooled_durations("novice")
@@ -320,8 +321,8 @@ def cmd_shift(cfg: PipelineConfig) -> None:
             curves.append(
                 (f"interval_{j + 1}_vs_1", shift_function(buckets[0], buckets[j], cfg.alpha))
             )
-    payload = {"meta": _meta(cfg, "shift"), "split": cfg.split,
-               "curves": {name: c.to_dict() for name, c in curves}}
+    out = _outdir(cfg)
+    payload = {"meta": _meta(cfg, "shift"), "split": cfg.split, "curves": dict(curves)}
     write_json(out / "shift.json", payload)
     if cfg.svg:
         for name, c in curves:
@@ -344,8 +345,8 @@ def _intensity_test(cfg: PipelineConfig, dataset, bandwidth) -> tuple:
 def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
     dataset.two_groups()  # refuse a bad design before cross-validating
-    out = _outdir(cfg)
     result, payload = _intensity_test(cfg, dataset, partial(_pick_bandwidth, cfg, w=dataset.window))
+    out = _outdir(cfg)
     payload["meta"] = _meta(cfg, "compare-intensity")
     write_json(out / "ratio_test.json", payload)
     result.r_grid.to_csv(out / "log_ratio.csv")
@@ -370,9 +371,9 @@ def _source_sample(cfg: PipelineConfig, dataset) -> np.ndarray:
 
 def cmd_fit(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    out = _outdir(cfg)
     fit = fit_gamma_mle(_source_sample(cfg, dataset), cfg.source)
-    payload = fit.to_dict()
+    out = _outdir(cfg)
+    payload = asdict(fit)
     payload["meta"] = _meta(cfg, "fit")
     payload["group"] = cfg.group
     write_json(out / f"fit_{cfg.source}.json", payload)
@@ -380,14 +381,14 @@ def cmd_fit(cfg: PipelineConfig) -> None:
 
 def cmd_qq(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    out = _outdir(cfg)
     sample = _source_sample(cfg, dataset)
     fit = fit_gamma_mle(sample, cfg.source)
     band = gamma_qq(sample, fit, cfg.alpha)
+    out = _outdir(cfg)
     band.to_csv(out / f"qq_{cfg.source}.csv")
     write_json(
         out / f"qq_{cfg.source}.json",
-        {"meta": _meta(cfg, "qq"), "fit": fit.to_dict(),
+        {"meta": _meta(cfg, "qq"), "fit": fit,
          "line_inside_band": band.line_inside(), "alpha": cfg.alpha},
     )
 
@@ -402,10 +403,10 @@ def _build_group_model(cfg: PipelineConfig, dataset, group: str, h: float):
 
 def cmd_simulate(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg, keep_groups=True)
-    out = _outdir(cfg)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
     model = _build_group_model(cfg, dataset, cfg.group, h)
     runs = simulate_many(model, cfg.n_runs, cfg.seed)
+    out = _outdir(cfg)
     write_fixations(runs_to_dataset(runs, model.window, model.trial_length),
                     out / "sim_fixations.csv")
     meta = _meta(cfg, "simulate")
@@ -425,12 +426,11 @@ def cmd_summaries(cfg: PipelineConfig) -> None:
             "ball": ball_union_coverage(seq, w, cfg.radius, cfg.raster, domain_end=end),
             "scanpath": scanpath_length(seq, domain_end=end),
         }
-        entry = {stat: curve_to_dict(c) for stat, c in curves.items()}
         for stat, c in curves.items():
             curve_to_csv(c, out / f"summary_{name}_{stat}.csv")
         if len(seq) >= 2:
-            entry["transitions"] = transition_curves(seq, w, domain_end=end).to_dict()
-        bundle["subjects"][name] = entry
+            curves["transitions"] = transition_curves(seq, w, domain_end=end).to_dict()
+        bundle["subjects"][name] = curves
     write_json(out / "summaries.json", bundle)
 
 
@@ -457,24 +457,24 @@ def _write_panels_svg(out: Path, stem: str, group_result: dict, title_prefix: st
     for family, suffix, thin, thick in (
         ("stats", "coverage", 1.0, 1.5), ("transitions", "transitions", 0.8, 1.2)
     ):
-        panels = [
-            envelope_panel(*(block["envelope"][k] for k in ("grid", "lower", "upper")),
-                           block["observed"].values(), f"{title_prefix} {name}", thin, thick)
-            for name, block in group_result[family].items()
-        ]
+        panels = []
+        for name, block in group_result[family].items():
+            env = block["envelope"]
+            panels.append(envelope_panel(env.grid, env.lower, env.upper, block["observed"].values(),
+                                         f"{title_prefix} {name}", thin, thick))
         (out / f"{stem}_{suffix}.svg").write_text(panel_grid_svg(panels, ncols=min(len(panels), 4)))
 
 
 def cmd_envelope(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg, keep_groups=True)
     dataset.require_one_painting()
-    out = _outdir(cfg)
     h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
     result = _group_envelopes(cfg, dataset, cfg.group, h, cv)
+    out = _outdir(cfg)
     payload = {"meta": _meta(cfg, "envelope"), "group": cfg.group, **result}
     write_json(out / "envelope.json", payload)
     for stat, block in result["stats"].items():
-        RankEnvelope(**block["envelope"]).to_csv(out / f"envelope_{stat}.csv")
+        block["envelope"].to_csv(out / f"envelope_{stat}.csv")
     if cfg.svg:
         _write_panels_svg(out, "envelope", result, cfg.group)
 
@@ -502,10 +502,11 @@ def cmd_report(cfg: PipelineConfig) -> None:
     subsets = dataset.by_painting()
     for sub in subsets.values():
         sub.two_groups()  # refuse a bad design before cross-validating
+    tests = {painting: _intensity_test(cfg, sub, bandwidth) for painting, sub in subsets.items()}
     out = _outdir(cfg)
     p_values = []
-    for painting, sub in subsets.items():
-        res, payload["intensity_comparison"][painting] = _intensity_test(cfg, sub, bandwidth)
+    for painting, (res, block) in tests.items():
+        payload["intensity_comparison"][painting] = block
         p_values.append(res.p)
         if cfg.svg:
             (out / f"report_log_ratio_{painting}.svg").write_text(

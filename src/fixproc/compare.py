@@ -45,11 +45,6 @@ class ShiftCurve:
         """Whether the equal-distributions line lies fully inside the band."""
         return bool(np.all(self.lower <= 0.0) and np.all(self.upper >= 0.0))
 
-    def to_dict(self) -> dict:
-        """The fields, each array itself (``ingest.write_json`` writes its list)."""
-        return {"alpha": self.alpha, "abscissae": self.abscissae, "delta": self.delta,
-                "lower": self.lower, "upper": self.upper}
-
 
 @dataclass
 class RatioTestResult:
@@ -70,13 +65,12 @@ class RatioTestResult:
         return float(np.sqrt(self.p * (1.0 - self.p) / self.m))
 
     def to_dict(self) -> dict:
-        """The test's numbers, and the window, ``nx``, ``ny`` and values array
-        (as ``log_ratio``) of :meth:`IntensityGrid.to_dict`."""
-        grid = self.r_grid.to_dict()
+        """The test's numbers with ``mc_se``, and the ``window``, ``nx``, ``ny``
+        and ``values`` (as ``log_ratio``) of ``r_grid``, flattened into one block."""
+        grid = self.r_grid
         return {"T0": self.T0, "p": self.p, "m": self.m, "k": self.k, "mc_se": self.mc_se,
                 "distinct_partitions": self.distinct_partitions, "h1": self.h1, "h2": self.h2,
-                "window": grid["window"], "nx": grid["nx"], "ny": grid["ny"],
-                "log_ratio": grid["values"]}
+                "window": grid.window, "nx": grid.nx, "ny": grid.ny, "log_ratio": grid.values}
 
 
 class FisherResult(NamedTuple):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc, ndtr
@@ -148,11 +148,6 @@ class IntensityGrid:
         cy = np.repeat(self.centers_y(), self.nx)
         write_csv(path, ("cx", "cy", "value"), [(cx, cy, self.values.ravel())])
 
-    def to_dict(self) -> dict:
-        """The fields, ``values`` as the array itself (``ingest.write_json`` writes its list)."""
-        return {"window": asdict(self.window), "nx": self.nx, "ny": self.ny,
-                "bandwidth": self.bandwidth, "values": self.values}
-
 
 @dataclass
 class QuadratTestResult:
@@ -162,10 +157,6 @@ class QuadratTestResult:
     df: int
     p: float
     counts: np.ndarray
-
-    def to_dict(self) -> dict:
-        """The fields, ``counts`` as the array itself (``ingest.write_json`` writes its list)."""
-        return {"statistic": self.statistic, "df": self.df, "p": self.p, "counts": self.counts}
 
 
 def _retained_mass(v, lo: float, hi: float, h: float) -> np.ndarray:

@@ -75,13 +75,6 @@ class RankEnvelope:
     def to_csv(self, path) -> None:
         write_csv(path, ("time_ms", "lower", "upper"), [(self.grid, self.lower, self.upper)])
 
-    def to_dict(self) -> dict:
-        """``k``, ``alpha`` and the ``grid``, ``lower`` and ``upper`` arrays
-        themselves, not copies: ``ingest.write_json`` writes a 1-D float
-        array as its ``.tolist()``."""
-        return {"k": self.k, "alpha": self.alpha,
-                "grid": self.grid, "lower": self.lower, "upper": self.upper}
-
 
 def default_grid(trial_length: float = 180_000.0, n: int = 361) -> np.ndarray:
     """Uniform grid on [0, trial_length]; 0.5 s spacing at the defaults."""
@@ -230,9 +223,10 @@ def judge(observed: RunCurves, keys, simulated: RunCurves, alpha: float = 0.05) 
     ``grid``) gets the :func:`rank_envelope` of the simulated runs it is
     defined on, and the curves and :func:`envelope_report` of the observed runs
     it is defined on (``RunCurves.defined_runs``), keyed by ``keys``. Returns
-    these blocks by curve name under ``"stats"`` and ``"transitions"``, ready
-    for ``write_json``. One simulated row is held at a time. ``DataError`` says
-    where the stores differ, or names a row with too few simulated runs.
+    these blocks by curve name under ``"stats"`` and ``"transitions"``, each
+    holding its ``RankEnvelope`` itself, ready for ``write_json``. One
+    simulated row is held at a time. ``DataError`` says where the stores
+    differ, or names a row with too few simulated runs.
     """
     grid, stats = simulated.grid, simulated.stats
     if observed.stats != stats:
@@ -248,7 +242,7 @@ def judge(observed: RunCurves, keys, simulated: RunCurves, alpha: float = 0.05) 
         names = [keys[i] for i in observed.defined_runs(j)]
         curves = observed.defined(j)
         result["stats" if j < len(stats) else "transitions"][name] = {
-            "envelope": env.to_dict(),
+            "envelope": env,
             "observed": dict(zip(names, curves)),
             "report": dict(zip(names, envelope_report(curves, env))),
         }

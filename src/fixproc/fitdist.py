@@ -88,9 +88,6 @@ class GammaFit:
             - self.rate * sample.sum()
         )
 
-    def to_dict(self) -> dict:
-        return {"shape": self.shape, "rate": self.rate, "n": self.n, "source": self.source}
-
 
 @dataclass
 class QQBand:

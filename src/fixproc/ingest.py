@@ -20,7 +20,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,9 +58,6 @@ class SequenceReport:
     n_saccades_missing: int = 0
     excluded_indices: list[int] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class IngestReport:
@@ -86,19 +83,18 @@ class IngestReport:
 
     def to_dict(self) -> dict:
         totals = ("n_total", "n_short_excluded", "n_outside_excluded", "n_saccades_missing")
-        return {"sequences": [e.to_dict() for e in self.entries],
+        return {"sequences": self.entries,
                 "totals": {name: getattr(self, name) for name in totals}}
 
-    def to_json(self, path) -> None:
-        write_json(path, self.to_dict())
 
-
-def write_json(path, payload: dict) -> None:
+def write_json(path, payload) -> None:
     """Every output's JSON writer: sorted keys, indent 2, a final newline.
 
     The bytes are those of ``json.dump(payload, fh, indent=2,
     sort_keys=True)`` followed by ``"\\n"``, NaN and infinities included,
-    with a float or integer array written as its ``.tolist()``; an n-D
+    with a float or integer array written as its ``.tolist()`` and a
+    dataclass instance as the dict of its fields (``dataclasses.asdict``,
+    without the copy), so a result object is handed over as itself; an n-D
     array is walked row by row, so one row's Python numbers exist at a
     time. Python walks the dicts and lists; a list that holds no container
     goes to json's C encoder in one call, its item separator carrying the
@@ -149,8 +145,8 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 _SCALAR_ENCODER = json.JSONEncoder()
-# what _json_chunks walks itself (an array that is not a number table raises
-# json's TypeError as a scalar)
+# what _json_chunks walks itself, with dataclass instances (an array that is
+# not a number table raises json's TypeError as a scalar)
 _CONTAINERS = (list, tuple, dict, np.ndarray)
 
 
@@ -165,6 +161,8 @@ def _json_chunks(obj, newline: str, markers: set):
         obj = obj.tolist() if obj.ndim < 2 else list(obj)  # rows are views
     if isinstance(obj, dict):
         is_dict, items = True, sorted(obj.items())
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        is_dict, items = True, sorted((f.name, getattr(obj, f.name)) for f in fields(obj))
     elif isinstance(obj, (list, tuple)):
         is_dict, items = False, obj
     else:
@@ -177,7 +175,8 @@ def _json_chunks(obj, newline: str, markers: set):
         raise ValueError("Circular reference detected")
     markers.add(id(obj))
     inner = newline + "  "
-    if not is_dict and not any(issubclass(t, _CONTAINERS) for t in set(map(type, obj))):
+    if not is_dict and not any(issubclass(t, _CONTAINERS) or is_dataclass(t)
+                               for t in set(map(type, obj))):
         text = _flat_encoder("," + inner).encode(obj)
         yield "[" + inner + text[1:-1] + newline + "]"
     else:

@@ -85,9 +85,9 @@ class FixationModel:
             "min_fix_dur": self.min_fix_dur,
             "use_first_surface": self.use_first_surface,
             "bandwidth": self.intensity_all.bandwidth,
-            "dur_fix": self.dur_fix.to_dict(),
-            "dur_sac": self.dur_sac.to_dict(),
-            "len_sac": self.len_sac.to_dict(),
+            "dur_fix": self.dur_fix,
+            "dur_sac": self.dur_sac,
+            "len_sac": self.len_sac,
         }
 
 

@@ -272,10 +272,10 @@ class TransitionCurves:
     counts: np.ndarray
 
     def to_dict(self) -> dict:
-        """``counts`` as the array itself (``ingest.write_json`` writes its
-        list) and each transition's :func:`curve_to_dict`."""
+        """``counts`` and each transition's ``StepCurve`` under its name
+        (``"a->b"``), for ``ingest.write_json``."""
         out: dict = {"counts": self.counts}
-        out.update(zip(TRANSITIONS, (curve_to_dict(c) for row in self.curves for c in row)))
+        out.update(zip(TRANSITIONS, (c for row in self.curves for c in row)))
         return out
 
 
@@ -477,8 +477,3 @@ def resample_curve(curve: StepCurve, grid) -> np.ndarray:
 
 def curve_to_csv(curve: StepCurve, path) -> None:
     write_csv(path, ("time_ms", "value"), [(curve.knots, curve.values)])
-
-
-def curve_to_dict(curve: StepCurve) -> dict:
-    """The fields, each array itself (``ingest.write_json`` writes its list)."""
-    return {"knots": curve.knots, "values": curve.values, "domain_end": curve.domain_end}

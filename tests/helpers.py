@@ -662,7 +662,7 @@ def judge_reference(observed, keys, simulated, grid, alpha: float, stats) -> dic
         names = [keys[i] for i in observed.defined_runs(j)]
         curves = observed.defined(j)
         result[family][name] = {
-            "envelope": env.to_dict(),
+            "envelope": env,
             "observed": dict(zip(names, curves)),
             "report": dict(zip(names, envelope_report(curves, env))),
         }

@@ -36,6 +36,27 @@ def one_novice_csv(tmp_path_factory):
     return write_csv(d, path)
 
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_experiment(*args):
+    """``bench/inputs.py``'s ``make_experiment(*args)``."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from inputs import make_experiment
+    finally:
+        sys.path.pop(0)
+    return make_experiment(*args)
+
+
+@pytest.fixture(scope="module")
+def bench_csv(tmp_path_factory):
+    """The bench's 20 s experiment (the ``report`` workload's input)."""
+    path = tmp_path_factory.mktemp("bench") / "input.csv"
+    path.write_text(_bench_experiment(7, 10, 65, 20_000.0).csv_text)
+    return path
+
+
 FAST = [
     "--trial-length", "10000", "--h", "25", "--nx", "20", "--ny", "20",
     "--n-angles", "90", "--raster", "8", "--grid-points", "21",
@@ -639,6 +660,24 @@ class TestDataErrorsMakeNoOutputDirectory:
         assert "painting_id 'room/a' cannot be part of a file name" in err["message"]
         assert not out.exists()
 
+    # each of these commands used to create --out before its computation, so
+    # an error after ingest left an empty output directory behind
+    @pytest.mark.parametrize("args, code", [
+        (["envelope", "--group", "novice", "--seed", "1", "--n-runs", "20", "--h", "24",
+          "--trial-length", "40"], 3),
+        (["intensity", "--h-grid", "0.0001"], 4),
+        (["residuals", "--h", "24", "--interval-ms", "30000"], 3),
+        (["shift", "--group", "novice"], 3),
+        (["report", "--seed", "1", "--m", "9", "--n-runs", "20", "--h-grid", "0.0001"], 4),
+    ], ids=["envelope", "intensity", "residuals", "shift", "report"])
+    def test_error_after_ingest(self, bench_csv, tmp_path, capsys, args, code):
+        out = tmp_path / "out"
+        # the last --trial-length given wins
+        assert run([args[0], "--input", bench_csv, "--out", out, "--trial-length", "20000",
+                    *args[1:]]) == code
+        assert json.loads(capsys.readouterr().err.strip())["exit_code"] == code
+        assert not out.exists()
+
 
 class TestConfigHash:
     def test_int_and_float_spellings_hash_alike(self, tmp_path):
@@ -692,13 +731,8 @@ class TestBlasThreads:
     def test_outputs_do_not_depend_on_blas_thread_count(self, tmp_path):
         # two OpenBLAS threads split _grid_factors' product differently, and
         # the CV scores in ratio_test.json changed in their last digits
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-        try:
-            from inputs import make_experiment
-        finally:
-            sys.path.pop(0)
         csv = tmp_path / "input.csv"
-        csv.write_text(make_experiment(7, 10, 130, 40_000.0).csv_text)
+        csv.write_text(_bench_experiment(7, 10, 130, 40_000.0).csv_text)
         src = str(Path(fixproc.__file__).resolve().parent.parent)
         outputs = []
         for threads in ("1", "2"):
@@ -713,6 +747,26 @@ class TestBlasThreads:
             outputs.append((out / "ratio_test.json").read_bytes())
         assert b'"bandwidth_cv"' in outputs[0]
         assert outputs[0] == outputs[1]
+
+
+class TestTraceHarness:
+    def test_spans_attach_to_every_layer(self, bench_csv, tmp_path):
+        # bench/spans.py patches each public name in its LAYERS and raises on
+        # the first one that is gone, so a deleted name would break every
+        # traced bench run
+        script = ("import json, sys, fixproc.cli, spans; tracer = spans.Tracer(); "
+                  "spans.install(tracer); code = fixproc.cli.main(sys.argv[1:]); "
+                  "print(json.dumps([code, tracer.counts]))")
+        src = str(Path(fixproc.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script, "ingest", "--input", str(bench_csv),
+             "--out", str(tmp_path / "out"), "--trial-length", "20000"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(BENCH)])),
+            check=True, capture_output=True, text=True,
+        )
+        code, counts = json.loads(done.stdout)
+        assert code == 0
+        assert counts["ingest.rows"] == len(bench_csv.read_text().splitlines()) - 1
 
 
 class TestConfigPrecedence:

@@ -278,9 +278,11 @@ class TestJudge:
         for family, blocks in ref.items():
             for name, block in blocks.items():
                 mine = got[family][name]
-                assert mine["envelope"]["k"] == block["envelope"]["k"]
+                # == of two RankEnvelopes would compare arrays: compare the fields
+                assert mine["envelope"].k == block["envelope"].k
                 for bound in ("lower", "upper"):
-                    assert mine["envelope"][bound].tobytes() == block["envelope"][bound].tobytes()
+                    assert (getattr(mine["envelope"], bound).tobytes()
+                            == getattr(block["envelope"], bound).tobytes())
                 assert mine["report"] == block["report"]
                 assert list(mine["observed"]) == list(block["observed"])
                 for key, curve in block["observed"].items():

@@ -1,5 +1,6 @@
 import csv
-from dataclasses import replace
+import json
+from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,12 @@ from fixproc import (
     parse_fixations,
     write_fixations,
 )
+from fixproc.core import StepCurve
+from fixproc.envelopes import CurveMatrix, rank_envelope
+from fixproc.fitdist import fit_gamma_mle
 from fixproc.ingest import (
     _CSV_ROWS,
+    SequenceReport,
     ingest_pipeline,
     valid_saccade_values,
     write_csv,
@@ -25,7 +30,7 @@ from fixproc.ingest import (
     write_saccades,
 )
 from fixproc.compare import RatioTestResult, shift_function
-from fixproc.density import quadrat_chisq
+from fixproc.density import IntensityGrid, quadrat_chisq
 from fixproc.summaries import transition_curves
 from helpers import (
     derive_saccades_reference,
@@ -374,9 +379,7 @@ class TestPipeline:
     def test_report_json_shape(self, tmp_path, short_csv):
         _, _, report = ingest_pipeline(short_csv)
         out = tmp_path / "report.json"
-        report.to_json(out)
-        import json
-
+        write_json(out, report.to_dict())
         loaded = json.loads(out.read_text())
         totals = loaded["totals"]
         assert totals["n_total"] >= totals["n_short_excluded"] + totals["n_outside_excluded"]
@@ -395,6 +398,34 @@ class TestPipeline:
         write_fixations(d1, out)
         d2 = parse_fixations(out)
         assert d1.sequences == d2.sequences
+
+
+def _as_lists(obj):
+    """``obj`` with each dataclass as its ``asdict`` and each array as its list."""
+    if is_dataclass(obj):
+        return _as_lists(asdict(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+def _results():
+    """One instance of each result class that is written as its fields."""
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0.0, 100.0, 6)
+    return [
+        shift_function(rng.gamma(2, 50, 20), rng.gamma(2, 60, 15)),
+        hotspot_grid(nx=4, ny=3),
+        quadrat_chisq(rng.uniform(0, 760, (80, 2)), W, 3),
+        rank_envelope(CurveMatrix(grid, rng.normal(size=(30, grid.size))), 0.05),
+        fit_gamma_mle(rng.gamma(2.0, 50.0, 40), "fixation_duration"),
+        SequenceReport("s1", "p1", n_total=7, n_short_excluded=1, excluded_indices=[0, 4]),
+        StepCurve(np.array([0.0, 1.5, 4.0]), np.array([0.0, np.nan, 2.5]), 5.0),
+    ]
 
 
 def _json_values():
@@ -467,8 +498,20 @@ class TestWriteJson:
                              {"a": array.tolist(), "b": [array.tolist(), array.tolist()]})
         assert (tmp_path / "array.json").read_bytes() == (tmp_path / "list.json").read_bytes()
 
+    @pytest.mark.parametrize("result", _results(), ids=lambda r: type(r).__name__)
+    def test_dataclass_written_as_its_fields(self, tmp_path, result):
+        # json.dump of the fields' dict (IntensityGrid's window nested), not a
+        # TypeError; alone, in a list and in a dict
+        for name, payload in (("alone", result), ("list", [result, 1.5, result]),
+                              ("dict", {"r": result, "n": None})):
+            write_json(tmp_path / f"{name}.json", payload)
+            write_json_reference(tmp_path / f"{name}_ref.json", _as_lists(payload))
+            assert ((tmp_path / f"{name}.json").read_bytes()
+                    == (tmp_path / f"{name}_ref.json").read_bytes())
+
     def test_producers_hand_over_arrays(self, tmp_path):
-        # each to_dict holds its arrays, not float lists, with unchanged bytes
+        # each payload holds the result objects and their arrays, not float
+        # lists, with unchanged bytes
         rng = np.random.default_rng(5)
         grid = hotspot_grid(nx=6, ny=5)
         seq = sequence("s", "novice", "p", [
@@ -477,29 +520,19 @@ class TestWriteJson:
         ratio = RatioTestResult(T0=1.5, p=0.5, m=9, h1=2.0, h2=3.0, r_grid=grid, k=4,
                                 distinct_partitions=9)
         payloads = {
-            "grid": grid.to_dict(),
+            "grid": grid,
             "ratio": ratio.to_dict(),
-            "quadrat": quadrat_chisq(rng.uniform(0, 760, (80, 2)), W, 3).to_dict(),
-            "shift": shift_function(rng.gamma(2, 50, 30), rng.gamma(2, 60, 25)).to_dict(),
+            "quadrat": quadrat_chisq(rng.uniform(0, 760, (80, 2)), W, 3),
+            "shift": shift_function(rng.gamma(2, 50, 30), rng.gamma(2, 60, 25)),
             "transitions": transition_curves(seq, W).to_dict(),
         }
-        assert payloads["grid"]["values"] is grid.values
         assert payloads["ratio"]["log_ratio"] is grid.values
-        assert payloads["grid"]["window"] == payloads["ratio"]["window"] == {
-            "x_min": 0.0, "y_min": 0.0, "x_max": 770.0, "y_max": 768.0}
-        assert isinstance(payloads["quadrat"]["counts"], np.ndarray)
+        assert payloads["ratio"]["window"] is grid.window
         assert isinstance(payloads["transitions"]["counts"], np.ndarray)
-        assert isinstance(payloads["transitions"]["1->2"]["knots"], np.ndarray)
-
-        def as_lists(obj):
-            if isinstance(obj, np.ndarray):
-                return obj.tolist()
-            if isinstance(obj, dict):
-                return {k: as_lists(v) for k, v in obj.items()}
-            return obj
+        assert isinstance(payloads["transitions"]["1->2"], StepCurve)
 
         write_json(tmp_path / "arrays.json", payloads)
-        write_json_reference(tmp_path / "lists.json", as_lists(payloads))
+        write_json_reference(tmp_path / "lists.json", _as_lists(payloads))
         assert (tmp_path / "arrays.json").read_bytes() == (tmp_path / "lists.json").read_bytes()
 
     @pytest.mark.parametrize("array", [np.zeros((2, 2), dtype=bool), np.arange(3) + 0j])
@@ -514,7 +547,9 @@ class TestWriteJson:
         new, old = self._both(tmp_path, payload)
         assert new == old
 
-    @pytest.mark.parametrize("payload", [[np.int64(1)], {"a": object()}, {(1, 2): 3}])
+    # a dataclass class, unlike an instance, is no JSON value
+    @pytest.mark.parametrize("payload", [[np.int64(1)], {"a": object()}, {(1, 2): 3},
+                                         {"a": IntensityGrid}, [StepCurve], StepCurve])
     def test_unserializable_raises_as_json_does(self, tmp_path, payload):
         with pytest.raises(TypeError) as new:
             write_json(tmp_path / "new.json", payload)

@@ -115,6 +115,8 @@ COMMANDS = {
     "sim_edge": ("e", ["simulate", "--group", "novice", "--h", "24", "--n-runs", "20",
                        "--seed", "7"]),
     "intensity_cv": ("c", ["intensity", "--group", "novice"]),
+    # a fixed bandwidth: the surface's fields with no bandwidth_cv block
+    "intensity_h24": ("c", ["intensity", "--h", "24"]),
     "residuals": ("c", ["residuals", "--h", "24", "--interval-ms", "10000"]),
     "quadrat": ("c", ["quadrat", "--q", "4"]),
     "shift_group": ("c", ["shift", "--split", "group"]),
