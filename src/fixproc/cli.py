@@ -17,14 +17,14 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .compare import fisher_combine, permutation_test, shift_function
-from .core import GROUPS, DataError, NumericError, Window, _positive, sequence_name
+from .core import GROUPS, NON_NOVICE, NOVICE, DataError, NumericError, Window, _positive, sequence_name
 from .density import (
     estimate_intensity,
     quadrat_chisq,
@@ -208,16 +208,19 @@ def _meta(cfg: PipelineConfig, command: str) -> dict:
     }
 
 
-def _outdir(cfg: PipelineConfig) -> Path:
-    """``cfg.out``, created. Each command calls it once its results are
-    computed, just before its first write, so a config, data or numeric
-    error leaves no output directory. ``report`` is the one exception: it
-    writes each painting's log-ratio SVG before it builds the group models,
-    so that no SVG text is drawn while both groups' envelopes are held, and
-    an error in a group model leaves the directory with those SVGs."""
+def _out(cfg: PipelineConfig, name: str) -> Path:
+    """The path of output file ``name``, in ``cfg.out``, which is created.
+
+    Every output path comes from here, as its file is written, so ``--out``
+    exists exactly when something has been written: a config, data or
+    numeric error before a command's first write leaves no directory.
+    ``report`` writes each painting's log-ratio SVG before it builds the
+    group models, so that no SVG text is drawn while both groups' envelopes
+    are held; an error in a group model leaves ``--out`` with those SVGs.
+    """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out / name
 
 
 def _load_filtered(cfg: PipelineConfig, keep_groups: bool = False):
@@ -239,81 +242,86 @@ def _load_filtered(cfg: PipelineConfig, keep_groups: bool = False):
     return dataset, report
 
 
-def _pick_bandwidth(
-    cfg: PipelineConfig, fixed: float | None, points, w: Window
-) -> tuple[float, dict | None]:
-    """``fixed`` if given, else the CV bandwidth of ``points`` over cfg.h_grid.
+def _bandwidths(cfg: PipelineConfig, window: Window):
+    """The bandwidth picker ``pick(fixed, points) -> (h, table)`` of a command.
 
-    The second item is the JSON-ready CV table (``bandwidth_cv``), or None
-    for a fixed bandwidth.
+    A ``fixed`` bandwidth is returned as given, with no table. Otherwise
+    ``pick`` cross-validates ``points`` in ``window`` over ``cfg.h_grid``
+    (default :data:`DEFAULT_H_GRID`) and returns the chosen h with its
+    JSON-ready CV table, the ``bandwidth_cv`` block. With ``cfg`` fixed, CV
+    depends only on the points, so a picker scores each point set once.
     """
-    if fixed is not None:
-        return fixed, None
     h_grid = cfg.h_grid if cfg.h_grid is not None else DEFAULT_H_GRID
-    cv = select_bandwidth_cv(points, w, h_grid, cfg.nx, cfg.ny)
-    return cv.h, cv.to_dict()
+    chosen: dict[bytes, tuple[float, dict]] = {}
+
+    def pick(fixed: float | None, points: np.ndarray) -> tuple[float, dict | None]:
+        if fixed is not None:
+            return fixed, None
+        key = points.tobytes()
+        if key not in chosen:
+            cv = select_bandwidth_cv(points, window, h_grid, cfg.nx, cfg.ny)
+            chosen[key] = cv.h, cv.to_dict()
+        return chosen[key]
+
+    return pick
 
 
 def cmd_ingest(cfg: PipelineConfig) -> None:
     dataset, report = _load_filtered(cfg)
-    out = _outdir(cfg)
-    write_fixations(dataset, out / "fixations_clean.csv")
-    write_saccades(dataset.sequences, out / "saccades.csv")
-    write_json(out / "ingest_report.json", report.to_dict())
+    write_fixations(dataset, _out(cfg, "fixations_clean.csv"))
+    write_saccades(dataset.sequences, _out(cfg, "saccades.csv"))
+    write_json(_out(cfg, "ingest_report.json"), report.to_dict())
 
 
 def cmd_intensity(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
     points = dataset.pooled_locations()
-    h, cv = _pick_bandwidth(cfg, cfg.h, points, dataset.window)
+    h, cv = _bandwidths(cfg, dataset.window)(cfg.h, points)
     grid = estimate_intensity(points, dataset.window, h, cfg.nx, cfg.ny)
-    out = _outdir(cfg)
-    grid.to_csv(out / "intensity.csv")
+    grid.to_csv(_out(cfg, "intensity.csv"))
     payload = _with_cv(asdict(grid), cv)
     payload["meta"] = _meta(cfg, "intensity")
     payload["n_points"] = int(len(points))
-    write_json(out / "intensity.json", payload)
+    write_json(_out(cfg, "intensity.json"), payload)
     if cfg.svg:
         label = cfg.group or "all"
-        (out / "intensity.svg").write_text(
+        _out(cfg, "intensity.svg").write_text(
             heatmap_svg(grid, f"intensity ({label}, h={h:g})")
         )
 
 
 def cmd_residuals(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(), dataset.window)
+    h, cv = _bandwidths(cfg, dataset.window)(cfg.h, dataset.pooled_locations())
     grids = residual_intensities(dataset, cfg.interval_ms, h, cfg.nx, cfg.ny)
-    out = _outdir(cfg)
     combined = _with_cv({"meta": _meta(cfg, "residuals"), "h": h,
                          "interval_ms": cfg.interval_ms, "intervals": grids}, cv)
     for j, grid in enumerate(grids):
-        grid.to_csv(out / f"residual_{j:02d}.csv")
+        grid.to_csv(_out(cfg, f"residual_{j:02d}.csv"))
         if cfg.svg:
             start = j * cfg.interval_ms / 1000.0
-            (out / f"residual_{j:02d}.svg").write_text(
+            _out(cfg, f"residual_{j:02d}.svg").write_text(
                 heatmap_svg(grid, f"residual intensity, {start:g}s +", diverging=True)
             )
-    write_json(out / "residuals.json", combined)
+    write_json(_out(cfg, "residuals.json"), combined)
 
 
 def cmd_quadrat(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
     result = quadrat_chisq(dataset.pooled_locations(), dataset.window, cfg.q)
-    out = _outdir(cfg)
     payload = asdict(result)
     payload["meta"] = _meta(cfg, "quadrat")
     payload["q"] = cfg.q
-    write_json(out / "quadrat.json", payload)
+    write_json(_out(cfg, "quadrat.json"), payload)
 
 
 def cmd_shift(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
     curves = []
     if cfg.split == "group":
-        x = dataset.pooled_durations("novice")
-        y = dataset.pooled_durations("non_novice")
-        curves.append(("novice_vs_non_novice", shift_function(x, y, cfg.alpha)))
+        x = dataset.pooled_durations(NOVICE)
+        y = dataset.pooled_durations(NON_NOVICE)
+        curves.append((f"{NOVICE}_vs_{NON_NOVICE}", shift_function(x, y, cfg.alpha)))
     else:
         durs = dataset.pooled_durations()
         buckets = [durs[mask] for mask in dataset.interval_masks(cfg.interval_ms)]
@@ -321,22 +329,21 @@ def cmd_shift(cfg: PipelineConfig) -> None:
             curves.append(
                 (f"interval_{j + 1}_vs_1", shift_function(buckets[0], buckets[j], cfg.alpha))
             )
-    out = _outdir(cfg)
     payload = {"meta": _meta(cfg, "shift"), "split": cfg.split, "curves": dict(curves)}
-    write_json(out / "shift.json", payload)
+    write_json(_out(cfg, "shift.json"), payload)
     if cfg.svg:
         for name, c in curves:
-            (out / f"shift_{name}.svg").write_text(shift_plot_svg(c, name))
+            _out(cfg, f"shift_{name}.svg").write_text(shift_plot_svg(c, name))
 
 
-def _intensity_test(cfg: PipelineConfig, dataset, bandwidth) -> tuple:
+def _intensity_test(cfg: PipelineConfig, dataset, pick) -> tuple:
     """Novice-against-non-novice permutation test and its JSON block.
 
-    ``bandwidth(fixed, points)`` resolves h1 and h2 as :func:`_pick_bandwidth`
-    does; the block tables the CV of each cross-validated one under its name.
+    ``pick``, from :func:`_bandwidths`, resolves h1 and h2; the block tables
+    the CV of each cross-validated one under its name.
     """
-    h1, cv1 = bandwidth(cfg.h1, dataset.pooled_locations("novice"))
-    h2, cv2 = bandwidth(cfg.h2, dataset.pooled_locations("non_novice"))
+    h1, cv1 = pick(cfg.h1, dataset.pooled_locations(NOVICE))
+    h2, cv2 = pick(cfg.h2, dataset.pooled_locations(NON_NOVICE))
     result = permutation_test(dataset, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, h1=h1, h2=h2)
     cvs = {name: cv for name, cv in (("h1", cv1), ("h2", cv2)) if cv is not None}
     return result, _with_cv(result.to_dict(), cvs)
@@ -345,13 +352,12 @@ def _intensity_test(cfg: PipelineConfig, dataset, bandwidth) -> tuple:
 def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
     dataset.two_groups()  # refuse a bad design before cross-validating
-    result, payload = _intensity_test(cfg, dataset, partial(_pick_bandwidth, cfg, w=dataset.window))
-    out = _outdir(cfg)
+    result, payload = _intensity_test(cfg, dataset, _bandwidths(cfg, dataset.window))
     payload["meta"] = _meta(cfg, "compare-intensity")
-    write_json(out / "ratio_test.json", payload)
-    result.r_grid.to_csv(out / "log_ratio.csv")
+    write_json(_out(cfg, "ratio_test.json"), payload)
+    result.r_grid.to_csv(_out(cfg, "log_ratio.csv"))
     if cfg.svg:
-        (out / "log_ratio.svg").write_text(
+        _out(cfg, "log_ratio.svg").write_text(
             heatmap_svg(result.r_grid, f"log density ratio (p={result.p:.4g})", diverging=True)
         )
 
@@ -372,11 +378,10 @@ def _source_sample(cfg: PipelineConfig, dataset) -> np.ndarray:
 def cmd_fit(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
     fit = fit_gamma_mle(_source_sample(cfg, dataset), cfg.source)
-    out = _outdir(cfg)
     payload = asdict(fit)
     payload["meta"] = _meta(cfg, "fit")
     payload["group"] = cfg.group
-    write_json(out / f"fit_{cfg.source}.json", payload)
+    write_json(_out(cfg, f"fit_{cfg.source}.json"), payload)
 
 
 def cmd_qq(cfg: PipelineConfig) -> None:
@@ -384,39 +389,43 @@ def cmd_qq(cfg: PipelineConfig) -> None:
     sample = _source_sample(cfg, dataset)
     fit = fit_gamma_mle(sample, cfg.source)
     band = gamma_qq(sample, fit, cfg.alpha)
-    out = _outdir(cfg)
-    band.to_csv(out / f"qq_{cfg.source}.csv")
+    band.to_csv(_out(cfg, f"qq_{cfg.source}.csv"))
     write_json(
-        out / f"qq_{cfg.source}.json",
+        _out(cfg, f"qq_{cfg.source}.json"),
         {"meta": _meta(cfg, "qq"), "fit": fit,
          "line_inside_band": band.line_inside(), "alpha": cfg.alpha},
     )
 
 
-def _build_group_model(cfg: PipelineConfig, dataset, group: str, h: float):
-    return build_model(
+def _group_model(cfg: PipelineConfig, dataset, group: str, pick) -> tuple:
+    """``group``'s fitted model and its JSON block.
+
+    The bandwidth is ``pick(cfg.h, points)`` of the group's pooled fixations,
+    ``pick`` from :func:`_bandwidths`; the block is the model's fields with
+    the CV table of a cross-validated h as its ``bandwidth_cv``.
+    """
+    h, cv = pick(cfg.h, dataset.pooled_locations(group))
+    model = build_model(
         dataset, group, h=h, nx=cfg.nx, ny=cfg.ny,
         p_long=cfg.p_long, n_angles=cfg.n_angles, min_fix_dur=cfg.min_fixation_ms,
         use_first_surface=cfg.use_first_surface,
     )
+    return model, _with_cv(model.to_dict(), cv)
 
 
 def cmd_simulate(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg, keep_groups=True)
-    h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
-    model = _build_group_model(cfg, dataset, cfg.group, h)
+    model, block = _group_model(cfg, dataset, cfg.group, _bandwidths(cfg, dataset.window))
     runs = simulate_many(model, cfg.n_runs, cfg.seed)
-    out = _outdir(cfg)
     write_fixations(runs_to_dataset(runs, model.window, model.trial_length),
-                    out / "sim_fixations.csv")
+                    _out(cfg, "sim_fixations.csv"))
     meta = _meta(cfg, "simulate")
-    meta["model"] = _with_cv(model.to_dict(), cv)
-    provenance_to_json(runs, out / "sim_provenance.json", meta)
+    meta["model"] = block
+    provenance_to_json(runs, _out(cfg, "sim_provenance.json"), meta)
 
 
 def cmd_summaries(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    out = _outdir(cfg)
     w, end = dataset.window, dataset.trial_length
     bundle: dict = {"meta": _meta(cfg, "summaries"), "subjects": {}}
     for seq in dataset.sequences:
@@ -427,18 +436,18 @@ def cmd_summaries(cfg: PipelineConfig) -> None:
             "scanpath": scanpath_length(seq, domain_end=end),
         }
         for stat, c in curves.items():
-            curve_to_csv(c, out / f"summary_{name}_{stat}.csv")
+            curve_to_csv(c, _out(cfg, f"summary_{name}_{stat}.csv"))
         if len(seq) >= 2:
             curves["transitions"] = transition_curves(seq, w, domain_end=end).to_dict()
         bundle["subjects"][name] = curves
-    write_json(out / "summaries.json", bundle)
+    write_json(_out(cfg, "summaries.json"), bundle)
 
 
-def _group_envelopes(cfg: PipelineConfig, dataset, group: str, h: float, cv: dict | None) -> dict:
-    """One group's model at bandwidth h (``cv``: its CV table, or None for a
-    fixed h) and the :func:`~fixproc.envelopes.judge` of its subjects against
-    runs simulated from it on the config's time grid, ready for ``write_json``."""
-    model = _build_group_model(cfg, dataset, group, h)
+def _group_envelopes(cfg: PipelineConfig, dataset, group: str, pick) -> dict:
+    """One group's model block (:func:`_group_model`) and the
+    :func:`~fixproc.envelopes.judge` of its subjects against runs simulated
+    from the model on the config's time grid, ready for ``write_json``."""
+    model, block = _group_model(cfg, dataset, group, pick)
     grid = default_grid(cfg.trial_length, cfg.grid_points)
     stats = list(STATS) if cfg.stat == "all" else [cfg.stat]
     sim_rows = simulate_curves(model, cfg.n_runs, cfg.seed, grid, stats, cfg.radius, cfg.raster)
@@ -447,11 +456,10 @@ def _group_envelopes(cfg: PipelineConfig, dataset, group: str, h: float, cv: dic
     obs_rows = RunCurves.from_sequences(
         observed.values(), len(observed), model.window, grid, stats, cfg.radius, cfg.raster
     )
-    return {"model": _with_cv(model.to_dict(), cv),
-            **judge(obs_rows, list(observed), sim_rows, cfg.alpha)}
+    return {"model": block, **judge(obs_rows, list(observed), sim_rows, cfg.alpha)}
 
 
-def _write_panels_svg(out: Path, stem: str, group_result: dict, title_prefix: str) -> None:
+def _write_panels_svg(cfg: PipelineConfig, stem: str, group_result: dict, title_prefix: str) -> None:
     """``<stem>_coverage.svg`` and ``<stem>_transitions.svg``: one panel per
     curve, the observed curves drawn with their envelope's bounds on its grid."""
     for family, suffix, thin, thick in (
@@ -462,21 +470,19 @@ def _write_panels_svg(out: Path, stem: str, group_result: dict, title_prefix: st
             env = block["envelope"]
             panels.append(envelope_panel(env.grid, env.lower, env.upper, block["observed"].values(),
                                          f"{title_prefix} {name}", thin, thick))
-        (out / f"{stem}_{suffix}.svg").write_text(panel_grid_svg(panels, ncols=min(len(panels), 4)))
+        _out(cfg, f"{stem}_{suffix}.svg").write_text(panel_grid_svg(panels, ncols=min(len(panels), 4)))
 
 
 def cmd_envelope(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg, keep_groups=True)
     dataset.require_one_painting()
-    h, cv = _pick_bandwidth(cfg, cfg.h, dataset.pooled_locations(cfg.group), dataset.window)
-    result = _group_envelopes(cfg, dataset, cfg.group, h, cv)
-    out = _outdir(cfg)
+    result = _group_envelopes(cfg, dataset, cfg.group, _bandwidths(cfg, dataset.window))
     payload = {"meta": _meta(cfg, "envelope"), "group": cfg.group, **result}
-    write_json(out / "envelope.json", payload)
+    write_json(_out(cfg, "envelope.json"), payload)
     for stat, block in result["stats"].items():
-        block["envelope"].to_csv(out / f"envelope_{stat}.csv")
+        block["envelope"].to_csv(_out(cfg, f"envelope_{stat}.csv"))
     if cfg.svg:
-        _write_panels_svg(out, "envelope", result, cfg.group)
+        _write_panels_svg(cfg, "envelope", result, cfg.group)
 
 
 def cmd_report(cfg: PipelineConfig) -> None:
@@ -490,26 +496,18 @@ def cmd_report(cfg: PipelineConfig) -> None:
         "intensity_comparison": {},
     }
 
-    # with cfg fixed, CV depends only on the points: score each set once
-    chosen: dict[tuple, tuple[float, dict | None]] = {}
-
-    def bandwidth(fixed: float | None, points: np.ndarray) -> tuple[float, dict | None]:
-        key = (fixed, points.tobytes())
-        if key not in chosen:
-            chosen[key] = _pick_bandwidth(cfg, fixed, points, dataset.window)
-        return chosen[key]
-
+    # one picker: the comparison and the group models score a point set once
+    pick = _bandwidths(cfg, dataset.window)
     subsets = dataset.by_painting()
     for sub in subsets.values():
         sub.two_groups()  # refuse a bad design before cross-validating
-    tests = {painting: _intensity_test(cfg, sub, bandwidth) for painting, sub in subsets.items()}
-    out = _outdir(cfg)
+    tests = {painting: _intensity_test(cfg, sub, pick) for painting, sub in subsets.items()}
     p_values = []
     for painting, (res, block) in tests.items():
         payload["intensity_comparison"][painting] = block
         p_values.append(res.p)
         if cfg.svg:
-            (out / f"report_log_ratio_{painting}.svg").write_text(
+            _out(cfg, f"report_log_ratio_{painting}.svg").write_text(
                 heatmap_svg(res.r_grid, f"log ratio {painting} (p={res.p:.4g})", diverging=True)
             )
     if len(p_values) > 1:
@@ -518,13 +516,12 @@ def cmd_report(cfg: PipelineConfig) -> None:
             "chi2": fisher.chi2, "df": fisher.df, "p": fisher.p
         }
 
-    for group in ("novice", "non_novice"):
-        h, cv = bandwidth(cfg.h, dataset.pooled_locations(group))
-        result = _group_envelopes(cfg, dataset, group, h, cv)
+    for group in GROUPS:
+        result = _group_envelopes(cfg, dataset, group, pick)
         payload["groups"][group] = result
         if cfg.svg:
-            _write_panels_svg(out, f"report_{group}", result, group)
-    write_json(out / "report.json", payload)
+            _write_panels_svg(cfg, f"report_{group}", result, group)
+    write_json(_out(cfg, "report.json"), payload)
 
 
 COMMANDS = {

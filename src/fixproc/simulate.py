@@ -226,7 +226,7 @@ def _landings(
     cand_x[:, n] = _clamp(x + length * (dx / far), w.x_min, w.x_max)
     cand_y[:, n] = _clamp(y + length * (dy / far), w.y_min, w.y_max)
 
-    inside = (cand_x >= w.x_min) & (cand_x <= w.x_max) & (cand_y >= w.y_min) & (cand_y <= w.y_max)
+    inside = w.contains(cand_x, cand_y)
     weights = np.zeros(cand_x.shape)
     weights[inside] = model.intensity_all.interp(cand_x[inside], cand_y[inside])
     total = weights.sum(axis=1)

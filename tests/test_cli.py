@@ -306,12 +306,17 @@ class TestBandwidthResolution:
         assert set(payload["bandwidth_cv"]) == {"h2"}
         assert payload["bandwidth_cv"]["h2"]["h"] == payload["h2"]
 
+    @pytest.mark.parametrize("command, model_of", [
+        ("envelope", lambda out: json.loads((out / "envelope.json").read_text())["model"]),
+        ("simulate",
+         lambda out: json.loads((out / "sim_provenance.json").read_text())["meta"]["model"]),
+    ], ids=["envelope", "simulate"])
     @pytest.mark.parametrize("bandwidth, tabled", [([], True), (["--h", "25"], False)])
-    def test_envelope_model_tables_a_cross_validated_h(self, data_csv, tmp_path,
-                                                       bandwidth, tabled):
-        assert run(["envelope", *self.REPORT[1:], "--input", data_csv, "--out", tmp_path,
+    def test_envelope_model_tables_a_cross_validated_h(self, data_csv, tmp_path, command,
+                                                       model_of, bandwidth, tabled):
+        assert run([command, *self.REPORT[1:], "--input", data_csv, "--out", tmp_path,
                     "--group", "novice", *bandwidth]) == 0
-        model = json.loads((tmp_path / "envelope.json").read_text())["model"]
+        model = model_of(tmp_path)
         assert ("bandwidth_cv" in model) == tabled
         if tabled:
             assert model["bandwidth_cv"]["h"] == model["bandwidth"]
@@ -637,6 +642,12 @@ class TestRequiredSettings:
         assert not out.exists()
 
 
+# report on 40 ms trials: the comparison runs, then no simulated run has the
+# two fixations a transition curve needs, so the first group model fails
+REPORT_SHORT_TRIALS = ["report", "--trial-length", "40", "--h", "24", "--h1", "24", "--h2", "24",
+                       "--m", "9", "--n-runs", "20", "--seed", "1"]
+
+
 class TestDataErrorsMakeNoOutputDirectory:
     # every command used to create --out before it read its input, so a data
     # error at ingest left an empty output directory behind
@@ -669,7 +680,9 @@ class TestDataErrorsMakeNoOutputDirectory:
         (["residuals", "--h", "24", "--interval-ms", "30000"], 3),
         (["shift", "--group", "novice"], 3),
         (["report", "--seed", "1", "--m", "9", "--n-runs", "20", "--h-grid", "0.0001"], 4),
-    ], ids=["envelope", "intensity", "residuals", "shift", "report"])
+        # without SVGs a group model that fails comes before report's first write
+        ([*REPORT_SHORT_TRIALS, "--no-svg"], 3),
+    ], ids=["envelope", "intensity", "residuals", "shift", "report", "report_nosvg"])
     def test_error_after_ingest(self, bench_csv, tmp_path, capsys, args, code):
         out = tmp_path / "out"
         # the last --trial-length given wins
@@ -677,6 +690,15 @@ class TestDataErrorsMakeNoOutputDirectory:
                     *args[1:]]) == code
         assert json.loads(capsys.readouterr().err.strip())["exit_code"] == code
         assert not out.exists()
+
+    def test_report_writes_its_log_ratio_svg_before_the_group_models(self, bench_csv,
+                                                                      tmp_path, capsys):
+        # the one write report makes before a failing group model, on purpose
+        out = tmp_path / "out"
+        assert run([*REPORT_SHORT_TRIALS, "--input", bench_csv, "--out", out]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "need at least 20 curves, got 0" in err["message"]
+        assert [p.name for p in out.iterdir()] == ["report_log_ratio_p01.svg"]
 
 
 class TestConfigHash:

@@ -73,7 +73,8 @@ SINGLE_FIXATION = {
     "g": "a",
 }
 
-# name: (input, flags); every command draws its SVGs unless its config turns them off
+# name: (input, flags); a command draws its SVGs unless its config or its flags
+# turn them off
 COMMANDS = {
     "env_h24": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
                       "--seed", "7"]),
@@ -99,6 +100,8 @@ COMMANDS = {
     # one statistic in both groups' envelopes
     "report_hull": ("c", ["report", "--stat", "hull", "--h", "24", "--h1", "24", "--h2", "24",
                           "--m", "200", "--n-runs", "40", "--seed", "7"]),
+    # no SVG, so report.json is the first file written
+    "report_nosvg": ("c", ["report", "--m", "200", "--n-runs", "40", "--seed", "7", "--no-svg"]),
     "cmp_cv": ("a", ["compare-intensity", "--m", "10000", "--seed", "7"]),
     # equal bandwidths and group sizes make mirror draws ties; the seed is
     # two 32-bit words
@@ -118,6 +121,8 @@ COMMANDS = {
     # a fixed bandwidth: the surface's fields with no bandwidth_cv block
     "intensity_h24": ("c", ["intensity", "--h", "24"]),
     "residuals": ("c", ["residuals", "--h", "24", "--interval-ms", "10000"]),
+    # the bandwidth cross-validated, its table in residuals.json
+    "residuals_cv": ("c", ["residuals", "--interval-ms", "10000"]),
     "quadrat": ("c", ["quadrat", "--q", "4"]),
     "shift_group": ("c", ["shift", "--split", "group"]),
     "shift_interval": ("a", ["shift", "--split", "interval", "--interval-ms", "10000"]),
