@@ -28,6 +28,14 @@ from .ingest import write_csv
 from .summaries import TRANSITIONS, RunCurves, resample_curve
 
 
+# columns per tile of the column sort: a tile's sort order, mid-ranks and
+# depths, about four (curves, tile) arrays, are all the ranks hold beside the
+# curves and their sorted copy. At 200 curves on 361 times, rank_envelope's
+# traced peak is 1.5 curve matrices, against 4.25 for one sort of every
+# column, and no slower; wider tiles cost more, narrower ones time
+_TILE_COLUMNS = 32
+
+
 @dataclass
 class CurveMatrix:
     """Simulated curves resampled onto one common time grid (rows = curves)."""
@@ -150,6 +158,24 @@ def _sorted_extreme_ranks(
     return _unsorted(depth, order).min(axis=1)
 
 
+def _tiled_extreme_ranks(rows: np.ndarray, ordered: np.ndarray | None = None) -> np.ndarray:
+    """:func:`extreme_ranks`, sorting ``_TILE_COLUMNS`` columns at a time.
+
+    Each tile's sorted columns, non-finite entries as NaN and last, go to the
+    same columns of ``ordered`` when it is given. Every other array is sized
+    to one tile, and ``rows`` is only read.
+    """
+    ranks = np.full(len(rows), np.inf)
+    for start in range(0, rows.shape[1], _TILE_COLUMNS):
+        cols = slice(start, start + _TILE_COLUMNS)
+        order, tile = _sorted_columns(_finite_or_nan(rows[:, cols]))
+        counts = np.isfinite(rows[:, cols]).sum(axis=0)
+        np.minimum(ranks, _sorted_extreme_ranks(order, tile, counts), out=ranks)
+        if ordered is not None:
+            ordered[:, cols] = tile
+    return ranks
+
+
 def extreme_ranks(rows: np.ndarray) -> np.ndarray:
     """Per-curve extreme rank: min over the grid of depth from below/above.
 
@@ -159,8 +185,7 @@ def extreme_ranks(rows: np.ndarray) -> np.ndarray:
     and likewise +-inf) contribute no depth; an everywhere-undefined curve
     gets rank +inf.
     """
-    counts = np.isfinite(rows).sum(axis=0)
-    return _sorted_extreme_ranks(*_sorted_columns(_finite_or_nan(rows)), counts)
+    return _tiled_extreme_ranks(rows)
 
 
 def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
@@ -174,9 +199,10 @@ def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
     defined values fall back to the min/max of what is defined. Infinite
     entries count as undefined, like NaN.
 
-    The columns are sorted once, for the ranks and the bounds; besides the
-    curves, about four arrays of their size are held at a time. A bound
-    drawn from a tie of 0.0 and -0.0 may carry either sign.
+    The columns are sorted once, for the ranks and the bounds, a tile of
+    columns at a time; besides the curves, their sorted copy and about four
+    arrays of one tile's size are held at a time. A bound drawn from a tie
+    of 0.0 and -0.0 may carry either sign.
     """
     s = curves.rows.shape[0]
     if not 0 < alpha < 1:
@@ -185,9 +211,8 @@ def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
         raise DataError(f"need at least {int(np.ceil(1.0 / alpha))} curves, got {s}")
 
     counts = np.isfinite(curves.rows).sum(axis=0)
-    order, ordered = _sorted_columns(_finite_or_nan(curves.rows))
-    ranks = _sorted_extreme_ranks(order, ordered, counts)
-    del order
+    ordered = np.empty(curves.rows.shape)
+    ranks = _tiled_extreme_ranks(curves.rows, ordered)
     need = int(np.ceil((1.0 - alpha) * s - 1e-9))
     # largest integer k with #{R_j >= k} >= need, i.e. floor of the
     # need-th largest extreme rank

@@ -632,15 +632,22 @@ def mid_ranks_reference(rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def rank_envelope_reference(rows: np.ndarray, alpha: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """``(k, lower, upper)`` of ``rank_envelope`` as it was computed with
-    :func:`mid_ranks_reference` and a second sort of the columns."""
-    rows = np.where(np.isfinite(rows), rows, np.nan)
-    s = rows.shape[0]
+def extreme_ranks_reference(rows: np.ndarray) -> np.ndarray:
+    """``envelopes.extreme_ranks`` from :func:`mid_ranks_reference` of the
+    whole matrix."""
     finite = np.isfinite(rows)
     low = mid_ranks_reference(rows)
     high = finite.sum(axis=0)[None, :] + 1 - low
-    ranks = np.where(finite, np.fmin(low, high), np.inf).min(axis=1)
+    return np.where(finite, np.fmin(low, high), np.inf).min(axis=1)
+
+
+def rank_envelope_reference(rows: np.ndarray, alpha: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(k, lower, upper)`` of ``rank_envelope`` as it was computed with
+    :func:`extreme_ranks_reference` and a second sort of the columns."""
+    rows = np.where(np.isfinite(rows), rows, np.nan)
+    s = rows.shape[0]
+    finite = np.isfinite(rows)
+    ranks = extreme_ranks_reference(rows)
     need = int(np.ceil((1.0 - alpha) * s - 1e-9))
     k = max(int(np.floor(min(np.sort(ranks)[s - need], (s + 1) / 2) + 1e-9)), 1)
     ordered = np.sort(rows, axis=0)

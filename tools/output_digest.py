@@ -143,6 +143,9 @@ COMMANDS = {
     "env_single": ("g", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
                          "--seed", "7"]),
     "env_config": ("b", ["envelope", "--h", "24", "--n-runs", "40", "--seed", "8"]),
+    # fewer grid times than one tile of the envelopes' column sort
+    "env_grid21": ("a", ["envelope", "--group", "non_novice", "--h", "24", "--grid-points",
+                         "21", "--n-runs", "60", "--seed", "7"]),
     # at TRIAL_LENGTHS' 173 ms, 177 of the 200 runs have one fixation and
     # the transition envelopes take the other 23, near the 20 they accept
     "env_short": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
