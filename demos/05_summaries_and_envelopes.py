@@ -84,12 +84,12 @@ slow = FixationModel(
 )
 slow_curve = ball_row(fp.simulate_many(slow, 1, seed=200)[0].sequence)
 labels = ["same model #1", "same model #2", "same model #3", "short-jump model"]
-for label, verdict in zip(labels, fp.envelope_report(fresh + [slow_curve], env)):
+for label, verdict in zip(labels, fp.envelope_report(fresh + [slow_curve], env, grid)):
     print(f"  {label}: {verdict}")
 
 (OUT / "05_envelope.svg").write_text(
     panel_grid_svg(
-        [envelope_panel(env.grid, env.lower, env.upper, fresh + [slow_curve],
+        [envelope_panel(grid, env.lower, env.upper, fresh + [slow_curve],
                         "ball union coverage, 95% envelope", 1.0, 1.5)],
         ncols=1, panel_w=480, panel_h=360,
     )

@@ -461,14 +461,16 @@ def _group_envelopes(cfg: PipelineConfig, dataset, group: str, pick) -> dict:
 
 def _write_panels_svg(cfg: PipelineConfig, stem: str, group_result: dict, title_prefix: str) -> None:
     """``<stem>_coverage.svg`` and ``<stem>_transitions.svg``: one panel per
-    curve, the observed curves drawn with their envelope's bounds on its grid."""
+    curve, the observed curves drawn with their envelope's bounds on the
+    group's grid."""
+    grid = group_result["grid"]
     for family, suffix, thin, thick in (
         ("stats", "coverage", 1.0, 1.5), ("transitions", "transitions", 0.8, 1.2)
     ):
         panels = []
         for name, block in group_result[family].items():
             env = block["envelope"]
-            panels.append(envelope_panel(env.grid, env.lower, env.upper, block["observed"].values(),
+            panels.append(envelope_panel(grid, env.lower, env.upper, block["observed"].values(),
                                          f"{title_prefix} {name}", thin, thick))
         _out(cfg, f"{stem}_{suffix}.svg").write_text(panel_grid_svg(panels, ncols=min(len(panels), 4)))
 
@@ -480,7 +482,7 @@ def cmd_envelope(cfg: PipelineConfig) -> None:
     payload = {"meta": _meta(cfg, "envelope"), "group": cfg.group, **result}
     write_json(_out(cfg, "envelope.json"), payload)
     for stat, block in result["stats"].items():
-        block["envelope"].to_csv(_out(cfg, f"envelope_{stat}.csv"))
+        block["envelope"].to_csv(_out(cfg, f"envelope_{stat}.csv"), result["grid"])
     if cfg.svg:
         _write_panels_svg(cfg, "envelope", result, cfg.group)
 

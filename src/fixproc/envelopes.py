@@ -59,29 +59,37 @@ class CurveMatrix:
 
 @dataclass
 class RankEnvelope:
-    """Pointwise k-th order-statistic bounds forming a global 1-alpha band."""
+    """Pointwise k-th order-statistic bounds forming a global band.
 
-    grid: np.ndarray
+    The bounds lie on the time grid of the curves they were cut from, which
+    the caller holds, as it holds the level it asked for.
+    """
+
     lower: np.ndarray
     upper: np.ndarray
     k: int
-    alpha: float
 
-    def contains(self, values: np.ndarray) -> bool:
-        """True when no grid point violates a bound.
+    def _exits(self, values) -> np.ndarray:
+        """Mask of the grid points where ``values`` violates a bound.
 
         NaN (undefined) observed values or bounds never count as
-        violations: there is nothing to compare.
+        violations: there is nothing to compare. ``DataError`` unless
+        ``values`` has the bounds' shape.
         """
-        return self.first_exit_time(values) is None
-
-    def first_exit_time(self, values: np.ndarray) -> float | None:
         values = np.asarray(values, dtype=float)
-        bad = np.nonzero((values < self.lower) | (values > self.upper))[0]
-        return float(self.grid[bad[0]]) if bad.size else None
+        if values.shape != self.lower.shape:
+            raise DataError(
+                f"curve of shape {values.shape} does not match bounds of shape {self.lower.shape}"
+            )
+        return (values < self.lower) | (values > self.upper)
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ("time_ms", "lower", "upper"), [(self.grid, self.lower, self.upper)])
+    def contains(self, values: np.ndarray) -> bool:
+        """True when no grid point violates a bound (see ``_exits``)."""
+        return not self._exits(values).any()
+
+    def to_csv(self, path, grid) -> None:
+        """``time_ms,lower,upper`` rows, ``grid`` being the curves' time grid."""
+        write_csv(path, ("time_ms", "lower", "upper"), [(grid, self.lower, self.upper)])
 
 
 def default_grid(trial_length: float = 180_000.0, n: int = 361) -> np.ndarray:
@@ -224,19 +232,25 @@ def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
     k_eff = np.minimum(k, (np.maximum(counts, 1) + 1) // 2)
     lower = np.where(counts > 0, ordered[k_eff - 1, cols], np.nan)
     upper = np.where(counts > 0, ordered[np.maximum(counts - k_eff, 0), cols], np.nan)
-    return RankEnvelope(grid=curves.grid, lower=lower, upper=upper, k=k, alpha=alpha)
+    return RankEnvelope(lower=lower, upper=upper, k=k)
 
 
-def envelope_report(observed: list[np.ndarray], env: RankEnvelope) -> list[dict]:
-    """Inside/outside verdict and first exit time for each observed curve."""
+def envelope_report(observed: list[np.ndarray], env: RankEnvelope, grid) -> list[dict]:
+    """Inside/outside verdict and first exit time for each observed curve.
+
+    ``grid`` is the time grid of the curves and of ``env``'s bounds; the
+    first exit is the earliest of its times at which a curve violates a
+    bound. ``DataError`` when a curve or the grid has another shape.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.shape != env.lower.shape:
+        raise DataError(
+            f"grid of shape {grid.shape} does not match bounds of shape {env.lower.shape}"
+        )
     out = []
     for values in observed:
-        values = np.asarray(values, dtype=float)
-        if values.shape != env.grid.shape:
-            raise DataError(
-                f"curve of length {values.size} does not match grid of {env.grid.size}"
-            )
-        exit_time = env.first_exit_time(values)
+        exits = np.flatnonzero(env._exits(values))
+        exit_time = float(grid[exits[0]]) if exits.size else None
         out.append({"inside": exit_time is None, "first_exit_time": exit_time})
     return out
 
@@ -247,18 +261,25 @@ def judge(observed: RunCurves, keys, simulated: RunCurves, alpha: float = 0.05) 
     Row j of both stores (their ``stats``, then the 16 transitions, on their
     ``grid``) gets the :func:`rank_envelope` of the simulated runs it is
     defined on, and the curves and :func:`envelope_report` of the observed runs
-    it is defined on (``RunCurves.defined_runs``), keyed by ``keys``. Returns
-    these blocks by curve name under ``"stats"`` and ``"transitions"``, each
-    holding its ``RankEnvelope`` itself, ready for ``write_json``. One
-    simulated row is held at a time. ``DataError`` says where the stores
-    differ, or names a row with too few simulated runs.
+    it is defined on (``RunCurves.defined_runs``), keyed by ``keys``, one
+    distinct key per observed run. Returns the stores' ``grid`` and ``alpha``
+    once, and these blocks by curve name under ``"stats"`` and
+    ``"transitions"``, each holding its ``RankEnvelope`` itself, ready for
+    ``write_json``. One simulated row is held at a time. ``DataError`` says
+    where the stores differ, or names a row with too few simulated runs.
     """
     grid, stats = simulated.grid, simulated.stats
     if observed.stats != stats:
         raise DataError(f"observed statistics {observed.stats} differ from simulated {stats}")
     if not np.array_equal(observed.grid, grid):
         raise DataError("observed and simulated curves lie on different time grids")
-    result: dict = {"stats": {}, "transitions": {}}
+    keys = list(keys)
+    n = observed.shape[1]
+    if len(keys) != n or len(set(keys)) != n:
+        raise DataError(
+            f"{n} observed runs need {n} distinct keys, got {len(keys)} ({len(set(keys))} distinct)"
+        )
+    result: dict = {"grid": grid, "alpha": alpha, "stats": {}, "transitions": {}}
     for j, name in enumerate([*stats, *TRANSITIONS]):
         try:
             env = rank_envelope(CurveMatrix(grid, simulated.defined(j)), alpha)
@@ -269,6 +290,6 @@ def judge(observed: RunCurves, keys, simulated: RunCurves, alpha: float = 0.05) 
         result["stats" if j < len(stats) else "transitions"][name] = {
             "envelope": env,
             "observed": dict(zip(names, curves)),
-            "report": dict(zip(names, envelope_report(curves, env))),
+            "report": dict(zip(names, envelope_report(curves, env, grid))),
         }
     return result

@@ -661,8 +661,8 @@ def rank_envelope_reference(rows: np.ndarray, alpha: float) -> tuple[int, np.nda
 
 def judge_reference(observed, keys, simulated, grid, alpha: float, stats) -> dict:
     """``envelopes.judge`` by the row loop of the CLI's ``_group_envelopes``
-    that it replaced."""
-    result: dict = {"stats": {}, "transitions": {}}
+    that it replaced, with ``grid`` and ``alpha`` placed once."""
+    result: dict = {"grid": grid, "alpha": alpha, "stats": {}, "transitions": {}}
     families = ["stats"] * len(stats) + ["transitions"] * len(TRANSITIONS)
     for j, (family, name) in enumerate(zip(families, list(stats) + list(TRANSITIONS))):
         env = rank_envelope(CurveMatrix(grid, simulated.defined(j)), alpha)
@@ -671,7 +671,7 @@ def judge_reference(observed, keys, simulated, grid, alpha: float, stats) -> dic
         result[family][name] = {
             "envelope": env,
             "observed": dict(zip(names, curves)),
-            "report": dict(zip(names, envelope_report(curves, env))),
+            "report": dict(zip(names, envelope_report(curves, env, grid))),
         }
     return result
 

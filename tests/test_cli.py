@@ -196,6 +196,32 @@ class TestCommands:
         del envelope["meta"], envelope["group"]
         assert envelope == report["groups"][group]
 
+    def test_each_judged_group_states_its_grid_and_level_once(self, data_csv, tmp_path):
+        # every envelope holds only its bounds and depth; the group block holds
+        # the one time grid, which each envelope CSV's time column repeats
+        args = ["--input", data_csv, "--seed", "6", "--n-runs", "20", "--no-svg", *FAST]
+        assert run(["envelope", "--group", "novice", "--alpha", "0.1",
+                    "--out", tmp_path / "env", *args]) == 0
+        assert run(["report", "--m", "9", "--h1", "25", "--h2", "25",
+                    "--out", tmp_path / "rep", *args]) == 0
+        grid = envelopes.default_grid(10_000.0, 21)
+        text = (tmp_path / "env" / "envelope.json").read_text()
+        assert text.count('"grid"') == 1 and text.count('"alpha"') == 1
+        envelope = json.loads(text)
+        assert envelope["grid"] == grid.tolist() and envelope["alpha"] == 0.1
+        for stat in summaries.STATS:
+            path = tmp_path / "env" / f"envelope_{stat}.csv"
+            assert path.read_text().startswith("time_ms,lower,upper\n")
+            times = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
+            assert times.tobytes() == grid.tobytes()
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        for result in [envelope, *report["groups"].values()]:
+            assert result["grid"] == grid.tolist()
+            for family in ("stats", "transitions"):
+                for block in result[family].values():
+                    assert set(block["envelope"]) == {"lower", "upper", "k"}
+        assert [g["alpha"] for g in report["groups"].values()] == [0.05, 0.05]
+
     def test_observed_curves_are_each_subjects_curve_rows(self, tmp_path):
         # read back from envelope.json, every observed curve is its row of the
         # subject's curve_rows; the one-fixation subject has no transitions
@@ -209,7 +235,7 @@ class TestCommands:
         payload = json.loads((tmp_path / "envelope.json").read_text())
         window = Window(*PipelineConfig().window)
         dataset, _, _ = ingest_pipeline(data_csv, 40.0, window, 10_000.0)
-        grid = np.array(payload["stats"]["hull"]["envelope"]["grid"])
+        grid = np.array(payload["grid"])
         families = ["stats"] * len(summaries.STATS) + ["transitions"] * 16
         names = [*summaries.STATS, *summaries.TRANSITIONS]
         expected = {name: set() for name in names}

@@ -243,15 +243,16 @@ def test_cli_import_leaves_scipy_stats_out():
 
 
 class TestEnvelopeReport:
+    GRID = default_grid(100.0, 11)
+
     def _env(self):
-        grid = default_grid(100.0, 11)
         rng = np.random.default_rng(4)
         rows = smooth_brownian(rng, 40, 11)
-        return rank_envelope(CurveMatrix(grid, rows), 0.05), rows
+        return rank_envelope(CurveMatrix(self.GRID, rows), 0.05), rows
 
     def test_curve_on_lower_bound_inside(self):
         env, _ = self._env()
-        (verdict,) = envelope_report([env.lower], env)
+        (verdict,) = envelope_report([env.lower], env, self.GRID)
         assert verdict["inside"] is True
         assert verdict["first_exit_time"] is None
 
@@ -259,14 +260,25 @@ class TestEnvelopeReport:
         env, _ = self._env()
         curve = (env.lower + env.upper) / 2
         curve[4] = env.upper[4] + 1.0
-        (verdict,) = envelope_report([curve], env)
+        (verdict,) = envelope_report([curve], env, self.GRID)
         assert verdict["inside"] is False
-        assert verdict["first_exit_time"] == env.grid[4]
+        assert verdict["first_exit_time"] == self.GRID[4]
 
     def test_grid_mismatch_rejected(self):
         env, _ = self._env()
         with pytest.raises(DataError):
-            envelope_report([np.zeros(5)], env)
+            envelope_report([np.zeros(5)], env, self.GRID)
+        with pytest.raises(DataError, match="grid of shape"):
+            envelope_report([env.lower], env, self.GRID[:5])
+
+    def test_contains_refuses_a_curve_of_another_shape(self):
+        # one value, the (curves, grid) matrix and a shorter curve: each is a
+        # data error, not a verdict or numpy's broadcasting error
+        env, rows = self._env()
+        assert env.contains(rows[0]) in (True, False)
+        for values in (np.array([0.0]), rows, rows[0][:5]):
+            with pytest.raises(DataError, match="does not match"):
+                env.contains(values)
 
 
 class TestJudge:
@@ -293,11 +305,13 @@ class TestJudge:
         keys = ["a", "b", "c", "d"]
         got = judge(observed, keys, simulated, 0.05)
         ref = judge_reference(observed, keys, simulated, simulated.grid, 0.05, simulated.stats)
-        assert {f: list(blocks) for f, blocks in got.items()} == {
-            "stats": list(STATS), "transitions": list(TRANSITIONS)
-        }
-        for family, blocks in ref.items():
-            for name, block in blocks.items():
+        assert list(got) == ["grid", "alpha", "stats", "transitions"]
+        assert got["grid"].tobytes() == ref["grid"].tobytes() == self.GRID.tobytes()
+        assert got["alpha"] == ref["alpha"] == 0.05
+        assert list(got["stats"]) == list(STATS)
+        assert list(got["transitions"]) == list(TRANSITIONS)
+        for family in ("stats", "transitions"):
+            for name, block in ref[family].items():
                 mine = got[family][name]
                 # == of two RankEnvelopes would compare arrays: compare the fields
                 assert mine["envelope"].k == block["envelope"].k
@@ -339,6 +353,14 @@ class TestJudge:
         observed = self._store(rng, [4], grid=default_grid(500.0, self.GRID.size))
         with pytest.raises(DataError, match="different time grids"):
             judge(observed, ["a"], self._store(rng, [3] * 20), 0.05)
+
+    @pytest.mark.parametrize("keys", [["a", "a", "b"], ["a", "b", "c", "d"], ["a", "b"]])
+    def test_keys_name_each_observed_run_once(self, rng, keys):
+        # a repeated key would merge two runs' verdicts; a missing or extra
+        # one would misname or drop a run
+        observed, simulated = self._store(rng, [4, 5, 6]), self._store(rng, [3] * 20)
+        with pytest.raises(DataError, match="3 distinct keys"):
+            judge(observed, keys, simulated, 0.05)
 
     def test_too_few_runs_names_the_curve(self, rng):
         simulated = self._store(rng, [1] * 5 + [3] * 19)

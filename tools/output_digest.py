@@ -84,6 +84,9 @@ COMMANDS = {
     # 90 angles: lockstep blocks of 131 runs, so 150 runs end on a partial block
     "env_a90": ("a", ["envelope", "--group", "non_novice", "--h", "24", "--n-angles", "90",
                       "--n-runs", "150", "--seed", "5"]),
+    # a level other than the default, which the judged block states once
+    "env_a10": ("a", ["envelope", "--group", "non_novice", "--h", "24", "--alpha", "0.1",
+                      "--n-runs", "40", "--seed", "7"]),
     "sim_p05_a90": ("a", ["simulate", "--group", "novice", "--p-long", "0.5",
                           "--n-angles", "90", "--n-runs", "50", "--seed", "7"]),
     "sim_p0": ("a", ["simulate", "--group", "novice", "--p-long", "0", "--h", "24",
