@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -24,14 +24,15 @@ import numpy as np
 
 from . import __version__
 from .compare import fisher_combine, permutation_test, shift_function
-from .core import GROUPS, NON_NOVICE, NOVICE, DataError, NumericError, Window, _positive, sequence_name
+from .core import (DEFAULT_TRIAL_LENGTH_MS, GROUPS, MIN_FIXATION_MS, NON_NOVICE, NOVICE,
+                   REFERENCE_WINDOW, DataError, NumericError, Window, _positive, sequence_name)
 from .density import (
     estimate_intensity,
     quadrat_chisq,
     residual_intensities,
     select_bandwidth_cv,
 )
-from .envelopes import default_grid, judge
+from .envelopes import default_grid, judge, min_curves
 from .fitdist import FIT_SOURCES, fit_gamma_mle, gamma_qq
 from .ingest import ingest_pipeline, valid_saccade_values, write_fixations, write_json, write_saccades
 from .simulate import (
@@ -66,9 +67,14 @@ class ConfigError(ValueError):
 
 
 def _setting(default, help: str | None = None, *, choices: tuple | None = None,
-             off: str | None = None):
-    """A config field with its flag's help, allowed values and, for a bool, off flag."""
-    return field(default=default, metadata={"help": help, "choices": choices, "off": off})
+             off: str | None = None, rule: tuple | None = None):
+    """A config field with its flag's help, allowed values, for a bool its off
+    flag, and its ``rule``: ``(text, test)``, refused as "<name> must <text>"
+    by :func:`_load_config` when a set value fails ``test``."""
+    return field(default=default, metadata=dict(help=help, choices=choices, off=off, rule=rule))
+
+
+POSITIVE = ("be positive and finite", _positive)
 
 
 @dataclass
@@ -78,28 +84,32 @@ class PipelineConfig:
     input: str | None = _setting(None, "fixation CSV")
     out: str = _setting("fixproc_out", "output directory")
     window: tuple[float, float, float, float] = _setting(
-        (0.0, 0.0, 770.0, 768.0), "x_min,y_min,x_max,y_max")
-    trial_length: float = 180_000.0
-    min_fixation_ms: float = 40.0
+        astuple(REFERENCE_WINDOW), "x_min,y_min,x_max,y_max")
+    trial_length: float = _setting(DEFAULT_TRIAL_LENGTH_MS, rule=POSITIVE)
+    # the simulator truncates durations at this threshold
+    min_fixation_ms: float = _setting(
+        MIN_FIXATION_MS, rule=("be non-negative and finite", lambda v: 0 <= v < np.inf))
     group: str | None = _setting(None, choices=GROUPS)
     painting: str | None = None
-    h: float | None = None
-    h1: float | None = None
-    h2: float | None = None
-    h_grid: tuple[float, ...] | None = _setting(None, "comma-separated bandwidths")
-    interval_ms: float = 30_000.0
-    q: int = 5
-    m: int = _setting(10_000, "permutation count")
-    seed: int | None = None
-    n_runs: int = 200
-    radius: float = 35.0
-    raster: float = 1.0
-    p_long: float = 0.2
-    n_angles: int = 720
-    nx: int = 128
-    ny: int = 128
-    alpha: float = 0.05
-    grid_points: int = 361
+    h: float | None = _setting(None, rule=POSITIVE)
+    h1: float | None = _setting(None, rule=POSITIVE)
+    h2: float | None = _setting(None, rule=POSITIVE)
+    h_grid: tuple[float, ...] | None = _setting(
+        None, "comma-separated bandwidths",
+        rule=("list positive, finite bandwidths", lambda g: bool(g) and all(map(_positive, g))))
+    interval_ms: float = _setting(30_000.0, rule=POSITIVE)
+    q: int = _setting(5, rule=("be at least 2", lambda v: v >= 2))
+    m: int = _setting(10_000, "permutation count", rule=POSITIVE)
+    seed: int | None = _setting(None, rule=("be non-negative", lambda v: v >= 0))
+    n_runs: int = _setting(200, rule=POSITIVE)
+    radius: float = _setting(35.0, rule=POSITIVE)
+    raster: float = _setting(1.0, rule=POSITIVE)
+    p_long: float = _setting(0.2, rule=("be in [0, 1]", lambda v: 0 <= v <= 1))
+    n_angles: int = _setting(720, rule=("be at least 4", lambda v: v >= 4))
+    nx: int = _setting(128, rule=POSITIVE)
+    ny: int = _setting(128, rule=POSITIVE)
+    alpha: float = _setting(0.05, rule=("be in (0, 1)", lambda v: 0 < v < 1))
+    grid_points: int = _setting(361, rule=POSITIVE)
     source: str = _setting("fixation_duration", choices=FIT_SOURCES)
     stat: str = _setting("all", choices=STATS + ("all",))
     split: str = _setting("group", choices=("group", "interval"))
@@ -137,6 +147,13 @@ def _fits(kind: str, value) -> bool:
 
 
 def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
+    """The config of a JSON file at ``path``, if given, with ``overrides`` set over it.
+
+    One loop checks each set value against its own field: its kind, its
+    ``choices``, then, once coerced, its ``rule`` (see :func:`_setting`).
+    After it come the rules that span settings: the window and raster <=
+    radius. Every failure is a :class:`ConfigError` that names the setting.
+    """
     values: dict = {}
     if path is not None:
         try:
@@ -157,45 +174,27 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
         value = values.get(f.name)
         if f.name in values and not _fits(f.type, value):
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
-        # defaults are allowed values; a file's value meets no argparse choices
+        if value is None:
+            continue  # a default, which meets its field's choices and rule, or left unset
+        # a file's value meets no argparse choices
         allowed = f.metadata.get("choices")
-        if allowed and value is not None and value not in allowed:
+        if allowed and value not in allowed:
             raise ConfigError(f"{_flag(f.name)} must be one of {allowed}")
-        if f.type.startswith("float") and value is not None:
-            values[f.name] = float(value)  # 10000 and 10000.0 hash alike
+        if f.type.startswith("float"):
+            value = values[f.name] = float(value)  # 10000 and 10000.0 hash alike
+        elif f.type.startswith("tuple["):
+            value = values[f.name] = tuple(map(float, value))  # each entry, as _fits checks
+        rule = f.metadata.get("rule")
+        if rule and not rule[1](value):
+            raise ConfigError(f"{f.name} must {rule[0]}, got {value!r}")
     cfg = PipelineConfig(**values)
-    cfg.window = tuple(float(v) for v in cfg.window)
     try:
         Window(*cfg.window)
     except (TypeError, DataError) as exc:  # not 4 numbers, or a window Window refuses
         raise ConfigError("window must be 4 finite numbers [x_min, y_min, x_max, y_max] with "
                           f"x_min < x_max and y_min < y_max, got {list(cfg.window)}") from exc
-    if cfg.h_grid is not None:
-        cfg.h_grid = tuple(float(v) for v in cfg.h_grid)
-        if not cfg.h_grid or not all(_positive(h) for h in cfg.h_grid):
-            raise ConfigError("h_grid must list positive, finite bandwidths")
-    for name in ("h", "h1", "h2"):
-        value = getattr(cfg, name)
-        if value is not None and not _positive(value):
-            raise ConfigError(f"{name} must be positive and finite")
-    for name in ("trial_length", "interval_ms", "radius", "raster", "nx", "ny",
-                 "n_runs", "m", "n_angles", "grid_points"):
-        if not _positive(getattr(cfg, name)):
-            raise ConfigError(f"{name} must be positive and finite")
-    if not 0 <= cfg.min_fixation_ms < np.inf:  # the simulator truncates durations here
-        raise ConfigError("min_fixation_ms must be non-negative and finite")
-    if cfg.seed is not None and cfg.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     if cfg.raster > cfg.radius:
         raise ConfigError(f"raster cell {cfg.raster} coarser than radius {cfg.radius}")
-    if cfg.n_angles < 4:
-        raise ConfigError("n_angles must be at least 4")
-    if cfg.q < 2:
-        raise ConfigError("q must be at least 2")
-    if not 0 < cfg.alpha < 1:
-        raise ConfigError("alpha must be in (0, 1)")
-    if not 0 <= cfg.p_long <= 1:
-        raise ConfigError("p_long must be in [0, 1]")
     return cfg
 
 
@@ -293,7 +292,7 @@ def cmd_intensity(cfg: PipelineConfig) -> None:
 def cmd_residuals(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
     h, cv = _bandwidths(cfg, dataset.window)(cfg.h, dataset.pooled_locations())
-    grids = residual_intensities(dataset, cfg.interval_ms, h, cfg.nx, cfg.ny)
+    grids = residual_intensities(dataset, cfg.interval_ms, h=h, nx=cfg.nx, ny=cfg.ny)
     combined = _with_cv({"meta": _meta(cfg, "residuals"), "h": h,
                          "interval_ms": cfg.interval_ms, "intervals": grids}, cv)
     for j, grid in enumerate(grids):
@@ -550,6 +549,27 @@ REQUIRED = {
 }
 
 
+def _check_command(command: str, cfg: PipelineConfig) -> None:
+    """Refuse settings that ``command`` lacks or cannot honour, before any input is read.
+
+    ``input`` and the command's :data:`REQUIRED` settings must be set. A
+    command that compares the two groups (``compare-intensity``, ``report``,
+    ``shift --split group``) takes no ``group``, which would leave one of
+    them empty. A command that draws envelopes (``envelope``, ``report``)
+    needs at least :func:`~fixproc.envelopes.min_curves` runs at ``alpha``.
+    """
+    for name in ("input", *REQUIRED.get(command, ())):
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"{_flag(name)} is required for this command")
+    if cfg.group is not None and (command in ("compare-intensity", "report")
+                                  or (command, cfg.split) == ("shift", "group")):
+        split = " --split group" if command == "shift" else ""
+        raise ConfigError(f"--group cannot be set for {command}{split}, which compares both groups")
+    if command in ("envelope", "report") and cfg.n_runs < min_curves(cfg.alpha):
+        raise ConfigError(f"n_runs must be at least {min_curves(cfg.alpha)} at alpha "
+                          f"{cfg.alpha} to draw an envelope, got {cfg.n_runs}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fixproc",
@@ -629,16 +649,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
-        for name in ("window", "h_grid"):  # comma-separated floats
-            if overrides[name] is not None:
+        for f in fields(PipelineConfig):
+            text = overrides[f.name]
+            if f.type.startswith("tuple[") and text is not None:  # comma-separated numbers
                 try:
-                    overrides[name] = tuple(float(v) for v in overrides[name].split(","))
+                    overrides[f.name] = tuple(float(v) for v in text.split(","))
                 except ValueError:
-                    raise ConfigError(f"bad {_flag(name)}") from None
+                    raise ConfigError(f"bad {_flag(f.name)}") from None
         cfg = _load_config(args.config, overrides)
-        for name in ("input", *REQUIRED.get(args.command, ())):
-            if getattr(cfg, name) is None:
-                raise ConfigError(f"{_flag(name)} is required for this command")
+        _check_command(args.command, cfg)
         with _one_blas_thread():
             COMMANDS[args.command](cfg)
         return EXIT_OK

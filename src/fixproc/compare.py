@@ -248,7 +248,7 @@ def permutation_test(
     h1: float,
     h2: float,
     m: int = 10_000,
-    seed: int = 0,
+    seed: int,
     nx: int = 128,
     ny: int = 128,
 ) -> RatioTestResult:

@@ -351,9 +351,12 @@ def _lscv_scores(points: np.ndarray, w: Window, h_grid, nx: int, ny: int) -> np.
 
 
 def residual_intensities(
-    dataset, interval: float = 30_000.0, h: float = 17.0, nx: int = 128, ny: int = 128
+    dataset, interval: float = 30_000.0, *, h: float, nx: int = 128, ny: int = 128
 ) -> list[IntensityGrid]:
     """Interval-wise intensity minus the mean over intervals, at a common h.
+
+    ``h`` has no default: the caller picks it, as ``fixproc residuals`` does
+    with ``--h`` or cross-validation of the pooled fixations.
 
     Fixations are binned by onset as :meth:`~fixproc.core.Dataset.interval_masks`
     bins them, which refuses fewer than 2 intervals. An interval with no

@@ -196,6 +196,11 @@ def extreme_ranks(rows: np.ndarray) -> np.ndarray:
     return _tiled_extreme_ranks(rows)
 
 
+def min_curves(alpha: float) -> int:
+    """The fewest simulated curves :func:`rank_envelope` accepts at level ``alpha``."""
+    return int(np.ceil(1.0 / alpha))
+
+
 def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
     """Global envelope holding at least 1-alpha of the simulated curves.
 
@@ -215,8 +220,8 @@ def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
     s = curves.rows.shape[0]
     if not 0 < alpha < 1:
         raise DataError("alpha must be in (0, 1)")
-    if s < int(np.ceil(1.0 / alpha)):
-        raise DataError(f"need at least {int(np.ceil(1.0 / alpha))} curves, got {s}")
+    if s < min_curves(alpha):
+        raise DataError(f"need at least {min_curves(alpha)} curves, got {s}")
 
     counts = np.isfinite(curves.rows).sum(axis=0)
     ordered = np.empty(curves.rows.shape)

@@ -36,6 +36,15 @@ def one_novice_csv(tmp_path_factory):
     return write_csv(d, path)
 
 
+@pytest.fixture(scope="module")
+def novice_only_csv(tmp_path_factory):
+    model = toy_model(trial_length=10_000.0)
+    d = simulated_dataset(model, n_subjects=8, seed=42)
+    d.sequences = d.by_group("novice")
+    path = tmp_path_factory.mktemp("novice_only") / "fix.csv"
+    return write_csv(d, path)
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -348,10 +357,10 @@ class TestBandwidthResolution:
             assert model["bandwidth_cv"]["h"] == model["bandwidth"]
 
     @pytest.mark.parametrize("bandwidths", [[], ["--h1", "25", "--h2", "25"]])
-    def test_one_group_comparison_is_data_error(self, data_csv, tmp_path, capsys,
+    def test_one_group_comparison_is_data_error(self, novice_only_csv, tmp_path, capsys,
                                                 bandwidths):
-        assert run(["compare-intensity", "--input", data_csv, "--out", tmp_path,
-                    "--group", "novice", "--m", "9", "--seed", "1", "--nx", "20",
+        assert run(["compare-intensity", "--input", novice_only_csv, "--out", tmp_path,
+                    "--m", "9", "--seed", "1", "--nx", "20",
                     "--ny", "20", "--trial-length", "10000", *bandwidths]) == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["exit_code"] == 3
@@ -668,10 +677,142 @@ class TestRequiredSettings:
         assert not out.exists()
 
 
+def _refuse_ingest(*args, **kwargs):
+    raise AssertionError("ingested before the config was checked")
+
+
+class TestFieldRules:
+    # name: a value outside the field's rule, as its flag's text and as JSON
+    OUTSIDE = {
+        "trial_length": ("0", 0),
+        "min_fixation_ms": ("-1", -1),
+        "h": ("-24", -24),
+        "h1": ("0", 0),
+        "h2": ("-0.001", -0.001),
+        "h_grid": ("20,-1", [20, -1]),
+        "interval_ms": ("0", 0),
+        "q": ("1", 1),
+        "m": ("0", 0),
+        "seed": ("-1", -1),
+        "n_runs": ("0", 0),
+        "radius": ("-35", -35),
+        "raster": ("0", 0),
+        "p_long": ("1.5", 1.5),
+        "n_angles": ("3", 3),
+        "nx": ("0", 0),
+        "ny": ("-128", -128),
+        "alpha": ("1", 1),
+        "grid_points": ("0", 0),
+    }
+
+    def test_table_covers_every_field_with_a_rule(self):
+        ruled = [f.name for f in fields(PipelineConfig) if f.metadata.get("rule")]
+        assert sorted(ruled) == sorted(self.OUTSIDE)
+
+    @pytest.mark.parametrize("name", list(OUTSIDE))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_value_outside_rule_is_config_error_before_ingest(
+        self, data_csv, tmp_path, capsys, monkeypatch, name, source
+    ):
+        monkeypatch.setattr(cli, "ingest_pipeline", _refuse_ingest)
+        text, value = self.OUTSIDE[name]
+        if source == "flag":
+            setting = [cli._flag(name), text]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({name: value}))
+            setting = ["--config", cfg]
+        out = tmp_path / "out"
+        assert run(["quadrat", "--input", data_csv, "--out", out, *setting]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert f"{name} must" in err["message"]
+        assert not out.exists()
+
+
+class TestCommandRefusals:
+    @pytest.mark.parametrize("args", [
+        ["envelope", "--group", "novice", "--h", "24", "--n-runs", "10", "--seed", "1"],
+        ["report", "--m", "9", "--n-runs", "19", "--seed", "1"],
+        ["envelope", "--group", "novice", "--alpha", "0.1", "--n-runs", "9", "--seed", "1"],
+    ], ids=["envelope", "report", "envelope_alpha"])
+    def test_too_few_runs_for_alpha_is_config_error_before_ingest(
+        self, bench_csv, tmp_path, capsys, monkeypatch, args
+    ):
+        # envelope used to fit the model and simulate every run, and report
+        # to run CV and the permutation test too, before exit 3 with
+        # "hull: need at least 20 curves, got 10"
+        monkeypatch.setattr(cli, "ingest_pipeline", _refuse_ingest)
+        out = tmp_path / "out"
+        assert run([*args, "--input", bench_csv, "--out", out]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "n_runs must be at least" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.07, 0.3, 0.999])
+    def test_run_bound_is_the_envelopes_bound(self, alpha):
+        fewest = envelopes.min_curves(alpha)
+        grid = np.linspace(0.0, 1.0, 5)
+        rows = np.random.default_rng(3).random((fewest, 5))
+        with pytest.raises(fixproc.DataError, match="need at least"):
+            envelopes.rank_envelope(envelopes.CurveMatrix(grid, rows[:-1]), alpha)
+        envelopes.rank_envelope(envelopes.CurveMatrix(grid, rows), alpha)
+        cfg = PipelineConfig(input="x.csv", seed=1, group="novice", alpha=alpha, n_runs=fewest)
+        cli._check_command("envelope", cfg)
+        with pytest.raises(cli.ConfigError):
+            cli._check_command("envelope", replace(cfg, n_runs=fewest - 1))
+
+    @pytest.mark.parametrize("args", [
+        ["compare-intensity", "--group", "novice", "--m", "9", "--seed", "1"],
+        ["report", "--group", "non_novice", "--m", "9", "--n-runs", "20", "--seed", "1"],
+        ["shift", "--group", "novice"],
+        ["shift", "--group", "novice", "--split", "group"],
+    ], ids=["compare-intensity", "report", "shift", "shift_split_group"])
+    def test_group_on_a_two_group_command_is_config_error_before_ingest(
+        self, bench_csv, tmp_path, capsys, monkeypatch, args
+    ):
+        # each used to read the input, then exit 3 blaming the data: "need at
+        # least 2 subjects per group, got 10 and 0", or for shift "both
+        # samples need size >= 2, got 646 and 0"
+        monkeypatch.setattr(cli, "ingest_pipeline", _refuse_ingest)
+        out = tmp_path / "out"
+        assert run([*args, "--input", bench_csv, "--out", out,
+                    "--trial-length", "20000"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "--group" in err["message"]
+        assert not out.exists()
+
+    def test_group_on_a_config_file_is_refused_too(self, bench_csv, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli, "ingest_pipeline", _refuse_ingest)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"group": "novice"}')
+        assert run(["compare-intensity", "--config", cfg, "--seed", "1",
+                    "--input", bench_csv, "--out", tmp_path / "out"]) == 2
+        assert "--group" in json.loads(capsys.readouterr().err.strip())["message"]
+
+    def test_shift_by_interval_takes_a_group(self, data_csv, tmp_path):
+        assert run(["shift", "--split", "interval", "--group", "novice", "--interval-ms",
+                    "5000", "--input", data_csv, "--out", tmp_path, "--trial-length",
+                    "10000", "--no-svg"]) == 0
+        assert (tmp_path / "shift.json").exists()
+
+
 # report on 40 ms trials: the comparison runs, then no simulated run has the
 # two fixations a transition curve needs, so the first group model fails
 REPORT_SHORT_TRIALS = ["report", "--trial-length", "40", "--h", "24", "--h1", "24", "--h2", "24",
                        "--m", "9", "--n-runs", "20", "--seed", "1"]
+
+
+# with their default split, these compare both groups and take no --group
+TWO_GROUP_COMMANDS = ("compare-intensity", "report", "shift")
+
+
+def _group_flags(command: str) -> list[str]:
+    """``--group novice``, for a command that does not compare both groups."""
+    return [] if command in TWO_GROUP_COMMANDS else ["--group", "novice"]
 
 
 class TestDataErrorsMakeNoOutputDirectory:
@@ -680,7 +821,7 @@ class TestDataErrorsMakeNoOutputDirectory:
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_missing_input_file(self, tmp_path, capsys, command):
         out = tmp_path / "out"
-        assert run([command, "--seed", "1", "--group", "novice", "--input",
+        assert run([command, "--seed", "1", *_group_flags(command), "--input",
                     tmp_path / "nope.csv", "--out", out]) == 3
         assert json.loads(capsys.readouterr().err.strip())["exit_code"] == 3
         assert not out.exists()
@@ -690,7 +831,7 @@ class TestDataErrorsMakeNoOutputDirectory:
         d = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=4, seed=21,
                               painting_id="room/a")
         out = tmp_path / "out"
-        assert run([command, "--seed", "1", "--group", "novice", "--input",
+        assert run([command, "--seed", "1", *_group_flags(command), "--input",
                     write_csv(d, tmp_path / "fix.csv"), "--out", out,
                     "--trial-length", "5000"]) == 3
         err = json.loads(capsys.readouterr().err.strip())
@@ -704,7 +845,8 @@ class TestDataErrorsMakeNoOutputDirectory:
           "--trial-length", "40"], 3),
         (["intensity", "--h-grid", "0.0001"], 4),
         (["residuals", "--h", "24", "--interval-ms", "30000"], 3),
-        (["shift", "--group", "novice"], 3),
+        # one interval of a 20 s trial: nothing to shift against
+        (["shift", "--split", "interval", "--interval-ms", "30000"], 3),
         (["report", "--seed", "1", "--m", "9", "--n-runs", "20", "--h-grid", "0.0001"], 4),
         # without SVGs a group model that fails comes before report's first write
         ([*REPORT_SHORT_TRIALS, "--no-svg"], 3),
@@ -854,7 +996,7 @@ class TestMultiPainting:
 
     def test_envelope_requires_one_painting(self, two_painting_csv, tmp_path, capsys):
         code = run(["envelope", "--input", two_painting_csv, "--out", tmp_path,
-                    "--group", "novice", "--seed", "1", "--n-runs", "5", "--h", "25",
+                    "--group", "novice", "--seed", "1", "--n-runs", "20", "--h", "25",
                     "--nx", "12", "--ny", "12", "--trial-length", "5000", "--no-svg"])
         assert code == 3
         message = json.loads(capsys.readouterr().err.strip())["message"]

@@ -206,6 +206,11 @@ class TestPermutationTest:
         with pytest.raises(TypeError):
             permutation_test(tiny_dataset, m=9, h1=30.0, seed=1)
 
+    def test_seed_is_required(self, tiny_dataset):
+        # a silent seed 0 gave every unseeded call the same draws
+        with pytest.raises(TypeError):
+            permutation_test(tiny_dataset, m=9, h1=30.0, h2=30.0)
+
     @settings(max_examples=20)
     @given(st.permutations(range(4)), st.permutations(range(4)), st.booleans())
     def test_T0_ignores_subject_order_within_groups(self, tiny_dataset, order1, order2, mixed):

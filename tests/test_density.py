@@ -504,6 +504,12 @@ class TestResiduals:
         with pytest.raises(DataError, match="30000.0"):
             residual_intensities(d, 30_000.0, h=20.0, nx=16, ny=16)
 
+    def test_bandwidth_is_required(self, rng):
+        # h used to default to 17 px, whatever the data
+        d = self._dataset([rng.uniform([100, 100], [600, 600], size=(10, 2))] * 2)
+        with pytest.raises(TypeError):
+            residual_intensities(d, 30_000.0, nx=16, ny=16)
+
 
 class TestQuadrat:
     def test_balanced_counts(self):

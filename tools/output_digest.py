@@ -120,7 +120,16 @@ COMMANDS = {
     # a model fitted with exclusions at both ends of every sequence
     "sim_edge": ("e", ["simulate", "--group", "novice", "--h", "24", "--n-runs", "20",
                        "--seed", "7"]),
+    # runs seeded from the all-fixation surface on a coarser grid
+    "sim_all_surface": ("a", ["simulate", "--group", "novice", "--all-surface", "--nx", "64",
+                              "--ny", "64", "--h", "24", "--n-runs", "20", "--seed", "7"]),
     "intensity_cv": ("c", ["intensity", "--group", "novice"]),
+    # a bandwidth grid from the comma-separated flag
+    "intensity_hgrid": ("c", ["intensity", "--group", "novice", "--h-grid", "16,24,32"]),
+    # integer-valued window and h_grid lists from a config file
+    "intensity_config": ("c", ["intensity", "--group", "non_novice"]),
+    # a window inside the painting's: ingest excludes the fixations outside it
+    "ingest_window": ("c", ["ingest", "--window", "10,10,760,758"]),
     # a fixed bandwidth: the surface's fields with no bandwidth_cv block
     "intensity_h24": ("c", ["intensity", "--h", "24"]),
     "residuals": ("c", ["residuals", "--h", "24", "--interval-ms", "10000"]),
@@ -163,6 +172,7 @@ TRIAL_LENGTHS = {
 # name: the JSON config file a command reads through --config
 CONFIGS = {
     "env_config": {"group": "non_novice", "stat": "scanpath", "svg": False},
+    "intensity_config": {"window": [0, 0, 770, 768], "h_grid": [16, 24, 32]},
 }
 
 
