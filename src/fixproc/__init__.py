@@ -30,8 +30,6 @@ from .core import (
     Saccades,
     StepCurve,
     Window,
-    max_corner_distance,
-    quadrant_of,
 )
 from .density import (
     BandwidthCV,
@@ -57,7 +55,7 @@ from .fitdist import (
     acf,
     fit_gamma_mle,
     gamma_qq,
-    sample_gamma,
+    law_sample,
     sample_truncated_gamma,
 )
 from .ingest import (

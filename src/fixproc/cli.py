@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__
 from .compare import fisher_combine, permutation_test, shift_function
 from .core import (DEFAULT_TRIAL_LENGTH_MS, GROUPS, MIN_FIXATION_MS, NON_NOVICE, NOVICE,
-                   REFERENCE_WINDOW, DataError, NumericError, Window, _positive, sequence_name)
+                   REFERENCE_WINDOW, DataError, NumericError, Window, _positive, interval_count,
+                   sequence_name)
 from .density import (
     estimate_intensity,
     quadrat_chisq,
@@ -33,8 +34,8 @@ from .density import (
     select_bandwidth_cv,
 )
 from .envelopes import default_grid, judge, min_curves
-from .fitdist import FIT_SOURCES, fit_gamma_mle, gamma_qq
-from .ingest import ingest_pipeline, valid_saccade_values, write_fixations, write_json, write_saccades
+from .fitdist import FIT_SOURCES, fit_gamma_mle, gamma_qq, law_sample
+from .ingest import ingest_pipeline, write_fixations, write_json, write_saccades
 from .simulate import (
     build_model,
     provenance_to_json,
@@ -147,10 +148,11 @@ def _fits(kind: str, value) -> bool:
 
 
 def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
-    """The config of a JSON file at ``path``, if given, with ``overrides`` set over it.
+    """The config of a JSON file at ``path``, if given, with the flags' ``overrides`` over it.
 
-    One loop checks each set value against its own field: its kind, its
-    ``choices``, then, once coerced, its ``rule`` (see :func:`_setting`).
+    One loop checks each set value, a flag's or a file's, against its own
+    field: its kind, its ``choices``, then, once coerced, its ``rule`` (see
+    :func:`_setting`).
     After it come the rules that span settings: the window and raster <=
     radius. Every failure is a :class:`ConfigError` that names the setting.
     """
@@ -176,7 +178,6 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
             raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if value is None:
             continue  # a default, which meets its field's choices and rule, or left unset
-        # a file's value meets no argparse choices
         allowed = f.metadata.get("choices")
         if allowed and value not in allowed:
             raise ConfigError(f"{_flag(f.name)} must be one of {allowed}")
@@ -368,15 +369,9 @@ def _with_cv(payload: dict, cv: dict | None) -> dict:
     return payload
 
 
-def _source_sample(cfg: PipelineConfig, dataset) -> np.ndarray:
-    if cfg.source == "fixation_duration":
-        return dataset.pooled_durations()
-    return valid_saccade_values(dataset.sequences, cfg.source.removeprefix("saccade_"))
-
-
 def cmd_fit(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    fit = fit_gamma_mle(_source_sample(cfg, dataset), cfg.source)
+    fit = fit_gamma_mle(law_sample(dataset.sequences, cfg.source), cfg.source)
     payload = asdict(fit)
     payload["meta"] = _meta(cfg, "fit")
     payload["group"] = cfg.group
@@ -385,7 +380,7 @@ def cmd_fit(cfg: PipelineConfig) -> None:
 
 def cmd_qq(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    sample = _source_sample(cfg, dataset)
+    sample = law_sample(dataset.sequences, cfg.source)
     fit = fit_gamma_mle(sample, cfg.source)
     band = gamma_qq(sample, fit, cfg.alpha)
     band.to_csv(_out(cfg, f"qq_{cfg.source}.csv"))
@@ -556,7 +551,9 @@ def _check_command(command: str, cfg: PipelineConfig) -> None:
     command that compares the two groups (``compare-intensity``, ``report``,
     ``shift --split group``) takes no ``group``, which would leave one of
     them empty. A command that draws envelopes (``envelope``, ``report``)
-    needs at least :func:`~fixproc.envelopes.min_curves` runs at ``alpha``.
+    needs at least :func:`~fixproc.envelopes.min_curves` runs at ``alpha``,
+    and one that compares time intervals (``residuals``, ``shift --split
+    interval``) at least two :func:`~fixproc.core.interval_count` intervals.
     """
     for name in ("input", *REQUIRED.get(command, ())):
         if getattr(cfg, name) is None:
@@ -568,10 +565,23 @@ def _check_command(command: str, cfg: PipelineConfig) -> None:
     if command in ("envelope", "report") and cfg.n_runs < min_curves(cfg.alpha):
         raise ConfigError(f"n_runs must be at least {min_curves(cfg.alpha)} at alpha "
                           f"{cfg.alpha} to draw an envelope, got {cfg.n_runs}")
+    if command == "residuals" or (command, cfg.split) == ("shift", "interval"):
+        if (k := interval_count(cfg.trial_length, cfg.interval_ms)) < 2:
+            raise ConfigError(f"interval_ms {cfg.interval_ms} cuts trial_length "
+                              f"{cfg.trial_length} into {k} interval(s); need at least 2")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Its own errors (an unknown flag, a flag without its value, no command) are a
+    :class:`ConfigError`, printed as JSON like any other; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One flag per config field; it collects text, which :func:`_read_flag` reads."""
+    parser = _Parser(
         prog="fixproc",
         description="Fixation-process analysis pipeline",
     )
@@ -585,11 +595,25 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(meta["off"], dest=f.name, action="store_const", const=False,
                                help=meta["help"])
                 continue
-            # str, and the tuples, which main splits at commas
-            kind = {"int": int, "float": float}.get(f.type.removesuffix(" | None"), str)
-            p.add_argument(_flag(f.name), dest=f.name, type=kind,
-                           choices=meta.get("choices"), help=meta.get("help"))
+            # a choice field's help lists its choices as argparse would
+            choices = meta.get("choices")
+            p.add_argument(_flag(f.name), dest=f.name, help=meta.get("help"),
+                           metavar="{%s}" % ",".join(choices) if choices else None)
     return parser
+
+
+def _read_flag(f, text):
+    """Field ``f``'s flag ``text`` read by the field's kind: int, float, str, or comma-separated
+    floats for a tuple; ``None`` (no flag) and an off flag's ``False`` pass as they are."""
+    kind = f.type.removesuffix(" | None")
+    if not isinstance(text, str) or kind == "str":
+        return text
+    try:
+        if kind.startswith("tuple["):
+            return tuple(float(v) for v in text.split(","))
+        return {"int": int, "float": float}[kind](text)
+    except ValueError:
+        raise ConfigError(f"{f.name} must be {f.type}, got {text!r}") from None
 
 
 def _error_json(exc: Exception, code: int) -> str:
@@ -646,17 +670,10 @@ def _one_blas_thread():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
-        for f in fields(PipelineConfig):
-            text = overrides[f.name]
-            if f.type.startswith("tuple[") and text is not None:  # comma-separated numbers
-                try:
-                    overrides[f.name] = tuple(float(v) for v in text.split(","))
-                except ValueError:
-                    raise ConfigError(f"bad {_flag(f.name)}") from None
-        cfg = _load_config(args.config, overrides)
+        args = _build_parser().parse_args(argv)
+        flags = {f.name: _read_flag(f, getattr(args, f.name)) for f in fields(PipelineConfig)}
+        cfg = _load_config(args.config, flags)
         _check_command(args.command, cfg)
         with _one_blas_thread():
             COMMANDS[args.command](cfg)

@@ -79,11 +79,6 @@ class FisherResult(NamedTuple):
     p: float
 
 
-def _ecdf_ranks(sorted_x: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Number of sample values <= each of ``at`` (right-continuous ECDF counts)."""
-    return np.searchsorted(sorted_x, at, side="right")
-
-
 def _quantile_index(p_times_m, m: int) -> np.ndarray:
     """Left-continuous inverse-CDF index (1-based ceil), clipped to [1, m]."""
     idx = np.ceil(np.asarray(p_times_m) - 1e-12).astype(int)
@@ -107,7 +102,7 @@ def shift_function(x_sample, y_sample, alpha: float = 0.05) -> ShiftCurve:
     if n < 2 or m < 2:
         raise DataError(f"both samples need size >= 2, got {n} and {m}")
 
-    ranks = _ecdf_ranks(x, x)  # k with F(x) = k/n
+    ranks = np.searchsorted(x, x, side="right")  # k with F(x) = k/n, right-continuous
     # exact integer ceil of (k/n)*m avoids float rank drift
     delta_idx = -(-(ranks * m) // n)
     delta = y[np.clip(delta_idx, 1, m) - 1] - x

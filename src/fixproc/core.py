@@ -172,6 +172,12 @@ class Saccades:
         return len(self.lengths)
 
 
+def interval_count(trial_length: float, interval: float) -> int:
+    """How many intervals of ``interval`` ms, a trailing shorter one included, cut a trial
+    of ``trial_length`` ms: the count :meth:`Dataset.interval_masks` cuts by and the CLI checks."""
+    return math.ceil(trial_length / interval)
+
+
 @dataclass
 class Dataset:
     """A window plus the fixation sequences recorded on it."""
@@ -230,8 +236,7 @@ class Dataset:
         for ``ceil(trial_length / interval)`` intervals; the last may be shorter."""
         if not interval > 0:
             raise DataError("interval must be positive")
-        k = math.ceil(self.trial_length / interval)
-        if k < 2:  # one interval has nothing to be compared with
+        if (k := interval_count(self.trial_length, interval)) < 2:  # nothing to compare with
             raise DataError(f"trial_length {self.trial_length} ms cut at interval {interval} "
                             f"ms gives {k} interval(s); need at least 2")
         onsets = self.pooled_onsets()
@@ -295,11 +300,6 @@ def quadrants(locs: np.ndarray, w: Window) -> np.ndarray:
     return right.astype(np.uint8) + 2 * lower.astype(np.uint8)
 
 
-def quadrant_of(x: float, y: float, w: Window) -> int:
-    """Quadrant index of one point, 1 to 4 in :func:`quadrants`' order."""
-    return int(quadrants(np.array([[x, y]], dtype=float), w)[0]) + 1
-
-
 def corner_offsets(w: Window, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Offsets ``(dx, dy)`` from each point to its farthest window corner.
 
@@ -314,9 +314,3 @@ def corner_offsets(w: Window, x, y) -> tuple[np.ndarray, np.ndarray]:
     dx = np.where(x - w.x_min > w.x_max - x, w.x_min, w.x_max) - x
     dy = np.where(y - w.y_min > w.y_max - y, w.y_min, w.y_max) - y
     return dx, dy
-
-
-def max_corner_distance(x: float, y: float, w: Window) -> float:
-    """Distance from one point to its farthest window corner (:func:`corner_offsets`)."""
-    dx, dy = corner_offsets(w, [x], [y])
-    return math.hypot(dx[0], dy[0])

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, kolmogi, polygamma, psi
 
 from .core import DataError, NumericError
-from .ingest import write_csv
+from .ingest import derive_saccades, write_csv
 
 FIT_SOURCES = ("fixation_duration", "saccade_duration", "saccade_length")
 
@@ -43,10 +43,6 @@ class GammaFit:
     @property
     def mean(self) -> float:
         return self.shape / self.rate
-
-    @property
-    def variance(self) -> float:
-        return self.shape / self.rate**2
 
     def cdf(self, x) -> np.ndarray:
         return gammainc(self.shape, self.rate * np.asarray(x, dtype=float))
@@ -115,6 +111,19 @@ class QQBand:
                   [(self.theoretical, self.empirical, self.lower, self.upper)])
 
 
+def law_sample(sequences, source: str) -> np.ndarray:
+    """The sample the ``source`` law of ``sequences`` is fitted to, in their order: the
+    fixation durations, or the positive lengths or durations of the jumps their
+    ``valid_jumps`` mark valid (a jump spliced across a removed fixation is not)."""
+    if source not in FIT_SOURCES:
+        raise DataError(f"unknown source {source!r}")
+    if source == "fixation_duration":
+        return np.concatenate([np.empty(0)] + [s.durations for s in sequences])
+    jumps = [derive_saccades(s) for s in sequences]
+    values = [getattr(j, source.removeprefix("saccade_") + "s") for j in jumps]
+    return np.concatenate([np.empty(0)] + [v[j.valid & (v > 0)] for j, v in zip(jumps, values)])
+
+
 def _validated_sample(sample) -> np.ndarray:
     sample = np.asarray(sample, dtype=float).ravel()
     if len(sample) < 2:
@@ -178,11 +187,6 @@ def gamma_qq(sample, fit: GammaFit, alpha: float = 0.05) -> QQBand:
         upper=fit.quantile(np.minimum(p + d, 1.0)),
         alpha=alpha,
     )
-
-
-def sample_gamma(fit: GammaFit, rng: np.random.Generator, size=None):
-    """Plain gamma draw(s) from a fit."""
-    return rng.gamma(fit.shape, 1.0 / fit.rate, size=size)
 
 
 def sample_truncated_gamma(

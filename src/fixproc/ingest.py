@@ -343,14 +343,6 @@ def derive_saccades(seq: FixationSequence) -> Saccades:
     return Saccades(np.hypot(*np.diff(seq.locations, axis=0).T), gaps, seq.valid_jumps)
 
 
-def valid_saccade_values(sequences, attr: str) -> np.ndarray:
-    """Positive ``attr`` ("length" or "duration") of the saccades of
-    ``sequences`` that their ``valid_jumps`` mark valid, in their order."""
-    jumps = [derive_saccades(s) for s in sequences]
-    values = [getattr(j, attr + "s") for j in jumps]
-    return np.concatenate([np.empty(0)] + [v[j.valid & (v > 0)] for j, v in zip(jumps, values)])
-
-
 def ingest_pipeline(
     path,
     min_dur: float = MIN_FIXATION_MS,

@@ -24,8 +24,8 @@ from .core import (
     read_only,
 )
 from .density import IntensityGrid, estimate_intensity
-from .fitdist import GammaFit, fit_gamma_mle
-from .ingest import valid_saccade_values, write_json
+from .fitdist import GammaFit, fit_gamma_mle, law_sample
+from .ingest import write_json
 from .rng import substream
 from .summaries import STATS, RunCurves
 
@@ -129,9 +129,8 @@ def build_model(
     bandwidth ``h``. To cross-validate it, pass the ``.h`` of
     ``select_bandwidth_cv`` of ``dataset.pooled_locations(group)``. Fixation
     durations and saccade lengths are fitted per group; saccade durations
-    pool every subject of both groups, since saccades are involuntary. Both
-    saccade laws are fitted on the sequences' valid jumps only, so a jump
-    ingest spliced across a removed fixation is left out.
+    pool every subject of both groups, since saccades are involuntary. Each
+    law is fitted to :func:`~fixproc.fitdist.law_sample` of its sequences.
     Simulated durations are truncated below at ``min_fix_dur``, the
     threshold ingest filtered the dataset with. A dataset of several
     paintings gives one model fitted over all of them, whose ``painting_id``
@@ -145,9 +144,9 @@ def build_model(
     if len(first_pts) < 1:
         raise DataError("no first fixations to build the initial surface from")
 
-    dur_fix = fit_gamma_mle(dataset.pooled_durations(group), "fixation_duration")
-    dur_sac = fit_gamma_mle(valid_saccade_values(dataset.sequences, "duration"), "saccade_duration")
-    len_sac = fit_gamma_mle(valid_saccade_values(seqs, "length"), "saccade_length")
+    dur_fix = fit_gamma_mle(law_sample(seqs, "fixation_duration"), "fixation_duration")
+    dur_sac = fit_gamma_mle(law_sample(dataset.sequences, "saccade_duration"), "saccade_duration")
+    len_sac = fit_gamma_mle(law_sample(seqs, "saccade_length"), "saccade_length")
 
     paintings = list(dataset.by_painting())
     return FixationModel(

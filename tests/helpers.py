@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,8 +24,6 @@ from fixproc.core import (
     DataError,
     NumericError,
     StepCurve,
-    max_corner_distance,
-    quadrant_of,
 )
 from fixproc.density import IntensityGrid, _grid_factors, edge_correction
 from fixproc.envelopes import CurveMatrix, envelope_report, rank_envelope
@@ -326,7 +325,7 @@ def transition_table_per_step(seq, w) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     if len(seq) < 2:
         raise DataError("need at least 2 fixations for transitions")
-    states = [quadrant_of(x, y, w) - 1 for x, y in seq.locations.tolist()]
+    states = [quadrant_reference(x, y, w) for x, y in seq.locations.tolist()]
     n_ab = np.zeros((4, 4), dtype=int)
     n_a = np.zeros(4, dtype=int)
     table = np.full((len(states) - 1, 4, 4), np.nan)
@@ -435,11 +434,34 @@ def lscv_score_reference(points: np.ndarray, w: Window, h: float, nx: int, ny: i
     return int_f2 - 2.0 / n * float(loo_density.sum())
 
 
+def _require_inside_reference(x: float, y: float, w: Window) -> None:
+    """Raise ``DataError`` unless (x, y) is in the closed window ``w``; NaN is outside."""
+    if not (w.x_min <= x <= w.x_max and w.y_min <= y <= w.y_max):
+        raise DataError(f"point ({float(x)}, {float(y)}) outside window")
+
+
+def quadrant_reference(x: float, y: float, w: Window) -> int:
+    """Quadrant index minus 1 of one point, by scalar midline comparisons: 0
+    upper-left, 1 upper-right, 2 lower-left, 3 lower-right (upper is smaller
+    y); a point on a midline goes to the larger index."""
+    _require_inside_reference(x, y, w)
+    return int(x >= (w.x_min + w.x_max) / 2.0) + 2 * int(y >= (w.y_min + w.y_max) / 2.0)
+
+
 def farthest_corner(x: float, y: float, w: Window) -> tuple[float, float]:
-    """The corner achieving :func:`max_corner_distance`, by scalar comparisons."""
+    """The window corner farthest from (x, y), by scalar comparisons; a point
+    outside the window raises."""
+    _require_inside_reference(x, y, w)
     cx = w.x_min if (x - w.x_min) > (w.x_max - x) else w.x_max
     cy = w.y_min if (y - w.y_min) > (w.y_max - y) else w.y_max
     return cx, cy
+
+
+def far_corner_distance(x: float, y: float, w: Window) -> float:
+    """Distance from (x, y) to its :func:`farthest_corner`: the longest jump
+    that stays in the window."""
+    cx, cy = farthest_corner(x, y, w)
+    return math.hypot(cx - x, cy - y)
 
 
 def next_location_reference(model, x, y, length, rng) -> tuple[float, float]:
@@ -491,8 +513,7 @@ def sample_saccade_length_reference(model, x, y, rng) -> tuple[float, str]:
 
     Two draws: ``u_plong``, then the uniform long length or the gamma level.
     """
-    max_corner_distance(x, y, model.window)  # a start outside the window raises
-    fx, fy = farthest_corner(x, y, model.window)
+    fx, fy = farthest_corner(x, y, model.window)  # a start outside the window raises
     l_max = float(np.hypot(fx - x, fy - y))
     if rng.random() < model.p_long:
         return float(rng.uniform(l_max / 2.0, l_max)), "uniform_long"

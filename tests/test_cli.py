@@ -13,7 +13,7 @@ import pytest
 import fixproc
 from fixproc import cli, density, envelopes, simulate, summaries
 from fixproc.cli import DEFAULT_H_GRID, PipelineConfig, main
-from fixproc.core import Window
+from fixproc.core import Dataset, Window
 from fixproc.ingest import ingest_pipeline, parse_fixations
 from helpers import simulated_dataset, toy_model, write_csv
 
@@ -645,6 +645,82 @@ class TestParser:
             assert all(a.option_strings for a in options)
             assert [a.dest for a in options] == ["config", *names]
 
+    def test_options_collect_their_text_alone(self):
+        # _load_config checks every kind and choice, a flag's as a file's
+        commands = next(a for a in cli._build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        for sub in commands.choices.values():
+            for action in sub._actions:
+                assert action.type is None and action.choices is None
+
+    @pytest.mark.parametrize("argv, message", [
+        # argparse takes a negative number in exponent form for an option
+        (["quadrat", "--h2", "-1e-3"], "argument --h2: expected one argument"),
+        (["quadrat", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["quadrat", "--q"], "argument --q: expected one argument"),
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ], ids=["negative_exponent", "unknown_flag", "no_value", "no_command", "unknown_command"])
+    def test_parser_error_is_json_config_error(self, capsys, monkeypatch, argv, message):
+        # each used to print argparse's usage text and raise SystemExit(2)
+        monkeypatch.setattr(cli, "ingest_pipeline", _refuse_ingest)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip())
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+        assert err["message"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["quadrat", "--help"]])
+    def test_help_prints_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            run(argv)
+        assert done.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: fixproc") and captured.err == ""
+
+
+class TestFlagText:
+    # name: flag text that does not fit the field, refused alike from a flag
+    # and, as a JSON string, from a config file
+    BAD = {
+        "nx": "abc",
+        "m": "1.5",
+        "seed": "1e3",
+        "h": "24px",
+        "window": "0,0,770,x",
+        "h_grid": "16,,32",
+        "group": "zz",
+        "source": "blink",
+        "stat": "Hull",
+        "split": "time",
+    }
+
+    @pytest.mark.parametrize("name", list(BAD))
+    def test_flag_and_file_give_one_error(self, data_csv, tmp_path, capsys, monkeypatch, name):
+        # a bad --nx or --group used to end in argparse's usage text
+        monkeypatch.setattr(cli, "ingest_pipeline", _refuse_ingest)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: self.BAD[name]}))
+        lines = []
+        for setting in ([cli._flag(name), self.BAD[name]], ["--config", cfg]):
+            out = tmp_path / "out"
+            assert run(["quadrat", "--input", data_csv, "--out", out, *setting]) == 2
+            lines.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert lines[0] == lines[1]
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and f"{name} must" in err["message"]
+
+    def test_text_is_read_by_the_fields_kind(self):
+        by_name = {f.name: f for f in fields(PipelineConfig)}
+        assert cli._read_flag(by_name["nx"], "64") == 64
+        assert cli._read_flag(by_name["h"], "24") == 24.0
+        assert cli._read_flag(by_name["h_grid"], "16,24.5") == (16.0, 24.5)
+        assert cli._read_flag(by_name["painting"], "12") == "12"
+        assert cli._read_flag(by_name["svg"], False) is False
+        assert cli._read_flag(by_name["seed"], None) is None
+
 
 class TestRequiredSettings:
     # a missing required setting used to be found after the output directory
@@ -784,6 +860,49 @@ class TestCommandRefusals:
         assert "--group" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["residuals", "--h", "24", "--interval-ms", "30000"],
+        ["residuals", "--h", "24", "--interval-ms", "20000"],
+        ["shift", "--split", "interval", "--interval-ms", "30000"],
+        ["shift", "--split", "interval", "--interval-ms", "20000"],
+    ], ids=["residuals", "residuals_equal", "shift", "shift_equal"])
+    def test_one_interval_is_config_error_before_ingest(self, bench_csv, tmp_path, capsys,
+                                                        monkeypatch, args):
+        # each used to read the input, then exit 3: an interval as long as
+        # the 20 s trial leaves one, which has nothing to be compared with
+        monkeypatch.setattr(cli, "ingest_pipeline", _refuse_ingest)
+        out = tmp_path / "out"
+        assert run([*args, "--input", bench_csv, "--out", out, "--trial-length", "20000"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["message"] == (f"interval_ms {float(args[-1])} cuts trial_length 20000.0 "
+                                  "into 1 interval(s); need at least 2")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trial, interval", [
+        (20_000.0, 20_000.0), (20_000.0, np.nextafter(20_000.0, 0.0)),
+        (20_000.0, np.nextafter(20_000.0, np.inf)), (20_000.0, 10_000.0),
+        (0.3, 0.1), (1e-300, 5e-301), (5e-324, 5e-324), (1e-323, 5e-324),
+    ])
+    @pytest.mark.parametrize("command, split", [("residuals", "group"), ("shift", "interval")])
+    def test_interval_refusal_is_the_datasets_count(self, trial, interval, command, split):
+        # the CLI refuses exactly the configs whose intervals the dataset refuses to cut
+        cfg = PipelineConfig(input="x.csv", trial_length=trial, interval_ms=interval,
+                             split=split)
+        try:
+            Dataset(window=Window(0.0, 0.0, 1.0, 1.0), sequences=[],
+                    trial_length=trial).interval_masks(interval)
+        except fixproc.DataError:
+            with pytest.raises(cli.ConfigError, match="need at least 2"):
+                cli._check_command(command, cfg)
+        else:
+            cli._check_command(command, cfg)
+
+    def test_group_split_takes_any_interval(self):
+        cfg = PipelineConfig(input="x.csv", trial_length=20_000.0, interval_ms=30_000.0)
+        cli._check_command("shift", cfg)
+        cli._check_command("intensity", cfg)
+
     def test_group_on_a_config_file_is_refused_too(self, bench_csv, tmp_path, capsys,
                                                    monkeypatch):
         monkeypatch.setattr(cli, "ingest_pipeline", _refuse_ingest)
@@ -831,9 +950,10 @@ class TestDataErrorsMakeNoOutputDirectory:
         d = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=4, seed=21,
                               painting_id="room/a")
         out = tmp_path / "out"
+        # intervals that cut the 5 s trials in two, so residuals gets to ingest
         assert run([command, "--seed", "1", *_group_flags(command), "--input",
                     write_csv(d, tmp_path / "fix.csv"), "--out", out,
-                    "--trial-length", "5000"]) == 3
+                    "--trial-length", "5000", "--interval-ms", "2500"]) == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert "painting_id 'room/a' cannot be part of a file name" in err["message"]
         assert not out.exists()
@@ -844,9 +964,9 @@ class TestDataErrorsMakeNoOutputDirectory:
         (["envelope", "--group", "novice", "--seed", "1", "--n-runs", "20", "--h", "24",
           "--trial-length", "40"], 3),
         (["intensity", "--h-grid", "0.0001"], 4),
-        (["residuals", "--h", "24", "--interval-ms", "30000"], 3),
-        # one interval of a 20 s trial: nothing to shift against
-        (["shift", "--split", "interval", "--interval-ms", "30000"], 3),
+        # no sequence of the painting is left
+        (["residuals", "--h", "24", "--interval-ms", "10000", "--painting", "nosuch"], 3),
+        (["shift", "--split", "interval", "--interval-ms", "10000", "--painting", "nosuch"], 3),
         (["report", "--seed", "1", "--m", "9", "--n-runs", "20", "--h-grid", "0.0001"], 4),
         # without SVGs a group model that fails comes before report's first write
         ([*REPORT_SHORT_TRIALS, "--no-svg"], 3),
@@ -1053,27 +1173,22 @@ class TestFlagVariants:
         assert "no fixations left" in err["message"]
 
 
-class TestIntervalSplits:
-    # data_csv's trials last 10 000 ms: an interval of 10 000 ms or more
-    # leaves one interval, which has nothing to be compared with
-    @pytest.mark.parametrize("interval", ["10000", "30000"])
-    def test_shift_by_one_interval_is_data_error(self, data_csv, tmp_path, capsys, interval):
-        code = run(["shift", "--input", data_csv, "--out", tmp_path, "--split", "interval",
-                    "--interval-ms", interval, "--trial-length", "10000"])
-        assert code == 3
-        message = json.loads(capsys.readouterr().err.strip())["message"]
-        assert f"{float(interval)}" in message and "10000.0" in message
-        assert not (tmp_path / "shift.json").exists()
-
-    @pytest.mark.parametrize("interval", ["10000", "30000"])
-    def test_residuals_of_one_interval_is_data_error(self, data_csv, tmp_path, capsys,
-                                                     interval):
-        code = run(["residuals", "--input", data_csv, "--out", tmp_path,
-                    "--interval-ms", interval, *FAST])
-        assert code == 3
-        message = json.loads(capsys.readouterr().err.strip())["message"]
-        assert f"{float(interval)}" in message and "10000.0" in message
-        assert not (tmp_path / "residuals.json").exists()
+class TestOneSampleRule:
+    # fit and the group model take each law's sample from fitdist.law_sample
+    @pytest.mark.parametrize("group", ["novice", "non_novice"])
+    def test_fit_equals_the_models_law(self, data_csv, tmp_path, group):
+        assert run(["envelope", "--group", group, "--seed", "1", "--n-runs", "20", "--no-svg",
+                    "--input", data_csv, "--out", tmp_path / "env", *FAST]) == 0
+        model = json.loads((tmp_path / "env" / "envelope.json").read_text())["model"]
+        # saccade durations pool both groups, so fit takes no --group for them
+        for source, law, flags in (("fixation_duration", "dur_fix", ["--group", group]),
+                                   ("saccade_length", "len_sac", ["--group", group]),
+                                   ("saccade_duration", "dur_sac", [])):
+            out = tmp_path / source
+            assert run(["fit", "--source", source, *flags, "--input", data_csv,
+                        "--out", out, *FAST]) == 0
+            fit = json.loads((out / f"fit_{source}.json").read_text())
+            assert {key: fit[key] for key in model[law]} == model[law]
 
 
 class TestSvgText:

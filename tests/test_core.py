@@ -11,12 +11,22 @@ from fixproc import (
     FixationSequence,
     StepCurve,
     Window,
-    max_corner_distance,
-    quadrant_of,
 )
+from fixproc.core import corner_offsets, quadrants
 from helpers import farthest_corner, sequence
 
 W = Window(0.0, 0.0, 770.0, 768.0)
+
+
+def one_quadrant(x: float, y: float, w: Window) -> int:
+    """The quadrant, 1 to 4, that :func:`quadrants` gives one point."""
+    return int(quadrants(np.array([[x, y]], dtype=float), w)[0]) + 1
+
+
+def corner_distance(x: float, y: float, w: Window) -> float:
+    """The length of the :func:`corner_offsets` of one point."""
+    dx, dy = corner_offsets(w, [x], [y])
+    return math.hypot(dx[0], dy[0])
 
 
 class TestWindow:
@@ -55,14 +65,14 @@ class TestWindow:
 
 class TestQuadrant:
     def test_corner_cases(self):
-        assert quadrant_of(1, 1, W) == 1
-        assert quadrant_of(769, 767, W) == 4
+        assert one_quadrant(1, 1, W) == 1
+        assert one_quadrant(769, 767, W) == 4
 
     def test_midline_tie_break_goes_to_larger_index(self):
         # exactly on both midlines
-        assert quadrant_of(385, 384, W) == 4
-        assert quadrant_of(385, 1, W) == 2
-        assert quadrant_of(1, 384, W) == 3
+        assert one_quadrant(385, 384, W) == 4
+        assert one_quadrant(385, 1, W) == 2
+        assert one_quadrant(1, 384, W) == 3
 
     def test_partition_matches_half_open_cells(self):
         # the four half-open cells [lo, mid) x [lo, mid) etc. tile the window
@@ -72,24 +82,24 @@ class TestQuadrant:
         for x in xs:
             for y in ys:
                 expected = 1 + (x >= mx) + 2 * (y >= my)
-                assert quadrant_of(x, y, W) == expected
+                assert one_quadrant(x, y, W) == expected
 
     def test_outside_raises(self):
         with pytest.raises(DataError):
-            quadrant_of(-1, 5, W)
+            one_quadrant(-1, 5, W)
 
 
 class TestMaxCornerDistance:
     def test_unit_square_center(self):
         sq = Window(0, 0, 1, 1)
-        assert max_corner_distance(0.5, 0.5, sq) == pytest.approx(math.sqrt(2) / 2)
+        assert corner_distance(0.5, 0.5, sq) == pytest.approx(math.sqrt(2) / 2)
 
     def test_unit_square_corner(self):
         sq = Window(0, 0, 1, 1)
-        assert max_corner_distance(0, 0, sq) == pytest.approx(math.sqrt(2))
+        assert corner_distance(0, 0, sq) == pytest.approx(math.sqrt(2))
 
     def test_reference_window_value(self):
-        assert max_corner_distance(100, 100, W) == pytest.approx(
+        assert corner_distance(100, 100, W) == pytest.approx(
             math.hypot(670, 668), abs=1e-9
         )
 
@@ -99,7 +109,7 @@ class TestMaxCornerDistance:
     )
     def test_at_least_half_diagonal(self, x, y):
         half_diag = math.hypot(770, 768) / 2
-        assert max_corner_distance(x, y, W) >= half_diag - 1e-9
+        assert corner_distance(x, y, W) >= half_diag - 1e-9
 
     @given(
         st.floats(1, 769),
@@ -108,7 +118,7 @@ class TestMaxCornerDistance:
     )
     def test_point_toward_far_corner_stays_inside(self, x, y, frac):
         # any jump up to the far-corner distance along that direction is feasible
-        l_max = max_corner_distance(x, y, W)
+        l_max = corner_distance(x, y, W)
         cx, cy = farthest_corner(x, y, W)
         ux, uy = (cx - x) / l_max, (cy - y) / l_max
         length = frac * l_max

@@ -11,22 +11,46 @@ from fixproc import (
     acf,
     fit_gamma_mle,
     gamma_qq,
-    sample_gamma,
+    law_sample,
     sample_truncated_gamma,
 )
+from fixproc.fitdist import FIT_SOURCES
+from helpers import derive_saccades_reference, valid_saccade_values_reference
+from test_ingest import _saccade_cases
 
 
 class TestGammaFit:
     def test_moments(self):
         fit = GammaFit(2.0, 0.01, 100, "fixation_duration")
         assert fit.mean == 200.0
-        assert fit.variance == 20_000.0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(NumericError):
             GammaFit(-1.0, 1.0, 10, "fixation_duration")
         with pytest.raises(DataError):
             GammaFit(1.0, 1.0, 10, "blood_pressure")
+
+
+class TestLawSample:
+    # fit, qq and build_model each fit a law to law_sample of its sequences
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_scalar_reference_for_each_source(self, seed):
+        cases = _saccade_cases(np.random.default_rng(seed))
+        seqs = [seq for seq, _ in cases]
+        jumps = {(seq.subject_id, seq.painting_id): derive_saccades_reference(seq, exclusions)
+                 for seq, exclusions in cases}
+        for source in FIT_SOURCES:
+            if source == "fixation_duration":
+                want = [d for seq in seqs for d in seq.durations.tolist()]
+            else:
+                attr = source.removeprefix("saccade_")
+                want = valid_saccade_values_reference(seqs, jumps, attr)
+            got = law_sample(seqs, source)
+            assert got.dtype == np.float64 and got.tolist() == want
+
+    def test_unknown_source_is_refused(self):
+        with pytest.raises(DataError, match="unknown source 'blink'"):
+            law_sample([], "blink")
 
 
 class TestFitGammaMLE:
@@ -44,7 +68,7 @@ class TestFitGammaMLE:
     def test_round_trip_three_percent(self):
         rng = np.random.default_rng(103)
         truth = GammaFit(2.4, 1 / 130.0, 1, "fixation_duration")
-        draws = sample_gamma(truth, rng, size=100_000)
+        draws = rng.gamma(truth.shape, 1.0 / truth.rate, size=100_000)
         fit = fit_gamma_mle(draws)
         assert fit.shape == pytest.approx(truth.shape, rel=0.03)
         assert fit.rate == pytest.approx(truth.rate, rel=0.03)

@@ -19,12 +19,11 @@ from fixproc import (
 )
 from fixproc.core import StepCurve
 from fixproc.envelopes import CurveMatrix, rank_envelope
-from fixproc.fitdist import fit_gamma_mle
+from fixproc.fitdist import fit_gamma_mle, law_sample
 from fixproc.ingest import (
     _CSV_ROWS,
     SequenceReport,
     ingest_pipeline,
-    valid_saccade_values,
     write_csv,
     write_json,
     write_saccades,
@@ -307,7 +306,7 @@ class TestSaccadesMatchReference:
         seqs = [cases[i][0] for i in rng.permutation(len(cases))]
         for keep in (slice(None), slice(None, None, 2)):
             for attr in ("length", "duration"):
-                got = valid_saccade_values(seqs[keep], attr)
+                got = law_sample(seqs[keep], "saccade_" + attr)
                 want = np.array(valid_saccade_values_reference(seqs[keep], jumps, attr), np.float64)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -366,15 +365,15 @@ class TestPipeline:
         )
         dataset, _, _ = ingest_pipeline(_write(tmp_path, body))
         step = float(np.hypot(10, 10))
-        lengths = valid_saccade_values(dataset.sequences, "length")
+        lengths = law_sample(dataset.sequences, "saccade_length")
         assert lengths.tolist() == [step, step, 50.0]
-        durations = valid_saccade_values(dataset.sequences, "duration")
+        durations = law_sample(dataset.sequences, "saccade_duration")
         assert durations.tolist() == [100.0, 100.0, 50.0]
         # sequences are walked in the order given
         reordered = dataset.sequences[::-1]
-        assert valid_saccade_values(reordered, "length").tolist() == [50.0, step, step]
-        assert valid_saccade_values(dataset.by_group("non_novice"), "length").shape == (0,)
-        assert valid_saccade_values([], "duration").shape == (0,)
+        assert law_sample(reordered, "saccade_length").tolist() == [50.0, step, step]
+        assert law_sample(dataset.by_group("non_novice"), "saccade_length").shape == (0,)
+        assert law_sample([], "saccade_duration").shape == (0,)
 
     def test_report_json_shape(self, tmp_path, short_csv):
         _, _, report = ingest_pipeline(short_csv)

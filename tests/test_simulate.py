@@ -17,7 +17,6 @@ from fixproc import (
     build_model,
     fit_gamma_mle,
     ingest_pipeline,
-    max_corner_distance,
     next_location,
     parse_fixations,
     sample_initial,
@@ -37,6 +36,7 @@ from fixproc.simulate import _BLOCK_CANDIDATES, _landings, runs_to_dataset
 from helpers import (
     WINDOW,
     derive_saccades_reference,
+    far_corner_distance,
     farthest_corner,
     hotspot_grid,
     next_location_reference,
@@ -190,7 +190,7 @@ def kept_jumps(model, n_runs, seed):
         assert len(starts) == len(run.long_jump) == len(run.jump_lengths)
         branches = np.where(run.long_jump, "uniform_long", "gamma").tolist()
         for (x, y), branch, length in zip(starts, branches, run.jump_lengths.tolist()):
-            jumps.append((branch, length, max_corner_distance(x, y, W)))
+            jumps.append((branch, length, far_corner_distance(x, y, W)))
     return jumps
 
 
@@ -247,7 +247,7 @@ class TestCornerOffsets:
         xs, ys = (list(v) for v in zip(*points))
         dx, dy = corner_offsets(w, xs, ys)
         for x, y, off_x, off_y in zip(xs, ys, dx.tolist(), dy.tolist()):
-            assert math.hypot(off_x, off_y) == max_corner_distance(x, y, w)
+            assert math.hypot(off_x, off_y) == far_corner_distance(x, y, w)
             assert abs(off_x) == max(x - w.x_min, w.x_max - x)
             assert abs(off_y) == max(y - w.y_min, w.y_max - y)
             cx, cy = farthest_corner(x, y, w)
@@ -255,7 +255,7 @@ class TestCornerOffsets:
 
     def test_lowest_outside_point_raises_its_error(self):
         with pytest.raises(DataError) as ref:
-            max_corner_distance(-1.0, 5.0, W)
+            farthest_corner(-1.0, 5.0, W)
         with pytest.raises(DataError) as got:
             corner_offsets(W, [10.0, -1.0, 900.0], [10.0, 5.0, 5.0])
         assert str(got.value) == str(ref.value) == "point (-1.0, 5.0) outside window"
@@ -290,7 +290,7 @@ class TestNextLocation:
             x, y = rng.uniform([0.0, 0.0], [770.0, 768.0])
             x, y = rng.choice([x, 0.0, 770.0]), rng.choice([y, 0.0, 768.0])
             # up to the furthest corner, where only the guaranteed candidate fits
-            length = rng.choice([rng.uniform(0.0, 1.0), 1.0]) * max_corner_distance(x, y, W)
+            length = rng.choice([rng.uniform(0.0, 1.0), 1.0]) * far_corner_distance(x, y, W)
             seed = int(rng.integers(2**32))
             got = next_location(model, x, y, length, np.random.default_rng(seed))
             ref = next_location_reference(model, x, y, length, np.random.default_rng(seed))
@@ -320,7 +320,7 @@ class TestNextLocation:
         for _ in range(200):
             x0 = rng.uniform(10, 760)
             y0 = rng.uniform(10, 758)
-            l = rng.uniform(1, max_corner_distance(x0, y0, W))
+            l = rng.uniform(1, far_corner_distance(x0, y0, W))
             x, y = next_location(model, x0, y0, l, rng)
             assert np.hypot(x - x0, y - y0) == pytest.approx(l, abs=1e-9)
             assert W.contains(x, y)
@@ -360,7 +360,7 @@ class TestNextLocation:
         model = self._flat_model()
         rng = np.random.default_rng(10)
         x0, y0 = 10.0, 10.0
-        l = max_corner_distance(x0, y0, W) * 0.99999
+        l = far_corner_distance(x0, y0, W) * 0.99999
         x, y = next_location(model, x0, y0, l, rng)
         assert W.contains(x, y)
 
@@ -413,7 +413,7 @@ class TestSimulateRun:
         dists = np.hypot(*np.diff(locs, axis=0).T)
         assert np.allclose(dists, run.jump_lengths, atol=1e-9)
         for (x, y), l in zip(locs[:-1], run.jump_lengths):
-            assert l <= max_corner_distance(x, y, W) + 1e-9
+            assert l <= far_corner_distance(x, y, W) + 1e-9
 
     def test_realistic_counts_plausible(self):
         # full-length trials: per-run fixation counts in the plausible range

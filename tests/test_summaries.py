@@ -15,7 +15,6 @@ from fixproc import (
     convex_hull_coverage,
     curve_rows,
     polygon_area,
-    quadrant_of,
     resample_curve,
     scanpath_length,
     transition_curves,
@@ -34,6 +33,7 @@ from helpers import (
     disc_box_reference,
     disc_raster,
     hull_values_reference,
+    quadrant_reference,
     sequence,
     transition_estimates_reference,
     transition_table_per_step,
@@ -452,7 +452,7 @@ def _around(v: float) -> list:
 
 
 class TestQuadrants:
-    # the one-pass states equal quadrant_of point by point
+    # the one-pass states equal the scalar midline reference point by point
     @pytest.mark.parametrize("w", [W, Window(10.0, 20.0, 31.0, 45.0), Window(-3.5, 0.0, 0.1, 0.3)])
     def test_equal_quadrant_of_on_midlines_and_edges(self, w, rng):
         mx, my = (w.x_min + w.x_max) / 2.0, (w.y_min + w.y_max) / 2.0
@@ -463,7 +463,7 @@ class TestQuadrants:
         pts = np.vstack([list(itertools.product(xs, ys)),
                          rng.uniform([w.x_min, w.y_min], [w.x_max, w.y_max], (200, 2))])
         got = quadrants(pts, w)
-        assert got.tolist() == [quadrant_of(x, y, w) - 1 for x, y in pts.tolist()]
+        assert got.tolist() == [quadrant_reference(x, y, w) for x, y in pts.tolist()]
 
     def test_empty(self):
         assert quadrants(np.empty((0, 2)), W).tolist() == []
@@ -472,7 +472,7 @@ class TestQuadrants:
     def test_first_outside_point_raises_its_error(self, bad):
         pts = np.array([(10.0, 10.0), bad, (800.0, 5.0)])
         with pytest.raises(DataError) as ref:
-            quadrant_of(*bad, W)
+            quadrant_reference(*bad, W)
         with pytest.raises(DataError) as got:
             quadrants(pts, W)
         assert str(got.value) == str(ref.value)

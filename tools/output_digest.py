@@ -139,8 +139,13 @@ COMMANDS = {
     "shift_group": ("c", ["shift", "--split", "group"]),
     "shift_interval": ("a", ["shift", "--split", "interval", "--interval-ms", "10000"]),
     "fit_len": ("c", ["fit", "--source", "saccade_length"]),
+    "fit_dur": ("c", ["fit", "--source", "saccade_duration"]),
+    "fit_fix": ("c", ["fit", "--source", "fixation_duration"]),
+    # one group's sample alone
+    "fit_len_novice": ("c", ["fit", "--source", "saccade_length", "--group", "novice"]),
     "qq": ("c", ["qq", "--source", "saccade_duration", "--alpha", "0.1"]),
     "qq_fix": ("c", ["qq", "--source", "fixation_duration"]),
+    "qq_len": ("c", ["qq", "--source", "saccade_length"]),
     "summaries": ("c", ["summaries", "--radius", "30", "--raster", "3"]),
     # one painting picked out of two, and every painting's sequences named
     "summaries_2p": ("d", ["summaries", "--radius", "30", "--raster", "3"]),
