@@ -553,7 +553,8 @@ def _check_command(command: str, cfg: PipelineConfig) -> None:
     them empty. A command that draws envelopes (``envelope``, ``report``)
     needs at least :func:`~fixproc.envelopes.min_curves` runs at ``alpha``,
     and one that compares time intervals (``residuals``, ``shift --split
-    interval``) at least two :func:`~fixproc.core.interval_count` intervals.
+    interval``) from 2 to :data:`~fixproc.core.MAX_INTERVALS`
+    :func:`~fixproc.core.interval_count` intervals.
     """
     for name in ("input", *REQUIRED.get(command, ())):
         if getattr(cfg, name) is None:
@@ -566,9 +567,10 @@ def _check_command(command: str, cfg: PipelineConfig) -> None:
         raise ConfigError(f"n_runs must be at least {min_curves(cfg.alpha)} at alpha "
                           f"{cfg.alpha} to draw an envelope, got {cfg.n_runs}")
     if command == "residuals" or (command, cfg.split) == ("shift", "interval"):
-        if (k := interval_count(cfg.trial_length, cfg.interval_ms)) < 2:
-            raise ConfigError(f"interval_ms {cfg.interval_ms} cuts trial_length "
-                              f"{cfg.trial_length} into {k} interval(s); need at least 2")
+        try:
+            interval_count(cfg.trial_length, cfg.interval_ms)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):

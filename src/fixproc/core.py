@@ -172,10 +172,27 @@ class Saccades:
         return len(self.lengths)
 
 
+#: The most intervals a trial may be cut into: ``residuals`` estimates one
+#: nx x ny surface and writes one CSV per interval.
+MAX_INTERVALS = 1_000
+
+
 def interval_count(trial_length: float, interval: float) -> int:
     """How many intervals of ``interval`` ms, a trailing shorter one included, cut a trial
-    of ``trial_length`` ms: the count :meth:`Dataset.interval_masks` cuts by and the CLI checks."""
-    return math.ceil(trial_length / interval)
+    of ``trial_length`` ms: the count :meth:`Dataset.interval_masks` cuts by and the CLI checks.
+
+    ``DataError`` unless ``interval`` is positive and the count is from 2 (one
+    interval has nothing to be compared with) to :data:`MAX_INTERVALS`.
+    """
+    if not interval > 0:
+        raise DataError("interval must be positive")
+    cut = f"interval_ms {interval} cuts trial_length {trial_length} into"
+    ratio = trial_length / interval
+    if not ratio <= MAX_INTERVALS:  # an infinite ratio has no ceiling
+        raise DataError(f"{cut} more than {MAX_INTERVALS} intervals; need at most {MAX_INTERVALS}")
+    if (k := math.ceil(ratio)) < 2:
+        raise DataError(f"{cut} {k} interval(s); need at least 2")
+    return k
 
 
 @dataclass
@@ -233,12 +250,8 @@ class Dataset:
 
     def interval_masks(self, interval: float) -> list[np.ndarray]:
         """Masks over :meth:`pooled_onsets`, mask j of the onsets in [j, j + 1) * interval,
-        for ``ceil(trial_length / interval)`` intervals; the last may be shorter."""
-        if not interval > 0:
-            raise DataError("interval must be positive")
-        if (k := interval_count(self.trial_length, interval)) < 2:  # nothing to compare with
-            raise DataError(f"trial_length {self.trial_length} ms cut at interval {interval} "
-                            f"ms gives {k} interval(s); need at least 2")
+        for :func:`interval_count` intervals; the last may be shorter."""
+        k = interval_count(self.trial_length, interval)
         onsets = self.pooled_onsets()
         return [(onsets >= j * interval) & (onsets < (j + 1) * interval) for j in range(k)]
 

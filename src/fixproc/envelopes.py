@@ -139,17 +139,6 @@ def _unsorted(values: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mid_ranks(rows: np.ndarray) -> np.ndarray:
-    """Rank of each entry within its column, ties averaged; NaN where not finite.
-
-    Only a column's finite entries are ranked, from 1 up to their count.
-    """
-    order, ordered = _sorted_columns(_finite_or_nan(rows))
-    ranks = _unsorted(_sorted_mid_ranks(ordered), order)
-    ranks[~np.isfinite(rows)] = np.nan
-    return ranks
-
-
 def _sorted_extreme_ranks(
     order: np.ndarray, ordered: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
@@ -166,12 +155,19 @@ def _sorted_extreme_ranks(
     return _unsorted(depth, order).min(axis=1)
 
 
-def _tiled_extreme_ranks(rows: np.ndarray, ordered: np.ndarray | None = None) -> np.ndarray:
-    """:func:`extreme_ranks`, sorting ``_TILE_COLUMNS`` columns at a time.
+def extreme_ranks(rows: np.ndarray, ordered: np.ndarray | None = None) -> np.ndarray:
+    """Per-curve extreme rank: min over the grid of depth from below/above.
 
-    Each tile's sorted columns, non-finite entries as NaN and last, go to the
-    same columns of ``ordered`` when it is given. Every other array is sized
-    to one tile, and ``rows`` is only read.
+    Mid-ranks are used on ties so mass ties (e.g. many curves at zero early
+    on) do not pin every curve at rank 1. Non-finite entries (NaN for a
+    curve undefined at that time, as for not-yet-visited transition rows,
+    and likewise +-inf) contribute no depth; an everywhere-undefined curve
+    gets rank +inf.
+
+    The columns are sorted ``_TILE_COLUMNS`` at a time. Each tile's sorted
+    columns, non-finite entries as NaN and last, go to the same columns of
+    ``ordered`` when it is given. Every other array is sized to one tile,
+    and ``rows`` is only read.
     """
     ranks = np.full(len(rows), np.inf)
     for start in range(0, rows.shape[1], _TILE_COLUMNS):
@@ -182,18 +178,6 @@ def _tiled_extreme_ranks(rows: np.ndarray, ordered: np.ndarray | None = None) ->
         if ordered is not None:
             ordered[:, cols] = tile
     return ranks
-
-
-def extreme_ranks(rows: np.ndarray) -> np.ndarray:
-    """Per-curve extreme rank: min over the grid of depth from below/above.
-
-    Mid-ranks are used on ties so mass ties (e.g. many curves at zero early
-    on) do not pin every curve at rank 1. Non-finite entries (NaN for a
-    curve undefined at that time, as for not-yet-visited transition rows,
-    and likewise +-inf) contribute no depth; an everywhere-undefined curve
-    gets rank +inf.
-    """
-    return _tiled_extreme_ranks(rows)
 
 
 def min_curves(alpha: float) -> int:
@@ -225,7 +209,7 @@ def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
 
     counts = np.isfinite(curves.rows).sum(axis=0)
     ordered = np.empty(curves.rows.shape)
-    ranks = _tiled_extreme_ranks(curves.rows, ordered)
+    ranks = extreme_ranks(curves.rows, ordered)
     need = int(np.ceil((1.0 - alpha) * s - 1e-9))
     # largest integer k with #{R_j >= k} >= need, i.e. floor of the
     # need-th largest extreme rank

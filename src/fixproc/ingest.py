@@ -2,13 +2,16 @@
 
 Canonical schema (header required):
 
-    subject_id,group,painting_id,onset_ms,duration_ms,x_px,y_px
+    subject_id,group,painting_id,onset_ms,duration_ms,x_px,y_px[,valid_jump_in]
 
 with group one of ``novice`` / ``non_novice``. Fixations shorter than 40 ms
 are treated as spurious and removed, as are fixations outside the painting
 extent. The jump that joins the fixations either side of a removed one was
 no real eye movement, so the filtered sequence marks it invalid in its
-``valid_jumps`` column, and every saccade fit skips it. Subject and
+``valid_jumps`` column, and every saccade fit skips it. The optional 0/1
+column ``valid_jump_in`` says whether the jump into a fixation is a real
+saccade; every file fixproc writes in this schema has it, so a cleaned file
+read back keeps its spliced jumps invalid. Subject and
 painting ids become parts of output file names, so an id holding ``/``,
 a backslash or NUL, or equal to ``.`` or ``..``, is refused.
 """
@@ -40,6 +43,9 @@ from .core import (
 )
 
 COLUMNS = ("subject_id", "group", "painting_id", "onset_ms", "duration_ms", "x_px", "y_px")
+#: The optional column: 1 when the jump into the row's fixation is a real
+#: saccade; a sequence's first fixation has no such jump and writes 1
+VALID_JUMP_IN = "valid_jump_in"
 
 
 def _names_a_file(value: str) -> bool:
@@ -69,22 +75,12 @@ class IngestReport:
     def n_total(self) -> int:
         return sum(e.n_total for e in self.entries)
 
-    @property
-    def n_short_excluded(self) -> int:
-        return sum(e.n_short_excluded for e in self.entries)
-
-    @property
-    def n_outside_excluded(self) -> int:
-        return sum(e.n_outside_excluded for e in self.entries)
-
-    @property
-    def n_saccades_missing(self) -> int:
-        return sum(e.n_saccades_missing for e in self.entries)
-
     def to_dict(self) -> dict:
-        totals = ("n_total", "n_short_excluded", "n_outside_excluded", "n_saccades_missing")
+        """The entries, and under ``totals`` each count field of :class:`SequenceReport`
+        summed over them."""
+        counts = [f.name for f in fields(SequenceReport) if f.type == "int"]
         return {"sequences": self.entries,
-                "totals": {name: getattr(self, name) for name in totals}}
+                "totals": {name: sum(getattr(e, name) for e in self.entries) for name in counts}}
 
 
 def write_json(path, payload) -> None:
@@ -213,9 +209,13 @@ def parse_fixations(
     times or coordinates raise with the offending line number. A subject
     keeps one group label on every painting; a second label raises with
     both line numbers, and so does a sequence whose output name (see
-    ``core.sequence_name``) is an earlier sequence's.
+    ``core.sequence_name``) is an earlier sequence's. A ``valid_jump_in``
+    column, when the header has it, sets each sequence's ``valid_jumps``
+    (its flag moves with its row through the sort, and the first row's is
+    ignored); a flag other than 0 or 1 raises with its line number. Without
+    the column every jump is valid.
     """
-    rows: dict[tuple[str, str], list[tuple[float, float, float, float]]] = {}
+    rows: dict[tuple[str, str], list[tuple[float, float, float, float, bool]]] = {}
     labels: dict[str, tuple[str, int]] = {}  # subject: (group, line of its first row)
     names: dict[tuple[str, str], tuple[tuple[str, str], int]] = {}  # (sep, name): (ids, line)
     seen_onsets: dict[tuple[str, str], set[float]] = {}
@@ -226,6 +226,7 @@ def parse_fixations(
         missing = [c for c in COLUMNS if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
+        has_flags = VALID_JUMP_IN in reader.fieldnames
         for row in reader:
             line = reader.line_num
             try:
@@ -236,12 +237,15 @@ def parse_fixations(
                 duration = float(row["duration_ms"])
                 x = float(row["x_px"])
                 y = float(row["y_px"])
+                flag = row[VALID_JUMP_IN].strip() if has_flags else "1"
             except (TypeError, ValueError, AttributeError) as exc:
                 raise DataError(f"{path}:{line}: malformed row ({exc})") from exc
             if not all(math.isfinite(v) for v in (onset, duration, x, y)):
                 raise DataError(
                     f"{path}:{line}: non-finite value in onset_ms, duration_ms, x_px or y_px"
                 )
+            if flag not in ("0", "1"):
+                raise DataError(f"{path}:{line}: {VALID_JUMP_IN} must be 0 or 1, got {flag!r}")
             if group not in GROUPS:
                 raise DataError(f"{path}:{line}: unknown group {group!r}")
             if duration <= 0:
@@ -276,16 +280,17 @@ def parse_fixations(
                     f"{path}:{line}: duplicate onset {onset} for subject {subject!r}"
                 )
             onsets.add(onset)
-            rows.setdefault(key, []).append((onset, duration, x, y))
+            rows.setdefault(key, []).append((onset, duration, x, y, flag == "1"))
 
     sequences = []
     for key, bucket in rows.items():
         if bucket != sorted(bucket):  # a key's onsets are distinct: tuples sort by onset
             warnings.warn(f"fixations for {key} were out of time order; sorted by onset")
             bucket.sort()
-        onsets, durations, x, y = np.array(bucket).T
+        onsets, durations, x, y, flags = np.array(bucket).T
         sequences.append(FixationSequence(
-            key[0], labels[key[0]][0], key[1], np.column_stack((x, y)), onsets, durations
+            key[0], labels[key[0]][0], key[1], np.column_stack((x, y)), onsets, durations,
+            flags[1:],
         ))
     return Dataset(window=window, sequences=sequences, trial_length=trial_length)
 
@@ -360,14 +365,16 @@ def ingest_pipeline(
 
 
 def write_fixations(dataset: Dataset, path) -> None:
-    """Serialize back to the canonical CSV schema, one block per sequence."""
+    """Serialize back to the canonical CSV schema, ``valid_jump_in`` included,
+    one block per sequence."""
 
     def block(seq: FixationSequence) -> tuple:
         n = len(seq)
         ids = ([seq.subject_id] * n, [seq.group] * n, [seq.painting_id] * n)
-        return (*ids, seq.onsets, seq.durations, *seq.locations.T)
+        valid_in = np.concatenate(([1], seq.valid_jumps.astype(int)))[:n]
+        return (*ids, seq.onsets, seq.durations, *seq.locations.T, valid_in)
 
-    write_csv(path, COLUMNS, map(block, dataset.sequences))
+    write_csv(path, (*COLUMNS, VALID_JUMP_IN), map(block, dataset.sequences))
 
 
 def write_saccades(sequences, path) -> None:

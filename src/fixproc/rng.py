@@ -111,24 +111,25 @@ def permutations(seed: int, name: str, indices, n: int) -> np.ndarray:
     seed's words, the name's words and then index j, so the SeedSequence
     pool is mixed once up to j and j enters as a vector. Each row sets
     the PCG64 state that seed gives (pcg64 srandom) on one reused generator
-    and shuffles. An index outside [0, 2**32) goes through ``substream``.
+    and shuffles. ``ValueError`` for an index outside [0, 2**32): it would
+    enter as more than one word, and the first-group flags of 2**32 draws
+    of 20 subjects (``compare._first_groups``) would already take 80 GB.
     """
     indices = [int(j) for j in indices]
+    if indices and (min(indices) < 0 or max(indices) > _MASK32):
+        bad = next(j for j in indices if not 0 <= j <= _MASK32)
+        raise ValueError(f"permutation index {bad} is outside [0, 2**32)")
     prefix = _int_words(int(seed)) + list(_key_words(name))
     out = np.empty((len(indices), n), dtype=np.int64)
     out[:] = np.arange(n)
-    fast = [i for i, j in enumerate(indices) if 0 <= j <= _MASK32]
-    seeds = _pcg64_seeds(prefix, np.array([indices[i] for i in fast], dtype=np.uint64))
+    seeds = _pcg64_seeds(prefix, np.array(indices, dtype=np.uint64))
     bit_generator = np.random.PCG64(0)
     gen = np.random.Generator(bit_generator)
-    for i, s0, s1, s2, s3 in zip(fast, *(s.tolist() for s in seeds)):
+    for row, s0, s1, s2, s3 in zip(out, *(s.tolist() for s in seeds)):
         initstate = (s0 << 64) | s1
         inc = (((s2 << 64) | s3) << 1 | 1) & _MASK128
         state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-        gen.shuffle(out[i])
-    for i, j in enumerate(indices):
-        if not 0 <= j <= _MASK32:
-            out[i] = substream(seed, name, j).permutation(n)
+        gen.shuffle(row)
     return out

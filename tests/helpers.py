@@ -634,9 +634,9 @@ def points_reference(xs, ys) -> str:
 
 
 def mid_ranks_reference(rows: np.ndarray) -> np.ndarray:
-    """Column mid-ranks by one flat pass over the runs of ties, as
-    ``envelopes._mid_ranks`` computed them before the columns' sort was
-    shared with the bounds."""
+    """Column mid-ranks of the finite entries, NaN elsewhere, by one flat
+    pass over the runs of ties: the reference for ``envelopes._sorted_mid_ranks``
+    on a column sort, and under ``extreme_ranks_reference``."""
     finite = np.isfinite(rows)
     columns = np.where(finite, rows, np.nan).T
     order = np.argsort(columns, axis=1)  # NaN sorts last

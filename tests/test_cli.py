@@ -13,7 +13,7 @@ import pytest
 import fixproc
 from fixproc import cli, density, envelopes, simulate, summaries
 from fixproc.cli import DEFAULT_H_GRID, PipelineConfig, main
-from fixproc.core import Dataset, Window
+from fixproc.core import MAX_INTERVALS, Dataset, Window
 from fixproc.ingest import ingest_pipeline, parse_fixations
 from helpers import simulated_dataset, toy_model, write_csv
 
@@ -898,6 +898,42 @@ class TestCommandRefusals:
         else:
             cli._check_command(command, cfg)
 
+    @pytest.mark.parametrize("trial, interval", [("1e300", "1e-10"), ("1e12", "1e-3")],
+                             ids=["infinite", "finite"])
+    @pytest.mark.parametrize("args", [["residuals", "--h", "24"],
+                                      ["shift", "--split", "interval"]],
+                             ids=["residuals", "shift"])
+    def test_too_many_intervals_is_config_error_before_ingest(
+        self, bench_csv, tmp_path, capsys, monkeypatch, args, trial, interval
+    ):
+        # the infinite count ended in an OverflowError traceback, and 10**15
+        # intervals passed the check and would each have been masked
+        monkeypatch.setattr(cli, "ingest_pipeline", _refuse_ingest)
+        out = tmp_path / "out"
+        assert run([*args, "--input", bench_csv, "--out", out, "--trial-length", trial,
+                    "--interval-ms", interval]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert err["message"] == (
+            f"interval_ms {float(interval)} cuts trial_length {float(trial)} into more than "
+            f"{MAX_INTERVALS} intervals; need at most {MAX_INTERVALS}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, split", [("residuals", "group"), ("shift", "interval")])
+    def test_interval_bound_is_the_datasets_bound(self, command, split):
+        most = MAX_INTERVALS
+        for trial, refused in ((most * 1.0, False), (np.nextafter(most * 1.0, np.inf), True)):
+            cfg = PipelineConfig(input="x.csv", trial_length=trial, interval_ms=1.0, split=split)
+            data = Dataset(window=Window(0.0, 0.0, 1.0, 1.0), sequences=[], trial_length=trial)
+            if refused:
+                with pytest.raises(fixproc.DataError, match="need at most"):
+                    data.interval_masks(1.0)
+                with pytest.raises(cli.ConfigError, match="need at most"):
+                    cli._check_command(command, cfg)
+            else:
+                assert len(data.interval_masks(1.0)) == most
+                cli._check_command(command, cfg)
+
     def test_group_split_takes_any_interval(self):
         cfg = PipelineConfig(input="x.csv", trial_length=20_000.0, interval_ms=30_000.0)
         cli._check_command("shift", cfg)
@@ -1268,5 +1304,38 @@ class TestIdsThatNeedQuotes:
         for name in ("fixations_clean.csv", "saccades.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
         assert (first / "fixations_clean.csv").read_text().splitlines()[1] == (
-            '"s,1",novice,p1,0.0,100.0,10.0,10.0'
+            '"s,1",novice,p1,0.0,100.0,10.0,10.0,1'
         )
+
+
+class TestCleanFileReadsBack:
+    """``fixations_clean.csv`` given back as input is analysed as the raw file is."""
+
+    @pytest.fixture(scope="class")
+    def ingested(self, tmp_path_factory):
+        # the bench's envelope input: exclusions at interior rows splice 8 jumps
+        work = tmp_path_factory.mktemp("clean")
+        raw = work / "input.csv"
+        raw.write_text(_bench_experiment(7, 10, 130, 40_000.0).csv_text)
+        assert run(["ingest", "--input", raw, "--out", work / "out",
+                    "--trial-length", "40000"]) == 0
+        return [ingest_pipeline(path, trial_length=40_000.0)
+                for path in (raw, work / "out" / "fixations_clean.csv")]
+
+    @pytest.mark.parametrize("group", ["novice", "non_novice"])
+    def test_models_are_equal(self, ingested, group):
+        # the clean file used to count the spliced jumps as real saccades:
+        # dur_sac read n = 2 572 on it and 2 564 on the raw file
+        raw, clean = (simulate.build_model(dataset, group, h=24.0, nx=32, ny=32).to_dict()
+                      for dataset, _, _ in ingested)
+        assert raw["dur_sac"].n == 2_564
+        assert clean == raw
+
+    def test_reingest_excludes_nothing(self, ingested):
+        (raw, _, raw_report), (clean, _, clean_report) = ingested
+        assert clean.sequences == raw.sequences
+        totals = clean_report.to_dict()["totals"]
+        assert totals["n_short_excluded"] == totals["n_outside_excluded"] == 0
+        assert all(e.excluded_indices == [] for e in clean_report.entries)
+        missing = raw_report.to_dict()["totals"]["n_saccades_missing"]
+        assert totals["n_saccades_missing"] == missing == 8

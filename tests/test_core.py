@@ -12,7 +12,7 @@ from fixproc import (
     StepCurve,
     Window,
 )
-from fixproc.core import corner_offsets, quadrants
+from fixproc.core import MAX_INTERVALS, corner_offsets, quadrants
 from helpers import farthest_corner, sequence
 
 W = Window(0.0, 0.0, 770.0, 768.0)
@@ -328,8 +328,16 @@ class TestIntervalMasks:
     @pytest.mark.parametrize("interval", [2500.0, 3000.0, 1e9])
     def test_fewer_than_two_intervals_rejected(self, interval):
         d = Dataset(window=W, sequences=self.SEQS, trial_length=2500.0)
-        with pytest.raises(DataError, match=f"2500.0.*{interval}"):
+        with pytest.raises(DataError, match=f"{interval}.*2500.0.*need at least 2"):
             d.interval_masks(interval)
+
+    def test_infinite_interval_count_rejected(self):
+        # 1e300 / 1e-10 is inf, whose ceiling ended in an OverflowError; the
+        # CLI's tests check the bound itself on the dataset, and a finite count
+        # far above it where they stop before any mask is built
+        d = Dataset(window=W, sequences=self.SEQS, trial_length=1e300)
+        with pytest.raises(DataError, match=f"more than {MAX_INTERVALS} intervals"):
+            d.interval_masks(1e-10)
 
     @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
     def test_interval_must_be_positive(self, interval):

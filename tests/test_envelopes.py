@@ -12,7 +12,16 @@ from scipy.stats import rankdata
 
 import fixproc
 from fixproc import CurveMatrix, DataError, StepCurve, envelope_report, rank_envelope
-from fixproc.envelopes import _TILE_COLUMNS, _mid_ranks, default_grid, extreme_ranks, judge
+from fixproc.envelopes import (
+    _TILE_COLUMNS,
+    _finite_or_nan,
+    _sorted_columns,
+    _sorted_mid_ranks,
+    _unsorted,
+    default_grid,
+    extreme_ranks,
+    judge,
+)
 from fixproc.summaries import STATS, TRANSITIONS, RunCurves, curve_rows
 from helpers import (
     WINDOW,
@@ -101,26 +110,38 @@ class TestRankEnvelope:
         assert np.array_equal(ranks, [1.0, 2.0, 1.0])
 
 
+def _sorted(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column sort the rank pass makes: order and sorted values, +-inf as NaN."""
+    return _sorted_columns(_finite_or_nan(rows))
+
+
 class TestMidRanks:
-    # few distinct values make heavy ties; NaN marks undefined entries
+    """``_sorted_mid_ranks`` on columns sorted as the rank pass sorts them;
+    only the ranks of finite entries mean anything."""
+
+    # few distinct values make heavy ties; NaN and +-inf mark undefined entries
     @settings(max_examples=200)
     @given(
         arrays(
             float,
             st.tuples(st.integers(1, 12), st.integers(1, 6)),
-            elements=st.sampled_from([0.0, 1.0, 2.5, -3.0, 1e300, np.nan]),
+            elements=st.sampled_from([0.0, 1.0, 2.5, -3.0, 1e300, np.nan, np.inf, -np.inf]),
         )
     )
     def test_matches_scipy_average_ranks(self, rows):
-        ranks = _mid_ranks(rows)
-        finite = np.isfinite(rows)
-        expected = rankdata(rows, method="average", axis=0, nan_policy="omit")
+        _, ordered = _sorted(rows)
+        finite = np.isfinite(ordered)
+        # each column keeps its finite entries, and they sort first
+        assert finite.sum(axis=0).tolist() == np.isfinite(rows).sum(axis=0).tolist()
+        assert (finite[:-1] >= finite[1:]).all()
+        ranks = _sorted_mid_ranks(ordered)
+        expected = rankdata(ordered, method="average", axis=0, nan_policy="omit")
         assert np.array_equal(ranks[finite], expected[finite])
-        assert np.isnan(ranks[~finite]).all()
+        assert np.array_equal(ranks[finite], mid_ranks_reference(ordered)[finite])
 
     def test_all_nan_column_and_single_row(self):
-        ranks = _mid_ranks(np.array([[np.nan, 3.0, -1.0]]))
-        assert np.isnan(ranks[0, 0]) and np.array_equal(ranks[0, 1:], [1.0, 1.0])
+        ranks = _sorted_mid_ranks(np.array([[np.nan, 3.0, -1.0]]))
+        assert np.array_equal(ranks[0, 1:], [1.0, 1.0])
 
 
 def _matrix(kind: str, rng, shape=(200, 361)) -> np.ndarray:
@@ -156,8 +177,13 @@ class TestSharedColumnSort:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_equals_reference(self, kind, shape):
         rows = _matrix(kind, np.random.default_rng(31), shape)
-        ranks = _mid_ranks(rows)
-        assert ranks.tobytes() == mid_ranks_reference(rows).tobytes()
+        order, ordered = _sorted(rows)
+        ranks = _sorted_mid_ranks(ordered)
+        finite = np.isfinite(ordered)
+        assert ranks[finite].tobytes() == mid_ranks_reference(ordered)[finite].tobytes()
+        finite = np.isfinite(rows)
+        back = _unsorted(ranks, order)[finite]
+        assert back.tobytes() == mid_ranks_reference(rows)[finite].tobytes()
         assert extreme_ranks(rows).tobytes() == extreme_ranks_reference(rows).tobytes()
         for alpha in (0.05, 0.5):
             env = rank_envelope(CurveMatrix(default_grid(100.0, shape[1]), rows), alpha)

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 import pytest
@@ -121,6 +121,40 @@ class TestParse:
         with pytest.raises(DataError, match=r"f\.csv:3: non-finite"):
             parse_fixations(p)
 
+    def test_valid_jump_in_column_sets_the_jumps(self, tmp_path):
+        # the flag moves with its row through the onset sort; the first row's is ignored
+        p = tmp_path / "flags.csv"
+        p.write_text(HEADER.strip() + ",valid_jump_in\n"
+                     "s1,novice,koli,400,100,30,30,0\n"
+                     "s1,novice,koli,0,100,10,10,0\n"
+                     "s1,novice,koli,200,100,20,20, 1\n"
+                     "s1,novice,koli,600,100,40,40,1\n")
+        with pytest.warns(UserWarning, match="out of time order"):
+            d = parse_fixations(p)
+        assert d.sequences[0].onsets.tolist() == [0.0, 200.0, 400.0, 600.0]
+        assert d.sequences[0].valid_jumps.tolist() == [True, False, True]
+
+    def test_without_the_column_every_jump_is_valid(self, tmp_path):
+        p = _write(tmp_path, "s1,novice,koli,0,100,10,10\ns1,novice,koli,150,100,20,20\n")
+        assert parse_fixations(p).sequences[0].valid_jumps.tolist() == [True]
+
+    @pytest.mark.parametrize("flag", ["2", "", "true", "1.0", "-1"])
+    def test_valid_jump_in_other_than_0_or_1_rejected_with_line(self, tmp_path, flag):
+        p = tmp_path / "flags.csv"
+        p.write_text(HEADER.strip() + ",valid_jump_in\n"
+                     "s1,novice,koli,0,100,10,10,1\n"
+                     f"s1,novice,koli,150,100,20,20,{flag}\n")
+        with pytest.raises(DataError, match=f":3: valid_jump_in must be 0 or 1, got '{flag}'"):
+            parse_fixations(p)
+
+    def test_missing_valid_jump_in_value_is_malformed(self, tmp_path):
+        p = tmp_path / "flags.csv"
+        p.write_text(HEADER.strip() + ",valid_jump_in\n"
+                     "s1,novice,koli,0,100,10,10,1\n"
+                     "s1,novice,koli,150,100,20,20\n")
+        with pytest.raises(DataError, match=":3: malformed row"):
+            parse_fixations(p)
+
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "f.csv"
         p.write_text("subject_id,group\ns1,novice\n")
@@ -165,6 +199,10 @@ class TestParse:
         assert (d.sequences[0].subject_id, d.sequences[0].painting_id) == (ok, ok)
 
 
+def _totals(report) -> dict:
+    return report.to_dict()["totals"]
+
+
 def _dataset(rows):
     return Dataset(window=W, sequences=[sequence("s1", "novice", "koli", rows)])
 
@@ -174,19 +212,19 @@ class TestFilter:
         d = _dataset([(10, 10, 0, 100), (20, 20, 200, 100)])
         out, rep = filter_fixations(d)
         assert out.sequences[0] == d.sequences[0]
-        assert rep.n_short_excluded == rep.n_outside_excluded == 0
+        assert _totals(rep)["n_short_excluded"] == _totals(rep)["n_outside_excluded"] == 0
 
     def test_39ms_excluded_40ms_kept(self):
         d = _dataset([(10, 10, 0, 39), (20, 20, 100, 40)])
         out, rep = filter_fixations(d, min_dur=40)
         assert len(out.sequences[0]) == 1
-        assert rep.n_short_excluded == 1
+        assert _totals(rep)["n_short_excluded"] == 1
         assert out.sequences[0].durations.tolist() == [40]
 
     def test_outside_excluded(self):
         d = _dataset([(780, 10, 0, 100), (20, 20, 200, 100)])
         out, rep = filter_fixations(d)
-        assert rep.n_outside_excluded == 1
+        assert _totals(rep)["n_outside_excluded"] == 1
         assert len(out.sequences[0]) == 1
 
     def test_everything_valid_after_filter(self, short_dataset):
@@ -205,12 +243,12 @@ class TestFilter:
         twice, rep2 = filter_fixations(once)
         assert once.sequences[0].valid_jumps.tolist() == [False, True]
         assert twice.sequences == once.sequences
-        assert rep1.n_saccades_missing == rep2.n_saccades_missing == 1
+        assert _totals(rep1)["n_saccades_missing"] == _totals(rep2)["n_saccades_missing"] == 1
         assert rep2.entries[0].excluded_indices == []
         # a removal next to a spliced jump splices it further: A->D
         again, rep3 = filter_fixations(once, window=Window(0.0, 0.0, 35.0, 768.0))
         assert again.sequences[0].valid_jumps.tolist() == [False]
-        assert rep3.n_saccades_missing == 1
+        assert _totals(rep3)["n_saccades_missing"] == 1
 
 
 class TestSaccades:
@@ -348,8 +386,9 @@ class TestPipeline:
         assert all_valid.tolist() == carried.tolist()
         n_valid = int(all_valid.sum())
         assert len(all_valid) == n_retained - n_seq
-        assert n_valid == n_retained - n_seq - report.n_saccades_missing
-        assert report.n_saccades_missing == 1  # the spliced pair around the short one
+        missing = _totals(report)["n_saccades_missing"]
+        assert n_valid == n_retained - n_seq - missing
+        assert missing == 1  # the spliced pair around the short one
 
     def test_valid_saccade_values(self, tmp_path):
         body = (
@@ -374,6 +413,15 @@ class TestPipeline:
         assert law_sample(reordered, "saccade_length").tolist() == [50.0, step, step]
         assert law_sample(dataset.by_group("non_novice"), "saccade_length").shape == (0,)
         assert law_sample([], "saccade_duration").shape == (0,)
+
+    def test_totals_sum_every_count_field(self, short_csv):
+        _, _, report = ingest_pipeline(short_csv)
+        totals = report.to_dict()["totals"]
+        assert sorted(totals) == ["n_outside_excluded", "n_saccades_missing",
+                                  "n_short_excluded", "n_total"]
+        for name, total in totals.items():
+            assert total == sum(getattr(e, name) for e in report.entries)
+        assert report.n_total == totals["n_total"] > 0
 
     def test_report_json_shape(self, tmp_path, short_csv):
         _, _, report = ingest_pipeline(short_csv)
@@ -627,8 +675,9 @@ class TestIdsThatNeedQuotes:
         clean, sacs = tmp_path / "clean.csv", tmp_path / "saccades.csv"
         write_fixations(dataset, clean)
         again = parse_fixations(clean)
-        # the fixation schema has no jump validity; saccades.csv carries it
-        assert again.sequences == [replace(s, valid_jumps=None) for s in dataset.sequences]
+        # valid_jump_in carries the spliced jump; it used to read back as real
+        assert again.sequences == dataset.sequences
+        assert [s.valid_jumps.tolist() for s in again.sequences] == [[False], []]
         write_saccades(dataset.sequences, sacs)
         with open(sacs, newline="") as fh:
             table = list(csv.reader(fh))

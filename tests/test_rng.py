@@ -57,9 +57,7 @@ class TestPermutations:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("n", [2, 4, 20, 40])
     def test_rows_are_substream_draws(self, seed, n):
-        # 0 .. 2**32 - 1 are seeded as vectors; 2**32 and beyond take two
-        # entropy words and go through substream
-        indices = [0, 1, 2, 3, 500, 2**31, 2**32 - 1, 2**32, 2**40 + 7, 1]
+        indices = [0, 1, 2, 3, 500, 2**31, 2**32 - 1, 1]
         _assert_rows_equal(seed, "perm", indices, n)
 
     @pytest.mark.parametrize("m", [1, compare._BLOCK_DRAWS - 1, compare._BLOCK_DRAWS + 1,
@@ -78,19 +76,25 @@ class TestPermutations:
     @given(
         seed=st.integers(0, 2**130),
         name=st.text(max_size=12),
-        indices=st.lists(st.integers(0, 2**34), min_size=1, max_size=6),
+        indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
         n=st.integers(0, 40),
     )
     def test_any_seed_and_name(self, seed, name, indices, n):
         _assert_rows_equal(seed, name, indices, n)
 
-    @pytest.mark.parametrize("seed, indices", [(-1, [1]), (-(2**40), [0, 1]), (3, [2, -1])])
+    @pytest.mark.parametrize("seed, indices", [(-1, [1]), (-(2**40), [0, 1])])
     def test_negative_seed_or_index_raises_as_substream_does(self, seed, indices):
         with pytest.raises(Exception) as expected:
             _reference(seed, "perm", indices, 8)
         with pytest.raises(type(expected.value)) as got:
             permutations(seed, "perm", indices, 8)
         assert str(got.value) == str(expected.value)
+
+    # an index enters the entropy as one 32-bit word, or is refused
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2**40 + 7])
+    def test_index_outside_one_word_is_refused(self, bad):
+        with pytest.raises(ValueError, match=f"permutation index {bad} is outside"):
+            permutations(3, "perm", [2, bad, 5], 8)
 
 
 class TestPermutationLabels:

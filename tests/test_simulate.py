@@ -89,7 +89,7 @@ class TestBuildModel:
                 for s in short_dataset.sequences]
         path = write_csv(replace(short_dataset, sequences=seqs), tmp_path / "fix.csv")
         dataset, _, report = ingest_pipeline(path, 40.0, W, short_dataset.trial_length)
-        assert report.n_saccades_missing > 0
+        assert report.to_dict()["totals"]["n_saccades_missing"] > 0
         model = build_model(dataset, "novice", h=20.0, nx=32, ny=32)
         jumps = {(s.subject_id, s.painting_id): derive_saccades_reference(s, e.excluded_indices)
                  for s, e in zip(dataset.sequences, report.entries)}

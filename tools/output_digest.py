@@ -14,7 +14,8 @@ outputs byte-identical is checked with
     python tools/output_digest.py > change.txt
     diff parent.txt change.txt
 
-The inputs are written to the same paths under ``--work`` on every run:
+The inputs are written to the same paths under ``--work`` on every run, as
+are the outputs that a later command reads back as its input:
 ``config_sha256`` hashes the ``--input`` path, so inputs at another path
 would change every output that records it. A command that exits non-zero
 stops the script with exit code 1.
@@ -74,7 +75,8 @@ SINGLE_FIXATION = {
 }
 
 # name: (input, flags); a command draws its SVGs unless its config or its flags
-# turn them off
+# turn them off. An input named "case/file" is the output file of an earlier
+# case, at that case's trial length
 COMMANDS = {
     "env_h24": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
                       "--seed", "7"]),
@@ -167,6 +169,12 @@ COMMANDS = {
     # the transition envelopes take the other 23, near the 20 they accept
     "env_short": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
                         "--seed", "7"]),
+    # input c splices interior jumps; simulated from its clean file, read back,
+    # the runs are sim_c's byte for byte
+    "sim_c": ("c", ["simulate", "--group", "novice", "--h", "24", "--n-runs", "20",
+                    "--seed", "7"]),
+    "sim_c_clean": ("ingest/fixations_clean.csv", ["simulate", "--group", "novice", "--h",
+                                                   "24", "--n-runs", "20", "--seed", "7"]),
 }
 
 # name: the --trial-length a command runs with, when not its input's
@@ -245,9 +253,14 @@ def main(argv=None) -> int:
     inputs = write_inputs(work)
     env = dict(os.environ, PYTHONPATH=str(args.checkout.resolve() / "src"))
 
+    trials = {}  # case: the trial length it ran with
     for name, (input_name, flags) in COMMANDS.items():
-        csv, trial = inputs[input_name]
-        trial = TRIAL_LENGTHS.get(name, trial)
+        if "/" in input_name:
+            case, file = input_name.split("/")
+            csv, trial = out_root / case / file, trials[case]
+        else:
+            csv, trial = inputs[input_name]
+        trial = trials[name] = TRIAL_LENGTHS.get(name, trial)
         out = out_root / name
         argv = [*flags, "--input", str(csv), "--trial-length", repr(trial), "--out", str(out)]
         if name in CONFIGS:
