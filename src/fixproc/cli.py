@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -24,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .compare import fisher_combine, permutation_test, shift_function
-from .core import (DEFAULT_TRIAL_LENGTH_MS, GROUPS, MIN_FIXATION_MS, NON_NOVICE, NOVICE,
-                   REFERENCE_WINDOW, DataError, NumericError, Window, _positive, interval_count,
-                   sequence_name)
+from .core import (DEFAULT_TRIAL_LENGTH_MS, GROUPS, MAX_INTERVALS, MIN_FIXATION_MS, NON_NOVICE,
+                   NOVICE, REFERENCE_WINDOW, DataError, NumericError, Window, _positive,
+                   check_limits, interval_limit, sequence_name)
 from .density import (
     estimate_intensity,
     quadrat_chisq,
@@ -68,14 +70,88 @@ class ConfigError(ValueError):
 
 
 def _setting(default, help: str | None = None, *, choices: tuple | None = None,
-             off: str | None = None, rule: tuple | None = None):
+             off: str | None = None, rule: tuple | None = None, held=None):
     """A config field with its flag's help, allowed values, for a bool its off
     flag, and its ``rule``: ``(text, test)``, refused as "<name> must <text>"
-    by :func:`_load_config` when a set value fails ``test``."""
-    return field(default=default, metadata=dict(help=help, choices=choices, off=off, rule=rule))
+    by :func:`_load_config` when a set value fails ``test``. A size setting
+    also states what it makes a command hold: ``held(cfg, command, subjects,
+    bandwidths)`` is the bytes, with ``subjects`` in a permutation test and its
+    ``bandwidths`` distinct bandwidths, both 0 before ingest. Settings that
+    size one array share one ``held``, counted once (see :func:`_limits`)."""
+    return field(default=default,
+                 metadata=dict(help=help, choices=choices, off=off, rule=rule, held=held))
 
 
 POSITIVE = ("be positive and finite", _positive)
+
+#: The most bytes that the arrays the size settings scale may hold at once in
+#: one command (see :func:`_limits`). Paper scale (20 subjects, a 128 x 128
+#: grid, m = 10 000, 200 runs on 361 times) holds about 10 MB, so a hundred
+#: times that leaves room for any design the paper's analysis takes, while a
+#: size mistyped by a few zeros, which would read the input and then fail in
+#: a numpy allocation, is refused at once.
+MAX_HELD_BYTES = 2**30
+
+# Surfaces a command holds at once beside the permutation rows: a CV grid
+# term and its square, or an estimate's product and clamp, or a model's two
+# surfaces and the cumulative masses its first fixations are drawn by.
+_SURFACE_COPIES = 4
+
+
+def _cuts_intervals(command: str, cfg) -> bool:
+    return command == "residuals" or (command, cfg.split) == ("shift", "interval")
+
+
+def _surfaces_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+    """nx x ny cells of 8 bytes, :data:`_SURFACE_COPIES` times, plus each
+    permutation test subject's row per distinct bandwidth, and for ``residuals``
+    each interval's surface, its residual and their mean's stacked copy."""
+    if command not in ("intensity", "residuals", "compare-intensity", "simulate", "envelope",
+                       "report"):
+        return 0
+    copies = _SURFACE_COPIES + subjects * bandwidths
+    if command == "residuals":
+        # a count over its bound is refused by the interval limit, checked first
+        copies += 3 * min(interval_limit(cfg.trial_length, cfg.interval_ms)[1], MAX_INTERVALS)
+    return 8 * cfg.nx * cfg.ny * copies
+
+
+def _labels_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+    """The permutation test's (m, subjects) bool labels and its m float statistics."""
+    return cfg.m * (subjects + 8) if command in ("compare-intensity", "report") else 0
+
+
+def _raster_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+    """The disc-union coverage's bool raster of ceil(width / raster) x ceil(height / raster)."""
+    if command != "summaries" and (command not in ("envelope", "report")
+                                   or cfg.stat not in ("ball", "all")):
+        return 0
+    w = Window(*cfg.window)
+    # exact, so that a tiny raster gives a large count, not an infinite float
+    return math.ceil(Fraction(w.width) / Fraction(cfg.raster)) * math.ceil(
+        Fraction(w.height) / Fraction(cfg.raster))
+
+
+def _curves_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+    """The curve store of the runs: a float per statistic, run and grid time,
+    and an int32 fixation index per run and grid time."""
+    if command not in ("envelope", "report"):
+        return 0
+    stats = len(STATS) if cfg.stat == "all" else 1
+    return cfg.n_runs * cfg.grid_points * (8 * stats + 4)
+
+
+def _quadrat_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+    """The q x q table of quadrat counts."""
+    return 8 * cfg.q**2 if command == "quadrat" else 0
+
+
+def _candidates_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+    """A simulation step's landing candidates, about ten float arrays of
+    n_angles + 1 per run, and the model's three tables of n_angles angles."""
+    if command not in ("simulate", "envelope", "report"):
+        return 0
+    return 8 * (10 * (cfg.n_angles + 1) + 3 * cfg.n_angles)
 
 
 @dataclass
@@ -99,18 +175,19 @@ class PipelineConfig:
         None, "comma-separated bandwidths",
         rule=("list positive, finite bandwidths", lambda g: bool(g) and all(map(_positive, g))))
     interval_ms: float = _setting(30_000.0, rule=POSITIVE)
-    q: int = _setting(5, rule=("be at least 2", lambda v: v >= 2))
-    m: int = _setting(10_000, "permutation count", rule=POSITIVE)
+    q: int = _setting(5, rule=("be at least 2", lambda v: v >= 2), held=_quadrat_held)
+    m: int = _setting(10_000, "permutation count", rule=POSITIVE, held=_labels_held)
     seed: int | None = _setting(None, rule=("be non-negative", lambda v: v >= 0))
-    n_runs: int = _setting(200, rule=POSITIVE)
+    n_runs: int = _setting(200, rule=POSITIVE, held=_curves_held)
     radius: float = _setting(35.0, rule=POSITIVE)
-    raster: float = _setting(1.0, rule=POSITIVE)
+    raster: float = _setting(1.0, rule=POSITIVE, held=_raster_held)
     p_long: float = _setting(0.2, rule=("be in [0, 1]", lambda v: 0 <= v <= 1))
-    n_angles: int = _setting(720, rule=("be at least 4", lambda v: v >= 4))
-    nx: int = _setting(128, rule=POSITIVE)
-    ny: int = _setting(128, rule=POSITIVE)
+    n_angles: int = _setting(720, rule=("be at least 4", lambda v: v >= 4),
+                             held=_candidates_held)
+    nx: int = _setting(128, rule=POSITIVE, held=_surfaces_held)
+    ny: int = _setting(128, rule=POSITIVE, held=_surfaces_held)
     alpha: float = _setting(0.05, rule=("be in (0, 1)", lambda v: 0 < v < 1))
-    grid_points: int = _setting(361, rule=POSITIVE)
+    grid_points: int = _setting(361, rule=POSITIVE, held=_curves_held)
     source: str = _setting("fixation_duration", choices=FIT_SOURCES)
     stat: str = _setting("all", choices=STATS + ("all",))
     split: str = _setting("group", choices=("group", "interval"))
@@ -336,14 +413,17 @@ def cmd_shift(cfg: PipelineConfig) -> None:
             _out(cfg, f"shift_{name}.svg").write_text(shift_plot_svg(c, name))
 
 
-def _intensity_test(cfg: PipelineConfig, dataset, pick) -> tuple:
+def _intensity_test(cfg: PipelineConfig, command: str, dataset, pick) -> tuple:
     """Novice-against-non-novice permutation test and its JSON block.
 
     ``pick``, from :func:`_bandwidths`, resolves h1 and h2; the block tables
-    the CV of each cross-validated one under its name.
+    the CV of each cross-validated one under its name. Before the test, the
+    ``command``'s :func:`_limits` are checked again with the dataset's
+    subjects and the distinct bandwidths, a ``DataError`` when one is not met.
     """
     h1, cv1 = pick(cfg.h1, dataset.pooled_locations(NOVICE))
     h2, cv2 = pick(cfg.h2, dataset.pooled_locations(NON_NOVICE))
+    check_limits(_limits(command, cfg, len(dataset.sequences), len({h1, h2})))
     result = permutation_test(dataset, m=cfg.m, seed=cfg.seed, nx=cfg.nx, ny=cfg.ny, h1=h1, h2=h2)
     cvs = {name: cv for name, cv in (("h1", cv1), ("h2", cv2)) if cv is not None}
     return result, _with_cv(result.to_dict(), cvs)
@@ -352,7 +432,8 @@ def _intensity_test(cfg: PipelineConfig, dataset, pick) -> tuple:
 def cmd_compare_intensity(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
     dataset.two_groups()  # refuse a bad design before cross-validating
-    result, payload = _intensity_test(cfg, dataset, _bandwidths(cfg, dataset.window))
+    result, payload = _intensity_test(cfg, "compare-intensity", dataset,
+                                      _bandwidths(cfg, dataset.window))
     payload["meta"] = _meta(cfg, "compare-intensity")
     write_json(_out(cfg, "ratio_test.json"), payload)
     result.r_grid.to_csv(_out(cfg, "log_ratio.csv"))
@@ -497,7 +578,8 @@ def cmd_report(cfg: PipelineConfig) -> None:
     subsets = dataset.by_painting()
     for sub in subsets.values():
         sub.two_groups()  # refuse a bad design before cross-validating
-    tests = {painting: _intensity_test(cfg, sub, pick) for painting, sub in subsets.items()}
+    tests = {painting: _intensity_test(cfg, "report", sub, pick)
+             for painting, sub in subsets.items()}
     p_values = []
     for painting, (res, block) in tests.items():
         payload["intensity_comparison"][painting] = block
@@ -544,6 +626,31 @@ REQUIRED = {
 }
 
 
+def _limits(command: str, cfg: PipelineConfig, subjects: int = 0, bandwidths: int = 0) -> list:
+    """The size limits ``command`` holds ``cfg`` to, for :func:`~fixproc.core.check_limits`.
+
+    A command that compares time intervals (``residuals``, ``shift --split
+    interval``) has the :func:`~fixproc.core.interval_limit`. Every command
+    has the held-bytes limit: the ``held`` of each size setting (see
+    :func:`_setting`), summed, may be at most :data:`MAX_HELD_BYTES`; a
+    refusal names the settings of the largest term and its bytes. ``subjects``
+    and ``bandwidths`` are those of a permutation test, 0 before ingest.
+    """
+    limits = [interval_limit(cfg.trial_length, cfg.interval_ms)] if _cuts_intervals(
+        command, cfg) else []
+    settings: dict = {}  # each distinct held rule: the names of the settings that state it
+    for f in fields(PipelineConfig):
+        if f.metadata.get("held"):
+            settings.setdefault(f.metadata["held"], []).append(f.name)
+    terms = {", ".join(f"{name} {getattr(cfg, name)}" for name in names):
+             held(cfg, command, subjects, bandwidths) for held, names in settings.items()}
+    total = sum(terms.values())
+    top = max(terms, key=terms.get)
+    limits.append((f"{command} would hold {total} bytes at once, {terms[top]} for {top}",
+                   total, 0, MAX_HELD_BYTES))
+    return limits
+
+
 def _check_command(command: str, cfg: PipelineConfig) -> None:
     """Refuse settings that ``command`` lacks or cannot honour, before any input is read.
 
@@ -551,10 +658,8 @@ def _check_command(command: str, cfg: PipelineConfig) -> None:
     command that compares the two groups (``compare-intensity``, ``report``,
     ``shift --split group``) takes no ``group``, which would leave one of
     them empty. A command that draws envelopes (``envelope``, ``report``)
-    needs at least :func:`~fixproc.envelopes.min_curves` runs at ``alpha``,
-    and one that compares time intervals (``residuals``, ``shift --split
-    interval``) from 2 to :data:`~fixproc.core.MAX_INTERVALS`
-    :func:`~fixproc.core.interval_count` intervals.
+    needs at least :func:`~fixproc.envelopes.min_curves` runs at ``alpha``.
+    Every command meets its size :func:`_limits`.
     """
     for name in ("input", *REQUIRED.get(command, ())):
         if getattr(cfg, name) is None:
@@ -566,11 +671,7 @@ def _check_command(command: str, cfg: PipelineConfig) -> None:
     if command in ("envelope", "report") and cfg.n_runs < min_curves(cfg.alpha):
         raise ConfigError(f"n_runs must be at least {min_curves(cfg.alpha)} at alpha "
                           f"{cfg.alpha} to draw an envelope, got {cfg.n_runs}")
-    if command == "residuals" or (command, cfg.split) == ("shift", "interval"):
-        try:
-            interval_count(cfg.trial_length, cfg.interval_ms)
-        except DataError as exc:
-            raise ConfigError(str(exc)) from None
+    check_limits(_limits(command, cfg), ConfigError)
 
 
 class _Parser(argparse.ArgumentParser):

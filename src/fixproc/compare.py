@@ -208,7 +208,8 @@ def _first_groups(seed: int, m: int, total: int, n1: int) -> np.ndarray:
     """The (m, total) bool first-group flags of draws 1..m: row j - 1 marks the
     first n1 entries of ``substream(seed, "perm", j).permutation(total)``. The calling
     thread makes ``_BLOCK_DRAWS`` draws per ``permutations`` call and sets their flags
-    in one assignment."""
+    in one assignment. The matrix takes m x total bytes, which the CLI bounds
+    by its held-bytes limit (``cli.MAX_HELD_BYTES``) before the test starts."""
     first = np.zeros((m, total), dtype=bool)
     for start in range(0, m, _BLOCK_DRAWS):
         stop = min(start + _BLOCK_DRAWS, m)

@@ -177,22 +177,40 @@ class Saccades:
 MAX_INTERVALS = 1_000
 
 
-def interval_count(trial_length: float, interval: float) -> int:
-    """How many intervals of ``interval`` ms, a trailing shorter one included, cut a trial
-    of ``trial_length`` ms: the count :meth:`Dataset.interval_masks` cuts by and the CLI checks.
+def check_limits(limits, error: type[Exception] = DataError) -> None:
+    """Raise ``error`` for the first ``(what, amount, least, most)`` limit whose
+    ``amount`` is not in [least, most]: "<what>; need at most <most>" (NaN
+    included), or "<what>; need at least <least>"."""
+    for what, amount, least, most in limits:
+        if not amount <= most:
+            raise error(f"{what}; need at most {most}")
+        if amount < least:
+            raise error(f"{what}; need at least {least}")
 
-    ``DataError`` unless ``interval`` is positive and the count is from 2 (one
-    interval has nothing to be compared with) to :data:`MAX_INTERVALS`.
-    """
-    if not interval > 0:
-        raise DataError("interval must be positive")
+
+def interval_limit(trial_length: float, interval: float) -> tuple[str, float, int, int]:
+    """The :func:`check_limits` limit on how many intervals of ``interval`` ms, a
+    trailing shorter one included, cut a trial of ``trial_length`` ms: from 2 (one
+    interval has nothing to be compared with) to :data:`MAX_INTERVALS`. Its amount
+    is the count, or the ratio of the two lengths where that is above the bound."""
     cut = f"interval_ms {interval} cuts trial_length {trial_length} into"
     ratio = trial_length / interval
     if not ratio <= MAX_INTERVALS:  # an infinite ratio has no ceiling
-        raise DataError(f"{cut} more than {MAX_INTERVALS} intervals; need at most {MAX_INTERVALS}")
-    if (k := math.ceil(ratio)) < 2:
-        raise DataError(f"{cut} {k} interval(s); need at least 2")
-    return k
+        return f"{cut} more than {MAX_INTERVALS} intervals", ratio, 2, MAX_INTERVALS
+    k = math.ceil(ratio)
+    return f"{cut} {k} interval(s)", k, 2, MAX_INTERVALS
+
+
+def interval_count(trial_length: float, interval: float) -> int:
+    """The count of :func:`interval_limit`, which :meth:`Dataset.interval_masks` cuts by.
+
+    ``DataError`` unless ``interval`` is positive and the count is within its limit.
+    """
+    if not interval > 0:
+        raise DataError("interval must be positive")
+    limit = interval_limit(trial_length, interval)
+    check_limits([limit])
+    return limit[1]
 
 
 @dataclass

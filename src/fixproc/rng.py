@@ -112,8 +112,8 @@ def permutations(seed: int, name: str, indices, n: int) -> np.ndarray:
     pool is mixed once up to j and j enters as a vector. Each row sets
     the PCG64 state that seed gives (pcg64 srandom) on one reused generator
     and shuffles. ``ValueError`` for an index outside [0, 2**32): it would
-    enter as more than one word, and the first-group flags of 2**32 draws
-    of 20 subjects (``compare._first_groups``) would already take 80 GB.
+    enter as more than one word. The CLI's held-bytes limit on ``m``
+    (``cli.MAX_HELD_BYTES``) refuses an m far below that.
     """
     indices = [int(j) for j in indices]
     if indices and (min(indices) < 0 or max(indices) > _MASK32):

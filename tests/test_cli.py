@@ -955,6 +955,120 @@ class TestCommandRefusals:
         assert (tmp_path / "shift.json").exists()
 
 
+SEEDED_GROUP = ["--group", "novice", "--seed", "1"]
+
+
+class TestHeldBytes:
+    @pytest.mark.parametrize("args, held", [
+        (["intensity", "--nx", "20000", "--ny", "20000"], "12800000000 for nx 20000, ny 20000"),
+        (["envelope", *SEEDED_GROUP, "--raster", "0.01"], "5913600000 for raster 0.01"),
+        (["envelope", *SEEDED_GROUP, "--grid-points", "100000000"],
+         "560000000000 for n_runs 200, grid_points 100000000"),
+        (["envelope", *SEEDED_GROUP, "--n-runs", "100000000", "--stat", "scanpath",
+          "--grid-points", "11"], "13200000000 for n_runs 100000000, grid_points 11"),
+        (["quadrat", "--q", "1000000"], "8000000000000 for q 1000000"),
+        (["simulate", *SEEDED_GROUP, "--n-angles", "100000000"],
+         "10400000080 for n_angles 100000000"),
+    ], ids=["nx_ny", "raster", "grid_points", "n_runs", "q", "n_angles"])
+    def test_oversized_setting_is_config_error_before_ingest(
+        self, bench_csv, tmp_path, capsys, monkeypatch, args, held
+    ):
+        # each used to read the input, then end in a numpy _ArrayMemoryError
+        # traceback (exit 1) where the memory ran out
+        monkeypatch.setattr(cli, "ingest_pipeline", _refuse_ingest)
+        out = tmp_path / "out"
+        assert run([*args, "--input", bench_csv, "--out", out, "--trial-length", "20000"]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert f" bytes at once, {held}; need at most {cli.MAX_HELD_BYTES}" in err["message"]
+        assert err["message"].startswith(f"{args[0]} would hold ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["compare-intensity", "--h1", "24", "--h2", "24"],
+        ["report", "--h", "24", "--h1", "24", "--h2", "24", "--n-runs", "20"],
+    ], ids=["compare-intensity", "report"])
+    def test_oversized_label_matrix_is_data_error_after_ingest(
+        self, bench_csv, tmp_path, capsys, monkeypatch, args
+    ):
+        # the (m, subjects) labels were allocated after ingest: 1.86 GiB at
+        # 20 subjects, a numpy _ArrayMemoryError under a 1.5 GB address space
+        def refuse(*args):
+            raise AssertionError("label matrix allocated")
+
+        ingested = []
+
+        def ingest(*args):
+            ingested.append(args)
+            return ingest_pipeline(*args)
+
+        monkeypatch.setattr(cli, "ingest_pipeline", ingest)
+        monkeypatch.setattr(fixproc.compare, "_first_groups", refuse)
+        monkeypatch.setattr(fixproc.compare, "_subject_surfaces", refuse)
+        out = tmp_path / "out"
+        assert run([*args, "--m", "100000000", "--seed", "1", "--input", bench_csv,
+                    "--out", out, "--trial-length", "20000"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError"
+        assert "2800000000 for m 100000000; need at most" in err["message"]
+        assert len(ingested) == 1 and not out.exists()
+
+    @pytest.mark.parametrize("most, refused", [(11_585, False), (11_586, True)])
+    def test_budget_is_one_bound_on_the_sum(self, most, refused):
+        # quadrat holds only its q x q table: 8 * 11 585**2 is the largest
+        # multiple of its form within 2**30 bytes
+        cfg = PipelineConfig(input="x.csv", q=most)
+        assert (8 * most**2 > cli.MAX_HELD_BYTES) == refused
+        if refused:
+            with pytest.raises(cli.ConfigError, match=f"for q {most}; need at most"):
+                cli._check_command("quadrat", cfg)
+        else:
+            cli._check_command("quadrat", cfg)
+
+    def test_every_digest_case_and_bench_workload_is_within_the_budget(self, tmp_path):
+        # paper scale and every case the output digest runs, with the digest's
+        # and the bench's 20 subjects at two bandwidths after ingest
+        digest = _module(ROOT / "tools" / "output_digest.py")
+        bench = _module(BENCH / "run.py")
+        argvs = []
+        for name, (_, flags) in digest.COMMANDS.items():
+            argv = [*flags, "--input", "x.csv", "--trial-length",
+                    repr(digest.TRIAL_LENGTHS.get(name, 20_000.0))]
+            if name in digest.CONFIGS:
+                config = tmp_path / f"{name}.json"
+                config.write_text(json.dumps(digest.CONFIGS[name]))
+                argv += ["--config", str(config)]
+            argvs.append(argv)
+        for workload in bench.WORKLOADS.values():
+            argvs.append(workload.argv(Path("x.csv"), tmp_path / "out", 7))
+        assert len(argvs) == len(digest.COMMANDS) + 4
+        for argv in argvs:
+            args = cli._build_parser().parse_args(argv)
+            flags = {f.name: cli._read_flag(f, getattr(args, f.name))
+                     for f in fields(PipelineConfig)}
+            cfg = cli._load_config(args.config, flags)
+            cli._check_command(args.command, cfg)
+            fixproc.core.check_limits(cli._limits(args.command, cfg, 20, 2))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _module(path: Path):
+    """The module at ``path``, imported with its directory on ``sys.path``."""
+    import importlib.util
+
+    sys.path.insert(0, str(path.parent))
+    try:
+        name = f"_{path.parent.name}_{path.stem}"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.pop(0)
+    return module
+
+
 # report on 40 ms trials: the comparison runs, then no simulated run has the
 # two fixations a transition curve needs, so the first group model fails
 REPORT_SHORT_TRIALS = ["report", "--trial-length", "40", "--h", "24", "--h1", "24", "--h2", "24",
