@@ -181,7 +181,8 @@ class PipelineConfig:
     n_runs: int = _setting(200, rule=POSITIVE, held=_curves_held)
     radius: float = _setting(35.0, rule=POSITIVE)
     raster: float = _setting(1.0, rule=POSITIVE, held=_raster_held)
-    p_long: float = _setting(0.2, rule=("be in [0, 1]", lambda v: 0 <= v <= 1))
+    p_long: float | None = _setting(None, "long-jump probability; fitted when unset",
+                                    rule=("be in [0, 1]", lambda v: 0 <= v <= 1))
     n_angles: int = _setting(720, rule=("be at least 4", lambda v: v >= 4),
                              held=_candidates_held)
     nx: int = _setting(128, rule=POSITIVE, held=_surfaces_held)

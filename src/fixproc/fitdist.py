@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, kolmogi, polygamma, psi
 
-from .core import DataError, NumericError
+from .core import DataError, NumericError, Window, corner_offsets
 from .ingest import derive_saccades, write_csv
 
 FIT_SOURCES = ("fixation_duration", "saccade_duration", "saccade_length")
@@ -111,6 +111,15 @@ class QQBand:
                   [(self.theoretical, self.empirical, self.lower, self.upper)])
 
 
+def _kept_jumps(sequences, source: str):
+    """Per sequence, its jumps' ``source`` values and the mask of those
+    :func:`law_sample` keeps: positive, and marked valid in ``valid_jumps``."""
+    for s in sequences:
+        jumps = derive_saccades(s)
+        values = getattr(jumps, source.removeprefix("saccade_") + "s")
+        yield s, values, jumps.valid & (values > 0)
+
+
 def law_sample(sequences, source: str) -> np.ndarray:
     """The sample the ``source`` law of ``sequences`` is fitted to, in their order: the
     fixation durations, or the positive lengths or durations of the jumps their
@@ -119,9 +128,21 @@ def law_sample(sequences, source: str) -> np.ndarray:
         raise DataError(f"unknown source {source!r}")
     if source == "fixation_duration":
         return np.concatenate([np.empty(0)] + [s.durations for s in sequences])
-    jumps = [derive_saccades(s) for s in sequences]
-    values = [getattr(j, source.removeprefix("saccade_") + "s") for j in jumps]
-    return np.concatenate([np.empty(0)] + [v[j.valid & (v > 0)] for j, v in zip(jumps, values)])
+    kept = [values[keep] for _, values, keep in _kept_jumps(sequences, source)]
+    return np.concatenate([np.empty(0)] + kept)
+
+
+def jump_sample(sequences, window: Window) -> tuple[np.ndarray, np.ndarray]:
+    """The sample of :func:`fit_jump_mixture`: the ``saccade_length`` :func:`law_sample`
+    of ``sequences``, and each jump's l_max, the distance from its start fixation to
+    the farthest corner of ``window`` (:func:`~fixproc.core.corner_offsets`), which
+    the simulator draws the jump's length under."""
+    lengths, starts = [np.empty(0)], [np.empty((0, 2))]
+    for s, values, keep in _kept_jumps(sequences, "saccade_length"):
+        lengths.append(values[keep])
+        starts.append(s.locations[:-1][keep])
+    starts = np.concatenate(starts)
+    return np.concatenate(lengths), np.hypot(*corner_offsets(window, *starts.T))
 
 
 def _validated_sample(sample) -> np.ndarray:
@@ -166,6 +187,141 @@ def fit_gamma_mle(sample, source: str = "fixation_duration") -> GammaFit:
     if fit.loglik(sample) < moment.loglik(sample) - 1e-8:
         raise NumericError("MLE log-likelihood below moment estimate; fit unreliable")
     return fit
+
+
+# Nelder-Mead on (log shape, log mean), which the gamma likelihood keeps
+# nearly uncorrelated: the first simplex's edge, the
+# spread of the simplex that ends the search, and the most likelihood
+# evaluations it may take
+_SIMPLEX_STEP = 0.1
+_SIMPLEX_TOL = 1e-5
+_MAX_EVALS = 2000
+
+
+def _nelder_mead(cost, x0: np.ndarray) -> np.ndarray:
+    """The point that Nelder-Mead's simplex search (reflect 1, expand 2,
+    contract and shrink 1/2) closes on, from ``x0``, minimising ``cost``; a
+    non-finite cost counts as +inf. The search ends when every vertex lies
+    within ``_SIMPLEX_TOL`` of the best one in every coordinate."""
+    evals = 0
+
+    def value(x) -> float:
+        nonlocal evals
+        evals += 1
+        c = cost(x)
+        return c if c == c else np.inf  # NaN is no minimum
+
+    simplex = [x0] + [x0 + _SIMPLEX_STEP * e for e in np.eye(len(x0))]
+    costs = [value(x) for x in simplex]
+    while True:
+        order = sorted(range(len(simplex)), key=costs.__getitem__)
+        simplex = [simplex[i] for i in order]
+        costs = [costs[i] for i in order]
+        best, worst = simplex[0], simplex[-1]
+        if max(np.abs(x - best).max() for x in simplex[1:]) <= _SIMPLEX_TOL:
+            return best
+        if evals >= _MAX_EVALS:
+            raise NumericError(f"jump-length fit did not converge in {_MAX_EVALS} evaluations")
+        centroid = np.mean(simplex[:-1], axis=0)
+        reflected = 2.0 * centroid - worst
+        c_ref = value(reflected)
+        if c_ref < costs[0]:
+            expanded = 3.0 * centroid - 2.0 * worst
+            c_exp = value(expanded)
+            simplex[-1], costs[-1] = ((expanded, c_exp) if c_exp < c_ref
+                                      else (reflected, c_ref))
+        elif c_ref < costs[-2]:
+            simplex[-1], costs[-1] = reflected, c_ref
+        else:
+            toward = reflected if c_ref < costs[-1] else worst
+            contracted = 0.5 * (centroid + toward)
+            c_con = value(contracted)
+            if c_con < min(c_ref, costs[-1]):
+                simplex[-1], costs[-1] = contracted, c_con
+            else:
+                simplex = [best] + [0.5 * (best + x) for x in simplex[1:]]
+                costs = [costs[0]] + [value(x) for x in simplex[1:]]
+
+
+def _best_p(ratio: np.ndarray, p: float) -> float:
+    """The p in [0, 1] that maximises sum(log(1 + p * (ratio - 1))), a concave
+    function, by Newton steps from ``p`` kept inside a shrinking bracket."""
+    c = ratio - 1.0
+    if c.sum() <= 0.0:
+        return 0.0
+    if (ratio > 0.0).all() and (c / ratio).sum() >= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        terms = c / (1.0 + p * c)
+        slope = terms.sum()
+        if slope > 0.0:
+            lo = p
+        else:
+            hi = p
+        step = p + slope / (terms @ terms)
+        new = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(new - p) <= 1e-12:
+            return new
+        p = new
+    return p
+
+
+def fit_jump_mixture(lengths, l_max, p_long: float | None = None) -> tuple[float, GammaFit]:
+    """Maximum-likelihood fit of the law the simulator draws jump lengths from.
+
+    A jump of length l from a fixation whose farthest window corner lies
+    l_max away is, with probability p, uniform on [l_max / 2, l_max], and
+    otherwise a gamma draw truncated at l_max. The fit maximises
+
+        sum log[(1 - p) g(l) / G(l_max) + p (2 / l_max) 1{l >= l_max / 2}]
+
+    over p and the gamma's shape and rate, g and G the gamma density and
+    CDF. A small Nelder-Mead search moves the log shape and log mean from
+    the plain :func:`fit_gamma_mle`, and at each of its points p is the
+    maximiser of the likelihood. When no jump lies in its [l_max / 2,
+    l_max], that p is 0 and the fit is the right-truncated gamma fit. A
+    given ``p_long`` is held fixed and only the gamma is fitted; at 1 the
+    gamma does not enter the likelihood, so the right-truncated fit is kept,
+    as it is when the fitted p is 1. Returns ``(p, gamma)``.
+    """
+    lengths = _validated_sample(lengths)
+    l_max = np.asarray(l_max, dtype=float).ravel()
+    if l_max.shape != lengths.shape or not (np.isfinite(l_max) & (l_max > 0)).all():
+        raise DataError(f"need one positive, finite l_max per jump, got shape {l_max.shape}")
+    start = np.log([(fit := fit_gamma_mle(lengths, "saccade_length")).shape, fit.mean])
+    log_l = np.log(lengths)
+    with np.errstate(divide="ignore"):
+        log_uniform = np.where(lengths >= l_max / 2.0, np.log(2.0 / l_max), -np.inf)
+    p = 0.0  # the last p found, where the next search for one starts
+
+    def loglik(theta, fixed: float | None) -> float:
+        """The log-likelihood at (log shape, log mean) ``theta`` and at p, which
+        is ``fixed`` or else the maximiser, left in ``p``."""
+        nonlocal p
+        shape, mean = np.exp(theta)
+        rate = shape / mean
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_g = (shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * log_l
+                     - rate * lengths - np.log(gammainc(shape, rate * l_max)))
+            ratio = np.exp(np.minimum(log_uniform - log_g, 700.0))  # uniform over gamma
+            p = _best_p(ratio, p) if fixed is None else fixed
+            return float(log_g.sum() + np.log1p(p * (ratio - 1.0)).sum())
+
+    def search(fixed: float | None) -> np.ndarray:
+        return _nelder_mead(lambda theta: -loglik(theta, fixed), start)
+
+    if p_long is None:
+        theta = search(None)
+        loglik(theta, None)
+        fitted = p
+        if fitted == 1.0:
+            theta = search(0.0)
+    else:
+        theta = search(p_long if p_long < 1.0 else 0.0)
+        fitted = float(p_long)
+    shape, mean = np.exp(theta)
+    return fitted, GammaFit(float(shape), float(shape / mean), len(lengths), "saccade_length")
 
 
 def gamma_qq(sample, fit: GammaFit, alpha: float = 0.05) -> QQBand:

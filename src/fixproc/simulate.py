@@ -24,7 +24,7 @@ from .core import (
     read_only,
 )
 from .density import IntensityGrid, estimate_intensity
-from .fitdist import GammaFit, fit_gamma_mle, law_sample
+from .fitdist import GammaFit, fit_gamma_mle, fit_jump_mixture, jump_sample, law_sample
 from .ingest import write_json
 from .rng import substream
 from .summaries import STATS, RunCurves
@@ -118,7 +118,7 @@ def build_model(
     h: float,
     nx: int = 128,
     ny: int = 128,
-    p_long: float = 0.2,
+    p_long: float | None = None,
     n_angles: int = 720,
     use_first_surface: bool = True,
     min_fix_dur: float = MIN_FIXATION_MS,
@@ -130,7 +130,12 @@ def build_model(
     ``select_bandwidth_cv`` of ``dataset.pooled_locations(group)``. Fixation
     durations and saccade lengths are fitted per group; saccade durations
     pool every subject of both groups, since saccades are involuntary. Each
-    law is fitted to :func:`~fixproc.fitdist.law_sample` of its sequences.
+    duration law is fitted to :func:`~fixproc.fitdist.law_sample` of its
+    sequences. The long-jump probability and the jump-length gamma are fitted
+    together, as the mixture the simulator draws from, to the group's
+    :func:`~fixproc.fitdist.jump_sample` by
+    :func:`~fixproc.fitdist.fit_jump_mixture`; a given ``p_long`` is held
+    fixed there.
     Simulated durations are truncated below at ``min_fix_dur``, the
     threshold ingest filtered the dataset with. A dataset of several
     paintings gives one model fitted over all of them, whose ``painting_id``
@@ -146,7 +151,7 @@ def build_model(
 
     dur_fix = fit_gamma_mle(law_sample(seqs, "fixation_duration"), "fixation_duration")
     dur_sac = fit_gamma_mle(law_sample(dataset.sequences, "saccade_duration"), "saccade_duration")
-    len_sac = fit_gamma_mle(law_sample(seqs, "saccade_length"), "saccade_length")
+    p_long, len_sac = fit_jump_mixture(*jump_sample(seqs, dataset.window), p_long)
 
     paintings = list(dataset.by_painting())
     return FixationModel(

@@ -163,6 +163,18 @@ def valid_saccade_values_reference(sequences, jumps: dict, attr: str) -> list[fl
     return values
 
 
+def jump_sample_reference(sequences, jumps: dict, w: Window) -> tuple[list, list]:
+    """The lengths of :func:`valid_saccade_values_reference` and, for each, the
+    :func:`far_corner_distance` of the fixation the jump starts from."""
+    lengths, l_max = [], []
+    for s in sequences:
+        for k, (length, _, valid) in enumerate(jumps.get((s.subject_id, s.painting_id), [])):
+            if valid and length > 0:
+                lengths.append(length)
+                l_max.append(far_corner_distance(*s.locations[k].tolist(), w))
+    return lengths, l_max
+
+
 def sequence_from_points(pts: np.ndarray, subject_id: str, group: str,
                          painting_id: str = "koli") -> FixationSequence:
     n = len(pts)

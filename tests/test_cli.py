@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fixproc
-from fixproc import cli, density, envelopes, simulate, summaries
+from fixproc import cli, density, envelopes, fitdist, simulate, summaries
 from fixproc.cli import DEFAULT_H_GRID, PipelineConfig, main
 from fixproc.core import MAX_INTERVALS, Dataset, Window
 from fixproc.ingest import ingest_pipeline, parse_fixations
@@ -421,6 +421,22 @@ class TestSimulateCommand:
             [s.durations[s.onsets + s.durations < 10_000.0] for s in d.sequences])
         assert len(unclipped) > 100
         assert min(unclipped) >= 80.0
+
+    def test_p_long_is_fitted_unless_given(self, data_csv, tmp_path):
+        # p_long used to default to 0.2 whatever the data
+        models = {}
+        for name, flags in (("fit", []), ("given", ["--p-long", "0.3"])):
+            out = tmp_path / name
+            assert run(["simulate", "--input", data_csv, "--group", "novice", "--seed", "3",
+                        "--n-runs", "2", "--out", out, *FAST, *flags]) == 0
+            models[name] = json.loads((out / "sim_provenance.json").read_text())["meta"]["model"]
+        dataset, _, _ = ingest_pipeline(data_csv, 40.0, Window(*PipelineConfig().window),
+                                        10_000.0)
+        p, gamma = fitdist.fit_jump_mixture(
+            *fitdist.jump_sample(dataset.by_group("novice"), dataset.window))
+        assert models["fit"]["p_long"] == p != 0.2
+        assert models["fit"]["len_sac"]["shape"] == gamma.shape
+        assert models["given"]["p_long"] == 0.3
 
     def test_output_round_trips_through_ingest(self, data_csv, tmp_path):
         out = tmp_path / "sim"
@@ -1324,7 +1340,9 @@ class TestFlagVariants:
 
 
 class TestOneSampleRule:
-    # fit and the group model take each law's sample from fitdist.law_sample
+    # fit and the group model take each law's sample from fitdist.law_sample;
+    # the model's length gamma is the short branch of the fitted jump mixture,
+    # so of that law only the sample is shared
     @pytest.mark.parametrize("group", ["novice", "non_novice"])
     def test_fit_equals_the_models_law(self, data_csv, tmp_path, group):
         assert run(["envelope", "--group", group, "--seed", "1", "--n-runs", "20", "--no-svg",
@@ -1338,7 +1356,8 @@ class TestOneSampleRule:
             assert run(["fit", "--source", source, *flags, "--input", data_csv,
                         "--out", out, *FAST]) == 0
             fit = json.loads((out / f"fit_{source}.json").read_text())
-            assert {key: fit[key] for key in model[law]} == model[law]
+            shared = ["n", "source"] if law == "len_sac" else model[law]
+            assert {key: fit[key] for key in shared} == {key: model[law][key] for key in shared}
 
 
 class TestSvgText:

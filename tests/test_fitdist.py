@@ -14,8 +14,9 @@ from fixproc import (
     law_sample,
     sample_truncated_gamma,
 )
-from fixproc.fitdist import FIT_SOURCES
-from helpers import derive_saccades_reference, valid_saccade_values_reference
+from fixproc.fitdist import FIT_SOURCES, fit_jump_mixture, jump_sample
+from helpers import (WINDOW, derive_saccades_reference, jump_sample_reference,
+                     valid_saccade_values_reference)
 from test_ingest import _saccade_cases
 
 
@@ -89,6 +90,95 @@ class TestFitGammaMLE:
             mean, var = sample.mean(), sample.var()
             moment = GammaFit(mean**2 / var, mean / var, len(sample), "fixation_duration")
             assert fit.loglik(sample) >= moment.loglik(sample) - 1e-8
+
+
+def _mixture_draws(rng, n, p, shape, scale):
+    """n jumps of the simulator's length law from uniform l_max in [400, 1000]:
+    uniform on [l_max / 2, l_max] with probability p, else a gamma draw
+    truncated at l_max."""
+    l_max = rng.uniform(400.0, 1000.0, n)
+    top = gamma_dist.cdf(l_max, shape, scale=scale)
+    short = gamma_dist.ppf(rng.random(n) * top, shape, scale=scale)
+    long = rng.uniform(l_max / 2.0, l_max)
+    return np.where(rng.random(n) < p, long, short), l_max
+
+
+def _mixture_loglik(lengths, l_max, p, shape, rate):
+    """The mixture's log-likelihood by scipy.stats, term by term."""
+    g = gamma_dist.pdf(lengths, shape, scale=1.0 / rate)
+    big = gamma_dist.cdf(l_max, shape, scale=1.0 / rate)
+    uniform = np.where(lengths >= l_max / 2.0, 2.0 / l_max, 0.0)
+    return float(np.sum(np.log((1.0 - p) * g / big + p * uniform)))
+
+
+class TestFitJumpMixture:
+    def test_recovers_p_and_the_gamma(self):
+        lengths, l_max = _mixture_draws(np.random.default_rng(7), 20_000, 0.2, 1.8, 80.0)
+        p, fit = fit_jump_mixture(lengths, l_max)
+        assert p == pytest.approx(0.2, abs=0.01)
+        assert fit.shape == pytest.approx(1.8, abs=0.05)
+        assert fit.mean == pytest.approx(144.0, rel=0.02)
+        assert fit.n == len(lengths) and fit.source == "saccade_length"
+
+    @pytest.mark.parametrize("p_long", [None, 0.0, 0.35])
+    def test_is_the_maximum_a_general_optimiser_finds(self, p_long):
+        # scipy's Nelder-Mead on the likelihood written with scipy.stats, over
+        # (logit p, log shape, log rate), from the plain gamma fit
+        from scipy.optimize import minimize
+
+        lengths, l_max = _mixture_draws(np.random.default_rng(8), 2_000, 0.3, 1.5, 120.0)
+        p, fit = fit_jump_mixture(lengths, l_max, p_long)
+        plain = fit_gamma_mle(lengths)
+
+        def cost(x):
+            q = p_long if p_long is not None else 1.0 / (1.0 + np.exp(-x[2]))
+            return -_mixture_loglik(lengths, l_max, q, np.exp(x[0]), np.exp(x[1]))
+
+        start = [np.log(plain.shape), np.log(plain.rate)] + ([0.0] if p_long is None else [])
+        best = minimize(cost, start, method="Nelder-Mead",
+                        options=dict(xatol=1e-9, fatol=1e-10, maxiter=20_000))
+        ours = _mixture_loglik(lengths, l_max, p, fit.shape, fit.rate)
+        assert ours >= -best.fun - 1e-6
+        if p_long is not None:
+            assert p == p_long
+
+    def test_no_long_jump_gives_p_0_and_the_right_truncated_fit(self):
+        rng = np.random.default_rng(9)
+        l_max = rng.uniform(2000.0, 4000.0, 500)
+        lengths = rng.gamma(2.0, 40.0, 500)
+        assert (lengths < l_max / 2.0).all()
+        p, fit = fit_jump_mixture(lengths, l_max)
+        assert p == 0.0
+        assert fit_jump_mixture(lengths, l_max, 0.0) == (0.0, fit)
+        # truncation where the gamma has no mass left: the plain gamma fit, to
+        # the search's tolerance
+        plain = fit_gamma_mle(lengths)
+        assert fit.shape == pytest.approx(plain.shape, rel=1e-4)
+        assert fit.rate == pytest.approx(plain.rate, rel=1e-4)
+
+    def test_p_1_keeps_the_right_truncated_fit(self):
+        # at p = 1 the gamma leaves the likelihood; the fit at p = 0 is kept
+        lengths, l_max = _mixture_draws(np.random.default_rng(10), 1_000, 0.2, 1.8, 80.0)
+        assert fit_jump_mixture(lengths, l_max, 1.0) == (
+            1.0, fit_jump_mixture(lengths, l_max, 0.0)[1])
+
+    def test_l_max_must_match_the_lengths(self):
+        with pytest.raises(DataError, match="l_max"):
+            fit_jump_mixture([10.0, 20.0, 30.0], [500.0, 600.0])
+        with pytest.raises(DataError, match="l_max"):
+            fit_jump_mixture([10.0, 20.0], [500.0, np.inf])
+
+
+class TestJumpSample:
+    def test_lengths_are_the_law_sample_and_l_max_the_far_corner(self):
+        cases = _saccade_cases(np.random.default_rng(3))
+        seqs = [seq for seq, _ in cases]
+        jumps = {(seq.subject_id, seq.painting_id): derive_saccades_reference(seq, exclusions)
+                 for seq, exclusions in cases}
+        lengths, l_max = jump_sample(seqs, WINDOW)
+        expected = jump_sample_reference(seqs, jumps, WINDOW)
+        assert lengths.tolist() == expected[0] == law_sample(seqs, "saccade_length").tolist()
+        np.testing.assert_allclose(l_max, expected[1], rtol=1e-15, atol=0)
 
 
 class TestGammaQQ:

@@ -30,8 +30,9 @@ from fixproc import FixationModel, Window
 from fixproc.core import corner_offsets
 from fixproc.density import IntensityGrid
 from fixproc.envelopes import default_grid
+from fixproc.fitdist import fit_jump_mixture, jump_sample, law_sample
 from fixproc.rng import substream
-from fixproc.summaries import STATS, curve_rows
+from fixproc.summaries import STATS, curve_rows, scanpath_length
 from fixproc.simulate import _BLOCK_CANDIDATES, _landings, runs_to_dataset
 from helpers import (
     WINDOW,
@@ -39,6 +40,7 @@ from helpers import (
     far_corner_distance,
     farthest_corner,
     hotspot_grid,
+    jump_sample_reference,
     next_location_reference,
     sequence,
     simulate_run_reference,
@@ -93,16 +95,48 @@ class TestBuildModel:
         model = build_model(dataset, "novice", h=20.0, nx=32, ny=32)
         jumps = {(s.subject_id, s.painting_id): derive_saccades_reference(s, e.excluded_indices)
                  for s, e in zip(dataset.sequences, report.entries)}
-        for fit, pooled, attr in ((model.len_sac, dataset.by_group("novice"), "length"),
-                                  (model.dur_sac, dataset.sequences, "duration")):
-            values = valid_saccade_values_reference(pooled, jumps, attr)
-            assert fit == fit_gamma_mle(np.array(values), fit.source)
+        values = valid_saccade_values_reference(dataset.sequences, jumps, "duration")
+        assert model.dur_sac == fit_gamma_mle(np.array(values), "saccade_duration")
+        lengths, l_max = jump_sample_reference(dataset.by_group("novice"), jumps, W)
+        sample = jump_sample(dataset.by_group("novice"), W)
+        assert sample[0].tolist() == lengths
+        np.testing.assert_allclose(sample[1], l_max, rtol=1e-15, atol=0)
+        assert (model.p_long, model.len_sac) == fit_jump_mixture(*sample)
         # counting the spliced jumps would change both fits
         spliced = replace(dataset, sequences=[replace(s, valid_jumps=None)
                                               for s in dataset.sequences])
         every_jump = build_model(spliced, "novice", h=20.0, nx=32, ny=32)
         assert every_jump.len_sac.n > model.len_sac.n
         assert every_jump.dur_sac.n > model.dur_sac.n
+
+    def test_jump_mixture_recovers_the_law_the_runs_were_drawn_from(self):
+        # 20 subjects a group, 60 s each, drawn with p_long 0.2 and a gamma(1.8)
+        # length law. A plain gamma fitted to every jump, the long ones
+        # included, read shape 1.30 and 1.29 at p_long 0.2, its runs' jumps
+        # ran 26 % and 25 % long, and 29 of the 40 subjects' final scanpath
+        # lengths fell below their runs' 2.5 % quantile
+        d = simulated_dataset(toy_model(p_long=0.2, trial_length=60_000.0), n_subjects=40,
+                              seed=0)
+        below = 0
+        for group in ("novice", "non_novice"):
+            model = build_model(d, group, h=40.0, nx=64, ny=64)
+            assert model.p_long == pytest.approx(0.2, abs=0.03)
+            assert model.len_sac.shape == pytest.approx(1.8, abs=0.1)
+            assert model.to_dict()["p_long"] == model.p_long
+            runs = simulate_many(model, 200, 5)
+            observed = d.by_group(group)
+            simulated = np.concatenate([r.jump_lengths for r in runs]).mean()
+            assert simulated == pytest.approx(
+                law_sample(observed, "saccade_length").mean(), rel=0.05)
+            final = [scanpath_length(s).values[-1] for s in [r.sequence for r in runs] + observed]
+            below += int(np.sum(final[len(runs):] < np.quantile(final[:len(runs)], 0.025)))
+        assert below <= 4
+
+    def test_given_p_long_is_held_fixed(self, short_dataset):
+        fitted = build_model(short_dataset, "novice", h=20.0, nx=32, ny=32)
+        fixed = build_model(short_dataset, "novice", h=20.0, nx=32, ny=32, p_long=0.5)
+        assert fixed.p_long == 0.5 and fitted.p_long != 0.5
+        assert fixed.len_sac != fitted.len_sac
 
     def test_round_trip_parameter_recovery(self):
         # generator with no long jumps and negligible truncation so the
