@@ -10,8 +10,8 @@ That level is a share of the simulations, not the chance that a new
 same-law curve stays inside. With many grid points most curves tie at
 extreme rank 1, k falls to 1, and the band is the simulations' min/max. A
 held-out curve against 200 simulations on 361 points at alpha = 0.05 left
-it in 21.0 % of 300 trials for independent Brownian paths and in 96.0 % for
-white noise (measured at commit 018fd4a). ROADMAP item 1 (extreme rank
+it in 16.0 % of 300 trials for independent Brownian paths and in 96.3 % for
+white noise (measured at commit 8f8f9e6). ROADMAP item 1 (extreme rank
 length ordering) is the fix.
 
 :func:`judge` is where an observed curve meets its envelope.

@@ -61,6 +61,7 @@ class SequenceReport:
     n_total: int = 0
     n_short_excluded: int = 0
     n_outside_excluded: int = 0
+    n_late_excluded: int = 0
     n_saccades_missing: int = 0
     excluded_indices: list[int] = field(default_factory=list)
 
@@ -300,9 +301,12 @@ def filter_fixations(
     min_dur: float = MIN_FIXATION_MS,
     window: Window | None = None,
 ) -> tuple[Dataset, IngestReport]:
-    """Drop short and out-of-window fixations, counting both classes.
+    """Drop short, out-of-window and late fixations, counting each class.
 
-    A fixation failing both rules is counted once, as short. The report
+    A late fixation has its onset at or past the dataset's trial length,
+    where simulated runs end and observed curves are no longer read. A
+    fixation failing several rules is counted once, in the first class of
+    short, outside and late that it falls in. The report
     keeps the original indices of removed fixations. A kept jump is valid
     when its two ends were next to each other in the input and the input's
     jump between them was valid: a jump spliced across a removed fixation
@@ -315,12 +319,14 @@ def filter_fixations(
     for seq in dataset.sequences:
         short = seq.durations < min_dur
         outside = ~short & ~w.contains(seq.locations[:, 0], seq.locations[:, 1])
-        dropped = short | outside
+        late = ~short & ~outside & (seq.onsets >= dataset.trial_length)
+        dropped = short | outside | late
         kept = np.flatnonzero(~dropped)
         valid = (np.diff(kept) == 1) & seq.valid_jumps[kept[:-1]]
         report.entries.append(SequenceReport(
             seq.subject_id, seq.painting_id, n_total=len(seq),
             n_short_excluded=int(short.sum()), n_outside_excluded=int(outside.sum()),
+            n_late_excluded=int(late.sum()),
             n_saccades_missing=int(np.count_nonzero(~valid)),
             excluded_indices=np.flatnonzero(dropped).tolist(),
         ))

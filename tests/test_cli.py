@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -157,7 +158,8 @@ class TestCommands:
 
     def test_transition_envelopes_use_runs_with_two_fixations(self, tmp_path, monkeypatch):
         # 400 ms trials: many runs end after their first fixation; so does
-        # one observed subject
+        # s01, cut to one, and so do s00 and s03, whose second fixations
+        # start after 400 ms and are dropped as late
         d = simulated_dataset(toy_model(trial_length=10_000.0), n_subjects=8, seed=42)
         s = d.sequences[1]
         d.sequences[1] = replace(s, locations=s.locations[:1], onsets=s.onsets[:1],
@@ -187,9 +189,7 @@ class TestCommands:
         assert 20 <= long_runs < len(runs) == 80
         assert list(rows.values()) == [80] * 3 + [long_runs] * 16
         for name in payload["transitions"]:
-            assert set(payload["transitions"][name]["observed"]) == {
-                "s00:koli", "s02:koli", "s03:koli"
-            }
+            assert set(payload["transitions"][name]["observed"]) == {"s02:koli"}
         assert len(payload["stats"]["hull"]["observed"]) == 4
 
     @pytest.mark.parametrize("group", ["novice", "non_novice"])
@@ -260,16 +260,42 @@ class TestCommands:
             assert set(payload[family][name]["observed"]) == expected[name]
         assert "s01:koli" in expected["hull"] and "s01:koli" not in expected["1->1"]
 
+    def test_fixations_past_the_trial_length_are_dropped_before_the_fits(self, data_csv,
+                                                                           tmp_path):
+        # at 400 ms the 10 s data kept every fixation, onsets up to 9.9 s,
+        # and the model was fitted to fixations no run of 400 ms could have
+        args = ["--input", data_csv, "--trial-length", "400", "--no-svg"]
+        assert run(["ingest", *args, "--out", tmp_path / "ingest"]) == 0
+        totals = json.loads((tmp_path / "ingest" / "ingest_report.json").read_text())["totals"]
+        clean = parse_fixations(tmp_path / "ingest" / "fixations_clean.csv", trial_length=400.0)
+        kept = sum(len(s) for s in clean.sequences)
+        raw = parse_fixations(data_csv, trial_length=10_000.0)
+        assert totals["n_total"] == sum(len(s) for s in raw.sequences)
+        assert totals["n_late_excluded"] > 0
+        assert totals["n_total"] == kept + sum(
+            totals[f"n_{name}_excluded"] for name in ("short", "outside", "late"))
+        assert max(s.onsets.max() for s in clean.sequences) < 400.0
+
+        assert run(["simulate", "--group", "novice", "--seed", "3", "--n-runs", "2", *FAST,
+                    *args, "--out", tmp_path / "sim"]) == 0
+        model = json.loads((tmp_path / "sim" / "sim_provenance.json").read_text())["meta"]["model"]
+        novice = clean.by_group("novice")
+        assert model["dur_fix"]["n"] == sum(len(s) for s in novice)
+        assert model["len_sac"]["n"] == len(fitdist.law_sample(novice, "saccade_length"))
+        assert model["dur_sac"]["n"] == len(fitdist.law_sample(clean.sequences,
+                                                               "saccade_duration"))
+
     def test_too_few_runs_with_transitions_is_data_error(self, data_csv, tmp_path, capsys):
-        # 40 ms trials: every simulated fixation lasts longer than the 40 ms
-        # short-fixation floor, so no run reaches a second fixation, whatever
-        # the draws, and no transition curve has a simulation to build its
-        # envelope from
+        # 400 ms trials: most runs end after their first fixation, so fewer
+        # than the 20 runs a transition envelope needs have a transition.
+        # (At 40 ms, no run could reach a second fixation, but then no
+        # observed fixation after the first starts within the trial either,
+        # and the model has no jump to fit.)
         assert run(["envelope", "--input", data_csv, "--out", tmp_path, "--group",
                     "novice", "--seed", "6", "--n-runs", "20", *FAST,
-                    "--trial-length", "40"]) == 3
+                    "--trial-length", "400"]) == 3
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["message"] == "1->1: need at least 20 curves, got 0"
+        assert re.fullmatch(r"1->1: need at least 20 curves, got 1?\d", err["message"])
 
 
 class TestBandwidthResolution:
@@ -1085,8 +1111,9 @@ def _module(path: Path):
     return module
 
 
-# report on 40 ms trials: the comparison runs, then no simulated run has the
-# two fixations a transition curve needs, so the first group model fails
+# report on 40 ms trials: every fixation after a subject's first starts past
+# the trial and is dropped, so the comparison runs on the first fixations, then
+# the first group model fails with no jump to fit its lengths to
 REPORT_SHORT_TRIALS = ["report", "--trial-length", "40", "--h", "24", "--h1", "24", "--h2", "24",
                        "--m", "9", "--n-runs", "20", "--seed", "1"]
 
@@ -1151,7 +1178,7 @@ class TestDataErrorsMakeNoOutputDirectory:
         out = tmp_path / "out"
         assert run([*REPORT_SHORT_TRIALS, "--input", bench_csv, "--out", out]) == 3
         err = json.loads(capsys.readouterr().err.strip())
-        assert "need at least 20 curves, got 0" in err["message"]
+        assert err["message"] == "need at least 2 observations, got 0"
         assert [p.name for p in out.iterdir()] == ["report_log_ratio_p01.svg"]
 
 

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -227,6 +227,19 @@ class TestFilter:
         assert _totals(rep)["n_outside_excluded"] == 1
         assert len(out.sequences[0]) == 1
 
+    def test_onset_at_or_past_the_trial_is_late(self):
+        # a short or outside fixation is counted in its first class only
+        rows = [(10, 10, 0, 100), (20, 20, 399, 100), (30, 30, 400, 100), (40, 40, 500, 10),
+                (780, 10, 600, 100), (50, 50, 700, 100)]
+        d = replace(_dataset(rows), trial_length=400.0)
+        out, rep = filter_fixations(d)
+        assert out.sequences[0].onsets.tolist() == [0.0, 399.0]
+        assert out.sequences[0].valid_jumps.tolist() == [True]
+        totals = _totals(rep)
+        assert (totals["n_late_excluded"], totals["n_short_excluded"],
+                totals["n_outside_excluded"]) == (2, 1, 1)
+        assert rep.entries[0].excluded_indices == [2, 3, 4, 5]
+
     def test_everything_valid_after_filter(self, short_dataset):
         out, _ = filter_fixations(short_dataset, min_dur=40)
         for seq in out.sequences:
@@ -417,7 +430,7 @@ class TestPipeline:
     def test_totals_sum_every_count_field(self, short_csv):
         _, _, report = ingest_pipeline(short_csv)
         totals = report.to_dict()["totals"]
-        assert sorted(totals) == ["n_outside_excluded", "n_saccades_missing",
+        assert sorted(totals) == ["n_late_excluded", "n_outside_excluded", "n_saccades_missing",
                                   "n_short_excluded", "n_total"]
         for name, total in totals.items():
             assert total == sum(getattr(e, name) for e in report.entries)

@@ -165,9 +165,10 @@ COMMANDS = {
     # fewer grid times than one tile of the envelopes' column sort
     "env_grid21": ("a", ["envelope", "--group", "non_novice", "--h", "24", "--grid-points",
                          "21", "--n-runs", "60", "--seed", "7"]),
-    # at TRIAL_LENGTHS' 173 ms, 177 of the 200 runs have one fixation and
-    # the transition envelopes take the other 23, near the 20 they accept
-    "env_short": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "200",
+    # at TRIAL_LENGTHS' 250 ms, 77 of the 100 runs have one fixation and
+    # the transition envelopes take the other 23, near the 20 they accept;
+    # the model is fitted to the 3 novice jumps that start before 250 ms
+    "env_short": ("a", ["envelope", "--group", "novice", "--h", "24", "--n-runs", "100",
                         "--seed", "7"]),
     # input c splices interior jumps; simulated from its clean file, read back,
     # the runs are sim_c's byte for byte
@@ -179,7 +180,7 @@ COMMANDS = {
 
 # name: the --trial-length a command runs with, when not its input's
 TRIAL_LENGTHS = {
-    "env_short": 173.0,
+    "env_short": 250.0,
 }
 
 # name: the JSON config file a command reads through --config
