@@ -98,11 +98,12 @@ MAX_HELD_BYTES = 2**30
 _SURFACE_COPIES = 4
 
 
-def _cuts_intervals(command: str, cfg) -> bool:
+def _cuts_intervals(command: str, cfg: PipelineConfig) -> bool:
+    """Whether ``command`` compares time intervals."""
     return command == "residuals" or (command, cfg.split) == ("shift", "interval")
 
 
-def _surfaces_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+def _surfaces_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
     """nx x ny cells of 8 bytes, :data:`_SURFACE_COPIES` times, plus each
     permutation test subject's row per distinct bandwidth, and for ``residuals``
     each interval's surface, its residual and their mean's stacked copy."""
@@ -116,12 +117,12 @@ def _surfaces_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
     return 8 * cfg.nx * cfg.ny * copies
 
 
-def _labels_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+def _labels_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
     """The permutation test's (m, subjects) bool labels and its m float statistics."""
     return cfg.m * (subjects + 8) if command in ("compare-intensity", "report") else 0
 
 
-def _raster_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+def _raster_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
     """The disc-union coverage's bool raster of ceil(width / raster) x ceil(height / raster)."""
     if command != "summaries" and (command not in ("envelope", "report")
                                    or cfg.stat not in ("ball", "all")):
@@ -132,7 +133,7 @@ def _raster_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
         Fraction(w.height) / Fraction(cfg.raster))
 
 
-def _curves_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+def _curves_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
     """The curve store of the runs: a float per statistic, run and grid time,
     and an int32 fixation index per run and grid time."""
     if command not in ("envelope", "report"):
@@ -141,12 +142,12 @@ def _curves_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
     return cfg.n_runs * cfg.grid_points * (8 * stats + 4)
 
 
-def _quadrat_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+def _quadrat_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
     """The q x q table of quadrat counts."""
     return 8 * cfg.q**2 if command == "quadrat" else 0
 
 
-def _candidates_held(cfg, command: str, subjects: int, bandwidths: int) -> int:
+def _candidates_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
     """A simulation step's landing candidates, about ten float arrays of
     n_angles + 1 per run, and the model's three tables of n_angles angles."""
     if command not in ("simulate", "envelope", "report"):

@@ -289,7 +289,8 @@ def fit_jump_mixture(lengths, l_max, p_long: float | None = None) -> tuple[float
     l_max = np.asarray(l_max, dtype=float).ravel()
     if l_max.shape != lengths.shape or not (np.isfinite(l_max) & (l_max > 0)).all():
         raise DataError(f"need one positive, finite l_max per jump, got shape {l_max.shape}")
-    start = np.log([(fit := fit_gamma_mle(lengths, "saccade_length")).shape, fit.mean])
+    plain = fit_gamma_mle(lengths, "saccade_length")
+    start = np.log([plain.shape, plain.mean])
     log_l = np.log(lengths)
     with np.errstate(divide="ignore"):
         log_uniform = np.where(lengths >= l_max / 2.0, np.log(2.0 / l_max), -np.inf)
@@ -304,24 +305,24 @@ def fit_jump_mixture(lengths, l_max, p_long: float | None = None) -> tuple[float
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_g = (shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * log_l
                      - rate * lengths - np.log(gammainc(shape, rate * l_max)))
-            ratio = np.exp(np.minimum(log_uniform - log_g, 700.0))  # uniform over gamma
+            # the uniform density over the gamma one, capped where it would overflow
+            ratio = np.exp(np.minimum(log_uniform - log_g, 700.0))
             p = _best_p(ratio, p) if fixed is None else fixed
             return float(log_g.sum() + np.log1p(p * (ratio - 1.0)).sum())
 
     def search(fixed: float | None) -> np.ndarray:
         return _nelder_mead(lambda theta: -loglik(theta, fixed), start)
 
-    if p_long is None:
+    fitted = p_long
+    if fitted is None:
         theta = search(None)
-        loglik(theta, None)
+        loglik(theta, None)  # leaves the maximiser at theta in p
         fitted = p
-        if fitted == 1.0:
-            theta = search(0.0)
-    else:
-        theta = search(p_long if p_long < 1.0 else 0.0)
-        fitted = float(p_long)
+    if p_long is not None or fitted == 1.0:
+        theta = search(fitted if fitted < 1.0 else 0.0)
     shape, mean = np.exp(theta)
-    return fitted, GammaFit(float(shape), float(shape / mean), len(lengths), "saccade_length")
+    return float(fitted), GammaFit(float(shape), float(shape / mean), len(lengths),
+                                   "saccade_length")
 
 
 def gamma_qq(sample, fit: GammaFit, alpha: float = 0.05) -> QQBand:
