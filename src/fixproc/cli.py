@@ -86,7 +86,7 @@ POSITIVE = ("be positive and finite", _positive)
 
 #: The most bytes that the arrays the size settings scale may hold at once in
 #: one command (see :func:`_limits`). Paper scale (20 subjects, a 128 x 128
-#: grid, m = 10 000, 200 runs on 361 times) holds about 10 MB, so a hundred
+#: grid, m = 10 000, 200 runs on 361 times) holds about 9 MB, so a hundred
 #: times that leaves room for any design the paper's analysis takes, while a
 #: size mistyped by a few zeros, which would read the input and then fail in
 #: a numpy allocation, is refused at once.
@@ -96,11 +96,6 @@ MAX_HELD_BYTES = 2**30
 # term and its square, or an estimate's product and clamp, or a model's two
 # surfaces and the cumulative masses its first fixations are drawn by.
 _SURFACE_COPIES = 4
-
-
-def _cuts_intervals(command: str, cfg: PipelineConfig) -> bool:
-    """Whether ``command`` compares time intervals."""
-    return command == "residuals" or (command, cfg.split) == ("shift", "interval")
 
 
 def _surfaces_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
@@ -638,8 +633,9 @@ def _limits(command: str, cfg: PipelineConfig, subjects: int = 0, bandwidths: in
     refusal names the settings of the largest term and its bytes. ``subjects``
     and ``bandwidths`` are those of a permutation test, 0 before ingest.
     """
-    limits = [interval_limit(cfg.trial_length, cfg.interval_ms)] if _cuts_intervals(
-        command, cfg) else []
+    limits = []
+    if command == "residuals" or (command, cfg.split) == ("shift", "interval"):
+        limits.append(interval_limit(cfg.trial_length, cfg.interval_ms))
     settings: dict = {}  # each distinct held rule: the names of the settings that state it
     for f in fields(PipelineConfig):
         if f.metadata.get("held"):
