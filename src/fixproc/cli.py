@@ -36,7 +36,8 @@ from .density import (
     select_bandwidth_cv,
 )
 from .envelopes import default_grid, judge, min_curves
-from .fitdist import FIT_SOURCES, fit_gamma_mle, gamma_qq, law_sample
+from .fitdist import (FIT_SOURCES, fit_gamma_mle, fit_jump_mixture, gamma_qq, jump_sample,
+                      law_sample)
 from .ingest import ingest_pipeline, write_fixations, write_json, write_saccades
 from .simulate import (
     build_model,
@@ -70,84 +71,14 @@ class ConfigError(ValueError):
 
 
 def _setting(default, help: str | None = None, *, choices: tuple | None = None,
-             off: str | None = None, rule: tuple | None = None, held=None):
+             off: str | None = None, rule: tuple | None = None):
     """A config field with its flag's help, allowed values, for a bool its off
     flag, and its ``rule``: ``(text, test)``, refused as "<name> must <text>"
-    by :func:`_load_config` when a set value fails ``test``. A size setting
-    also states what it makes a command hold: ``held(cfg, command, subjects,
-    bandwidths)`` is the bytes, with ``subjects`` in a permutation test and its
-    ``bandwidths`` distinct bandwidths, both 0 before ingest. Settings that
-    size one array share one ``held``, counted once (see :func:`_limits`)."""
-    return field(default=default,
-                 metadata=dict(help=help, choices=choices, off=off, rule=rule, held=held))
+    by :func:`_load_config` when a set value fails ``test``."""
+    return field(default=default, metadata=dict(help=help, choices=choices, off=off, rule=rule))
 
 
 POSITIVE = ("be positive and finite", _positive)
-
-#: The most bytes that the arrays the size settings scale may hold at once in
-#: one command (see :func:`_limits`). Paper scale (20 subjects, a 128 x 128
-#: grid, m = 10 000, 200 runs on 361 times) holds about 9 MB, so a hundred
-#: times that leaves room for any design the paper's analysis takes, while a
-#: size mistyped by a few zeros, which would read the input and then fail in
-#: a numpy allocation, is refused at once.
-MAX_HELD_BYTES = 2**30
-
-# Surfaces a command holds at once beside the permutation rows: a CV grid
-# term and its square, or an estimate's product and clamp, or a model's two
-# surfaces and the cumulative masses its first fixations are drawn by.
-_SURFACE_COPIES = 4
-
-
-def _surfaces_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
-    """nx x ny cells of 8 bytes, :data:`_SURFACE_COPIES` times, plus each
-    permutation test subject's row per distinct bandwidth, and for ``residuals``
-    each interval's surface, its residual and their mean's stacked copy."""
-    if command not in ("intensity", "residuals", "compare-intensity", "simulate", "envelope",
-                       "report"):
-        return 0
-    copies = _SURFACE_COPIES + subjects * bandwidths
-    if command == "residuals":
-        # a count over its bound is refused by the interval limit, checked first
-        copies += 3 * min(interval_limit(cfg.trial_length, cfg.interval_ms)[1], MAX_INTERVALS)
-    return 8 * cfg.nx * cfg.ny * copies
-
-
-def _labels_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
-    """The permutation test's (m, subjects) bool labels and its m float statistics."""
-    return cfg.m * (subjects + 8) if command in ("compare-intensity", "report") else 0
-
-
-def _raster_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
-    """The disc-union coverage's bool raster of ceil(width / raster) x ceil(height / raster)."""
-    if command != "summaries" and (command not in ("envelope", "report")
-                                   or cfg.stat not in ("ball", "all")):
-        return 0
-    w = Window(*cfg.window)
-    # exact, so that a tiny raster gives a large count, not an infinite float
-    return math.ceil(Fraction(w.width) / Fraction(cfg.raster)) * math.ceil(
-        Fraction(w.height) / Fraction(cfg.raster))
-
-
-def _curves_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
-    """The curve store of the runs: a float per statistic, run and grid time,
-    and an int32 fixation index per run and grid time."""
-    if command not in ("envelope", "report"):
-        return 0
-    stats = len(STATS) if cfg.stat == "all" else 1
-    return cfg.n_runs * cfg.grid_points * (8 * stats + 4)
-
-
-def _quadrat_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
-    """The q x q table of quadrat counts."""
-    return 8 * cfg.q**2 if command == "quadrat" else 0
-
-
-def _candidates_held(cfg: PipelineConfig, command: str, subjects: int, bandwidths: int) -> int:
-    """A simulation step's landing candidates, about ten float arrays of
-    n_angles + 1 per run, and the model's three tables of n_angles angles."""
-    if command not in ("simulate", "envelope", "report"):
-        return 0
-    return 8 * (10 * (cfg.n_angles + 1) + 3 * cfg.n_angles)
 
 
 @dataclass
@@ -171,20 +102,19 @@ class PipelineConfig:
         None, "comma-separated bandwidths",
         rule=("list positive, finite bandwidths", lambda g: bool(g) and all(map(_positive, g))))
     interval_ms: float = _setting(30_000.0, rule=POSITIVE)
-    q: int = _setting(5, rule=("be at least 2", lambda v: v >= 2), held=_quadrat_held)
-    m: int = _setting(10_000, "permutation count", rule=POSITIVE, held=_labels_held)
+    q: int = _setting(5, rule=("be at least 2", lambda v: v >= 2))
+    m: int = _setting(10_000, "permutation count", rule=POSITIVE)
     seed: int | None = _setting(None, rule=("be non-negative", lambda v: v >= 0))
-    n_runs: int = _setting(200, rule=POSITIVE, held=_curves_held)
+    n_runs: int = _setting(200, rule=POSITIVE)
     radius: float = _setting(35.0, rule=POSITIVE)
-    raster: float = _setting(1.0, rule=POSITIVE, held=_raster_held)
+    raster: float = _setting(1.0, rule=POSITIVE)
     p_long: float | None = _setting(None, "long-jump probability; fitted when unset",
                                     rule=("be in [0, 1]", lambda v: 0 <= v <= 1))
-    n_angles: int = _setting(720, rule=("be at least 4", lambda v: v >= 4),
-                             held=_candidates_held)
-    nx: int = _setting(128, rule=POSITIVE, held=_surfaces_held)
-    ny: int = _setting(128, rule=POSITIVE, held=_surfaces_held)
+    n_angles: int = _setting(720, rule=("be at least 4", lambda v: v >= 4))
+    nx: int = _setting(128, rule=POSITIVE)
+    ny: int = _setting(128, rule=POSITIVE)
     alpha: float = _setting(0.05, rule=("be in (0, 1)", lambda v: 0 < v < 1))
-    grid_points: int = _setting(361, rule=POSITIVE, held=_curves_held)
+    grid_points: int = _setting(361, rule=POSITIVE)
     source: str = _setting("fixation_duration", choices=FIT_SOURCES)
     stat: str = _setting("all", choices=STATS + ("all",))
     split: str = _setting("group", choices=("group", "interval"))
@@ -447,10 +377,22 @@ def _with_cv(payload: dict, cv: dict | None) -> dict:
     return payload
 
 
+def _model_law(cfg: PipelineConfig, dataset) -> tuple:
+    """The ``cfg.source`` gamma of ``dataset`` as :func:`~fixproc.simulate.build_model`
+    fits it, and the JSON fields that go with it: the ``saccade_length`` gamma is the
+    short branch of the jump mixture, fitted with ``p_long`` (held at ``cfg.p_long``
+    when set), which is its one field."""
+    if cfg.source == "saccade_length":
+        p_long, fit = fit_jump_mixture(*jump_sample(dataset.sequences, dataset.window),
+                                       cfg.p_long)
+        return fit, {"p_long": p_long}
+    return fit_gamma_mle(law_sample(dataset.sequences, cfg.source), cfg.source), {}
+
+
 def cmd_fit(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    fit = fit_gamma_mle(law_sample(dataset.sequences, cfg.source), cfg.source)
-    payload = asdict(fit)
+    fit, extra = _model_law(cfg, dataset)
+    payload = {**asdict(fit), **extra}
     payload["meta"] = _meta(cfg, "fit")
     payload["group"] = cfg.group
     write_json(_out(cfg, f"fit_{cfg.source}.json"), payload)
@@ -458,13 +400,12 @@ def cmd_fit(cfg: PipelineConfig) -> None:
 
 def cmd_qq(cfg: PipelineConfig) -> None:
     dataset, _ = _load_filtered(cfg)
-    sample = law_sample(dataset.sequences, cfg.source)
-    fit = fit_gamma_mle(sample, cfg.source)
-    band = gamma_qq(sample, fit, cfg.alpha)
+    fit, extra = _model_law(cfg, dataset)
+    band = gamma_qq(law_sample(dataset.sequences, cfg.source), fit, cfg.alpha)
     band.to_csv(_out(cfg, f"qq_{cfg.source}.csv"))
     write_json(
         _out(cfg, f"qq_{cfg.source}.json"),
-        {"meta": _meta(cfg, "qq"), "fit": fit,
+        {"meta": _meta(cfg, "qq"), "fit": fit, **extra,
          "line_inside_band": band.line_inside(), "alpha": cfg.alpha},
     )
 
@@ -623,29 +564,89 @@ REQUIRED = {
 }
 
 
+#: The most bytes that the arrays the size settings scale may hold at once in
+#: one command (see :func:`_held_terms`). Paper scale (20 subjects, a 128 x 128
+#: grid, m = 10 000, 200 runs on 361 times) holds about 9 MB, so a hundred
+#: times that leaves room for any design the paper's analysis takes, while a
+#: size mistyped by a few zeros, which would read the input and then fail in
+#: a numpy allocation, is refused at once.
+MAX_HELD_BYTES = 2**30
+
+# Surfaces a command holds at once beside the permutation rows: a CV grid
+# term and its square, or an estimate's product and clamp, or a model's two
+# surfaces and the cumulative masses its first fixations are drawn by.
+_SURFACE_COPIES = 4
+
+
+def _held_terms(cfg: PipelineConfig, command: str, subjects: int = 0,
+                bandwidths: int = 0) -> dict[str, int]:
+    """The bytes ``command`` holds at once for each size setting it uses, keyed
+    by the settings and their values; ``subjects`` and ``bandwidths`` are a
+    permutation test's subjects and distinct bandwidths, 0 before ingest.
+
+    - ``nx``, ``ny``: nx x ny cells of 8 bytes, :data:`_SURFACE_COPIES`
+      times, plus each permutation test subject's row per distinct
+      bandwidth, and for ``residuals`` each interval's surface, its residual
+      and their mean's stacked copy;
+    - ``m``: the permutation test's (m, subjects) bool labels, their packed
+      bits and its m float statistics; the ties and the distinct partitions
+      are counted from the packed bits once the labels are freed, and at
+      the 4 subjects or more a test has, they hold less;
+    - ``raster``: the disc-union coverage's bool raster of
+      ceil(width / raster) x ceil(height / raster);
+    - ``n_runs``, ``grid_points``: the runs' curve store, a float per
+      statistic, run and grid time, and an int32 fixation index per run and
+      grid time;
+    - ``q``: the q x q table of quadrat counts;
+    - ``n_angles``: a simulation step's landing candidates, about ten float
+      arrays of n_angles + 1 per run, and the model's three angle tables.
+    """
+    terms = {}
+    if command in ("intensity", "residuals", "compare-intensity", "simulate", "envelope",
+                   "report"):
+        copies = _SURFACE_COPIES + subjects * bandwidths
+        if command == "residuals":
+            # a count over its bound is refused by the interval limit, checked first
+            copies += 3 * min(interval_limit(cfg.trial_length, cfg.interval_ms)[1], MAX_INTERVALS)
+        terms[f"nx {cfg.nx}, ny {cfg.ny}"] = 8 * cfg.nx * cfg.ny * copies
+    if command in ("compare-intensity", "report"):
+        terms[f"m {cfg.m}"] = cfg.m * (subjects + math.ceil(subjects / 8) + 8)
+    if command == "summaries" or (command in ("envelope", "report")
+                                  and cfg.stat in ("ball", "all")):
+        w = Window(*cfg.window)
+        # exact, so that a tiny raster gives a large count, not an infinite float
+        terms[f"raster {cfg.raster}"] = math.ceil(Fraction(w.width) / Fraction(cfg.raster)) * (
+            math.ceil(Fraction(w.height) / Fraction(cfg.raster)))
+    if command in ("envelope", "report"):
+        stats = len(STATS) if cfg.stat == "all" else 1
+        terms[f"n_runs {cfg.n_runs}, grid_points {cfg.grid_points}"] = (
+            cfg.n_runs * cfg.grid_points * (8 * stats + 4))
+    if command == "quadrat":
+        terms[f"q {cfg.q}"] = 8 * cfg.q**2
+    if command in ("simulate", "envelope", "report"):
+        terms[f"n_angles {cfg.n_angles}"] = 8 * (10 * (cfg.n_angles + 1) + 3 * cfg.n_angles)
+    return terms
+
+
 def _limits(command: str, cfg: PipelineConfig, subjects: int = 0, bandwidths: int = 0) -> list:
     """The size limits ``command`` holds ``cfg`` to, for :func:`~fixproc.core.check_limits`.
 
     A command that compares time intervals (``residuals``, ``shift --split
     interval``) has the :func:`~fixproc.core.interval_limit`. Every command
-    has the held-bytes limit: the ``held`` of each size setting (see
-    :func:`_setting`), summed, may be at most :data:`MAX_HELD_BYTES`; a
+    that holds a size setting's arrays has the held-bytes limit: its
+    :func:`_held_terms`, summed, may be at most :data:`MAX_HELD_BYTES`; a
     refusal names the settings of the largest term and its bytes. ``subjects``
     and ``bandwidths`` are those of a permutation test, 0 before ingest.
     """
     limits = []
     if command == "residuals" or (command, cfg.split) == ("shift", "interval"):
         limits.append(interval_limit(cfg.trial_length, cfg.interval_ms))
-    settings: dict = {}  # each distinct held rule: the names of the settings that state it
-    for f in fields(PipelineConfig):
-        if f.metadata.get("held"):
-            settings.setdefault(f.metadata["held"], []).append(f.name)
-    terms = {", ".join(f"{name} {getattr(cfg, name)}" for name in names):
-             held(cfg, command, subjects, bandwidths) for held, names in settings.items()}
-    total = sum(terms.values())
-    top = max(terms, key=terms.get)
-    limits.append((f"{command} would hold {total} bytes at once, {terms[top]} for {top}",
-                   total, 0, MAX_HELD_BYTES))
+    terms = _held_terms(cfg, command, subjects, bandwidths)
+    if terms:
+        total = sum(terms.values())
+        top = max(terms, key=terms.get)
+        limits.append((f"{command} would hold {total} bytes at once, {terms[top]} for {top}",
+                       total, 0, MAX_HELD_BYTES))
     return limits
 
 

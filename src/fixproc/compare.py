@@ -224,18 +224,26 @@ def _draw_statistics(
     """T for every row of the bool first-group matrix ``first``.
 
     Blocks of ``_BLOCK_DRAWS`` rows, each made float on its own, are scored
-    by ``_block_statistic`` on a pool of ``_workers()`` threads. Block
-    boundaries depend on the row count alone, so a row's T does not depend
-    on the worker count.
+    by ``_block_statistic`` on a pool of ``_workers()`` threads, thread w
+    taking every ``_workers()``-th block from block w, so the pool holds one
+    task a thread, not one a block, and each block writes its slice of T.
+    Block boundaries depend on the row count alone, so a row's T does not
+    depend on the worker count.
     """
     mass1, mass2 = rows1.sum(axis=1), rows2.sum(axis=1)
+    T = np.empty(len(first))
+    workers = _workers()
+    starts = range(0, len(first), _BLOCK_DRAWS)
 
-    def score(start: int) -> np.ndarray:
-        labels = first[start : start + _BLOCK_DRAWS].astype(float)
-        return _block_statistic(labels, rows1, rows2, mass1, mass2, cell_area)
+    def score(w: int) -> None:
+        for start in starts[w::workers]:
+            labels = first[start : start + _BLOCK_DRAWS].astype(float)
+            T[start : start + _BLOCK_DRAWS] = _block_statistic(labels, rows1, rows2, mass1,
+                                                               mass2, cell_area)
 
-    with ThreadPoolExecutor(_workers()) as pool:
-        return np.concatenate(list(pool.map(score, range(0, len(first), _BLOCK_DRAWS))))
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(score, range(workers)))
+    return T
 
 
 def permutation_test(
@@ -297,12 +305,15 @@ def permutation_test(
 
     first = _first_groups(seed, m, n1 + n2, n1)
     T = _draw_statistics(first, rows_h1, rows_h2, r_grid.cell_area)
+    # each draw's partition as packed bits, ceil(total / 8) bytes a draw
+    packed = np.packbits(first, axis=1)
+    del first
     observed = np.arange(n1 + n2) < n1
-    ties = (first == observed).all(axis=1)
+    ties = (packed == np.packbits(observed)).all(axis=1)
     if h1 == h2:
-        ties |= (first == ~observed).all(axis=1)
+        ties |= (packed == np.packbits(~observed)).all(axis=1)
     k = int(np.count_nonzero(ties | (T >= T0)))
-    distinct = len({row.tobytes() for row in first})
+    distinct = len(np.unique(packed, axis=0))
 
     return RatioTestResult(
         T0=T0, p=(k + 1) / (m + 1), m=m, h1=float(h1), h2=float(h2), r_grid=r_grid, k=k,

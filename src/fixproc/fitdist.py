@@ -209,7 +209,7 @@ def _nelder_mead(cost, x0: np.ndarray) -> np.ndarray:
         nonlocal evals
         evals += 1
         c = cost(x)
-        return c if c == c else np.inf  # NaN is no minimum
+        return c if np.isfinite(c) else np.inf  # neither NaN nor -inf is a minimum
 
     simplex = [x0] + [x0 + _SIMPLEX_STEP * e for e in np.eye(len(x0))]
     costs = [value(x) for x in simplex]

@@ -1,9 +1,9 @@
 import argparse
 import json
 import os
-import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -295,7 +295,7 @@ class TestCommands:
                     "novice", "--seed", "6", "--n-runs", "20", *FAST,
                     "--trial-length", "400"]) == 3
         err = json.loads(capsys.readouterr().err.strip())
-        assert re.fullmatch(r"1->1: need at least 20 curves, got 1?\d", err["message"])
+        assert err["message"] == "1->1: need at least 20 curves, got 18"
 
 
 class TestBandwidthResolution:
@@ -1052,8 +1052,27 @@ class TestHeldBytes:
                     "--out", out, "--trial-length", "20000"]) == 3
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "DataError"
-        assert "2800000000 for m 100000000; need at most" in err["message"]
+        # 20 subjects: the labels, their 3 packed bytes and the statistic
+        assert "3100000000 for m 100000000; need at most" in err["message"]
         assert len(ingested) == 1 and not out.exists()
+
+    def test_label_term_bounds_what_each_permutation_draw_holds(self):
+        # each draw used to add a bytes object of its partition to a Python
+        # set, and the scorer a pool task per block of draws: about 110 bytes
+        # a draw at 20 subjects, where the term counted 28
+        data = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=20, seed=1)
+        ms = (20_000, 60_000)
+        peaks = []
+        for m in ms:
+            tracemalloc.start()
+            try:
+                fixproc.permutation_test(data, m=m, h1=30.0, h2=40.0, seed=1, nx=8, ny=8)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        terms = [cli._held_terms(PipelineConfig(m=m), "compare-intensity", 20, 2)[f"m {m}"]
+                 for m in ms]
+        assert peaks[1] - peaks[0] <= terms[1] - terms[0]
 
     @pytest.mark.parametrize("most, refused", [(11_585, False), (11_586, True)])
     def test_budget_is_one_bound_on_the_sum(self, most, refused):
@@ -1367,24 +1386,29 @@ class TestFlagVariants:
 
 
 class TestOneSampleRule:
-    # fit and the group model take each law's sample from fitdist.law_sample;
-    # the model's length gamma is the short branch of the fitted jump mixture,
-    # so of that law only the sample is shared
+    # fit and the group model take each law's sample from fitdist.law_sample,
+    # and fit reports the length gamma of the model's jump mixture with its p
     @pytest.mark.parametrize("group", ["novice", "non_novice"])
     def test_fit_equals_the_models_law(self, data_csv, tmp_path, group):
         assert run(["envelope", "--group", group, "--seed", "1", "--n-runs", "20", "--no-svg",
                     "--input", data_csv, "--out", tmp_path / "env", *FAST]) == 0
         model = json.loads((tmp_path / "env" / "envelope.json").read_text())["model"]
         # saccade durations pool both groups, so fit takes no --group for them
+        fits = {}
         for source, law, flags in (("fixation_duration", "dur_fix", ["--group", group]),
                                    ("saccade_length", "len_sac", ["--group", group]),
                                    ("saccade_duration", "dur_sac", [])):
             out = tmp_path / source
             assert run(["fit", "--source", source, *flags, "--input", data_csv,
                         "--out", out, *FAST]) == 0
-            fit = json.loads((out / f"fit_{source}.json").read_text())
-            shared = ["n", "source"] if law == "len_sac" else model[law]
-            assert {key: fit[key] for key in shared} == {key: model[law][key] for key in shared}
+            fits[law] = json.loads((out / f"fit_{source}.json").read_text())
+            assert {key: fits[law][key] for key in model[law]} == model[law]
+        assert fits["len_sac"]["p_long"] == model["p_long"]
+        # qq draws its band from the same law
+        assert run(["qq", "--source", "saccade_length", "--group", group, "--input", data_csv,
+                    "--out", tmp_path / "qq", *FAST]) == 0
+        qq = json.loads((tmp_path / "qq" / "qq_saccade_length.json").read_text())
+        assert qq["fit"] == model["len_sac"] and qq["p_long"] == model["p_long"]
 
 
 class TestSvgText:

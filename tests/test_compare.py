@@ -432,6 +432,16 @@ class TestMonteCarloDiagnostics:
         assert res.distinct_partitions == len(firsts)
 
 
+    def test_distinct_partitions_past_one_byte_of_subjects(self, short_model):
+        # nine subjects pack into two bytes a draw; 126 partitions, so 400
+        # draws repeat some
+        data = simulated_dataset(short_model, n_subjects=9, seed=1)
+        res = permutation_test(data, m=400, h1=30.0, h2=30.0, seed=8, nx=16, ny=16)
+        firsts = {frozenset(substream(8, "perm", j).permutation(9)[:4].tolist())
+                  for j in range(1, 401)}
+        assert res.distinct_partitions == len(firsts) < 126
+
+
 class TestOnePainting:
     def test_two_paintings_rejected(self, tiny_dataset):
         other = [replace(s, painting_id="monet") for s in tiny_dataset.sequences]

@@ -14,7 +14,7 @@ from fixproc import (
     law_sample,
     sample_truncated_gamma,
 )
-from fixproc.fitdist import FIT_SOURCES, fit_jump_mixture, jump_sample
+from fixproc.fitdist import FIT_SOURCES, _nelder_mead, fit_jump_mixture, jump_sample
 from helpers import (WINDOW, derive_saccades_reference, jump_sample_reference,
                      valid_saccade_values_reference)
 from test_ingest import _saccade_cases
@@ -167,6 +167,18 @@ class TestFitJumpMixture:
             fit_jump_mixture([10.0, 20.0, 30.0], [500.0, 600.0])
         with pytest.raises(DataError, match="l_max"):
             fit_jump_mixture([10.0, 20.0], [500.0, np.inf])
+
+
+class TestNelderMead:
+    def test_a_cost_of_minus_inf_is_no_minimum(self):
+        # a truncated likelihood whose gamma CDF underflows to 0 at l_max
+        # gives log-likelihood +inf, a cost of -inf; the search took that
+        # vertex as its best and ended there
+        def cost(x):
+            return -np.inf if x[0] > 1.0 else float((x[0] - 0.2) ** 2)
+
+        best = _nelder_mead(cost, np.array([0.95]))
+        assert best[0] == pytest.approx(0.2, abs=1e-4)
 
 
 class TestJumpSample:
