@@ -464,10 +464,13 @@ def _group_envelopes(cfg: PipelineConfig, dataset, group: str, pick) -> dict:
     grid = default_grid(cfg.trial_length, cfg.grid_points)
     stats = list(STATS) if cfg.stat == "all" else [cfg.stat]
     sim_rows = simulate_curves(model, cfg.n_runs, cfg.seed, grid, stats, cfg.radius, cfg.raster)
+    # the model's surfaces and first-fixation masses are not read again: free
+    # them before the observed curves and the ranks are built
+    del model
     # a subject appears once per painting; key on both
     observed = {sequence_name(s.subject_id, s.painting_id, ":"): s for s in dataset.by_group(group)}
     obs_rows = RunCurves.from_sequences(
-        observed.values(), len(observed), model.window, grid, stats, cfg.radius, cfg.raster
+        observed.values(), len(observed), dataset.window, grid, stats, cfg.radius, cfg.raster
     )
     return {"model": block, **judge(obs_rows, list(observed), sim_rows, cfg.alpha)}
 
