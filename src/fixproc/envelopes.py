@@ -29,10 +29,11 @@ from .summaries import TRANSITIONS, RunCurves, resample_curve
 
 
 # columns per tile of the column sort: a tile's sort order, mid-ranks and
-# depths, about four (curves, tile) arrays, are all the ranks hold beside the
-# curves and their sorted copy. At 200 curves on 361 times, rank_envelope's
-# traced peak is 1.5 curve matrices, against 4.25 for one sort of every
-# column, and no slower; wider tiles cost more, narrower ones time
+# depths, about four (curves, tile) arrays, are all the ranks and the bounds
+# hold beside the curves; no sorted copy of the curves is kept. At 200 curves
+# on 361 times, rank_envelope's traced peak is about 0.4 curve matrices,
+# against 1.5 with a whole sorted copy and 4.25 for one sort of every column;
+# wider tiles cost more, narrower ones time
 _TILE_COLUMNS = 32
 
 
@@ -155,7 +156,7 @@ def _sorted_extreme_ranks(
     return _unsorted(depth, order).min(axis=1)
 
 
-def extreme_ranks(rows: np.ndarray, ordered: np.ndarray | None = None) -> np.ndarray:
+def extreme_ranks(rows: np.ndarray) -> np.ndarray:
     """Per-curve extreme rank: min over the grid of depth from below/above.
 
     Mid-ranks are used on ties so mass ties (e.g. many curves at zero early
@@ -164,20 +165,24 @@ def extreme_ranks(rows: np.ndarray, ordered: np.ndarray | None = None) -> np.nda
     and likewise +-inf) contribute no depth; an everywhere-undefined curve
     gets rank +inf.
 
-    The columns are sorted ``_TILE_COLUMNS`` at a time. Each tile's sorted
-    columns, non-finite entries as NaN and last, go to the same columns of
-    ``ordered`` when it is given. Every other array is sized to one tile,
-    and ``rows`` is only read.
+    The columns are sorted ``_TILE_COLUMNS`` at a time, by
+    :func:`_column_tiles`. Every other array is sized to one tile, and
+    ``rows`` is only read.
     """
     ranks = np.full(len(rows), np.inf)
+    for _, order, tile, counts in _column_tiles(rows):
+        np.minimum(ranks, _sorted_extreme_ranks(order, tile, counts), out=ranks)
+    return ranks
+
+
+def _column_tiles(rows: np.ndarray):
+    """Per tile of ``_TILE_COLUMNS`` columns: its slice, and its columns' sort
+    order, sorted values (non-finite entries as NaN, and last) and numbers of
+    finite entries. The same tile is sorted the same way on every pass."""
     for start in range(0, rows.shape[1], _TILE_COLUMNS):
         cols = slice(start, start + _TILE_COLUMNS)
         order, tile = _sorted_columns(_finite_or_nan(rows[:, cols]))
-        counts = np.isfinite(rows[:, cols]).sum(axis=0)
-        np.minimum(ranks, _sorted_extreme_ranks(order, tile, counts), out=ranks)
-        if ordered is not None:
-            ordered[:, cols] = tile
-    return ranks
+        yield cols, order, tile, np.isfinite(rows[:, cols]).sum(axis=0)
 
 
 def min_curves(alpha: float) -> int:
@@ -196,10 +201,11 @@ def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
     defined values fall back to the min/max of what is defined. Infinite
     entries count as undefined, like NaN.
 
-    The columns are sorted once, for the ranks and the bounds, a tile of
-    columns at a time; besides the curves, their sorted copy and about four
-    arrays of one tile's size are held at a time. A bound drawn from a tie
-    of 0.0 and -0.0 may carry either sign.
+    The columns are sorted a tile at a time, once for the ranks and, with k
+    known, once more for the bounds, which are read from each tile's sorted
+    columns; besides the curves, about four arrays of one tile's size are
+    held at a time. A bound drawn from a tie of 0.0 and -0.0 carries the
+    sign that the tile's sort puts at its depth.
     """
     s = curves.rows.shape[0]
     if not 0 < alpha < 1:
@@ -207,20 +213,21 @@ def rank_envelope(curves: CurveMatrix, alpha: float = 0.05) -> RankEnvelope:
     if s < min_curves(alpha):
         raise DataError(f"need at least {min_curves(alpha)} curves, got {s}")
 
-    counts = np.isfinite(curves.rows).sum(axis=0)
-    ordered = np.empty(curves.rows.shape)
-    ranks = extreme_ranks(curves.rows, ordered)
+    ranks = extreme_ranks(curves.rows)
     need = int(np.ceil((1.0 - alpha) * s - 1e-9))
     # largest integer k with #{R_j >= k} >= need, i.e. floor of the
     # need-th largest extreme rank
     k = int(np.floor(min(np.sort(ranks)[s - need], (s + 1) / 2) + 1e-9))
     k = max(k, 1)
 
-    cols = np.arange(ordered.shape[1])
-    # depth per column, capped so short columns keep lower <= upper
-    k_eff = np.minimum(k, (np.maximum(counts, 1) + 1) // 2)
-    lower = np.where(counts > 0, ordered[k_eff - 1, cols], np.nan)
-    upper = np.where(counts > 0, ordered[np.maximum(counts - k_eff, 0), cols], np.nan)
+    lower = np.empty(curves.rows.shape[1])
+    upper = np.empty(curves.rows.shape[1])
+    for cols, _, tile, counts in _column_tiles(curves.rows):
+        at = np.arange(tile.shape[1])
+        # depth per column, capped so short columns keep lower <= upper
+        k_eff = np.minimum(k, (np.maximum(counts, 1) + 1) // 2)
+        lower[cols] = np.where(counts > 0, tile[k_eff - 1, at], np.nan)
+        upper[cols] = np.where(counts > 0, tile[np.maximum(counts - k_eff, 0), at], np.nan)
     return RankEnvelope(lower=lower, upper=upper, k=k)
 
 

@@ -184,8 +184,9 @@ def ball_union_coverage(
 
 
 # Bytes of the float (fixations x box cells) array that one batch of disc
-# masks is computed in.
-_MASK_BYTES = 2**19
+# masks is computed in. Over 200 runs the disc kernel took 0.425-0.438 s at
+# 2**18 against 0.432-0.434 s at 2**19, and 2**17 was about 15 % slower.
+_MASK_BYTES = 2**18
 
 
 def _ball_values(locs: np.ndarray, w: Window, radius: float, raster: float) -> np.ndarray:
@@ -236,6 +237,7 @@ def _ball_values(locs: np.ndarray, w: Window, radius: float, raster: float) -> n
         sums = np.repeat(dy2, box_w, axis=1).reshape(-1, box_h, box_w)
         sums += dx2[:, None, :]
         masks = sums <= radius**2
+        del sums  # before the next batch's are built
         for i, (x0, x1, y0, y1) in enumerate(bounds[part], start):
             box = covered[y0:y1, x0:x1]
             before = np.count_nonzero(box)
@@ -304,6 +306,14 @@ def transition_curves(
     return TransitionCurves(curves=curves, counts=counts)
 
 
+# runs per tile of a transition row: its positions and counts are (tile,
+# grid) arrays. At 200 runs of about 130 fixations on 361 times a row's
+# traced peak is 1.21 of its float bytes plus its int32 prefix counts, where
+# whole (runs, grid) arrays held 2.0; 32-run tiles held 1.39, because numpy's
+# 64 KiB ufunc buffers come on top of each tile
+_TILE_RUNS = 16
+
+
 def _transition_estimates(
     states: np.ndarray, starts: np.ndarray, at: np.ndarray, j: int, runs=slice(None)
 ) -> np.ndarray:
@@ -315,9 +325,9 @@ def _transition_estimates(
     transitions into fixations 1 to ``at[i, g]``. The estimate is NaN while
     N_a is 0, and so for an index below 1.
 
-    The prefix counts are int32 per fixation. Besides the float result, at
-    most two (runs, grid) arrays are held at a time: int32 positions and
-    counts (int64 positions for an int64 ``at``).
+    The prefix counts are int32 per fixation. The float result is filled
+    ``_TILE_RUNS`` runs at a time, so besides it and the prefix counts only
+    (tile, grid) arrays are held: intp positions and int32 counts.
     """
     a, b = divmod(j, 4)
     first = starts[:-1][np.diff(starts) > 0]
@@ -331,18 +341,25 @@ def _transition_estimates(
     n_a = np.cumsum(leaves_a, dtype=np.int32)
     n_ab = np.cumsum(enters_b, dtype=np.int32)
     del leaves_a, enters_b
-    base = starts[:-1][runs, None]
-    pos = at[runs] + (base + 1).astype(np.int32)
-    counts_a = n_a[pos]
-    counts_a -= n_a[base]
-    counts_ab = n_ab[pos]
-    del pos
-    counts_ab -= n_ab[base]
-    estimates = counts_ab.astype(float)
-    del counts_ab
-    with np.errstate(invalid="ignore"):
-        estimates /= counts_a
-    estimates[counts_a == 0] = np.nan  # 0/0 there, whose NaN has the sign bit set
+    rows = np.arange(len(at))[runs]
+    estimates = np.empty((len(rows), at.shape[1]))
+    for lo in range(0, len(rows), _TILE_RUNS):
+        tile = rows[lo : lo + _TILE_RUNS]
+        base = starts[:-1][tile, None]
+        # intp, into which indexing would copy int32 positions anyway
+        pos = at[tile].astype(np.intp)
+        pos += base + 1
+        out = estimates[lo : lo + _TILE_RUNS]
+        counts = n_ab[pos]
+        counts -= n_ab[base]
+        out[...] = counts
+        del counts
+        counts_a = n_a[pos]
+        del pos
+        counts_a -= n_a[base]
+        with np.errstate(invalid="ignore"):
+            out /= counts_a
+        out[counts_a == 0] = np.nan  # 0/0 there, whose NaN has the sign bit set
     return estimates
 
 

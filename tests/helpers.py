@@ -730,3 +730,31 @@ def transition_estimates_reference(
     with np.errstate(invalid="ignore"):
         estimates = np.where(n_a == 0, np.nan, n_a)
         return np.divide(n_ab, estimates, out=estimates)
+
+
+def transition_estimates_whole(
+    states: np.ndarray, starts: np.ndarray, at: np.ndarray, j: int, runs=slice(None)
+) -> np.ndarray:
+    """``summaries._transition_estimates`` as it was before its result was
+    filled in tiles of runs: int32 positions and counts of all ``runs`` at
+    once, as (runs, grid) arrays."""
+    a, b = divmod(j, 4)
+    first = starts[:-1][np.diff(starts) > 0]
+    leaves_a = np.zeros(states.size + 1, dtype=bool)
+    leaves_a[2:] = states[:-1] == a
+    leaves_a[first + 1] = False
+    enters_b = leaves_a.copy()
+    enters_b[1:] &= states == b
+    n_a = np.cumsum(leaves_a, dtype=np.int32)
+    n_ab = np.cumsum(enters_b, dtype=np.int32)
+    base = starts[:-1][runs, None]
+    pos = at[runs] + (base + 1).astype(np.int32)
+    counts_a = n_a[pos]
+    counts_a -= n_a[base]
+    counts_ab = n_ab[pos]
+    counts_ab -= n_ab[base]
+    estimates = counts_ab.astype(float)
+    with np.errstate(invalid="ignore"):
+        estimates /= counts_a
+    estimates[counts_a == 0] = np.nan
+    return estimates

@@ -36,6 +36,7 @@ from helpers import (
     quadrant_reference,
     sequence,
     transition_estimates_reference,
+    transition_estimates_whole,
     transition_table_per_step,
 )
 
@@ -366,6 +367,20 @@ class TestBallUnionCoverage:
         c = ball_union_coverage(seq_at(pts + [(385.0, 384.0)]), W, 35.0, 2.0)
         assert np.all(c.values[:-1] == 0.0) and c.values[-1] > 0.0
 
+    def test_holds_its_raster_and_one_mask_batch(self, rng):
+        # the float sums of one batch of disc masks stay under 2**18 bytes and
+        # are freed before the next batch's; the rest is the bool masks,
+        # numpy's ufunc buffers and a few numbers per fixation
+        locs = rng.uniform([0, 0], [770, 768], size=(200, 2))
+        raster = 770 * 768
+        tracemalloc.start()
+        try:
+            summaries._ball_values(locs, W, 35.0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= raster + 2**18 + 2**17 + 256 * len(locs)
+
     def test_nondecreasing(self, rng):
         pts = rng.uniform([0, 0], [770, 768], size=(30, 2))
         c = ball_union_coverage(seq_at(pts), W, 35.0, 4.0)
@@ -641,11 +656,31 @@ class TestTransitionEstimates:
         assert curves.defined(1).tobytes() == curves.stat_rows[1].tobytes()
         assert curves.defined(2).shape == (1, 11)  # the one run of 5 fixations
 
-    def test_one_row_holds_two_int32_arrays_besides_its_floats(self, rng):
+    # one run, the edges of the first tiles of runs, and many tiles
+    @pytest.mark.parametrize("n_runs", [1, 15, 16, 17, 31, 32, 33, 200])
+    def test_run_tiles_equal_the_whole_row_build(self, rng, n_runs):
+        counts = rng.integers(0, 40, n_runs)
+        counts[::5] = rng.integers(0, 2, len(counts[::5]))  # runs defined on no transition
+        curves = run_store(rng, counts, 37)
+        defined = curves.defined_runs(0)
+        for j in range(16):
+            for at in (curves.at, curves.at.astype(np.int64)):
+                for runs in (slice(None), defined):
+                    got = summaries._transition_estimates(curves.states, curves.starts, at, j,
+                                                          runs)
+                    ref = transition_estimates_whole(curves.states, curves.starts, at, j, runs)
+                    # bytes: NaN where N_a is 0, and every sign bit
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            ref = transition_estimates_whole(curves.states, curves.starts, curves.at, j, defined)
+            assert curves.defined(j).tobytes() == ref.tobytes()
+
+    def test_one_row_holds_run_tiles_besides_its_floats(self, rng):
         # 200 runs of about 130 fixations on 361 grid times, as the envelope
-        # benchmark simulates them; intp positions and counts held 5x
+        # benchmark simulates them; (runs, grid) int32 positions and counts
+        # held 2.0 rows, intp ones 5
         curves = run_store(rng, rng.integers(0, 260, 200), 361)
         row_bytes = 200 * 361 * 8
+        prefix_bytes = 2 * 4 * (curves.states.size + 1)  # int32 N_a and N_ab
         for build in (lambda j: curves[j], curves.defined):
             tracemalloc.start()
             try:
@@ -654,4 +689,4 @@ class TestTransitionEstimates:
             finally:
                 tracemalloc.stop()
             assert row.nbytes <= row_bytes
-            assert peak <= 2.5 * row_bytes
+            assert peak <= 1.25 * row_bytes + prefix_bytes
