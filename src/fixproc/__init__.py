@@ -54,6 +54,7 @@ from .fitdist import (
     QQBand,
     acf,
     fit_gamma_mle,
+    fixed_fit_qq,
     gamma_qq,
     law_sample,
     sample_truncated_gamma,

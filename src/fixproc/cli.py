@@ -36,8 +36,8 @@ from .density import (
     select_bandwidth_cv,
 )
 from .envelopes import default_grid, judge, min_curves
-from .fitdist import (FIT_SOURCES, fit_gamma_mle, fit_jump_mixture, gamma_qq, jump_sample,
-                      law_sample)
+from .fitdist import (FIT_SOURCES, fit_gamma_mle, fit_jump_mixture, fixed_fit_qq, gamma_qq,
+                      jump_sample, law_sample)
 from .ingest import ingest_pipeline, write_fixations, write_json, write_saccades
 from .simulate import (
     build_model,
@@ -399,9 +399,18 @@ def cmd_fit(cfg: PipelineConfig) -> None:
 
 
 def cmd_qq(cfg: PipelineConfig) -> None:
+    """The QQ band of the ``cfg.source`` law: :func:`~fixproc.fitdist.gamma_qq`'s
+    bootstrap band for a duration source, with its p-value and critical value,
+    and :func:`~fixproc.fitdist.fixed_fit_qq`'s band of the model's jump-length
+    gamma for ``saccade_length`` (see there)."""
     dataset, _ = _load_filtered(cfg)
     fit, extra = _model_law(cfg, dataset)
-    band = gamma_qq(law_sample(dataset.sequences, cfg.source), fit, cfg.alpha)
+    sample = law_sample(dataset.sequences, cfg.source)
+    if cfg.source == "saccade_length":
+        band = fixed_fit_qq(sample, fit, cfg.alpha)
+    else:
+        band = gamma_qq(sample, fit, cfg.alpha, seed=cfg.seed)
+        extra = {"p_value": band.p_value, "critical_value": band.critical_value}
     band.to_csv(_out(cfg, f"qq_{cfg.source}.csv"))
     write_json(
         _out(cfg, f"qq_{cfg.source}.json"),
@@ -656,7 +665,8 @@ def _limits(command: str, cfg: PipelineConfig, subjects: int = 0, bandwidths: in
 def _check_command(command: str, cfg: PipelineConfig) -> None:
     """Refuse settings that ``command`` lacks or cannot honour, before any input is read.
 
-    ``input`` and the command's :data:`REQUIRED` settings must be set. A
+    ``input`` and the command's :data:`REQUIRED` settings must be set, and
+    ``seed`` for ``qq`` of a duration source, whose band is bootstrapped. A
     command that compares the two groups (``compare-intensity``, ``report``,
     ``shift --split group``) takes no ``group``, which would leave one of
     them empty. A command that draws envelopes (``envelope``, ``report``)
@@ -666,6 +676,9 @@ def _check_command(command: str, cfg: PipelineConfig) -> None:
     for name in ("input", *REQUIRED.get(command, ())):
         if getattr(cfg, name) is None:
             raise ConfigError(f"{_flag(name)} is required for this command")
+    if (command, cfg.seed) == ("qq", None) and cfg.source != "saccade_length":
+        raise ConfigError(f"--seed is required for qq --source {cfg.source}, "
+                          "whose band is bootstrapped")
     if cfg.group is not None and (command in ("compare-intensity", "report")
                                   or (command, cfg.split) == ("shift", "group")):
         split = " --split group" if command == "shift" else ""

@@ -104,32 +104,43 @@ def _pcg64_seeds(prefix: list[int], last: np.ndarray) -> list[np.ndarray]:
     return [halves[i] | (halves[i + 1] << 32) for i in range(0, 2 * _POOL, 2)]
 
 
-def permutations(seed: int, name: str, indices, n: int) -> np.ndarray:
-    """Row i is ``substream(seed, name, indices[i]).permutation(n)``.
+def substreams(seed: int, name: str, indices):
+    """``substream(seed, name, j)`` for each j of ``indices``, in their order.
 
-    The same draws, seeded in one pass: the entropy of every row is the
+    The same streams, seeded in one pass: the entropy of every stream is the
     seed's words, the name's words and then index j, so the SeedSequence
-    pool is mixed once up to j and j enters as a vector. Each row sets
-    the PCG64 state that seed gives (pcg64 srandom) on one reused generator
-    and shuffles. ``ValueError`` for an index outside [0, 2**32): it would
-    enter as more than one word. The CLI's held-bytes limit on ``m``
-    (``cli.MAX_HELD_BYTES``) refuses an m far below that.
+    pool is mixed once up to j and j enters as a vector. One generator is
+    yielded for every j, set to the PCG64 state that j gives (pcg64
+    srandom), so each stream is valid until the next one is yielded.
+    ``ValueError`` for an index outside [0, 2**32): it would enter as more
+    than one word.
     """
     indices = [int(j) for j in indices]
     if indices and (min(indices) < 0 or max(indices) > _MASK32):
         bad = next(j for j in indices if not 0 <= j <= _MASK32)
-        raise ValueError(f"permutation index {bad} is outside [0, 2**32)")
+        raise ValueError(f"stream index {bad} is outside [0, 2**32)")
     prefix = _int_words(int(seed)) + list(_key_words(name))
-    out = np.empty((len(indices), n), dtype=np.int64)
-    out[:] = np.arange(n)
     seeds = _pcg64_seeds(prefix, np.array(indices, dtype=np.uint64))
     bit_generator = np.random.PCG64(0)
     gen = np.random.Generator(bit_generator)
-    for row, s0, s1, s2, s3 in zip(out, *(s.tolist() for s in seeds)):
+    for s0, s1, s2, s3 in zip(*(s.tolist() for s in seeds)):
         initstate = (s0 << 64) | s1
         inc = (((s2 << 64) | s3) << 1 | 1) & _MASK128
         state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
+        yield gen
+
+
+def permutations(seed: int, name: str, indices, n: int) -> np.ndarray:
+    """Row i is ``substream(seed, name, indices[i]).permutation(n)``, each row
+    shuffled by its stream of :func:`substreams`. ``ValueError`` for an index
+    outside [0, 2**32). The CLI's held-bytes limit on ``m``
+    (``cli.MAX_HELD_BYTES``) refuses an m far below that.
+    """
+    indices = list(indices)
+    out = np.empty((len(indices), n), dtype=np.int64)
+    out[:] = np.arange(n)
+    for row, gen in zip(out, substreams(seed, name, indices)):
         gen.shuffle(row)
     return out

@@ -131,8 +131,12 @@ class TestCommands:
         fit = json.loads((tmp_path / "fit_saccade_length.json").read_text())
         assert fit["shape"] > 0 and fit["rate"] > 0
         assert run(["qq", "--input", data_csv, "--out", tmp_path, "--source",
-                    "fixation_duration", "--trial-length", "10000"]) == 0
+                    "fixation_duration", "--trial-length", "10000", "--seed", "3"]) == 0
         assert (tmp_path / "qq_fixation_duration.csv").exists()
+        qq = json.loads((tmp_path / "qq_fixation_duration.json").read_text())
+        # the bootstrap band holds the line exactly when p exceeds alpha
+        assert qq["line_inside_band"] == (qq["p_value"] > qq["alpha"])
+        assert 0 < qq["p_value"] <= 1 and qq["critical_value"] > 0
 
     def test_summaries(self, data_csv, tmp_path):
         assert run(["summaries", "--input", data_csv, "--out", tmp_path, *FAST]) == 0
@@ -773,6 +777,8 @@ class TestRequiredSettings:
         ("simulate", ["--seed", "1"], "group"),
         ("compare-intensity", [], "seed"),
         ("report", [], "seed"),
+        ("qq", [], "seed"),
+        ("qq", ["--source", "saccade_duration"], "seed"),
     ])
     def test_missing_setting_makes_no_output_directory(self, data_csv, tmp_path, capsys,
                                                        monkeypatch, command, flags, name):
@@ -1409,6 +1415,8 @@ class TestOneSampleRule:
                     "--out", tmp_path / "qq", *FAST]) == 0
         qq = json.loads((tmp_path / "qq" / "qq_saccade_length.json").read_text())
         assert qq["fit"] == model["len_sac"] and qq["p_long"] == model["p_long"]
+        # its band is still the fixed-fit one, so it needs no seed and has no p-value
+        assert "p_value" not in qq
 
 
 class TestSvgText:

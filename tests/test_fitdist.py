@@ -10,11 +10,14 @@ from fixproc import (
     NumericError,
     acf,
     fit_gamma_mle,
+    fixed_fit_qq,
     gamma_qq,
     law_sample,
     sample_truncated_gamma,
 )
-from fixproc.fitdist import FIT_SOURCES, _nelder_mead, fit_jump_mixture, jump_sample
+from fixproc.fitdist import (FIT_SOURCES, _gamma_mle_rows, _nelder_mead, fit_jump_mixture,
+                             jump_sample)
+from fixproc.rng import substream
 from helpers import (WINDOW, derive_saccades_reference, jump_sample_reference,
                      valid_saccade_values_reference)
 from test_ingest import _saccade_cases
@@ -198,30 +201,91 @@ class TestGammaQQ:
         fit = GammaFit(2.0, 0.01, 500, "fixation_duration")
         n = 500
         sample = fit.quantile((np.arange(1, n + 1) - 0.5) / n)
-        band = gamma_qq(sample, fit)
+        band = gamma_qq(sample, fit, seed=1)
         assert np.allclose(band.theoretical, band.empirical, rtol=1e-9)
         assert band.line_inside()
 
     def test_calibration(self):
+        # the fixed-fit band that qq --source saccade_length keeps
         rng = np.random.default_rng(105)
         inside = 0
         for _ in range(500):
             sample = rng.gamma(2.0, 150.0, 500)
-            band = gamma_qq(sample, fit_gamma_mle(sample))
+            band = fixed_fit_qq(sample, fit_gamma_mle(sample))
             inside += band.line_inside()
         assert inside / 500 >= 0.93
 
     def test_heavy_tail_violates_band(self):
         rng = np.random.default_rng(106)
         sample = rng.lognormal(5.0, 1.5, 2000)
-        band = gamma_qq(sample, fit_gamma_mle(sample))
+        band = gamma_qq(sample, fit_gamma_mle(sample), seed=2)
         assert not band.line_inside()
+        assert band.p_value == 1 / 1000  # no bootstrap sample is as far from its fit
 
     def test_band_ordering(self):
         rng = np.random.default_rng(107)
         sample = rng.gamma(3.0, 80.0, 200)
-        band = gamma_qq(sample, fit_gamma_mle(sample))
+        band = gamma_qq(sample, fit_gamma_mle(sample), seed=3)
         assert np.all(band.lower <= band.upper)
+
+
+class TestBootstrapQQ:
+    """The QQ band of a fit made from its own sample (ROADMAP item 4)."""
+
+    def test_exit_rate_holds_its_level(self):
+        # the fixed-fit KS band was left by 0 of 400 such samples
+        rng = np.random.default_rng(110)
+        trials, exits = 300, 0
+        for i in range(trials):
+            sample = rng.gamma(2.0, 150.0, 50)
+            exits += not gamma_qq(sample, fit_gamma_mle(sample), 0.05, seed=i).line_inside()
+        assert abs(exits / trials - 0.05) <= 0.03
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5])
+    def test_line_inside_exactly_when_d_is_at_most_the_critical_value(self, alpha):
+        rng = np.random.default_rng(111)
+        seen = set()
+        for i in range(40):
+            sample = rng.gamma(2.0, 150.0, 30) if i % 2 else rng.lognormal(5.0, 0.8, 30)
+            fit = fit_gamma_mle(sample)
+            band = gamma_qq(sample, fit, alpha, seed=i, n_boot=99)
+            d = kstest(sample, gamma_dist(fit.shape, scale=1 / fit.rate).cdf).statistic
+            inside = band.line_inside()
+            assert inside == (np.sqrt(30) * d <= band.critical_value)
+            assert inside == (band.p_value > alpha)
+            seen.add(inside)
+        assert seen == {True, False}
+
+    def test_critical_value_is_an_order_statistic_of_the_draws(self):
+        sample = np.random.default_rng(112).gamma(2.0, 150.0, 40)
+        fit = fit_gamma_mle(sample)
+        band = gamma_qq(sample, fit, 0.1, seed=5, n_boot=19)
+        boot = []
+        for b in range(19):
+            draw = np.sort(substream(5, "qq", b).standard_gamma(fit.shape, 40) / fit.rate)
+            refit = fit_gamma_mle(draw)
+            boot.append(kstest(draw, gamma_dist(refit.shape, scale=1 / refit.rate).cdf).statistic)
+        # the ceil(0.9 * 20) = 18th smallest of 19
+        assert band.critical_value == pytest.approx(np.sqrt(40) * np.sort(boot)[17], rel=1e-12)
+        d = kstest(sample, gamma_dist(fit.shape, scale=1 / fit.rate).cdf).statistic
+        assert band.p_value == (1 + sum(b >= d for b in boot)) / 20
+        # past the last draw the band is everything
+        wide = gamma_qq(sample, fit, 0.01, seed=5, n_boot=19)
+        assert wide.critical_value == np.inf and wide.line_inside() and wide.p_value > 0.01
+
+    def test_same_seed_same_band(self):
+        sample = np.random.default_rng(113).gamma(2.0, 150.0, 60)
+        fit = fit_gamma_mle(sample)
+        one, two = (gamma_qq(sample, fit, seed=9) for _ in range(2))
+        assert one.upper.tobytes() == two.upper.tobytes() and one.p_value == two.p_value
+        assert gamma_qq(sample, fit, seed=10).critical_value != one.critical_value
+
+    def test_refits_are_fit_gamma_mle_of_each_row(self):
+        rows = np.random.default_rng(114).gamma(1.5, 30.0, (50, 80))
+        shape, rate = _gamma_mle_rows(rows)
+        for i, row in enumerate(rows):
+            fit = fit_gamma_mle(row)
+            assert (shape[i], rate[i]) == (fit.shape, fit.rate)
 
 
 class TestTruncatedSampler:

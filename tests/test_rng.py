@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixproc import compare
-from fixproc.rng import _key_words, permutations, substream
+from fixproc.rng import _key_words, permutations, substream, substreams
 
 
 def _first_draws(seed, *names):
@@ -93,8 +93,15 @@ class TestPermutations:
     # an index enters the entropy as one 32-bit word, or is refused
     @pytest.mark.parametrize("bad", [-1, 2**32, 2**40 + 7])
     def test_index_outside_one_word_is_refused(self, bad):
-        with pytest.raises(ValueError, match=f"permutation index {bad} is outside"):
+        with pytest.raises(ValueError, match=f"stream index {bad} is outside"):
             permutations(3, "perm", [2, bad, 5], 8)
+
+    # a seed of several words, and indices out of order and repeated
+    @pytest.mark.parametrize("seed", [0, 7, 2**70 + 3])
+    def test_substreams_are_the_substreams(self, seed):
+        indices = [0, 998, 5, 5, 2**32 - 1]
+        got = [gen.random(4).tolist() for gen in substreams(seed, "qq", indices)]
+        assert got == [substream(seed, "qq", j).random(4).tolist() for j in indices]
 
 
 class TestPermutationLabels:

@@ -118,7 +118,8 @@ COMMANDS = {
     # exclusions before the first and after the last retained fixation
     "ingest_edge": ("e", ["ingest"]),
     "fit_len_edge": ("e", ["fit", "--source", "saccade_length"]),
-    "qq_edge": ("e", ["qq", "--source", "saccade_duration"]),
+    # the duration sources' QQ bands are bootstrapped, so they take a seed
+    "qq_edge": ("e", ["qq", "--source", "saccade_duration", "--seed", "7"]),
     # a model fitted with exclusions at both ends of every sequence
     "sim_edge": ("e", ["simulate", "--group", "novice", "--h", "24", "--n-runs", "20",
                        "--seed", "7"]),
@@ -145,8 +146,8 @@ COMMANDS = {
     "fit_fix": ("c", ["fit", "--source", "fixation_duration"]),
     # one group's sample alone
     "fit_len_novice": ("c", ["fit", "--source", "saccade_length", "--group", "novice"]),
-    "qq": ("c", ["qq", "--source", "saccade_duration", "--alpha", "0.1"]),
-    "qq_fix": ("c", ["qq", "--source", "fixation_duration"]),
+    "qq": ("c", ["qq", "--source", "saccade_duration", "--alpha", "0.1", "--seed", "7"]),
+    "qq_fix": ("c", ["qq", "--source", "fixation_duration", "--seed", "7"]),
     "qq_len": ("c", ["qq", "--source", "saccade_length"]),
     "summaries": ("c", ["summaries", "--radius", "30", "--raster", "3"]),
     # one painting picked out of two, and every painting's sequences named
