@@ -36,8 +36,7 @@ from .density import (
     select_bandwidth_cv,
 )
 from .envelopes import default_grid, judge, min_curves
-from .fitdist import (FIT_SOURCES, fit_gamma_mle, fit_jump_mixture, fixed_fit_qq, gamma_qq,
-                      jump_sample, law_sample)
+from .fitdist import FIT_SOURCES, fit_law, fixed_fit_qq, gamma_qq
 from .ingest import ingest_pipeline, write_fixations, write_json, write_saccades
 from .simulate import (
     build_model,
@@ -236,7 +235,7 @@ def _load_filtered(cfg: PipelineConfig, keep_groups: bool = False):
     )
     if cfg.painting is not None:
         dataset.sequences = [s for s in dataset.sequences if s.painting_id == cfg.painting]
-    chosen = dataset.sequences if cfg.group is None else dataset.by_group(cfg.group)
+    chosen = dataset.by_group(cfg.group)
     if not chosen:
         raise DataError("no sequences left after group/painting filters")
     if all(len(s) == 0 for s in chosen):
@@ -377,46 +376,33 @@ def _with_cv(payload: dict, cv: dict | None) -> dict:
     return payload
 
 
-def _model_law(cfg: PipelineConfig, dataset) -> tuple:
-    """The ``cfg.source`` gamma of ``dataset`` as :func:`~fixproc.simulate.build_model`
-    fits it, and the JSON fields that go with it: the ``saccade_length`` gamma is the
-    short branch of the jump mixture, fitted with ``p_long`` (held at ``cfg.p_long``
-    when set), which is its one field."""
-    if cfg.source == "saccade_length":
-        p_long, fit = fit_jump_mixture(*jump_sample(dataset.sequences, dataset.window),
-                                       cfg.p_long)
-        return fit, {"p_long": p_long}
-    return fit_gamma_mle(law_sample(dataset.sequences, cfg.source), cfg.source), {}
-
-
 def cmd_fit(cfg: PipelineConfig) -> None:
-    dataset, _ = _load_filtered(cfg)
-    fit, extra = _model_law(cfg, dataset)
-    payload = {**asdict(fit), **extra}
-    payload["meta"] = _meta(cfg, "fit")
-    payload["group"] = cfg.group
-    write_json(_out(cfg, f"fit_{cfg.source}.json"), payload)
+    """The ``cfg.source`` law of group ``cfg.group``'s model, of every sequence without a
+    group: :func:`~fixproc.fitdist.fit_law`'s gamma, and its ``p_long`` if it has one."""
+    dataset, _ = _load_filtered(cfg, keep_groups=True)
+    law = fit_law(dataset, cfg.group, cfg.source, cfg.p_long)
+    p_long = {} if law.p_long is None else {"p_long": law.p_long}
+    write_json(_out(cfg, f"fit_{cfg.source}.json"),
+               {**asdict(law.fit), **p_long, "meta": _meta(cfg, "fit"), "group": cfg.group})
 
 
 def cmd_qq(cfg: PipelineConfig) -> None:
-    """The QQ band of the ``cfg.source`` law: :func:`~fixproc.fitdist.gamma_qq`'s
-    bootstrap band for a duration source, with its p-value and critical value,
-    and :func:`~fixproc.fitdist.fixed_fit_qq`'s band of the model's jump-length
-    gamma for ``saccade_length`` (see there)."""
-    dataset, _ = _load_filtered(cfg)
-    fit, extra = _model_law(cfg, dataset)
-    sample = law_sample(dataset.sequences, cfg.source)
+    """The QQ band of :func:`cmd_fit`'s law against the sample it was fitted to:
+    :func:`~fixproc.fitdist.gamma_qq`'s bootstrap band for a duration source, with
+    its p-value and critical value, and :func:`~fixproc.fitdist.fixed_fit_qq`'s band
+    of the model's jump-length gamma, with its ``p_long``, for ``saccade_length``."""
+    dataset, _ = _load_filtered(cfg, keep_groups=True)
+    law = fit_law(dataset, cfg.group, cfg.source, cfg.p_long)
     if cfg.source == "saccade_length":
-        band = fixed_fit_qq(sample, fit, cfg.alpha)
+        band = fixed_fit_qq(law.sample, law.fit, cfg.alpha)
+        extra = {"p_long": law.p_long}
     else:
-        band = gamma_qq(sample, fit, cfg.alpha, seed=cfg.seed)
+        band = gamma_qq(law.sample, law.fit, cfg.alpha, seed=cfg.seed)
         extra = {"p_value": band.p_value, "critical_value": band.critical_value}
     band.to_csv(_out(cfg, f"qq_{cfg.source}.csv"))
-    write_json(
-        _out(cfg, f"qq_{cfg.source}.json"),
-        {"meta": _meta(cfg, "qq"), "fit": fit, **extra,
-         "line_inside_band": band.line_inside(), "alpha": cfg.alpha},
-    )
+    write_json(_out(cfg, f"qq_{cfg.source}.json"),
+               {"meta": _meta(cfg, "qq"), "fit": law.fit, **extra,
+                "line_inside_band": band.line_inside(), "alpha": cfg.alpha})
 
 
 def _group_model(cfg: PipelineConfig, dataset, group: str, pick) -> tuple:

@@ -248,20 +248,20 @@ class Dataset:
             raise DataError("every subject needs at least one fixation")
         return seqs1, seqs2
 
-    def by_group(self, group: str) -> list[FixationSequence]:
+    def by_group(self, group: str | None) -> list[FixationSequence]:
+        """The sequences of ``group`` in dataset order; every sequence for None."""
+        if group is None:
+            return self.sequences
         if group not in GROUPS:
             raise DataError(f"unknown group {group!r}")
         return [s for s in self.sequences if s.group == group]
 
-    def _sequences(self, group: str | None) -> list[FixationSequence]:
-        return self.sequences if group is None else self.by_group(group)
-
     # pooled arrays follow dataset order; the leading empty array fixes the empty shape
     def pooled_locations(self, group: str | None = None) -> np.ndarray:
-        return np.vstack([np.empty((0, 2))] + [s.locations for s in self._sequences(group)])
+        return np.vstack([np.empty((0, 2))] + [s.locations for s in self.by_group(group)])
 
     def pooled_durations(self, group: str | None = None) -> np.ndarray:
-        return np.concatenate([np.empty(0)] + [s.durations for s in self._sequences(group)])
+        return np.concatenate([np.empty(0)] + [s.durations for s in self.by_group(group)])
 
     def pooled_onsets(self) -> np.ndarray:
         return np.concatenate([np.empty(0)] + [s.onsets for s in self.sequences])

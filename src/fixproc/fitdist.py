@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln, kolmogi, polygamma, psi
 
-from .core import DataError, NumericError, Window, corner_offsets
+from .core import DataError, Dataset, NumericError, Window, corner_offsets
 from .ingest import derive_saccades, write_csv
 from .rng import substreams
 
@@ -149,8 +149,7 @@ def jump_sample(sequences, window: Window) -> tuple[np.ndarray, np.ndarray]:
     for s, values, keep in _kept_jumps(sequences, "saccade_length"):
         lengths.append(values[keep])
         starts.append(s.locations[:-1][keep])
-    starts = np.concatenate(starts)
-    return np.concatenate(lengths), np.hypot(*corner_offsets(window, *starts.T))
+    return np.concatenate(lengths), np.hypot(*corner_offsets(window, *np.concatenate(starts).T))
 
 
 def _validated_sample(sample) -> np.ndarray:
@@ -319,8 +318,8 @@ def fit_jump_mixture(lengths, l_max, p_long: float | None = None) -> tuple[float
         shape, mean = np.exp(theta)
         rate = shape / mean
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_g = (shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * log_l
-                     - rate * lengths - np.log(gammainc(shape, rate * l_max)))
+            log_g = (_gamma_loglik(shape, rate, 1, lengths, log_l)
+                     - np.log(gammainc(shape, rate * l_max)))
             # the uniform density over the gamma one, capped where it would overflow
             ratio = np.exp(np.minimum(log_uniform - log_g, 700.0))
             p = _best_p(ratio, p) if fixed is None else fixed
@@ -341,6 +340,35 @@ def fit_jump_mixture(lengths, l_max, p_long: float | None = None) -> tuple[float
                                    "saccade_length")
 
 
+@dataclass(frozen=True, eq=False)
+class Law:
+    """A law of a group model (:func:`fit_law`): its gamma ``fit``, the
+    :func:`law_sample` that fit saw, and the jump mixture's ``p_long``."""
+
+    fit: GammaFit
+    sample: np.ndarray
+    p_long: float | None = None  # None for a duration law
+
+
+def fit_law(dataset: Dataset, group: str | None, source: str, p_long=None) -> Law:
+    """The ``source`` law of ``group``'s model, for ``build_model``, ``fit`` and ``qq``.
+
+    Saccade durations pool every sequence of ``dataset``, since saccades are
+    involuntary; the other laws take ``dataset.by_group(group)``, every
+    sequence for None. A duration law is :func:`fit_gamma_mle` of its
+    :func:`law_sample`. The jump law is the mixture the simulator draws
+    from, :func:`fit_jump_mixture` of its :func:`jump_sample`, at ``p_long``
+    when given.
+    """
+    seqs = dataset.by_group(None if source == "saccade_duration" else group)
+    if source == "saccade_length":
+        lengths, l_max = jump_sample(seqs, dataset.window)
+        p_long, fit = fit_jump_mixture(lengths, l_max, p_long)
+        return Law(fit, lengths, p_long)
+    sample = law_sample(seqs, source)
+    return Law(fit_gamma_mle(sample, source), sample)
+
+
 # bytes of one block of bootstrap samples; the block, its CDF values and
 # one difference of the two are held at once
 _QQ_BLOCK_BYTES = 2**21
@@ -355,6 +383,17 @@ def _ks_distances(rows: np.ndarray, shape: np.ndarray, rate: np.ndarray) -> np.n
     below = (np.arange(1, n + 1) / n - cdf).max(axis=1)
     cdf -= np.arange(n) / n
     return np.maximum(below, cdf.max(axis=1))
+
+
+def _qq_band(fit: GammaFit, order: np.ndarray, below, above, alpha: float,
+             p_value: float | None, critical_value: float) -> QQBand:
+    """The QQ band of ``fit`` against the sorted sample ``order``, at plotting
+    positions (i - 0.5) / n, from the quantiles at levels ``below`` to those
+    at ``above``, each level clipped to [0, 1]."""
+    n = len(order)
+    return QQBand(fit.quantile((np.arange(1, n + 1) - 0.5) / n), order,
+                  fit.quantile(np.maximum(below, 0.0)), fit.quantile(np.minimum(above, 1.0)),
+                  alpha, p_value, critical_value)
 
 
 def gamma_qq(sample, fit: GammaFit, alpha: float = 0.05, *, seed: int,
@@ -381,8 +420,7 @@ def gamma_qq(sample, fit: GammaFit, alpha: float = 0.05, *, seed: int,
     samples: 999 samples of 10 000 values took 1.7 s on a 2-vCPU Xeon VM,
     most of it in the gamma CDF.
     """
-    sample = _validated_sample(sample)
-    order = np.sort(sample)
+    order = np.sort(_validated_sample(sample))
     n = len(order)
     stat = _ks_distances(order[None, :], np.array([fit.shape]), np.array([fit.rate]))[0]
     boot = np.empty(n_boot)
@@ -399,15 +437,8 @@ def gamma_qq(sample, fit: GammaFit, alpha: float = 0.05, *, seed: int,
     k = math.ceil((1.0 - alpha) * (n_boot + 1) - 1e-9)
     d = float(np.sort(boot)[k - 1]) if k <= n_boot else np.inf
     steps = np.arange(n + 1) / n
-    return QQBand(
-        theoretical=fit.quantile((np.arange(1, n + 1) - 0.5) / n),
-        empirical=order,
-        lower=fit.quantile(np.maximum(steps[1:] - d, 0.0)),
-        upper=fit.quantile(np.minimum(steps[:-1] + d, 1.0)),
-        alpha=alpha,
-        p_value=(1 + int(np.count_nonzero(boot >= stat))) / (n_boot + 1),
-        critical_value=math.sqrt(n) * d,
-    )
+    return _qq_band(fit, order, steps[1:] - d, steps[:-1] + d, alpha,
+                    (1 + int(np.count_nonzero(boot >= stat))) / (n_boot + 1), math.sqrt(n) * d)
 
 
 def fixed_fit_qq(sample, fit: GammaFit, alpha: float = 0.05) -> QQBand:
@@ -422,20 +453,11 @@ def fixed_fit_qq(sample, fit: GammaFit, alpha: float = 0.05) -> QQBand:
     in the jump-length mixture as a whole (each jump's l_max and p_long);
     it has no p-value, and its critical value is kolmogi(alpha).
     """
-    sample = _validated_sample(sample)
-    order = np.sort(sample)
+    order = np.sort(_validated_sample(sample))
     n = len(order)
     p = (np.arange(1, n + 1) - 0.5) / n
     d = kolmogi(alpha) / np.sqrt(n)
-    return QQBand(
-        theoretical=fit.quantile(p),
-        empirical=order,
-        lower=fit.quantile(np.maximum(p - d, 0.0)),
-        upper=fit.quantile(np.minimum(p + d, 1.0)),
-        alpha=alpha,
-        p_value=None,
-        critical_value=float(kolmogi(alpha)),
-    )
+    return _qq_band(fit, order, p - d, p + d, alpha, None, float(kolmogi(alpha)))
 
 
 def sample_truncated_gamma(

@@ -24,7 +24,7 @@ from .core import (
     read_only,
 )
 from .density import IntensityGrid, estimate_intensity
-from .fitdist import GammaFit, fit_gamma_mle, fit_jump_mixture, jump_sample, law_sample
+from .fitdist import FIT_SOURCES, GammaFit, fit_law
 from .ingest import write_json
 from .rng import substream
 from .summaries import STATS, RunCurves
@@ -127,15 +127,9 @@ def build_model(
 
     Both intensity surfaces (all fixations, first fixations) use the one
     bandwidth ``h``. To cross-validate it, pass the ``.h`` of
-    ``select_bandwidth_cv`` of ``dataset.pooled_locations(group)``. Fixation
-    durations and saccade lengths are fitted per group; saccade durations
-    pool every subject of both groups, since saccades are involuntary. Each
-    duration law is fitted to :func:`~fixproc.fitdist.law_sample` of its
-    sequences. The long-jump probability and the jump-length gamma are fitted
-    together, as the mixture the simulator draws from, to the group's
-    :func:`~fixproc.fitdist.jump_sample` by
-    :func:`~fixproc.fitdist.fit_jump_mixture`; a given ``p_long`` is held
-    fixed there.
+    ``select_bandwidth_cv`` of ``dataset.pooled_locations(group)``. Each
+    law is :func:`~fixproc.fitdist.fit_law` of ``group``, which states its
+    sample; a given ``p_long`` is held fixed in the jump mixture.
     Simulated durations are truncated below at ``min_fix_dur``, the
     threshold ingest filtered the dataset with. A dataset of several
     paintings gives one model fitted over all of them, whose ``painting_id``
@@ -149,19 +143,17 @@ def build_model(
     if len(first_pts) < 1:
         raise DataError("no first fixations to build the initial surface from")
 
-    dur_fix = fit_gamma_mle(law_sample(seqs, "fixation_duration"), "fixation_duration")
-    dur_sac = fit_gamma_mle(law_sample(dataset.sequences, "saccade_duration"), "saccade_duration")
-    p_long, len_sac = fit_jump_mixture(*jump_sample(seqs, dataset.window), p_long)
+    dur_fix, dur_sac, len_sac = (fit_law(dataset, group, s, p_long) for s in FIT_SOURCES)
 
     paintings = list(dataset.by_painting())
     return FixationModel(
         intensity_all=estimate_intensity(all_pts, dataset.window, h, nx, ny),
         intensity_first=estimate_intensity(first_pts, dataset.window, h, nx, ny),
-        dur_fix=dur_fix,
-        dur_sac=dur_sac,
-        len_sac=len_sac,
+        dur_fix=dur_fix.fit,
+        dur_sac=dur_sac.fit,
+        len_sac=len_sac.fit,
         trial_length=dataset.trial_length,
-        p_long=p_long,
+        p_long=len_sac.p_long,
         n_angles=n_angles,
         min_fix_dur=min_fix_dur,
         group=group,

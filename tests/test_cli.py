@@ -1392,20 +1392,19 @@ class TestFlagVariants:
 
 
 class TestOneSampleRule:
-    # fit and the group model take each law's sample from fitdist.law_sample,
-    # and fit reports the length gamma of the model's jump mixture with its p
+    # fit, qq and the group model take each law from fitdist.fit_law: fit
+    # --group G reports G's model law, the length gamma of the model's jump
+    # mixture with its p, and the saccade durations pooled over both groups
     @pytest.mark.parametrize("group", ["novice", "non_novice"])
     def test_fit_equals_the_models_law(self, data_csv, tmp_path, group):
         assert run(["envelope", "--group", group, "--seed", "1", "--n-runs", "20", "--no-svg",
                     "--input", data_csv, "--out", tmp_path / "env", *FAST]) == 0
         model = json.loads((tmp_path / "env" / "envelope.json").read_text())["model"]
-        # saccade durations pool both groups, so fit takes no --group for them
         fits = {}
-        for source, law, flags in (("fixation_duration", "dur_fix", ["--group", group]),
-                                   ("saccade_length", "len_sac", ["--group", group]),
-                                   ("saccade_duration", "dur_sac", [])):
+        for source, law in (("fixation_duration", "dur_fix"), ("saccade_length", "len_sac"),
+                            ("saccade_duration", "dur_sac")):
             out = tmp_path / source
-            assert run(["fit", "--source", source, *flags, "--input", data_csv,
+            assert run(["fit", "--source", source, "--group", group, "--input", data_csv,
                         "--out", out, *FAST]) == 0
             fits[law] = json.loads((out / f"fit_{source}.json").read_text())
             assert {key: fits[law][key] for key in model[law]} == model[law]
@@ -1417,6 +1416,17 @@ class TestOneSampleRule:
         assert qq["fit"] == model["len_sac"] and qq["p_long"] == model["p_long"]
         # its band is still the fixed-fit one, so it needs no seed and has no p-value
         assert "p_value" not in qq
+        # and bands the pooled saccade durations the model's law was fitted to,
+        # as many as fit reads without a group
+        assert run(["qq", "--source", "saccade_duration", "--group", group, "--seed", "1",
+                    "--input", data_csv, "--out", tmp_path / "qq_dur", *FAST]) == 0
+        qq = json.loads((tmp_path / "qq_dur" / "qq_saccade_duration.json").read_text())
+        assert qq["fit"] == model["dur_sac"]
+        band = (tmp_path / "qq_dur" / "qq_saccade_duration.csv").read_text().splitlines()
+        assert run(["fit", "--source", "saccade_duration", "--input", data_csv,
+                    "--out", tmp_path / "fit_dur", *FAST]) == 0
+        pooled = json.loads((tmp_path / "fit_dur" / "fit_saccade_duration.json").read_text())
+        assert len(band) - 1 == qq["fit"]["n"] == pooled["n"]
 
 
 class TestSvgText:

@@ -16,10 +16,10 @@ from fixproc import (
     sample_truncated_gamma,
 )
 from fixproc.fitdist import (FIT_SOURCES, _gamma_mle_rows, _nelder_mead, fit_jump_mixture,
-                             jump_sample)
+                             fit_law, jump_sample)
 from fixproc.rng import substream
 from helpers import (WINDOW, derive_saccades_reference, jump_sample_reference,
-                     valid_saccade_values_reference)
+                     simulated_dataset, toy_model, valid_saccade_values_reference)
 from test_ingest import _saccade_cases
 
 
@@ -196,6 +196,31 @@ class TestJumpSample:
         np.testing.assert_allclose(l_max, expected[1], rtol=1e-15, atol=0)
 
 
+class TestFitLaw:
+    # the one rule by which build_model, fit and qq choose each law's
+    # sequences, sample and fit
+    def test_sequences_sample_and_fit_of_each_source(self):
+        d = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=6, seed=3)
+        for group in ("novice", "non_novice", None):
+            for source in FIT_SOURCES:
+                law = fit_law(d, group, source)
+                # saccade durations pool both groups whatever the group
+                pooled = group is None or source == "saccade_duration"
+                seqs = d.sequences if pooled else d.by_group(group)
+                assert law.sample.tolist() == law_sample(seqs, source).tolist()
+                if source == "saccade_length":
+                    assert (law.p_long, law.fit) == fit_jump_mixture(*jump_sample(seqs, d.window))
+                else:
+                    assert law.p_long is None and law.fit == fit_gamma_mle(law.sample, source)
+
+    def test_given_p_long_is_held(self):
+        d = simulated_dataset(toy_model(trial_length=5_000.0), n_subjects=6, seed=3)
+        lengths, l_max = jump_sample(d.by_group("novice"), d.window)
+        law = fit_law(d, "novice", "saccade_length", 0.3)
+        assert (law.p_long, law.fit) == fit_jump_mixture(lengths, l_max, 0.3)
+        assert fit_law(d, "novice", "fixation_duration", 0.3).p_long is None
+
+
 class TestGammaQQ:
     def test_exact_quantiles_on_the_line(self):
         fit = GammaFit(2.0, 0.01, 500, "fixation_duration")
@@ -240,6 +265,18 @@ class TestBootstrapQQ:
             sample = rng.gamma(2.0, 150.0, 50)
             exits += not gamma_qq(sample, fit_gamma_mle(sample), 0.05, seed=i).line_inside()
         assert abs(exits / trials - 0.05) <= 0.03
+
+    def test_rejects_lognormal_durations_the_fixed_fit_band_keeps(self):
+        # power against a near-gamma law: lognormal(5, 0.65) samples of 200
+        # left the bootstrap band in 38 of 60 and the fixed-fit one in 4
+        rng = np.random.default_rng(115)
+        trials, boot, fixed = 60, 0, 0
+        for i in range(trials):
+            sample = rng.lognormal(5.0, 0.65, 200)
+            fit = fit_gamma_mle(sample)
+            boot += not gamma_qq(sample, fit, 0.05, seed=i, n_boot=199).line_inside()
+            fixed += not fixed_fit_qq(sample, fit, 0.05).line_inside()
+        assert boot / trials >= 0.35 and fixed / trials <= 0.15
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5])
     def test_line_inside_exactly_when_d_is_at_most_the_critical_value(self, alpha):

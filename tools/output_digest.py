@@ -146,6 +146,10 @@ COMMANDS = {
     "fit_fix": ("c", ["fit", "--source", "fixation_duration"]),
     # one group's sample alone
     "fit_len_novice": ("c", ["fit", "--source", "saccade_length", "--group", "novice"]),
+    # the novice model's saccade-duration law, which pools both groups
+    "fit_dur_novice": ("c", ["fit", "--source", "saccade_duration", "--group", "novice"]),
+    "qq_dur_novice": ("c", ["qq", "--source", "saccade_duration", "--group", "novice",
+                            "--seed", "7"]),
     "qq": ("c", ["qq", "--source", "saccade_duration", "--alpha", "0.1", "--seed", "7"]),
     "qq_fix": ("c", ["qq", "--source", "fixation_duration", "--seed", "7"]),
     "qq_len": ("c", ["qq", "--source", "saccade_length"]),
